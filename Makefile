@@ -12,13 +12,13 @@ FUZZTIME ?= 10s
 # unconditionally as part of `go test` either way.
 SMOKE_FUZZTIME ?= 5s
 
-# race-matrix sweeps scheduler pressure (GOMAXPROCS) against codec worker
-# count (SKETCHML_PARALLELISM, consumed by codec.parallelism when
-# Options.Parallelism is 0). The concurrency-heavy packages run under
-# -race at every point; -count=1 defeats the test cache so each point
-# really executes.
+# race-matrix sweeps scheduler pressure (GOMAXPROCS): the concurrency-heavy
+# packages run under -race at every point; -count=1 defeats the test cache
+# so each point really executes. experiments-matrix runs the wall-clock
+# shape tests of ./internal/experiments (which skip under -race) at
+# GOMAXPROCS 1, 2 and NumCPU, so a stage meter that only holds on some core
+# count fails the gate instead of the next 2-CPU host.
 MATRIX_GOMAXPROCS   ?= 1 2 8
-MATRIX_PARALLELISM  ?= 0 1 4
 MATRIX_PKGS         ?= ./internal/codec ./internal/trainer ./internal/cluster ./internal/service
 # Flags for `make bench`; override with e.g. BENCHFLAGS=-benchtime=1x for a
 # smoke run that only checks the pipeline still works.
@@ -59,7 +59,7 @@ FUZZ_TARGETS := \
 	./internal/trainer:FuzzCheckpointDecode \
 	./internal/service:FuzzJobSpecDecode
 
-.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke verify clean
+.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke verify clean
 
 all: verify
 
@@ -104,27 +104,24 @@ race:
 	$(GO) test -race ./...
 
 race-matrix:
-	@set -e; for gmp in $(MATRIX_GOMAXPROCS); do \
-		for par in $(MATRIX_PARALLELISM); do \
-			echo "race-matrix: GOMAXPROCS=$$gmp SKETCHML_PARALLELISM=$$par"; \
-			GOMAXPROCS=$$gmp SKETCHML_PARALLELISM=$$par \
-				$(GO) test -race -count=1 $(MATRIX_PKGS); \
-		done; \
-	done
 	@set -e; ncpu=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN); \
-	if [ "$$ncpu" -ge 4 ]; then \
-		for par in $(MATRIX_PARALLELISM); do \
-			echo "race-matrix: GOMAXPROCS=$$ncpu (NumCPU) SKETCHML_PARALLELISM=$$par"; \
-			GOMAXPROCS=$$ncpu SKETCHML_PARALLELISM=$$par \
-				$(GO) test -race -count=1 $(MATRIX_PKGS); \
-		done; \
-	else \
-		echo "race-matrix: NumCPU column skipped ($$ncpu CPUs; the fixed 1/2/8 sweep already covers it)"; \
-	fi
+	points="$(MATRIX_GOMAXPROCS)"; \
+	if [ "$$ncpu" -ge 4 ]; then points="$$points $$ncpu"; fi; \
+	for gmp in $$points; do \
+		echo "race-matrix: GOMAXPROCS=$$gmp"; \
+		GOMAXPROCS=$$gmp $(GO) test -race -count=1 $(MATRIX_PKGS); \
+	done
 	@echo "race-matrix: chaos point GOMAXPROCS=4 CHAOS_SEED=$(CHAOS_MATRIX_SEED)"
 	GOMAXPROCS=4 SKETCHML_CHAOS_SOAK=1 SKETCHML_CHAOS_SEED=$(CHAOS_MATRIX_SEED) \
 		$(GO) test -race -count=1 -run TestChaosSoak ./internal/trainer
 	@echo "race-matrix: all points passed"
+
+experiments-matrix:
+	@set -e; ncpu=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN); \
+	for gmp in $$(printf '%s\n' 1 2 $$ncpu | sort -nu); do \
+		echo "experiments-matrix: GOMAXPROCS=$$gmp"; \
+		GOMAXPROCS=$$gmp $(GO) test -count=1 ./internal/experiments; \
+	done
 
 # chaos-soak trains under seeded fault injection (drops, corruption, dups,
 # delays, one worker disconnect+rejoin) under -race and demands exact
@@ -177,7 +174,7 @@ bench-check:
 service-smoke:
 	SKETCHML_SERVICE_SMOKE=1 $(GO) test -count=1 -run TestServiceSmoke -v ./cmd/sketchml
 
-verify: build fmt vet lint lint-self test race-matrix chaos-soak fuzz-smoke service-smoke
+verify: build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
 	@echo "verify: all gates passed"
 
 clean:

@@ -231,26 +231,3 @@ func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 // BlockSize returns the serialized size of a block holding count width-bit
 // values.
 func BlockSize(count, width int) int { return 5 + PackedSize(count, width) }
-
-// BlockLen returns the total serialized length of the block at the head of
-// data without decoding its values — the block is self-describing, so the
-// length follows from the header alone. Used to locate pane boundaries for
-// parallel decoding.
-func BlockLen(data []byte) (int, error) {
-	if len(data) < 5 {
-		return 0, errors.New("bitpack: truncated block header")
-	}
-	count := int(binary.LittleEndian.Uint32(data))
-	width := int(data[4])
-	if width < 1 || width > 32 {
-		return 0, fmt.Errorf("bitpack: bad width %d", width)
-	}
-	if count < 0 || count > 1<<31 {
-		return 0, fmt.Errorf("bitpack: bad count %d", count)
-	}
-	need := BlockSize(count, width)
-	if len(data) < need {
-		return 0, fmt.Errorf("bitpack: need %d bytes, have %d", need, len(data))
-	}
-	return need, nil
-}

@@ -11,9 +11,11 @@ import (
 
 // BenchmarkEncodeDecode measures the codec hot path across the operating
 // points that matter for the paper's economics: bucket count q (quantization
-// resolution), group count r (MinMaxSketch splitting), gradient sparsity,
-// and the Parallelism knob. Each point benches Encode and Decode separately
-// with allocation reporting, so `make bench` tracks both ns/op and
+// resolution), group count r (MinMaxSketch splitting) and gradient sparsity.
+// Encode is benched on the serial plan (par1) at every point and with
+// concurrent panes (parmaxN, N = GOMAXPROCS) at the larger ones; decode has
+// one plan, so Decode and DecodeInto appear once per point. Allocation
+// reporting is on throughout, so `make bench` tracks both ns/op and
 // allocs/op regressions. compressed-B/msg reports the wire size, tying the
 // CPU cost to the bytes it saves.
 func BenchmarkEncodeDecode(b *testing.B) {
@@ -21,16 +23,14 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		buckets int // q
 		groups  int // r
 		nnz     int
-		par     int // 0 = GOMAXPROCS
+		parmax  bool // also bench Encode with concurrent panes
 	}
 	points := []point{
-		{256, 8, 500, 1},
-		{256, 8, 5000, 1},
-		{256, 8, 5000, 0},
-		{256, 8, 50000, 1},
-		{256, 8, 50000, 0},
-		{64, 8, 5000, 1},
-		{256, 16, 5000, 1},
+		{256, 8, 500, false},
+		{256, 8, 5000, true},
+		{256, 8, 50000, true},
+		{64, 8, 5000, false},
+		{256, 16, 5000, false},
 	}
 	rng := rand.New(rand.NewSource(77))
 	grads := map[int]*gradientArg{}
@@ -44,33 +44,34 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		opts := DefaultOptions()
 		opts.Buckets = p.buckets
 		opts.Groups = p.groups
-		opts.Parallelism = p.par
+		opts.Parallelism = 1
 		c := MustSketchML(opts)
 		g := grads[p.nnz].g
-
-		// par=0 means "all cores"; label it by what it resolved to, with a
-		// "max" marker so the name never collides with an explicit level on
-		// machines where GOMAXPROCS happens to equal it.
-		parLabel := fmt.Sprintf("par%d", p.par)
-		if p.par == 0 {
-			parLabel = fmt.Sprintf("parmax%d", runtime.GOMAXPROCS(0))
-		}
-		name := fmt.Sprintf("q%d_r%d_nnz%d_%s", p.buckets, p.groups, p.nnz, parLabel)
+		name := fmt.Sprintf("q%d_r%d_nnz%d", p.buckets, p.groups, p.nnz)
 
 		msg, err := c.Encode(g)
 		if err != nil {
 			b.Fatalf("%s: encode: %v", name, err)
 		}
 
-		b.Run("Encode/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(len(msg)), "compressed-B/msg")
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(g); err != nil {
-					b.Fatal(err)
+		benchEncode := func(label string, c *SketchML) {
+			b.Run("Encode/"+name+"_"+label, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ReportMetric(float64(len(msg)), "compressed-B/msg")
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Encode(g); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
+		benchEncode("par1", c)
+		if p.parmax {
+			// Parallelism 0 is "concurrent panes iff GOMAXPROCS > 1"; the
+			// label carries what it resolved to.
+			opts.Parallelism = 0
+			benchEncode(fmt.Sprintf("parmax%d", runtime.GOMAXPROCS(0)), MustSketchML(opts))
+		}
 		b.Run("Decode/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ReportMetric(float64(len(msg)), "compressed-B/msg")
@@ -82,7 +83,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		})
 		// DecodeInto with a reused destination is the steady-state receive
 		// path: once the destination and pooled scratch warm up it must run
-		// allocation-free on the serial plan (bench-check pins the ceiling).
+		// allocation-free (bench-check pins the ceiling).
 		b.Run("DecodeInto/"+name, func(b *testing.B) {
 			var dst gradient.Sparse
 			if err := c.DecodeInto(msg, &dst); err != nil {

@@ -1,0 +1,103 @@
+package codec
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"sketchml/internal/gradient"
+)
+
+// These tests feed structurally corrupt messages to both consumers of the
+// pane decoder — DecodeInto and MergeInto, which decodes its two inputs
+// through the same path. A hostile message must produce a clean error or
+// a valid result, never a panic or an allocation sized by the wire. They
+// run under -race at every race-matrix point (make race-matrix).
+
+// hostileMessage encodes a 300-nnz gradient at the default options, the
+// message the corruption tests below mutate.
+func hostileMessage(t *testing.T, seed int64) (*SketchML, []byte) {
+	t.Helper()
+	c := MustSketchML(DefaultOptions())
+	msg, err := c.Encode(randomGradient(rand.New(rand.NewSource(seed)), 20000, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, msg
+}
+
+// checkHostile decodes mut, and merges it with the valid message msg; each
+// must fail or yield a valid gradient.
+func checkHostile(t *testing.T, c *SketchML, msg, mut []byte, what string) {
+	t.Helper()
+	var dec gradient.Sparse
+	if err := c.DecodeInto(mut, &dec); err == nil {
+		if verr := dec.Validate(); verr != nil {
+			t.Fatalf("%s: decoded invalid gradient: %v", what, verr)
+		}
+	}
+	if merged, err := c.MergeInto(nil, msg, mut); err == nil {
+		if err := c.DecodeInto(merged, &dec); err != nil {
+			t.Fatalf("%s: merge emitted an undecodable message: %v", what, err)
+		}
+		if verr := dec.Validate(); verr != nil {
+			t.Fatalf("%s: merge emitted an invalid gradient: %v", what, verr)
+		}
+	}
+}
+
+// TestParallelDecodeCorruptPaneBoundary overwrites each byte position of a
+// valid message in turn and truncates at each position, walking the pane
+// decoder through every misalignment of the pane and group boundaries.
+func TestParallelDecodeCorruptPaneBoundary(t *testing.T) {
+	c, msg := hostileMessage(t, 11)
+	mut := make([]byte, len(msg))
+	for pos := 0; pos < len(msg); pos++ {
+		copy(mut, msg)
+		mut[pos] = 0xFF
+		checkHostile(t, c, msg, mut, "byte 0xFF")
+		checkHostile(t, c, msg, msg[:pos], "truncation")
+	}
+}
+
+// TestParallelDecodeOversizedGroupCount patches the grouped sketch header's
+// group-count field to 0xFFFFFFFF. The decoder must reject the count at the
+// header bound (minmax.DecodeGroupedReuse caps it at 1<<16) instead of
+// allocating four billion group slots.
+func TestParallelDecodeOversizedGroupCount(t *testing.T) {
+	c, msg := hostileMessage(t, 12)
+	// Wire layout: tag(1) flags(1) dim(8) count(4) seed(8) buckets(4) = 26
+	// bytes of message header, then pane 0: paneCount(4) nMeans(4)
+	// means(8*nMeans), then the grouped header, which leads with the group
+	// count u32.
+	const hdr = 26
+	if len(msg) < hdr+8 {
+		t.Fatalf("message unexpectedly short: %d bytes", len(msg))
+	}
+	paneCount := binary.LittleEndian.Uint32(msg[hdr:])
+	if paneCount == 0 {
+		t.Fatal("pane 0 is empty; pick a seed that produces positive values")
+	}
+	nMeans := int(binary.LittleEndian.Uint32(msg[hdr+4:]))
+	groupCountOff := hdr + 8 + 8*nMeans
+	if len(msg) < groupCountOff+4 {
+		t.Fatalf("message too short for grouped header at %d", groupCountOff)
+	}
+	mut := append([]byte(nil), msg...)
+	binary.LittleEndian.PutUint32(mut[groupCountOff:], 0xFFFFFFFF)
+	if _, err := c.Decode(mut); err == nil {
+		t.Fatal("decoder accepted a 4-billion group count")
+	}
+	if _, err := c.MergeInto(nil, msg, mut); err == nil {
+		t.Fatal("merge accepted a 4-billion group count")
+	}
+	// Same patch, but a count that passes the header bound and fails inside
+	// the per-sketch loop.
+	binary.LittleEndian.PutUint32(mut[groupCountOff:], 1<<16)
+	if _, err := c.Decode(mut); err == nil {
+		t.Fatal("decoder accepted a grouped header lying about 65536 groups")
+	}
+	if _, err := c.MergeInto(nil, msg, mut); err == nil {
+		t.Fatal("merge accepted a grouped header lying about 65536 groups")
+	}
+}

@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -195,4 +196,48 @@ func TestDecodeReuseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameGradient(t, want, zgot)
+}
+
+// mallocsPerRun is testing.AllocsPerRun at a chosen GOMAXPROCS: the
+// testing helper pins GOMAXPROCS(1), which is exactly the setting at which
+// Options.Parallelism 0 resolves to the serial plan, so it cannot witness
+// what a multi-core host runs by default. f runs once to warm up, then
+// runs times between two runtime.MemStats.Mallocs readings.
+func mallocsPerRun(procs, runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestDecodeIntoZeroAllocWarm is the allocation contract of the receive
+// path at the configuration the trainer actually runs: default Options
+// (MinMax on, Parallelism 0) on a multi-core GOMAXPROCS, a gradient of the
+// benchmark's size, a reused destination. Skipped under -race: the
+// detector's instrumentation allocates.
+func TestDecodeIntoZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := MustSketchML(DefaultOptions())
+	msg, err := c.Encode(randomGradient(rand.New(rand.NewSource(35)), 2_000_000, 40_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst gradient.Sparse
+	for _, procs := range []int{1, 2} {
+		allocs := mallocsPerRun(procs, 20, func() {
+			if err := c.DecodeInto(msg, &dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: warm DecodeInto allocates %d objects/op, want 0", procs, allocs)
+		}
+	}
 }

@@ -1,11 +1,8 @@
 package codec
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"sketchml/internal/sketch/minmax"
 )
@@ -15,84 +12,27 @@ import (
 // only work while compression CPU stays far below the communication time it
 // saves, so the codec must exploit cores and avoid allocator churn:
 //
-//   - forEach is a bounded worker pool over an index space. Every output is
-//     written to a pre-owned position and errors are selected by lowest
-//     index, so results are deterministic regardless of scheduling.
+//   - Encode runs its two sign panes concurrently (pane 1 on a goroutine,
+//     pane 0 inline) when concurrentPanes says so. Decode has no fan-out of
+//     its own: every decode in a training round already runs beside its
+//     siblings (the gather goroutines, the replicas decoding one
+//     broadcast), so nesting a second level only oversubscribes.
 //   - The sync.Pool families recycle the per-message scratch (pane output
-//     buffers, sign-partition slices, bucket-index arrays) that used to be
-//     reallocated on every Encode/Decode call.
+//     buffers, sign-partition slices, bucket-index arrays, the decoder's
+//     flat stores) that would otherwise be reallocated on every call.
 //
 // Wire bytes are bit-identical at every parallelism level: panes are
 // independent and spliced in paneID order, group scatter preserves key
 // order, and nothing on the encode path depends on goroutine interleaving.
 
-// envParallelism reads SKETCHML_PARALLELISM once. The race-matrix harness
-// (make race-matrix) uses it to sweep codec worker counts across a fixed
-// test binary without plumbing an option through every test; it only
-// applies when Options.Parallelism is 0 (auto), so explicit settings win.
-var envParallelism = sync.OnceValue(func() int {
-	if v := os.Getenv("SKETCHML_PARALLELISM"); v != "" {
-		if p, err := strconv.Atoi(v); err == nil && p > 0 {
-			return p
-		}
-	}
-	return 0
-})
-
-// parallelism resolves Options.Parallelism: 0 means the
-// SKETCHML_PARALLELISM environment override if set, else one worker per
-// available CPU; 1 pins the serial path.
-func (c *SketchML) parallelism() int {
+// concurrentPanes resolves Options.Parallelism for Encode: 0 means
+// concurrent panes iff more than one CPU is available, 1 pins the serial
+// plan, 2 or more always fans out.
+func (c *SketchML) concurrentPanes() bool {
 	if p := c.opts.Parallelism; p > 0 {
-		return p
+		return p > 1
 	}
-	if p := envParallelism(); p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn over [0, n) on at most par goroutines. When par <= 1 (or
-// n <= 1) it degrades to a plain loop with early exit. Under concurrency
-// every index runs exactly once and the returned error is the one from the
-// lowest failing index, keeping error reporting deterministic.
-func forEach(par, n int, fn func(i int) error) error {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	//lint:allow hotpath-alloc per-fan-out error slots; the par<=1 branch above returns before this line, so serial hot paths never reach it
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		//lint:allow hotpath-alloc one worker closure per fan-out goroutine; unreachable from the serial par<=1 path
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return runtime.GOMAXPROCS(0) > 1
 }
 
 // ---- scratch pools ----
@@ -153,12 +93,12 @@ func putU32(b *[]uint32) { u32Pool.Put(b) }
 
 // ---- decode scratch ----
 
-// decodeScratch is the reusable per-call state behind DecodeInto's serial
-// path: flat key/value stores reserved once per message (per-group lists
-// alias windows of them, so nothing reallocates mid-decode), a means
-// table, a bitpack index buffer, one grouped sketch rebuilt in place per
-// pane, the per-group list headers, and the k-way-merge cursors. Pooled
-// so steady-state decodes allocate nothing once capacities warm up.
+// decodeScratch is the reusable per-call state behind DecodeInto: flat
+// key/value stores reserved once per message (per-group lists alias
+// windows of them, so nothing reallocates mid-decode), a means table, a
+// bitpack index buffer, one grouped sketch rebuilt in place per pane, the
+// per-group list headers, and the k-way-merge cursors. Pooled so
+// steady-state decodes allocate nothing once capacities warm up.
 type decodeScratch struct {
 	means    []float64
 	keys     []uint64 // flat backing; keyLists entries alias windows of it

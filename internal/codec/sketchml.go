@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -37,13 +36,11 @@ type Options struct {
 	Groups int
 	// Seed selects the hash family shared by encoder and decoder.
 	Seed uint64
-	// Parallelism bounds the worker pool used for the codec hot path:
-	// panes encode concurrently and pane/group reconstruction decodes
-	// concurrently. 0 (the default) means the SKETCHML_PARALLELISM
-	// environment variable if it is set to a positive integer (the
-	// race-matrix harness uses this), else one worker per available CPU
-	// (GOMAXPROCS); 1 pins the serial path. The encoded bytes are
-	// bit-identical at every setting — parallelism only changes wall time.
+	// Parallelism selects Encode's plan for the two sign panes: 0 (the
+	// default) encodes them concurrently iff more than one CPU is
+	// available (GOMAXPROCS > 1), 1 pins the serial plan, 2 or more always
+	// encodes them concurrently. Decode is unaffected. The encoded bytes
+	// are bit-identical at every setting — it only changes wall time.
 	Parallelism int
 	// Algo selects the quantile sketch implementation: GK (default) or
 	// KLL, the algorithm behind the DataSketches library the paper used.
@@ -262,55 +259,51 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 
 	paneKeys := [2][]uint64{posKeys, negKeys}
 	paneVals := [2][]float64{posVals, negMags}
-	if par := c.parallelism(); par > 1 {
-		// Panes are independent; encode them concurrently into pooled
-		// buffers and splice in paneID order for bit-identical output.
-		var bufs [2]*[]byte
-		var bds [2]Breakdown
-		for i := range bufs {
-			bufs[i] = getBytes()
-		}
-		defer putBytes(bufs[0])
-		defer putBytes(bufs[1])
-		err := forEach(par, 2, func(i int) error {
-			var pt0 time.Time
-			if c.met != nil {
-				pt0 = time.Now()
-			}
-			var perr error
-			*bufs[i], perr = c.encodePane((*bufs[i])[:0], &bds[i], msgSeed, g.Dim,
-				paneKeys[i], paneVals[i], uint64(i), wide)
-			if c.met != nil && perr == nil {
-				c.met.paneEncodeNs.Since(pt0)
-			}
-			return perr
-		})
-		if err != nil {
-			return nil, bd, err
-		}
-		for i := range bufs {
-			out = append(out, *bufs[i]...)
-			bd.Header += bds[i].Header
-			bd.Keys += bds[i].Keys
-			bd.Values += bds[i].Values
-			bd.Meta += bds[i].Meta
-		}
-		return out, bd, nil
-	}
-	var err error
-	for i := 0; i < 2; i++ {
+	pane := func(dst []byte, bd *Breakdown, i int) ([]byte, error) {
 		var pt0 time.Time
 		if c.met != nil {
 			pt0 = time.Now()
 		}
-		out, err = c.encodePane(out, &bd, msgSeed, g.Dim, paneKeys[i], paneVals[i], uint64(i), wide)
-		if err != nil {
-			return nil, bd, err
-		}
-		if c.met != nil {
+		dst, err := c.encodePane(dst, bd, msgSeed, g.Dim, paneKeys[i], paneVals[i], uint64(i), wide)
+		if c.met != nil && err == nil {
 			c.met.paneEncodeNs.Since(pt0)
 		}
+		return dst, err
 	}
+	if !c.concurrentPanes() {
+		var err error
+		for i := 0; i < 2; i++ {
+			if out, err = pane(out, &bd, i); err != nil {
+				return nil, bd, err
+			}
+		}
+		return out, bd, nil
+	}
+	// Panes are independent: pane 1 encodes on a goroutine into a pooled
+	// buffer while pane 0 appends straight to out, then pane 1's bytes are
+	// spliced behind it — the same bytes the serial plan writes.
+	buf1 := getBytes()
+	defer putBytes(buf1)
+	var bd1 Breakdown
+	var err1 error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		*buf1, err1 = pane(*buf1, &bd1, 1)
+	}()
+	out, err0 := pane(out, &bd, 0)
+	<-done
+	if err0 != nil {
+		return nil, bd, err0
+	}
+	if err1 != nil {
+		return nil, bd, err1
+	}
+	out = append(out, *buf1...)
+	bd.Header += bd1.Header
+	bd.Keys += bd1.Keys
+	bd.Values += bd1.Values
+	bd.Meta += bd1.Meta
 	return out, bd, nil
 }
 
@@ -472,11 +465,6 @@ func (c *SketchML) appendKeys(out []byte, keys []uint64, wide bool) ([]byte, err
 	return out, nil
 }
 
-// decodeKeys reads a key list written by appendKeys into fresh storage.
-func decodeKeys(r *reader, delta, wide bool) ([]uint64, error) {
-	return decodeKeysInto(r, delta, wide, nil)
-}
-
 // decodeKeysInto reads a key list written by appendKeys into dst's
 // storage, reused when its capacity covers the wire count and grown
 // otherwise; the (possibly regrown) slice is returned.
@@ -633,82 +621,22 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	defer putScratch(sc)
 	sc.reset(int(count))
 
-	if par := c.parallelism(); par > 1 {
-		// Locate the pane boundary with a cheap structural scan (headers and
-		// flag streams only — no key or sketch materialization), then decode
-		// both panes concurrently. Each pane writes to its own result slot,
-		// so the merged output is deterministic. The fan-out allocates its
-		// per-pane lists — the price of parallel decode, the same trade
-		// gatherRound makes per round; the serial path below is the pooled
-		// zero-allocation steady state.
-		rest := r.rest()
-		len0, err := skipPane(rest, delta, mm, wide)
-		if err != nil {
-			return fmt.Errorf("codec: pane 0: %w", err)
+	for paneID := uint64(0); paneID < 2; paneID++ {
+		var pt0 time.Time
+		if c.met != nil {
+			pt0 = time.Now()
 		}
-		paneData := [2][]byte{rest[:len0], rest[len0:]}
-		var paneLists [2][][]uint64
-		var paneVLists [2][][]float64
-		consumed := len0
-		gpar := par / 2
-		if gpar < 1 {
-			gpar = 1
+		start := len(sc.valLists)
+		if err := c.decodePaneInto(&r, sc, delta, mm, wide, paneID, seed); err != nil {
+			return fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
-		//lint:allow hotpath-alloc one closure per parallel decode for the pane fan-out; the serial path shares no state and allocates nothing
-		err = forEach(par, 2, func(i int) error {
-			var pt0 time.Time
-			if c.met != nil {
-				pt0 = time.Now()
-			}
-			//lint:allow hotpath-alloc per-pane cursor of the parallel fan-out; the serial path uses a stack reader
-			pr := &reader{data: paneData[i]}
-			pk, pv, perr := decodePane(pr, delta, mm, wide, uint64(i), seed, gpar)
-			if perr != nil {
-				return fmt.Errorf("codec: pane %d: %w", i, perr)
-			}
-			if c.met != nil {
-				c.met.paneDecodeNs.Since(pt0)
-			}
-			if i == 1 {
-				for _, list := range pv {
-					for j := range list {
-						list[j] = -list[j]
-					}
-				}
-				consumed += pr.off // pane 1's tail offset; pane 0 consumed len0 by construction
-			}
-			paneLists[i] = pk
-			paneVLists[i] = pv
-			return nil
-		})
-		if err != nil {
-			return err
+		if c.met != nil {
+			c.met.paneDecodeNs.Since(pt0)
 		}
-		if err := r.advance(consumed); err != nil {
-			return err
-		}
-		for i := 0; i < 2; i++ {
-			sc.keyLists = append(sc.keyLists, paneLists[i]...)
-			sc.valLists = append(sc.valLists, paneVLists[i]...)
-		}
-	} else {
-		for paneID := uint64(0); paneID < 2; paneID++ {
-			var pt0 time.Time
-			if c.met != nil {
-				pt0 = time.Now()
-			}
-			start := len(sc.valLists)
-			if err := c.decodePaneInto(&r, sc, delta, mm, wide, paneID, seed); err != nil {
-				return fmt.Errorf("codec: pane %d: %w", paneID, err)
-			}
-			if c.met != nil {
-				c.met.paneDecodeNs.Since(pt0)
-			}
-			if paneID == 1 {
-				for _, list := range sc.valLists[start:] {
-					for i := range list {
-						list[i] = -list[i]
-					}
+		if paneID == 1 {
+			for _, list := range sc.valLists[start:] {
+				for i := range list {
+					list[i] = -list[i]
 				}
 			}
 		}
@@ -722,218 +650,10 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	return nil
 }
 
-// skipPane returns the encoded length of one sign pane at the head of data
-// without materializing keys, values, or sketches — only fixed headers and
-// the delta flag streams are touched. It is the cheap structural scan that
-// lets the decoder hand whole panes to parallel workers.
-func skipPane(data []byte, delta, mm, wide bool) (int, error) {
-	if len(data) < 4 {
-		return 0, errTruncated
-	}
-	paneCount := binary.LittleEndian.Uint32(data)
-	off := 4
-	if paneCount == 0 {
-		return off, nil
-	}
-	if len(data) < off+4 {
-		return 0, errTruncated
-	}
-	nMeans := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if nMeans == 0 || nMeans > 1<<16 {
-		return 0, fmt.Errorf("implausible means count %d", nMeans)
-	}
-	if len(data)-off < int(nMeans)*8 {
-		return 0, errTruncated
-	}
-	off += int(nMeans) * 8
-
-	//lint:allow hotpath-alloc one closure per parallel decode's structural pane scan; the serial steady state never calls skipPane
-	skipKeys := func() error {
-		if delta {
-			_, used, err := keycoding.SkipDelta(data[off:])
-			if err != nil {
-				return err
-			}
-			off += used
-			return nil
-		}
-		if len(data)-off < 4 {
-			return errTruncated
-		}
-		count := int(binary.LittleEndian.Uint32(data[off:]))
-		kb := 4
-		if wide {
-			kb = 8
-		}
-		need := 4 + count*kb
-		if count < 0 || len(data)-off < need {
-			return errTruncated
-		}
-		off += need
-		return nil
-	}
-
-	if !mm {
-		if err := skipKeys(); err != nil {
-			return 0, err
-		}
-		used, err := bitpack.BlockLen(data[off:])
-		if err != nil {
-			return 0, err
-		}
-		return off + used, nil
-	}
-
-	if len(data)-off < 4 {
-		return 0, errTruncated
-	}
-	numGroups := int(binary.LittleEndian.Uint32(data[off:])) // grouped header leads with n
-	used, err := minmax.SkipGrouped(data[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += used
-	//lint:allow wire-taint every iteration consumes >=4 bytes of data or fails with errTruncated, so the loop runs at most len(data)/4 times regardless of the header value
-	for grp := 0; grp < numGroups; grp++ {
-		if err := skipKeys(); err != nil {
-			return 0, fmt.Errorf("group %d keys: %w", grp, err)
-		}
-	}
-	return off, nil
-}
-
-// decodePane parses one sign pane, returning per-group ascending key lists
-// and their decoded magnitude lists. par bounds the workers used for value
-// reconstruction across groups (the structural parse is inherently
-// sequential in the byte stream). It backs the parallel fan-out only,
-// where each pane needs independently owned output; the serial steady
-// state goes through decodePaneInto, which reuses pooled scratch instead.
-func decodePane(r *reader, delta, mm, wide bool, paneID, seed uint64, par int) ([][]uint64, [][]float64, error) {
-	paneCount, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	if paneCount == 0 {
-		return nil, nil, nil
-	}
-	nMeans, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	if nMeans == 0 || nMeans > 1<<16 {
-		return nil, nil, fmt.Errorf("implausible means count %d", nMeans)
-	}
-	//lint:allow hotpath-alloc parallel-path pane output; the serial steady state reuses sc.means via decodePaneInto
-	means := make([]float64, nMeans)
-	for i := range means {
-		if means[i], err = r.f64(); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if !mm {
-		keys, err := decodeKeys(r, delta, wide)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx, used, err := bitpack.DecodeBlock(r.rest())
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := r.advance(used); err != nil {
-			return nil, nil, err
-		}
-		if len(idx) != len(keys) {
-			return nil, nil, fmt.Errorf("%d indexes for %d keys", len(idx), len(keys))
-		}
-		//lint:allow hotpath-alloc parallel-path pane output; the serial steady state draws from sc's flat value store
-		vals := make([]float64, len(keys))
-		for i, id := range idx {
-			if int(id) >= len(means) {
-				return nil, nil, fmt.Errorf("index %d out of %d buckets", id, len(means))
-			}
-			vals[i] = means[id]
-		}
-		//lint:allow hotpath-alloc parallel-path list headers; the serial steady state appends to sc.keyLists/sc.valLists
-		return [][]uint64{keys}, [][]float64{vals}, nil
-	}
-
-	paneSeed := hashing.Mix64(paneID, seed)
-	grouped, used, err := minmax.DecodeGrouped(r.rest(), paneSeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.advance(used); err != nil {
-		return nil, nil, err
-	}
-	// The key lists are parsed sequentially (each one's offset depends on
-	// the previous), then the sketch queries — the dominant decode cost —
-	// fan out across groups. Queries are read-only on the sketch and every
-	// group writes only its own slot, so the result is deterministic.
-	ng := grouped.NumGroups()
-	//lint:allow hotpath-alloc,unbounded-wire-alloc ng counts successfully decoded sketches; minmax.DecodeGrouped caps the header at 1<<16 groups, and this parallel-path output is replaced by pooled scratch in the serial decodePaneInto
-	keyLists := make([][]uint64, ng)
-	//lint:allow hotpath-alloc,unbounded-wire-alloc same bound and parallel-path rationale as keyLists above
-	valLists := make([][]float64, ng)
-	for grp := 0; grp < ng; grp++ {
-		keys, err := decodeKeys(r, delta, wide)
-		if err != nil {
-			return nil, nil, fmt.Errorf("group %d keys: %w", grp, err)
-		}
-		keyLists[grp] = keys
-	}
-	if par <= 1 {
-		// The loop body is duplicated rather than shared through a closure:
-		// a func value handed to forEach anywhere in this function is
-		// heap-allocated on every call, which would charge the serial decode
-		// path two allocations it never had before parallelization.
-		for grp := 0; grp < ng; grp++ {
-			keys := keyLists[grp]
-			//lint:allow hotpath-alloc parallel-path group output; the serial steady state draws from sc's flat value store
-			vals := make([]float64, len(keys))
-			for i, k := range keys {
-				b, ok := grouped.Query(grp, k)
-				if !ok {
-					return nil, nil, fmt.Errorf("group %d: key %d missing from sketch", grp, k)
-				}
-				if b >= len(means) {
-					b = len(means) - 1
-				}
-				vals[i] = means[b]
-			}
-			valLists[grp] = vals
-		}
-		return keyLists, valLists, nil
-	}
-	//lint:allow hotpath-alloc one closure per parallel pane decode; the serial path duplicates the loop body to stay allocation-free
-	err = forEach(par, ng, func(grp int) error {
-		keys := keyLists[grp]
-		//lint:allow hotpath-alloc parallel-path group output; the serial steady state draws from sc's flat value store
-		vals := make([]float64, len(keys))
-		for i, k := range keys {
-			b, ok := grouped.Query(grp, k)
-			if !ok {
-				return fmt.Errorf("group %d: key %d missing from sketch", grp, k)
-			}
-			if b >= len(means) {
-				b = len(means) - 1
-			}
-			vals[i] = means[b]
-		}
-		valLists[grp] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return keyLists, valLists, nil
-}
-
-// decodePaneInto is decodePane's pooled serial twin: it parses one sign
-// pane and appends per-group ascending key lists (windows of sc's flat
-// key store) and their decoded magnitude lists to sc.keyLists and
-// sc.valLists. Once sc's capacities are warm it allocates nothing.
+// decodePaneInto parses one sign pane and appends per-group ascending key
+// lists (windows of sc's flat key store) and their decoded magnitude lists
+// to sc.keyLists and sc.valLists. Once sc's capacities are warm it
+// allocates nothing.
 func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide bool, paneID, seed uint64) error {
 	paneCount, err := r.u32()
 	if err != nil {
@@ -1001,10 +721,8 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	if err := r.advance(used); err != nil {
 		return err
 	}
-	// Unlike decodePane, key parsing and sketch queries interleave per
-	// group: each group's sketch is fully decoded before its keys arrive,
-	// and queries are read-only, so the output is identical to the
-	// parse-all-then-query order.
+	// Key parsing and sketch queries interleave per group: every group's
+	// sketch is fully decoded before the first key list arrives.
 	ng := grouped.NumGroups()
 	for grp := 0; grp < ng; grp++ {
 		keys, err := decodeKeysInto(r, delta, wide, sc.keyTail())

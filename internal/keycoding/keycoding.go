@@ -171,68 +171,6 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 	return keys, off, nil
 }
 
-// SkipDelta returns the number of keys and the encoded length of a delta
-// key block at the head of data without materializing the keys. It walks
-// only the flag stream (plus the escape markers), so it is much cheaper
-// than DecodeDelta — the codec uses it to locate pane boundaries for
-// parallel decoding. It fails under the same truncation conditions as
-// DecodeDelta.
-//
-//sketchlint:hotpath
-func SkipDelta(data []byte) (count, size int, err error) {
-	if len(data) < 4 {
-		return 0, 0, errors.New("keycoding: truncated count")
-	}
-	count = int(binary.LittleEndian.Uint32(data))
-	off := 4
-	if count == 0 {
-		return 0, off, nil
-	}
-	if len(data) < off+8 {
-		return 0, 0, errors.New("keycoding: truncated first key")
-	}
-	if minNeed := off + 8 + (count - 1) + ((count-1)*flagBits+7)/8; count < 0 || len(data) < minNeed {
-		return 0, 0, fmt.Errorf("keycoding: count %d exceeds available bytes", count)
-	}
-	off += 8
-	n := count - 1
-	if n == 0 {
-		return count, off, nil
-	}
-	flagLen := (n*flagBits + 7) / 8
-	if len(data) < off+flagLen {
-		return 0, 0, errors.New("keycoding: truncated flags")
-	}
-	flags := data[off : off+flagLen]
-	// Walking the flag bytes directly (instead of indexing flags[j/4] per
-	// delta) and consuming a tail slice (instead of off arithmetic, whose
-	// non-negativity the prover loses across iterations) lets the compiler
-	// drop every per-iteration bounds check in this loop. len(rest) >= 4 is
-	// implied by the truncation check when nb == 4, but stating it directly
-	// is what lets the prover drop the escape-marker load's check.
-	rest := data[off+flagLen:]
-	j := 0
-	for _, fb := range flags {
-		for k := 0; k < 4 && j < n; k++ {
-			nb := int(fb>>uint(k*flagBits))&0x3 + 1
-			if len(rest) < nb {
-				return 0, 0, fmt.Errorf("keycoding: truncated delta %d", j+1)
-			}
-			if nb == 4 && len(rest) >= 4 && binary.LittleEndian.Uint32(rest) == uint32(escape4) {
-				if len(rest) < 12 {
-					return 0, 0, fmt.Errorf("keycoding: truncated wide delta %d", j+1)
-				}
-				rest = rest[12:]
-				j++
-				continue
-			}
-			rest = rest[nb:]
-			j++
-		}
-	}
-	return count, len(data) - len(rest), nil
-}
-
 // DeltaSize returns the exact encoded size of keys without materializing
 // the encoding. It returns an error under the same conditions as
 // AppendDelta.

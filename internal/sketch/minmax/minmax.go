@@ -381,43 +381,6 @@ func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, er
 	return g, off, nil
 }
 
-// SkipGrouped returns the serialized length of a Grouped sketch at the
-// head of data without building the sketches — every size is derivable
-// from the fixed headers. Used to locate pane boundaries for parallel
-// decoding. It validates headers exactly as DecodeGrouped/DecodeBinary do.
-func SkipGrouped(data []byte) (int, error) {
-	if len(data) < 12 {
-		return 0, errors.New("minmax: truncated grouped header")
-	}
-	n := int(binary.LittleEndian.Uint32(data[0:]))
-	numBuckets := int(binary.LittleEndian.Uint32(data[4:]))
-	bpg := int(binary.LittleEndian.Uint32(data[8:]))
-	if n <= 0 || n > 1<<16 || numBuckets <= 0 || bpg <= 0 {
-		return 0, fmt.Errorf("minmax: implausible grouped header n=%d q=%d bpg=%d", n, numBuckets, bpg)
-	}
-	off := 12
-	for i := 0; i < n; i++ {
-		if len(data)-off < 13 {
-			return 0, fmt.Errorf("minmax: group %d: truncated header", i)
-		}
-		rows := int(binary.LittleEndian.Uint32(data[off:]))
-		cols := int(binary.LittleEndian.Uint32(data[off+4:]))
-		w := int(data[off+12])
-		if rows <= 0 || cols <= 0 || rows > 1<<16 || cols > 1<<30 {
-			return 0, fmt.Errorf("minmax: group %d: implausible dimensions %dx%d", i, rows, cols)
-		}
-		if w != 1 && w != 2 {
-			return 0, fmt.Errorf("minmax: group %d: bad cell width %d", i, w)
-		}
-		need := 13 + rows*cols*w
-		if len(data)-off < need {
-			return 0, fmt.Errorf("minmax: group %d: need %d bytes, have %d", i, need, len(data)-off)
-		}
-		off += need
-	}
-	return off, nil
-}
-
 // SizeBytes returns the total serialized size.
 func (g *Grouped) SizeBytes() int {
 	total := 12

@@ -405,9 +405,8 @@ func gatherAgg(cfg Config, conn cluster.Conn, w, round, expectChunk int, dst *gr
 	if ar.payload == nil {
 		return out
 	}
-	t0 := time.Now()
-	g, err := codec.DecodeReuse(cfg.Codec, ar.payload, dst)
-	out.decodeNs = time.Since(t0).Nanoseconds()
+	g, ns, err := timedDecode(&cfg, ar.payload, dst)
+	out.decodeNs = ns
 	if err != nil {
 		if !cfg.tolerant() {
 			out.err = fmt.Errorf("trainer: decode aggregate from worker %d: %w", w, err)

@@ -6,7 +6,7 @@
 // Spark-style topology of Section 4.1.
 //
 // The trainer runs the real message flow (every byte passes through the
-// codec and a cluster.Conn) and meters compute, encode/decode CPU, and
+// codec and a cluster.Conn) and meters compute, encode/decode time, and
 // traffic per epoch. Because the reproduction runs on one machine, epoch
 // times for cluster-scale configurations are additionally reported through
 // the cluster.NetworkModel cost model (see DESIGN.md, "Substitutions").
@@ -149,6 +149,10 @@ type Config struct {
 	// to the codec (codec.Options.Metrics) to get one coherent snapshot.
 	// nil disables everything at negligible cost.
 	Metrics *obs.Registry
+
+	// decodeSlots bounds the run's concurrently timed gather decodes at
+	// GOMAXPROCS; fill makes it, timedDecode takes from it.
+	decodeSlots chan struct{}
 }
 
 // EpochStats reports one epoch of a run.
@@ -182,12 +186,15 @@ type EpochStats struct {
 	MergeTime time.Duration
 
 	ComputeTime time.Duration // summed worker gradient computation
-	EncodeTime  time.Duration // summed compression CPU (all parties)
-	DecodeTime  time.Duration // summed decompression CPU (all parties)
+	// EncodeTime and DecodeTime sum every party's per-call wall time in
+	// the codec (driver and workers), not on-CPU time; the driver's gather
+	// decodes are timed at most GOMAXPROCS at once (see timedDecode).
+	EncodeTime time.Duration
+	DecodeTime time.Duration
 	// GatherTime and BroadcastTime are driver-side wall clocks that
 	// partition each round (gather+aggregate, then encode+send+apply), so
 	// their sum never exceeds WallTime — unlike the summed-across-parties
-	// CPU meters above, which can.
+	// meters above, which can.
 	GatherTime    time.Duration
 	BroadcastTime time.Duration
 
@@ -343,6 +350,7 @@ func (c *Config) fill() error {
 	if c.CheckpointEvery < 1 {
 		c.CheckpointEvery = 1
 	}
+	c.decodeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	switch c.Topology {
 	case cluster.TopologyStar:
 	case cluster.TopologyTree, cluster.TopologyRing:
@@ -717,9 +725,8 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			// across workers (Decode is stateless on every codec, including
 			// ErrorFeedback, whose residual lives on the encode side); the
 			// accumulator adds stay sequential in worker order so float
-			// summation is deterministic. DecodeTime must stay comparable to
-			// the serial path, so it sums the per-goroutine decode durations
-			// rather than wall time.
+			// summation is deterministic. DecodeTime sums the per-goroutine
+			// decode durations rather than the gather's wall time.
 			tGather := time.Now()
 			var gerr error
 			switch cfg.Topology {
@@ -1005,9 +1012,8 @@ func recvGradient(cfg Config, conn cluster.Conn, w, round int, dst *gradient.Spa
 			out.stale++
 			continue
 		}
-		t0 := time.Now()
-		g, err := codec.DecodeReuse(cfg.Codec, payload, dst)
-		out.decodeNs += time.Since(t0).Nanoseconds()
+		g, ns, err := timedDecode(&cfg, payload, dst)
+		out.decodeNs += ns
 		if err != nil {
 			if !cfg.tolerant() {
 				out.err = fmt.Errorf("trainer: decode from worker %d: %w", w, err)
@@ -1023,13 +1029,33 @@ func recvGradient(cfg Config, conn cluster.Conn, w, round int, dst *gradient.Spa
 	}
 }
 
+// timedDecode decodes payload into dst and returns the decode's wall
+// duration in nanoseconds. The gather goroutines receive W-wide, but at
+// most GOMAXPROCS of them decode at once: the clock starts only once a
+// slot is held, so on a host with fewer cores than workers a decode is not
+// billed for the time it spent descheduled behind its siblings. A Config
+// that never went through fill (tests driving a gather directly) has no
+// slots and decodes unbounded.
+func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.Sparse, int64, error) {
+	if cfg.decodeSlots != nil {
+		cfg.decodeSlots <- struct{}{}
+	}
+	t0 := time.Now()
+	g, err := codec.DecodeReuse(cfg.Codec, payload, dst)
+	ns := time.Since(t0).Nanoseconds()
+	if cfg.decodeSlots != nil {
+		<-cfg.decodeSlots
+	}
+	return g, ns, err
+}
+
 // gatherRound receives and decodes one gradient per worker for the given
 // round, then folds the arrivals into acc. With W > 1 the receive+decode
 // pairs run on W goroutines; the single-worker case keeps the plain serial
 // path. The decode meter accumulates the sum of per-goroutine decode
-// durations, not wall time, so DecodeTime reports the same CPU cost at any
-// parallelism. Accumulator adds always happen sequentially in worker order,
-// keeping the float summation (and thus training) deterministic.
+// durations (timedDecode), not the gather's wall time. Accumulator adds
+// always happen sequentially in worker order, keeping the float summation
+// (and thus training) deterministic.
 //
 // reuse holds one persistent decode target per worker: worker w's gradient
 // is decoded into reuse[w] every round, so after warm-up the gather
@@ -1057,7 +1083,7 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 			// cfg travels as a goroutine argument (copied onto the new
 			// goroutine's stack): captured, the >128-byte struct would be
 			// moved to the heap by reference once per round.
-			//lint:allow hotpath-alloc one goroutine closure per worker per round; the fan-out is the parallel-decode design
+			//lint:allow hotpath-alloc one goroutine closure per worker per round; this fan-out is the only decode concurrency there is
 			go func(w int, cfg Config) {
 				defer wg.Done()
 				outs[w] = recvGradient(cfg, driverSide[w], w, round, &reuse[w])
