@@ -14,10 +14,11 @@ SMOKE_FUZZTIME ?= 5s
 
 # race-matrix sweeps scheduler pressure (GOMAXPROCS): the concurrency-heavy
 # packages run under -race at every point; -count=1 defeats the test cache
-# so each point really executes. experiments-matrix runs the wall-clock
-# shape tests of ./internal/experiments (which skip under -race) at
-# GOMAXPROCS 1, 2 and NumCPU, so a stage meter that only holds on some core
-# count fails the gate instead of the next 2-CPU host.
+# so each point really executes. experiments-matrix runs ./internal/experiments
+# with its wall-clock shape assertions switched on (they skip under -race and
+# inside a whole-module run) at GOMAXPROCS 1, 2 and NumCPU, so a stage meter
+# that only holds on some core count fails the gate instead of the next
+# 2-CPU host.
 MATRIX_GOMAXPROCS   ?= 1 2 8
 MATRIX_PKGS         ?= ./internal/codec ./internal/trainer ./internal/cluster ./internal/service
 # Flags for `make bench`; override with e.g. BENCHFLAGS=-benchtime=1x for a
@@ -59,7 +60,10 @@ FUZZ_TARGETS := \
 	./internal/trainer:FuzzCheckpointDecode \
 	./internal/service:FuzzJobSpecDecode
 
-.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke verify clean
+# The pre-PR gates, in the order `make verify` runs them.
+VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
+
+.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke timed verify clean
 
 all: verify
 
@@ -116,11 +120,14 @@ race-matrix:
 		$(GO) test -race -count=1 -run TestChaosSoak ./internal/trainer
 	@echo "race-matrix: all points passed"
 
+# The package runs alone here, so this is where its wall-clock orderings are
+# asserted (SKETCHML_EXPERIMENTS_WALLCLOCK, a test-only gate like the chaos
+# soak's); a plain `go test ./...` checks only what repeats exactly.
 experiments-matrix:
 	@set -e; ncpu=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN); \
 	for gmp in $$(printf '%s\n' 1 2 $$ncpu | sort -nu); do \
 		echo "experiments-matrix: GOMAXPROCS=$$gmp"; \
-		GOMAXPROCS=$$gmp $(GO) test -count=1 ./internal/experiments; \
+		GOMAXPROCS=$$gmp SKETCHML_EXPERIMENTS_WALLCLOCK=1 $(GO) test -count=1 ./internal/experiments; \
 	done
 
 # chaos-soak trains under seeded fault injection (drops, corruption, dups,
@@ -174,7 +181,21 @@ bench-check:
 service-smoke:
 	SKETCHML_SERVICE_SMOKE=1 $(GO) test -count=1 -run TestServiceSmoke -v ./cmd/sketchml
 
-verify: build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
+# timed runs the gates named in GATES in order, stops at the first failure,
+# and prints each gate's wall time and the total, so what the gate costs is
+# itself measured (CI's verify job runs its gates through it too).
+timed:
+	@set -e; total=0; report=""; \
+	for gate in $(GATES); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$gate; \
+		took=$$(( $$(date +%s) - start )); total=$$(( total + took )); \
+		report="$$report$$(printf '  %-20s %5ds' $$gate $$took)\n"; \
+	done; \
+	printf "gate wall times:\n$$report  %-20s %5ds\n" total $$total
+
+verify:
+	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)"
 	@echo "verify: all gates passed"
 
 clean:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
@@ -150,6 +151,21 @@ func ablationCodecs() []codec.Codec {
 		codec.MustSketchML(keyQuan),
 		codec.MustSketchML(codec.DefaultOptions()),
 	}
+}
+
+// netSeconds is the modelled network time of the run's mean epoch: the cost
+// model's round time at the measured per-round traffic, times the rounds —
+// the network term of trainer.EpochStats.SimTime on its own. It is a
+// function of bytes alone, so unlike AvgEpochSimTime (which adds measured
+// CPU time) it repeats exactly from run to run and host to host; reports
+// carry it as "<name>_net_seconds" beside "<name>_seconds".
+func netSeconds(res *trainer.Result, net cluster.NetworkModel) float64 {
+	var total time.Duration
+	for _, e := range res.Epochs {
+		rounds := int64(e.Rounds)
+		total += net.RoundTime(e.UpBytes/rounds, e.DownBytes/rounds, res.Workers) * time.Duration(rounds)
+	}
+	return (total / time.Duration(len(res.Epochs))).Seconds()
 }
 
 // run executes one training configuration against a train/test pair with

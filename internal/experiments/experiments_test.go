@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,25 @@ func skipUnderRace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock shape assertions are not meaningful under the race detector")
 	}
+}
+
+// wallClock runs fn as the test's "wallclock" subtest, and only where this
+// package has the machine to itself: `make experiments-matrix` sets
+// SKETCHML_EXPERIMENTS_WALLCLOCK=1 and runs the package alone. The
+// "*_seconds" metrics add measured per-call wall time in compute and codec
+// to the modelled network time, so inside a whole-module `go test ./...`,
+// where a neighbour package's test process shares the cores, their
+// orderings flip on scheduler luck. Everything a shape test asserts outside
+// this subtest is a function of bytes, losses and the cost model alone
+// ("*_net_seconds" is the network model at the measured bytes) and repeats
+// exactly, so it stays in tier-1.
+func wallClock(t *testing.T, fn func(t *testing.T)) {
+	t.Run("wallclock", func(t *testing.T) {
+		if os.Getenv("SKETCHML_EXPERIMENTS_WALLCLOCK") != "1" {
+			t.Skip("set SKETCHML_EXPERIMENTS_WALLCLOCK=1 (or run `make experiments-matrix`) to assert wall-clock orderings")
+		}
+		fn(t)
+	})
 }
 
 func TestIDsAndTitles(t *testing.T) {
@@ -59,14 +79,24 @@ func TestFig8aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SketchML must beat plain Adam on every model (the paper's headline).
+	// SketchML must beat plain Adam on every model (the paper's headline):
+	// on the network it pays for, and on the whole epoch.
 	for _, m := range []string{"LR", "SVM", "Linear"} {
-		adam := rep.Metrics["Adam_"+m+"_seconds"]
-		sk := rep.Metrics["SketchML_"+m+"_seconds"]
+		adam := rep.Metrics["Adam_"+m+"_net_seconds"]
+		sk := rep.Metrics["SketchML_"+m+"_net_seconds"]
 		if sk >= adam {
-			t.Errorf("%s: SketchML %.3fs not faster than Adam %.3fs", m, sk, adam)
+			t.Errorf("%s: SketchML %.3fs of network not below Adam's %.3fs", m, sk, adam)
 		}
 	}
+	wallClock(t, func(t *testing.T) {
+		for _, m := range []string{"LR", "SVM", "Linear"} {
+			adam := rep.Metrics["Adam_"+m+"_seconds"]
+			sk := rep.Metrics["SketchML_"+m+"_seconds"]
+			if sk >= adam {
+				t.Errorf("%s: SketchML %.3fs not faster than Adam %.3fs", m, sk, adam)
+			}
+		}
+	})
 }
 
 func TestFig8bShape(t *testing.T) {
@@ -94,16 +124,23 @@ func TestFig8cShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// What the CPU buys: the full stack's workers send fewer bytes a round
+	// than the raw baseline's.
+	if rawB, fullB := rep.Metrics["Adam_up_bytes"], rep.Metrics["SketchML_up_bytes"]; fullB >= rawB {
+		t.Errorf("SketchML sends %.0f B/round, raw %.0f: compression bought nothing", fullB, rawB)
+	}
 	// Compression costs CPU: the full stack's codec share must exceed the
 	// raw baseline's, but stay a minority of total CPU.
-	raw := rep.Metrics["Adam_codec_share_pct"]
-	full := rep.Metrics["SketchML_codec_share_pct"]
-	if full <= raw {
-		t.Errorf("SketchML codec share %.1f%% should exceed raw %.1f%%", full, raw)
-	}
-	if full > 90 {
-		t.Errorf("codec share %.1f%% implausibly high", full)
-	}
+	wallClock(t, func(t *testing.T) {
+		raw := rep.Metrics["Adam_codec_share_pct"]
+		full := rep.Metrics["SketchML_codec_share_pct"]
+		if full <= raw {
+			t.Errorf("SketchML codec share %.1f%% should exceed raw %.1f%%", full, raw)
+		}
+		if full > 90 {
+			t.Errorf("codec share %.1f%% implausibly high", full)
+		}
+	})
 }
 
 func TestFig8dShape(t *testing.T) {
@@ -116,9 +153,14 @@ func TestFig8dShape(t *testing.T) {
 	if rep.Metrics["ratio_0.1_sparsity_pct"] <= rep.Metrics["ratio_0.01_sparsity_pct"] {
 		t.Error("sparsity should decrease with batch ratio")
 	}
-	if rep.Metrics["ratio_0.1_seconds"] >= rep.Metrics["ratio_0.01_seconds"] {
-		t.Error("smaller batches should make epochs slower")
+	if rep.Metrics["ratio_0.1_net_seconds"] >= rep.Metrics["ratio_0.01_net_seconds"] {
+		t.Error("smaller batches mean more rounds, which should cost more network time an epoch")
 	}
+	wallClock(t, func(t *testing.T) {
+		if rep.Metrics["ratio_0.1_seconds"] >= rep.Metrics["ratio_0.01_seconds"] {
+			t.Error("smaller batches should make epochs slower")
+		}
+	})
 	// Bytes/key stays close to the paper's ~1.3.
 	for _, k := range []string{"ratio_0.1_bytes_per_key", "ratio_0.01_bytes_per_key"} {
 		if v := rep.Metrics[k]; v < 1.0 || v > 3.0 {
@@ -133,14 +175,18 @@ func TestFig9aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []string{"LR", "SVM", "Linear"} {
-		adam := rep.Metrics["Adam_"+m+"_seconds"]
-		zip := rep.Metrics["ZipML-16bit_"+m+"_seconds"]
-		sk := rep.Metrics["SketchML_"+m+"_seconds"]
-		if !(sk < zip && zip < adam) {
-			t.Errorf("%s ordering wrong: sketchml %.3f, zipml %.3f, adam %.3f", m, sk, zip, adam)
+	ordered := func(t *testing.T, suffix string) {
+		for _, m := range []string{"LR", "SVM", "Linear"} {
+			adam := rep.Metrics["Adam_"+m+suffix]
+			zip := rep.Metrics["ZipML-16bit_"+m+suffix]
+			sk := rep.Metrics["SketchML_"+m+suffix]
+			if !(sk < zip && zip < adam) {
+				t.Errorf("%s%s ordering wrong: sketchml %.3f, zipml %.3f, adam %.3f", m, suffix, sk, zip, adam)
+			}
 		}
 	}
+	ordered(t, "_net_seconds")
+	wallClock(t, func(t *testing.T) { ordered(t, "_seconds") })
 }
 
 func TestFig9bSmallerSpeedupThanKDD12(t *testing.T) {
@@ -155,14 +201,22 @@ func TestFig9bSmallerSpeedupThanKDD12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kddSpeedup := a.Metrics["SketchML_LR_speedup"]
-	ctrSpeedup := b.Metrics["SketchML_LR_speedup"]
-	if kddSpeedup <= 1 || ctrSpeedup <= 1 {
-		t.Fatalf("speedups should exceed 1: kdd %.2f ctr %.2f", kddSpeedup, ctrSpeedup)
+	// On the network alone SketchML wins on both datasets. That the win
+	// shrinks on CTR is an effect of CTR's compute share (its network
+	// speedup is, if anything, larger), so it shows in epoch time only.
+	if kdd, ctr := a.Metrics["SketchML_LR_net_speedup"], b.Metrics["SketchML_LR_net_speedup"]; kdd <= 1 || ctr <= 1 {
+		t.Errorf("network speedups should exceed 1: kdd %.2f ctr %.2f", kdd, ctr)
 	}
-	if ctrSpeedup >= kddSpeedup {
-		t.Errorf("CTR speedup %.2f should be below KDD12 speedup %.2f", ctrSpeedup, kddSpeedup)
-	}
+	wallClock(t, func(t *testing.T) {
+		kddSpeedup := a.Metrics["SketchML_LR_speedup"]
+		ctrSpeedup := b.Metrics["SketchML_LR_speedup"]
+		if kddSpeedup <= 1 || ctrSpeedup <= 1 {
+			t.Fatalf("speedups should exceed 1: kdd %.2f ctr %.2f", kddSpeedup, ctrSpeedup)
+		}
+		if ctrSpeedup >= kddSpeedup {
+			t.Errorf("CTR speedup %.2f should be below KDD12 speedup %.2f", ctrSpeedup, kddSpeedup)
+		}
+	})
 }
 
 func TestFig11Shape(t *testing.T) {
@@ -171,13 +225,28 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Why the curves part: forty more workers add network time for both,
+	// but SketchML's 50-worker bill stays below Adam's and grows by less.
+	adamGrowth := rep.Metrics["Adam_LR_w50_net_seconds"] - rep.Metrics["Adam_LR_w10_net_seconds"]
+	skGrowth := rep.Metrics["SketchML_LR_w50_net_seconds"] - rep.Metrics["SketchML_LR_w10_net_seconds"]
+	if adamGrowth <= 0 {
+		t.Errorf("Adam's network time should grow from 10 to 50 workers, grew %.3fs", adamGrowth)
+	}
+	if skGrowth >= adamGrowth {
+		t.Errorf("SketchML's network time grew %.3fs from 10 to 50 workers, Adam's %.3fs: compression should flatten it", skGrowth, adamGrowth)
+	}
+	if sk, adam := rep.Metrics["SketchML_LR_w50_net_seconds"], rep.Metrics["Adam_LR_w50_net_seconds"]; sk >= adam {
+		t.Errorf("at 50 workers SketchML spends %.3fs on the network, Adam %.3fs", sk, adam)
+	}
 	// Adam degrades at 50 workers; SketchML keeps improving.
-	if rep.Metrics["Adam_LR_w50_seconds"] <= rep.Metrics["Adam_LR_w10_seconds"] {
-		t.Error("Adam should degrade from 10 to 50 workers")
-	}
-	if rep.Metrics["SketchML_LR_w50_seconds"] >= rep.Metrics["SketchML_LR_w10_seconds"] {
-		t.Error("SketchML should improve from 10 to 50 workers")
-	}
+	wallClock(t, func(t *testing.T) {
+		if rep.Metrics["Adam_LR_w50_seconds"] <= rep.Metrics["Adam_LR_w10_seconds"] {
+			t.Error("Adam should degrade from 10 to 50 workers")
+		}
+		if rep.Metrics["SketchML_LR_w50_seconds"] >= rep.Metrics["SketchML_LR_w10_seconds"] {
+			t.Error("SketchML should improve from 10 to 50 workers")
+		}
+	})
 }
 
 func TestTable2Shape(t *testing.T) {
@@ -186,18 +255,25 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All three methods converge to comparable loss; SketchML converges in
-	// less simulated time than Adam.
+	// All three methods converge to comparable loss; SketchML pays less
+	// network time an epoch and converges in less simulated time than Adam.
 	for _, m := range []string{"LR", "SVM"} {
 		adam := rep.Metrics["Adam_"+m+"_min_loss"]
 		sk := rep.Metrics["SketchML_"+m+"_min_loss"]
 		if sk > adam*1.25+0.02 {
 			t.Errorf("%s: SketchML loss %.4f too far above Adam %.4f", m, sk, adam)
 		}
-		if rep.Metrics["SketchML_"+m+"_conv_seconds"] >= rep.Metrics["Adam_"+m+"_conv_seconds"] {
-			t.Errorf("%s: SketchML should converge in less simulated time", m)
+		if rep.Metrics["SketchML_"+m+"_net_seconds"] >= rep.Metrics["Adam_"+m+"_net_seconds"] {
+			t.Errorf("%s: SketchML should spend less network time an epoch", m)
 		}
 	}
+	wallClock(t, func(t *testing.T) {
+		for _, m := range []string{"LR", "SVM"} {
+			if rep.Metrics["SketchML_"+m+"_conv_seconds"] >= rep.Metrics["Adam_"+m+"_conv_seconds"] {
+				t.Errorf("%s: SketchML should converge in less simulated time", m)
+			}
+		}
+	})
 }
 
 func TestFig12Shape(t *testing.T) {
@@ -206,13 +282,23 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distributed SketchML beats the single-node run, and 10 workers beat 5.
-	single := rep.Metrics["SingleNode_LR_seconds"]
-	five := rep.Metrics["SketchML-5_LR_seconds"]
-	ten := rep.Metrics["SketchML-10_LR_seconds"]
-	if !(ten < five && five < single) {
-		t.Errorf("ordering wrong: single %.3f, 5w %.3f, 10w %.3f", single, five, ten)
+	// What distribution costs: the single node pays no network at all and
+	// ten workers pay more than five, so the win below is parallel compute.
+	single := rep.Metrics["SingleNode_LR_net_seconds"]
+	five := rep.Metrics["SketchML-5_LR_net_seconds"]
+	ten := rep.Metrics["SketchML-10_LR_net_seconds"]
+	if !(single == 0 && single < five && five < ten) {
+		t.Errorf("network ordering wrong: single %.5f, 5w %.5f, 10w %.5f", single, five, ten)
 	}
+	// Distributed SketchML beats the single-node run, and 10 workers beat 5.
+	wallClock(t, func(t *testing.T) {
+		single := rep.Metrics["SingleNode_LR_seconds"]
+		five := rep.Metrics["SketchML-5_LR_seconds"]
+		ten := rep.Metrics["SketchML-10_LR_seconds"]
+		if !(ten < five && five < single) {
+			t.Errorf("ordering wrong: single %.3f, 5w %.3f, 10w %.3f", single, five, ten)
+		}
+	})
 }
 
 func TestFig13Shape(t *testing.T) {
@@ -222,9 +308,14 @@ func TestFig13Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More rows cost more time per epoch (more sketch bytes), as Table 3.
-	if rep.Metrics["row_4_seconds"] <= rep.Metrics["default_seconds"] {
-		t.Error("4 rows should be slower per epoch than 2")
+	if rep.Metrics["row_4_net_seconds"] <= rep.Metrics["default_net_seconds"] {
+		t.Error("4 rows should cost more network time per epoch than 2")
 	}
+	wallClock(t, func(t *testing.T) {
+		if rep.Metrics["row_4_seconds"] <= rep.Metrics["default_seconds"] {
+			t.Error("4 rows should be slower per epoch than 2")
+		}
+	})
 	// Wider columns should not hurt convergence.
 	if rep.Metrics["col_d/2_loss"] > rep.Metrics["default_loss"]*1.3+0.02 {
 		t.Error("wider sketch should not degrade final loss materially")
@@ -239,13 +330,17 @@ func TestTable4Shape(t *testing.T) {
 	}
 	// Epoch time ordering: SketchML < ZipML-8 < ZipML-16 < float < double.
 	order := []string{"SketchML", "ZipML-8bit", "ZipML-16bit", "Adam-float", "Adam"}
-	for i := 1; i < len(order); i++ {
-		a := rep.Metrics[order[i-1]+"_seconds"]
-		b := rep.Metrics[order[i]+"_seconds"]
-		if a >= b {
-			t.Errorf("%s (%.3fs) should be faster than %s (%.3fs)", order[i-1], a, order[i], b)
+	ordered := func(t *testing.T, suffix string) {
+		for i := 1; i < len(order); i++ {
+			a := rep.Metrics[order[i-1]+suffix]
+			b := rep.Metrics[order[i]+suffix]
+			if a >= b {
+				t.Errorf("%s (%.3fs) should be faster than %s (%.3fs) in %s", order[i-1], a, order[i], b, suffix)
+			}
 		}
 	}
+	ordered(t, "_net_seconds")
+	wallClock(t, func(t *testing.T) { ordered(t, "_seconds") })
 }
 
 func TestFig14Shape(t *testing.T) {
@@ -261,9 +356,14 @@ func TestFig14Shape(t *testing.T) {
 		}
 	}
 	// SketchML's compressed rounds finish sooner.
-	if rep.Metrics["SketchML_total_seconds"] >= rep.Metrics["Adam_total_seconds"] {
-		t.Error("SketchML should complete the iteration budget in less simulated time")
+	if rep.Metrics["SketchML_total_net_seconds"] >= rep.Metrics["Adam_total_net_seconds"] {
+		t.Error("SketchML should complete the iteration budget in less network time")
 	}
+	wallClock(t, func(t *testing.T) {
+		if rep.Metrics["SketchML_total_seconds"] >= rep.Metrics["Adam_total_seconds"] {
+			t.Error("SketchML should complete the iteration budget in less simulated time")
+		}
+	})
 }
 
 func TestAblationMinMax(t *testing.T) {

@@ -55,6 +55,7 @@ func Fig14(cfg Config) (*Report, error) {
 		metrics[c.Name()+"_accuracy"] = acc
 		if len(curve) > 0 {
 			metrics[c.Name()+"_total_seconds"] = curve[len(curve)-1].sec
+			metrics[c.Name()+"_total_net_seconds"] = curve[len(curve)-1].net
 		}
 	}
 	b.WriteByte('\n')
@@ -63,7 +64,8 @@ func Fig14(cfg Config) (*Report, error) {
 }
 
 type mlpPoint struct {
-	sec  float64
+	sec  float64 // cumulative simulated seconds: measured CPU plus modelled network
+	net  float64 // the modelled network share of sec; a function of bytes alone
 	loss float64
 }
 
@@ -86,7 +88,7 @@ func trainMLP(c codec.Codec, train, test *dataset.Dataset, workers, batch, iters
 	acc := gradient.NewAccumulator(m.ParamDim())
 
 	var curve []mlpPoint
-	var simSeconds float64
+	var simSeconds, netSec float64
 	var buf []*dataset.Instance
 	for it := 0; it < iters; it++ {
 		var upBytes int64
@@ -133,13 +135,14 @@ func trainMLP(c codec.Codec, train, test *dataset.Dataset, workers, batch, iters
 		serial := wall - workerCompute + workerCompute/time.Duration(workers)
 		comm := netModel.RoundTime(upBytes, int64(len(msg)), workers)
 		simSeconds += serial.Seconds() + comm.Seconds()
+		netSec += comm.Seconds()
 
 		if (it+1)%evalEvery == 0 {
 			loss, err := m.Loss(test)
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			curve = append(curve, mlpPoint{sec: simSeconds, loss: loss})
+			curve = append(curve, mlpPoint{sec: simSeconds, net: netSec, loss: loss})
 		}
 	}
 	finalLoss, err := m.Loss(test)

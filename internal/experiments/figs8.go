@@ -97,6 +97,7 @@ func Fig8a(cfg Config) (*Report, error) {
 			speedup := adamSec / sec
 			table.AddRow(c.Name(), mdl.Name(), sec, speedup)
 			metrics[fmt.Sprintf("%s_%s_seconds", c.Name(), mdl.Name())] = sec
+			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = netSeconds(res, net)
 			metrics[fmt.Sprintf("%s_%s_speedup", c.Name(), mdl.Name())] = speedup
 		}
 	}
@@ -166,6 +167,7 @@ func Fig8c(cfg Config) (*Report, error) {
 		share := 100 * codecTime / (compute + codecTime)
 		table.AddRow(c.Name(), 1000*compute/n, 1000*codecTime/n, share)
 		metrics[c.Name()+"_codec_share_pct"] = share
+		metrics[c.Name()+"_up_bytes"] = res.AvgUpBytesPerRound()
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }
@@ -197,6 +199,7 @@ func Fig8d(cfg Config) (*Report, error) {
 		key := fmt.Sprintf("ratio_%g", ratio)
 		metrics[key+"_sparsity_pct"] = sparsity
 		metrics[key+"_seconds"] = sec
+		metrics[key+"_net_seconds"] = netSeconds(res, net)
 		metrics[key+"_bytes_per_key"] = bpk
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil

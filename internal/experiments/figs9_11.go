@@ -38,13 +38,14 @@ func endToEnd(cfg Config, clsData *dataset.Dataset, regData *dataset.Dataset,
 		if mdl.Name() == "Linear" {
 			tr, te = regTrain, regTest
 		}
-		secs := map[string]float64{}
+		secs, netSecs := map[string]float64{}, map[string]float64{}
 		for _, c := range threeCodecs() {
 			res, err := runFull(mdl, c, workers, epochs, 0.1, net, tr, te, cfg.Seed, computeScale)
 			if err != nil {
 				return nil, err
 			}
 			secs[c.Name()] = res.AvgEpochSimTime().Seconds()
+			netSecs[c.Name()] = netSeconds(res, net)
 		}
 		for _, c := range threeCodecs() {
 			name := c.Name()
@@ -52,6 +53,8 @@ func endToEnd(cfg Config, clsData *dataset.Dataset, regData *dataset.Dataset,
 			table.AddRow(mdl.Name(), name, secs[name], speedup)
 			metrics[fmt.Sprintf("%s_%s_seconds", name, mdl.Name())] = secs[name]
 			metrics[fmt.Sprintf("%s_%s_speedup", name, mdl.Name())] = speedup
+			metrics[fmt.Sprintf("%s_%s_net_seconds", name, mdl.Name())] = netSecs[name]
+			metrics[fmt.Sprintf("%s_%s_net_speedup", name, mdl.Name())] = netSecs["Adam"] / netSecs[name]
 		}
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -171,6 +174,7 @@ func Table2(cfg Config) (*Report, error) {
 			table.AddRow(mdl.Name(), c.Name(), minLoss, convTime)
 			metrics[fmt.Sprintf("%s_%s_min_loss", c.Name(), mdl.Name())] = minLoss
 			metrics[fmt.Sprintf("%s_%s_conv_seconds", c.Name(), mdl.Name())] = convTime
+			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = netSeconds(res, net)
 		}
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -231,6 +235,7 @@ func Fig11(cfg Config) (*Report, error) {
 				}
 				secs[i] = res.AvgEpochSimTime().Seconds()
 				metrics[fmt.Sprintf("%s_%s_w%d_seconds", c.Name(), mdl.Name(), w)] = secs[i]
+				metrics[fmt.Sprintf("%s_%s_w%d_net_seconds", c.Name(), mdl.Name(), w)] = netSeconds(res, net)
 			}
 			table.AddRow(mdl.Name(), c.Name(), secs[0], secs[1], secs[2])
 		}
@@ -274,6 +279,7 @@ func Fig12(cfg Config) (*Report, error) {
 			sec := res.AvgEpochSimTime().Seconds()
 			table.AddRow(mdl.Name(), v.name, sec)
 			metrics[fmt.Sprintf("%s_%s_seconds", v.name, mdl.Name())] = sec
+			metrics[fmt.Sprintf("%s_%s_net_seconds", v.name, mdl.Name())] = netSeconds(res, v.net)
 		}
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -309,6 +315,7 @@ func Fig13(cfg Config) (*Report, error) {
 		sec := res.AvgEpochSimTime().Seconds()
 		table.AddRow(v.name, sec, res.FinalLoss)
 		metrics[v.name+"_seconds"] = sec
+		metrics[v.name+"_net_seconds"] = netSeconds(res, net)
 		metrics[v.name+"_loss"] = res.FinalLoss
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -338,6 +345,7 @@ func Table4(cfg Config) (*Report, error) {
 		sec := res.AvgEpochSimTime().Seconds()
 		table.AddRow(c.Name(), sec, res.FinalLoss)
 		metrics[c.Name()+"_seconds"] = sec
+		metrics[c.Name()+"_net_seconds"] = netSeconds(res, net)
 		metrics[c.Name()+"_loss"] = res.FinalLoss
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil

@@ -199,13 +199,35 @@ func soakTally(r *Result) soakCounters {
 
 // TestChaosSoak trains under sustained injected faults — frame drops,
 // corruption, duplication, delays, and one worker's mid-run disconnect +
-// rejoin — and demands the four headline robustness properties:
+// rejoin — once per gather topology, and demands the four headline
+// robustness properties of each:
 //
 //  1. the run completes (no deadlock, no abort) under -race;
 //  2. the fault schedule and every driver-side robustness counter are
 //     exactly reproducible from the seed;
 //  3. training quality stays within 10% of the fault-free baseline;
 //  4. the degraded-round machinery demonstrably engaged (counters nonzero).
+//
+// What differs per topology is row data: which worker's link goes dark and
+// what the driver must have seen of it.
+//
+//   - star: worker 2 disconnects; the driver sees timeouts, strikes, stale
+//     and corrupt frames first-hand, and worker 2 rejoins by round-tag
+//     fast-forward.
+//   - tree: worker 0 is the interior node merging the subtree {0, 2, 3}
+//     wire-to-wire before anything reaches the driver, and the outage hits
+//     its driver link, so the driver transiently loses that whole merged
+//     subtree and must degrade at subtree granularity (three gradients
+//     skipped per missed round) while worker 1's root keeps quorum alive.
+//     Faults on the child uplinks are absorbed below the driver: the
+//     interior node counts them and delivers a partial count, so corrupt
+//     frames are looked for at both levels and the interior-node counters
+//     must reproduce too.
+//   - ring: worker 2's driver link goes dark, costing the driver one
+//     key-range chunk per missed round; faults on the ring edges surface as
+//     partial chunk counts (a degraded round with nothing skipped) and in
+//     the workers' own counters. Skipped for now: the row showed the
+//     reduce-scatter is not reproducible under chaos (see its skip reason).
 //
 // Gated behind SKETCHML_CHAOS_SOAK=1 because each run spends real
 // wall-clock time on expired round deadlines. SKETCHML_CHAOS_SEED overrides
@@ -222,241 +244,163 @@ func TestChaosSoak(t *testing.T) {
 		}
 		seed = v
 	}
-	train, test := smallData(t)
-	base := Config{
-		Model:     model.LogisticRegression{},
-		Codec:     codec.MustSketchML(codec.DefaultOptions()),
-		Optimizer: adamFactory(0.1),
-		Workers:   4,
-		Epochs:    3,
-		Lambda:    0.01,
-		Seed:      2,
-	}
-	clean, err := Run(base, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	chaosCfg := base
-	chaosCfg.RoundDeadline = 250 * time.Millisecond
-	// Quorum of 1: the soak exercises degraded rounds and strikes, not the
-	// quorum abort (unit-tested above); a higher floor would make rare
-	// multi-worker coincidence rounds abort the whole soak.
-	chaosCfg.MinGatherFraction = 0.25
-	chaosCfg.MaxStrikes = 10
-	chaosCfg.Chaos = &cluster.ChaosSpec{
-		Seed:        seed,
-		RecvDrop:    0.06, // ≥5% of worker→driver gradient frames vanish
-		RecvCorrupt: 0.06, // ≥1% arrive with flipped bytes (6% so the ~33-frame run sees several)
-		RecvDup:     0.03,
-		SendDelay:   0.05,
-		DelayMin:    time.Millisecond,
-		DelayMax:    4 * time.Millisecond,
-	}
-	// Worker 2 "disconnects" mid-run: its link drops everything for frame
-	// ordinals [12, 15) in each direction, then heals and the worker
-	// rejoins via round-tag fast-forward. The window must stay well clear
-	// of MaxStrikes (the driver sees ~2x the window in consecutive misses)
-	// and of the final rounds (so the end-of-run report gets through).
-	chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{2: {Start: 12, End: 15}}
-
-	run := func() *Result {
-		t.Helper()
-		type outcome struct {
-			res *Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := Run(chaosCfg, train, test)
-			done <- outcome{res, err}
-		}()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("chaos run aborted: %v", o.err)
-			}
-			return o.res
-		case <-time.After(2 * time.Minute):
-			t.Fatal("chaos run deadlocked")
-			return nil
-		}
-	}
-	a := run()
-	b := run()
-
-	// Determinism: both runs saw byte-identical faults, so every
-	// driver-side robustness counter and the trained model must agree.
-	for i := range a.Epochs {
-		ea, eb := a.Epochs[i], b.Epochs[i]
-		if ea.Timeouts != eb.Timeouts || ea.SkippedGrads != eb.SkippedGrads ||
-			ea.CorruptFrames != eb.CorruptFrames || ea.StaleFrames != eb.StaleFrames ||
-			ea.Strikes != eb.Strikes || ea.DegradedRounds != eb.DegradedRounds {
-			t.Errorf("epoch %d robustness counters differ across same-seed runs:\n  %+v\n  %+v", i, ea, eb)
-		}
-	}
-	if a.FinalLoss != b.FinalLoss {
-		t.Errorf("same-seed chaos runs trained different models: loss %v vs %v", a.FinalLoss, b.FinalLoss)
-	}
-
-	// The machinery engaged: faults were injected and survived.
-	c := soakTally(a)
-	if c.timeouts == 0 || c.skipped == 0 || c.strikes == 0 || c.degraded == 0 {
-		t.Errorf("soak never degraded a round: %+v", c)
-	}
-	if c.corrupt == 0 {
-		t.Errorf("no corrupt frames detected despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
-	}
-	if c.stale == 0 {
-		t.Errorf("no stale frames detected despite duplication and drops: %+v", c)
-	}
-	if a.WorkerTimeouts == 0 || a.WorkerSkippedSteps == 0 {
-		t.Errorf("outage never reached worker 2: timeouts=%d skipped=%d",
-			a.WorkerTimeouts, a.WorkerSkippedSteps)
-	}
-	if a.WorkerFailures != 0 {
-		t.Errorf("%d workers died during the soak", a.WorkerFailures)
-	}
-
-	// Graceful degradation: the chaos run must still converge close to the
-	// clean baseline.
-	if a.FinalLoss > clean.FinalLoss*1.10 {
-		t.Errorf("chaos loss %v more than 10%% above clean loss %v", a.FinalLoss, clean.FinalLoss)
-	}
-	t.Logf("seed %d: clean loss %.4f, chaos loss %.4f, counters %+v, worker timeouts %d, skipped steps %d, lost reports %d",
-		seed, clean.FinalLoss, a.FinalLoss, c, a.WorkerTimeouts, a.WorkerSkippedSteps, a.LostReports)
-}
-
-// TestChaosSoakTree is the tree-gather counterpart of TestChaosSoak: the
-// same sustained fault mix, but routed through a binary gather tree where
-// worker 0 is the interior node merging the subtree {0, 2, 3} wire-to-wire
-// before anything reaches the driver. The outage hits worker 0's driver
-// link — an interior-node disconnect — so the driver transiently loses that
-// entire merged subtree and must degrade at subtree granularity (three
-// gradients skipped per missed round) while worker 1's root keeps quorum
-// alive. Faults on the aggregation links themselves (child uplinks) are
-// absorbed below the driver: the interior node counts them and delivers a
-// partial count, which the driver turns into per-count weighting instead of
-// a timeout. Same gate and seed override as TestChaosSoak; `make
-// chaos-soak` runs both (-run TestChaosSoak is an unanchored match).
-func TestChaosSoakTree(t *testing.T) {
-	if os.Getenv("SKETCHML_CHAOS_SOAK") != "1" {
-		t.Skip("set SKETCHML_CHAOS_SOAK=1 (or run `make chaos-soak`) to enable")
-	}
-	seed := int64(1)
-	if s := os.Getenv("SKETCHML_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SKETCHML_CHAOS_SEED %q: %v", s, err)
-		}
-		seed = v
+	rows := []struct {
+		topo       cluster.Topology
+		outage     int  // worker whose link drops frame ordinals [12, 15)
+		minSkipped int  // gradients the outage must have cost the driver
+		merges     bool // workers merge wire-to-wire on the driver's behalf
+		// driverSeesAll: strikes, corrupt and stale frames all reach the
+		// driver itself; otherwise corrupt frames may be caught by a worker.
+		driverSeesAll bool
+		// rejoins: the outage worker's broadcast waits expire and it
+		// fast-forwards onto a later round.
+		rejoins bool
+		// workerCounters: the workers' own fault counters reproduce.
+		workerCounters bool
+		skip           string // why the row cannot run yet; empty: it runs
+	}{
+		{topo: cluster.TopologyStar, outage: 2, minSkipped: 1, driverSeesAll: true, rejoins: true},
+		{topo: cluster.TopologyTree, outage: 0, minSkipped: 3, merges: true, workerCounters: true},
+		{topo: cluster.TopologyRing, outage: 2, minSkipped: 1, merges: true, workerCounters: true,
+			skip: "ringReduceStep is not reproducible under chaos. Seed 1, race build: same-seed runs agree on every " +
+				"driver counter (timeouts 16, skipped 16, corrupt 3, stale 4, strikes 16, degraded 27) but not on " +
+				"merges (215 to 235 over five runs), worker timeouts (74 vs 75) or the model (loss 0.3779 vs 0.3632), " +
+				"with or without the outage. A worker that waits out a lost ring frame forwards its next chunk just as " +
+				"its successor's equal step budget expires, so which partial sums form is a timing race; pinning each " +
+				"step to the start of the reduce did not settle it. The ring needs a step schedule that degrades " +
+				"deterministically, which is a redesign of the reduce and not part of the soak"},
 	}
 	train, test := smallData(t)
-	base := Config{
-		Model:     model.LogisticRegression{},
-		Codec:     codec.MustSketchML(codec.DefaultOptions()),
-		Optimizer: adamFactory(0.1),
-		Workers:   4,
-		Epochs:    3,
-		Lambda:    0.01,
-		Seed:      2,
-		Topology:  cluster.TopologyTree,
-	}
-	clean, err := Run(base, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	chaosCfg := base
-	chaosCfg.RoundDeadline = 250 * time.Millisecond
-	chaosCfg.MinGatherFraction = 0.25 // quorum 1: worker 1's root alone carries outage rounds
-	chaosCfg.MaxStrikes = 10
-	chaosCfg.Chaos = &cluster.ChaosSpec{
-		Seed:        seed,
-		RecvDrop:    0.06,
-		RecvCorrupt: 0.06,
-		RecvDup:     0.03,
-		SendDelay:   0.05,
-		DelayMin:    time.Millisecond,
-		DelayMax:    4 * time.Millisecond,
-	}
-	// Interior-node outage: worker 0's driver link goes dark for frame
-	// ordinals [12, 15), taking the merged {0,2,3} subtree with it.
-	chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{0: {Start: 12, End: 15}}
-
-	run := func() *Result {
-		t.Helper()
-		type outcome struct {
-			res *Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := Run(chaosCfg, train, test)
-			done <- outcome{res, err}
-		}()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("tree chaos run aborted: %v", o.err)
+	for _, row := range rows {
+		t.Run(row.topo.String(), func(t *testing.T) {
+			if row.skip != "" {
+				t.Skip(row.skip)
 			}
-			return o.res
-		case <-time.After(2 * time.Minute):
-			t.Fatal("tree chaos run deadlocked")
-			return nil
-		}
-	}
-	a := run()
-	b := run()
+			base := Config{
+				Model:     model.LogisticRegression{},
+				Codec:     codec.MustSketchML(codec.DefaultOptions()),
+				Optimizer: adamFactory(0.1),
+				Workers:   4,
+				Epochs:    3,
+				Lambda:    0.01,
+				Seed:      2,
+				Topology:  row.topo,
+			}
+			clean, err := Run(base, train, test)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Determinism: per-link fault schedules are seeded, so both runs must
-	// agree on every robustness counter — driver-side and interior-node —
-	// and on the trained model.
-	for i := range a.Epochs {
-		ea, eb := a.Epochs[i], b.Epochs[i]
-		if ea.Timeouts != eb.Timeouts || ea.SkippedGrads != eb.SkippedGrads ||
-			ea.CorruptFrames != eb.CorruptFrames || ea.StaleFrames != eb.StaleFrames ||
-			ea.Strikes != eb.Strikes || ea.DegradedRounds != eb.DegradedRounds {
-			t.Errorf("epoch %d robustness counters differ across same-seed runs:\n  %+v\n  %+v", i, ea, eb)
-		}
-	}
-	if a.FinalLoss != b.FinalLoss {
-		t.Errorf("same-seed tree chaos runs trained different models: loss %v vs %v", a.FinalLoss, b.FinalLoss)
-	}
-	if a.WorkerTimeouts != b.WorkerTimeouts || a.WorkerCorruptFrames != b.WorkerCorruptFrames {
-		t.Errorf("interior-node counters differ across same-seed runs: timeouts %d/%d corrupt %d/%d",
-			a.WorkerTimeouts, b.WorkerTimeouts, a.WorkerCorruptFrames, b.WorkerCorruptFrames)
-	}
+			chaosCfg := base
+			chaosCfg.RoundDeadline = 250 * time.Millisecond
+			// Quorum of 1: the soak exercises degraded rounds and strikes, not
+			// the quorum abort (unit-tested above); a higher floor would make
+			// rare multi-worker coincidence rounds abort the whole soak.
+			chaosCfg.MinGatherFraction = 0.25
+			chaosCfg.MaxStrikes = 10
+			chaosCfg.Chaos = &cluster.ChaosSpec{
+				Seed:        seed,
+				RecvDrop:    0.06, // ≥5% of worker→driver gradient frames vanish
+				RecvCorrupt: 0.06, // ≥1% arrive with flipped bytes (6% so the ~33-frame run sees several)
+				RecvDup:     0.03,
+				SendDelay:   0.05,
+				DelayMin:    time.Millisecond,
+				DelayMax:    4 * time.Millisecond,
+			}
+			// The outage worker "disconnects" mid-run: its link drops
+			// everything for frame ordinals [12, 15) in each direction, then
+			// heals. The window must stay well clear of MaxStrikes (the driver
+			// sees ~2x the window in consecutive misses) and of the final
+			// rounds (so the end-of-run report gets through).
+			chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{row.outage: {Start: 12, End: 15}}
 
-	// The tree actually merged (this is not a star run in disguise), and the
-	// fault machinery engaged at both levels.
-	c := soakTally(a)
-	var merges int64
-	for _, es := range a.Epochs {
-		merges += es.Merges
-	}
-	if merges == 0 {
-		t.Error("tree soak recorded zero wire-to-wire merges")
-	}
-	if c.timeouts == 0 || c.degraded == 0 {
-		t.Errorf("soak never degraded a round: %+v", c)
-	}
-	// The interior outage must have cost the driver whole subtrees: each
-	// missed root-0 round skips its full 3-worker subtree at once.
-	if c.skipped < 3 {
-		t.Errorf("interior-node outage never cost a full subtree: %d gradients skipped, want >= 3", c.skipped)
-	}
-	if c.corrupt+int(a.WorkerCorruptFrames) == 0 {
-		t.Errorf("no corrupt frames detected anywhere despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
-	}
-	if a.WorkerFailures != 0 {
-		t.Errorf("%d workers died during the tree soak", a.WorkerFailures)
-	}
+			run := func() *Result {
+				t.Helper()
+				type outcome struct {
+					res *Result
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := Run(chaosCfg, train, test)
+					done <- outcome{res, err}
+				}()
+				select {
+				case o := <-done:
+					if o.err != nil {
+						t.Fatalf("chaos run aborted: %v", o.err)
+					}
+					return o.res
+				case <-time.After(2 * time.Minute):
+					t.Fatal("chaos run deadlocked")
+					return nil
+				}
+			}
+			a := run()
+			b := run()
 
-	// Graceful degradation: within 10% of the fault-free tree baseline.
-	if a.FinalLoss > clean.FinalLoss*1.10 {
-		t.Errorf("tree chaos loss %v more than 10%% above clean loss %v", a.FinalLoss, clean.FinalLoss)
+			// Determinism: per-link fault schedules are seeded, so both runs
+			// saw byte-identical faults, and every driver-side robustness
+			// counter and the trained model must agree.
+			for i := range a.Epochs {
+				ea, eb := a.Epochs[i], b.Epochs[i]
+				if ea.Timeouts != eb.Timeouts || ea.SkippedGrads != eb.SkippedGrads ||
+					ea.CorruptFrames != eb.CorruptFrames || ea.StaleFrames != eb.StaleFrames ||
+					ea.Strikes != eb.Strikes || ea.DegradedRounds != eb.DegradedRounds {
+					t.Errorf("epoch %d robustness counters differ across same-seed runs:\n  %+v\n  %+v", i, ea, eb)
+				}
+			}
+			if a.FinalLoss != b.FinalLoss {
+				t.Errorf("same-seed chaos runs trained different models: loss %v vs %v", a.FinalLoss, b.FinalLoss)
+			}
+			if row.workerCounters && (a.WorkerTimeouts != b.WorkerTimeouts || a.WorkerCorruptFrames != b.WorkerCorruptFrames) {
+				t.Errorf("worker-side counters differ across same-seed runs: timeouts %d/%d corrupt %d/%d",
+					a.WorkerTimeouts, b.WorkerTimeouts, a.WorkerCorruptFrames, b.WorkerCorruptFrames)
+			}
+
+			// The machinery engaged: faults were injected and survived.
+			c := soakTally(a)
+			var merges int64
+			for _, es := range a.Epochs {
+				merges += es.Merges
+			}
+			if row.merges != (merges > 0) {
+				t.Errorf("%d wire-to-wire merges recorded, want merging: %v", merges, row.merges)
+			}
+			if c.timeouts == 0 || c.degraded == 0 {
+				t.Errorf("soak never degraded a round: %+v", c)
+			}
+			if c.skipped < row.minSkipped {
+				t.Errorf("outage cost the driver %d gradients, want >= %d: %+v", c.skipped, row.minSkipped, c)
+			}
+			if row.driverSeesAll {
+				if c.strikes == 0 {
+					t.Errorf("no strikes accrued: %+v", c)
+				}
+				if c.corrupt == 0 {
+					t.Errorf("no corrupt frames detected despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
+				}
+				if c.stale == 0 {
+					t.Errorf("no stale frames detected despite duplication and drops: %+v", c)
+				}
+			} else if c.corrupt+int(a.WorkerCorruptFrames) == 0 {
+				t.Errorf("no corrupt frames detected anywhere despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
+			}
+			if row.rejoins && (a.WorkerTimeouts == 0 || a.WorkerSkippedSteps == 0) {
+				t.Errorf("outage never reached worker %d: timeouts=%d skipped=%d",
+					row.outage, a.WorkerTimeouts, a.WorkerSkippedSteps)
+			}
+			if a.WorkerFailures != 0 {
+				t.Errorf("%d workers died during the soak", a.WorkerFailures)
+			}
+
+			// Graceful degradation: the chaos run must still converge close
+			// to the clean baseline of the same topology.
+			if a.FinalLoss > clean.FinalLoss*1.10 {
+				t.Errorf("chaos loss %v more than 10%% above clean loss %v", a.FinalLoss, clean.FinalLoss)
+			}
+			t.Logf("seed %d: clean loss %.4f, chaos loss %.4f, counters %+v, merges %d, worker timeouts %d, corrupt %d, skipped steps %d, lost reports %d",
+				seed, clean.FinalLoss, a.FinalLoss, c, merges, a.WorkerTimeouts, a.WorkerCorruptFrames, a.WorkerSkippedSteps, a.LostReports)
+		})
 	}
-	t.Logf("seed %d: clean tree loss %.4f, chaos loss %.4f, counters %+v, merges %d, worker timeouts %d, worker corrupt %d",
-		seed, clean.FinalLoss, a.FinalLoss, c, merges, a.WorkerTimeouts, a.WorkerCorruptFrames)
 }

@@ -2,13 +2,11 @@ package trainer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
@@ -39,41 +37,15 @@ func RunPS(cfg Config, servers int, train, test *dataset.Dataset) (*Result, erro
 // boundary that all parties share — and Config.Resume restarts from an
 // epoch-boundary checkpoint.
 func RunPSContext(ctx context.Context, cfg Config, servers int, train, test *dataset.Dataset) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			res = nil
-			err = fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
-		}
-	}()
-	if err := cfg.fill(); err != nil {
+	ctx = orBackground(ctx)
+	defer rootCause(ctx, &res, &err)
+	plan, startEpoch, err := planEpochRun(&cfg, train, "PS")
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Topology != cluster.TopologyStar {
-		// PS already shards aggregation across servers by key range; layering
-		// a gather topology on top of that would double-aggregate.
-		return nil, fmt.Errorf("trainer: topology %q requires the driver architecture (PS runs are star)", cfg.Topology)
-	}
+	roundsPerEpoch, pDim := plan.roundsPerEpoch, plan.pDim
 	if servers < 1 {
 		servers = 1
-	}
-	if train.N() == 0 {
-		return nil, errors.New("trainer: empty training set")
-	}
-	shards := train.Shard(cfg.Workers)
-	globalBatch := int(cfg.BatchFraction * float64(train.N()))
-	if globalBatch < cfg.Workers {
-		globalBatch = cfg.Workers
-	}
-	localBatch := globalBatch / cfg.Workers
-	if localBatch < 1 {
-		localBatch = 1
-	}
-	roundsPerEpoch := (shards[0].N() + localBatch - 1) / localBatch
-	if roundsPerEpoch < 1 {
-		roundsPerEpoch = 1
 	}
 
 	// Key-range boundaries: server s owns [bounds[s], bounds[s+1]).
@@ -82,78 +54,34 @@ func RunPSContext(ctx context.Context, cfg Config, servers int, train, test *dat
 	// leave one hot server owning nearly all traffic — the classic
 	// parameter-server hot-shard problem). Contiguous ranges keep the
 	// delta-binary key encoding effective within each shard.
-	pDim := cfg.Trainable.ParamDim(train.Dim)
 	bounds := balancedBounds(train, servers)
 	if pDim != train.Dim {
 		// Non-GLM parameter layouts: fall back to uniform ranges over the
 		// parameter space.
-		bounds = make([]uint64, servers+1)
-		for s := 0; s <= servers; s++ {
-			bounds[s] = uint64(float64(s) / float64(servers) * float64(pDim))
-		}
-		bounds[servers] = pDim
+		bounds = uniformBounds(pDim, servers)
 	}
 
-	// Per-party codecs (stateful codecs need per-sender instances).
-	newCodec := func() codec.Codec {
-		if cfg.CodecFactory != nil {
-			return cfg.CodecFactory()
-		}
-		return cfg.Codec
-	}
 	workerCodecs := make([]codec.Codec, cfg.Workers)
+	batchers := make([]*dataset.Batcher, cfg.Workers)
 	for w := range workerCodecs {
-		workerCodecs[w] = newCodec()
+		workerCodecs[w] = cfg.partyCodec()
+		batchers[w] = plan.batcher(&cfg, w)
 	}
 	serverCodecs := make([]codec.Codec, servers)
-	for s := range serverCodecs {
-		serverCodecs[s] = newCodec()
-	}
-
-	theta := newParams(cfg, pDim)
-	opt := cfg.Optimizer(pDim)
-	batchers := make([]*dataset.Batcher, cfg.Workers)
-	for w := range batchers {
-		batchers[w] = dataset.NewBatcher(shards[w], localBatch, cfg.Seed+int64(w)*7919)
-	}
 	accs := make([]*gradient.Accumulator, servers)
-	for s := range accs {
+	for s := range serverCodecs {
+		serverCodecs[s] = cfg.partyCodec()
 		accs[s] = gradient.NewAccumulator(pDim)
 	}
-
-	res = &Result{
-		CodecName: newCodec().Name(),
-		ModelName: cfg.Trainable.Name(),
-		Workers:   cfg.Workers,
+	theta, opt, err := newReplica(&cfg, pDim)
+	if err != nil {
+		return nil, err
 	}
+
+	res = newResult(&cfg)
+	res.CompletedRounds = plan.startRound
 	var cumSimSeconds float64
 	var buf []*dataset.Instance
-
-	// Resume: PS checkpoints land on epoch boundaries, so the run restarts
-	// at the checkpointed epoch with parameters and optimizer state loaded
-	// bit-exactly and every batcher fast-forwarded through the completed
-	// rounds.
-	startEpoch := 0
-	if cfg.Resume != nil {
-		if err := validateResume(&cfg, cfg.Resume, pDim, roundsPerEpoch, roundsPerEpoch*cfg.Epochs); err != nil {
-			return nil, err
-		}
-		if cfg.Resume.Rounds%roundsPerEpoch != 0 {
-			return nil, fmt.Errorf("trainer: resume: PS topology needs an epoch-boundary checkpoint, got round %d (%d rounds/epoch)",
-				cfg.Resume.Rounds, roundsPerEpoch)
-		}
-		startEpoch = cfg.Resume.Rounds / roundsPerEpoch
-		copy(theta, cfg.Resume.Theta)
-		if err := restoreOptimizer(opt, cfg.Resume); err != nil {
-			return nil, err
-		}
-		for w := range batchers {
-			for r := 0; r < cfg.Resume.Rounds; r++ {
-				buf = batchers[w].Next(buf)
-			}
-		}
-	}
-	res.CompletedRounds = startEpoch * roundsPerEpoch
 
 	stopRequested := false
 	for epoch := startEpoch; epoch < cfg.Epochs && !stopRequested; epoch++ {
@@ -264,25 +192,11 @@ func RunPSContext(ctx context.Context, cfg Config, servers int, train, test *dat
 		res.Epochs = append(res.Epochs, es)
 		res.Curve = append(res.Curve, CurvePoint{Seconds: cumSimSeconds, Loss: es.TestLoss})
 
-		res.CompletedRounds = (epoch + 1) * roundsPerEpoch
-		if drainRequested(cfg.Drain) && epoch+1 < cfg.Epochs {
-			stopRequested = true
-			res.Drained = true
-		}
-		if cfg.OnCheckpoint != nil && (stopRequested || (epoch+1)%cfg.CheckpointEvery == 0) {
-			if err := cfg.OnCheckpoint(captureCheckpoint(&cfg, res.CompletedRounds, roundsPerEpoch, theta, opt)); err != nil {
-				return nil, fmt.Errorf("trainer: checkpoint: %w", err)
-			}
+		if stopRequested, err = plan.endEpoch(&cfg, res, epoch+1, theta, opt); err != nil {
+			return nil, err
 		}
 	}
-	if len(res.Epochs) == 0 {
-		// Resume of an already complete run: nothing executed.
-		res.FinalLoss, res.FinalAccuracy = cfg.Trainable.Evaluate(theta, test)
-		return res, nil
-	}
-	last := res.Epochs[len(res.Epochs)-1]
-	res.FinalLoss = last.TestLoss
-	res.FinalAccuracy = last.Accuracy
+	res.finish(&cfg, theta, test)
 	return res, nil
 }
 
@@ -317,14 +231,11 @@ func balancedBounds(train *dataset.Dataset, servers int) []uint64 {
 		counts[k] = w
 		total += w
 	}
+	if total == 0 {
+		return uniformBounds(train.Dim, servers)
+	}
 	bounds := make([]uint64, servers+1)
 	bounds[servers] = train.Dim
-	if total == 0 {
-		for s := 1; s < servers; s++ {
-			bounds[s] = uint64(float64(s) / float64(servers) * float64(train.Dim))
-		}
-		return bounds
-	}
 	var cum int64
 	next := 1
 	for k, c := range counts {
@@ -337,6 +248,19 @@ func balancedBounds(train *dataset.Dataset, servers int) []uint64 {
 	for ; next < servers; next++ {
 		bounds[next] = train.Dim
 	}
+	return bounds
+}
+
+// uniformBounds splits [0, dim] into parts equal ranges, returned as parts+1
+// boundaries. Every party derives the same bounds from dim alone, so no
+// coordination round is needed (ring chunks, PS shards without a key
+// histogram).
+func uniformBounds(dim uint64, parts int) []uint64 {
+	bounds := make([]uint64, parts+1)
+	for i := 1; i < parts; i++ {
+		bounds[i] = uint64(float64(i) / float64(parts) * float64(dim))
+	}
+	bounds[parts] = dim
 	return bounds
 }
 

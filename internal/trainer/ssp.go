@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
@@ -42,28 +41,15 @@ func RunSSP(cfg Config, staleness int, speeds []float64, train, test *dataset.Da
 // valid SSP execution from the checkpointed parameters but not a replay of
 // the interrupted run's event interleaving.
 func RunSSPContext(ctx context.Context, cfg Config, staleness int, speeds []float64, train, test *dataset.Dataset) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			res = nil
-			err = fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
-		}
-	}()
-	if err := cfg.fill(); err != nil {
+	ctx = orBackground(ctx)
+	defer rootCause(ctx, &res, &err)
+	plan, startEpoch, err := planEpochRun(&cfg, train, "SSP")
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Topology != cluster.TopologyStar {
-		// SSP workers progress at different round tags, so there is no
-		// synchronized round to merge across — gather topologies are BSP-only.
-		return nil, fmt.Errorf("trainer: topology %q requires the driver architecture (SSP runs are star)", cfg.Topology)
-	}
+	roundsPerEpoch, totalIters, startRounds := plan.roundsPerEpoch, plan.totalRounds, plan.startRound
 	if staleness < 0 {
 		staleness = 0
-	}
-	if train.N() == 0 {
-		return nil, errors.New("trainer: empty training set")
 	}
 	if speeds == nil {
 		speeds = make([]float64, cfg.Workers)
@@ -80,76 +66,27 @@ func RunSSPContext(ctx context.Context, cfg Config, staleness int, speeds []floa
 		}
 	}
 
-	shards := train.Shard(cfg.Workers)
-	globalBatch := int(cfg.BatchFraction * float64(train.N()))
-	if globalBatch < cfg.Workers {
-		globalBatch = cfg.Workers
-	}
-	localBatch := globalBatch / cfg.Workers
-	if localBatch < 1 {
-		localBatch = 1
-	}
-	roundsPerEpoch := (shards[0].N() + localBatch - 1) / localBatch
-	if roundsPerEpoch < 1 {
-		roundsPerEpoch = 1
-	}
-	totalIters := roundsPerEpoch * cfg.Epochs
-
-	newCodec := func() codec.Codec {
-		if cfg.CodecFactory != nil {
-			return cfg.CodecFactory()
-		}
-		return cfg.Codec
-	}
+	// Resume aligns every worker at the checkpointed epoch boundary (see the
+	// function comment for the staleness caveat).
 	codecs := make([]codec.Codec, cfg.Workers)
-	for w := range codecs {
-		codecs[w] = newCodec()
-	}
-
-	pDim := cfg.Trainable.ParamDim(train.Dim)
-	theta := newParams(cfg, pDim)
-	opt := cfg.Optimizer(pDim)
 	batchers := make([]*dataset.Batcher, cfg.Workers)
-	for w := range batchers {
-		batchers[w] = dataset.NewBatcher(shards[w], localBatch, cfg.Seed+int64(w)*7919)
+	for w := range codecs {
+		codecs[w] = cfg.partyCodec()
+		batchers[w] = plan.batcher(&cfg, w)
+	}
+	theta, opt, err := newReplica(&cfg, plan.pDim)
+	if err != nil {
+		return nil, err
 	}
 
-	res = &Result{
-		CodecName: newCodec().Name(),
-		ModelName: cfg.Trainable.Name(),
-		Workers:   cfg.Workers,
-	}
-	var buf []*dataset.Instance
-
-	// Resume: align every worker at the checkpointed epoch boundary (see
-	// the function comment for the staleness caveat).
-	startEpoch := 0
-	if cfg.Resume != nil {
-		if err := validateResume(&cfg, cfg.Resume, pDim, roundsPerEpoch, totalIters); err != nil {
-			return nil, err
-		}
-		if cfg.Resume.Rounds%roundsPerEpoch != 0 {
-			return nil, fmt.Errorf("trainer: resume: SSP topology needs an epoch-boundary checkpoint, got round %d (%d rounds/epoch)",
-				cfg.Resume.Rounds, roundsPerEpoch)
-		}
-		startEpoch = cfg.Resume.Rounds / roundsPerEpoch
-		copy(theta, cfg.Resume.Theta)
-		if err := restoreOptimizer(opt, cfg.Resume); err != nil {
-			return nil, err
-		}
-		for w := range batchers {
-			for r := 0; r < cfg.Resume.Rounds; r++ {
-				buf = batchers[w].Next(buf)
-			}
-		}
-	}
-	startRounds := startEpoch * roundsPerEpoch
+	res = newResult(&cfg)
 	res.CompletedRounds = startRounds
 	if startRounds >= totalIters {
 		// Resume of an already complete run: nothing to execute.
-		res.FinalLoss, res.FinalAccuracy = cfg.Trainable.Evaluate(theta, test)
+		res.finish(&cfg, theta, test)
 		return res, nil
 	}
+	var buf []*dataset.Instance
 
 	// Event state: for each worker, iterations completed, and the virtual
 	// finish time of its in-flight iteration (inf when idle/blocked).
@@ -277,24 +214,15 @@ func RunSSPContext(ctx context.Context, cfg Config, staleness int, speeds []floa
 			epoch++
 			nextEpochAt += epochMark
 
-			res.CompletedRounds = epoch * roundsPerEpoch
-			if drainRequested(cfg.Drain) && epoch < cfg.Epochs {
-				stopRequested = true
-				res.Drained = true
-			}
-			if cfg.OnCheckpoint != nil && (stopRequested || epoch%cfg.CheckpointEvery == 0) {
-				if err := cfg.OnCheckpoint(captureCheckpoint(&cfg, res.CompletedRounds, roundsPerEpoch, theta, opt)); err != nil {
-					return nil, fmt.Errorf("trainer: checkpoint: %w", err)
-				}
+			if stopRequested, err = plan.endEpoch(&cfg, res, epoch, theta, opt); err != nil {
+				return nil, err
 			}
 		}
 	}
 	if len(res.Epochs) == 0 {
 		return nil, errors.New("trainer: ssp produced no epochs")
 	}
-	last := res.Epochs[len(res.Epochs)-1]
-	res.FinalLoss = last.TestLoss
-	res.FinalAccuracy = last.Accuracy
+	res.finish(&cfg, theta, test)
 	return res, nil
 }
 

@@ -16,14 +16,15 @@
 //     just that to the driver.
 //
 // Every frameAgg carries how many worker gradients its message already
-// sums; the driver weights each decoded message by 1/total so the applied
-// aggregate stays the unbiased mean even when subtrees or chunks go
-// missing in tolerant mode.
+// sums; the driver's one gather (gatherRound) turns the counts into weights
+// that keep the applied aggregate the unbiased mean even when subtrees or
+// chunks go missing in tolerant mode. This file is the workers' half:
+// wiring, and the two reduction algorithms, which receive through the same
+// recvFrame loop as the driver.
 
 package trainer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -99,18 +100,6 @@ func aggLevel(topo cluster.Topology, w int) int {
 	return -1
 }
 
-// ringBounds splits [0, dim] into workers+1 equal-range boundaries. Every
-// party derives the same bounds from dim alone, so no coordination round
-// is needed.
-func ringBounds(dim uint64, workers int) []uint64 {
-	bounds := make([]uint64, workers+1)
-	for i := 0; i <= workers; i++ {
-		bounds[i] = uint64(float64(i) / float64(workers) * float64(dim))
-	}
-	bounds[workers] = dim
-	return bounds
-}
-
 // buildAggLinks wires the worker↔worker aggregation links for the
 // configured topology and returns each worker's link view plus every
 // connection end the driver must close on teardown. Star returns zeroed
@@ -152,7 +141,7 @@ func buildAggLinks(cfg *Config, wrap func(seedIdx int, inner cluster.Conn, outag
 				aux = append(aux, outEnd, wrapped)
 			}
 		}
-		bounds := ringBounds(dim, cfg.Workers)
+		bounds := uniformBounds(dim, cfg.Workers)
 		for w := range links {
 			links[w].bounds = bounds
 			links[w].chunkMsg = make([][]byte, cfg.Workers)
@@ -160,94 +149,6 @@ func buildAggLinks(cfg *Config, wrap func(seedIdx int, inner cluster.Conn, outag
 		}
 	}
 	return links, aux
-}
-
-// aggRecv is the outcome of one aggregate-frame receive on an aggregation
-// or driver link.
-type aggRecv struct {
-	count    int    // worker gradients summed into payload (0 on a miss)
-	payload  []byte // codec message; aliases the transport buffer, nil on a miss
-	bytes    int64  // raw frame bytes received, including discarded frames
-	timeouts int
-	corrupt  int
-	stale    int
-	err      error // fatal in strict mode; tolerant mode never sets it
-}
-
-// recvAggFrame receives one frameAgg for the given round and chunk. In
-// strict mode (no deadline) it blocks until a frame arrives and any
-// anomaly is an error. In tolerant mode it spends at most budget: stale
-// and corrupt frames are counted, discarded, and the wait continues on the
-// remaining time; expiry or a dead link is a miss, never an abort —
-// aggregation links are best-effort, the star control links keep every
-// party in the protocol.
-func recvAggFrame(cfg Config, conn cluster.Conn, round, expectChunk int, budget time.Duration) aggRecv {
-	var out aggRecv
-	var deadline time.Time
-	if cfg.tolerant() {
-		deadline = time.Now().Add(budget)
-	}
-	for {
-		var wait time.Duration
-		if cfg.tolerant() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				out.timeouts++
-				return out
-			}
-		}
-		msg, err := cluster.RecvWithTimeout(conn, wait)
-		if errors.Is(err, cluster.ErrTimeout) {
-			out.timeouts++
-			return out
-		}
-		if err != nil {
-			if cfg.tolerant() {
-				out.timeouts++
-				return out
-			}
-			out.err = err
-			return out
-		}
-		out.bytes += int64(len(msg))
-		kind, tag, payload, err := parseFrame(msg)
-		if err != nil {
-			if !cfg.tolerant() {
-				out.err = err
-				return out
-			}
-			out.corrupt++
-			continue
-		}
-		if kind != frameAgg || tag != round {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("unexpected kind 0x%02x round %d during round %d", kind, tag, round)
-				return out
-			}
-			out.stale++
-			continue
-		}
-		count, chunk, body, err := parseAggFrame(payload)
-		if err != nil {
-			if !cfg.tolerant() {
-				out.err = err
-				return out
-			}
-			out.corrupt++
-			continue
-		}
-		if chunk != expectChunk {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("aggregate for chunk %d during chunk %d of round %d", chunk, expectChunk, round)
-				return out
-			}
-			out.stale++
-			continue
-		}
-		out.count = count
-		out.payload = body
-		return out
-	}
 }
 
 // treeGatherStep runs worker w's gather half of one tree round: encode the
@@ -268,13 +169,14 @@ func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 	cur := msg
 	count := 1
 	if len(lk.children) > 0 {
-		recvs := make([]aggRecv, len(lk.children))
+		recvs := make([]frameRecv, len(lk.children))
 		var wg sync.WaitGroup
 		wg.Add(len(lk.children))
 		for i := range lk.children {
 			go func(i int, cfg Config) {
 				defer wg.Done()
-				recvs[i] = recvAggFrame(cfg, lk.children[i], round, 0, cfg.RoundDeadline/2)
+				// Worker w's children are workers 2w+2 and 2w+3.
+				recvs[i] = recvFrame(&cfg, lk.children[i], frameWant{2*lk.w + 2 + i, frameAgg, round, 0}, cfg.RoundDeadline/2, nil)
 			}(i, cfg)
 		}
 		wg.Wait()
@@ -285,7 +187,7 @@ func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 			rep.corrupt += int64(r.corrupt)
 			rep.aggBytes += r.bytes
 			if r.err != nil {
-				return fmt.Errorf("trainer: worker %d recv from child: %w", lk.w, r.err)
+				return r.err
 			}
 			if r.payload == nil {
 				continue
@@ -359,12 +261,12 @@ func ringReduceStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 			// copy; this worker keeps reducing what still reaches it.
 		}
 		expect := ((w-s-1)%workers + workers) % workers
-		r := recvAggFrame(cfg, lk.ringIn, round, expect, stepBudget)
+		r := recvFrame(&cfg, lk.ringIn, frameWant{(w + workers - 1) % workers, frameAgg, round, expect}, stepBudget, nil)
 		rep.timeouts += int64(r.timeouts)
 		rep.corrupt += int64(r.corrupt)
 		rep.aggBytes += r.bytes
 		if r.err != nil {
-			return fmt.Errorf("trainer: worker %d ring recv: %w", w, r.err)
+			return r.err
 		}
 		if r.payload == nil {
 			continue
@@ -389,200 +291,6 @@ func ringReduceStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, lk.chunkCount[finalIdx], finalIdx, lk.chunkMsg[finalIdx])
 	if err := driver.Send(lk.sendBuf); err != nil {
 		return fmt.Errorf("trainer: worker send: %w", err)
-	}
-	return nil
-}
-
-// gatherAgg receives and decodes one aggregate message from a driver link.
-func gatherAgg(cfg Config, conn cluster.Conn, w, round, expectChunk int, dst *gradient.Sparse) gatherOutcome {
-	ar := recvAggFrame(cfg, conn, round, expectChunk, cfg.RoundDeadline)
-	var out gatherOutcome
-	out.timeouts, out.corrupt, out.stale = ar.timeouts, ar.corrupt, ar.stale
-	if ar.err != nil {
-		out.err = fmt.Errorf("trainer: recv aggregate from worker %d: %w", w, ar.err)
-		return out
-	}
-	if ar.payload == nil {
-		return out
-	}
-	g, ns, err := timedDecode(&cfg, ar.payload, dst)
-	out.decodeNs = ns
-	if err != nil {
-		if !cfg.tolerant() {
-			out.err = fmt.Errorf("trainer: decode aggregate from worker %d: %w", w, err)
-			return out
-		}
-		out.corrupt++
-		return out
-	}
-	out.g = g
-	out.count = ar.count
-	out.bytes = int64(len(ar.payload))
-	return out
-}
-
-// gatherTreeRound is the driver's gather for a tree round: receive and
-// decode one merged aggregate from each root-level worker (0 and 1), then
-// weight every message by 1/total where total is the number of worker
-// gradients the arrivals sum — the aggregate stays the unbiased mean of
-// whatever subtrees made it. Quorum and strikes work like the star
-// gather's, at subtree granularity: a missing or partial subtree degrades
-// the round, a root link missing MaxStrikes consecutive rounds aborts.
-func gatherTreeRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	roots := cfg.Workers
-	if roots > 2 {
-		roots = 2
-	}
-	outs := make([]gatherOutcome, roots)
-	var wg sync.WaitGroup
-	wg.Add(roots)
-	for r := 0; r < roots; r++ {
-		go func(r int, cfg Config) {
-			defer wg.Done()
-			outs[r] = gatherAgg(cfg, driverSide[r], r, round, 0, &reuse[r])
-		}(r, cfg)
-	}
-	wg.Wait()
-	total := 0
-	for r := range outs {
-		*driverDecode += time.Duration(outs[r].decodeNs)
-		es.Timeouts += outs[r].timeouts
-		es.CorruptFrames += outs[r].corrupt
-		es.StaleFrames += outs[r].stale
-		if outs[r].g != nil {
-			total += outs[r].count
-			es.RawUpBytes += rawWireBytes(outs[r].g)
-			es.DecodedBytes += outs[r].bytes
-		}
-	}
-	if !cfg.tolerant() {
-		for r := range outs {
-			if outs[r].err != nil {
-				return outs[r].err
-			}
-		}
-		if total != cfg.Workers {
-			return fmt.Errorf("trainer: strict tree gather summed %d/%d gradients in round %d", total, cfg.Workers, round)
-		}
-	} else {
-		quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-		if quorum < 1 {
-			quorum = 1
-		}
-		if total < quorum {
-			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients aggregated (need %d)",
-				round, total, cfg.Workers, quorum)
-		}
-		for r := range outs {
-			if outs[r].g != nil {
-				strikes[r] = 0
-				continue
-			}
-			strikes[r]++
-			es.Strikes++
-			if strikes[r] >= cfg.MaxStrikes {
-				return fmt.Errorf("trainer: subtree root %d missed %d consecutive rounds (through round %d)",
-					r, strikes[r], round)
-			}
-		}
-		es.SkippedGrads += cfg.Workers - total
-		if total < cfg.Workers {
-			es.DegradedRounds++
-		}
-	}
-	for r := range outs {
-		if outs[r].g == nil {
-			continue
-		}
-		if err := acc.Add(outs[r].g, 1.0/float64(total)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gatherRingRound is the driver's gather for a ring round: each worker w
-// delivers the fully reduced chunk (w+1) mod W; every decoded chunk is
-// weighted by 1/count of that chunk, so key ranges whose reduction missed
-// some workers still apply an unbiased mean over the workers they did sum.
-// Quorum counts arrived chunks (each is 1/W of the key space); strikes
-// accrue per driver link like the star gather.
-func gatherRingRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	outs := make([]gatherOutcome, cfg.Workers)
-	if cfg.Workers == 1 {
-		outs[0] = gatherAgg(cfg, driverSide[0], 0, round, 0, &reuse[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			go func(w int, cfg Config) {
-				defer wg.Done()
-				outs[w] = gatherAgg(cfg, driverSide[w], w, round, (w+1)%cfg.Workers, &reuse[w])
-			}(w, cfg)
-		}
-		wg.Wait()
-	}
-	arrived := 0
-	degraded := false
-	for w := range outs {
-		*driverDecode += time.Duration(outs[w].decodeNs)
-		es.Timeouts += outs[w].timeouts
-		es.CorruptFrames += outs[w].corrupt
-		es.StaleFrames += outs[w].stale
-		if outs[w].g != nil {
-			arrived++
-			es.RawUpBytes += rawWireBytes(outs[w].g)
-			es.DecodedBytes += outs[w].bytes
-			if outs[w].count < cfg.Workers {
-				degraded = true
-			}
-		}
-	}
-	if !cfg.tolerant() {
-		for w := range outs {
-			if outs[w].err != nil {
-				return outs[w].err
-			}
-			if outs[w].count != cfg.Workers {
-				return fmt.Errorf("trainer: strict ring gather: chunk from worker %d summed %d/%d gradients in round %d",
-					w, outs[w].count, cfg.Workers, round)
-			}
-		}
-	} else {
-		quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-		if quorum < 1 {
-			quorum = 1
-		}
-		if arrived < quorum {
-			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d ring chunks arrived (need %d)",
-				round, arrived, cfg.Workers, quorum)
-		}
-		for w := range outs {
-			if outs[w].g != nil {
-				strikes[w] = 0
-				continue
-			}
-			strikes[w]++
-			es.Strikes++
-			if strikes[w] >= cfg.MaxStrikes {
-				return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
-					w, strikes[w], round)
-			}
-		}
-		// A missing chunk skips 1/W of the key space — account it at chunk
-		// granularity, like a missing star gradient.
-		es.SkippedGrads += cfg.Workers - arrived
-		if arrived < cfg.Workers || degraded {
-			es.DegradedRounds++
-		}
-	}
-	for w := range outs {
-		if outs[w].g == nil {
-			continue
-		}
-		if err := acc.Add(outs[w].g, 1.0/float64(outs[w].count)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

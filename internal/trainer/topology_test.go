@@ -226,7 +226,7 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherTreeRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
 		t.Fatalf("clean tree gather: %v", err)
 	}
 	// Both messages decode to the same gradient; total = 8, so the
@@ -270,7 +270,7 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 		acc := gradient.NewAccumulator(gatherDim)
 		var es EpochStats
 		var decode time.Duration
-		err := gatherTreeRound(cfg, 0, driverSide, make([]int, 8), make([]gradient.Sparse, 2), acc, &es, &decode)
+		err := gatherRound(cfg, 0, driverSide, make([]int, 8), make([]gradient.Sparse, 2), acc, &es, &decode)
 		if tc.wantOK {
 			if err != nil {
 				t.Fatalf("count %d: gather aborted at quorum boundary: %v", tc.count, err)
@@ -297,9 +297,98 @@ func TestTreeGatherStrictRejectsPartialTotal(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherTreeRound(cfg, 0, driverSide, make([]int, 4), make([]gradient.Sparse, 2), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, 4), make([]gradient.Sparse, 2), acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "strict tree gather") {
 		t.Fatalf("want strict total mismatch abort, got %v", err)
+	}
+}
+
+// TestAggregateCountBounded pins the bound on the gradient count an
+// aggregate frame claims: it is read off the wire, and the one-byte frame
+// checksum lets one corrupted frame in 256 through, so a count above the
+// run's workers must be a corrupt frame — tolerant mode counts and discards
+// it, strict mode aborts — and never a weight. Unbounded, root 0's 60000
+// below drove SkippedGrads to 4 - 60001 and applied both messages at
+// 1/60001.
+func TestAggregateCountBounded(t *testing.T) {
+	const workers = 4
+	cfg, driverSide, workerSide, _, msg := treeHarness(t, workers)
+	send := func() {
+		t.Helper()
+		if err := workerSide[0].Send(appendAggFrame(nil, 0, 60000, 0, msg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := workerSide[1].Send(appendAggFrame(nil, 0, 1, 0, msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	acc := gradient.NewAccumulator(gatherDim)
+	var es EpochStats
+	var decode time.Duration
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode)
+	if err == nil || !strings.Contains(err.Error(), "sums 60000 gradients") {
+		t.Fatalf("strict gather: want an abort on the oversized count, got %v", err)
+	}
+
+	cfg, driverSide, workerSide, _, msg = treeHarness(t, workers)
+	cfg = tolerantCfg(cfg)
+	cfg.MinGatherFraction = 0.25 // quorum 1: root 1's single gradient carries the round
+	send()
+	acc = gradient.NewAccumulator(gatherDim)
+	es = EpochStats{}
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
+		t.Fatalf("tolerant gather aborted: %v", err)
+	}
+	// One corrupt frame, the timeout that ended root 0's wait behind it, and
+	// root 0's three-worker subtree skipped.
+	if es.CorruptFrames != 1 || es.Timeouts != 1 || es.SkippedGrads != 3 || es.DegradedRounds != 1 {
+		t.Errorf("counters %+v, want 1 corrupt frame, 1 timeout, 3 skipped gradients, 1 degraded round", es)
+	}
+	dec, err := cfg.Codec.Decode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := acc.Sum()
+	if len(agg.Values) != len(dec.Values) {
+		t.Fatalf("aggregate has %d values, root 1's message %d", len(agg.Values), len(dec.Values))
+	}
+	for i := range agg.Values {
+		if agg.Values[i] != dec.Values[i] {
+			t.Fatalf("aggregate[%d] = %v, want root 1's %v at weight 1", i, agg.Values[i], dec.Values[i])
+		}
+	}
+}
+
+// TestTreeWorkerBoundsChildCount: the same bound holds one level down, where
+// an interior worker adds its children's counts into the frame it forwards.
+func TestTreeWorkerBoundsChildCount(t *testing.T) {
+	const workers = 4
+	cfg, _, _, g, msg := treeHarness(t, workers)
+	cfg = tolerantCfg(cfg)
+	childEnd, parentEnd := cluster.Pair(1)
+	driverEnd, workerEnd := cluster.Pair(1)
+	lk := &workerLinks{topo: cluster.TopologyTree, w: 0, workers: workers, children: []cluster.Conn{parentEnd}}
+	if err := childEnd.Send(appendAggFrame(nil, 0, 60000, 0, msg)); err != nil {
+		t.Fatal(err)
+	}
+	var rep workerReport
+	if err := treeGatherStep(cfg, lk, workerEnd, g, 0, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.corrupt != 1 || rep.merges != 0 {
+		t.Errorf("worker report %+v, want the child's frame counted corrupt and nothing merged", rep)
+	}
+	up, err := driverEnd.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, payload, err := parseFrame(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count, _, _, err := parseAggFrame(payload); err != nil || count != 1 {
+		t.Errorf("forwarded count %d (err %v), want the worker's own gradient alone", count, err)
 	}
 }
 
@@ -313,7 +402,7 @@ func TestRingGatherPartialChunk(t *testing.T) {
 	cfg = tolerantCfg(cfg)
 	// Build per-chunk gradients over disjoint ranges so the driver-side sum
 	// is easy to predict. Worker w delivers chunk (w+1)%W.
-	bounds := ringBounds(gatherDim, workers)
+	bounds := uniformBounds(gatherDim, workers)
 	for w := 0; w < workers; w++ {
 		chunk := (w + 1) % workers
 		g := &gradient.Sparse{Dim: gatherDim, Keys: []uint64{bounds[chunk]}, Values: []float64{1}}
@@ -332,7 +421,7 @@ func TestRingGatherPartialChunk(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRingRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
 		t.Fatalf("ring gather: %v", err)
 	}
 	if es.DegradedRounds != 1 {
@@ -361,7 +450,7 @@ func TestRingGatherQuorumCountsChunks(t *testing.T) {
 	cfg, driverSide, workerSide, _, _ := gatherHarness(t, workers)
 	cfg.Topology = cluster.TopologyRing
 	cfg = tolerantCfg(cfg) // MinGatherFraction 0.5 → quorum 2 chunks
-	bounds := ringBounds(gatherDim, workers)
+	bounds := uniformBounds(gatherDim, workers)
 	for _, w := range []int{0} { // one chunk only: below quorum
 		chunk := (w + 1) % workers
 		g := &gradient.Sparse{Dim: gatherDim, Keys: []uint64{bounds[chunk]}, Values: []float64{1}}
@@ -376,7 +465,7 @@ func TestRingGatherQuorumCountsChunks(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRingRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("want chunk-quorum abort, got %v", err)
 	}
@@ -440,6 +529,15 @@ func TestTopologyConfigValidation(t *testing.T) {
 	tcp.UseTCP = true
 	if _, err := Run(tcp, train, test); err == nil || !strings.Contains(err.Error(), "in-memory") {
 		t.Errorf("ring over TCP accepted: %v", err)
+	}
+
+	// The aggregate prefix carries count and chunk as uint16.
+	wide := base
+	wide.Topology = cluster.TopologyRing
+	wide.Codec = &codec.Raw{}
+	wide.Workers = math.MaxUint16 + 1
+	if _, err := Run(wide, train, test); err == nil || !strings.Contains(err.Error(), "at most 65535 workers") {
+		t.Errorf("ring with %d workers accepted: %v", wide.Workers, err)
 	}
 
 	bad := base

@@ -58,9 +58,15 @@ type Config struct {
 	// links). The zero value is cluster.TopologyStar — today's behavior:
 	// every worker sends to the driver, which decodes all W messages.
 	// TopologyTree and TopologyRing aggregate en route via codec merging,
-	// so they require a Codec implementing codec.Merger and the in-memory
-	// transport (UseTCP only wires star links). Driver topology only:
-	// RunPS and RunSSP reject non-star settings.
+	// so they require a Codec implementing codec.Merger, the in-memory
+	// transport (UseTCP only wires star links) and at most 65535 workers.
+	// All three share one driver gather and one fault arithmetic: the
+	// topology decides only which driver links are listened on, which frame
+	// is expected on them, and whether messages are weighted by total
+	// contributors (star, tree) or per key-range chunk (ring). A dead link
+	// or an undecodable frame is handled the same way on each (see
+	// RoundDeadline). Driver topology only: RunPS and RunSSP reject
+	// non-star settings.
 	Topology cluster.Topology
 	// BatchFraction is the global mini-batch size as a fraction of the
 	// training set (the paper uses 0.1). Values <= 0 default to 0.1.
@@ -91,8 +97,13 @@ type Config struct {
 	// undecodable gradient no longer aborts the run — the round proceeds
 	// with the gradients that arrived (rescaled to stay unbiased), the
 	// offender accrues a strike, and only MaxStrikes consecutive misses or
-	// quorum loss abort. Zero keeps the strict fail-stop behavior: every
-	// receive blocks indefinitely and any fault is fatal.
+	// quorum loss abort. On every topology and every link, a frame that
+	// fails its checksum, its bounds or its decode, or belongs to another
+	// round, is counted and discarded and the wait continues on what is
+	// left of the deadline, so a good duplicate behind it is still
+	// accepted; a dead link ends the wait at once as a miss and counts no
+	// timeout. Zero keeps the strict fail-stop behavior: every receive
+	// blocks indefinitely and any fault is fatal.
 	RoundDeadline time.Duration
 	// MinGatherFraction is the quorum: the smallest fraction of workers
 	// whose gradients must arrive for a round to proceed. Consulted only
@@ -207,9 +218,9 @@ type EpochStats struct {
 	// Robustness counters, nonzero only when Config.RoundDeadline enables
 	// degraded rounds (see DESIGN.md, "Fault tolerance"). All are
 	// driver-side observations.
-	Timeouts       int // receive deadlines that expired during gather
-	SkippedGrads   int // worker gradients absent from a round's aggregate
-	CorruptFrames  int // frames that failed envelope parse or codec decode
+	Timeouts       int // receive deadlines that expired during gather (a dead link is a miss, not a timeout)
+	SkippedGrads   int // worker gradients absent from a round's aggregate (ring: key-range chunks); never negative
+	CorruptFrames  int // frames that failed envelope parse, the aggregate-count bound or codec decode
 	StaleFrames    int // late or duplicated frames from an earlier round
 	Strikes        int // consecutive-miss strikes accrued by workers
 	DegradedRounds int // rounds aggregated from fewer than W gradients
@@ -363,6 +374,11 @@ func (c *Config) fill() error {
 			// corrupt training, not just slow it down.
 			return fmt.Errorf("trainer: topology %s requires a mergeable codec (codec.Merger), %s is not", c.Topology, c.Codec.Name())
 		}
+		if c.Workers > math.MaxUint16 {
+			// The frameAgg prefix carries the gradient count and the ring
+			// chunk index as uint16; more workers would truncate silently.
+			return fmt.Errorf("trainer: topology %s supports at most %d workers, got %d", c.Topology, math.MaxUint16, c.Workers)
+		}
 	default:
 		return fmt.Errorf("trainer: unknown topology %d", int(c.Topology))
 	}
@@ -448,6 +464,150 @@ func drainRequested(ch <-chan struct{}) bool {
 	}
 }
 
+// orBackground is the nil-ctx guard every run loop opens with.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
+}
+
+// rootCause is deferred by every run loop: whatever error surfaced first (a
+// closed link, a failed decode, a lost quorum), cancellation is the root
+// cause once ctx is done; report it as such so callers can errors.Is the
+// context error.
+func rootCause(ctx context.Context, res **Result, err *error) {
+	if *err != nil && ctx.Err() != nil {
+		*res = nil
+		*err = fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
+	}
+}
+
+// runPlan is what every run loop derives from its Config and training set
+// before the first round: the shards, the batch geometry and the resume
+// point.
+type runPlan struct {
+	shards         []*dataset.Dataset
+	localBatch     int
+	roundsPerEpoch int
+	totalRounds    int
+	pDim           uint64 // parameter dimension; may exceed the feature dimension
+	startRound     int    // cfg.Resume.Rounds, or 0 for a fresh run
+}
+
+// planRun fills cfg's defaults and derives the run's plan. A cfg.Resume that
+// does not belong to this configuration is an error here, before any party
+// starts: every worker must fast-forward its batcher to the same round.
+func planRun(cfg *Config, train *dataset.Dataset) (*runPlan, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	if train.N() == 0 {
+		return nil, errors.New("trainer: empty training set")
+	}
+	p := &runPlan{shards: train.Shard(cfg.Workers), pDim: cfg.Trainable.ParamDim(train.Dim)}
+	globalBatch := max(int(cfg.BatchFraction*float64(train.N())), cfg.Workers)
+	p.localBatch = max(globalBatch/cfg.Workers, 1)
+	p.roundsPerEpoch = max((p.shards[0].N()+p.localBatch-1)/p.localBatch, 1)
+	p.totalRounds = p.roundsPerEpoch * cfg.Epochs
+	if cfg.Resume != nil {
+		if err := validateResume(cfg, cfg.Resume, p.pDim, p.roundsPerEpoch, p.totalRounds); err != nil {
+			return nil, err
+		}
+		p.startRound = cfg.Resume.Rounds
+	}
+	return p, nil
+}
+
+// planEpochRun is planRun for the serial simulations (arch is "PS" or
+// "SSP"). They run the star protocol only — PS already shards aggregation
+// by key range and SSP workers sit at different round tags, so neither has a
+// synchronized gather to merge across — and they checkpoint, drain and
+// resume at epoch granularity, so a mid-epoch checkpoint is rejected. It
+// returns the epoch to start at.
+func planEpochRun(cfg *Config, train *dataset.Dataset, arch string) (*runPlan, int, error) {
+	p, err := planRun(cfg, train)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cfg.Topology != cluster.TopologyStar {
+		return nil, 0, fmt.Errorf("trainer: topology %q requires the driver architecture (%s runs are star)", cfg.Topology, arch)
+	}
+	if p.startRound%p.roundsPerEpoch != 0 {
+		return nil, 0, fmt.Errorf("trainer: resume: %s topology needs an epoch-boundary checkpoint, got round %d (%d rounds/epoch)",
+			arch, p.startRound, p.roundsPerEpoch)
+	}
+	return p, p.startRound / p.roundsPerEpoch, nil
+}
+
+// batcher returns worker w's deterministic batcher, fast-forwarded past the
+// rounds a resumed run already executed: the shuffle sequence depends only
+// on the seed, so replaying the draws (without computing gradients) puts the
+// batch stream exactly where the interrupted run left it.
+func (p *runPlan) batcher(cfg *Config, w int) *dataset.Batcher {
+	b := dataset.NewBatcher(p.shards[w], p.localBatch, cfg.Seed+int64(w)*7919)
+	var buf []*dataset.Instance
+	for r := 0; r < p.startRound; r++ {
+		buf = b.Next(buf)
+	}
+	return b
+}
+
+// checkpoint hands OnCheckpoint a snapshot when one is due after `rounds`
+// completed rounds: at every CheckpointEvery-th epoch boundary, and
+// unconditionally when a drain stops the run here — that final snapshot is
+// what lets the job resume instead of restarting.
+func (p *runPlan) checkpoint(cfg *Config, rounds int, stopping bool, theta []float64, opt optim.Optimizer) error {
+	due := rounds%p.roundsPerEpoch == 0 && (rounds/p.roundsPerEpoch)%cfg.CheckpointEvery == 0
+	if cfg.OnCheckpoint == nil || !(stopping || due) {
+		return nil
+	}
+	if err := cfg.OnCheckpoint(captureCheckpoint(cfg, rounds, p.roundsPerEpoch, theta, opt)); err != nil {
+		return fmt.Errorf("trainer: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// endEpoch closes an epoch of a PS or SSP run, `done` epochs in: it records
+// the progress, honors a pending drain request (unless the run is finishing
+// anyway) and checkpoints. It reports whether the run should stop.
+func (p *runPlan) endEpoch(cfg *Config, res *Result, done int, theta []float64, opt optim.Optimizer) (stop bool, err error) {
+	res.CompletedRounds = done * p.roundsPerEpoch
+	if drainRequested(cfg.Drain) && done < cfg.Epochs {
+		stop, res.Drained = true, true
+	}
+	return stop, p.checkpoint(cfg, res.CompletedRounds, stop, theta, opt)
+}
+
+// partyCodec returns the codec one more party (a worker, a PS server)
+// encodes and decodes with: a fresh CodecFactory instance when the factory
+// is set — stateful codecs need per-sender instances — else the shared one.
+func (c *Config) partyCodec() codec.Codec {
+	if c.CodecFactory != nil {
+		return c.CodecFactory()
+	}
+	return c.Codec
+}
+
+func newResult(cfg *Config) *Result {
+	return &Result{
+		CodecName: cfg.Codec.Name(),
+		ModelName: cfg.Trainable.Name(),
+		Workers:   cfg.Workers,
+	}
+}
+
+// finish sets the run's final loss and accuracy: the last epoch's, or, for
+// a resume of an already complete run (zero rounds executed, no epochs
+// recorded), a direct evaluation.
+func (r *Result) finish(cfg *Config, theta []float64, test *dataset.Dataset) {
+	if n := len(r.Epochs); n > 0 {
+		r.FinalLoss, r.FinalAccuracy = r.Epochs[n-1].TestLoss, r.Epochs[n-1].Accuracy
+		return
+	}
+	r.FinalLoss, r.FinalAccuracy = cfg.Trainable.Evaluate(theta, test)
+}
+
 // RunContext is Run bounded by a context: when ctx is cancelled, every
 // blocking receive on the driver and every worker unblocks (the driver's
 // watcher closes all links), the run stops within at most one
@@ -455,49 +615,13 @@ func drainRequested(ch <-chan struct{}) bool {
 // ctx.Err(). Cancellation is a hard stop — for a graceful one that
 // checkpoints and collects worker reports, use Config.Drain.
 func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Whatever error surfaced first (a closed link, a failed decode, a
-	// lost quorum), cancellation is the root cause once ctx is done;
-	// report it as such so callers can errors.Is the context error.
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			res = nil
-			err = fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
-		}
-	}()
-	if err := cfg.fill(); err != nil {
+	ctx = orBackground(ctx)
+	defer rootCause(ctx, &res, &err)
+	plan, err := planRun(&cfg, train)
+	if err != nil {
 		return nil, err
 	}
-	if train.N() == 0 {
-		return nil, errors.New("trainer: empty training set")
-	}
-	shards := train.Shard(cfg.Workers)
-	globalBatch := int(cfg.BatchFraction * float64(train.N()))
-	if globalBatch < cfg.Workers {
-		globalBatch = cfg.Workers
-	}
-	localBatch := globalBatch / cfg.Workers
-	if localBatch < 1 {
-		localBatch = 1
-	}
-	roundsPerEpoch := (shards[0].N() + localBatch - 1) / localBatch
-	if roundsPerEpoch < 1 {
-		roundsPerEpoch = 1
-	}
-	totalRounds := roundsPerEpoch * cfg.Epochs
-
-	// Resume bookkeeping precedes worker launch: every worker must
-	// fast-forward its deterministic batcher to the checkpointed round.
-	pDim := cfg.Trainable.ParamDim(train.Dim)
-	startRound := 0
-	if cfg.Resume != nil {
-		if err := validateResume(&cfg, cfg.Resume, pDim, roundsPerEpoch, totalRounds); err != nil {
-			return nil, err
-		}
-		startRound = cfg.Resume.Rounds
-	}
+	roundsPerEpoch, totalRounds, pDim := plan.roundsPerEpoch, plan.totalRounds, plan.pDim
 
 	// Wire the links. wrap applies the (optional) fault-injection layer and
 	// the traffic counter to the driver's end of worker w's link. Each
@@ -651,34 +775,20 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	workerErrs := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		wcfg := cfg
-		if cfg.CodecFactory != nil {
-			wcfg.Codec = cfg.CodecFactory()
-		}
+		wcfg.Codec = cfg.partyCodec()
 		go func(w int, wcfg Config) {
-			workerErrs <- runWorker(wcfg, shards[w], workerSide[w], &links[w], localBatch, startRound, totalRounds, cfg.Seed+int64(w)*7919)
+			workerErrs <- runWorker(wcfg, plan, w, workerSide[w], &links[w])
 		}(w, wcfg)
 	}
 
-	// Driver state. The parameter space may exceed the feature space
-	// (factorization machines); every replica sizes and initializes its
-	// vector identically. On resume, parameters and optimizer state load
-	// from the checkpoint bit-exactly.
-	theta := newParams(cfg, pDim)
-	opt := cfg.Optimizer(pDim)
-	if cfg.Resume != nil {
-		copy(theta, cfg.Resume.Theta)
-		if err := restoreOptimizer(opt, cfg.Resume); err != nil {
-			return nil, err
-		}
+	theta, opt, err := newReplica(&cfg, pDim)
+	if err != nil {
+		return nil, err
 	}
 	acc := gradient.NewAccumulator(pDim)
 
-	res = &Result{
-		CodecName: cfg.Codec.Name(),
-		ModelName: cfg.Trainable.Name(),
-		Workers:   cfg.Workers,
-		Topology:  cfg.Topology.String(),
-	}
+	res = newResult(&cfg)
+	res.Topology = cfg.Topology.String()
 	if cfg.Topology != cluster.TopologyStar {
 		res.WorkerAggBytes = make([]int64, cfg.Workers)
 	}
@@ -705,7 +815,7 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	// resumed run can enter mid-epoch and a drain can leave mid-epoch: the
 	// first and last epoch entries then cover only the rounds actually
 	// executed (EpochStats.Rounds says how many).
-	globalRound := startRound
+	globalRound := plan.startRound
 	stopRequested := false
 	for globalRound < totalRounds && !stopRequested {
 		epoch := globalRound / roundsPerEpoch
@@ -728,17 +838,8 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			// summation is deterministic. DecodeTime sums the per-goroutine
 			// decode durations rather than the gather's wall time.
 			tGather := time.Now()
-			var gerr error
-			switch cfg.Topology {
-			case cluster.TopologyTree:
-				gerr = gatherTreeRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			case cluster.TopologyRing:
-				gerr = gatherRingRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			default:
-				gerr = gatherRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			}
-			if gerr != nil {
-				return nil, gerr
+			if err := gatherRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode); err != nil {
+				return nil, err
 			}
 			agg := acc.Sum()
 			gatherDur := time.Since(tGather)
@@ -814,15 +915,8 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		es.TestLoss, es.Accuracy = cfg.Trainable.Evaluate(theta, test)
 		res.Epochs = append(res.Epochs, es)
 
-		// Checkpoint at every CheckpointEvery-th epoch boundary, and
-		// unconditionally when a drain stops the run here — that final
-		// snapshot is what lets the job resume instead of restarting.
-		atBoundary := globalRound%roundsPerEpoch == 0
-		if cfg.OnCheckpoint != nil &&
-			(stopRequested || (atBoundary && (globalRound/roundsPerEpoch)%cfg.CheckpointEvery == 0)) {
-			if err := cfg.OnCheckpoint(captureCheckpoint(&cfg, globalRound, roundsPerEpoch, theta, opt)); err != nil {
-				return nil, fmt.Errorf("trainer: checkpoint: %w", err)
-			}
+		if err := plan.checkpoint(&cfg, globalRound, stopRequested, theta, opt); err != nil {
+			return nil, err
 		}
 	}
 	res.CompletedRounds = globalRound
@@ -858,7 +952,7 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	var lossSum float64
 	var lossRounds int64
 	for w := 0; w < cfg.Workers; w++ {
-		rep, err := collectReport(cfg, driverSide[w], w, res.Drained)
+		rep, err := collectReport(cfg, driverSide[w], w, totalRounds, res.Drained)
 		if err != nil {
 			if !cfg.tolerant() && !res.Drained {
 				return nil, err
@@ -901,11 +995,6 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	// simulated times. A resume of an already complete run executes zero
 	// rounds and records no epochs; its final loss is evaluated directly.
 	nEpochs := len(res.Epochs)
-	if nEpochs == 0 {
-		res.FinalLoss, res.FinalAccuracy = cfg.Trainable.Evaluate(theta, test)
-		res.SketchError = errAcc.summary()
-		return res, nil
-	}
 	meanLoss := 0.0
 	if lossRounds > 0 {
 		meanLoss = lossSum / float64(lossRounds)
@@ -940,91 +1029,123 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		cumSimSeconds += es.SimTime.Seconds()
 		res.Curve = append(res.Curve, CurvePoint{Seconds: cumSimSeconds, Loss: es.TestLoss})
 	}
-	last := res.Epochs[nEpochs-1]
-	res.FinalLoss = last.TestLoss
-	res.FinalAccuracy = last.Accuracy
+	res.finish(&cfg, theta, test)
 	res.SketchError = errAcc.summary()
 	return res, nil
 }
 
-// gatherOutcome is one worker's contribution to one gather round.
-type gatherOutcome struct {
-	g        *gradient.Sparse
-	count    int   // worker gradients summed into g (frameAgg count; 1 for star)
-	bytes    int64 // codec payload bytes decoded for g
+// frameWant names the one frame a receive is waiting for.
+type frameWant struct {
+	from  int  // sending worker, for error attribution
+	kind  byte // frameGrad, frameAgg or frameReport
+	round int
+	chunk int // frameAgg key-range index (0 outside a ring reduce)
+}
+
+// frameRecv is the outcome of one recvFrame call: the wanted frame, or a
+// miss, and what the wait saw on the way.
+type frameRecv struct {
+	payload  []byte           // codec message or report body; aliases the transport buffer, nil on a miss
+	count    int              // worker gradients payload sums (the frameAgg count; 1 for other kinds)
+	g        *gradient.Sparse // payload decoded into the caller's dst, nil without one or on a miss
 	decodeNs int64
+	bytes    int64 // raw frame bytes received, discarded frames included
 	timeouts int
 	corrupt  int
 	stale    int
-	err      error // fatal in strict mode; in tolerant mode just marks a miss
+	err      error // strict mode only: the anomaly that ended the wait
 }
 
-// recvGradient receives worker w's gradient for the given round. In strict
-// mode (no deadline) it blocks until a frame arrives and any anomaly is an
-// error. In tolerant mode it spends at most cfg.RoundDeadline: stale and
-// corrupt frames are counted, discarded, and the wait continues on the
-// remaining budget; deadline expiry or a dead link returns an empty outcome
-// (a miss), never an abort.
+// recvFrame is the one frame-receive loop: the driver's gather, the tree
+// and ring workers' aggregation-link receives and the end-of-run report
+// collection all wait through it. It returns the first frame on conn that
+// matches want, checksum-valid, with an aggregate count within
+// [1, cfg.Workers] and, when dst is given, decodable into it.
 //
-// dst is this worker's reusable decode target: the gradient is decoded
-// into it (codec.DecodeReuse) and the returned outcome's g aliases it, so
-// the steady-state gather allocates no gradients. The alias is only valid
-// until the worker's next receive.
-func recvGradient(cfg Config, conn cluster.Conn, w, round int, dst *gradient.Sparse) gatherOutcome {
-	var out gatherOutcome
+// budget == 0 is strict mode: the receive blocks until a frame arrives and
+// any anomaly (dead link, bad envelope, wrong kind, round or chunk,
+// out-of-range count, failed decode) is the returned err. budget > 0 is
+// tolerant mode: anomalous frames are counted (corrupt: envelope, count,
+// report size or decode; stale: a valid frame for another kind, round or
+// chunk; collectReport drops both tallies, frames queued ahead of a report
+// are expected), discarded,
+// and the wait continues on what is left of the budget. An expired budget
+// counts one timeout and is a miss; a dead link is a miss and counts nothing
+// (the strike ledger, not the timeout tally, tracks persistent absence).
+//
+// A non-nil dst is the caller's reusable decode target: the payload is
+// decoded into it (timedDecode) and g aliases it until the next receive, so
+// the steady-state gather allocates no gradients.
+func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Duration, dst *gradient.Sparse) frameRecv {
+	var out frameRecv
+	strict := budget <= 0
 	var deadline time.Time
-	if cfg.tolerant() {
-		deadline = time.Now().Add(cfg.RoundDeadline)
+	if !strict {
+		deadline = time.Now().Add(budget)
 	}
 	for {
-		var budget time.Duration
-		if cfg.tolerant() {
-			budget = time.Until(deadline)
-			if budget <= 0 {
+		var wait time.Duration
+		if !strict {
+			if wait = time.Until(deadline); wait <= 0 {
 				out.timeouts++
 				return out
 			}
 		}
-		msg, err := cluster.RecvWithTimeout(conn, budget)
+		msg, err := cluster.RecvWithTimeout(conn, wait)
 		if errors.Is(err, cluster.ErrTimeout) {
 			out.timeouts++
 			return out
 		}
 		if err != nil {
-			out.err = fmt.Errorf("trainer: recv from worker %d: %w", w, err)
+			if strict {
+				out.err = fmt.Errorf("trainer: recv from worker %d: %w", want.from, err)
+			}
 			return out
 		}
+		out.bytes += int64(len(msg))
 		kind, tag, payload, err := parseFrame(msg)
+		count, chunk := 1, 0
+		switch {
+		case err != nil:
+		case kind == frameAgg:
+			count, chunk, payload, err = parseAggFrame(payload)
+			if err == nil && count > cfg.Workers {
+				err = fmt.Errorf("trainer: aggregate frame sums %d gradients, run has %d workers", count, cfg.Workers)
+			}
+		case kind == frameReport && len(payload) != workerReportLen:
+			err = fmt.Errorf("trainer: bad report size %d", len(payload))
+		}
 		if err != nil {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: frame from worker %d: %w", w, err)
+			if strict {
+				out.err = fmt.Errorf("trainer: frame from worker %d: %w", want.from, err)
 				return out
 			}
 			out.corrupt++
 			continue
 		}
-		if kind != frameGrad || tag != round {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d during round %d",
-					w, kind, tag, round)
+		if kind != want.kind || tag != want.round || chunk != want.chunk {
+			if strict {
+				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d chunk %d while kind 0x%02x round %d chunk %d was due",
+					want.from, kind, tag, chunk, want.kind, want.round, want.chunk)
 				return out
 			}
 			out.stale++
 			continue
 		}
-		g, ns, err := timedDecode(&cfg, payload, dst)
-		out.decodeNs += ns
-		if err != nil {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: decode from worker %d: %w", w, err)
-				return out
+		if dst != nil {
+			g, ns, err := timedDecode(cfg, payload, dst)
+			out.decodeNs += ns
+			if err != nil {
+				if strict {
+					out.err = fmt.Errorf("trainer: decode from worker %d: %w", want.from, err)
+					return out
+				}
+				out.corrupt++
+				continue
 			}
-			out.corrupt++
-			continue
+			out.g = g
 		}
-		out.g = g
-		out.count = 1
-		out.bytes = int64(len(payload))
+		out.payload, out.count = payload, count
 		return out
 	}
 }
@@ -1049,102 +1170,151 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 	return g, ns, err
 }
 
-// gatherRound receives and decodes one gradient per worker for the given
-// round, then folds the arrivals into acc. With W > 1 the receive+decode
-// pairs run on W goroutines; the single-worker case keeps the plain serial
-// path. The decode meter accumulates the sum of per-goroutine decode
-// durations (timedDecode), not the gather's wall time. Accumulator adds
-// always happen sequentially in worker order, keeping the float summation
-// (and thus training) deterministic.
+// gatherWant is the frame the driver's gather expects on driver link w.
+func gatherWant(cfg *Config, w, round int) frameWant {
+	switch cfg.Topology {
+	case cluster.TopologyTree:
+		return frameWant{w, frameAgg, round, 0}
+	case cluster.TopologyRing:
+		return frameWant{w, frameAgg, round, (w + 1) % cfg.Workers}
+	}
+	return frameWant{w, frameGrad, round, 0}
+}
+
+// gatherRound is the driver's gather for every topology: receive and decode
+// one message per listened driver link for the given round, tally what the
+// waits saw, check quorum, keep the strike ledger, and fold the arrivals
+// into acc at weights that keep the aggregate the unbiased mean of the
+// worker gradients that made it. cfg.Topology decides three things only:
 //
-// reuse holds one persistent decode target per worker: worker w's gradient
-// is decoded into reuse[w] every round, so after warm-up the gather
-// allocates nothing per round beyond the bookkeeping slices below.
+//   - star listens on all W links for a frameGrad (a message of count 1);
+//   - tree listens on the min(W, 2) root links for a frameAgg, chunk 0;
+//   - ring listens on all W links for a frameAgg, link w delivering the
+//     fully reduced chunk (w+1) mod W.
 //
-// Strict mode (RoundDeadline == 0) requires all W gradients and any fault
-// aborts. Tolerant mode aggregates whatever arrived by the deadline,
-// weighting each of the m arrivals 1/m so the aggregate stays an unbiased
-// mean; it aborts only on quorum loss (fewer than
-// ceil(MinGatherFraction·W) arrivals) or when one worker reaches MaxStrikes
-// consecutive misses.
+// and one of two weighting rules. Star and tree messages cover disjoint
+// worker sets, so every message is weighted 1/total contributors and quorum
+// and SkippedGrads count contributors (the sum rule). Ring messages cover
+// disjoint key ranges, so each is weighted 1/its own count and quorum and
+// SkippedGrads count arrived chunks (the chunk rule).
+//
+// With more than one link the receive+decode pairs run on one goroutine per
+// link; a single link keeps the plain serial path. The decode meter sums
+// the per-goroutine decode durations (timedDecode), not the gather's wall
+// time. Accumulator adds always happen sequentially in link order, keeping
+// the float summation (and thus training) deterministic. reuse[w] is link
+// w's persistent decode target, so after warm-up the gather allocates
+// nothing per round beyond the bookkeeping below.
+//
+// Strict mode (RoundDeadline == 0) requires every worker gradient and any
+// fault aborts. Tolerant mode aggregates whatever arrived by the deadline
+// and aborts only on quorum loss (fewer than ceil(MinGatherFraction·W)
+// contributors or chunks) or when one link reaches MaxStrikes consecutive
+// misses.
 //
 //sketchlint:hotpath
 func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	//lint:allow hotpath-alloc one O(workers) slice per round, not per byte; a round moves megabytes
-	outs := make([]gatherOutcome, cfg.Workers)
-	if cfg.Workers == 1 {
-		//lint:allow hotpath-alloc recvGradient allocates only on fault paths (decode error, strict-mode abort); the clean-path receive is allocation-free
-		outs[0] = recvGradient(cfg, driverSide[0], 0, round, &reuse[0])
+	links, chunked := cfg.Workers, cfg.Topology == cluster.TopologyRing
+	if cfg.Topology == cluster.TopologyTree {
+		links = min(cfg.Workers, 2)
+	}
+	//lint:allow hotpath-alloc one O(links) slice per round, not per byte; a round moves megabytes
+	outs := make([]frameRecv, links)
+	if links == 1 {
+		//lint:allow hotpath-alloc recvFrame allocates only on fault paths (strict-mode abort errors); the clean-path receive is allocation-free
+		outs[0] = recvFrame(&cfg, driverSide[0], gatherWant(&cfg, 0, round), cfg.RoundDeadline, &reuse[0])
 	} else {
-		//lint:allow escape-oracle the WaitGroup is shared with W goroutines so it must live on the heap; one per round, not per byte
+		//lint:allow escape-oracle the WaitGroup is shared with the link goroutines so it must live on the heap; one per round, not per byte
 		var wg sync.WaitGroup
-		wg.Add(cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
+		wg.Add(links)
+		for w := 0; w < links; w++ {
 			// cfg travels as a goroutine argument (copied onto the new
 			// goroutine's stack): captured, the >128-byte struct would be
 			// moved to the heap by reference once per round.
-			//lint:allow hotpath-alloc one goroutine closure per worker per round; this fan-out is the only decode concurrency there is
+			//lint:allow hotpath-alloc one goroutine closure per link per round; this fan-out is the only decode concurrency there is
 			go func(w int, cfg Config) {
 				defer wg.Done()
-				outs[w] = recvGradient(cfg, driverSide[w], w, round, &reuse[w])
+				outs[w] = recvFrame(&cfg, driverSide[w], gatherWant(&cfg, w, round), cfg.RoundDeadline, &reuse[w])
 			}(w, cfg)
 		}
 		wg.Wait()
 	}
-	arrived := 0
+	// total sums the contributors over the arrivals; partial marks a ring
+	// chunk whose reduction missed workers.
+	arrived, total, partial := 0, 0, false
 	for w := range outs {
-		*driverDecode += time.Duration(outs[w].decodeNs)
-		es.Timeouts += outs[w].timeouts
-		es.CorruptFrames += outs[w].corrupt
-		es.StaleFrames += outs[w].stale
-		if outs[w].g != nil {
-			arrived++
-			es.RawUpBytes += rawWireBytes(outs[w].g)
-			es.DecodedBytes += outs[w].bytes
+		o := &outs[w]
+		*driverDecode += time.Duration(o.decodeNs)
+		es.Timeouts += o.timeouts
+		es.CorruptFrames += o.corrupt
+		es.StaleFrames += o.stale
+		if o.g == nil {
+			continue
+		}
+		arrived++
+		total += o.count
+		es.RawUpBytes += rawWireBytes(o.g)
+		es.DecodedBytes += int64(len(o.payload))
+		if chunked && o.count != cfg.Workers {
+			partial = true
 		}
 	}
+	// have is what arrived in the weighting rule's quorum unit; complete
+	// says no worker gradient is missing from any key range.
+	have, unit := total, "gradients"
+	if chunked {
+		have, unit = arrived, "chunks"
+	}
+	complete := have == cfg.Workers && !partial
 	if !cfg.tolerant() {
 		for w := range outs {
 			if outs[w].err != nil {
 				return outs[w].err
 			}
 		}
+		if !complete {
+			return fmt.Errorf("trainer: strict %s gather: round %d did not sum all %d worker gradients (%d %s arrived)",
+				cfg.Topology, round, cfg.Workers, have, unit)
+		}
+	}
+	if have > cfg.Workers {
+		// Two in-range tree counts can still sum past W. No link fault
+		// explains that, so it aborts rather than skew the round's weights.
+		return fmt.Errorf("trainer: round %d: %s gather summed %d gradients from %d workers", round, cfg.Topology, have, cfg.Workers)
+	}
+	if cfg.tolerant() {
+		quorum := max(int(math.Ceil(cfg.MinGatherFraction*float64(cfg.Workers))), 1)
+		if have < quorum {
+			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d %s arrived (need %d)",
+				round, have, cfg.Workers, unit, quorum)
+		}
 		for w := range outs {
-			if err := acc.Add(outs[w].g, 1.0/float64(cfg.Workers)); err != nil {
-				return err
+			if outs[w].g != nil {
+				strikes[w] = 0
+				continue
+			}
+			strikes[w]++
+			es.Strikes++
+			if strikes[w] >= cfg.MaxStrikes {
+				return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
+					w, strikes[w], round)
 			}
 		}
-		return nil
-	}
-	quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-	if quorum < 1 {
-		quorum = 1
-	}
-	if arrived < quorum {
-		return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients arrived (need %d)",
-			round, arrived, cfg.Workers, quorum)
+		es.SkippedGrads += cfg.Workers - have
+		if !complete {
+			es.DegradedRounds++
+		}
 	}
 	for w := range outs {
-		if outs[w].g != nil {
-			strikes[w] = 0
+		o := &outs[w]
+		if o.g == nil {
 			continue
 		}
-		es.SkippedGrads++
-		strikes[w]++
-		es.Strikes++
-		if strikes[w] >= cfg.MaxStrikes {
-			return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
-				w, strikes[w], round)
+		weight := 1.0 / float64(total)
+		if chunked {
+			weight = 1.0 / float64(o.count)
 		}
-	}
-	if arrived < cfg.Workers {
-		es.DegradedRounds++
-	}
-	for w := range outs {
-		if outs[w].g == nil {
-			continue
-		}
-		if err := acc.Add(outs[w].g, 1.0/float64(arrived)); err != nil {
+		if err := acc.Add(o.g, weight); err != nil {
 			return err
 		}
 	}
@@ -1211,78 +1381,39 @@ func (b *broadcaster) broadcast(conns []*cluster.CountingConn, round int, payloa
 // forever on a worker that died between the stop frame and its report).
 const drainReportBudget = 10 * time.Second
 
-// collectReport receives worker w's end-of-run report, skipping any stale
-// gradient frames still queued ahead of it. In tolerant mode the whole
-// collection is bounded by cfg.RoundDeadline; after a drain it is bounded
-// even in strict mode, and the gradient the worker had in flight when the
-// stop frame arrived is skimmed rather than treated as a protocol error.
-func collectReport(cfg Config, conn cluster.Conn, w int, drained bool) (workerReport, error) {
-	var deadline time.Time
-	bounded := cfg.tolerant() || drained
-	if bounded {
-		budget := cfg.RoundDeadline
-		if budget <= 0 {
-			budget = drainReportBudget
-		}
-		deadline = time.Now().Add(budget)
+// collectReport receives worker w's end-of-run report through recvFrame,
+// which skims off whatever is still queued ahead of it. In tolerant mode the
+// whole collection is bounded by cfg.RoundDeadline; after a drain it is
+// bounded even in strict mode, so the gradient the worker had in flight when
+// the stop frame arrived is skimmed rather than treated as a protocol error.
+func collectReport(cfg Config, conn cluster.Conn, w, totalRounds int, drained bool) (workerReport, error) {
+	budget := cfg.RoundDeadline
+	if budget <= 0 && drained {
+		budget = drainReportBudget
 	}
-	for {
-		var budget time.Duration
-		if bounded {
-			budget = time.Until(deadline)
-			if budget <= 0 {
-				return workerReport{}, fmt.Errorf("trainer: report from worker %d: %w", w, cluster.ErrTimeout)
-			}
-		}
-		msg, err := cluster.RecvWithTimeout(conn, budget)
-		if err != nil {
-			return workerReport{}, fmt.Errorf("trainer: report from worker %d: %w", w, err)
-		}
-		kind, _, payload, err := parseFrame(msg)
-		if err != nil || kind != frameReport {
-			if !cfg.tolerant() && !drained {
-				if err == nil {
-					err = fmt.Errorf("unexpected frame kind 0x%02x", kind)
-				}
-				return workerReport{}, fmt.Errorf("trainer: report from worker %d: %w", w, err)
-			}
-			continue // late gradient from a degraded round or the drained step in flight
-		}
-		rep, err := parseWorkerReport(payload)
-		if err != nil {
-			if !cfg.tolerant() && !drained {
-				return workerReport{}, fmt.Errorf("trainer: report from worker %d: %w", w, err)
-			}
-			continue
-		}
-		return rep, nil
+	r := recvFrame(&cfg, conn, frameWant{w, frameReport, totalRounds, 0}, budget, nil)
+	if r.err != nil {
+		return workerReport{}, r.err
 	}
+	if r.payload == nil {
+		return workerReport{}, fmt.Errorf("trainer: report from worker %d: %w", w, cluster.ErrTimeout)
+	}
+	return parseWorkerReport(r.payload)
 }
 
-func runWorker(cfg Config, shard *dataset.Dataset, conn cluster.Conn, links *workerLinks, localBatch, startRound, totalRounds int, seed int64) error {
+func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *workerLinks) error {
 	defer func() { _ = conn.Close() }()
 	// Closing the aggregation links on exit is what unblocks a strict-mode
 	// peer still receiving on the shared pair.
 	defer links.close()
-	pDim := cfg.Trainable.ParamDim(shard.Dim)
-	theta := newParams(cfg, pDim)
-	opt := cfg.Optimizer(pDim)
-	if cfg.Resume != nil {
-		copy(theta, cfg.Resume.Theta)
-		if err := restoreOptimizer(opt, cfg.Resume); err != nil {
-			return err
-		}
+	theta, opt, err := newReplica(&cfg, plan.pDim)
+	if err != nil {
+		return err
 	}
-	batcher := dataset.NewBatcher(shard, localBatch, seed)
+	batcher := plan.batcher(&cfg, w)
+	startRound, totalRounds := plan.startRound, plan.totalRounds
 	var rep workerReport
 	var buf []*dataset.Instance
-	// A resumed worker fast-forwards its deterministic batcher past the
-	// checkpointed rounds: the shuffle sequence depends only on the seed, so
-	// replaying the draws (without computing gradients) puts the batch
-	// stream exactly where the interrupted run left it.
-	for r := 0; r < startRound; r++ {
-		buf = batcher.Next(buf)
-	}
 	// sendBuf and aggScratch are the worker's reusable frame and decode
 	// buffers: after warm-up the steady-state round neither allocates the
 	// outbound envelope nor a fresh aggregate (every transport is done with
@@ -1404,10 +1535,26 @@ type paramsInitializer interface {
 }
 
 // newParams allocates and initializes one replica's parameter vector.
-func newParams(cfg Config, pDim uint64) []float64 {
+func newParams(cfg *Config, pDim uint64) []float64 {
 	theta := make([]float64, pDim)
 	if init, ok := cfg.Trainable.(paramsInitializer); ok {
 		init.InitTheta(theta)
 	}
 	return theta
+}
+
+// newReplica builds one replica's parameters and optimizer. The parameter
+// space may exceed the feature space (factorization machines); every
+// replica sizes and initializes its vector identically. On resume,
+// parameters and optimizer state load from the checkpoint bit-exactly.
+func newReplica(cfg *Config, pDim uint64) ([]float64, optim.Optimizer, error) {
+	theta := newParams(cfg, pDim)
+	opt := cfg.Optimizer(pDim)
+	if cfg.Resume != nil {
+		copy(theta, cfg.Resume.Theta)
+		if err := restoreOptimizer(opt, cfg.Resume); err != nil {
+			return nil, nil, err
+		}
+	}
+	return theta, opt, nil
 }
