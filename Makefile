@@ -30,13 +30,14 @@ BENCHFLAGS ?= -benchtime=0.5s
 BENCH_TOLERANCE ?= 25
 BENCH_COMPARE_FLAGS ?=
 # Steady-state benchmark surface: the codec encode/decode sweep, the
-# wire-to-wire merge path, and the cluster deadline-receive loop. All feed
-# one benchjson document; the committed BENCH_ceilings.json pins absolute
-# allocs/op ceilings for the machine-independent rows (0 for DecodeInto and
-# the exact-path MergeInto, 2 for RecvTimeout), because a 0 -> 1 allocation
-# regression is invisible to percentage thresholds.
-BENCH_PKGS     ?= ./internal/codec ./internal/cluster
-BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkRecvTimeoutSteadyState'
+# wire-to-wire merge path, the driver's gradient sum, and the cluster
+# deadline-receive loop. All feed one benchjson document; the committed
+# BENCH_ceilings.json pins absolute allocs/op ceilings for the
+# machine-independent rows (0 for DecodeInto and the exact-path MergeInto,
+# single digits for Encode, 3 for Accumulate, 2 for RecvTimeout), because a
+# 0 -> 1 allocation regression is invisible to percentage thresholds.
+BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/cluster
+BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkRecvTimeoutSteadyState'
 BENCH_CEILINGS ?= BENCH_ceilings.json
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.

@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -12,8 +11,9 @@ import (
 // BenchmarkEncodeDecode measures the codec hot path across the operating
 // points that matter for the paper's economics: bucket count q (quantization
 // resolution), group count r (MinMaxSketch splitting) and gradient sparsity.
-// Encode is benched on the serial plan (par1) at every point and with
-// concurrent panes (parmaxN, N = GOMAXPROCS) at the larger ones; decode has
+// Encode is benched on the serial plan (par1) at every point and at
+// Parallelism 0 (parmax: concurrent panes iff GOMAXPROCS > 1, which the -N
+// suffix of the row's name records) at the larger ones; decode has
 // one plan, so Decode and DecodeInto appear once per point. Allocation
 // reporting is on throughout, so `make bench` tracks both ns/op and
 // allocs/op regressions. compressed-B/msg reports the wire size, tying the
@@ -67,10 +67,10 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 		benchEncode("par1", c)
 		if p.parmax {
-			// Parallelism 0 is "concurrent panes iff GOMAXPROCS > 1"; the
-			// label carries what it resolved to.
+			// The label is the same on every host so that the row's ceiling
+			// in BENCH_ceilings.json is never stale.
 			opts.Parallelism = 0
-			benchEncode(fmt.Sprintf("parmax%d", runtime.GOMAXPROCS(0)), MustSketchML(opts))
+			benchEncode("parmax", MustSketchML(opts))
 		}
 		b.Run("Decode/"+name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -105,9 +105,9 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // tree nodes and every ring hop run once per round: decode both inputs
 // structurally, sum the key union, re-emit one message. The points span
 // both output paths — small panes stay on the exact-means path (the
-// steady-state interior hot loop, allocation-free warm), large panes
-// overflow the cap and re-quantize through a fresh sketch (priced like an
-// Encode). Raw rows price the lossless alternative a tree of adam workers
+// steady-state interior hot loop), large panes overflow the cap and
+// re-quantize through the same builder Encode uses; both are allocation-
+// free warm. Raw rows price the lossless alternative a tree of adam workers
 // would pay. merged-B/msg ties the CPU cost to the bytes the merge puts
 // back on the uplink.
 func BenchmarkMerge(b *testing.B) {

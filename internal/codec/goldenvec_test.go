@@ -32,15 +32,27 @@ type goldenVec struct {
 }
 
 func goldenVectors() []goldenVec {
+	// The fixtures without a rank_ prefix were committed when GK was the
+	// default split finder. They pin GKAlgo explicitly and must never be
+	// regenerated: passing byte-for-byte is the evidence that the sketches,
+	// MinMax, key coding and the wire layout did not move, and that
+	// messages written before the default changed still decode.
 	mk := func(mut func(*Options)) Options {
 		o := DefaultOptions()
+		o.Algo = quantizer.GKAlgo
 		if mut != nil {
 			mut(&o)
 		}
 		return o
 	}
+	// The same matrix under the default split finder (RankAlgo).
+	rank := func(mut func(*Options)) Options {
+		o := mk(mut)
+		o.Algo = quantizer.RankAlgo
+		return o
+	}
 	return []goldenVec{
-		// The two quantile algorithms at the paper's default config.
+		// The two quantile sketches at the paper's default config.
 		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
 		{name: "kll_default", opts: mk(func(o *Options) { o.Algo = quantizer.KLLAlgo }), dim: 100000, nnz: 1200, seed: 1001},
 		// Group-count sweep: r=1 (no grouping) and r=16 bracket the
@@ -60,6 +72,15 @@ func goldenVectors() []goldenVec {
 		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
 		// Keys beyond 32 bits flip the wide-keys wire flag.
 		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
+
+		{name: "rank_default", opts: rank(nil), dim: 100000, nnz: 1200, seed: 1001},
+		{name: "rank_r1", opts: rank(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "rank_r16", opts: rank(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "rank_keyquan", opts: rank(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "rank_all_positive", opts: rank(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
+		{name: "rank_all_negative", opts: rank(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
+		{name: "rank_q16_tiny", opts: rank(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
+		{name: "rank_wide_keys", opts: rank(nil), dim: 1 << 33, nnz: 300, seed: 1006},
 	}
 }
 
@@ -88,7 +109,7 @@ func (v goldenVec) fixturePath() string {
 }
 
 // TestGoldenVectors pins the SketchML wire format byte-for-byte across the
-// configuration matrix: both quantile algorithms, the r-group sweep, the
+// configuration matrix: the three split finders, the r-group sweep, the
 // component ablations, single-sign panes, and wide keys. Each fixture is
 // the complete encoded message; encoding the regenerated gradient must
 // reproduce it exactly, and decoding the committed bytes must succeed with

@@ -34,13 +34,14 @@ type Merger interface {
 
 // mergeScratch holds the pooled working state for one merge: the two
 // structurally decoded inputs and the key/value union. Pooled so warm
-// MergeInto calls allocate nothing (the exact-means path; re-quantizing
-// builds a fresh sketch, like Encode does).
+// MergeInto calls allocate nothing on either path under the default split
+// finder (re-quantizing through GKAlgo or KLLAlgo builds a fresh sketch).
 type mergeScratch struct {
-	ga, gb gradient.Sparse
-	keys   []uint64
-	vals   []float64
-	dist   []float64 // sorted-distinct means working buffer
+	ga, gb  gradient.Sparse
+	keys    []uint64
+	vals    []float64
+	dist    []float64         // sorted-distinct means working buffer
+	buckets quantizer.Buckets // re-quantized pane
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -251,41 +252,33 @@ func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals [
 	}
 
 	var means []float64
-	var z *quantizer.Quantile
+	var idx []uint32
 	if len(d) <= exactCap {
 		means = d // lossless: every summed value survives verbatim
+		idxBuf := getU32(len(keys))
+		defer putU32(idxBuf)
+		idx = *idxBuf
+		for i, v := range vals {
+			idx[i] = uint32(sort.SearchFloat64s(means, v))
+		}
 	} else {
 		// Too many distinct values to carry exactly: re-bucket through the
 		// same quantile construction Encode uses.
-		var err error
-		//lint:allow hotpath-alloc re-quantizing builds a fresh sketch exactly like Encode; the zero-allocation merge path is the exact-means branch above
-		z, err = quantizer.BuildQuantileAlgo(vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
-		if err != nil {
+		//lint:allow hotpath-alloc only GKAlgo and KLLAlgo allocate here (a fresh sketch per call, like Encode under them); the default split finder reuses ms.buckets
+		if err := quantizer.BuildQuantileAlgoInto(&ms.buckets, vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
 			return nil, err
 		}
-		means = z.Means()
+		means, idx = ms.buckets.Means(), ms.buckets.Index
 	}
 	out = appendU32(out, uint32(len(means)))
 	for _, m := range means {
 		out = appendF64(out, m)
 	}
-	var err error
-	out, err = c.appendKeys(out, keys, wide)
+	out, err := c.appendKeys(out, keys, wide)
 	if err != nil {
 		return nil, err
 	}
-	idxBuf := getU32(len(keys))
-	idx := *idxBuf
-	for i, v := range vals {
-		if z != nil {
-			idx[i] = uint32(z.Bucket(v))
-		} else {
-			idx[i] = uint32(sort.SearchFloat64s(means, v))
-		}
-	}
-	out = bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means)))
-	putU32(idxBuf)
-	return out, nil
+	return bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means))), nil
 }
 
 // Merge implements Merger.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
+	"sketchml/internal/quantizer"
 )
 
 // Property suite for the wire-to-wire Merger contract. The reference for
@@ -460,8 +461,11 @@ func mergeGoldenVectors() []mergeGoldenVec {
 		}
 		return o
 	}
-	quan := mk(nil)
-	keyOnly := mk(func(o *Options) { o.Quantize = false })
+	// Committed when GK was the default split finder; pinned to it, never
+	// regenerated (see goldenVectors).
+	quan := mk(func(o *Options) { o.Algo = quantizer.GKAlgo })
+	keyOnly := mk(func(o *Options) { o.Algo, o.Quantize = quantizer.GKAlgo, false })
+	rankQuan := mk(nil)
 	return []mergeGoldenVec{
 		// Re-quantize path: two default-sized panes overflow the exact cap.
 		{name: "merge_keyquan", opts: quan,
@@ -475,6 +479,11 @@ func mergeGoldenVectors() []mergeGoldenVec {
 		{name: "merge_key_only", opts: keyOnly,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
+		// merge_keyquan under the default split finder: the inputs encode and
+		// the merge re-quantizes through the rank builder.
+		{name: "rank_merge_keyquan", opts: rankQuan,
+			a: goldenVec{opts: rankQuan, dim: 100000, nnz: 1200, seed: 2001},
+			b: goldenVec{opts: rankQuan, dim: 100000, nnz: 1200, seed: 2002}},
 	}
 }
 

@@ -1,9 +1,12 @@
 package codec
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
+	"sketchml/internal/gradient"
+	"sketchml/internal/quantizer"
 	"sketchml/internal/sketch/minmax"
 )
 
@@ -18,8 +21,9 @@ import (
 //     siblings (the gather goroutines, the replicas decoding one
 //     broadcast), so nesting a second level only oversubscribes.
 //   - The sync.Pool families recycle the per-message scratch (pane output
-//     buffers, sign-partition slices, bucket-index arrays, the decoder's
-//     flat stores) that would otherwise be reallocated on every call.
+//     buffers, the encoder's per-pane keys and magnitudes, quantizer,
+//     sort scratch and grouped sketch, the decoder's flat stores) that
+//     would otherwise be reallocated on every call.
 //
 // Wire bytes are bit-identical at every parallelism level: panes are
 // independent and spliced in paneID order, group scatter preserves key
@@ -90,6 +94,56 @@ func getU32(n int) *[]uint32 {
 }
 
 func putU32(b *[]uint32) { u32Pool.Put(b) }
+
+// ---- encode scratch ----
+
+// encodeScratch is the reusable per-pane state behind Encode: the pane's
+// entries, its quantizer with its bucket indexes and sort scratch, one grouped sketch
+// rebuilt in place, the bucket → group table, and the counting scatter's
+// offsets, cursors and flat key buffer. Each pane borrows its own, so the
+// two panes can encode concurrently. Pooled so that, once capacities warm
+// up, the returned message is the only thing Encode allocates.
+type encodeScratch struct {
+	keys    []uint64  // the pane's keys, ascending
+	vals    []float64 // and magnitudes
+	buckets quantizer.Buckets
+	grouped minmax.Grouped
+	route   []uint32 // per bucket: group<<16 | group-relative index
+	starts  []int    // group g's keys are flat[starts[g]:starts[g+1]]
+	cursors []int
+	flat    []uint64 // pane keys, scattered by group
+}
+
+var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// getEncodeScratch returns pooled encode scratch; putEncodeScratch recycles
+// it. The scratch never escapes encodePane — its bytes are copied into the
+// message.
+func getEncodeScratch() *encodeScratch { return encodeScratchPool.Get().(*encodeScratch) }
+
+func putEncodeScratch(es *encodeScratch) { encodeScratchPool.Put(es) }
+
+// takePane copies the entries of g that belong to pane paneID (0: value
+// ≥ 0, −0 included; 1: value < 0, as magnitudes) into the scratch, in key
+// order. Every entry is written to the next free slot and the slot is kept
+// only if the entry belongs — no branch on the sign, which in a gradient
+// is a coin flip the predictor loses half the time.
+func (es *encodeScratch) takePane(g *gradient.Sparse, paneID uint64) ([]uint64, []float64) {
+	n := len(g.Values)
+	es.keys, es.vals = quantizer.Resize(es.keys, n), quantizer.Resize(es.vals, n)
+	keys, vals, src := es.keys, es.vals, g.Keys[:n]
+	j := 0
+	for i, v := range g.Values {
+		keys[j] = src[i]
+		vals[j] = math.Float64frombits(math.Float64bits(v) ^ paneID<<63)
+		var negative uint64
+		if v < 0 {
+			negative = 1
+		}
+		j += int(1 ^ negative ^ paneID)
+	}
+	return keys[:j], vals[:j]
+}
 
 // ---- decode scratch ----
 

@@ -21,7 +21,9 @@ type Options struct {
 	// Buckets is q, the number of quantile buckets per sign pane
 	// (Section 3.2; the paper finds q=256 "often enough").
 	Buckets int
-	// SketchSize is m, the quantile sketch summary size (default 128).
+	// SketchSize is m, the summary size of the streaming quantile sketch
+	// (default 128). It sizes GKAlgo and KLLAlgo only; the default split
+	// finder sorts the pane and has no summary.
 	SketchSize int
 	// Rows is s, the number of MinMaxSketch hash tables (default 2,
 	// matching the paper's "size of MinMaxSketch is 2 × d/5").
@@ -42,9 +44,13 @@ type Options struct {
 	// encodes them concurrently. Decode is unaffected. The encoded bytes
 	// are bit-identical at every setting — it only changes wall time.
 	Parallelism int
-	// Algo selects the quantile sketch implementation: GK (default) or
-	// KLL, the algorithm behind the DataSketches library the paper used.
-	// The choice never affects the wire format — only split quality.
+	// Algo selects how a pane's quantile splits are found. The zero value,
+	// quantizer.RankAlgo, sorts the pane's magnitudes (the encoder holds
+	// them all) and reads splits and bucket indexes off the ranks: exact and
+	// allocation-free. GKAlgo and KLLAlgo run the paper's streaming
+	// sketches — KLL is the algorithm behind the DataSketches library its
+	// prototype used — for the ablations and as the reference. The choice
+	// never affects the wire format — only which means are sent.
 	Algo quantizer.SketchAlgo
 	// Metrics, when non-nil, receives the codec's observability stream:
 	// encode/decode counts and latencies, input floats vs. wire bytes, and
@@ -176,10 +182,28 @@ func (c *SketchML) Analyze(g *gradient.Sparse) (Breakdown, error) {
 	return bd, err
 }
 
+// encode assembles the message in two pooled buffers — header and pane 0 in
+// one, pane 1 in the other, so the panes can run side by side — and copies
+// them once into a result of exactly the message's size, the only thing a
+// warm Encode allocates.
 func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
+	head, tail := getBytes(), getBytes()
+	defer putBytes(head)
+	defer putBytes(tail)
+	bd, err := c.encodeTo(head, tail, g)
+	if err != nil {
+		return nil, bd, err
+	}
+	out := make([]byte, len(*head)+len(*tail))
+	copy(out[copy(out, *head):], *tail)
+	return out, bd, nil
+}
+
+// encodeTo writes the message into *head followed by *tail.
+func (c *SketchML) encodeTo(head, tail *[]byte, g *gradient.Sparse) (Breakdown, error) {
 	var bd Breakdown
 	if err := g.Validate(); err != nil {
-		return nil, bd, err
+		return bd, err
 	}
 	wide := wideKeys(g.Dim)
 	var flags byte
@@ -195,11 +219,7 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 	if wide {
 		flags |= smFlagWideKeys
 	}
-	// Presize for the common shape: fixed header, two means tables, ~2.5
-	// bytes per key after delta/bitpack compression. Undershoot only costs
-	// one growth step.
-	out := make([]byte, 0, 64+16*c.opts.Buckets+3*len(g.Keys))
-	out = append(out, tagSketchML, flags)
+	out := append(*head, tagSketchML, flags)
 	out = appendU64(out, g.Dim)
 	out = appendU32(out, uint32(len(g.Keys)))
 	// Rotate the hash seed per message, derived deterministically from the
@@ -218,7 +238,7 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 		mark := len(out)
 		out, err = c.appendKeys(out, g.Keys, wide)
 		if err != nil {
-			return nil, bd, err
+			return bd, err
 		}
 		bd.Keys = len(out) - mark
 		mark = len(out)
@@ -226,85 +246,77 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 			out = appendF64(out, v)
 		}
 		bd.Values = len(out) - mark
-		return out, bd, nil
+		*head = out
+		return bd, nil
 	}
 
 	out = appendU32(out, uint32(c.opts.Buckets))
 	bd.Header += 4
 
-	// Partition into sign panes, preserving ascending key order. Both panes
-	// share one pooled backing array each for keys and magnitudes: the
-	// positive pane fills [0, npos), the negative pane [npos, n).
-	n := len(g.Values)
-	npos := 0
-	for _, v := range g.Values {
-		if v >= 0 {
-			npos++
-		}
+	in := paneInputs{msgSeed: msgSeed, g: g, wide: wide}
+	// Panes are independent, and pane 1 always lands in *tail, so the two
+	// plans write the same bytes: the concurrent one only moves pane 1 onto
+	// a goroutine while pane 0 runs here.
+	var err error
+	if c.concurrentPanes() {
+		out, err = c.encodePanesConcurrently(out, tail, &bd, in)
+	} else if out, err = c.timedPane(out, &bd, &in, 0); err == nil {
+		*tail, err = c.timedPane(*tail, &bd, &in, 1)
 	}
-	kbuf, vbuf := getU64(n), getF64(n)
-	posKeys, negKeys := (*kbuf)[0:0:npos], (*kbuf)[npos:npos]
-	posVals, negMags := (*vbuf)[0:0:npos], (*vbuf)[npos:npos]
-	for i, v := range g.Values {
-		if v >= 0 {
-			posKeys = append(posKeys, g.Keys[i])
-			posVals = append(posVals, v)
-		} else {
-			negKeys = append(negKeys, g.Keys[i])
-			negMags = append(negMags, -v)
-		}
+	if err != nil {
+		return bd, err
 	}
-	defer putU64(kbuf)
-	defer putF64(vbuf)
+	*head = out
+	return bd, nil
+}
 
-	paneKeys := [2][]uint64{posKeys, negKeys}
-	paneVals := [2][]float64{posVals, negMags}
+// paneInputs is what both panes of one message encode from: each takes
+// its own sign's entries out of g.
+type paneInputs struct {
+	msgSeed uint64
+	g       *gradient.Sparse
+	wide    bool
+}
+
+// timedPane appends pane i to dst, under the pane-encode timer when metrics
+// are on.
+func (c *SketchML) timedPane(dst []byte, bd *Breakdown, in *paneInputs, i int) ([]byte, error) {
+	var pt0 time.Time
+	if c.met != nil {
+		pt0 = time.Now()
+	}
+	dst, err := c.encodePane(dst, bd, in.msgSeed, in.g, uint64(i), in.wide)
+	if c.met != nil && err == nil {
+		c.met.paneEncodeNs.Since(pt0)
+	}
+	return dst, err
+}
+
+// encodePanesConcurrently appends pane 0 to out while a goroutine writes
+// pane 1 into *tail, and adds both panes' sizes to bd. What the goroutine
+// shares lives on the heap, which is why it is declared here and not in the
+// serial plan's frame; in arrives by value for the same reason.
+func (c *SketchML) encodePanesConcurrently(out []byte, tail *[]byte, bd *Breakdown, in paneInputs) ([]byte, error) {
 	pane := func(dst []byte, bd *Breakdown, i int) ([]byte, error) {
-		var pt0 time.Time
-		if c.met != nil {
-			pt0 = time.Now()
-		}
-		dst, err := c.encodePane(dst, bd, msgSeed, g.Dim, paneKeys[i], paneVals[i], uint64(i), wide)
-		if c.met != nil && err == nil {
-			c.met.paneEncodeNs.Since(pt0)
-		}
-		return dst, err
+		return c.timedPane(dst, bd, &in, i)
 	}
-	if !c.concurrentPanes() {
-		var err error
-		for i := 0; i < 2; i++ {
-			if out, err = pane(out, &bd, i); err != nil {
-				return nil, bd, err
-			}
-		}
-		return out, bd, nil
-	}
-	// Panes are independent: pane 1 encodes on a goroutine into a pooled
-	// buffer while pane 0 appends straight to out, then pane 1's bytes are
-	// spliced behind it — the same bytes the serial plan writes.
-	buf1 := getBytes()
-	defer putBytes(buf1)
 	var bd1 Breakdown
 	var err1 error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		*buf1, err1 = pane(*buf1, &bd1, 1)
+		*tail, err1 = pane(*tail, &bd1, 1)
 	}()
-	out, err0 := pane(out, &bd, 0)
+	out, err := pane(out, bd, 0)
 	<-done
-	if err0 != nil {
-		return nil, bd, err0
+	if err == nil {
+		err = err1
 	}
-	if err1 != nil {
-		return nil, bd, err1
-	}
-	out = append(out, *buf1...)
 	bd.Header += bd1.Header
 	bd.Keys += bd1.Keys
 	bd.Values += bd1.Values
 	bd.Meta += bd1.Meta
-	return out, bd, nil
+	return out, err
 }
 
 // contentFingerprint hashes a gradient's shape and a sample of its content
@@ -322,9 +334,14 @@ func contentFingerprint(g *gradient.Sparse) uint64 {
 	return h
 }
 
-// encodePane serializes one sign pane. vals are magnitudes for the negative
-// pane. paneID feeds the hash seed derivation.
-func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uint64, keys []uint64, vals []float64, paneID uint64, wide bool) ([]byte, error) {
+// encodePane serializes one sign pane of g: pane 0 holds the entries with
+// value ≥ 0 (−0 included), pane 1 the negative ones as magnitudes. paneID
+// also feeds the hash seed derivation.
+func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *gradient.Sparse, paneID uint64, wide bool) ([]byte, error) {
+	es := getEncodeScratch()
+	defer putEncodeScratch(es)
+	keys, vals := es.takePane(g, paneID)
+	dim := g.Dim
 	out = appendU32(out, uint32(len(keys)))
 	bd.Header += 4
 	if len(keys) == 0 {
@@ -341,20 +358,22 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 	if qEff < 2 {
 		qEff = 2
 	}
-	z, err := quantizer.BuildQuantileAlgo(vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
-	if err != nil {
+	bk := &es.buckets
+	if err := quantizer.BuildQuantileAlgoInto(bk, vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
 		return nil, err
 	}
-	means := z.Means()
+	means := bk.Means()
 	mark := len(out)
 	out = appendU32(out, uint32(len(means)))
 	for _, m := range means {
 		out = appendF64(out, m)
 	}
 	bd.Meta += len(out) - mark
+	c.met.observeBucketIndexes(bk.Index, len(means))
 
 	if !c.opts.MinMax {
 		// Explicit bit-packed index array aligned with the pane key list.
+		var err error
 		mark = len(out)
 		out, err = c.appendKeys(out, keys, wide)
 		if err != nil {
@@ -362,14 +381,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 		}
 		bd.Keys += len(out) - mark
 		mark = len(out)
-		idxBuf := getU32(len(keys))
-		idx := *idxBuf
-		for i, v := range vals {
-			idx[i] = uint32(z.Bucket(v))
-		}
-		c.met.observeBucketIndexes(idx, len(means))
-		out = bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means)))
-		putU32(idxBuf)
+		out = bitpack.AppendBlock(out, bk.Index, bitpack.BitsFor(len(means)))
 		bd.Values += len(out) - mark
 		return out, nil
 	}
@@ -393,58 +405,58 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 	if groups < 1 {
 		groups = 1
 	}
-	paneSeed := hashing.Mix64(paneID, msgSeed)
-	grouped := minmax.NewGrouped(c.opts.Rows, cols, len(means), groups, paneSeed)
-	ng := grouped.NumGroups()
+	grouped := &es.grouped
+	grouped.Reshape(c.opts.Rows, cols, len(means), groups, hashing.Mix64(paneID, msgSeed))
+	ng, bpg := grouped.NumGroups(), grouped.BucketsPerGroup()
 
-	// Route each key to its group with a counting scatter over one pooled
-	// flat buffer instead of growing ng separate lists: pass 1 buckets the
-	// values (also feeding the sketch inserts), pass 2 scatters keys to
-	// contiguous per-group regions. Scattering in key order keeps every
-	// group slice ascending — the same lists, hence the same bytes, the
-	// per-group append construction produced.
-	bucketBuf := getU32(len(keys))
-	buckets := *bucketBuf
-	counts := make([]int, ng+1)
-	for i, v := range vals {
-		b := z.Bucket(v)
-		buckets[i] = uint32(b)
-		counts[grouped.GroupOf(b)+1]++
+	// Resolve bucket → (group, group-relative index) once per bucket, so the
+	// per-key passes below are table lookups.
+	es.route = quantizer.Resize(es.route, len(means))
+	route := es.route
+	for b := range route {
+		route[b] = uint32(b/bpg)<<16 | uint32(b%bpg)
 	}
-	for i, k := range keys {
-		grouped.Insert(k, int(buckets[i]))
+
+	// Route each key to its group with a counting scatter over one flat
+	// buffer instead of growing ng separate lists: pass 1 counts each
+	// group's keys, pass 2 inserts every key into its group's sketch and
+	// scatters it to the group's contiguous region. Scattering in key order
+	// keeps every group slice ascending — the same lists, hence the same
+	// bytes, a per-group append construction produces.
+	es.starts = quantizer.Resize(es.starts, ng+1)
+	starts := es.starts
+	clear(starts)
+	for _, b := range bk.Index {
+		starts[route[b]>>16+1]++
 	}
-	c.met.observeBucketIndexes(buckets, len(means))
 	for g := 1; g <= ng; g++ {
-		counts[g] += counts[g-1] // now counts[g] is group g's start offset
+		starts[g] += starts[g-1] // now starts[g] is group g's start offset
 	}
-	flatBuf := getU64(len(keys))
-	flat := *flatBuf
-	cursors := make([]int, ng)
-	copy(cursors, counts[:ng])
+	es.cursors = append(es.cursors[:0], starts[:ng]...)
+	es.flat = quantizer.Resize(es.flat, len(keys))
+	cursors, flat := es.cursors, es.flat
 	for i, k := range keys {
-		grp := grouped.GroupOf(int(buckets[i]))
+		r := route[bk.Index[i]]
+		grp := r >> 16
+		grouped.InsertAt(int(grp), k, uint16(r))
 		flat[cursors[grp]] = k
 		cursors[grp]++
 	}
-	putU32(bucketBuf)
 
+	var err error
 	mark = len(out)
 	out, err = grouped.AppendBinary(out)
 	if err != nil {
-		putU64(flatBuf)
 		return nil, err
 	}
 	bd.Values += len(out) - mark
 	mark = len(out)
 	for grp := 0; grp < ng; grp++ {
-		out, err = c.appendKeys(out, flat[counts[grp]:counts[grp+1]], wide)
+		out, err = c.appendKeys(out, flat[starts[grp]:starts[grp+1]], wide)
 		if err != nil {
-			putU64(flatBuf)
 			return nil, err
 		}
 	}
-	putU64(flatBuf)
 	bd.Keys += len(out) - mark
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/model"
+	"sketchml/internal/quantizer"
 	"sketchml/internal/stats"
 	"sketchml/internal/trainer"
 )
@@ -299,7 +300,10 @@ func Fig13(cfg Config) (*Report, error) {
 	}
 	variants := []variant{
 		{"default", func(o *codec.Options) {}},
-		{"quan_256", func(o *codec.Options) { o.SketchSize = 256 }},
+		// The sketch-size pair runs the paper's streaming sketch: SketchSize
+		// sizes GK and KLL only, the default split finder has no summary.
+		{"quan_128", func(o *codec.Options) { o.Algo = quantizer.GKAlgo }},
+		{"quan_256", func(o *codec.Options) { o.Algo, o.SketchSize = quantizer.GKAlgo, 256 }},
 		{"row_4", func(o *codec.Options) { o.Rows = 4 }},
 		{"col_d/2", func(o *codec.Options) { o.ColsFraction = 0.5 }},
 	}

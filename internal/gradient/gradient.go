@@ -168,53 +168,147 @@ func (g *Sparse) RawSizeBytes(wideKeys bool) int {
 	return len(g.Keys) * (8 + kb)
 }
 
-// Accumulator aggregates sparse gradients from many workers into a dense
-// buffer, then re-sparsifies. This is what the paper's driver does when it
-// gathers {g_w} from W executors.
+// Accumulator sums weighted sparse gradients from many workers into one
+// sparse gradient. This is what the paper's driver does when it gathers
+// {g_w} from W executors.
+//
+// Every input already holds its keys in ascending order, so the sum is a
+// k-way merge of the key lists, run as ⌈log₂ k⌉ rounds of pairwise merges
+// of neighbours — O(n log k) for n input nonzeros from k gradients, every
+// round a sequential pass, and no Dim-sized state. The rounds before the
+// last only interleave: a merge is stable and its left operand holds the
+// earlier Adds, so terms that share a key stay in Add order. The last round
+// adds them up in that order, starting from zero, which makes every sum
+// bit-identical to adding the gradients one after another into a dense
+// vector: the result depends on the order of the Add calls and on nothing
+// else.
 type Accumulator struct {
-	dim   uint64
-	dense []float64
-	dirty []uint64 // keys touched since reset, unsorted, may repeat
+	dim  uint64
+	runs []terms // recorded by Add, in Add order; merged pairwise by Sum
+	// Sum's scratch, kept between rounds: the merge rounds alternate between
+	// the two buffers, each as long as the inputs together.
+	buf [2]terms
+}
+
+// terms is a list of weighted terms of the sum, ascending by key and, within
+// a key, in Add order. A term's value is vals[i]·weight.
+type terms struct {
+	keys   []uint64
+	vals   []float64
+	weight float64
 }
 
 // NewAccumulator creates an accumulator over dim dimensions.
 func NewAccumulator(dim uint64) *Accumulator {
-	return &Accumulator{dim: dim, dense: make([]float64, dim)}
+	return &Accumulator{dim: dim}
 }
 
-// Add accumulates g scaled by weight.
+// Add records g, scaled by weight, as the next term of the sum. Nothing is
+// read until Sum: the accumulator keeps g's slices, so g must stay
+// unmodified until Sum returns — decode the next round into it only after
+// that. g must satisfy Validate (keys strictly ascending).
 func (a *Accumulator) Add(g *Sparse, weight float64) error {
 	if g.Dim != a.dim {
 		return fmt.Errorf("gradient: accumulator dim %d, gradient dim %d", a.dim, g.Dim)
 	}
-	for i, k := range g.Keys {
-		if a.dense[k] == 0 {
-			a.dirty = append(a.dirty, k)
-		}
-		a.dense[k] += g.Values[i] * weight
-	}
+	a.runs = append(a.runs, terms{keys: g.Keys, vals: g.Values, weight: weight})
 	return nil
 }
 
-// Sum returns the accumulated gradient as a new sparse vector and resets
-// the accumulator.
+// Sum returns the weighted sum of the added gradients as a new sparse
+// vector, dropping keys whose values sum to exactly zero, and resets the
+// accumulator, releasing the added gradients.
 func (a *Accumulator) Sum() *Sparse {
-	sort.Slice(a.dirty, func(i, j int) bool { return a.dirty[i] < a.dirty[j] })
-	g := NewSparse(a.dim, len(a.dirty))
-	var prev uint64
-	first := true
-	for _, k := range a.dirty {
-		if !first && k == prev {
-			continue
-		}
-		if v := a.dense[k]; v != 0 {
-			g.Append(k, v)
-		}
-		a.dense[k] = 0
-		prev, first = k, false
+	runs := a.runs
+	n := 0
+	for _, r := range runs {
+		n += len(r.keys)
 	}
-	a.dirty = a.dirty[:0]
-	return g
+	for i := range a.buf {
+		if i > 0 && len(runs) <= 2 {
+			break // one or two runs add up straight into the first buffer
+		}
+		b := &a.buf[i]
+		if cap(b.keys) < n {
+			// A quarter of headroom: a round's input size wanders by a few
+			// percent, and without the slack every new maximum would
+			// reallocate the scratch.
+			b.keys, b.vals = make([]uint64, n, n+n/4), make([]float64, n, n+n/4)
+		}
+		b.keys, b.vals = b.keys[:n], b.vals[:n]
+	}
+	dst := 0
+	for ; len(runs) > 2; dst ^= 1 {
+		// Merge neighbours into consecutive stretches of the free buffer; an
+		// odd run out merges with nothing, which copies it across.
+		merged, off := runs[:0], 0
+		for i := 0; i < len(runs); i += 2 {
+			var right terms
+			if i+1 < len(runs) {
+				right = runs[i+1]
+			}
+			end := off + len(runs[i].keys) + len(right.keys)
+			out := terms{keys: a.buf[dst].keys[off:end], vals: a.buf[dst].vals[off:end], weight: 1}
+			interleave(out, runs[i], right)
+			merged, off = append(merged, out), end
+		}
+		runs = merged
+	}
+	var left, right terms
+	if len(runs) > 0 {
+		left = runs[0]
+	}
+	if len(runs) > 1 {
+		right = runs[1]
+	}
+	keys, vals := addUp(a.buf[dst].keys[:0], a.buf[dst].vals[:0], left, right)
+	clear(a.runs) // drop the references to the added gradients
+	a.runs = a.runs[:0]
+	// The buffer is as long as the inputs together; the result owns storage
+	// sized to their union.
+	return &Sparse{Dim: a.dim, Keys: append([]uint64(nil), keys...), Values: append([]float64(nil), vals...)}
+}
+
+// interleave merges a and b into out, which is as long as both together,
+// applying their weights. Where keys tie, a's terms come first.
+func interleave(out, a, b terms) {
+	i, j := 0, 0
+	for o := range out.keys {
+		if j == len(b.keys) || (i < len(a.keys) && a.keys[i] <= b.keys[j]) {
+			out.keys[o], out.vals[o] = a.keys[i], a.vals[i]*a.weight
+			i++
+		} else {
+			out.keys[o], out.vals[o] = b.keys[j], b.vals[j]*b.weight
+			j++
+		}
+	}
+}
+
+// addUp is the last merge round: for every key of a or b in ascending order
+// it adds the key's terms, a's before b's, and appends the sums that are not
+// exactly zero to keys and vals.
+func addUp(keys []uint64, vals []float64, a, b terms) ([]uint64, []float64) {
+	i, j := 0, 0
+	for i < len(a.keys) || j < len(b.keys) {
+		var key uint64
+		if j == len(b.keys) || (i < len(a.keys) && a.keys[i] <= b.keys[j]) {
+			key = a.keys[i]
+		} else {
+			key = b.keys[j]
+		}
+		var sum float64
+		for ; i < len(a.keys) && a.keys[i] == key; i++ {
+			sum += float64(a.vals[i] * a.weight)
+		}
+		for ; j < len(b.keys) && b.keys[j] == key; j++ {
+			sum += float64(b.vals[j] * b.weight)
+		}
+		if sum != 0 {
+			keys = append(keys, key)
+			vals = append(vals, sum)
+		}
+	}
+	return keys, vals
 }
 
 // SquaredDistance returns ||a - b||² over the union of both supports.

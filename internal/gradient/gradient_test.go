@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -235,25 +236,158 @@ func TestQuickAccumulatorMatchesDense(t *testing.T) {
 	}
 }
 
-func BenchmarkAccumulate(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const dim = 1 << 20
-	grads := make([]*Sparse, 8)
-	for i := range grads {
-		m := map[uint64]float64{}
-		for j := 0; j < 10000; j++ {
-			m[uint64(rng.Intn(dim))] = rng.NormFloat64()
+// denseSum is the reference the Accumulator must match bit for bit: the
+// gradients added one after another into a dense vector, then the nonzero
+// entries read back in key order.
+func denseSum(dim uint64, grads []*Sparse, weights []float64) *Sparse {
+	dense := make([]float64, dim)
+	for i, g := range grads {
+		for j, k := range g.Keys {
+			dense[k] += float64(g.Values[j] * weights[i]) // the conversion rules out a fused multiply-add
 		}
-		grads[i] = FromMap(dim, m)
 	}
-	acc := NewAccumulator(dim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := acc.Add(grads[i&7], 1); err != nil {
-			b.Fatal(err)
+	return FromDense(dense, 0)
+}
+
+// zipfGradient draws nnz distinct Zipf-distributed keys, so a few keys
+// appear in nearly every gradient and most in one, the shape of a sparse
+// model's worker gradients.
+func zipfGradient(rng *rand.Rand, dim uint64, nnz int) *Sparse {
+	z := rand.NewZipf(rng, 1.05, 1, dim-1)
+	m := make(map[uint64]float64, nnz)
+	for len(m) < nnz {
+		m[z.Uint64()] = rng.NormFloat64()
+	}
+	return FromMap(dim, m)
+}
+
+func sameBits(a, b *Sparse) bool {
+	if a.Dim != b.Dim || len(a.Keys) != len(b.Keys) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Keys {
+		if a.Keys[i] != b.Keys[i] || math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
 		}
-		if i&7 == 7 {
-			acc.Sum()
+	}
+	return true
+}
+
+// TestAccumulatorBitIdenticalToDense: for every fan-in the trainer and the
+// Fig. 11 sweep use, the merged sum equals sequential dense adds bit for
+// bit — float addition is not associative, so this pins the order equal
+// keys are added in (Add order). The inputs overlap heavily (Zipf keys),
+// carry unequal weights, and include an empty gradient and exact
+// cancellations.
+func TestAccumulatorBitIdenticalToDense(t *testing.T) {
+	const dim = 1 << 14
+	for _, k := range []int{1, 2, 4, 8, 50} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			acc := NewAccumulator(dim)
+			for round := 0; round < 3; round++ { // Sum resets; later rounds reuse the scratch
+				grads := make([]*Sparse, k)
+				weights := make([]float64, k)
+				for i := range grads {
+					grads[i] = zipfGradient(rng, dim, 200+rng.Intn(800))
+					weights[i] = 1 / float64(1+rng.Intn(k))
+				}
+				if k >= 4 {
+					grads[1] = NewSparse(dim, 0)
+					// grads[3] cancels grads[2] exactly wherever their keys meet.
+					grads[3] = grads[2].Clone()
+					grads[3].Scale(-1)
+					weights[3] = weights[2]
+				}
+				for i, g := range grads {
+					if err := acc.Add(g, weights[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, want := acc.Sum(), denseSum(dim, grads, weights)
+				if err := got.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("round %d: merged sum (%d entries) differs from sequential dense adds (%d entries)",
+						round, got.NNZ(), want.NNZ())
+				}
+			}
+		})
+	}
+}
+
+// TestAccumulatorEmpty: no inputs, and only empty inputs, sum to an empty
+// gradient of the accumulator's dimension.
+func TestAccumulatorEmpty(t *testing.T) {
+	acc := NewAccumulator(7)
+	if s := acc.Sum(); s.Dim != 7 || s.NNZ() != 0 {
+		t.Errorf("sum of nothing: dim %d, %d entries", s.Dim, s.NNZ())
+	}
+	for i := 0; i < 3; i++ {
+		if err := acc.Add(NewSparse(7, 0), 1); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if s := acc.Sum(); s.Dim != 7 || s.NNZ() != 0 {
+		t.Errorf("sum of empties: dim %d, %d entries", s.Dim, s.NNZ())
+	}
+}
+
+// TestAccumulatorReadsAtSum documents Add's contract: the accumulator keeps
+// the pointer and reads the gradient only in Sum, so the gradient must stay
+// unmodified between the two. A caller that reuses a decode buffer may
+// overwrite it only after Sum has returned — and Sum's result shares no
+// storage with the inputs.
+func TestAccumulatorReadsAtSum(t *testing.T) {
+	acc := NewAccumulator(10)
+	g := FromMap(10, map[uint64]float64{3: 1})
+	if err := acc.Add(g, 1); err != nil {
+		t.Fatal(err)
+	}
+	g.Values[0] = 7 // breaks the contract: Sum sees the new value
+	sum := acc.Sum()
+	if got := sum.Get(3); got != 7 {
+		t.Errorf("Sum read %v; Add does not copy, so it should see the value present at Sum time (7)", got)
+	}
+	g.Values[0] = 9 // after Sum the buffer is the caller's again
+	if got := sum.Get(3); got != 7 {
+		t.Errorf("Sum's result aliases its input: %v after the input changed", got)
+	}
+	if again := acc.Sum(); again.NNZ() != 0 {
+		t.Errorf("Sum kept %d entries of a released input", again.NNZ())
+	}
+}
+
+// BenchmarkAccumulate is the driver's per-round sum at the end-to-end
+// benchmark's shape — W worker gradients of 40k Zipf keys over 2M
+// dimensions — at its fan-in and at Fig. 11's largest. ns/nnz is per input
+// nonzero, the unit of the benchmark's gradient.accumulate_ns_per_nnz.
+func BenchmarkAccumulate(b *testing.B) {
+	const dim, nnz = 2_000_000, 40_000
+	for _, w := range []int{4, 50} {
+		rng := rand.New(rand.NewSource(1))
+		grads := make([]*Sparse, w)
+		for i := range grads {
+			grads[i] = zipfGradient(rng, dim, nnz)
+		}
+		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
+			acc := NewAccumulator(dim)
+			sum := func() {
+				for _, g := range grads {
+					if err := acc.Add(g, 1/float64(w)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				acc.Sum()
+			}
+			sum() // size the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w*nnz), "ns/nnz")
+		})
 	}
 }

@@ -16,7 +16,11 @@
 // safe for concurrent use.
 package hashing
 
-import "sketchml/internal/invariant"
+import (
+	"math/bits"
+
+	"sketchml/internal/invariant"
+)
 
 // Mix64 returns a well-dispersed 64-bit hash of x under the given seed.
 //
@@ -112,16 +116,11 @@ func (f *Family) Index(row int, key uint64) int {
 	return int(mulHigh(h, f.buckets))
 }
 
-// mulHigh returns the high 64 bits of a*b.
+// mulHigh returns the high 64 bits of a*b (one multiply instruction where
+// the compiler has the intrinsic).
 func mulHigh(a, b uint64) uint64 {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aLo * bHi
-	return aHi*bHi + w2 + (w1 >> 32)
+	hi, _ := bits.Mul64(a, b)
+	return hi
 }
 
 // MultiplyShift is a 2-universal hash h(x) = (a*x + b) >> (64 - bits),

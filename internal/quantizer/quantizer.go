@@ -1,13 +1,15 @@
 // Package quantizer implements the value-quantification strategies compared
 // in the SketchML paper:
 //
-//   - Quantile-bucket quantification (Section 3.2): a quantile sketch turns
-//     the observed value distribution into q equal-population buckets; each
-//     value is replaced by its bucket's mean and encoded as the bucket index.
-//     This adapts to the nonuniform, near-zero-concentrated distribution of
-//     real gradients.
+//   - Quantile-bucket quantification (Section 3.2): the observed value
+//     distribution is cut into q equal-population buckets; each value is
+//     replaced by its bucket's mean and encoded as the bucket index. This
+//     adapts to the nonuniform, near-zero-concentrated distribution of real
+//     gradients. The cut points come from a sort of the values (RankAlgo,
+//     what the codec runs) or from one of the paper's streaming quantile
+//     sketches (GKAlgo, KLLAlgo; the ablations and the reference).
 //   - Signed quantile quantification (Section 3.3, Solution 1): positive and
-//     negative values are quantized with separate sketches over magnitudes,
+//     negative values are quantized separately over magnitudes,
 //     so no bucket straddles zero and a decayed bucket index can never flip
 //     a gradient's sign.
 //   - Uniform quantification (the ZipML baseline): the value RANGE is split
@@ -22,27 +24,32 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"sketchml/internal/sketch/quantile"
 )
 
-// Quantile maps values to equal-population buckets built from a GK sketch.
-// Bucket i covers [Splits[i], Splits[i+1]) (the last bucket is inclusive on
-// the right) and decodes to the bucket mean (Splits[i]+Splits[i+1])/2.
+// Quantile maps values to equal-population buckets. Bucket i covers
+// [Splits[i], Splits[i+1]) (the last bucket is inclusive on the right) and
+// decodes to the bucket mean (Splits[i]+Splits[i+1])/2.
 type Quantile struct {
 	splits []float64 // q+1 ascending split points
 	means  []float64 // q bucket means
 }
 
-// SketchAlgo selects the streaming quantile sketch used to find splits.
+// SketchAlgo selects how the split points are found.
 type SketchAlgo int
 
-// Supported quantile sketch algorithms.
+// Supported split finders.
 const (
-	// GKAlgo is the Greenwald–Khanna sketch (deterministic rank bounds).
-	GKAlgo SketchAlgo = iota
-	// KLLAlgo is the Karnin–Lang–Liberty sketch, the algorithm behind the
-	// Yahoo DataSketches library the paper's prototype uses.
+	// RankAlgo, the zero value and the codec's default, sorts the values
+	// and reads the splits off the ranks: exact, linear-time, and the only
+	// finder that also yields every value's bucket index without a search.
+	// An encoder holds the whole pane in memory, so nothing needs to stream.
+	RankAlgo SketchAlgo = iota
+	// GKAlgo is the Greenwald–Khanna streaming sketch (deterministic rank
+	// bounds), the paper's subject and the reference the property suites
+	// hold RankAlgo against.
+	GKAlgo
+	// KLLAlgo is the Karnin–Lang–Liberty streaming sketch, the algorithm
+	// behind the Yahoo DataSketches library the paper's prototype uses.
 	KLLAlgo
 )
 
@@ -53,32 +60,21 @@ func BuildQuantile(values []float64, q, sketchSize int) (*Quantile, error) {
 	return BuildQuantileAlgo(values, q, sketchSize, GKAlgo, 0)
 }
 
-// BuildQuantileAlgo is BuildQuantile with an explicit sketch algorithm.
-// The seed only matters for KLLAlgo (its compaction is randomized).
+// BuildQuantileAlgo is BuildQuantile with an explicit split finder,
+// returning a freshly allocated quantizer; see BuildQuantileAlgoInto for
+// what each finder does with sketchSize and seed.
 func BuildQuantileAlgo(values []float64, q, sketchSize int, algo SketchAlgo, seed int64) (*Quantile, error) {
-	if len(values) == 0 {
-		return nil, errors.New("quantizer: no values")
-	}
-	if q < 1 {
-		return nil, fmt.Errorf("quantizer: q=%d < 1", q)
-	}
-	if sketchSize < 2 {
-		sketchSize = 2
-	}
-	var sk quantile.Sketch
-	switch algo {
-	case GKAlgo:
-		sk = quantile.NewWithSize(sketchSize)
-	case KLLAlgo:
-		if sketchSize < 8 {
-			sketchSize = 8
+	if algo == RankAlgo {
+		var b Buckets
+		if err := BuildQuantileAlgoInto(&b, values, q, sketchSize, algo, seed); err != nil {
+			return nil, err
 		}
-		sk = quantile.NewKLL(sketchSize, seed)
-	default:
-		return nil, fmt.Errorf("quantizer: unknown sketch algorithm %d", algo)
+		return &Quantile{splits: b.splits, means: b.means}, nil
 	}
-	sk.InsertAll(values)
-	splits, err := sk.Splits(q)
+	if err := checkBuild(values, q); err != nil {
+		return nil, err
+	}
+	splits, err := sketchSplits(values, q, sketchSize, algo, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +92,19 @@ func NewQuantileFromSplits(splits []float64) (*Quantile, error) {
 			return nil, fmt.Errorf("quantizer: splits not non-decreasing at %d", i)
 		}
 	}
-	q := len(splits) - 1
-	means := make([]float64, q)
-	for i := 0; i < q; i++ {
-		means[i] = (splits[i] + splits[i+1]) / 2
+	z := &Quantile{splits: splits}
+	z.fillMeans()
+	return z, nil
+}
+
+// midpoint returns (a+b)/2, a bucket's decoded value. Two magnitudes near
+// MaxFloat64 overflow the sum; halving first is exact there.
+func midpoint(a, b float64) float64 {
+	m := (a + b) / 2
+	if math.IsInf(m, 0) {
+		m = a/2 + b/2
 	}
-	return &Quantile{splits: splits, means: means}, nil
+	return m
 }
 
 // NumBuckets returns q.

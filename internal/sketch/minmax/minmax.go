@@ -251,6 +251,15 @@ type Grouped struct {
 // NewGrouped creates numGroups sketches of rows × ceil(totalCols/numGroups)
 // bins each, covering bucket indexes [0, numBuckets).
 func NewGrouped(rows, totalCols, numBuckets, numGroups int, seed uint64) *Grouped {
+	g := &Grouped{}
+	g.Reshape(rows, totalCols, numBuckets, numGroups, seed)
+	return g
+}
+
+// Reshape rebuilds g in place to the shape NewGrouped would give it, every
+// bin Empty, reusing the group slice and each group sketch's storage, so an
+// encoder that builds a grouped sketch per pane does not allocate once warm.
+func (g *Grouped) Reshape(rows, totalCols, numBuckets, numGroups int, seed uint64) {
 	if numGroups <= 0 || numBuckets <= 0 {
 		invariant.Failf("minmax: invalid buckets=%d groups=%d", numBuckets, numGroups)
 	}
@@ -261,16 +270,32 @@ func NewGrouped(rows, totalCols, numBuckets, numGroups int, seed uint64) *Groupe
 	if colsPer < 1 {
 		colsPer = 1
 	}
-	g := &Grouped{
-		groups:          make([]*Sketch, numGroups),
-		numBuckets:      numBuckets,
-		bucketsPerGroup: (numBuckets + numGroups - 1) / numGroups,
-	}
-	for i := range g.groups {
+	g.resizeGroups(numGroups)
+	g.numBuckets = numBuckets
+	g.bucketsPerGroup = (numBuckets + numGroups - 1) / numGroups
+	for i, s := range g.groups {
+		if s == nil {
+			//lint:allow hotpath-alloc a group sketch this Grouped has not held before; reused from then on
+			s = &Sketch{}
+			g.groups[i] = s
+		}
 		// Each group gets an independent hash family via a derived seed.
-		g.groups[i] = New(rows, colsPer, hashing.Mix64(uint64(i), seed))
+		s.Reshape(rows, colsPer, hashing.Mix64(uint64(i), seed))
 	}
-	return g
+}
+
+// resizeGroups sets len(g.groups) to n, keeping the sketches it already
+// holds: reslicing up to cap revives pointers parked beyond the previous
+// length, so shrink-then-grow cycles keep their storage.
+func (g *Grouped) resizeGroups(n int) {
+	if cap(g.groups) >= n {
+		g.groups = g.groups[:n]
+		return
+	}
+	old := g.groups[:cap(g.groups)]
+	//lint:allow hotpath-alloc grows reusable group storage, amortized to zero once warm; decode bounds n (≤ 1<<16) before calling
+	g.groups = make([]*Sketch, n)
+	copy(g.groups, old)
 }
 
 // NumGroups returns the number of group sketches (the paper's r).
@@ -293,6 +318,15 @@ func (g *Grouped) Insert(key uint64, bucket int) int {
 	grp := g.GroupOf(bucket)
 	g.groups[grp].Insert(key, uint16(bucket-grp*g.bucketsPerGroup))
 	return grp
+}
+
+// InsertAt records key with group-relative index rel straight into group
+// grp's sketch, for a caller that has already worked out both (an encoder
+// resolves bucket → (grp, rel) once per bucket, not once per key). It is
+// Insert without the division: Insert(key, b) == InsertAt(GroupOf(b), key,
+// b − GroupOf(b)·BucketsPerGroup()).
+func (g *Grouped) InsertAt(grp int, key uint64, rel uint16) {
+	g.groups[grp].Insert(key, rel)
 }
 
 // Query recovers the bucket index of key, which is known (from the wire
@@ -357,16 +391,7 @@ func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, er
 		//lint:allow hotpath-alloc fresh-destination fallback; reuse callers pass a pooled grouped sketch
 		g = &Grouped{}
 	}
-	if cap(g.groups) >= n {
-		// Reslicing up to cap revives sketch pointers parked beyond the
-		// previous length, so shrink-then-grow cycles keep their storage.
-		g.groups = g.groups[:n]
-	} else {
-		old := g.groups[:cap(g.groups)]
-		//lint:allow hotpath-alloc grows reusable group storage, amortized to zero once warm; n is bounds-checked (≤ 1<<16) above
-		g.groups = make([]*Sketch, n)
-		copy(g.groups, old)
-	}
+	g.resizeGroups(n)
 	g.numBuckets = numBuckets
 	g.bucketsPerGroup = bpg
 	off := 12

@@ -73,6 +73,7 @@ func RunPSContext(ctx context.Context, cfg Config, servers int, train, test *dat
 		serverCodecs[s] = cfg.partyCodec()
 		accs[s] = gradient.NewAccumulator(pDim)
 	}
+	merged := gradient.NewAccumulator(pDim) // sums the servers' shards; Sum resets it every round
 	theta, opt, err := newReplica(&cfg, pDim)
 	if err != nil {
 		return nil, err
@@ -129,7 +130,6 @@ func RunPSContext(ctx context.Context, cfg Config, servers int, train, test *dat
 			}
 			// Servers: aggregate, encode, broadcast; every replica applies
 			// the merged update.
-			merged := gradient.NewAccumulator(pDim)
 			for s := 0; s < servers; s++ {
 				agg := accs[s].Sum()
 				t0 := time.Now()
