@@ -2,7 +2,8 @@
 #
 # `make verify` is the pre-PR gate: build, formatting, go vet, the
 # project's own static analyzers (cmd/sketchlint), unit tests, the
-# race-matrix sweep, and a fuzz smoke over the wire-format decoders.
+# race-matrix sweep, a fuzz smoke over the wire-format decoders, and the
+# allocation ceilings of the steady-state benchmarks.
 # `make fuzz` runs the fuzzers longer. See DESIGN.md "Verification &
 # static analysis" and ROADMAP.md "Verification".
 
@@ -42,15 +43,6 @@ BENCH_CEILINGS ?= BENCH_ceilings.json
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.
 CHAOS_MATRIX_SEED ?= 7
-# sketchlint inputs: the committed suppression baseline (accepted findings
-# with documented reasons; stale entries fail the run), the summary cache
-# that keeps warm runs fast, and the compiler-oracle cache that keeps the
-# -gcflags builds from rerunning when nothing changed (both machine-local,
-# gitignored, safe to delete).
-LINT_BASELINE     ?= lint.baseline.json
-LINT_CACHE        ?= .sketchlint-cache.json
-LINT_ORACLE_CACHE ?= .sketchlint-oracle-cache.json
-
 # Native fuzz targets, as "package:Target" pairs. Go's fuzzer runs one
 # target per invocation, so the fuzz rule loops.
 FUZZ_TARGETS := \
@@ -62,7 +54,7 @@ FUZZ_TARGETS := \
 	./internal/service:FuzzJobSpecDecode
 
 # The pre-PR gates, in the order `make verify` runs them.
-VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
+VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke bench-check service-smoke
 
 .PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke timed verify clean
 
@@ -85,20 +77,17 @@ vet:
 	$(GO) vet ./...
 
 lint:
-	$(GO) run ./cmd/sketchlint -baseline $(LINT_BASELINE) -summary-cache $(LINT_CACHE) \
-		-oracle -oracle-cache $(LINT_ORACLE_CACHE) ./...
+	$(GO) run ./cmd/sketchlint ./...
 
 # lint-stats is the same gate as `lint`, just louder: a per-analyzer table
-# of finding counts and wall times, plus summary-build, cache hit/miss,
-# and oracle (warm/cold, site counts, build time) lines, so analyzer cost
-# regressions are visible in review.
+# of finding counts and wall times plus the summary-build time, so analyzer
+# cost regressions are visible in review.
 lint-stats:
-	$(GO) run ./cmd/sketchlint -baseline $(LINT_BASELINE) -summary-cache $(LINT_CACHE) \
-		-oracle -oracle-cache $(LINT_ORACLE_CACHE) -stats ./...
+	$(GO) run ./cmd/sketchlint -stats ./...
 
-# lint-self points the analyzers at their own implementation with no
-# baseline at all: the linter's source must be clean under its own rules,
-# or any inline suppression it needs must justify itself in-place.
+# lint-self points the analyzers at their own implementation: the linter's
+# source must be clean under its own rules, or any inline suppression it
+# needs must justify itself in-place.
 lint-self:
 	$(GO) run ./cmd/sketchlint ./internal/lint ./cmd/sketchlint
 
@@ -195,8 +184,14 @@ timed:
 	done; \
 	printf "gate wall times:\n$$report  %-20s %5ds\n" total $$total
 
+# bench-check runs here as CI runs it: allocation metrics only (committed
+# wall times mean nothing on another machine) at a short benchtime, with
+# the absolute ceilings of BENCH_ceilings.json on top. Those ceilings and
+# the package allocation tests are what hold the hot path's allocation
+# contract; no static model stands in for them.
 verify:
-	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)"
+	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)" \
+		BENCHFLAGS=-benchtime=0.2s BENCH_COMPARE_FLAGS=-alloc-only BENCH_TOLERANCE=50
 	@echo "verify: all gates passed"
 
 clean:

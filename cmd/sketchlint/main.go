@@ -1,18 +1,16 @@
 // Command sketchlint runs the project's static-analysis suite
-// (internal/lint) over the module: eighteen analyzers encoding SketchML's
+// (internal/lint) over the module: thirteen analyzers encoding SketchML's
 // correctness invariants — the v1 serialization/determinism checks
 // (unseeded-hash, float-equality, unchecked-error, wire-endianness,
 // panic-in-library), the v2 concurrency/wire-safety checks (pool-escape,
 // lock-held-io, goroutine-join, waitgroup-misuse, unbounded-wire-alloc),
-// the v3 interprocedural checks built on the module summary table
-// (wire-taint, hotpath-alloc, wire-determinism, atomic-mix), and the v4
-// concurrency-safety suite (lock-order, shared-write, chan-discipline,
-// pragma). Full-module runs additionally cross-check every //lint:allow
-// directive (stale-allow), and -oracle adds the compiler-oracle findings
-// (escape-oracle, bce-hotpath) parsed from `go build -gcflags` output.
-// See DESIGN.md ("Verification & static analysis", "Interprocedural
-// analysis", and "Concurrency analysis & compiler oracle") for what each
-// one enforces and why.
+// the interprocedural checks built on the module summary table
+// (wire-taint, wire-determinism), and the //lint:allow validator (pragma).
+// Full-module runs additionally cross-check every //lint:allow directive
+// (stale-allow). See DESIGN.md ("Verification & static analysis" and
+// "Interprocedural analysis") for what each one enforces, the defect that
+// earned it its place, and what measures the invariants no analyzer
+// models.
 //
 // Usage:
 //
@@ -20,32 +18,20 @@
 //
 // With no arguments (or "./...") every package in the module is checked.
 // Individual directories may be named instead. Exit status is 1 when any
-// unbaselined finding is reported (or, on full-module runs, when the
-// baseline has stale entries), 2 on a load or usage error.
+// finding is reported, 2 on a load or usage error.
 //
 // Flags:
 //
+//	-list            list the analyzers and exit
 //	-json            emit a JSON report object (findings, per-analyzer
-//	                 timings, cache statistics)
+//	                 timings, summary-build time)
 //	-github          additionally emit ::error workflow annotations so
 //	                 findings surface inline on pull-request diffs
 //	-changed ref     analyze only packages containing files changed
 //	                 relative to the given git ref; falls back to the
 //	                 full module when git cannot answer, and says why
-//	-baseline file   committed suppression file; findings matching an
-//	                 entry are reported as baselined, not failures, and
-//	                 entries matching nothing fail full-module runs
-//	-write-baseline  regenerate the -baseline file from current findings
-//	                 (existing entries keep their documented reasons)
-//	-summary-cache f persist interprocedural summaries between runs,
-//	                 keyed by package content hash
-//	-oracle          cross-check the model against the compiler: parse
-//	                 escape-analysis (-m=2) and bounds-check (check_bce)
-//	                 diagnostics and fail on hotpath model drift
-//	-oracle-cache f  persist parsed compiler output between runs, keyed
-//	                 by Go version and module content hash
-//	-stats           print per-analyzer findings/timings, cache stats,
-//	                 and (with -oracle) an "oracle: warm|cold" line
+//	-stats           print per-analyzer findings/timings and the
+//	                 summary-build time
 //
 // Findings can be suppressed — sparingly, with a justification — by a
 // comment on the offending line or the line above:
@@ -64,9 +50,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"sketchml/internal/lint"
 )
@@ -77,15 +61,9 @@ func main() {
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit a JSON report object")
 	flag.BoolVar(&opts.github, "github", false, "also emit GitHub ::error workflow annotations")
 	flag.StringVar(&opts.changedRef, "changed", "", "analyze only packages changed relative to this git ref")
-	flag.StringVar(&opts.baselinePath, "baseline", "", "baseline/suppression file (committed accepted findings)")
-	flag.BoolVar(&opts.writeBaseline, "write-baseline", false, "regenerate the -baseline file from current findings")
-	flag.StringVar(&opts.cachePath, "summary-cache", "", "summary cache file (content-hash keyed)")
-	flag.BoolVar(&opts.oracle, "oracle", false, "cross-check the model against compiler escape/bounds diagnostics")
-	flag.StringVar(&opts.oracleCachePath, "oracle-cache", "", "compiler-oracle cache file (Go version + module hash keyed)")
-	flag.BoolVar(&opts.stats, "stats", false, "print per-analyzer timing and cache statistics")
+	flag.BoolVar(&opts.stats, "stats", false, "print per-analyzer findings and timings")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sketchlint [-list] [-json] [-github] [-changed ref] "+
-			"[-baseline file [-write-baseline]] [-summary-cache file] [-oracle [-oracle-cache file]] "+
 			"[-stats] [./... | dir ...]\n")
 		flag.PrintDefaults()
 	}
@@ -97,10 +75,6 @@ func main() {
 		}
 		return
 	}
-	if opts.writeBaseline && opts.baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "sketchlint: -write-baseline requires -baseline")
-		os.Exit(2)
-	}
 	if err := run(flag.Args(), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "sketchlint:", err)
 		os.Exit(2)
@@ -108,15 +82,10 @@ func main() {
 }
 
 type options struct {
-	jsonOut         bool
-	github          bool
-	changedRef      string
-	baselinePath    string
-	writeBaseline   bool
-	cachePath       string
-	oracle          bool
-	oracleCachePath string
-	stats           bool
+	jsonOut    bool
+	github     bool
+	changedRef string
+	stats      bool
 }
 
 // finding is the JSON shape of one diagnostic. Paths are module-root
@@ -132,21 +101,13 @@ type finding struct {
 // report is the -json output shape.
 type report struct {
 	Findings  []finding            `json:"findings"`
-	Baselined []finding            `json:"baselined,omitempty"`
-	Stale     []lint.BaselineEntry `json:"stale_baseline,omitempty"`
 	Analyzers []lint.AnalyzerStats `json:"analyzers"`
-	Cache     cacheStats           `json:"summary_cache"`
-	// Oracle is present when -oracle ran.
-	Oracle *lint.OracleStats `json:"oracle,omitempty"`
+	// SummaryMillis is the time spent building the interprocedural
+	// summaries wire-taint and wire-determinism read.
+	SummaryMillis int64 `json:"summary_millis"`
 	// Fallback is the reason -changed fell back to the full module, or
 	// empty when it did not.
 	Fallback string `json:"fallback,omitempty"`
-}
-
-type cacheStats struct {
-	Hits   int   `json:"hits"`
-	Misses int   `json:"misses"`
-	Millis int64 `json:"millis"`
 }
 
 func run(args []string, opts options) error {
@@ -211,67 +172,22 @@ func run(args []string, opts options) error {
 		}
 	}
 
-	// Summaries cover everything the loader pulled in — the analyzed
-	// packages plus, on partial runs, their unchanged module-internal
-	// dependencies — so interprocedural facts stay as precise as a
-	// full-module run.
-	sumPkgs := loader.Loaded()
-
-	cache := lint.OpenSummaryCache(opts.cachePath)
-	cacheStart := time.Now()
-	cached := cache.Valid(sumPkgs)
-	cacheMillis := time.Since(cacheStart).Milliseconds()
-
 	diags, stats := lint.RunWithStats(loader.Fset(), pkgs, lint.All(), lint.RunOptions{
-		CachedSummaries: cached,
-		SummaryPackages: sumPkgs,
+		// Summaries cover everything the loader pulled in — the analyzed
+		// packages plus, on partial runs, their unchanged module-internal
+		// dependencies — so interprocedural facts stay as precise as a
+		// full-module run.
+		SummaryPackages: loader.Loaded(),
 		// Only a full-module run proves a suppression dead: on a partial
 		// run an unfired directive may cover a package not analyzed.
 		CheckStaleAllows: fullModule,
 	})
-	cache.Update(stats.Mod, sumPkgs, stats.FreshPackages)
-	if err := cache.Save(); err != nil {
-		fmt.Fprintf(os.Stderr, "sketchlint: saving summary cache: %v\n", err)
-	}
-
-	var oracleStats *lint.OracleStats
-	if opts.oracle {
-		odiags, ostats, err := lint.RunOracle(root, loader.ModulePath, loader.Fset(),
-			loader.Loaded(), stats.Mod, lint.OracleOptions{CachePath: opts.oracleCachePath})
-		if err != nil {
-			return err
-		}
-		oracleStats = &ostats
-		diags = mergeDiags(diags, odiags)
-	}
-
-	baseline, err := lint.LoadBaseline(opts.baselinePath)
-	if err != nil {
-		return err
-	}
-	if opts.writeBaseline {
-		n, err := lint.WriteBaseline(opts.baselinePath, root, diags, baseline)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sketchlint: wrote %d entries to %s\n", n, opts.baselinePath)
-		return nil
-	}
-	active, baselined, stale := baseline.Filter(root, diags)
-	if !fullModule {
-		// A partial run sees a subset of findings, so absence proves
-		// nothing about the rest of the baseline.
-		stale = nil
-	}
 
 	rep := report{
-		Findings:  toFindings(root, active),
-		Baselined: toFindings(root, baselined),
-		Stale:     stale,
-		Analyzers: stats.Analyzers,
-		Cache:     cacheStats{Hits: cache.Hits, Misses: cache.Misses, Millis: cacheMillis + stats.SummaryMillis},
-		Oracle:    oracleStats,
-		Fallback:  fallbackReason,
+		Findings:      toFindings(root, diags),
+		Analyzers:     stats.Analyzers,
+		SummaryMillis: stats.SummaryMillis,
+		Fallback:      fallbackReason,
 	}
 
 	if opts.jsonOut {
@@ -283,10 +199,6 @@ func run(args []string, opts options) error {
 	} else {
 		for _, f := range rep.Findings {
 			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
-		}
-		for _, e := range rep.Stale {
-			fmt.Printf("%s: stale baseline entry for %s: %q matches no finding; remove it\n",
-				e.File, e.Analyzer, e.Message)
 		}
 	}
 	if opts.stats {
@@ -301,12 +213,8 @@ func run(args []string, opts options) error {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=sketchlint %s::%s\n",
 				f.File, f.Line, f.Column, f.Analyzer, msg)
 		}
-		for _, e := range rep.Stale {
-			fmt.Printf("::error file=%s,title=sketchlint stale baseline::baseline entry for %s matches no finding; remove it\n",
-				e.File, e.Analyzer)
-		}
 	}
-	if len(rep.Findings) > 0 || len(rep.Stale) > 0 {
+	if len(rep.Findings) > 0 {
 		os.Exit(1)
 	}
 	return nil
@@ -316,7 +224,7 @@ func toFindings(root string, diags []lint.Diagnostic) []finding {
 	out := make([]finding, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, finding{
-			File:     lint.RelPath(root, d.Pos.Filename),
+			File:     relPath(root, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Analyzer: d.Analyzer,
@@ -324,6 +232,15 @@ func toFindings(root string, diags []lint.Diagnostic) []finding {
 		})
 	}
 	return out
+}
+
+// relPath converts a diagnostic filename to root-relative slash form;
+// paths outside root pass through unchanged.
+func relPath(root, file string) string {
+	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return file
 }
 
 // printStats renders the per-analyzer table `make lint-stats` shows.
@@ -338,40 +255,7 @@ func printStats(rep report) {
 		totalMillis += a.Millis
 	}
 	fmt.Fprintf(w, "%-22s %9d %9d\n", "total", totalFindings, totalMillis)
-	fmt.Fprintf(w, "summary cache: %d hits, %d misses, %d ms (build+hash)\n",
-		rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Millis)
-	if rep.Oracle != nil {
-		state := "cold"
-		if rep.Oracle.CacheHit {
-			state = "warm"
-		}
-		fmt.Fprintf(w, "oracle: %s, %d escape sites, %d bounds sites, %d ms build (%s)\n",
-			state, rep.Oracle.EscapeSites, rep.Oracle.BoundsSites,
-			rep.Oracle.BuildMillis, rep.Oracle.GoVersion)
-	}
-	if n := len(rep.Baselined); n > 0 {
-		fmt.Fprintf(w, "baselined findings: %d\n", n)
-	}
-}
-
-// mergeDiags folds the oracle findings into the analyzer diagnostics,
-// restoring the suite's position order.
-func mergeDiags(diags, extra []lint.Diagnostic) []lint.Diagnostic {
-	diags = append(diags, extra...)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return diags
+	fmt.Fprintf(w, "summaries: %d ms\n", rep.SummaryMillis)
 }
 
 // changedDirs asks git which .go files differ from ref (committed or not)

@@ -142,13 +142,10 @@ func (r *Reader) ReadAll(n int) ([]uint32, error) {
 // It packs directly into dst — no intermediate writer buffer — so the only
 // allocation is dst's own growth, which callers on the codec hot path
 // amortize with pooled buffers.
-//
-//sketchlint:hotpath
 func AppendBlock(dst []byte, values []uint32, width int) []byte {
 	if width < 1 || width > 32 {
 		invariant.Failf("bitpack: width %d out of [1,32]", width)
 	}
-	//lint:allow hotpath-alloc grows the caller's reusable buffer; amortized to zero once pooled dst capacity warms up
 	dst = slices.Grow(dst, BlockSize(len(values), width))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(values)))
 	dst = append(dst, byte(width))
@@ -204,7 +201,6 @@ func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 	if cap(vals) >= count {
 		vals = vals[:count]
 	} else {
-		//lint:allow hotpath-alloc grows the caller's reusable value buffer; amortized to zero once capacity warms up
 		vals = make([]uint32, count)
 	}
 	// Unpack inline rather than through a heap Reader so the warm path

@@ -2,6 +2,7 @@ package bitpack
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,29 @@ func TestReaderExhaustion(t *testing.T) {
 	}
 	if _, err := r.Read(); err == nil {
 		t.Error("expected exhaustion error")
+	}
+}
+
+// TestReadAllRefusesCountBeyondStream: n is typically a wire-decoded count,
+// and ReadAll must refuse one the remaining bits cannot hold before sizing
+// anything by it. The error alone does not show that — make([]uint32, n)
+// succeeds lazily and the first short Read errors afterwards — so the test
+// also bounds the bytes the call allocates (a runtime.MemStats.TotalAlloc
+// delta).
+func TestReadAllRefusesCountBeyondStream(t *testing.T) {
+	w := NewWriter(8)
+	w.Write(1)
+	const n = 1 << 24 // 64 MiB of uint32 over a one-byte stream
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(w.Bytes(), 8).ReadAll(n)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadAll accepted a count the stream cannot hold")
+	}
+	const bound = 4 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("refusing the count allocated %d bytes, want at most %d", got, bound)
 	}
 }
 

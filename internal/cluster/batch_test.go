@@ -336,6 +336,10 @@ func (f *feederConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// Write discards: the send-side allocation test measures what Send and
+// SendBatch allocate, not where the bytes go.
+func (f *feederConn) Write(p []byte) (int, error) { return len(p), nil }
+
 func (f *feederConn) Close() error                    { return nil }
 func (f *feederConn) SetReadDeadline(time.Time) error { return nil }
 
@@ -361,6 +365,34 @@ func TestTCPRecvTimeoutSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("steady-state RecvTimeout allocates %.1f/op, ceiling is 2", allocs)
+	}
+}
+
+// TestTCPSendSteadyStateAllocs is the send half: once the batch scratch has
+// warmed to the fan-out width, Send and SendBatch allocate nothing. The
+// write vector handed to net.Buffers.WriteTo is the conn's sendVec field —
+// WriteTo has a pointer receiver, so a local net.Buffers would move to the
+// heap on every call (0 → 1 alloc/op), which is what this test catches.
+func TestTCPSendSteadyStateAllocs(t *testing.T) {
+	conn := WrapNetConn(&feederConn{}).(BatchConn)
+	msg := bytes.Repeat([]byte{0xAB}, 4096)
+	msgs := [][]byte{msg, msg[:100], msg[:1]}
+	if err := conn.SendBatch(msgs); err != nil { // warm the batch scratch
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := conn.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state Send allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := conn.SendBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state SendBatch allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -67,8 +67,6 @@ type tcpConn struct {
 func WrapNetConn(c net.Conn) Conn { return &tcpConn{c: c} }
 
 // Send implements Conn.
-//
-//sketchlint:hotpath
 func (t *tcpConn) Send(msg []byte) error {
 	if len(msg) > maxFrame {
 		return fmt.Errorf("cluster: frame %d exceeds limit", len(msg))
@@ -116,8 +114,6 @@ func (t *tcpConn) checkWrite(n, total int64, err error) error {
 // so a fan-out of small messages costs one syscall and one frame-atomic
 // critical section instead of one per message. Receivers see ordinary
 // frames; no envelope is added.
-//
-//sketchlint:hotpath
 func (t *tcpConn) SendBatch(msgs [][]byte) error {
 	if len(msgs) == 0 {
 		return nil
@@ -133,11 +129,9 @@ func (t *tcpConn) SendBatch(msgs [][]byte) error {
 		return t.sendErr
 	}
 	if need := 4 * len(msgs); cap(t.batchHdrs) < need {
-		//lint:allow hotpath-alloc grows conn-owned batch header scratch, 4 bytes per sub-frame; amortized to zero once the fan-out width warms up
 		t.batchHdrs = make([]byte, need)
 	}
 	if cap(t.batchBufs) < 2*len(msgs) {
-		//lint:allow hotpath-alloc grows the conn-owned write vector, two entries per sub-frame; amortized to zero once the fan-out width warms up
 		t.batchBufs = make(net.Buffers, 0, 2*len(msgs))
 	}
 	vec := t.batchBufs[:0]
@@ -159,8 +153,6 @@ func (t *tcpConn) SendBatch(msgs [][]byte) error {
 }
 
 // Recv implements Conn.
-//
-//sketchlint:hotpath
 func (t *tcpConn) Recv() ([]byte, error) { return t.RecvTimeout(0) }
 
 // timeoutErr maps a net.Conn read-deadline expiry onto the transport's
@@ -184,8 +176,6 @@ func (t *tcpConn) clearReadDeadline() { _ = t.c.SetReadDeadline(time.Time{}) }
 // returned message aliases the conn-owned receive buffer (valid until the
 // next receive); once that buffer has warmed to the frame sizes in play,
 // the steady state allocates nothing.
-//
-//sketchlint:hotpath
 func (t *tcpConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
@@ -222,7 +212,6 @@ func (t *tcpConn) RecvTimeout(d time.Duration) ([]byte, error) {
 			limit = t.want
 		}
 		if cap(t.body) < limit {
-			//lint:allow hotpath-alloc grows the conn-owned receive buffer, bounded to one recvDirectLimit window past the bytes actually received; amortized to zero once the buffer warms to the frame sizes in play
 			nb := make([]byte, limit)
 			copy(nb, t.body[:t.got])
 			t.body = nb

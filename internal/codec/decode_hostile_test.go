@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -99,5 +100,40 @@ func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 	}
 	if _, err := c.MergeInto(nil, msg, mut); err == nil {
 		t.Fatal("merge accepted a grouped header lying about 65536 groups")
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates, as the difference of
+// two runtime.MemStats.TotalAlloc readings. An error alone does not show
+// that a decoder refused a hostile count: a make sized by it succeeds
+// lazily (untouched pages) and the first short read errors afterwards.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestZipMLDecodeOversizedCount patches the entry count of a header-only
+// ZipML message to 0xFFFFFFFF. Decode must refuse it against the bytes that
+// remain before anything is sized by it: NewSparse(dim, count) would
+// reserve 64 GiB of key and value capacity straight from the header.
+func TestZipMLDecodeOversizedCount(t *testing.T) {
+	c := &ZipML{Bits: 8}
+	msg, err := c.Encode(gradient.NewSparse(1000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wire layout: tag(1) bits(1) flags(1) dim(8), then the count u32.
+	const countOff = 11
+	binary.LittleEndian.PutUint32(msg[countOff:], 0xFFFFFFFF)
+	got := allocatedBytes(func() { _, err = c.Decode(msg) })
+	if err == nil {
+		t.Fatal("decoder accepted a 4-billion entry count over an empty body")
+	}
+	const bound = 4 << 10
+	if got > bound {
+		t.Errorf("refusing the count allocated %d bytes, want at most %d", got, bound)
 	}
 }

@@ -124,8 +124,6 @@ func (c *SketchML) Merge(a, b []byte) ([]byte, error) {
 // the explicit bit-packed index layout. The output message seed is the XOR
 // of the input seeds (order-independent; the index layout's decoder never
 // consults it).
-//
-//sketchlint:hotpath
 func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	// Everything the emitter needs from the raw inputs is read before the
 	// first byte is appended, so dst may alias a or b.
@@ -216,8 +214,6 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 
 // mergePane emits one sign pane of a merged message using the explicit
 // index layout (MinMax off). vals are magnitudes for the negative pane.
-//
-//sketchlint:hotpath
 func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals []float64, wide bool) ([]byte, error) {
 	out = appendU32(out, uint32(len(keys)))
 	if len(keys) == 0 {
@@ -264,7 +260,6 @@ func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals [
 	} else {
 		// Too many distinct values to carry exactly: re-bucket through the
 		// same quantile construction Encode uses.
-		//lint:allow hotpath-alloc only GKAlgo and KLLAlgo allocate here (a fresh sketch per call, like Encode under them); the default split finder reuses ms.buckets
 		if err := quantizer.BuildQuantileAlgoInto(&ms.buckets, vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
 			return nil, err
 		}
@@ -291,8 +286,6 @@ func (c *Raw) Merge(a, b []byte) ([]byte, error) {
 // float32 only when both inputs are (a float64 input's precision is never
 // silently discarded), and is bitwise commutative and associative up to
 // float addition order — which for disjoint key sets means exactly.
-//
-//sketchlint:hotpath
 func (c *Raw) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if len(a) < 2 || len(b) < 2 {
 		return nil, errTruncated

@@ -179,11 +179,9 @@ func putScratch(sc *decodeScratch) { decodeScratchPool.Put(sc) }
 // caller has already bounds-checked total against the message length.
 func (sc *decodeScratch) reset(total int) {
 	if cap(sc.keys) < total {
-		//lint:allow hotpath-alloc grows the reusable flat key store; total is bounds-checked against the message length by the caller, and the capacity amortizes to zero once warm
 		sc.keys = make([]uint64, 0, total)
 	}
 	if cap(sc.vals) < total {
-		//lint:allow hotpath-alloc grows the reusable flat value store, same bound and amortization as the key store above
 		sc.vals = make([]float64, 0, total)
 	}
 	sc.usedK, sc.usedV = 0, 0
@@ -213,6 +211,5 @@ func (sc *decodeScratch) grabVals(n int) []float64 {
 		sc.usedV += n
 		return v
 	}
-	//lint:allow hotpath-alloc overflow fallback for hostile headers that understate the entry count; honest messages always fit the reserved flat store
 	return make([]float64, n)
 }

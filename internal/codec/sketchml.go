@@ -158,8 +158,6 @@ const (
 )
 
 // Encode implements Codec.
-//
-//sketchlint:hotpath
 func (c *SketchML) Encode(g *gradient.Sparse) ([]byte, error) {
 	m := c.met
 	var t0 time.Time
@@ -297,17 +295,14 @@ func (c *SketchML) timedPane(dst []byte, bd *Breakdown, in *paneInputs, i int) (
 // shares lives on the heap, which is why it is declared here and not in the
 // serial plan's frame; in arrives by value for the same reason.
 func (c *SketchML) encodePanesConcurrently(out []byte, tail *[]byte, bd *Breakdown, in paneInputs) ([]byte, error) {
-	pane := func(dst []byte, bd *Breakdown, i int) ([]byte, error) {
-		return c.timedPane(dst, bd, &in, i)
-	}
 	var bd1 Breakdown
 	var err1 error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		*tail, err1 = pane(*tail, &bd1, 1)
+		*tail, err1 = c.timedPane(*tail, &bd1, &in, 1)
 	}()
-	out, err := pane(out, bd, 0)
+	out, err := c.timedPane(out, bd, &in, 0)
 	<-done
 	if err == nil {
 		err = err1
@@ -506,7 +501,6 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 	if cap(keys) >= int(count) {
 		keys = keys[:count]
 	} else {
-		//lint:allow hotpath-alloc grows the caller's reusable key buffer; amortized to zero once capacity warms up
 		keys = make([]uint64, count)
 	}
 	for i := range keys {
@@ -528,10 +522,7 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 // a thin wrapper over DecodeInto for callers that want a new result each
 // call; steady-state callers reuse one gradient via DecodeInto and
 // allocate nothing.
-//
-//sketchlint:hotpath
 func (c *SketchML) Decode(data []byte) (*gradient.Sparse, error) {
-	//lint:allow hotpath-alloc Decode's contract is a fresh caller-owned result; the zero-allocation path is DecodeInto
 	g := &gradient.Sparse{}
 	if err := c.DecodeInto(data, g); err != nil {
 		return nil, err
@@ -544,8 +535,6 @@ func (c *SketchML) Decode(data []byte) (*gradient.Sparse, error) {
 // On success dst holds the decoded gradient; on error dst's contents are
 // unspecified. Like Decode it is safe for concurrent use provided each
 // goroutine passes its own dst.
-//
-//sketchlint:hotpath
 func (c *SketchML) DecodeInto(data []byte, dst *gradient.Sparse) error {
 	m := c.met
 	var t0 time.Time
@@ -605,7 +594,6 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 		if cap(vals) >= len(keys) {
 			vals = vals[:len(keys)]
 		} else {
-			//lint:allow hotpath-alloc grows dst's reusable value storage; amortized to zero once capacity warms up
 			vals = make([]float64, len(keys))
 		}
 		dst.Values = vals
@@ -685,7 +673,6 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	if cap(means) >= int(nMeans) {
 		means = means[:nMeans]
 	} else {
-		//lint:allow hotpath-alloc grows the reusable means table; nMeans is bounds-checked above and the capacity amortizes to zero once warm
 		means = make([]float64, nMeans)
 	}
 	sc.means = means
@@ -772,7 +759,6 @@ func mergeSortedListsInto(dst *gradient.Sparse, keyLists [][]uint64, valLists []
 			pos[i] = 0
 		}
 	} else {
-		//lint:allow hotpath-alloc grows the reusable merge-cursor scratch, one int per group; amortized to zero once warm
 		pos = make([]int, len(keyLists))
 	}
 	sc.pos = pos

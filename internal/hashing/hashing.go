@@ -66,7 +66,6 @@ func NewFamily(n int, buckets int, masterSeed uint64) *Family {
 	if buckets <= 0 {
 		invariant.Fail("hashing: bucket count must be positive")
 	}
-	//lint:allow hotpath-alloc constructor path; warm decoders reuse an existing family via Reshape instead
 	f := &Family{}
 	f.Reshape(n, buckets, masterSeed)
 	return f
@@ -87,7 +86,6 @@ func (f *Family) Reshape(n int, buckets int, masterSeed uint64) {
 	if cap(f.seeds) >= n {
 		f.seeds = f.seeds[:n]
 	} else {
-		//lint:allow hotpath-alloc grows reusable seed storage; amortized to zero once the decoder's family capacity warms up
 		f.seeds = make([]uint64, n)
 	}
 	// Derive row seeds from the master seed with SplitMix64 so that any

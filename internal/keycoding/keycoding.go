@@ -54,8 +54,6 @@ func bytesNeeded(d uint64) int {
 // The flag region is reserved in dst up front and filled in place while the
 // delta bytes are appended behind it, so encoding allocates nothing beyond
 // dst's own growth.
-//
-//sketchlint:hotpath
 func AppendDelta(dst []byte, keys []uint64) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
 	if len(keys) == 0 {
@@ -68,7 +66,6 @@ func AppendDelta(dst []byte, keys []uint64) ([]byte, error) {
 	}
 
 	flagLen := (n*flagBits + 7) / 8
-	//lint:allow hotpath-alloc grows the caller's reusable buffer; amortized to zero once pooled dst capacity warms up
 	dst = slices.Grow(dst, flagLen+n) // flags + ≥1 body byte per delta
 	flagOff := len(dst)
 	dst = dst[:flagOff+flagLen]
@@ -82,14 +79,12 @@ func AppendDelta(dst []byte, keys []uint64) ([]byte, error) {
 		j := i - 1
 		if d >= escape4 {
 			// 4-byte escape marker followed by the 8-byte delta.
-			//lint:allow bce-hotpath flagOff+j/4 < flagOff+flagLen <= len(dst) by the Grow reservation, but the prover cannot relate j/4 to flagLen across the appends
 			dst[flagOff+j/4] |= 3 << uint((j%4)*flagBits)
 			dst = append(dst, 0xFF, 0xFF, 0xFF, 0xFF)
 			dst = binary.LittleEndian.AppendUint64(dst, d)
 			continue
 		}
 		nb := bytesNeeded(d)
-		//lint:allow bce-hotpath flagOff+j/4 < flagOff+flagLen <= len(dst) by the Grow reservation, but the prover cannot relate j/4 to flagLen across the appends
 		dst[flagOff+j/4] |= byte(nb-1) << uint((j%4)*flagBits)
 		for b := 0; b < nb; b++ {
 			dst = append(dst, byte(d>>(8*uint(b))))
@@ -130,7 +125,6 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 	if cap(keys) >= count {
 		keys = keys[:count]
 	} else {
-		//lint:allow hotpath-alloc grows the caller's reusable key buffer; amortized to zero once capacity warms up
 		keys = make([]uint64, count)
 	}
 	keys[0] = binary.LittleEndian.Uint64(data[off:])

@@ -61,8 +61,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	// Mod is the module-wide interprocedural summary table. It is built
-	// once per Run and shared by every pass; the v3 analyzers consult it
-	// at call boundaries.
+	// once per Run and shared by every pass; wire-taint and
+	// wire-determinism read their findings from it.
 	Mod *ModuleSummary
 
 	diags *[]Diagnostic
@@ -87,20 +87,12 @@ func allowUseKey(file string, line int, name string) string {
 // Reportf records a finding at pos unless a //lint:allow comment for this
 // analyzer covers the position.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.allowedAt(position) {
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      position,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.ReportAt(p.Fset.Position(pos), format, args...)
 }
 
 // ReportAt records a finding at a resolved position — used when a
-// diagnostic derives from a cached summary site rather than a live AST
-// node — honoring //lint:allow the same way Reportf does.
+// diagnostic derives from a summary site rather than a live AST node —
+// honoring //lint:allow the same way Reportf does.
 func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
 	if p.allowedAt(position) {
 		return
@@ -115,19 +107,22 @@ func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
 // allowedAt reports whether a //lint:allow comment for this analyzer sits
 // on the diagnostic's line or the line directly above it.
 func (p *Pass) allowedAt(pos token.Position) bool {
-	lines := p.allow[pos.Filename]
-	if lines == nil {
-		return false
-	}
+	return consumeAllow(p.allow, p.used, pos, p.Analyzer.Name)
+}
+
+// consumeAllow reports whether a //lint:allow comment for analyzer name
+// sits on pos's line or the line directly above it, and records each such
+// directive line in used (keyed by allowUseKey) for the stale-suppression
+// check.
+func consumeAllow(allow map[string]map[int]map[string]bool, used map[string]bool, pos token.Position, name string) bool {
+	covered := false
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if names := lines[line]; names != nil && names[p.Analyzer.Name] {
-			if p.used != nil {
-				p.used[allowUseKey(pos.Filename, line, p.Analyzer.Name)] = true
-			}
-			return true
+		if allow[pos.Filename][line][name] {
+			used[allowUseKey(pos.Filename, line, name)] = true
+			covered = true
 		}
 	}
-	return false
+	return covered
 }
 
 // PkgNameOf resolves the package an identifier refers to when it names an
@@ -209,10 +204,6 @@ func collectAllowDirectives(fset *token.FileSet, files []*ast.File) []allowDirec
 
 // RunOptions configures a RunWithStats call.
 type RunOptions struct {
-	// CachedSummaries maps package import paths to still-valid summaries
-	// (the caller validates content hashes); those packages skip summary
-	// extraction.
-	CachedSummaries map[string][]*FuncSummary
 	// SummaryPackages are extra packages to include when building
 	// interprocedural summaries without analyzing them. Partial runs
 	// (-changed) pass the loader's full transitive-import set here so a
@@ -224,8 +215,8 @@ type RunOptions struct {
 	// //lint:allow directive naming an analyzer that ran but suppressed
 	// nothing on the directive's lines. Only full-module runs set it: on a
 	// partial run an unfired directive may simply cover a package that was
-	// not analyzed. Directive names outside the run's analyzer set (the
-	// compiler-oracle classes, a disabled analyzer) are never stale-checked.
+	// not analyzed. Directive names outside the run's analyzer set are
+	// never stale-checked.
 	CheckStaleAllows bool
 }
 
@@ -239,14 +230,8 @@ type AnalyzerStats struct {
 // RunStats is the timing breakdown of one run.
 type RunStats struct {
 	Analyzers []AnalyzerStats `json:"analyzers"`
-	// SummaryMillis is the time spent building interprocedural summaries
-	// (zero-ish on a warm cache).
+	// SummaryMillis is the time spent building interprocedural summaries.
 	SummaryMillis int64 `json:"summary_millis"`
-	// FreshPackages lists the packages whose summaries were extracted this
-	// run (cache misses); the caller re-caches exactly these.
-	FreshPackages []string `json:"-"`
-	// Mod is the summary table, exposed so the caller can serialize it.
-	Mod *ModuleSummary `json:"-"`
 }
 
 // Run applies every analyzer to every package and returns the surviving
@@ -256,7 +241,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	return diags
 }
 
-// RunWithStats is Run plus per-analyzer timing and summary-cache plumbing.
+// RunWithStats is Run plus per-analyzer timing and the run options.
 func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, RunStats) {
 	var stats RunStats
 
@@ -273,11 +258,12 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 			}
 		}
 	}
+	// used collects every consumed //lint:allow directive line: summary
+	// extraction records the ones it honours, Pass.allowedAt the rest.
+	used := make(map[string]bool)
 	summaryStart := time.Now()
-	mod, fresh := BuildSummaries(fset, sumPkgs, opts.CachedSummaries)
+	mod := BuildSummaries(fset, sumPkgs, used)
 	stats.SummaryMillis = time.Since(summaryStart).Milliseconds()
-	stats.FreshPackages = fresh
-	stats.Mod = mod
 
 	var diags []Diagnostic
 	perAnalyzer := make(map[string]*AnalyzerStats, len(analyzers))
@@ -286,7 +272,6 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 		perAnalyzer[a.Name] = s
 		stats.Analyzers = append(stats.Analyzers, AnalyzerStats{})
 	}
-	used := make(map[string]bool)
 	var directives []allowDirective
 	for _, pkg := range pkgs {
 		allow := buildAllow(fset, pkg.Files)
@@ -315,7 +300,7 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 		}
 	}
 	if opts.CheckStaleAllows {
-		diags = append(diags, staleAllowDiags(directives, used, mod, analyzers)...)
+		diags = append(diags, staleAllowDiags(directives, used, analyzers)...)
 	}
 	for i, a := range analyzers {
 		stats.Analyzers[i] = *perAnalyzer[a.Name]
@@ -339,10 +324,8 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 // All returns the full analyzer suite in stable order. The first five are
 // the v1 serialization/determinism invariants; the next five (v2) guard
 // the concurrency and untrusted-wire surfaces of the parallel codec hot
-// path; the following four (v3) are interprocedural, built on the module
-// summary table; the last four (v4) are the concurrency-safety suite
-// (lock ordering, static race candidates, channel discipline) plus the
-// directive validator.
+// path; wire-taint and wire-determinism are interprocedural, built on the
+// module summary table; pragma validates the //lint:allow directives.
 func All() []*Analyzer {
 	return []*Analyzer{
 		UnseededHash(),
@@ -356,27 +339,15 @@ func All() []*Analyzer {
 		WaitGroupMisuse(),
 		UnboundedWireAlloc(),
 		WireTaint(),
-		HotpathAlloc(),
 		WireDeterminism(),
-		AtomicMix(),
-		LockOrder(),
-		SharedWrite(),
-		ChanDiscipline(),
 		Pragma(),
 	}
 }
 
 // staleAllowDiags cross-checks every //lint:allow directive against the
-// suppressions actually consumed this run: by Pass.allowedAt at report
-// time (used), or during summary extraction, where directive consumption
-// persists in FuncSummary.UsedAllows so warm-cache runs — which skip
-// extraction entirely — still count it.
-func staleAllowDiags(directives []allowDirective, used map[string]bool, mod *ModuleSummary, analyzers []*Analyzer) []Diagnostic {
-	for _, s := range mod.Funcs {
-		for _, u := range s.UsedAllows {
-			used[allowUseKey(u.File, u.Line, u.What)] = true
-		}
-	}
+// suppressions actually consumed this run (used): by Pass.allowedAt at
+// report time, or during summary extraction.
+func staleAllowDiags(directives []allowDirective, used map[string]bool, analyzers []*Analyzer) []Diagnostic {
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true

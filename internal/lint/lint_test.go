@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -101,17 +100,9 @@ func TestUnboundedWireAllocFixture(t *testing.T) {
 	checkFixture(t, "wirealloc", UnboundedWireAlloc())
 }
 
-func TestWireTaintFixture(t *testing.T)    { checkFixture(t, "wiretaint", WireTaint()) }
-func TestHotpathAllocFixture(t *testing.T) { checkFixture(t, "hotpathalloc", HotpathAlloc()) }
+func TestWireTaintFixture(t *testing.T) { checkFixture(t, "wiretaint", WireTaint()) }
 func TestWireDeterminismFixture(t *testing.T) {
 	checkFixture(t, "wiredeterminism", WireDeterminism())
-}
-func TestAtomicMixFixture(t *testing.T) { checkFixture(t, "atomicmix", AtomicMix()) }
-
-func TestLockOrderFixture(t *testing.T)   { checkFixture(t, "lockorder", LockOrder()) }
-func TestSharedWriteFixture(t *testing.T) { checkFixture(t, "sharedwrite", SharedWrite()) }
-func TestChanDisciplineFixture(t *testing.T) {
-	checkFixture(t, "chandiscipline", ChanDiscipline())
 }
 func TestPragmaFixture(t *testing.T) { checkFixture(t, "pragma", Pragma()) }
 
@@ -160,48 +151,6 @@ func TestStaleAllowDetection(t *testing.T) {
 	}
 }
 
-// TestStaleAllowWarmCache pins the UsedAllows plumbing: a directive
-// consumed during summary extraction (hotpath-alloc excludes the allowed
-// site from the summary, so the analyzer itself never touches the allow
-// map) must stay non-stale on a warm-cache run, when extraction — and its
-// live consumption — is skipped entirely.
-func TestStaleAllowWarmCache(t *testing.T) {
-	loader, pkg := loadFixture(t, "hotpathalloc")
-	run := func(cached map[string][]*FuncSummary) ([]Diagnostic, RunStats) {
-		return RunWithStats(loader.Fset(), []*Package{pkg}, []*Analyzer{HotpathAlloc()},
-			RunOptions{CheckStaleAllows: true, CachedSummaries: cached})
-	}
-	cold, stats := run(nil)
-	for _, d := range cold {
-		if d.Analyzer == StaleAllowAnalyzer {
-			t.Errorf("cold run: unexpected stale-allow: %s", d)
-		}
-	}
-	cached := map[string][]*FuncSummary{}
-	keys := make([]string, 0, len(stats.Mod.Funcs))
-	for k := range stats.Mod.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if s := stats.Mod.Funcs[k]; s.Pkg == pkg.Path {
-			cached[pkg.Path] = append(cached[pkg.Path], s)
-		}
-	}
-	warm, wstats := run(cached)
-	if len(wstats.FreshPackages) != 0 {
-		t.Errorf("warm run re-extracted %v", wstats.FreshPackages)
-	}
-	for _, d := range warm {
-		if d.Analyzer == StaleAllowAnalyzer {
-			t.Errorf("warm run: stale-allow despite cached UsedAllows: %s", d)
-		}
-	}
-	if len(warm) != len(cold) {
-		t.Errorf("warm run found %d diagnostics, cold %d", len(warm), len(cold))
-	}
-}
-
 // fixtureMarkerLine returns the 1-based line of the first fixture line
 // containing marker.
 func fixtureMarkerLine(t *testing.T, path, marker string) int {
@@ -241,9 +190,9 @@ func TestScopedAnalyzersSkipForeignPackages(t *testing.T) {
 }
 
 // TestRepoIsClean runs the full analyzer suite over the whole module —
-// the same thing `make lint` does — and demands zero findings beyond the
-// committed baseline, and zero stale baseline entries. This keeps the
-// tree lint-clean even when CI only runs go test.
+// the same thing `make lint` does, stale-suppression check included — and
+// demands zero findings. This keeps the tree lint-clean even when CI only
+// runs go test.
 func TestRepoIsClean(t *testing.T) {
 	root := filepath.Join("..", "..")
 	loader, err := NewLoader(root)
@@ -257,19 +206,8 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	baseline, err := LoadBaseline(filepath.Join(root, "lint.baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active, _, stale := baseline.Filter(absRoot, Run(loader.Fset(), pkgs, All()))
-	for _, d := range active {
+	diags, _ := RunWithStats(loader.Fset(), pkgs, All(), RunOptions{CheckStaleAllows: true})
+	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry: %s %s %q matches no finding; remove it", e.File, e.Analyzer, e.Message)
 	}
 }

@@ -16,9 +16,7 @@ import (
 // Package is a parsed and type-checked package ready for analysis.
 type Package struct {
 	// Path is the import path ("sketchml/internal/codec").
-	Path string
-	// Dir is the directory the sources were read from.
-	Dir   string
+	Path  string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -187,7 +185,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

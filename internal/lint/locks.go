@@ -6,8 +6,7 @@ import (
 	"go/types"
 )
 
-// This file holds the positional mutex-window model shared by lock-held-io,
-// the concurrency extraction in summary.go, and chan-discipline. The model
+// This file holds lock-held-io's positional mutex-window model. The model
 // is lexical: a hold window runs from x.Lock() to the first non-deferred
 // matching x.Unlock() statement after it, else to the end of the enclosing
 // lock scope (deferred unlock, or lock handed off).
@@ -15,8 +14,6 @@ import (
 // lockEvent is one Lock/Unlock statement inside a lock scope.
 type lockEvent struct {
 	recv     string // canonical receiver expression, e.g. "t.sendMu"
-	key      string // module-wide mutex key ("pkg.Type.Field" / "pkg.var"), "" for locals
-	read     bool   // RLock/RUnlock
 	pos      token.Pos
 	unlock   bool
 	deferred bool
@@ -88,8 +85,6 @@ func collectLockEvents(info *types.Info, body *ast.BlockStmt) []lockEvent {
 		}
 		events = append(events, lockEvent{
 			recv:     types.ExprString(sel.X),
-			key:      mutexKeyOf(info, sel.X),
-			read:     name == "RLock" || name == "RUnlock",
 			pos:      call.Pos(),
 			unlock:   isUnlock,
 			deferred: deferred,
@@ -109,109 +104,4 @@ func (sc *lockScope) windowEnd(lock lockEvent) token.Pos {
 		}
 	}
 	return end
-}
-
-// heldAt returns the lock events whose hold window contains pos.
-func (sc *lockScope) heldAt(pos token.Pos) []lockEvent {
-	var held []lockEvent
-	for _, l := range sc.events {
-		if l.unlock || l.deferred {
-			continue
-		}
-		if l.pos < pos && pos < sc.windowEnd(l) {
-			held = append(held, l)
-		}
-	}
-	return held
-}
-
-// innermostScope returns the smallest scope containing pos, or nil.
-func innermostScope(scopes []lockScope, pos token.Pos) *lockScope {
-	var best *lockScope
-	for i := range scopes {
-		b := scopes[i].body
-		if pos < b.Pos() || pos >= b.End() {
-			continue
-		}
-		if best == nil || b.End()-b.Pos() < best.body.End()-best.body.Pos() {
-			best = &scopes[i]
-		}
-	}
-	return best
-}
-
-// heldLocksAt resolves pos to its innermost scope and returns the locks
-// held there.
-func heldLocksAt(scopes []lockScope, pos token.Pos) []lockEvent {
-	if sc := innermostScope(scopes, pos); sc != nil {
-		return sc.heldAt(pos)
-	}
-	return nil
-}
-
-// mutexKeyOf keys the operand of a Lock/Unlock (or a channel expression)
-// module-wide: a struct field as "pkgpath.Type.Field", a package-level var
-// as "pkgpath.Name". Locals and parameters key as "" — two functions
-// locking through the same parameter cannot be correlated statically.
-func mutexKeyOf(info *types.Info, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return mutexKeyOf(info, e.X)
-	case *ast.SelectorExpr:
-		if key := fieldKeyAnyOf(info, e); key != "" {
-			return key
-		}
-		// pkgname.Var: a package-level mutex accessed qualified.
-		if obj, ok := info.Uses[e.Sel].(*types.Var); ok {
-			return pkgLevelVarKey(obj)
-		}
-	case *ast.Ident:
-		if obj, ok := info.Uses[e].(*types.Var); ok {
-			return pkgLevelVarKey(obj)
-		}
-	}
-	return ""
-}
-
-// chanKeyOf keys a channel expression when it is a module-internal struct
-// field or package-level var of channel type, or "" otherwise.
-func chanKeyOf(info *types.Info, e ast.Expr) string {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	if _, ok := tv.Type.Underlying().(*types.Chan); !ok {
-		return ""
-	}
-	return mutexKeyOf(info, e)
-}
-
-// pkgLevelVarKey keys a module-internal package-level variable, or "".
-func pkgLevelVarKey(obj *types.Var) string {
-	if obj.Pkg() == nil || !internalLibrary(obj.Pkg().Path()) {
-		return ""
-	}
-	if obj.Parent() != obj.Pkg().Scope() {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// shortLockName renders a lock key for messages: the last path segment of
-// the defining package plus the type/field tail, e.g.
-// "sketchml/internal/cluster.tcpConn.sendMu" -> "cluster.tcpConn.sendMu".
-func shortLockName(key string) string {
-	if i := lastSlash(key); i >= 0 {
-		return key[i+1:]
-	}
-	return key
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,48 +2,36 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
 // Pragma validates the suite's own comment surface. A mistyped directive
-// is worse than a missing one: //sketchlint:hotpth silently annotates
-// nothing, and the hot path it meant to guard goes unchecked until a
-// regression ships. The analyzer makes every malformed, unknown, or
-// misplaced //sketchlint: directive — and every //lint:allow naming an
-// unknown analyzer or missing its justification — a finding of its own.
+// is worse than a missing one: //lint:allow flaot-equality suppresses
+// nothing, and the finding it meant to excuse fails the gate with no hint
+// why. The analyzer makes every //lint: comment that is not a well-formed
+// //lint:allow — an unknown verb, no analyzer names, an unknown analyzer
+// name, or a missing justification — a finding of its own.
 //
 // Grammar accepted (anything else is flagged):
 //
-//	//sketchlint:hotpath [free-text note]     — on a FuncDecl doc comment
 //	//lint:allow name1[,name2...] reason...   — names must be analyzers
 func Pragma() *Analyzer {
 	a := &Analyzer{
 		Name: "pragma",
-		Doc: "malformed, unknown, or misplaced //sketchlint: directive, or " +
-			"//lint:allow naming an unknown analyzer or missing a reason",
+		Doc: "//lint: directive that is not a well-formed //lint:allow: unknown " +
+			"verb or analyzer name, no names, or no justification",
 	}
 	a.Run = func(pass *Pass) {
 		known := knownAnalyzerNames()
-		// Positions of comments that sit in a FuncDecl doc comment — the
-		// only placement where //sketchlint:hotpath has effect. Generic
-		// (type-parameterized) functions are FuncDecls like any other.
-		validDoc := make(map[token.Pos]bool)
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Doc == nil {
-					continue
-				}
-				for _, c := range fn.Doc.List {
-					validDoc[c.Pos()] = true
-				}
-			}
-		}
 		for _, f := range pass.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					checkPragmaComment(pass, c, known, validDoc)
+					// Block comments carry no directives.
+					if rest, ok := strings.CutPrefix(c.Text, "//"); ok {
+						if text := strings.TrimSpace(rest); strings.HasPrefix(text, "lint:") {
+							checkAllowDirective(pass, c, text, known)
+						}
+					}
 				}
 			}
 		}
@@ -51,64 +39,15 @@ func Pragma() *Analyzer {
 	return a
 }
 
-// pragmaDirectives are the //sketchlint: verbs the suite understands.
-var pragmaDirectives = map[string]bool{
-	"hotpath": true,
-}
-
 // knownAnalyzerNames is the set //lint:allow may name: every analyzer in
-// the suite plus the compiler-oracle finding classes, which have no
-// Analyzer value but suppress the same way.
+// the suite plus stale-allow, which has no Analyzer value.
 func knownAnalyzerNames() map[string]bool {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	known[OracleEscapeAnalyzer] = true
-	known[OracleBCEAnalyzer] = true
 	known[StaleAllowAnalyzer] = true
 	return known
-}
-
-func checkPragmaComment(pass *Pass, c *ast.Comment, known map[string]bool, validDoc map[token.Pos]bool) {
-	rest, ok := strings.CutPrefix(c.Text, "//")
-	if !ok {
-		return // block comments carry no directives
-	}
-	switch {
-	case strings.HasPrefix(rest, "sketchlint:"):
-		payload := strings.TrimPrefix(rest, "sketchlint:")
-		verb, _, _ := strings.Cut(payload, " ")
-		verb, _, _ = strings.Cut(verb, "\t")
-		switch {
-		case verb == "":
-			pass.Reportf(c.Pos(),
-				"malformed //sketchlint: directive: the verb must follow the colon with no space (//sketchlint:hotpath)")
-		case !pragmaDirectives[verb]:
-			pass.Reportf(c.Pos(),
-				"unknown sketchlint directive %q; the suite understands: hotpath", verb)
-		case !validDoc[c.Pos()]:
-			pass.Reportf(c.Pos(),
-				"//sketchlint:%s has no effect here; it must sit in a function declaration's doc comment", verb)
-		}
-	case leadingSpaceDirective(rest):
-		pass.Reportf(c.Pos(),
-			"directive-like comment %q has leading whitespace and is ignored; remove the space or drop the comment",
-			"//"+strings.TrimSpace(rest))
-	case strings.HasPrefix(strings.TrimSpace(rest), "lint:"):
-		checkAllowDirective(pass, c, strings.TrimSpace(rest), known)
-	}
-}
-
-// leadingSpaceDirective catches "// sketchlint:hotpath": whitespace between
-// the comment marker and the directive, which the loader ignores silently.
-// "//lint:allow" tolerates leading space (buildAllow trims), so the check
-// covers the sketchlint verbs alone.
-func leadingSpaceDirective(rest string) bool {
-	if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-		return false
-	}
-	return strings.HasPrefix(strings.TrimSpace(rest), "sketchlint:")
 }
 
 func checkAllowDirective(pass *Pass, c *ast.Comment, text string, known map[string]bool) {

@@ -1,38 +1,8 @@
 // Package pragma is a sketchlint test fixture for the pragma analyzer:
-// directive hygiene for the sketchlint verbs and the allow comments. The
-// want expectations are embedded inside the directive comments themselves,
-// because the diagnostics anchor at the comment's own line.
+// directive hygiene for the allow comments. The want expectations are
+// embedded inside the directive comments themselves, because the
+// diagnostics anchor at the comment's own line.
 package pragma
-
-//sketchlint:hotpath valid directive on a plain function
-func Hot() int { return 1 }
-
-// HotGeneric carries the directive on a type-parameterized function.
-//
-//sketchlint:hotpath valid directive on a generic function
-func HotGeneric[T any](v T) T { return v }
-
-//sketchlint:hotpth // want "unknown sketchlint directive"
-func Typo() {}
-
-// SpaceAfterColon's body holds the empty-verb malformed shape: as a doc
-// comment gofmt would normalize it into the leading-space form, but body
-// comments are preserved verbatim.
-func SpaceAfterColon() {
-	//sketchlint: hotpath // want "malformed"
-	_ = 0
-}
-
-// sketchlint:hotpath // want "leading whitespace"
-func LeadingSpace() {}
-
-//sketchlint:hotpath // want "has no effect here"
-type T struct{}
-
-func Misplaced() {
-	//sketchlint:hotpath // want "has no effect here"
-	_ = T{}
-}
 
 // BadAllows carries the allow shapes whose diagnostics can embed a want:
 // an unknown analyzer name and an unknown lint verb. The trailing want

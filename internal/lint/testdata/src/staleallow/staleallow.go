@@ -1,6 +1,6 @@
 // Package staleallow is a sketchlint test fixture for the
 // stale-suppression check: one directive that suppresses a live finding,
-// one that suppresses nothing, and one naming a finding class outside the
+// one that suppresses nothing, and one naming an analyzer outside the
 // run's analyzer set (never stale-checked). Expectations live in the test
 // (TestStaleAllowDetection) — the check runs after the analyzers, so the
 // want-comment machinery does not apply.
@@ -18,9 +18,9 @@ func Stale(a, b int) bool {
 	return a == b
 }
 
-// OutsideRun names an oracle finding class; only the oracle consumes
-// those, so a lint run must not call them stale.
+// OutsideRun names an analyzer the test's run leaves out; a run cannot
+// call stale what it did not check.
 func OutsideRun() int {
-	//lint:allow bce-hotpath oracle classes are checked by the oracle alone
+	//lint:allow panic-in-library only analyzers that ran are stale-checked
 	return 0
 }

@@ -224,6 +224,5 @@ func Resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	//lint:allow hotpath-alloc grows reusable scratch; amortized to zero once the pooled scratch has seen the largest pane
 	return make([]T, n)
 }

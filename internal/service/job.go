@@ -92,14 +92,10 @@ func newJob(id string, spec JobSpec) *Job {
 }
 
 // bindWork builds the job's run and checkpoint thunks. It must be called
-// from the submitter's context, never a runner goroutine: every static
-// call edge into the trainer, dataset, and checkpoint-store layers is
-// anchored here, in plain (non-goroutine) context. The runner goroutine
-// only invokes the bound function values, so those layers — whose data
-// structures are goroutine-confined per job, an ownership protocol the
-// shared-write analyzer cannot see — never become goroutine-reachable in
-// the static call graph. The queue handoff makes the binds happen-before
-// every runner read.
+// from the submitter's context, never a runner goroutine: the runner only
+// invokes the bound function values, and the queue handoff makes the binds
+// happen-before every runner read. The trainer, dataset and
+// checkpoint-store state behind them is goroutine-confined per job.
 func (j *Job) bindWork(cfg trainer.Config, train, test *dataset.Dataset, store *CheckpointStore) {
 	j.cfg = cfg
 	spec := &j.Spec

@@ -66,7 +66,6 @@ func (s *Sketch) Reshape(rows, cols int, seed uint64) {
 	if cap(s.cells) >= n {
 		s.cells = s.cells[:n]
 	} else {
-		//lint:allow hotpath-alloc grows reusable cell storage; amortized to zero once the decoder's sketch capacity warms up
 		s.cells = make([]uint16, n)
 	}
 	if s.family != nil {
@@ -210,7 +209,6 @@ func DecodeBinaryReuse(data []byte, seed uint64, s *Sketch) (*Sketch, int, error
 		return nil, 0, fmt.Errorf("minmax: need %d bytes, have %d", need, len(data))
 	}
 	if s == nil {
-		//lint:allow hotpath-alloc fresh-destination fallback; reuse callers pass a pooled sketch
 		s = &Sketch{}
 	}
 	s.Reshape(rows, cols, seed)
@@ -275,7 +273,6 @@ func (g *Grouped) Reshape(rows, totalCols, numBuckets, numGroups int, seed uint6
 	g.bucketsPerGroup = (numBuckets + numGroups - 1) / numGroups
 	for i, s := range g.groups {
 		if s == nil {
-			//lint:allow hotpath-alloc a group sketch this Grouped has not held before; reused from then on
 			s = &Sketch{}
 			g.groups[i] = s
 		}
@@ -293,7 +290,6 @@ func (g *Grouped) resizeGroups(n int) {
 		return
 	}
 	old := g.groups[:cap(g.groups)]
-	//lint:allow hotpath-alloc grows reusable group storage, amortized to zero once warm; decode bounds n (≤ 1<<16) before calling
 	g.groups = make([]*Sketch, n)
 	copy(g.groups, old)
 }
@@ -388,7 +384,6 @@ func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, er
 		return nil, 0, fmt.Errorf("minmax: implausible grouped header n=%d q=%d bpg=%d", n, numBuckets, bpg)
 	}
 	if g == nil {
-		//lint:allow hotpath-alloc fresh-destination fallback; reuse callers pass a pooled grouped sketch
 		g = &Grouped{}
 	}
 	g.resizeGroups(n)

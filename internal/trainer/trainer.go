@@ -1211,27 +1211,21 @@ func gatherWant(cfg *Config, w, round int) frameWant {
 // and aborts only on quorum loss (fewer than ceil(MinGatherFraction·W)
 // contributors or chunks) or when one link reaches MaxStrikes consecutive
 // misses.
-//
-//sketchlint:hotpath
 func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
 	links, chunked := cfg.Workers, cfg.Topology == cluster.TopologyRing
 	if cfg.Topology == cluster.TopologyTree {
 		links = min(cfg.Workers, 2)
 	}
-	//lint:allow hotpath-alloc one O(links) slice per round, not per byte; a round moves megabytes
 	outs := make([]frameRecv, links)
 	if links == 1 {
-		//lint:allow hotpath-alloc recvFrame allocates only on fault paths (strict-mode abort errors); the clean-path receive is allocation-free
 		outs[0] = recvFrame(&cfg, driverSide[0], gatherWant(&cfg, 0, round), cfg.RoundDeadline, &reuse[0])
 	} else {
-		//lint:allow escape-oracle the WaitGroup is shared with the link goroutines so it must live on the heap; one per round, not per byte
 		var wg sync.WaitGroup
 		wg.Add(links)
 		for w := 0; w < links; w++ {
 			// cfg travels as a goroutine argument (copied onto the new
 			// goroutine's stack): captured, the >128-byte struct would be
 			// moved to the heap by reference once per round.
-			//lint:allow hotpath-alloc one goroutine closure per link per round; this fan-out is the only decode concurrency there is
 			go func(w int, cfg Config) {
 				defer wg.Done()
 				outs[w] = recvFrame(&cfg, driverSide[w], gatherWant(&cfg, w, round), cfg.RoundDeadline, &reuse[w])
