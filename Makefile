@@ -172,15 +172,31 @@ service-smoke:
 	SKETCHML_SERVICE_SMOKE=1 $(GO) test -count=1 -run TestServiceSmoke -v ./cmd/sketchml
 
 # timed runs the gates named in GATES in order, stops at the first failure,
-# and prints each gate's wall time and the total, so what the gate costs is
-# itself measured (CI's verify job runs its gates through it too).
+# and prints each gate's wall time beside its budget and the total, so what
+# the gate costs is itself measured and held (CI's jobs run their gates
+# through it too). A gate that passes but takes longer than its budget fails:
+# GATE_BUDGETS names budgets in seconds as gate=seconds pairs — twice what
+# the four slow gates read on the 2-vCPU host (race-matrix 85, experiments-
+# matrix 44, fuzz-smoke 40, test 27; ROADMAP.md), and room for CI's
+# full-module race pass — and GATE_BUDGET covers every gate not named.
+GATE_BUDGETS ?= race-matrix=170 experiments-matrix=88 fuzz-smoke=80 test=54 race=600
+GATE_BUDGET  ?= 120
 timed:
 	@set -e; total=0; report=""; \
 	for gate in $(GATES); do \
+		budget=$(GATE_BUDGET); \
+		for pair in $(GATE_BUDGETS); do \
+			if [ "$${pair%%=*}" = "$$gate" ]; then budget=$${pair##*=}; fi; \
+		done; \
 		start=$$(date +%s); \
 		$(MAKE) --no-print-directory $$gate; \
 		took=$$(( $$(date +%s) - start )); total=$$(( total + took )); \
-		report="$$report$$(printf '  %-20s %5ds' $$gate $$took)\n"; \
+		report="$$report$$(printf '  %-20s %5ds  (budget %4ds)' $$gate $$took $$budget)\n"; \
+		if [ $$took -gt $$budget ]; then \
+			printf "gate wall times:\n$$report"; \
+			echo "timed: $$gate passed but took $${took}s, over its $${budget}s budget"; \
+			exit 1; \
+		fi; \
 	done; \
 	printf "gate wall times:\n$$report  %-20s %5ds\n" total $$total
 

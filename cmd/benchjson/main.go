@@ -238,7 +238,8 @@ func trimProcs(name string) string {
 // one side are skipped — renames must not hard-fail the gate — but zero
 // matches is an error so a renamed-everything baseline cannot silently
 // pass. Improvements and within-threshold noise pass. allocOnly swaps the
-// ns/op check for allocs/op and keeps B/op, the machine-independent pair.
+// ns/op check for allocs/op and keeps B/op, the machine-independent pair;
+// B/op is compared only on rows that allocate.
 func compareReports(base, cur *Report, thresholdPct float64, allocOnly bool) (regressions []string, matched int, err error) {
 	baseline := make(map[string]Entry, len(base.Results))
 	for _, e := range base.Results {
@@ -265,7 +266,13 @@ func compareReports(base, cur *Report, thresholdPct float64, allocOnly bool) (re
 		} else {
 			check("ns/op", b.NsPerOp, e.NsPerOp)
 		}
-		check("B/op", b.BytesPerOp, e.BytesPerOp)
+		// A row at 0 allocs/op on both sides has no per-call bytes: its B/op
+		// is whatever warm-up garbage fell inside the timed loop, divided by
+		// an iteration count that follows -benchtime, not the code. The
+		// absolute ceilings hold those rows.
+		if b.AllocsPerOp > 0 || e.AllocsPerOp > 0 {
+			check("B/op", b.BytesPerOp, e.BytesPerOp)
+		}
 	}
 	if matched == 0 {
 		return nil, 0, fmt.Errorf("no benchmark names in common with the baseline (%d baseline, %d current)",

@@ -129,9 +129,21 @@ func TestCompareReports(t *testing.T) {
 		}
 	})
 
+	t.Run("B/op of a row that does not allocate is not compared", func(t *testing.T) {
+		zb := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100, BytesPerOp: 3}}}
+		cur := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100, BytesPerOp: 9}}}
+		if regs, _, err := compareReports(zb, cur, 25, true); err != nil || len(regs) != 0 {
+			t.Fatalf("regs=%v err=%v, want amortized warm-up bytes at 0 allocs/op ignored", regs, err)
+		}
+		cur.Results[0].AllocsPerOp = 1 // now it allocates: the bytes count
+		if regs, _, err := compareReports(zb, cur, 25, true); err != nil || len(regs) != 1 {
+			t.Fatalf("regs=%v err=%v, want the B/op regression of an allocating row reported", regs, err)
+		}
+	})
+
 	t.Run("metric absent from baseline skipped", func(t *testing.T) {
-		zb := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100}}} // no B/op recorded
-		cur := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100, BytesPerOp: 99999}}}
+		zb := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100, AllocsPerOp: 1}}} // no B/op recorded
+		cur := &Report{Results: []Entry{{Name: "BenchmarkZ", NsPerOp: 100, BytesPerOp: 99999, AllocsPerOp: 1}}}
 		regs, matched, err := compareReports(zb, cur, 25, false)
 		if err != nil {
 			t.Fatal(err)

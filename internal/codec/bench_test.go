@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
+	"sketchml/internal/keycoding"
+	"sketchml/internal/sketch/minmax"
 )
 
 // steadyState prepares a benchmark whose allocs/op row is gated by
@@ -46,25 +48,39 @@ func steadyState(b *testing.B, op func()) {
 // reporting is on throughout, so `make bench` tracks both ns/op and
 // allocs/op regressions. compressed-B/msg reports the wire size, tying the
 // CPU cost to the bytes it saves.
+//
+// r in a row's name is Options.Groups, the most the encoder may use: its
+// group cap (255·n_pane/Dim) leaves one group, two key lists, at every nnz
+// the Dim = 2²² points run. The d2e6 points are the end-to-end benchmark's
+// two message shapes, a worker gradient and the W = 4 aggregate at
+// Dim = 2·10⁶, where the cap leaves several groups a pane; their DecodeInto
+// rows report the key lists the message really carries (lists) and the cost
+// per entry (ns/nnz).
 func BenchmarkEncodeDecode(b *testing.B) {
+	type shape struct {
+		dim uint64
+		nnz int
+	}
 	type point struct {
 		buckets int // q
 		groups  int // r
-		nnz     int
-		parmax  bool // also bench Encode with concurrent panes
+		shape
+		parmax bool // also bench Encode with concurrent panes
 	}
 	points := []point{
-		{256, 8, 500, false},
-		{256, 8, 5000, true},
-		{256, 8, 50000, true},
-		{64, 8, 5000, false},
-		{256, 16, 5000, false},
+		{256, 8, shape{1 << 22, 500}, false},
+		{256, 8, shape{1 << 22, 5000}, true},
+		{256, 8, shape{1 << 22, 50000}, true},
+		{64, 8, shape{1 << 22, 5000}, false},
+		{256, 16, shape{1 << 22, 5000}, false},
+		{256, 8, shape{2_000_000, 40000}, false},
+		{256, 8, shape{2_000_000, 122000}, false},
 	}
 	rng := rand.New(rand.NewSource(77))
-	grads := map[int]*gradientArg{}
+	grads := map[shape]*gradient.Sparse{}
 	for _, p := range points {
-		if grads[p.nnz] == nil {
-			grads[p.nnz] = &gradientArg{randomGradient(rng, 1<<22, p.nnz)}
+		if grads[p.shape] == nil {
+			grads[p.shape] = randomGradient(rng, p.dim, p.nnz)
 		}
 	}
 
@@ -74,8 +90,11 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		opts.Groups = p.groups
 		opts.Parallelism = 1
 		c := MustSketchML(opts)
-		g := grads[p.nnz].g
+		g := grads[p.shape]
 		name := fmt.Sprintf("q%d_r%d_nnz%d", p.buckets, p.groups, p.nnz)
+		if p.dim != 1<<22 {
+			name += "_d2e6"
+		}
 
 		msg, err := c.Encode(g)
 		if err != nil {
@@ -137,8 +156,49 @@ func BenchmarkEncodeDecode(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(msg)), "compressed-B/msg")
+			if p.dim != 1<<22 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.nnz), "ns/nnz")
+				b.ReportMetric(float64(countKeyLists(b, msg)), "lists")
+			}
 		})
 	}
+}
+
+// countKeyLists walks a default-options message (MinMax on, delta keys) and
+// returns how many key lists it carries: one per group per non-empty pane.
+func countKeyLists(tb testing.TB, msg []byte) int {
+	tb.Helper()
+	// tag(1) flags(1) dim(8) count(4) seed(8) buckets(4), then the panes.
+	r := reader{data: msg, off: 26}
+	skip := func(used int, err error) {
+		if err == nil {
+			err = r.advance(used)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	lists := 0
+	for pane := 0; pane < 2; pane++ {
+		n, err := r.u32()
+		skip(0, err)
+		if n == 0 {
+			continue
+		}
+		q, err := r.u32()
+		skip(8*int(q), err)
+		grouped, used, err := minmax.DecodeGrouped(r.rest(), 0)
+		skip(used, err)
+		for grp := 0; grp < grouped.NumGroups(); grp++ {
+			_, used, err := keycoding.DecodeDelta(r.rest())
+			skip(used, err)
+			lists++
+		}
+	}
+	if r.remain() != 0 {
+		tb.Fatalf("%d bytes left after the last key list", r.remain())
+	}
+	return lists
 }
 
 // BenchmarkMerge measures the wire-to-wire MergeInto path that interior

@@ -30,7 +30,7 @@ func decodeIntoCodecs(t *testing.T) map[string]Codec {
 	}
 }
 
-func requireSameGradient(t *testing.T, want, got *gradient.Sparse) {
+func requireSameGradient(t testing.TB, want, got *gradient.Sparse) {
 	t.Helper()
 	if got.Dim != want.Dim || len(got.Keys) != len(want.Keys) || len(got.Values) != len(want.Values) {
 		t.Fatalf("shape mismatch: dim %d/%d nnz %d/%d", got.Dim, want.Dim, got.NNZ(), want.NNZ())

@@ -3,6 +3,8 @@ package codec
 import (
 	"math/rand"
 	"testing"
+
+	"sketchml/internal/gradient"
 )
 
 // decoders under fuzz: every codec must reject arbitrary garbage with an
@@ -84,7 +86,9 @@ func TestDecodeBitFlippedMessages(t *testing.T) {
 	}
 }
 
-// FuzzSketchMLDecode is a native fuzz target for the most complex decoder.
+// FuzzSketchMLDecode is a native fuzz target for the most complex decoder:
+// on any bytes it must do what the reference decoder does — the same
+// gradient bit for bit, or an error where the reference gives one.
 // Run with: go test -fuzz FuzzSketchMLDecode ./internal/codec
 func FuzzSketchMLDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
@@ -99,13 +103,31 @@ func FuzzSketchMLDecode(f *testing.F) {
 	}
 	f.Add([]byte{tagSketchML})
 	f.Add([]byte{})
+	// One seed per branch behind the lists. Dense enough for the rank
+	// scatter with several lists a pane (the first seed, Dim 10 000 at 200
+	// entries, merges two); the sketch over fixed-width keys, whose order
+	// only the decoder checks; and crafted messages that take the scatter's
+	// two refusals, the list that overruns the header's count, and the key
+	// the sketch has nothing for.
+	if msg, err := c.Encode(randomGradient(rng, 4000, 600)); err == nil {
+		f.Add(msg)
+	}
+	rawKeys := DefaultOptions()
+	rawKeys.DeltaKeys = false
+	if msg, err := MustSketchML(rawKeys).Encode(randomGradient(rng, 4000, 600)); err == nil {
+		f.Add(msg)
+	}
+	means := []float64{0.5, 1.5}
+	a, b, neg := []uint64{3, 70, 900}, []uint64{5, 71, 1000}, []uint64{8, 72, 1100}
+	pane := func(lists ...[]uint64) craftedPane { return craftedPane{means: means, listed: lists, inserted: lists} }
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane(neg)}))
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, []uint64{5, 70, 1000}), pane(neg)}))
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 72, 1264})}))
+	f.Add(craftMessage(f, 1200, 8, [2]craftedPane{pane(a, b), pane(neg)}))
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{{means: means, listed: [][]uint64{a, b}, inserted: [][]uint64{a, {5}}}, pane(neg)}))
+	var dst gradient.Sparse
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := c.Decode(data)
-		if err == nil {
-			if verr := dec.Validate(); verr != nil {
-				t.Fatalf("decoded invalid gradient: %v", verr)
-			}
-		}
+		requireMatchesOracle(t, "fuzz input", data, &dst)
 	})
 }
 

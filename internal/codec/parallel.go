@@ -147,23 +147,28 @@ func (es *encodeScratch) takePane(g *gradient.Sparse, paneID uint64) ([]uint64, 
 
 // ---- decode scratch ----
 
-// decodeScratch is the reusable per-call state behind DecodeInto: flat
-// key/value stores reserved once per message (per-group lists alias
-// windows of them, so nothing reallocates mid-decode), a means table, a
-// bitpack index buffer, one grouped sketch rebuilt in place per pane, the
-// per-group list headers, and the k-way-merge cursors. Pooled so
+// decodeScratch is the reusable per-call state behind DecodeInto. The flat
+// key and value stores have the header count's length, and every key list of
+// the message is the next window of both, so no list is a slice of its own
+// and a message cannot make the decoder hold more than it announced. Beside
+// them: a means table, a bitpack index buffer, one grouped sketch rebuilt in
+// place per pane with the block query's candidates, and what puts the lists
+// in key order — the rank scatter's table (one uint64 per 32 keys of
+// [0, Dim), Dim/4 bytes, only ever sized for a message of at least Dim/128
+// entries), or the list ends and cursors of the merge. Pooled so
 // steady-state decodes allocate nothing once capacities warm up.
 type decodeScratch struct {
-	means    []float64
-	keys     []uint64 // flat backing; keyLists entries alias windows of it
-	vals     []float64
-	idx      []uint32
-	grouped  *minmax.Grouped
-	keyLists [][]uint64
-	valLists [][]float64
-	pos      []int // k-way-merge cursors
-	usedK    int   // flat-store cursors
-	usedV    int
+	means     []float64
+	nonFinite bool // some mean is NaN or ±Inf: the decoded values need checking
+	keys      []uint64
+	vals      []float64
+	used      int   // entries decoded so far
+	ends      []int // ends[i]: where list i stops in the flat stores
+	idx       []uint32
+	grouped   *minmax.Grouped
+	cand      []uint16 // block-query candidates of the list being decoded
+	ranks     []uint64 // rank scatter: per 32 keys, bitmap | keys below << 32
+	pos       []int    // merge cursors
 }
 
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -175,41 +180,26 @@ func getScratch() *decodeScratch { return decodeScratchPool.Get().(*decodeScratc
 
 func putScratch(sc *decodeScratch) { decodeScratchPool.Put(sc) }
 
-// reset prepares the scratch for a message of at most total entries. The
-// caller has already bounds-checked total against the message length.
+// reset prepares the scratch for a message of total entries. The caller has
+// already bounds-checked total against the message length.
 func (sc *decodeScratch) reset(total int) {
-	if cap(sc.keys) < total {
-		sc.keys = make([]uint64, 0, total)
-	}
-	if cap(sc.vals) < total {
-		sc.vals = make([]float64, 0, total)
-	}
-	sc.usedK, sc.usedV = 0, 0
-	sc.keyLists = sc.keyLists[:0]
-	sc.valLists = sc.valLists[:0]
+	sc.keys = quantizer.Resize(sc.keys, total)
+	sc.vals = quantizer.Resize(sc.vals, total)
+	sc.used = 0
+	sc.ends = sc.ends[:0]
+	sc.nonFinite = false
 }
 
-// keyTail returns an empty slice aliasing the unused tail of the flat key
-// store, for decode-into calls that fill it in place.
-func (sc *decodeScratch) keyTail() []uint64 { return sc.keys[sc.usedK:sc.usedK] }
-
-// claimKeys advances the flat-store cursor past keys when the decode
-// landed in the tail. A decode that overflowed into a fresh slice (its
-// capacity cannot match the tail's) costs nothing to skip.
-func (sc *decodeScratch) claimKeys(keys []uint64) {
-	if cap(keys) == cap(sc.keys)-sc.usedK {
-		sc.usedK += len(keys)
+// decodeList reads the next key list into the flat key store and returns it
+// with the window of the value store beside it, for the caller to fill. A
+// list that runs past the header's count is an error.
+func (sc *decodeScratch) decodeList(r *reader, delta, wide bool) ([]uint64, []float64, error) {
+	keys, err := decodeKeysInto(r, delta, wide, sc.keys[sc.used:sc.used:len(sc.keys)])
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// grabVals returns a value slice of length n: a window of the flat value
-// store when capacity allows, a fresh slice otherwise (hostile headers
-// can understate the entry count; honest messages always fit).
-func (sc *decodeScratch) grabVals(n int) []float64 {
-	if n <= cap(sc.vals)-sc.usedV {
-		v := sc.vals[sc.usedV : sc.usedV+n]
-		sc.usedV += n
-		return v
-	}
-	return make([]float64, n)
+	vals := sc.vals[sc.used : sc.used+len(keys)]
+	sc.used += len(keys)
+	sc.ends = append(sc.ends, sc.used)
+	return keys, vals, nil
 }

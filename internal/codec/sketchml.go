@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"sketchml/internal/bitpack"
@@ -33,16 +35,21 @@ type Options struct {
 	ColsFraction float64
 	// MinCols floors the bin count for tiny gradients (default 8).
 	MinCols int
-	// Groups is r, the number of grouped sub-sketches (default 8); the
-	// worst-case decoded index error is Buckets/Groups (Section 3.3).
+	// Groups is r, the most grouped sub-sketches a pane may use (default 8);
+	// the worst-case decoded index error is Buckets/Groups (Section 3.3).
+	// Each group sends its own key list, which widens the gaps the key codec
+	// pays for, so the encoder uses min(r, 255·n_pane/Dim) groups, at least
+	// one: a pane sparser than Dim/255 is one sketch and one list.
 	Groups int
 	// Seed selects the hash family shared by encoder and decoder.
 	Seed uint64
 	// Parallelism selects Encode's plan for the two sign panes: 0 (the
 	// default) encodes them concurrently iff more than one CPU is
 	// available (GOMAXPROCS > 1), 1 pins the serial plan, 2 or more always
-	// encodes them concurrently. Decode is unaffected. The encoded bytes
-	// are bit-identical at every setting — it only changes wall time.
+	// encodes them concurrently. The encoded bytes are bit-identical at
+	// every setting — it only changes wall time. Decode is unaffected by
+	// this and by every other field but Metrics: it is a function of the
+	// message alone, flags and shapes read from the wire.
 	Parallelism int
 	// Algo selects how a pane's quantile splits are found. The zero value,
 	// quantizer.RankAlgo, sorts the pane's magnitudes (the encoder holds
@@ -472,11 +479,21 @@ func (c *SketchML) appendKeys(out []byte, keys []uint64, wide bool) ([]byte, err
 	return out, nil
 }
 
-// decodeKeysInto reads a key list written by appendKeys into dst's
-// storage, reused when its capacity covers the wire count and grown
-// otherwise; the (possibly regrown) slice is returned.
+// decodeKeysInto reads a key list written by appendKeys into dst[:0]. dst's
+// capacity is the most the list may hold — a longer one is an error, never
+// an allocation — and the keys come back strictly ascending under either
+// key codec.
 func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error) {
+	mark := r.off
+	count, err := r.u32() // both key codecs lead with the list's count
+	if err != nil {
+		return nil, err
+	}
+	if int64(count) > int64(cap(dst)) {
+		return nil, fmt.Errorf("key list of %d runs past the header's count by %d", count, int64(count)-int64(cap(dst)))
+	}
 	if delta {
+		r.off = mark
 		keys, used, err := keycoding.DecodeDeltaInto(r.rest(), dst)
 		if err != nil {
 			return nil, err
@@ -486,10 +503,6 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 		}
 		return keys, nil
 	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
 	kb := 4
 	if wide {
 		kb = 8
@@ -497,12 +510,7 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 	if int64(r.remain()) < int64(count)*int64(kb) {
 		return nil, errTruncated
 	}
-	keys := dst
-	if cap(keys) >= int(count) {
-		keys = keys[:count]
-	} else {
-		keys = make([]uint64, count)
-	}
+	keys := dst[:count]
 	for i := range keys {
 		if wide {
 			keys[i], err = r.u64()
@@ -513,6 +521,9 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 		}
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && keys[i] <= keys[i-1] {
+			return nil, fmt.Errorf("keys not strictly ascending at %d", i)
 		}
 	}
 	return keys, nil
@@ -575,30 +586,31 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	if err != nil {
 		return err
 	}
+	// The header's count sizes dst and the scratch, so bound it before
+	// trusting it: every decoded entry costs at least one wire byte (a delta
+	// byte, key byte, or packed index), so a count beyond the message length
+	// is hostile.
+	n := int(count)
+	if n < 0 || n > len(data) {
+		return fmt.Errorf("codec: count %d exceeds message size %d", count, len(data))
+	}
 	dst.Dim = dim
-	dst.Reset()
+	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
+	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
 
 	if !quant {
 		keys, err := decodeKeysInto(&r, delta, wide, dst.Keys[:0])
 		if err != nil {
 			return err
 		}
-		dst.Keys = keys
-		if uint32(len(keys)) != count {
+		if len(keys) != n {
 			return fmt.Errorf("codec: key count %d, header says %d", len(keys), count)
 		}
-		if int64(r.remain()) < int64(len(keys))*8 {
+		if int64(r.remain()) < int64(n)*8 {
 			return errTruncated
 		}
-		vals := dst.Values
-		if cap(vals) >= len(keys) {
-			vals = vals[:len(keys)]
-		} else {
-			vals = make([]float64, len(keys))
-		}
-		dst.Values = vals
-		for i := range vals {
-			if vals[i], err = r.f64(); err != nil {
+		for i := range dst.Values {
+			if dst.Values[i], err = r.f64(); err != nil {
 				return err
 			}
 		}
@@ -611,49 +623,53 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	if _, err := r.u32(); err != nil { // configured bucket count (informational)
 		return err
 	}
-	// Bound the flat-scratch reservation before trusting the header: every
-	// decoded entry costs at least one wire byte (a delta byte, key byte,
-	// or packed index), so a count beyond the message length is hostile.
-	if int(count) < 0 || int(count) > len(data) {
-		return fmt.Errorf("codec: count %d exceeds message size %d", count, len(data))
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.reset(int(count))
+	sc.reset(n)
 
 	for paneID := uint64(0); paneID < 2; paneID++ {
 		var pt0 time.Time
 		if c.met != nil {
 			pt0 = time.Now()
 		}
-		start := len(sc.valLists)
 		if err := c.decodePaneInto(&r, sc, delta, mm, wide, paneID, seed); err != nil {
 			return fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
 		if c.met != nil {
 			c.met.paneDecodeNs.Since(pt0)
 		}
-		if paneID == 1 {
-			for _, list := range sc.valLists[start:] {
-				for i := range list {
-					list[i] = -list[i]
-				}
-			}
-		}
 	}
-	if err := mergeSortedListsInto(dst, sc.keyLists, sc.valLists, sc); err != nil {
+	if sc.used != n {
+		return fmt.Errorf("codec: decoded %d entries, header says %d", sc.used, count)
+	}
+
+	// The lists are disjoint and each ascending; what is left is to put
+	// their union in key order. A message dense enough that a Dim-bit map is
+	// no longer than its entries — ⌈Dim/64⌉ ≤ 2n + 1, a test on the message
+	// alone, so not a choice anyone makes — has each key's rank read off the
+	// map and no two keys compared. The encoder's group cap (groups ≤
+	// 255·n_pane/Dim) puts every message with more than one list a pane on
+	// that side; the sparser ones, two lists from this encoder, merge, which
+	// also keeps a hostile Dim from sizing anything.
+	if dim <= 128*uint64(n)+64 {
+		if err := rankScatterInto(dst, sc); err != nil {
+			return err
+		}
+		if !sc.nonFinite {
+			return nil // ascending by construction, key < Dim checked, means all finite
+		}
+	} else if err := mergeSortedListsInto(dst, sc); err != nil {
 		return err
 	}
-	if uint32(len(dst.Keys)) != count {
-		return fmt.Errorf("codec: decoded %d entries, header says %d", len(dst.Keys), count)
+	if err := dst.Validate(); err != nil {
+		return fmt.Errorf("codec: merged gradient invalid: %w", err)
 	}
 	return nil
 }
 
-// decodePaneInto parses one sign pane and appends per-group ascending key
-// lists (windows of sc's flat key store) and their decoded magnitude lists
-// to sc.keyLists and sc.valLists. Once sc's capacities are warm it
-// allocates nothing.
+// decodePaneInto parses one sign pane into sc's flat stores, one window per
+// key list: the keys as sent, and beside each the value its bucket decodes
+// to, already signed. Once sc's capacities are warm it allocates nothing.
 func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide bool, paneID, seed uint64) error {
 	paneCount, err := r.u32()
 	if err != nil {
@@ -669,25 +685,32 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	if nMeans == 0 || nMeans > 1<<16 {
 		return fmt.Errorf("implausible means count %d", nMeans)
 	}
+	if int64(r.remain()) < int64(nMeans)*8 {
+		return errTruncated
+	}
+	// Pane 1 carries magnitudes: negating its q means here is the same bits
+	// as negating the n values they decode to.
+	sc.means = quantizer.Resize(sc.means, int(nMeans))
 	means := sc.means
-	if cap(means) >= int(nMeans) {
-		means = means[:nMeans]
-	} else {
-		means = make([]float64, nMeans)
-	}
-	sc.means = means
 	for i := range means {
-		if means[i], err = r.f64(); err != nil {
-			return err
-		}
-	}
-
-	if !mm {
-		keys, err := decodeKeysInto(r, delta, wide, sc.keyTail())
+		m, err := r.f64()
 		if err != nil {
 			return err
 		}
-		sc.claimKeys(keys)
+		if paneID == 1 {
+			m = -m
+		}
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			sc.nonFinite = true
+		}
+		means[i] = m
+	}
+
+	if !mm {
+		keys, vals, err := sc.decodeList(r, delta, wide)
+		if err != nil {
+			return err
+		}
 		idx, used, err := bitpack.DecodeBlockInto(r.rest(), sc.idx[:0])
 		if err != nil {
 			return err
@@ -699,15 +722,12 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 		if len(idx) != len(keys) {
 			return fmt.Errorf("%d indexes for %d keys", len(idx), len(keys))
 		}
-		vals := sc.grabVals(len(keys))
 		for i, id := range idx {
 			if int(id) >= len(means) {
 				return fmt.Errorf("index %d out of %d buckets", id, len(means))
 			}
 			vals[i] = means[id]
 		}
-		sc.keyLists = append(sc.keyLists, keys)
-		sc.valLists = append(sc.valLists, vals)
 		return nil
 	}
 
@@ -720,69 +740,94 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	if err := r.advance(used); err != nil {
 		return err
 	}
-	// Key parsing and sketch queries interleave per group: every group's
-	// sketch is fully decoded before the first key list arrives.
-	ng := grouped.NumGroups()
-	for grp := 0; grp < ng; grp++ {
-		keys, err := decodeKeysInto(r, delta, wide, sc.keyTail())
+	// Every group's sketch is decoded before the first key list arrives, so
+	// each list is queried as it lands: one pass per hash row leaves the
+	// group-relative candidates, one more turns them into values. A bucket
+	// past the sketch's q or the means table clamps to the last of both.
+	top := min(grouped.NumBuckets(), len(means)) - 1
+	for grp, ng := 0, grouped.NumGroups(); grp < ng; grp++ {
+		keys, vals, err := sc.decodeList(r, delta, wide)
 		if err != nil {
 			return fmt.Errorf("group %d keys: %w", grp, err)
 		}
-		sc.claimKeys(keys)
-		vals := sc.grabVals(len(keys))
-		for i, k := range keys {
-			//lint:allow wire-taint Query hashes the key through the family (index = hash mod buckets) and clamps the bucket to numBuckets, so wire-derived keys cannot index out of range
-			b, ok := grouped.Query(grp, k)
-			if !ok {
-				return fmt.Errorf("group %d: key %d missing from sketch", grp, k)
+		sc.cand = quantizer.Resize(sc.cand, len(keys))
+		//lint:allow wire-taint QueryBlock hashes each key into its row's width (index = hash·cols >> 64), so wire-derived keys cannot index out of range
+		base := grouped.QueryBlock(grp, keys, sc.cand)
+		for i, cand := range sc.cand {
+			if cand == 0 {
+				return fmt.Errorf("group %d: key %d missing from sketch", grp, keys[i])
 			}
-			if b >= len(means) {
-				b = len(means) - 1
-			}
-			vals[i] = means[b]
+			vals[i] = means[min(base+int(cand)-1, top)]
 		}
-		sc.keyLists = append(sc.keyLists, keys)
-		sc.valLists = append(sc.valLists, vals)
 	}
 	return nil
 }
 
-// mergeSortedListsInto k-way-merges disjoint ascending key lists (with
-// parallel value lists) into dst, which must already carry its Dim and
-// have been Reset. The merge cursors live in sc so the warm path stays
-// allocation-free.
-func mergeSortedListsInto(dst *gradient.Sparse, keyLists [][]uint64, valLists [][]float64, sc *decodeScratch) error {
-	pos := sc.pos
-	if cap(pos) >= len(keyLists) {
-		pos = pos[:len(keyLists)]
-		for i := range pos {
-			pos[i] = 0
+// rankScatterInto writes sc's entries to dst in key order without comparing
+// keys, through a table of one word per 32 keys of [0, Dim): the low half is
+// a bitmap of the keys present, the high half the number of keys below the
+// word, so a key's place in dst — its word's count plus the set bits below
+// its own — is one load. Pass 1 sets the bits (a bit already set is a key
+// sent in two lists), pass 2 runs the popcount along the words, pass 3
+// scatters. dst has the length of the flat stores.
+func rankScatterInto(dst *gradient.Sparse, sc *decodeScratch) error {
+	sc.ranks = quantizer.Resize(sc.ranks, int((dst.Dim+31)/32))
+	ranks := sc.ranks
+	clear(ranks)
+	for _, k := range sc.keys {
+		if k >= dst.Dim {
+			return fmt.Errorf("codec: merged gradient invalid: key %d >= dim %d", k, dst.Dim)
 		}
-	} else {
-		pos = make([]int, len(keyLists))
+		bit := uint64(1) << (k % 32)
+		if ranks[k/32]&bit != 0 {
+			return fmt.Errorf("codec: duplicate key %d across lists", k)
+		}
+		ranks[k/32] |= bit
 	}
-	sc.pos = pos
-	for {
+	var below uint64
+	for w, present := range ranks {
+		ranks[w] |= below << 32
+		below += uint64(bits.OnesCount32(uint32(present)))
+	}
+	vals := sc.vals[:len(sc.keys)]
+	for i, k := range sc.keys {
+		e := ranks[k/32]
+		rank := int(e>>32) + bits.OnesCount32(uint32(e)&(1<<(k%32)-1))
+		dst.Keys[rank] = k
+		dst.Values[rank] = vals[i]
+	}
+	return nil
+}
+
+// mergeSortedListsInto k-way-merges sc's disjoint ascending lists into dst,
+// which has the length of the flat stores, by comparing every list's head
+// for each output key — the plan for the sparse messages the rank scatter
+// leaves, which carry two lists.
+func mergeSortedListsInto(dst *gradient.Sparse, sc *decodeScratch) error {
+	// pos[i] is list i's cursor into the flat stores; the list ends at
+	// sc.ends[i].
+	sc.pos = quantizer.Resize(sc.pos, len(sc.ends))
+	pos := sc.pos
+	for i := range pos {
+		pos[i] = 0
+		if i > 0 {
+			pos[i] = sc.ends[i-1]
+		}
+	}
+	for out := range dst.Keys {
 		best := -1
 		var bestKey uint64 = math.MaxUint64
-		for i, l := range keyLists {
-			if pos[i] < len(l) && l[pos[i]] <= bestKey {
-				if l[pos[i]] == bestKey && best >= 0 {
+		for i, p := range pos {
+			if p < sc.ends[i] && sc.keys[p] <= bestKey {
+				if sc.keys[p] == bestKey && best >= 0 {
 					return fmt.Errorf("codec: duplicate key %d across lists", bestKey)
 				}
-				best = i
-				bestKey = l[pos[i]]
+				best, bestKey = i, sc.keys[p]
 			}
 		}
-		if best < 0 {
-			break
-		}
-		dst.Keys = append(dst.Keys, bestKey)
-		dst.Values = append(dst.Values, valLists[best][pos[best]])
+		dst.Keys[out] = bestKey
+		dst.Values[out] = sc.vals[pos[best]]
 		pos[best]++
-	}
-	if err := dst.Validate(); err != nil {
-		return fmt.Errorf("codec: merged gradient invalid: %w", err)
 	}
 	return nil
 }

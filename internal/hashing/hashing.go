@@ -110,14 +110,21 @@ func (f *Family) Buckets() int { return int(f.buckets) }
 // alternative to modulo), which is unbiased for bucket counts far below 2^64
 // and avoids an integer division on the hot path.
 func (f *Family) Index(row int, key uint64) int {
-	h := Mix64(key, f.seeds[row])
-	return int(mulHigh(h, f.buckets))
+	return int(Reduce(Mix64(key, f.seeds[row]), f.buckets))
 }
 
-// mulHigh returns the high 64 bits of a*b (one multiply instruction where
-// the compiler has the intrinsic).
-func mulHigh(a, b uint64) uint64 {
-	hi, _ := bits.Mul64(a, b)
+// Row returns the seed of hash function row and the family's range, for a
+// caller that hashes a block of keys and hoists both out of its loop:
+// Index(row, key) == Reduce(Mix64(key, seed), buckets).
+func (f *Family) Row(row int) (seed, buckets uint64) {
+	return f.seeds[row], f.buckets
+}
+
+// Reduce maps a 64-bit hash into [0, buckets) by the high 64 bits of the
+// 128-bit product h*buckets (one multiply instruction where the compiler has
+// the intrinsic).
+func Reduce(h, buckets uint64) uint64 {
+	hi, _ := bits.Mul64(h, buckets)
 	return hi
 }
 

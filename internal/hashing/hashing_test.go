@@ -155,14 +155,14 @@ func TestMulHigh(t *testing.T) {
 		{math.MaxUint64, 2, 1},
 	}
 	for _, c := range cases {
-		if got := mulHigh(c.a, c.b); got != c.want {
-			t.Errorf("mulHigh(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := Reduce(c.a, c.b); got != c.want {
+			t.Errorf("Reduce(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestMulHighMatchesBigArithmetic(t *testing.T) {
-	// Property: mulHigh agrees with the definition via 128-bit decomposition.
+	// Property: Reduce agrees with the definition via 128-bit decomposition.
 	err := quick.Check(func(a, b uint64) bool {
 		// Compute via four 32x32 products, the textbook way but assembled
 		// differently from the implementation.
@@ -174,7 +174,7 @@ func TestMulHighMatchesBigArithmetic(t *testing.T) {
 		mid2 := al * bh
 		carry := ((lo >> 32) + (mid1 & m) + (mid2 & m)) >> 32
 		want := ah*bh + (mid1 >> 32) + (mid2 >> 32) + carry
-		return mulHigh(a, b) == want
+		return Reduce(a, b) == want
 	}, nil)
 	if err != nil {
 		t.Error(err)

@@ -89,14 +89,32 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 
 // FuzzDecodeDeltaRobust feeds DecodeDelta arbitrary bytes: it must reject
 // garbage with an error — never panic — matching the codec package's
-// decode-robustness fuzzing for the value streams.
+// decode-robustness fuzzing for the value streams, and whatever it does it
+// must do exactly as the one-byte-at-a-time reference does.
 func FuzzDecodeDeltaRobust(f *testing.F) {
 	if enc, err := AppendDelta(nil, []uint64{3, 9, 1 << 40}); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
+	// One seed per branch of the group decode: all four widths in one flag
+	// byte with the 16 bytes the fast path wants behind it, the same stream
+	// ending inside that window, the escape inside a group, and a zero gap
+	// inside a group.
+	widths := []uint64{5, 1 << 9, 1 << 17, 1 << 25, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if enc, err := AppendDelta(nil, keysWithGaps(11, widths)); err == nil {
+		f.Add(enc)
+		f.Add(enc[:len(enc)-9])
+		zero := append([]byte(nil), enc...)
+		zero[len(zero)-14] = 0
+		f.Add(zero)
+	}
+	widths[5] = 1 << 33
+	if enc, err := AppendDelta(nil, keysWithGaps(11, widths)); err == nil {
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireSameDecode(t, "fuzz input", data)
 		keys, _, err := DecodeDelta(data)
 		if err != nil {
 			return

@@ -29,6 +29,9 @@ const (
 // use this escape; the paper's 2-bit byte flags cover only 1–4 bytes.
 const escape4 = 1<<32 - 1
 
+// widthMask[flag] keeps the low flag+1 bytes of a little-endian word.
+var widthMask = [4]uint64{1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1}
+
 // ErrNotAscending is returned when keys are not strictly increasing.
 var ErrNotAscending = errors.New("keycoding: keys must be strictly ascending")
 
@@ -139,7 +142,37 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 	}
 	flags := data[off : off+flagLen]
 	off += flagLen
-	for i := 1; i < count; i++ {
+	prev := keys[0]
+	for i := 1; i < count; {
+		// A whole flag byte with 16 body bytes behind it is four gaps, each
+		// one little-endian word load masked to its width. A zero gap or the
+		// escape marker leaves the group to the loop below, which reports
+		// the first or reads the 8-byte delta behind the second.
+		if j := i - 1; j%4 == 0 && i+4 <= count && off+16 <= len(data) {
+			fb := uint(flags[j/4])
+			//lint:allow wire-taint each index is two bits of the flag byte, 0..3 into the 4-entry table
+			m0, m1, m2, m3 := widthMask[fb&3], widthMask[fb>>2&3], widthMask[fb>>4&3], widthMask[fb>>6]
+			o1 := off + int(fb&3+1)
+			o2 := o1 + int(fb>>2&3+1)
+			o3 := o2 + int(fb>>4&3+1)
+			d0 := uint64(binary.LittleEndian.Uint32(data[off:])) & m0
+			d1 := uint64(binary.LittleEndian.Uint32(data[o1:])) & m1
+			d2 := uint64(binary.LittleEndian.Uint32(data[o2:])) & m2
+			d3 := uint64(binary.LittleEndian.Uint32(data[o3:])) & m3
+			k0 := prev + d0
+			k1 := k0 + d1
+			k2 := k1 + d2
+			k3 := k2 + d3
+			// d−1 ≥ escape4−1 is d == 0 or d == escape4; four gaps below
+			// 2^32 that wrap uint64 land below prev.
+			if d0-1 < escape4-1 && d1-1 < escape4-1 && d2-1 < escape4-1 && d3-1 < escape4-1 && k3 > prev {
+				keys[i], keys[i+1], keys[i+2], keys[i+3] = k0, k1, k2, k3
+				prev = k3
+				off = o3 + int(fb>>6+1)
+				i += 4
+				continue
+			}
+		}
 		j := i - 1
 		nb := int(flags[j/4]>>uint((j%4)*flagBits))&0x3 + 1
 		if len(data) < off+nb {
@@ -157,10 +190,12 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 			d = binary.LittleEndian.Uint64(data[off:])
 			off += 8
 		}
-		keys[i] = keys[i-1] + d
-		if keys[i] <= keys[i-1] {
+		keys[i] = prev + d
+		if keys[i] <= prev {
 			return nil, 0, fmt.Errorf("keycoding: corrupt stream: non-increasing key at %d", i)
 		}
+		prev = keys[i]
+		i++
 	}
 	return keys, off, nil
 }

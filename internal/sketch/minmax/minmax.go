@@ -110,22 +110,29 @@ func (s *Sketch) Insert(key uint64, idx uint16) {
 // was inserted.
 //
 // For an inserted key the result never exceeds the inserted index
-// (one-sided underestimation).
+// (one-sided underestimation). Query is QueryBlock on one key.
 func (s *Sketch) Query(key uint64) (idx uint16, ok bool) {
-	best := uint16(Empty)
+	var cand [1]uint16
+	s.QueryBlock([]uint64{key}, cand[:])
+	return cand[0] - 1, cand[0] != 0
+}
+
+// QueryBlock runs the Max protocol for a whole key list, one hash row at a
+// time: cand[i] becomes one more than the index recovered for keys[i], and
+// stays 0 when every bin keys[i] addresses is Empty (Empty + 1 wraps to 0,
+// so an untouched bin never wins the maximum). A row's seed, width and cells
+// are fixed for the pass, which leaves one hash and one table read per key —
+// Section 3.3's query cost. cand must be at least as long as keys.
+func (s *Sketch) QueryBlock(keys []uint64, cand []uint16) {
+	cand = cand[:len(keys)]
+	clear(cand)
 	for r := 0; r < s.rows; r++ {
-		c := s.cells[r*s.cols+s.family.Index(r, key)]
-		if c == Empty {
-			continue
-		}
-		if best == Empty || c > best {
-			best = c
+		seed, cols := s.family.Row(r)
+		cells := s.cells[r*s.cols : (r+1)*s.cols]
+		for i, k := range keys {
+			cand[i] = max(cand[i], cells[hashing.Reduce(hashing.Mix64(k, seed), cols)]+1)
 		}
 	}
-	if best == Empty {
-		return 0, false
-	}
-	return best, true
 }
 
 // Reset empties every bin for reuse.
@@ -294,6 +301,9 @@ func (g *Grouped) resizeGroups(n int) {
 	copy(g.groups, old)
 }
 
+// NumBuckets returns q, the number of bucket indexes the groups cover.
+func (g *Grouped) NumBuckets() int { return g.numBuckets }
+
 // NumGroups returns the number of group sketches (the paper's r).
 func (g *Grouped) NumGroups() int { return len(g.groups) }
 
@@ -326,20 +336,29 @@ func (g *Grouped) InsertAt(grp int, key uint64, rel uint16) {
 }
 
 // Query recovers the bucket index of key, which is known (from the wire
-// format's per-group key lists) to live in group grp.
+// format's per-group key lists) to live in group grp. It is QueryBlock on
+// one key.
 func (g *Grouped) Query(grp int, key uint64) (bucket int, ok bool) {
+	var cand [1]uint16
+	base := g.QueryBlock(grp, []uint64{key}, cand[:])
+	if cand[0] == 0 {
+		return 0, false
+	}
+	return min(base+int(cand[0])-1, g.numBuckets-1), true
+}
+
+// QueryBlock queries group grp's sketch for a whole key list (see
+// Sketch.QueryBlock for cand) and returns the group's first bucket: the
+// bucket of keys[i] is min(base+cand[i]-1, NumBuckets()-1), and cand[i] == 0
+// means the sketch holds nothing for it — as it does for every key of a
+// group that does not exist.
+func (g *Grouped) QueryBlock(grp int, keys []uint64, cand []uint16) (base int) {
 	if grp < 0 || grp >= len(g.groups) {
-		return 0, false
+		clear(cand[:len(keys)])
+		return 0
 	}
-	rel, ok := g.groups[grp].Query(key)
-	if !ok {
-		return 0, false
-	}
-	b := grp*g.bucketsPerGroup + int(rel)
-	if b >= g.numBuckets {
-		b = g.numBuckets - 1
-	}
-	return b, true
+	g.groups[grp].QueryBlock(keys, cand)
+	return grp * g.bucketsPerGroup
 }
 
 // MaxError returns the worst-case decoded index error, q/r.

@@ -870,11 +870,6 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			if err != nil {
 				return nil, err
 			}
-			if cfg.Metrics != nil {
-				// The decoded broadcast vs. the exact aggregate is the
-				// approximation error every replica actually applies.
-				errAcc.observe(agg, applied)
-			}
 			if err := opt.Step(theta, applied); err != nil {
 				return nil, err
 			}
@@ -882,6 +877,13 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			bcastDur := time.Since(tBcast)
 			es.BroadcastTime += bcastDur
 			tm.broadcastNs.Observe(bcastDur.Nanoseconds())
+			if cfg.Metrics != nil {
+				// The decoded broadcast vs. the exact aggregate is the
+				// approximation error every replica actually applies. It is
+				// an instrument, so it runs once the broadcast's clock has
+				// stopped; agg and applied stay valid until the next gather.
+				errAcc.observe(agg, applied)
+			}
 
 			globalRound++
 			es.Rounds++
