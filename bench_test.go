@@ -275,28 +275,10 @@ func BenchmarkAblationLossyBaselines(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensionParameterServer measures the sharded parameter-server
-// topology against the single driver at 50 workers.
-func BenchmarkExtensionParameterServer(b *testing.B) {
-	runExperiment(b, "extension-ps", map[string]string{
-		"Adam_ps_speedup":     "adam-ps-speedup-x",
-		"SketchML_ps_speedup": "sk-ps-speedup-x",
-	})
-}
-
 // BenchmarkExtensionFactorizationMachine trains an FM through each codec.
 func BenchmarkExtensionFactorizationMachine(b *testing.B) {
 	runExperiment(b, "extension-fm", map[string]string{
 		"SketchML_accuracy": "sk-fm-accuracy",
 		"SketchML_seconds":  "sk-fm-s",
-	})
-}
-
-// BenchmarkExtensionSSP measures stale-synchronous-parallel training under
-// a straggler across staleness bounds.
-func BenchmarkExtensionSSP(b *testing.B) {
-	runExperiment(b, "extension-ssp", map[string]string{
-		"s0_first_epoch_seconds": "bsp-first-epoch-s",
-		"s8_first_epoch_seconds": "ssp8-first-epoch-s",
 	})
 }

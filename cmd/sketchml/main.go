@@ -41,12 +41,8 @@ func main() {
 		rows       = flag.Int("rows", 2, "MinMaxSketch rows (s)")
 		groups     = flag.Int("groups", 8, "MinMaxSketch groups (r)")
 		colsFrac   = flag.Float64("cols", 0.2, "MinMaxSketch columns as a fraction of nnz (t/d)")
-		topology   = flag.String("topology", "driver", "aggregation topology: driver|ps|ssp")
-		gatherN    = flag.String("gather", "star", "driver gather shape: star|tree|ring (tree/ring merge sketches wire-to-wire; mergeable codec only)")
-		servers    = flag.Int("servers", 4, "parameter servers (topology=ps)")
-		staleness  = flag.Int("staleness", 2, "staleness bound (topology=ssp)")
-		straggler  = flag.Float64("straggler", 1, "slowdown factor of the last worker (topology=ssp)")
-		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (per-epoch wire bytes, compression ratio, stage times, sketch error, full metrics snapshot) to this path; topology=driver only")
+		gatherN    = flag.String("gather", "star", "gather shape: star|tree (tree merges sketches wire-to-wire; mergeable codec, in-memory transport only)")
+		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (per-epoch wire bytes, compression ratio, stage times, sketch error, full metrics snapshot) to this path")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
 	)
 	var so serveOptions
@@ -64,7 +60,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := validateFlags(so.addr, *metricsOut, *topology, gather, *useTCP); err != nil {
+	if err := validateFlags(so.addr, *metricsOut, gather, *useTCP); err != nil {
 		fatal(err)
 	}
 	if *pprofAddr != "" {
@@ -117,24 +113,7 @@ func main() {
 		Topology:      gather,
 		Metrics:       reg,
 	}
-	var res *sketchml.TrainResult
-	switch *topology {
-	case "driver":
-		res, err = sketchml.Train(cfg, train, test)
-	case "ps":
-		res, err = sketchml.TrainPS(cfg, *servers, train, test)
-	case "ssp":
-		speeds := make([]float64, *workers)
-		for w := range speeds {
-			speeds[w] = 1
-		}
-		if *workers > 0 {
-			speeds[*workers-1] = *straggler
-		}
-		res, err = sketchml.TrainSSP(cfg, *staleness, speeds, train, test)
-	default:
-		fatal(fmt.Errorf("unknown topology %q", *topology))
-	}
+	res, err := sketchml.Train(cfg, train, test)
 	if err != nil {
 		fatal(err)
 	}
@@ -170,23 +149,15 @@ func main() {
 // any single flag's parser. It runs before any work starts so a bad
 // combination is a fast, explicit startup error rather than a surprise
 // after minutes of training.
-func validateFlags(serveAddr, metricsOut, topology string, gather sketchml.Topology, useTCP bool) error {
+func validateFlags(serveAddr, metricsOut string, gather sketchml.Topology, useTCP bool) error {
 	if serveAddr != "" {
 		if metricsOut != "" {
 			return fmt.Errorf("-metrics-out cannot be combined with -serve; fetch per-job metrics via GET /jobs/{id}?metrics=1")
 		}
 		return nil
 	}
-	if metricsOut != "" && topology != "driver" {
-		return fmt.Errorf("-metrics-out requires -topology driver (got %q)", topology)
-	}
-	if gather != sketchml.TopologyStar {
-		if topology != "driver" {
-			return fmt.Errorf("-gather %s requires -topology driver (got %q)", gather, topology)
-		}
-		if useTCP {
-			return fmt.Errorf("-gather %s requires the in-memory transport (drop -tcp)", gather)
-		}
+	if gather != sketchml.TopologyStar && useTCP {
+		return fmt.Errorf("-gather %s requires the in-memory transport (drop -tcp)", gather)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Aggregation topology selection for the gather half of a training round.
 // The topology decides how worker gradients reach the driver: through the
-// driver directly (star), through a binary tree of merging workers, or
-// through a chunked ring reduce. Broadcast, reports, and control frames
-// always use the direct driver links regardless of topology.
+// driver directly (star) or through a binary tree of merging workers.
+// Broadcast, reports, and control frames always use the direct driver links
+// regardless of topology.
 
 package cluster
 
@@ -21,10 +21,6 @@ const (
 	// (codec.Merger) and forward one message, so the driver decodes only
 	// its direct children's (already aggregated) messages.
 	TopologyTree
-	// TopologyRing splits the key space into W chunks and runs a reduce
-	// ring: after W-1 steps each worker owns one fully aggregated chunk and
-	// sends just that chunk to the driver. Per-link bytes stay flat in W.
-	TopologyRing
 )
 
 // String implements fmt.Stringer with the names ParseTopology accepts.
@@ -34,8 +30,6 @@ func (t Topology) String() string {
 		return "star"
 	case TopologyTree:
 		return "tree"
-	case TopologyRing:
-		return "ring"
 	}
 	return fmt.Sprintf("Topology(%d)", int(t))
 }
@@ -48,8 +42,6 @@ func ParseTopology(s string) (Topology, error) {
 		return TopologyStar, nil
 	case "tree":
 		return TopologyTree, nil
-	case "ring":
-		return TopologyRing, nil
 	}
-	return TopologyStar, fmt.Errorf("cluster: unknown topology %q (want star, tree, or ring)", s)
+	return TopologyStar, fmt.Errorf("cluster: unknown topology %q (want star, tree)", s)
 }

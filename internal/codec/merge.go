@@ -15,7 +15,7 @@ import (
 // Merger is implemented by codecs whose encoded messages can be combined
 // wire-to-wire: Merge(a, b) yields one message equivalent to encoding the
 // sum of the two gradients, without the caller ever materializing floats.
-// This is what makes hierarchical aggregation (tree/ring gather) possible:
+// This is what makes hierarchical aggregation (the tree gather) possible:
 // interior nodes merge children's messages and forward one message, so
 // per-link bytes stay flat as the worker count grows.
 //

@@ -89,9 +89,7 @@ var registry = map[string]struct {
 	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
 	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K, error feedback)", AblationLossyBaselines},
 	"ablation-sketch":   {"GK vs KLL quantile sketch vs the rank sort in the codec", AblationSketchAlgo},
-	"extension-ps":      {"Parameter-server topology vs single driver", ExtensionParameterServer},
 	"extension-fm":      {"Factorization machine through each codec", ExtensionFactorizationMachine},
-	"extension-ssp":     {"Stale synchronous parallel under a straggler", ExtensionSSP},
 }
 
 // IDs returns every experiment id in stable order.

@@ -66,47 +66,6 @@ func AblationLossyBaselines(cfg Config) (*Report, error) {
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }
 
-// ExtensionParameterServer compares the paper's single-driver topology with
-// the sharded parameter-server extension at 50 workers: dividing the
-// bottleneck aggregation link across servers rescues uncompressed Adam,
-// while SketchML — whose messages are already small — gains much less.
-// This situates the paper's contribution: compression and topology attack
-// the same bottleneck from different sides.
-func ExtensionParameterServer(cfg Config) (*Report, error) {
-	train, test := dataset.KDD12Like(cfg.Seed).Split(0.75, cfg.Seed)
-	epochs := cfg.scaled(2)
-	net := cluster.ProductionCluster()
-
-	table := stats.NewTable("codec", "1 server (s)", "4 servers (s)", "PS speedup")
-	metrics := map[string]float64{}
-	for _, c := range []codec.Codec{&codec.Raw{}, codec.MustSketchML(codec.DefaultOptions())} {
-		var secs [2]float64
-		for i, servers := range []int{1, 4} {
-			res, err := trainer.RunPS(trainer.Config{
-				Model:         model.LogisticRegression{},
-				Codec:         c,
-				Optimizer:     adam(0.1),
-				Workers:       50,
-				BatchFraction: 0.1,
-				Epochs:        epochs,
-				Lambda:        0.01,
-				Seed:          cfg.Seed,
-				Network:       net,
-			}, servers, train, test)
-			if err != nil {
-				return nil, err
-			}
-			secs[i] = res.AvgEpochSimTime().Seconds()
-		}
-		speedup := secs[0] / secs[1]
-		table.AddRow(c.Name(), secs[0], secs[1], speedup)
-		metrics[c.Name()+"_1s_seconds"] = secs[0]
-		metrics[c.Name()+"_4s_seconds"] = secs[1]
-		metrics[c.Name()+"_ps_speedup"] = speedup
-	}
-	return &Report{Text: table.String(), Metrics: metrics}, nil
-}
-
 // ExtensionFactorizationMachine trains a second-order factorization machine
 // (the model family of the paper's DiFacto citation [30]) through each
 // codec: SketchML's compression generalizes beyond GLMs because FM
@@ -146,49 +105,6 @@ func ExtensionFactorizationMachine(cfg Config) (*Report, error) {
 		metrics[c.Name()+"_loss"] = res.FinalLoss
 		metrics[c.Name()+"_accuracy"] = res.FinalAccuracy
 		metrics[c.Name()+"_seconds"] = res.AvgEpochSimTime().Seconds()
-	}
-	return &Report{Text: table.String(), Metrics: metrics}, nil
-}
-
-// ExtensionSSP measures the Stale Synchronous Parallel protocol (Ho et al.,
-// the paper's citation [19]) under a straggler: how much sooner each
-// epoch's worth of updates lands in virtual time as the staleness bound
-// grows, and what it costs in final loss.
-func ExtensionSSP(cfg Config) (*Report, error) {
-	train, test := dataset.KDD12Like(cfg.Seed).Split(0.75, cfg.Seed)
-	// The curve needs at least a few epoch marks to show when updates land.
-	epochs := cfg.scaled(4)
-	if epochs < 3 {
-		epochs = 3
-	}
-	const workers = 8
-	speeds := make([]float64, workers)
-	for w := range speeds {
-		speeds[w] = 1
-	}
-	speeds[workers-1] = 6 // one persistent straggler
-
-	table := stats.NewTable("staleness", "first epoch lands (sim s)", "final loss")
-	metrics := map[string]float64{}
-	for _, staleness := range []int{0, 2, 8} {
-		res, err := trainer.RunSSP(trainer.Config{
-			Model:         model.LogisticRegression{},
-			Codec:         codec.MustSketchML(codec.DefaultOptions()),
-			Optimizer:     adam(0.05), // stale gradients need a gentler rate
-			Workers:       workers,
-			BatchFraction: 0.1,
-			Epochs:        epochs,
-			Lambda:        0.01,
-			Seed:          cfg.Seed,
-			ComputeScale:  1000,
-		}, staleness, speeds, train, test)
-		if err != nil {
-			return nil, err
-		}
-		first := res.Curve[0].Seconds
-		table.AddRow(staleness, first, res.FinalLoss)
-		metrics[fmt.Sprintf("s%d_first_epoch_seconds", staleness)] = first
-		metrics[fmt.Sprintf("s%d_loss", staleness)] = res.FinalLoss
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }

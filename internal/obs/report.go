@@ -25,7 +25,7 @@ type StageNs struct {
 	ComputeNs   int64 `json:"compute_ns"`   // summed worker gradient computation CPU
 	EncodeNs    int64 `json:"encode_ns"`    // summed compression CPU, all parties
 	DecodeNs    int64 `json:"decode_ns"`    // summed decompression CPU, all parties
-	MergeNs     int64 `json:"merge_ns"`     // summed wire-to-wire merge CPU, all workers (tree/ring)
+	MergeNs     int64 `json:"merge_ns"`     // summed wire-to-wire merge CPU, all workers (tree)
 }
 
 // EpochReport is one epoch of a run report.
@@ -65,10 +65,10 @@ type RunReport struct {
 	Codec   string `json:"codec"`
 	Model   string `json:"model"`
 	Workers int    `json:"workers"`
-	// Topology names the gather aggregation shape ("star", "tree", "ring");
-	// empty means star (pre-topology reports). LevelMergeNs breaks the merge
-	// CPU down by aggregation level — index 0 is the driver's direct
-	// children, deeper tree levels follow; rings are flat (one level).
+	// Topology names the gather aggregation shape ("star", "tree"); empty
+	// means star (pre-topology reports). LevelMergeNs breaks the merge CPU
+	// down by aggregation level — index 0 is the driver's direct children,
+	// deeper tree levels follow.
 	Topology     string  `json:"topology,omitempty"`
 	LevelMergeNs []int64 `json:"level_merge_ns,omitempty"`
 

@@ -100,18 +100,7 @@ func (j *Job) bindWork(cfg trainer.Config, train, test *dataset.Dataset, store *
 	j.cfg = cfg
 	spec := &j.Spec
 	j.invoke = func(ctx context.Context, cfg trainer.Config) (*trainer.Result, error) {
-		switch spec.Topology {
-		case "ps":
-			servers := spec.Servers
-			if servers < 1 {
-				servers = 1
-			}
-			return trainer.RunPSContext(ctx, cfg, servers, train, test)
-		case "ssp":
-			return trainer.RunSSPContext(ctx, cfg, spec.Staleness, nil, train, test)
-		default:
-			return trainer.RunContext(ctx, cfg, train, test)
-		}
+		return trainer.RunContext(ctx, cfg, train, test)
 	}
 	j.loadCheckpoint = func() (*trainer.Checkpoint, error) { return store.Load(spec.Name) }
 	j.saveCheckpoint = func(cp *trainer.Checkpoint) error { return store.Save(spec.Name, cp) }

@@ -336,6 +336,7 @@ func TestBadSpecRejected(t *testing.T) {
 		{"empty", ``},
 		{"not json", `{{{`},
 		{"unknown field", `{"name":"a","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,"evil":true}`},
+		{"removed topology field", `{"name":"a","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,"topology":"driver"}`},
 		{"trailing data", quickSpec("a") + `{"second":"doc"}`},
 		{"path dataset", `{"name":"a","dataset":"/etc/passwd","model":"LR","codec":"adam","workers":1,"epochs":1}`},
 		{"traversal name", `{"name":"..","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1}`},

@@ -1,9 +1,9 @@
 // Package service is the long-lived training control plane: it hosts many
-// concurrent training jobs over the trainer's three topologies, exposes a
-// JSON/HTTP lifecycle API (submit, inspect, cancel), drains gracefully on
-// SIGTERM — running jobs finish their round in flight, checkpoint, and the
-// process exits cleanly — and resumes crashed or drained jobs from
-// crash-safe checkpoints instead of restarting them.
+// concurrent training jobs on the trainer's bulk-synchronous run loop,
+// exposes a JSON/HTTP lifecycle API (submit, inspect, cancel), drains
+// gracefully on SIGTERM — running jobs finish their round in flight,
+// checkpoint, and the process exits cleanly — and resumes crashed or drained
+// jobs from crash-safe checkpoints instead of restarting them.
 //
 // The design leans on the properties the rest of the repository already
 // guarantees: trainer runs stop within one RoundDeadline of cancellation
@@ -114,12 +114,8 @@ type JobSpec struct {
 	Lambda        float64 `json:"lambda,omitempty"`
 	Seed          int64   `json:"seed,omitempty"`
 
-	// Topology selects the aggregation protocol: driver (default), ps, ssp.
-	Topology  string `json:"topology,omitempty"`
-	Servers   int    `json:"servers,omitempty"`   // topology=ps
-	Staleness int    `json:"staleness,omitempty"` // topology=ssp
-	// Gather selects the driver protocol's gather shape: star (default),
-	// tree, or ring. tree/ring require a mergeable codec and topology=driver.
+	// Gather selects the gather shape: star (default) or tree. tree
+	// requires a mergeable codec.
 	Gather string `json:"gather,omitempty"`
 
 	// RoundDeadlineMs enables the trainer's tolerant mode (quorum gather,
@@ -236,27 +232,11 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if s.LR < 0 || s.Lambda < 0 {
 		return fmt.Errorf("%w: lr and lambda must be non-negative", ErrBadSpec)
 	}
-	switch s.Topology {
-	case "":
-		s.Topology = "driver"
-	case "driver", "ps", "ssp":
-	default:
-		return fmt.Errorf("%w: unknown topology %q (driver|ps|ssp)", ErrBadSpec, s.Topology)
-	}
-	if s.Servers < 0 || s.Servers > lim.MaxWorkers {
-		return fmt.Errorf("%w: servers %d out of [0, %d]", ErrBadSpec, s.Servers, lim.MaxWorkers)
-	}
-	if s.Staleness < 0 || s.Staleness > 1000 {
-		return fmt.Errorf("%w: staleness %d out of [0, 1000]", ErrBadSpec, s.Staleness)
-	}
 	gather, err := cluster.ParseTopology(s.Gather)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if gather != cluster.TopologyStar {
-		if s.Topology != "driver" {
-			return fmt.Errorf("%w: gather %q requires topology=driver (got %q)", ErrBadSpec, s.Gather, s.Topology)
-		}
 		// Reject unmergeable codecs at submit time — the trainer would reject
 		// them too, but only after the job is admitted and scheduled.
 		if probe, _ := newCodecFactory(s.Codec); probe != nil {

@@ -24,9 +24,6 @@ func TestSpecValidateNormalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Topology != "driver" {
-		t.Fatalf("empty topology normalized to %q", spec.Topology)
-	}
 	if spec.DeadlineSec != int((10*time.Minute)/time.Second) {
 		t.Fatalf("zero deadline normalized to %d", spec.DeadlineSec)
 	}
@@ -57,10 +54,14 @@ func TestSpecValidateGather(t *testing.T) {
 		{name: "default star", body: mk(``)},
 		{name: "explicit star", body: mk(`,"gather":"star"`)},
 		{name: "tree on driver", body: mk(`,"gather":"tree"`)},
-		{name: "ring on driver", body: mk(`,"gather":"ring"`)},
 		{name: "unknown shape", body: mk(`,"gather":"mesh"`), want: "unknown topology"},
-		{name: "tree on ps", body: mk(`,"gather":"tree","topology":"ps","servers":2`), want: "requires topology=driver"},
-		{name: "ring on ssp", body: mk(`,"gather":"ring","topology":"ssp"`), want: "requires topology=driver"},
+		{name: "removed ring shape", body: mk(`,"gather":"ring"`), want: "want star, tree"},
+		// The fields of the deleted PS and SSP loops are refused by name, at
+		// any value, rather than decoded and ignored.
+		{name: "removed topology field", body: mk(`,"topology":"ps"`), want: `unknown field "topology"`},
+		{name: "removed topology field at its old default", body: mk(`,"topology":"driver"`), want: `unknown field "topology"`},
+		{name: "removed servers field", body: mk(`,"servers":2`), want: `unknown field "servers"`},
+		{name: "removed staleness field", body: mk(`,"staleness":3`), want: `unknown field "staleness"`},
 		{name: "tree with unmergeable codec", body: []byte(`{"name":"n","dataset":"kdd10","model":"LR","codec":"onebit","workers":4,"epochs":1,"gather":"tree"}`),
 			want: "mergeable codec"},
 	}
@@ -134,11 +135,6 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if spec.Epochs < 1 || spec.Epochs > lim.MaxEpochs {
 			t.Fatalf("accepted spec has epochs %d", spec.Epochs)
-		}
-		switch spec.Topology {
-		case "driver", "ps", "ssp":
-		default:
-			t.Fatalf("accepted spec has topology %q", spec.Topology)
 		}
 	})
 }

@@ -223,11 +223,6 @@ func soakTally(r *Result) soakCounters {
 //     interior node counts them and delivers a partial count, so corrupt
 //     frames are looked for at both levels and the interior-node counters
 //     must reproduce too.
-//   - ring: worker 2's driver link goes dark, costing the driver one
-//     key-range chunk per missed round; faults on the ring edges surface as
-//     partial chunk counts (a degraded round with nothing skipped) and in
-//     the workers' own counters. Skipped for now: the row showed the
-//     reduce-scatter is not reproducible under chaos (see its skip reason).
 //
 // Gated behind SKETCHML_CHAOS_SOAK=1 because each run spends real
 // wall-clock time on expired round deadlines. SKETCHML_CHAOS_SEED overrides
@@ -257,25 +252,13 @@ func TestChaosSoak(t *testing.T) {
 		rejoins bool
 		// workerCounters: the workers' own fault counters reproduce.
 		workerCounters bool
-		skip           string // why the row cannot run yet; empty: it runs
 	}{
 		{topo: cluster.TopologyStar, outage: 2, minSkipped: 1, driverSeesAll: true, rejoins: true},
 		{topo: cluster.TopologyTree, outage: 0, minSkipped: 3, merges: true, workerCounters: true},
-		{topo: cluster.TopologyRing, outage: 2, minSkipped: 1, merges: true, workerCounters: true,
-			skip: "ringReduceStep is not reproducible under chaos. Seed 1, race build: same-seed runs agree on every " +
-				"driver counter (timeouts 16, skipped 16, corrupt 3, stale 4, strikes 16, degraded 27) but not on " +
-				"merges (215 to 235 over five runs), worker timeouts (74 vs 75) or the model (loss 0.3779 vs 0.3632), " +
-				"with or without the outage. A worker that waits out a lost ring frame forwards its next chunk just as " +
-				"its successor's equal step budget expires, so which partial sums form is a timing race; pinning each " +
-				"step to the start of the reduce did not settle it. The ring needs a step schedule that degrades " +
-				"deterministically, which is a redesign of the reduce and not part of the soak"},
 	}
 	train, test := smallData(t)
 	for _, row := range rows {
 		t.Run(row.topo.String(), func(t *testing.T) {
-			if row.skip != "" {
-				t.Skip(row.skip)
-			}
 			base := Config{
 				Model:     model.LogisticRegression{},
 				Codec:     codec.MustSketchML(codec.DefaultOptions()),

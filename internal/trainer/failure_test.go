@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"sketchml/internal/codec"
 	"sketchml/internal/gradient"
 	"sketchml/internal/model"
+	"sketchml/internal/obs"
 )
 
 // faultyCodec wraps a working codec and starts failing after `failAfter`
@@ -138,38 +140,39 @@ func TestCorruptMessagePropagates(t *testing.T) {
 	}
 }
 
-func TestPSFaultPropagates(t *testing.T) {
+// TestFailingEpochSpanRecorded: the epoch a fault cuts short is the one a
+// post-mortem wants, so its span is in the ring although the run returned
+// past the epoch boundary. Worker 1's codec (the factory's third instance:
+// the driver's comes first, then the workers' in order) fails its fourth
+// encode, the worker exits, and its link dies under the strict gather of
+// round 3, well inside the first epoch.
+func TestFailingEpochSpanRecorded(t *testing.T) {
 	train, test := smallData(t)
+	reg := obs.NewRegistry()
+	var built atomic.Int64
 	err := runWithTimeout(t, func() error {
-		_, err := RunPS(Config{
+		_, err := Run(Config{
 			Model: model.LogisticRegression{},
 			CodecFactory: func() codec.Codec {
-				return &faultyCodec{inner: &codec.Raw{}, failAfter: 10, failEncode: true}
+				c := &faultyCodec{inner: &codec.Raw{}, failAfter: math.MaxInt64, failEncode: true}
+				if built.Add(1) == 3 {
+					c.failAfter = 6
+				}
+				return c
 			},
 			Optimizer: adamFactory(0.1),
 			Workers:   3, Epochs: 2, Seed: 1,
-		}, 2, train, test)
+			Metrics: reg,
+		}, train, test)
 		return err
 	})
-	if err == nil {
-		t.Fatal("PS swallowed injected fault")
+	if err == nil || !strings.Contains(err.Error(), "worker 1") {
+		t.Fatalf("want the dead link of worker 1 as the error, got %v", err)
 	}
-}
-
-func TestSSPFaultPropagates(t *testing.T) {
-	train, test := smallData(t)
-	err := runWithTimeout(t, func() error {
-		_, err := RunSSP(Config{
-			Model: model.LogisticRegression{},
-			CodecFactory: func() codec.Codec {
-				return &faultyCodec{inner: &codec.Raw{}, failAfter: 10, failDecode: true}
-			},
-			Optimizer: adamFactory(0.1),
-			Workers:   3, Epochs: 2, Seed: 1,
-		}, 1, nil, train, test)
-		return err
-	})
-	if err == nil {
-		t.Fatal("SSP swallowed injected fault")
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Name == "epoch" {
+			return
+		}
 	}
+	t.Errorf("no epoch span recorded for the epoch that failed: %+v", reg.Snapshot().Spans)
 }

@@ -20,28 +20,26 @@ const (
 	frameGrad   byte = 0x47 // 'G': gradient (worker→driver) or aggregate (driver→worker)
 	frameReport byte = 0x52 // 'R': a worker's end-of-run report
 	frameStop   byte = 0x53 // 'S': driver→worker drain notice — finish up, report, exit
-	frameAgg    byte = 0x41 // 'A': merged partial aggregate (tree/ring gather links)
+	frameAgg    byte = 0x41 // 'A': merged partial aggregate (tree gather links)
 )
 
 const frameHeaderLen = 6
 
-// frameAgg payload prefix: [count uint16 LE][chunk uint16 LE][codec msg].
-// count is how many worker gradients the carried message already sums
-// (what the driver divides by to keep the aggregate an unbiased mean);
-// chunk is the key-range index in a ring reduce (0 for tree messages).
-const aggHeaderLen = 4
+// frameAgg payload prefix: [count uint16 LE][codec msg]. count is how many
+// worker gradients the carried message already sums (what the driver divides
+// by to keep the aggregate an unbiased mean).
+const aggHeaderLen = 2
 
 // appendAggFrame wraps a merged codec message in the aggregate envelope,
 // appending to dst. It writes the agg prefix directly into the frame so no
 // intermediate payload buffer is needed; the checksum consequently covers
-// kind, round, count, chunk, and the message bytes.
-func appendAggFrame(dst []byte, round, count, chunk int, msg []byte) []byte {
+// kind, round, count, and the message bytes.
+func appendAggFrame(dst []byte, round, count int, msg []byte) []byte {
 	dst = append(dst, frameAgg)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
 	sumAt := len(dst)
 	dst = append(dst, 0) // checksum placeholder
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(count))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(chunk))
 	dst = append(dst, msg...)
 	dst[sumAt] = frameSum(dst[sumAt-5:sumAt], dst[sumAt+1:])
 	return dst
@@ -49,16 +47,15 @@ func appendAggFrame(dst []byte, round, count, chunk int, msg []byte) []byte {
 
 // parseAggFrame splits a frameAgg payload (as returned by parseFrame) into
 // the aggregate prefix and the codec message, which aliases payload.
-func parseAggFrame(payload []byte) (count, chunk int, msg []byte, err error) {
+func parseAggFrame(payload []byte) (count int, msg []byte, err error) {
 	if len(payload) < aggHeaderLen {
-		return 0, 0, nil, fmt.Errorf("trainer: aggregate payload too short (%d bytes)", len(payload))
+		return 0, nil, fmt.Errorf("trainer: aggregate payload too short (%d bytes)", len(payload))
 	}
-	count = int(binary.LittleEndian.Uint16(payload[0:2]))
-	chunk = int(binary.LittleEndian.Uint16(payload[2:4]))
+	count = int(binary.LittleEndian.Uint16(payload))
 	if count < 1 {
-		return 0, 0, nil, fmt.Errorf("trainer: aggregate frame with zero gradient count")
+		return 0, nil, fmt.Errorf("trainer: aggregate frame with zero gradient count")
 	}
-	return count, chunk, payload[aggHeaderLen:], nil
+	return count, payload[aggHeaderLen:], nil
 }
 
 // frameSum hashes the first n header bytes plus the payload with FNV-1a,

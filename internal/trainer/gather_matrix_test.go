@@ -14,14 +14,12 @@ import (
 // The degradation matrix drives the one gatherRound over every topology
 // through the same fault rows. Each link is loaded with the frame a clean
 // round of W workers holding the same gradient g would put on it — a star
-// gradient, a tree root's merged subtree (count·g), a ring worker's fully
-// reduced chunk (W·g restricted to the chunk) — so on every topology the
-// aggregate of a clean round is g, and the aggregate of a degraded round is
-// g over whatever key ranges still arrived: the unbiased mean survives the
-// loss. Faults land on links 0 and 1, which every topology listens on; at
-// W = 4 link 1 carries exactly one gradient's worth under each of them
-// (worker 1, the leaf root {1}, chunk 2), so the expected counters are the
-// same in every column.
+// gradient, a tree root's merged subtree (count·g) — so on every topology
+// the aggregate of a clean round is g, and so is the aggregate of a degraded
+// round: the unbiased mean survives the loss. Faults land on links 0 and 1,
+// which every topology listens on; at W = 4 link 1 carries exactly one
+// gradient's worth under each of them (worker 1, the leaf root {1}), so the
+// expected counters are the same in every column.
 
 const matrixRound = 5
 
@@ -30,7 +28,6 @@ type matrixHarness struct {
 	g          *gradient.Sparse
 	driverSide []*cluster.CountingConn
 	workerSide []cluster.Conn
-	bounds     []uint64
 }
 
 func newMatrixHarness(t *testing.T, topo cluster.Topology, workers int) *matrixHarness {
@@ -40,8 +37,7 @@ func newMatrixHarness(t *testing.T, topo cluster.Topology, workers int) *matrixH
 			Codec: &codec.Raw{}, Workers: workers, Topology: topo,
 			RoundDeadline: 60 * time.Millisecond, MinGatherFraction: 0.5, MaxStrikes: 3,
 		},
-		g:      &gradient.Sparse{Dim: gatherDim},
-		bounds: uniformBounds(gatherDim, workers),
+		g: &gradient.Sparse{Dim: gatherDim},
 	}
 	for k := uint64(7); k < gatherDim; k += 97 {
 		h.g.Keys = append(h.g.Keys, k)
@@ -73,19 +69,15 @@ func subtree(w, workers int) int {
 
 // frame is what link w carries for the round in a clean run; undecodable
 // swaps the codec message for bytes no codec accepts, leaving the envelope
-// (checksum, round, count, chunk) valid.
+// (checksum, round, count) valid.
 func (h *matrixHarness) frame(t *testing.T, w, round int, undecodable bool) []byte {
 	t.Helper()
-	count, chunk, part := 1, 0, h.g
-	switch h.cfg.Topology {
-	case cluster.TopologyTree:
+	count := 1
+	if h.cfg.Topology == cluster.TopologyTree {
 		count = subtree(w, h.cfg.Workers)
-	case cluster.TopologyRing:
-		count, chunk = h.cfg.Workers, (w+1)%h.cfg.Workers
-		part = splitByRange(h.g, h.bounds)[chunk]
 	}
-	scaled := &gradient.Sparse{Dim: part.Dim, Keys: part.Keys}
-	for _, v := range part.Values {
+	scaled := &gradient.Sparse{Dim: h.g.Dim, Keys: h.g.Keys}
+	for _, v := range h.g.Values {
 		scaled.Values = append(scaled.Values, v*float64(count))
 	}
 	msg, err := h.cfg.Codec.Encode(scaled)
@@ -98,25 +90,7 @@ func (h *matrixHarness) frame(t *testing.T, w, round int, undecodable bool) []by
 	if h.cfg.Topology == cluster.TopologyStar {
 		return appendFrame(nil, frameGrad, round, msg)
 	}
-	return appendAggFrame(nil, round, count, chunk, msg)
-}
-
-// wantAggregate is g over the key ranges that still have a contributor when
-// link `missing` (negative: none) delivered nothing: all of g under star and
-// tree, whose surviving messages each span the key space, and g minus the
-// missing link's chunk under ring.
-func (h *matrixHarness) wantAggregate(missing int) map[uint64]float64 {
-	want := map[uint64]float64{}
-	for i, k := range h.g.Keys {
-		if missing >= 0 && h.cfg.Topology == cluster.TopologyRing {
-			chunk := (missing + 1) % h.cfg.Workers
-			if k >= h.bounds[chunk] && k < h.bounds[chunk+1] {
-				continue
-			}
-		}
-		want[k] = h.g.Values[i]
-	}
-	return want
+	return appendAggFrame(nil, round, count, msg)
 }
 
 type matrixRow struct {
@@ -162,7 +136,7 @@ func TestGatherDegradationMatrix(t *testing.T) {
 			want: soakCounters{corrupt: 1}},
 		{name: "single worker", workers: 1, silent: -1, dead: -1},
 	}
-	for _, topo := range []cluster.Topology{cluster.TopologyStar, cluster.TopologyTree, cluster.TopologyRing} {
+	for _, topo := range []cluster.Topology{cluster.TopologyStar, cluster.TopologyTree} {
 		for _, row := range rows {
 			t.Run(topo.String()+"/"+row.name, func(t *testing.T) {
 				h := newMatrixHarness(t, topo, row.workers)
@@ -212,15 +186,15 @@ func TestGatherDegradationMatrix(t *testing.T) {
 				if row.workers > 1 && strikes[1] != row.wantStrikes1 {
 					t.Errorf("link 1 at %d strikes after the round, want %d", strikes[1], row.wantStrikes1)
 				}
-				missing := max(row.silent, row.dead)
-				want := h.wantAggregate(missing)
+				// Every surviving message spans the key space, so the mean of
+				// what arrived is g whichever link delivered nothing.
 				agg := acc.Sum()
-				if len(agg.Keys) != len(want) {
-					t.Fatalf("aggregate has %d keys, want %d", len(agg.Keys), len(want))
+				if len(agg.Keys) != len(h.g.Keys) {
+					t.Fatalf("aggregate has %d keys, want %d", len(agg.Keys), len(h.g.Keys))
 				}
 				for i, k := range agg.Keys {
-					if d := math.Abs(agg.Values[i] - want[k]); d > 1e-9 {
-						t.Fatalf("aggregate[%d] = %v, want %v: not the mean of what arrived", k, agg.Values[i], want[k])
+					if k != h.g.Keys[i] || math.Abs(agg.Values[i]-h.g.Values[i]) > 1e-9 {
+						t.Fatalf("aggregate[%d] = %v, want g[%d] = %v: not the mean of what arrived", k, agg.Values[i], h.g.Keys[i], h.g.Values[i])
 					}
 				}
 			})

@@ -1,26 +1,20 @@
-// Hierarchical gather topologies. The star driver links always exist and
-// keep carrying broadcasts, end-of-run reports, and control frames; what a
-// non-star topology changes is the gather half of each round, where worker
-// gradients are merged wire-to-wire (codec.Merger) on their way to the
-// driver so the driver decodes O(1) or O(chunk) messages instead of O(W).
+// The tree gather topology. The star driver links always exist and keep
+// carrying broadcasts, end-of-run reports, and control frames; what the tree
+// changes is the gather half of each round, where worker gradients are
+// merged wire-to-wire (codec.Merger) on their way to the driver so the driver
+// decodes O(1) messages instead of O(W).
 //
-//   - Tree: workers form a binary tree rooted at the driver (children of
-//     the driver are workers 0 and 1; worker w's children are 2w+2 and
-//     2w+3). Each interior worker merges its children's aggregate frames
-//     into its own encoded gradient and forwards one frameAgg up.
-//   - Ring: the key space splits into W equal ranges. Each worker encodes
-//     its gradient as W chunk messages and the ring runs the classic
-//     reduce-scatter: at step s worker w forwards chunk (w-s) mod W to its
-//     successor and merges the incoming chunk (w-s-1) mod W. After W-1
-//     steps worker w owns the fully reduced chunk (w+1) mod W and sends
-//     just that to the driver.
+// Workers form a binary tree rooted at the driver (children of the driver
+// are workers 0 and 1; worker w's children are 2w+2 and 2w+3). Each interior
+// worker merges its children's aggregate frames into its own encoded
+// gradient and forwards one frameAgg up.
 //
 // Every frameAgg carries how many worker gradients its message already
 // sums; the driver's one gather (gatherRound) turns the counts into weights
-// that keep the applied aggregate the unbiased mean even when subtrees or
-// chunks go missing in tolerant mode. This file is the workers' half:
-// wiring, and the two reduction algorithms, which receive through the same
-// recvFrame loop as the driver.
+// that keep the applied aggregate the unbiased mean even when subtrees go
+// missing in tolerant mode. This file is the workers' half: wiring, and the
+// reduction step, which receives through the same recvFrame loop as the
+// driver.
 
 package trainer
 
@@ -35,30 +29,21 @@ import (
 	"sketchml/internal/gradient"
 )
 
-// workerLinks is one worker's view of the aggregation wiring, plus its
-// persistent per-round buffers. The zero value is a star worker.
+// workerLinks is one worker's view of the tree wiring, plus its persistent
+// per-round buffers. The zero value is a star worker.
 type workerLinks struct {
-	topo    cluster.Topology
-	w       int
-	workers int
-	// Tree: up is the uplink to the parent worker (nil when the parent is
-	// the driver — workers 0 and 1 send aggregates over their driver
-	// link); children are the receive ends of the child subtrees' uplinks.
+	w int
+	// up is the uplink to the parent worker (nil when the parent is the
+	// driver — workers 0 and 1 send aggregates over their driver link);
+	// children are the receive ends of the child subtrees' uplinks.
 	up       cluster.Conn
 	children []cluster.Conn
-	// Ring: receive from predecessor, send to successor, and the chunk
-	// bounds every party derives identically (len workers+1 over [0,dim]).
-	ringIn  cluster.Conn
-	ringOut cluster.Conn
-	bounds  []uint64
 
-	// Reusable buffers: the outbound frame, two alternating merge targets
+	// Reusable buffers: the outbound frame and two alternating merge targets
 	// (codec.MergeInto may alias its first input, so two suffice for any
-	// merge chain), and the ring's per-chunk messages and gradient counts.
-	sendBuf    []byte
-	mergeBuf   [2][]byte
-	chunkMsg   [][]byte
-	chunkCount []int
+	// merge chain).
+	sendBuf  []byte
+	mergeBuf [2][]byte
 }
 
 func (lk *workerLinks) close() {
@@ -67,12 +52,6 @@ func (lk *workerLinks) close() {
 	}
 	for _, c := range lk.children {
 		_ = c.Close()
-	}
-	if lk.ringIn != nil {
-		_ = lk.ringIn.Close()
-	}
-	if lk.ringOut != nil {
-		_ = lk.ringOut.Close()
 	}
 }
 
@@ -87,68 +66,37 @@ func treeParent(w int) int {
 
 // aggLevel maps a worker to its aggregation level for the per-level merge
 // accounting: level 0 holds the driver's direct children, level 1 their
-// children, and so on (ring runs are flat — every worker is level 0).
-// Returns -1 for star, where no worker merges.
+// children, and so on. Returns -1 for star, where no worker merges.
 func aggLevel(topo cluster.Topology, w int) int {
-	switch topo {
-	case cluster.TopologyTree:
-		// Worker w sits at tree depth floor(log2(w+2)) below the driver.
-		return int(math.Log2(float64(w+2))) - 1
-	case cluster.TopologyRing:
-		return 0
+	if topo != cluster.TopologyTree {
+		return -1
 	}
-	return -1
+	// Worker w sits at tree depth floor(log2(w+2)) below the driver.
+	return int(math.Log2(float64(w+2))) - 1
 }
 
-// buildAggLinks wires the worker↔worker aggregation links for the
-// configured topology and returns each worker's link view plus every
-// connection end the driver must close on teardown. Star returns zeroed
-// links and no connections. Chaos schedules on aggregation links use seed
-// indexes offset past the worker range (Workers+idx) so they are distinct
-// from — but exactly as reproducible as — the driver links' schedules.
-func buildAggLinks(cfg *Config, wrap func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn, dim uint64) ([]workerLinks, []cluster.Conn) {
-	links := make([]workerLinks, cfg.Workers)
-	for w := range links {
-		links[w].topo = cfg.Topology
-		links[w].w = w
-		links[w].workers = cfg.Workers
+// wireTree adds the worker↔worker uplinks of a tree run to lk: each worker
+// w ≥ 2 gets an in-memory pair to its parent, whose receiving end is the
+// instrumented one — chaos faults on receive, so drops, corruption and
+// outages hit the frames the child sends upward, and the child's configured
+// outage lands here rather than on its driver link (see wireLinks). Chaos
+// schedules on tree links use seed indexes offset past the worker range
+// (Workers+w) so they are distinct from — but exactly as reproducible as —
+// the driver links' schedules.
+func (lk *links) wireTree(cfg *Config, wrap func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn) {
+	if cfg.Topology != cluster.TopologyTree {
+		return
 	}
-	var aux []cluster.Conn
-	switch cfg.Topology {
-	case cluster.TopologyTree:
-		for w := 2; w < cfg.Workers; w++ {
-			parent := treeParent(w)
-			childEnd, parentEnd := cluster.Pair(4)
-			// The parent-side end is the instrumented one: chaos faults on
-			// receive, so drops/corruption/outages hit the frames the child
-			// sends upward. The child's configured outage lands here (not on
-			// its driver link) — see outageOnDriverLink in RunContext.
-			wrapped := wrap(cfg.Workers+w, parentEnd, w)
-			links[w].up = childEnd
-			links[parent].children = append(links[parent].children, wrapped)
-			aux = append(aux, childEnd, wrapped)
-		}
-	case cluster.TopologyRing:
-		if cfg.Workers > 1 {
-			for e := 0; e < cfg.Workers; e++ {
-				// Edge e: worker e → worker (e+1)%W. The buffer holds two
-				// full rounds of chunk frames so a straggler's unconsumed
-				// backlog can never block the ring into a send cycle.
-				outEnd, inEnd := cluster.Pair(2 * cfg.Workers)
-				wrapped := wrap(cfg.Workers+e, inEnd, -1)
-				links[e].ringOut = outEnd
-				links[(e+1)%cfg.Workers].ringIn = wrapped
-				aux = append(aux, outEnd, wrapped)
-			}
-		}
-		bounds := uniformBounds(dim, cfg.Workers)
-		for w := range links {
-			links[w].bounds = bounds
-			links[w].chunkMsg = make([][]byte, cfg.Workers)
-			links[w].chunkCount = make([]int, cfg.Workers)
-		}
+	for w := range lk.tree {
+		lk.tree[w].w = w
 	}
-	return links, aux
+	for w := 2; w < cfg.Workers; w++ {
+		parent := treeParent(w)
+		childEnd, parentEnd := cluster.Pair(4)
+		wrapped := wrap(cfg.Workers+w, parentEnd, w)
+		lk.tree[w].up = childEnd
+		lk.tree[parent].children = append(lk.tree[parent].children, wrapped)
+	}
 }
 
 // treeGatherStep runs worker w's gather half of one tree round: encode the
@@ -176,7 +124,7 @@ func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 			go func(i int, cfg Config) {
 				defer wg.Done()
 				// Worker w's children are workers 2w+2 and 2w+3.
-				recvs[i] = recvFrame(&cfg, lk.children[i], frameWant{2*lk.w + 2 + i, frameAgg, round, 0}, cfg.RoundDeadline/2, nil)
+				recvs[i] = recvFrame(&cfg, lk.children[i], frameWant{2*lk.w + 2 + i, frameAgg, round}, cfg.RoundDeadline/2, nil)
 			}(i, cfg)
 		}
 		wg.Wait()
@@ -209,7 +157,7 @@ func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 			count += r.count
 		}
 	}
-	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, count, 0, cur)
+	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, count, cur)
 	if lk.up == nil {
 		// Root-level worker: the parent is the driver, reached over the
 		// counted driver link. A send failure here is as fatal as a star
@@ -225,72 +173,6 @@ func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradien
 		}
 		// Dead uplink: this subtree misses the round. The broadcast on the
 		// driver link keeps this worker (and its children) in sync.
-	}
-	return nil
-}
-
-// ringReduceStep runs worker w's reduce-scatter half of one ring round.
-// Each of the W-1 steps gets an equal slice of the round deadline; a step
-// whose frame misses it leaves that chunk with only the local (partial)
-// sum — the count in the frame keeps the driver's weighting unbiased.
-func ringReduceStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
-	w, workers := lk.w, lk.workers
-	merger := cfg.Codec.(codec.Merger)
-	chunks := splitByRange(g, lk.bounds)
-	t0 := time.Now()
-	for i := 0; i < workers; i++ {
-		msg, err := cfg.Codec.Encode(chunks[i])
-		if err != nil {
-			rep.encodeNs += time.Since(t0).Nanoseconds()
-			return fmt.Errorf("trainer: worker encode chunk %d: %w", i, err)
-		}
-		lk.chunkMsg[i] = msg
-		lk.chunkCount[i] = 1
-	}
-	rep.encodeNs += time.Since(t0).Nanoseconds()
-
-	stepBudget := cfg.RoundDeadline / time.Duration(workers)
-	for s := 0; s < workers-1; s++ {
-		sendIdx := ((w-s)%workers + workers) % workers
-		lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, lk.chunkCount[sendIdx], sendIdx, lk.chunkMsg[sendIdx])
-		if err := lk.ringOut.Send(lk.sendBuf); err != nil {
-			if !cfg.tolerant() {
-				return fmt.Errorf("trainer: worker %d ring send: %w", w, err)
-			}
-			// Dead out-edge: the successor times out and keeps its local
-			// copy; this worker keeps reducing what still reaches it.
-		}
-		expect := ((w-s-1)%workers + workers) % workers
-		r := recvFrame(&cfg, lk.ringIn, frameWant{(w + workers - 1) % workers, frameAgg, round, expect}, stepBudget, nil)
-		rep.timeouts += int64(r.timeouts)
-		rep.corrupt += int64(r.corrupt)
-		rep.aggBytes += r.bytes
-		if r.err != nil {
-			return r.err
-		}
-		if r.payload == nil {
-			continue
-		}
-		t0 = time.Now()
-		merged, merr := merger.MergeInto(lk.mergeBuf[0], lk.chunkMsg[expect], r.payload)
-		rep.mergeNs += time.Since(t0).Nanoseconds()
-		if merr != nil {
-			if !cfg.tolerant() {
-				return fmt.Errorf("trainer: worker %d merge ring chunk %d: %w", w, expect, merr)
-			}
-			rep.corrupt++
-			continue
-		}
-		// The outgrown chunk buffer becomes the next round's merge target.
-		lk.chunkMsg[expect], lk.mergeBuf[0] = merged, lk.chunkMsg[expect][:0]
-		rep.merges++
-		lk.chunkCount[expect] += r.count
-	}
-
-	finalIdx := (w + 1) % workers
-	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, lk.chunkCount[finalIdx], finalIdx, lk.chunkMsg[finalIdx])
-	if err := driver.Send(lk.sendBuf); err != nil {
-		return fmt.Errorf("trainer: worker send: %w", err)
 	}
 	return nil
 }

@@ -34,17 +34,17 @@ func runTopology(t *testing.T, topo cluster.Topology, workers int, c codec.Codec
 }
 
 // TestTopologyEquivalenceRaw pins the tentpole equivalence property: with a
-// lossless codec, tree and ring gathers train the same model as star. The
+// lossless codec, a tree gather trains the same model as star. The
 // aggregates are mathematically identical — each is the mean of the same W
 // gradients — but not bit-identical, because the summation tree differs
-// (star scales each gradient by 1/W and adds; tree/ring sum exactly in the
-// merge and scale once). The divergence is therefore pure float addition
+// (star scales each gradient by 1/W and adds; tree sums exactly in the
+// merge and scales once). The divergence is therefore pure float addition
 // reordering, bounded here at 1e-9 on every per-epoch loss. The clean path
 // must also accrue zero robustness counters at every topology point.
 func TestTopologyEquivalenceRaw(t *testing.T) {
 	for _, workers := range []int{2, 3, 7, 8} {
 		star := runTopology(t, cluster.TopologyStar, workers, &codec.Raw{}, 7)
-		for _, topo := range []cluster.Topology{cluster.TopologyTree, cluster.TopologyRing} {
+		for _, topo := range []cluster.Topology{cluster.TopologyTree} {
 			res := runTopology(t, topo, workers, &codec.Raw{}, 7)
 			if res.Topology != topo.String() {
 				t.Errorf("W=%d %s: result labeled %q", workers, topo, res.Topology)
@@ -72,9 +72,8 @@ func TestTopologyEquivalenceRaw(t *testing.T) {
 				merges += es.Merges
 			}
 			// Tree merging needs an interior worker (first child index is
-			// 2·0+2 = 2); a 2-worker tree is two root leaves. Rings merge
-			// whenever there is more than one worker.
-			mergesExpected := workers > 2 || (topo == cluster.TopologyRing && workers > 1)
+			// 2·0+2 = 2); a 2-worker tree is two root leaves.
+			mergesExpected := workers > 2
 			if mergesExpected && merges == 0 {
 				t.Errorf("W=%d %s: no wire-to-wire merges recorded", workers, topo)
 			}
@@ -95,7 +94,7 @@ func TestTopologyEquivalenceRaw(t *testing.T) {
 // TestTopologyEquivalenceSketchML pins the lossy-codec variant: SketchML
 // merges re-bucket values (the exact-means path caps at Options.Buckets, and
 // interior sums hit panes in a different composition than star's per-worker
-// sketches), so tree/ring are a *different valid sketch* of the same
+// sketches), so tree is a *different valid sketch* of the same
 // aggregate, not the same bytes. The contract here is (1) same-seed runs of
 // each topology are bit-deterministic, and (2) every topology converges to a
 // working model in the same neighborhood — the loss gap vs star stays within
@@ -105,7 +104,7 @@ func TestTopologyEquivalenceSketchML(t *testing.T) {
 	newC := func() codec.Codec { return codec.MustSketchML(codec.DefaultOptions()) }
 	for _, workers := range []int{3, 8} {
 		star := runTopology(t, cluster.TopologyStar, workers, newC(), 7)
-		for _, topo := range []cluster.Topology{cluster.TopologyTree, cluster.TopologyRing} {
+		for _, topo := range []cluster.Topology{cluster.TopologyTree} {
 			a := runTopology(t, topo, workers, newC(), 7)
 			b := runTopology(t, topo, workers, newC(), 7)
 			for i := range a.Epochs {
@@ -217,10 +216,10 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 	const workers = 8
 	cfg, driverSide, workerSide, g, msg := treeHarness(t, workers)
 	// Root 0 reports a 5-gradient subtree, root 1 a 3-gradient subtree.
-	if err := workerSide[0].Send(appendAggFrame(nil, 0, 5, 0, msg)); err != nil {
+	if err := workerSide[0].Send(appendAggFrame(nil, 0, 5, msg)); err != nil {
 		t.Fatal(err)
 	}
-	if err := workerSide[1].Send(appendAggFrame(nil, 0, 3, 0, msg)); err != nil {
+	if err := workerSide[1].Send(appendAggFrame(nil, 0, 3, msg)); err != nil {
 		t.Fatal(err)
 	}
 	acc := gradient.NewAccumulator(gatherDim)
@@ -264,7 +263,7 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 		cfg, driverSide, workerSide, _, msg := treeHarness(t, 8)
 		cfg = tolerantCfg(cfg)
 		// Root 1's whole subtree misses the deadline; root 0 arrives alone.
-		if err := workerSide[0].Send(appendAggFrame(nil, 0, tc.count, 0, msg)); err != nil {
+		if err := workerSide[0].Send(appendAggFrame(nil, 0, tc.count, msg)); err != nil {
 			t.Fatal(err)
 		}
 		acc := gradient.NewAccumulator(gatherDim)
@@ -288,10 +287,10 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 // rounds — a tree round whose counts do not sum to exactly W is an abort.
 func TestTreeGatherStrictRejectsPartialTotal(t *testing.T) {
 	cfg, driverSide, workerSide, _, msg := treeHarness(t, 4)
-	if err := workerSide[0].Send(appendAggFrame(nil, 0, 3, 0, msg)); err != nil {
+	if err := workerSide[0].Send(appendAggFrame(nil, 0, 3, msg)); err != nil {
 		t.Fatal(err)
 	}
-	if err := workerSide[1].Send(appendAggFrame(nil, 0, 2, 0, msg)); err != nil {
+	if err := workerSide[1].Send(appendAggFrame(nil, 0, 2, msg)); err != nil {
 		t.Fatal(err)
 	}
 	acc := gradient.NewAccumulator(gatherDim)
@@ -315,10 +314,10 @@ func TestAggregateCountBounded(t *testing.T) {
 	cfg, driverSide, workerSide, _, msg := treeHarness(t, workers)
 	send := func() {
 		t.Helper()
-		if err := workerSide[0].Send(appendAggFrame(nil, 0, 60000, 0, msg)); err != nil {
+		if err := workerSide[0].Send(appendAggFrame(nil, 0, 60000, msg)); err != nil {
 			t.Fatal(err)
 		}
-		if err := workerSide[1].Send(appendAggFrame(nil, 0, 1, 0, msg)); err != nil {
+		if err := workerSide[1].Send(appendAggFrame(nil, 0, 1, msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,8 +367,8 @@ func TestTreeWorkerBoundsChildCount(t *testing.T) {
 	cfg = tolerantCfg(cfg)
 	childEnd, parentEnd := cluster.Pair(1)
 	driverEnd, workerEnd := cluster.Pair(1)
-	lk := &workerLinks{topo: cluster.TopologyTree, w: 0, workers: workers, children: []cluster.Conn{parentEnd}}
-	if err := childEnd.Send(appendAggFrame(nil, 0, 60000, 0, msg)); err != nil {
+	lk := &workerLinks{w: 0, children: []cluster.Conn{parentEnd}}
+	if err := childEnd.Send(appendAggFrame(nil, 0, 60000, msg)); err != nil {
 		t.Fatal(err)
 	}
 	var rep workerReport
@@ -387,87 +386,8 @@ func TestTreeWorkerBoundsChildCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count, _, _, err := parseAggFrame(payload); err != nil || count != 1 {
+	if count, _, err := parseAggFrame(payload); err != nil || count != 1 {
 		t.Errorf("forwarded count %d (err %v), want the worker's own gradient alone", count, err)
-	}
-}
-
-// TestRingGatherPartialChunk verifies chunk-granular degradation: a chunk
-// whose reduction missed workers is applied at weight 1/count over the
-// workers it did sum, and the round is marked degraded.
-func TestRingGatherPartialChunk(t *testing.T) {
-	const workers = 4
-	cfg, driverSide, workerSide, _, _ := gatherHarness(t, workers)
-	cfg.Topology = cluster.TopologyRing
-	cfg = tolerantCfg(cfg)
-	// Build per-chunk gradients over disjoint ranges so the driver-side sum
-	// is easy to predict. Worker w delivers chunk (w+1)%W.
-	bounds := uniformBounds(gatherDim, workers)
-	for w := 0; w < workers; w++ {
-		chunk := (w + 1) % workers
-		g := &gradient.Sparse{Dim: gatherDim, Keys: []uint64{bounds[chunk]}, Values: []float64{1}}
-		msg, err := cfg.Codec.Encode(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := workers
-		if chunk == 2 {
-			count = 2 // chunk 2's reduction missed two workers
-		}
-		if err := workerSide[w].Send(appendAggFrame(nil, 0, count, chunk, msg)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc := gradient.NewAccumulator(gatherDim)
-	var es EpochStats
-	var decode time.Duration
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
-		t.Fatalf("ring gather: %v", err)
-	}
-	if es.DegradedRounds != 1 {
-		t.Errorf("partial chunk did not degrade the round: %+v", es)
-	}
-	agg := acc.Sum()
-	for i, k := range agg.Keys {
-		chunk := 0
-		for bounds[chunk+1] <= k {
-			chunk++
-		}
-		want := 1.0 / float64(workers)
-		if chunk == 2 {
-			want = 1.0 / 2
-		}
-		if d := math.Abs(agg.Values[i] - want); d > 1e-6*want {
-			t.Errorf("chunk %d value %v, want %v", chunk, agg.Values[i], want)
-		}
-	}
-}
-
-// TestRingGatherQuorumCountsChunks: ring quorum is over arrived chunks (each
-// 1/W of the key space), mirroring star's per-gradient quorum.
-func TestRingGatherQuorumCountsChunks(t *testing.T) {
-	const workers = 4
-	cfg, driverSide, workerSide, _, _ := gatherHarness(t, workers)
-	cfg.Topology = cluster.TopologyRing
-	cfg = tolerantCfg(cfg) // MinGatherFraction 0.5 → quorum 2 chunks
-	bounds := uniformBounds(gatherDim, workers)
-	for _, w := range []int{0} { // one chunk only: below quorum
-		chunk := (w + 1) % workers
-		g := &gradient.Sparse{Dim: gatherDim, Keys: []uint64{bounds[chunk]}, Values: []float64{1}}
-		msg, err := cfg.Codec.Encode(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := workerSide[w].Send(appendAggFrame(nil, 0, workers, chunk, msg)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc := gradient.NewAccumulator(gatherDim)
-	var es EpochStats
-	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
-	if err == nil || !strings.Contains(err.Error(), "quorum") {
-		t.Fatalf("want chunk-quorum abort, got %v", err)
 	}
 }
 
@@ -475,7 +395,7 @@ func TestRingGatherQuorumCountsChunks(t *testing.T) {
 // checksum interplay with parseFrame.
 func TestAggFrameRoundTrip(t *testing.T) {
 	msg := []byte{9, 8, 7, 6, 5}
-	frame := appendAggFrame(nil, 3, 5, 2, msg)
+	frame := appendAggFrame(nil, 3, 5, msg)
 	kind, round, payload, err := parseFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -483,18 +403,18 @@ func TestAggFrameRoundTrip(t *testing.T) {
 	if kind != frameAgg || round != 3 {
 		t.Fatalf("kind 0x%02x round %d, want frameAgg round 3", kind, round)
 	}
-	count, chunk, body, err := parseAggFrame(payload)
+	count, body, err := parseAggFrame(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 5 || chunk != 2 || string(body) != string(msg) {
-		t.Fatalf("count %d chunk %d body %v", count, chunk, body)
+	if count != 5 || string(body) != string(msg) {
+		t.Fatalf("count %d body %v", count, body)
 	}
 	// Zero-count frames and truncated payloads must be parse failures.
-	if _, _, _, err := parseAggFrame(appendAggFrame(nil, 0, 0, 0, msg)[frameHeaderLen:]); err == nil {
+	if _, _, err := parseAggFrame(appendAggFrame(nil, 0, 0, msg)[frameHeaderLen:]); err == nil {
 		t.Error("zero gradient count accepted")
 	}
-	if _, _, _, err := parseAggFrame([]byte{1, 0}); err == nil {
+	if _, _, err := parseAggFrame([]byte{1}); err == nil {
 		t.Error("truncated aggregate payload accepted")
 	}
 	// Any single corrupted byte must trip the frame checksum.
@@ -508,7 +428,7 @@ func TestAggFrameRoundTrip(t *testing.T) {
 }
 
 // TestTopologyConfigValidation pins the fill-time rejections: unmergeable
-// codecs, TCP transport, and the PS/SSP protocols all refuse tree/ring.
+// codecs, the TCP transport and over-wide runs all refuse tree.
 func TestTopologyConfigValidation(t *testing.T) {
 	train, test := smallData(t)
 	base := Config{
@@ -524,38 +444,26 @@ func TestTopologyConfigValidation(t *testing.T) {
 	}
 
 	tcp := base
-	tcp.Topology = cluster.TopologyRing
+	tcp.Topology = cluster.TopologyTree
 	tcp.Codec = &codec.Raw{}
 	tcp.UseTCP = true
 	if _, err := Run(tcp, train, test); err == nil || !strings.Contains(err.Error(), "in-memory") {
-		t.Errorf("ring over TCP accepted: %v", err)
+		t.Errorf("tree over TCP accepted: %v", err)
 	}
 
-	// The aggregate prefix carries count and chunk as uint16.
+	// The aggregate prefix carries the count as uint16.
 	wide := base
-	wide.Topology = cluster.TopologyRing
+	wide.Topology = cluster.TopologyTree
 	wide.Codec = &codec.Raw{}
 	wide.Workers = math.MaxUint16 + 1
 	if _, err := Run(wide, train, test); err == nil || !strings.Contains(err.Error(), "at most 65535 workers") {
-		t.Errorf("ring with %d workers accepted: %v", wide.Workers, err)
+		t.Errorf("tree with %d workers accepted: %v", wide.Workers, err)
 	}
 
 	bad := base
 	bad.Topology = cluster.Topology(99)
 	if _, err := Run(bad, train, test); err == nil || !strings.Contains(err.Error(), "unknown topology") {
 		t.Errorf("unknown topology accepted: %v", err)
-	}
-
-	ps := base
-	ps.Topology = cluster.TopologyTree
-	ps.Codec = &codec.Raw{}
-	if _, err := RunPS(ps, 2, train, test); err == nil || !strings.Contains(err.Error(), "star") {
-		t.Errorf("tree accepted by PS: %v", err)
-	}
-	ssp := ps
-	ssp.Topology = cluster.TopologyRing
-	if _, err := RunSSP(ssp, 1, nil, train, test); err == nil || !strings.Contains(err.Error(), "star") {
-		t.Errorf("ring accepted by SSP: %v", err)
 	}
 }
 
@@ -566,9 +474,6 @@ func TestAggLevel(t *testing.T) {
 		if got := aggLevel(cluster.TopologyTree, w); got != want {
 			t.Errorf("tree level(%d) = %d, want %d", w, got, want)
 		}
-	}
-	if got := aggLevel(cluster.TopologyRing, 5); got != 0 {
-		t.Errorf("ring level = %d, want 0", got)
 	}
 	if got := aggLevel(cluster.TopologyStar, 0); got != -1 {
 		t.Errorf("star level = %d, want -1", got)

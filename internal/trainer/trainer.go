@@ -55,18 +55,14 @@ type Config struct {
 	Workers int
 	// Topology selects how worker gradients reach the driver on the gather
 	// half of each round (broadcast always fans out over the direct driver
-	// links). The zero value is cluster.TopologyStar — today's behavior:
-	// every worker sends to the driver, which decodes all W messages.
-	// TopologyTree and TopologyRing aggregate en route via codec merging,
-	// so they require a Codec implementing codec.Merger, the in-memory
-	// transport (UseTCP only wires star links) and at most 65535 workers.
-	// All three share one driver gather and one fault arithmetic: the
-	// topology decides only which driver links are listened on, which frame
-	// is expected on them, and whether messages are weighted by total
-	// contributors (star, tree) or per key-range chunk (ring). A dead link
-	// or an undecodable frame is handled the same way on each (see
-	// RoundDeadline). Driver topology only: RunPS and RunSSP reject
-	// non-star settings.
+	// links). The zero value is cluster.TopologyStar: every worker sends to
+	// the driver, which decodes all W messages. TopologyTree aggregates en
+	// route via codec merging, so it requires a Codec implementing
+	// codec.Merger, the in-memory transport (UseTCP only wires star links)
+	// and at most 65535 workers. Both share one driver gather, one sum rule
+	// and one fault arithmetic: the topology decides only which driver links
+	// are listened on and which frame is expected on them. A dead link or an
+	// undecodable frame is handled the same way on each (see RoundDeadline).
 	Topology cluster.Topology
 	// BatchFraction is the global mini-batch size as a fraction of the
 	// training set (the paper uses 0.1). Values <= 0 default to 0.1.
@@ -131,8 +127,7 @@ type Config struct {
 	// driver finishes the round in flight, broadcasts a stop frame so
 	// every worker exits cleanly and files its report, takes a final
 	// checkpoint through OnCheckpoint, and returns early with
-	// Result.Drained set. Honored by all three topologies; Run drains at
-	// round granularity, RunPS and RunSSP at epoch granularity.
+	// Result.Drained set. The drain takes effect at round granularity.
 	Drain <-chan struct{}
 	// OnCheckpoint, when non-nil, receives a full replica-state snapshot
 	// at every CheckpointEvery-th epoch boundary and once more when a
@@ -184,15 +179,15 @@ type EpochStats struct {
 	RawDownBytes int64
 	// DecodedBytes counts gather-side codec payload bytes the driver
 	// actually decoded this epoch (frame envelopes and aggregate prefixes
-	// excluded). Under star it tracks UpBytes minus envelopes; under tree
-	// or ring it is the measure of how much decode work hierarchical
-	// aggregation took off the driver.
+	// excluded). Under star it tracks UpBytes minus envelopes; under tree it
+	// is the measure of how much decode work hierarchical aggregation took
+	// off the driver.
 	DecodedBytes int64
 
 	// Merges and MergeTime account the wire-to-wire message merges workers
-	// performed on behalf of the driver (tree interior nodes, ring reduce
-	// steps). Like ComputeTime they are end-of-run worker totals spread
-	// uniformly across epochs. Always zero under star.
+	// performed on behalf of the driver (tree interior nodes). Like
+	// ComputeTime they are end-of-run worker totals spread uniformly across
+	// epochs. Always zero under star.
 	Merges    int64
 	MergeTime time.Duration
 
@@ -219,7 +214,7 @@ type EpochStats struct {
 	// degraded rounds (see DESIGN.md, "Fault tolerance"). All are
 	// driver-side observations.
 	Timeouts       int // receive deadlines that expired during gather (a dead link is a miss, not a timeout)
-	SkippedGrads   int // worker gradients absent from a round's aggregate (ring: key-range chunks); never negative
+	SkippedGrads   int // worker gradients absent from a round's aggregate; never negative
 	CorruptFrames  int // frames that failed envelope parse, the aggregate-count bound or codec decode
 	StaleFrames    int // late or duplicated frames from an earlier round
 	Strikes        int // consecutive-miss strikes accrued by workers
@@ -255,13 +250,12 @@ type Result struct {
 	// Topology is the gather topology the run used (Config.Topology).
 	Topology string
 	// LevelMergeNs breaks worker merge time down by tree level (index 0 is
-	// the driver's direct children, deeper levels follow). Ring runs report
-	// one level. Empty for star runs, where nothing merges.
+	// the driver's direct children, deeper levels follow). Empty for star
+	// runs, where nothing merges.
 	LevelMergeNs []int64
-	// WorkerAggBytes[w] is the bytes worker w received over its
-	// aggregation links (tree child uplinks, ring in-edge) across the run —
-	// the per-link cost hierarchical gather adds to the workers. Nil for
-	// star runs.
+	// WorkerAggBytes[w] is the bytes worker w received over its tree child
+	// uplinks across the run — the per-link cost hierarchical gather adds to
+	// the workers. Nil for star runs.
 	WorkerAggBytes []int64
 
 	// SketchError is the continuously measured recovery error of the
@@ -364,7 +358,7 @@ func (c *Config) fill() error {
 	c.decodeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	switch c.Topology {
 	case cluster.TopologyStar:
-	case cluster.TopologyTree, cluster.TopologyRing:
+	case cluster.TopologyTree:
 		if c.UseTCP {
 			return fmt.Errorf("trainer: topology %s requires the in-memory transport (UseTCP wires star links only)", c.Topology)
 		}
@@ -375,8 +369,8 @@ func (c *Config) fill() error {
 			return fmt.Errorf("trainer: topology %s requires a mergeable codec (codec.Merger), %s is not", c.Topology, c.Codec.Name())
 		}
 		if c.Workers > math.MaxUint16 {
-			// The frameAgg prefix carries the gradient count and the ring
-			// chunk index as uint16; more workers would truncate silently.
+			// The frameAgg prefix carries the gradient count as uint16; more
+			// workers would truncate silently.
 			return fmt.Errorf("trainer: topology %s supports at most %d workers, got %d", c.Topology, math.MaxUint16, c.Workers)
 		}
 	default:
@@ -405,7 +399,7 @@ type workerReport struct {
 	// Hierarchical-gather accounting (zero under star).
 	mergeNs  int64 // CPU spent in codec.MergeInto
 	merges   int64 // successful wire-to-wire merges performed
-	aggBytes int64 // bytes received over aggregation links (children, ring-in)
+	aggBytes int64 // bytes received over the tree child links
 }
 
 const workerReportLen = 88
@@ -464,28 +458,8 @@ func drainRequested(ch <-chan struct{}) bool {
 	}
 }
 
-// orBackground is the nil-ctx guard every run loop opens with.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
-// rootCause is deferred by every run loop: whatever error surfaced first (a
-// closed link, a failed decode, a lost quorum), cancellation is the root
-// cause once ctx is done; report it as such so callers can errors.Is the
-// context error.
-func rootCause(ctx context.Context, res **Result, err *error) {
-	if *err != nil && ctx.Err() != nil {
-		*res = nil
-		*err = fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
-	}
-}
-
-// runPlan is what every run loop derives from its Config and training set
-// before the first round: the shards, the batch geometry and the resume
-// point.
+// runPlan is what the run derives from its Config and training set before
+// the first round: the shards, the batch geometry and the resume point.
 type runPlan struct {
 	shards         []*dataset.Dataset
 	localBatch     int
@@ -519,95 +493,6 @@ func planRun(cfg *Config, train *dataset.Dataset) (*runPlan, error) {
 	return p, nil
 }
 
-// planEpochRun is planRun for the serial simulations (arch is "PS" or
-// "SSP"). They run the star protocol only — PS already shards aggregation
-// by key range and SSP workers sit at different round tags, so neither has a
-// synchronized gather to merge across — and they checkpoint, drain and
-// resume at epoch granularity, so a mid-epoch checkpoint is rejected. It
-// returns the epoch to start at.
-func planEpochRun(cfg *Config, train *dataset.Dataset, arch string) (*runPlan, int, error) {
-	p, err := planRun(cfg, train)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cfg.Topology != cluster.TopologyStar {
-		return nil, 0, fmt.Errorf("trainer: topology %q requires the driver architecture (%s runs are star)", cfg.Topology, arch)
-	}
-	if p.startRound%p.roundsPerEpoch != 0 {
-		return nil, 0, fmt.Errorf("trainer: resume: %s topology needs an epoch-boundary checkpoint, got round %d (%d rounds/epoch)",
-			arch, p.startRound, p.roundsPerEpoch)
-	}
-	return p, p.startRound / p.roundsPerEpoch, nil
-}
-
-// batcher returns worker w's deterministic batcher, fast-forwarded past the
-// rounds a resumed run already executed: the shuffle sequence depends only
-// on the seed, so replaying the draws (without computing gradients) puts the
-// batch stream exactly where the interrupted run left it.
-func (p *runPlan) batcher(cfg *Config, w int) *dataset.Batcher {
-	b := dataset.NewBatcher(p.shards[w], p.localBatch, cfg.Seed+int64(w)*7919)
-	var buf []*dataset.Instance
-	for r := 0; r < p.startRound; r++ {
-		buf = b.Next(buf)
-	}
-	return b
-}
-
-// checkpoint hands OnCheckpoint a snapshot when one is due after `rounds`
-// completed rounds: at every CheckpointEvery-th epoch boundary, and
-// unconditionally when a drain stops the run here — that final snapshot is
-// what lets the job resume instead of restarting.
-func (p *runPlan) checkpoint(cfg *Config, rounds int, stopping bool, theta []float64, opt optim.Optimizer) error {
-	due := rounds%p.roundsPerEpoch == 0 && (rounds/p.roundsPerEpoch)%cfg.CheckpointEvery == 0
-	if cfg.OnCheckpoint == nil || !(stopping || due) {
-		return nil
-	}
-	if err := cfg.OnCheckpoint(captureCheckpoint(cfg, rounds, p.roundsPerEpoch, theta, opt)); err != nil {
-		return fmt.Errorf("trainer: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// endEpoch closes an epoch of a PS or SSP run, `done` epochs in: it records
-// the progress, honors a pending drain request (unless the run is finishing
-// anyway) and checkpoints. It reports whether the run should stop.
-func (p *runPlan) endEpoch(cfg *Config, res *Result, done int, theta []float64, opt optim.Optimizer) (stop bool, err error) {
-	res.CompletedRounds = done * p.roundsPerEpoch
-	if drainRequested(cfg.Drain) && done < cfg.Epochs {
-		stop, res.Drained = true, true
-	}
-	return stop, p.checkpoint(cfg, res.CompletedRounds, stop, theta, opt)
-}
-
-// partyCodec returns the codec one more party (a worker, a PS server)
-// encodes and decodes with: a fresh CodecFactory instance when the factory
-// is set — stateful codecs need per-sender instances — else the shared one.
-func (c *Config) partyCodec() codec.Codec {
-	if c.CodecFactory != nil {
-		return c.CodecFactory()
-	}
-	return c.Codec
-}
-
-func newResult(cfg *Config) *Result {
-	return &Result{
-		CodecName: cfg.Codec.Name(),
-		ModelName: cfg.Trainable.Name(),
-		Workers:   cfg.Workers,
-	}
-}
-
-// finish sets the run's final loss and accuracy: the last epoch's, or, for
-// a resume of an already complete run (zero rounds executed, no epochs
-// recorded), a direct evaluation.
-func (r *Result) finish(cfg *Config, theta []float64, test *dataset.Dataset) {
-	if n := len(r.Epochs); n > 0 {
-		r.FinalLoss, r.FinalAccuracy = r.Epochs[n-1].TestLoss, r.Epochs[n-1].Accuracy
-		return
-	}
-	r.FinalLoss, r.FinalAccuracy = cfg.Trainable.Evaluate(theta, test)
-}
-
 // RunContext is Run bounded by a context: when ctx is cancelled, every
 // blocking receive on the driver and every worker unblocks (the driver's
 // watcher closes all links), the run stops within at most one
@@ -615,140 +500,34 @@ func (r *Result) finish(cfg *Config, theta []float64, test *dataset.Dataset) {
 // ctx.Err(). Cancellation is a hard stop — for a graceful one that
 // checkpoints and collects worker reports, use Config.Drain.
 func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (res *Result, err error) {
-	ctx = orBackground(ctx)
-	defer rootCause(ctx, &res, &err)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Whatever error surfaced first (a closed link, a failed decode, a lost
+	// quorum), cancellation is the root cause once ctx is done; report it as
+	// such so callers can errors.Is the context error.
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			res, err = nil, fmt.Errorf("trainer: run cancelled: %w", ctx.Err())
+		}
+	}()
 	plan, err := planRun(&cfg, train)
 	if err != nil {
 		return nil, err
 	}
-	roundsPerEpoch, totalRounds, pDim := plan.roundsPerEpoch, plan.totalRounds, plan.pDim
+	lk, err := wireLinks(ctx, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer lk.close()
 
-	// Wire the links. wrap applies the (optional) fault-injection layer and
-	// the traffic counter to the driver's end of worker w's link. Each
-	// link's chaos schedule derives from Chaos.Seed and the worker index so
-	// a run's fault pattern is reproducible end to end. All links share one
-	// ConnMetrics set, so the registry's cluster.* counters aggregate the
-	// run's whole driver-side traffic.
-	connMet := cluster.NewConnMetrics(cfg.Metrics)
-	// wrap instruments one receiving end: seedIdx picks the link's
-	// deterministic chaos schedule (aggregation links use indexes past the
-	// worker range so every link faults independently but reproducibly),
-	// and outageFor names the worker whose ChaosOutage window applies to
-	// this link (negative: none). Under a tree topology, worker w≥2's
-	// outage moves from its driver link to its tree uplink: an interior
-	// node dropping out should degrade its subtree's gather while its
-	// broadcasts keep flowing — per-subtree degradation, not whole-run.
-	outageOnDriverLink := func(w int) int {
-		if cfg.Topology == cluster.TopologyTree && w >= 2 {
-			return -1
-		}
-		return w
-	}
-	wrap := func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn {
-		if cfg.Chaos != nil {
-			spec := *cfg.Chaos
-			spec.Seed = cfg.Chaos.Seed + int64(seedIdx)*1_000_003
-			if outageFor >= 0 {
-				spec.Outage = cfg.ChaosOutage[outageFor]
-			} else {
-				spec.Outage = cluster.OutageWindow{}
-			}
-			inner = cluster.NewChaos(inner, spec)
-		}
-		return cluster.NewCountingObserved(inner, connMet)
-	}
-	driverSide := make([]*cluster.CountingConn, cfg.Workers)
-	workerSide := make([]cluster.Conn, cfg.Workers)
-	if cfg.UseTCP {
-		l, err := cluster.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer l.Close()
-		accepted := make(chan cluster.Conn, cfg.Workers)
-		errs := make(chan error, 1)
-		go func() {
-			// Closing the channel (not just returning) lets the cleanup path
-			// below distinguish "no more conns are coming" from "one is still
-			// in flight", so it never leaks an accepted conn.
-			defer close(accepted)
-			for i := 0; i < cfg.Workers; i++ {
-				c, err := l.Accept()
-				if err != nil {
-					errs <- err
-					return
-				}
-				accepted <- c
-			}
-		}()
-		// cleanup tears down a half-built topology: closing the listener
-		// unblocks the accept goroutine, whose channel close bounds the
-		// drain loop. Without this, a mid-setup dial error leaked every
-		// already-dialed conn, every accepted-but-uncollected conn, and the
-		// accept goroutine itself.
-		cleanup := func() {
-			_ = l.Close()
-			for _, c := range workerSide {
-				if c != nil {
-					_ = c.Close()
-				}
-			}
-			for _, c := range driverSide {
-				if c != nil {
-					_ = c.Close()
-				}
-			}
-			for c := range accepted {
-				_ = c.Close()
-			}
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			c, err := cluster.DialObserved(l.Addr(), cfg.Metrics.Counter("cluster.dial_retries"))
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			workerSide[w] = c
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			c, ok := <-accepted
-			if !ok {
-				err := <-errs
-				cleanup()
-				return nil, err
-			}
-			// Note: accept order decides which chaos spec lands on which
-			// link, so chaos schedules are reproducible per link but the
-			// link↔worker pairing is not pinned over TCP; the in-memory
-			// transport pins both.
-			driverSide[w] = wrap(w, c, w)
-		}
-	} else {
-		for w := 0; w < cfg.Workers; w++ {
-			d, c := cluster.Pair(2)
-			driverSide[w] = wrap(w, d, outageOnDriverLink(w))
-			workerSide[w] = c
-		}
-	}
-	// Non-star topologies add worker↔worker aggregation links on top of the
-	// star driver links (which keep carrying broadcasts, reports, and
-	// control frames). Their chaos seeds are offset past the worker range so
-	// every link gets a distinct, reproducible fault schedule.
-	links, auxConns := buildAggLinks(&cfg, wrap, pDim)
-	defer func() {
-		for _, c := range auxConns {
-			_ = c.Close()
-		}
-		for _, c := range driverSide {
-			_ = c.Close()
-		}
-	}()
-
-	// Cancellation watcher: closing every driver-side link is what makes
-	// ctx.Done() reach the blocking receives — the memory transport closes
-	// the whole pair and TCP sends a FIN, so driver gathers and worker
-	// waits alike fail immediately instead of running out their deadlines.
-	// The watcher itself joins through watchDone before Run returns.
+	// Cancellation watcher: closing every link is what makes ctx.Done()
+	// reach the blocking receives — the memory transport closes the whole
+	// pair and TCP sends a FIN, so driver gathers, worker waits and a
+	// strict-mode tree worker blocked on a child receive (which has no
+	// deadline) alike fail immediately instead of running out their
+	// deadlines. The watcher itself joins through watchDone before Run
+	// returns.
 	if ctx.Done() != nil {
 		runDone := make(chan struct{})
 		watchDone := make(chan struct{})
@@ -756,183 +535,340 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			defer close(watchDone)
 			select {
 			case <-ctx.Done():
-				// Aggregation links close too: a strict-mode tree or ring
-				// worker blocked on a child or ring receive has no deadline,
-				// so only a closed link unblocks it.
-				for _, c := range auxConns {
-					_ = c.Close()
-				}
-				for _, c := range driverSide {
-					_ = c.Close()
-				}
+				lk.close()
 			case <-runDone:
 			}
 		}()
 		defer func() { close(runDone); <-watchDone }()
 	}
 
-	// Launch workers.
+	// Launch workers. With a CodecFactory every party gets a fresh instance
+	// — stateful codecs need per-sender ones — else all share cfg.Codec.
 	workerErrs := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		wcfg := cfg
-		wcfg.Codec = cfg.partyCodec()
+		if cfg.CodecFactory != nil {
+			wcfg.Codec = cfg.CodecFactory()
+		}
 		go func(w int, wcfg Config) {
-			workerErrs <- runWorker(wcfg, plan, w, workerSide[w], &links[w])
+			workerErrs <- runWorker(wcfg, plan, w, lk.worker[w], &lk.tree[w])
 		}(w, wcfg)
 	}
 
-	theta, opt, err := newReplica(&cfg, pDim)
-	if err != nil {
+	d := &driver{
+		cfg: &cfg, plan: plan, conns: lk.driver,
+		acc:         gradient.NewAccumulator(plan.pDim),
+		strikes:     make([]int, cfg.Workers),
+		decodeReuse: make([]gradient.Sparse, cfg.Workers),
+		bcast:       newBroadcaster(cfg.Workers),
+		tm:          newTrainerMetrics(cfg.Metrics),
+		round:       plan.startRound,
+	}
+	if d.theta, d.opt, err = newReplica(&cfg, plan.pDim); err != nil {
 		return nil, err
 	}
-	acc := gradient.NewAccumulator(pDim)
-
-	res = newResult(&cfg)
-	res.Topology = cfg.Topology.String()
-	if cfg.Topology != cluster.TopologyStar {
-		res.WorkerAggBytes = make([]int64, cfg.Workers)
+	res = &Result{
+		CodecName: cfg.Codec.Name(),
+		ModelName: cfg.Trainable.Name(),
+		Workers:   cfg.Workers,
+		Topology:  cfg.Topology.String(),
 	}
-	var cumSimSeconds float64
-	var prevUp, prevDown int64
-	driverCodecTime := make([]time.Duration, 0, cfg.Epochs)
-	tm := newTrainerMetrics(cfg.Metrics)
-	var errAcc errAccum
+	if err := d.train(ctx, res, test); err != nil {
+		return nil, err
+	}
+	if err := d.foldReports(res, workerErrs); err != nil {
+		return nil, err
+	}
+	// The final loss is the last epoch's, or, for a resume of an already
+	// complete run (zero rounds executed, no epochs recorded), a direct
+	// evaluation.
+	if n := len(res.Epochs); n > 0 {
+		res.FinalLoss, res.FinalAccuracy = res.Epochs[n-1].TestLoss, res.Epochs[n-1].Accuracy
+	} else {
+		res.FinalLoss, res.FinalAccuracy = cfg.Trainable.Evaluate(d.theta, test)
+	}
+	res.SketchError = d.errAcc.summary()
+	return res, nil
+}
+
+// links is every connection of one run. The star driver↔worker links always
+// exist: they carry star gradients and tree-root aggregates up, and
+// broadcasts, reports and control frames on every topology. A tree run adds
+// worker↔worker uplinks on top.
+type links struct {
+	driver []*cluster.CountingConn // driver's end of worker w's link: the traffic counter over the optional chaos layer
+	worker []cluster.Conn          // worker w's end of the same link
+	tree   []workerLinks           // worker w's tree uplink and child links (zero values under star)
+}
+
+// close closes every connection the run holds: the teardown, what a wiring
+// that failed part-way must not leak, and what the cancellation watcher
+// does to unblock every receive.
+func (lk *links) close() {
+	for w := range lk.tree {
+		lk.tree[w].close()
+	}
+	for w := range lk.driver {
+		if lk.driver[w] != nil {
+			_ = lk.driver[w].Close()
+		}
+		if lk.worker[w] != nil {
+			_ = lk.worker[w].Close()
+		}
+	}
+}
+
+// wireLinks builds the run's links: W star links over the in-memory
+// transport or loopback TCP, each driver end wrapped in the (optional)
+// fault-injection layer and the traffic counter, plus the tree uplinks.
+// All links share one ConnMetrics set, so the registry's cluster.* counters
+// aggregate the run's whole driver-side traffic.
+func wireLinks(ctx context.Context, cfg *Config) (*links, error) {
+	connMet := cluster.NewConnMetrics(cfg.Metrics)
+	// wrap instruments one receiving end: seedIdx picks the link's
+	// deterministic chaos schedule — it derives from Chaos.Seed and the
+	// index, so a run's fault pattern is reproducible end to end, and tree
+	// links use indexes past the worker range so every link faults
+	// independently — and outageFor names the worker whose ChaosOutage window
+	// applies to this link (negative: none).
+	wrap := func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn {
+		if cfg.Chaos != nil {
+			spec := *cfg.Chaos
+			spec.Seed = cfg.Chaos.Seed + int64(seedIdx)*1_000_003
+			spec.Outage = cluster.OutageWindow{}
+			if outageFor >= 0 {
+				spec.Outage = cfg.ChaosOutage[outageFor]
+			}
+			inner = cluster.NewChaos(inner, spec)
+		}
+		return cluster.NewCountingObserved(inner, connMet)
+	}
+	// Under a tree topology, worker w≥2's outage moves from its driver link
+	// to its tree uplink: an interior node dropping out should degrade its
+	// subtree's gather while its broadcasts keep flowing — per-subtree
+	// degradation, not whole-run.
+	wrapStar := func(w int, inner cluster.Conn) *cluster.CountingConn {
+		if cfg.Topology == cluster.TopologyTree && w >= 2 {
+			return wrap(w, inner, -1)
+		}
+		return wrap(w, inner, w)
+	}
+	lk := &links{
+		driver: make([]*cluster.CountingConn, cfg.Workers),
+		worker: make([]cluster.Conn, cfg.Workers),
+		tree:   make([]workerLinks, cfg.Workers),
+	}
+	if cfg.UseTCP {
+		l, err := cluster.Listen("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer l.Close()
+		if err := lk.wireTCP(ctx, l, cfg.Metrics.Counter("cluster.dial_retries"), wrapStar); err != nil {
+			return nil, err
+		}
+	} else {
+		for w := range lk.driver {
+			d, c := cluster.Pair(2)
+			lk.driver[w], lk.worker[w] = wrapStar(w, d), c
+		}
+	}
+	lk.wireTree(cfg, wrap)
+	return lk, nil
+}
+
+// wireTCP opens the W star links through l, dialing then accepting one
+// connection at a time on the calling goroutine: with a single connection
+// pending, the w-th accept is worker w's, so link w — its chaos schedule,
+// ChaosOutage[w], strikes[w] and "worker w" in errors — is worker w's link
+// over TCP exactly as over the in-memory transport. On failure every
+// connection opened so far is closed.
+func (lk *links) wireTCP(ctx context.Context, l *cluster.Listener, retries *obs.Counter, wrap func(w int, inner cluster.Conn) *cluster.CountingConn) error {
+	for w := range lk.driver {
+		c, err := cluster.DialContextObserved(ctx, l.Addr(), retries)
+		if err == nil {
+			lk.worker[w] = c
+			c, err = l.Accept()
+		}
+		if err != nil {
+			lk.close()
+			return err
+		}
+		lk.driver[w] = wrap(w, c)
+	}
+	return nil
+}
+
+// driver is the driver's state across the rounds of one run.
+type driver struct {
+	cfg   *Config
+	plan  *runPlan
+	conns []*cluster.CountingConn // links.driver
+
+	theta []float64
+	opt   optim.Optimizer
+	acc   *gradient.Accumulator
 	// strikes[w] counts worker w's consecutive missed rounds (tolerant mode
 	// only); any round with its gradient present resets it.
-	strikes := make([]int, cfg.Workers)
-	// decodeReuse[w] is worker w's persistent decode target (see
-	// gatherRound); aggScratch is the driver replica's. Allocated once, so
-	// every round after the first decodes into warm buffers.
-	decodeReuse := make([]gradient.Sparse, cfg.Workers)
-	var aggScratch gradient.Sparse
-	bcast := newBroadcaster(cfg.Workers)
+	strikes []int
+	// decodeReuse[w] is link w's persistent decode target (see gatherRound);
+	// applied is the driver replica's. Allocated once, so every round after
+	// the first decodes into warm buffers.
+	decodeReuse []gradient.Sparse
+	applied     gradient.Sparse
+	bcast       *broadcaster
+	tm          trainerMetrics
+	errAcc      errAccum
+
+	round    int   // global round counter: rounds completed, resumed ones included
+	draining bool  // Config.Drain fired: stop at this round boundary
+	up, down int64 // the links' byte totals at the last epoch boundary
+}
+
+// runRound is one bulk-synchronous round on the driver: gather and sum the
+// worker gradients, encode and broadcast the aggregate, apply the decoded
+// broadcast to the driver replica, and meter both halves into es.
+func (d *driver) runRound(es *EpochStats) error {
+	cfg := d.cfg
+	// Gather worker gradients. Receives and decodes run concurrently across
+	// links (Decode is stateless on every codec, including ErrorFeedback,
+	// whose residual lives on the encode side); the accumulator adds stay
+	// sequential in link order so float summation is deterministic.
+	// DecodeTime sums the per-goroutine decode durations rather than the
+	// gather's wall time.
+	tGather := time.Now()
+	if err := gatherRound(*cfg, d.round, d.conns, d.strikes, d.decodeReuse, d.acc, es, &es.DecodeTime); err != nil {
+		return err
+	}
+	agg := d.acc.Sum()
+	gatherDur := time.Since(tGather)
+	es.GatherTime += gatherDur
+	d.tm.gatherNs.Observe(gatherDur.Nanoseconds())
+
+	// Broadcast the aggregate, round-tagged. Every worker gets the
+	// broadcast — including ones that just missed the round — because the
+	// round tag is how a lagging worker discovers where the driver is and
+	// rejoins. In tolerant mode a dead link must not kill the round (the
+	// strike ledger handles persistent absence).
+	tBcast := time.Now()
+	msg, err := cfg.Codec.Encode(agg)
+	es.EncodeTime += time.Since(tBcast)
+	if err != nil {
+		return fmt.Errorf("trainer: encode aggregate: %w", err)
+	}
+	if err := d.bcast.broadcast(d.conns, d.round, msg, cfg.tolerant()); err != nil {
+		return err
+	}
+
+	// The driver replica applies the same decoded update the workers will
+	// see, keeping every replica identical.
+	t0 := time.Now()
+	applied, err := codec.DecodeReuse(cfg.Codec, msg, &d.applied)
+	es.DecodeTime += time.Since(t0)
+	if err != nil {
+		return err
+	}
+	if err := d.opt.Step(d.theta, applied); err != nil {
+		return err
+	}
+	es.RawDownBytes += rawWireBytes(agg)
+	bcastDur := time.Since(tBcast)
+	es.BroadcastTime += bcastDur
+	d.tm.broadcastNs.Observe(bcastDur.Nanoseconds())
+	if cfg.Metrics != nil {
+		// The decoded broadcast vs. the exact aggregate is the approximation
+		// error every replica actually applies. It is an instrument, so it
+		// runs once the broadcast's clock has stopped; agg and applied stay
+		// valid until the next gather.
+		d.errAcc.observe(agg, applied)
+	}
+	d.round++
+	es.Rounds++
+	return nil
+}
+
+// runEpoch runs the rounds from d.round to the end of its epoch, or to a
+// drain, and returns their stats: the timed part of an epoch, which the
+// "epoch" span and WallTime cover.
+func (d *driver) runEpoch(ctx context.Context) (EpochStats, error) {
+	es := EpochStats{Epoch: d.round / d.plan.roundsPerEpoch}
+	end := (es.Epoch + 1) * d.plan.roundsPerEpoch
+	start := time.Now()
+	// Deferred: the epoch a failing round cuts short is the one a
+	// post-mortem wants in the span ring.
+	defer d.cfg.Metrics.StartSpan("epoch").End()
+	for d.round < end && !d.draining {
+		if err := ctx.Err(); err != nil {
+			return es, err
+		}
+		if err := d.runRound(&es); err != nil {
+			return es, err
+		}
+		// Drain is checked once the round in flight has fully closed (its
+		// broadcast is out and applied), so the checkpoint that follows lands
+		// exactly on a round boundary.
+		if drainRequested(d.cfg.Drain) {
+			d.draining = true
+		}
+	}
+	var up, down int64
+	for _, c := range d.conns {
+		s := c.Stats()
+		up += s.BytesRecv
+		down += s.BytesSent
+	}
+	es.UpBytes = up - d.up
+	es.DownBytes = (down - d.down) / int64(d.cfg.Workers)
+	d.up, d.down = up, down
+	es.WallTime = time.Since(start)
+	d.tm.foldEpoch(&es)
+	return es, nil
+}
+
+// train walks the global round counter from the plan's start round to the
+// end of the run or a drain, an epoch at a time, so a resumed run can enter
+// mid-epoch and a drain can leave mid-epoch: the first and last entries of
+// res.Epochs then cover only the rounds actually executed (EpochStats.Rounds
+// says how many). After each epoch's rounds it evaluates the model and
+// checkpoints; at the end it tells the workers of a drain.
+func (d *driver) train(ctx context.Context, res *Result, test *dataset.Dataset) error {
+	cfg, rpe := d.cfg, d.plan.roundsPerEpoch
 	var memBefore runtime.MemStats
 	if cfg.Metrics != nil {
 		runtime.ReadMemStats(&memBefore)
 	}
-
-	// The epoch loop is a flat walk of the global round counter so a
-	// resumed run can enter mid-epoch and a drain can leave mid-epoch: the
-	// first and last epoch entries then cover only the rounds actually
-	// executed (EpochStats.Rounds says how many).
-	globalRound := plan.startRound
-	stopRequested := false
-	for globalRound < totalRounds && !stopRequested {
-		epoch := globalRound / roundsPerEpoch
-		epochEnd := (epoch + 1) * roundsPerEpoch
-		var es EpochStats
-		es.Epoch = epoch
-		epochStart := time.Now()
-		spEpoch := cfg.Metrics.StartSpan("epoch")
-		var driverDecode, driverEncode time.Duration
-
-		for globalRound < epochEnd && !stopRequested {
-			if err := ctx.Err(); err != nil {
-				spEpoch.End()
-				return nil, err
-			}
-			// Gather worker gradients. Receives and decodes run concurrently
-			// across workers (Decode is stateless on every codec, including
-			// ErrorFeedback, whose residual lives on the encode side); the
-			// accumulator adds stay sequential in worker order so float
-			// summation is deterministic. DecodeTime sums the per-goroutine
-			// decode durations rather than the gather's wall time.
-			tGather := time.Now()
-			if err := gatherRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode); err != nil {
-				return nil, err
-			}
-			agg := acc.Sum()
-			gatherDur := time.Since(tGather)
-			es.GatherTime += gatherDur
-			tm.gatherNs.Observe(gatherDur.Nanoseconds())
-
-			// Broadcast the aggregate, round-tagged. Every worker gets the
-			// broadcast — including ones that just missed the round — because
-			// the round tag is how a lagging worker discovers where the
-			// driver is and rejoins. In tolerant mode a dead link must not
-			// kill the round (the strike ledger handles persistent absence).
-			tBcast := time.Now()
-			t0 := tBcast
-			msg, err := cfg.Codec.Encode(agg)
-			driverEncode += time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("trainer: encode aggregate: %w", err)
-			}
-			if err := bcast.broadcast(driverSide, globalRound, msg, cfg.tolerant()); err != nil {
-				return nil, err
-			}
-
-			// The driver replica applies the same decoded update the
-			// workers will see, keeping every replica identical.
-			t0 = time.Now()
-			applied, err := codec.DecodeReuse(cfg.Codec, msg, &aggScratch)
-			driverDecode += time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			if err := opt.Step(theta, applied); err != nil {
-				return nil, err
-			}
-			es.RawDownBytes += rawWireBytes(agg)
-			bcastDur := time.Since(tBcast)
-			es.BroadcastTime += bcastDur
-			tm.broadcastNs.Observe(bcastDur.Nanoseconds())
-			if cfg.Metrics != nil {
-				// The decoded broadcast vs. the exact aggregate is the
-				// approximation error every replica actually applies. It is
-				// an instrument, so it runs once the broadcast's clock has
-				// stopped; agg and applied stay valid until the next gather.
-				errAcc.observe(agg, applied)
-			}
-
-			globalRound++
-			es.Rounds++
-			// Drain is checked once the round in flight has fully closed
-			// (its broadcast is out and applied), so the checkpoint below
-			// lands exactly on a round boundary.
-			if drainRequested(cfg.Drain) {
-				stopRequested = true
-			}
+	for d.round < d.plan.totalRounds && !d.draining {
+		es, err := d.runEpoch(ctx)
+		if err != nil {
+			return err
 		}
-
-		// Epoch boundary: collect traffic deltas.
-		var up, down int64
-		for _, c := range driverSide {
-			s := c.Stats()
-			up += s.BytesRecv
-			down += s.BytesSent
-		}
-		es.UpBytes = up - prevUp
-		es.DownBytes = (down - prevDown) / int64(cfg.Workers)
-		prevUp, prevDown = up, down
-		spEpoch.End()
-		es.WallTime = time.Since(epochStart)
-		es.EncodeTime = driverEncode
-		es.DecodeTime = driverDecode
-		driverCodecTime = append(driverCodecTime, driverEncode+driverDecode)
-		tm.foldEpoch(&es)
-
-		// Evaluation (excluded from epoch timing, as the paper excludes
-		// non-training phases).
-		es.TestLoss, es.Accuracy = cfg.Trainable.Evaluate(theta, test)
+		// Evaluation is excluded from epoch timing, as the paper excludes
+		// non-training phases.
+		es.TestLoss, es.Accuracy = cfg.Trainable.Evaluate(d.theta, test)
 		res.Epochs = append(res.Epochs, es)
 
-		if err := plan.checkpoint(&cfg, globalRound, stopRequested, theta, opt); err != nil {
-			return nil, err
+		// A snapshot is due at every CheckpointEvery-th epoch boundary, and
+		// unconditionally when a drain stops the run here — that final one is
+		// what lets the job resume instead of restarting.
+		due := d.round%rpe == 0 && (d.round/rpe)%cfg.CheckpointEvery == 0
+		if cfg.OnCheckpoint != nil && (d.draining || due) {
+			if err := cfg.OnCheckpoint(captureCheckpoint(cfg, d.round, rpe, d.theta, d.opt)); err != nil {
+				return fmt.Errorf("trainer: checkpoint: %w", err)
+			}
 		}
 	}
-	res.CompletedRounds = globalRound
+	res.CompletedRounds = d.round
 
-	// A drain that stopped short of the full run tells every worker to
-	// stop through a stop frame: each worker finishes its in-flight step,
-	// files its end-of-run report, and exits. Send errors are deliberately
-	// ignored — a dead link's worker is past reaching, and the report
-	// collection below accounts for it.
-	if stopRequested && globalRound < totalRounds {
+	// A drain that stopped short of the full run tells every worker to stop
+	// through a stop frame: each worker finishes its in-flight step, files
+	// its end-of-run report, and exits. Send errors are deliberately ignored
+	// — a dead link's worker is past reaching, and the report collection
+	// accounts for it.
+	if d.draining && d.round < d.plan.totalRounds {
 		res.Drained = true
-		stopFrame := appendFrame(make([]byte, 0, frameHeaderLen), frameStop, globalRound, nil)
-		for w := range driverSide {
-			_ = driverSide[w].Send(stopFrame)
+		stopFrame := appendFrame(make([]byte, 0, frameHeaderLen), frameStop, d.round, nil)
+		for _, c := range d.conns {
+			_ = c.Send(stopFrame)
 		}
 	}
 	if cfg.Metrics != nil {
@@ -942,36 +878,42 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		// snapshots, not just in microbenchmarks.
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		tm.heapAllocs.Add(int64(memAfter.Mallocs - memBefore.Mallocs))
+		d.tm.heapAllocs.Add(int64(memAfter.Mallocs - memBefore.Mallocs))
 	}
+	return nil
+}
 
-	// Collect worker reports: one final frameReport per worker. In tolerant
-	// mode each collection is bounded by the round deadline and a lost
-	// report degrades the stats instead of failing the run; stale gradient
-	// frames still queued from degraded rounds are skimmed off first.
-	var totalCompute, totalWorkerEncode, totalWorkerDecode, totalMerge time.Duration
-	var totalMerges int64
-	var lossSum float64
-	var lossRounds int64
+// foldReports closes the run's books. It collects one end-of-run report and
+// one exit status per worker — in tolerant mode, and after a drain, a lost
+// report or a failed worker degrades the stats instead of failing the run —
+// then spreads the worker-side totals uniformly over the epochs and derives
+// each epoch's simulated time and the loss curve.
+func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
+	cfg := d.cfg
+	forgiving := cfg.tolerant() || res.Drained
+	if cfg.Topology != cluster.TopologyStar {
+		res.WorkerAggBytes = make([]int64, cfg.Workers)
+	}
+	var total workerReport
 	for w := 0; w < cfg.Workers; w++ {
-		rep, err := collectReport(cfg, driverSide[w], w, totalRounds, res.Drained)
+		rep, err := collectReport(*cfg, d.conns[w], w, d.plan.totalRounds, res.Drained)
 		if err != nil {
-			if !cfg.tolerant() && !res.Drained {
-				return nil, err
+			if !forgiving {
+				return err
 			}
 			res.LostReports++
 			continue
 		}
-		totalCompute += time.Duration(rep.computeNs)
-		totalWorkerEncode += time.Duration(rep.encodeNs)
-		totalWorkerDecode += time.Duration(rep.decodeNs)
-		lossSum += rep.lossSum
-		lossRounds += rep.rounds
+		total.computeNs += rep.computeNs
+		total.encodeNs += rep.encodeNs
+		total.decodeNs += rep.decodeNs
+		total.lossSum += rep.lossSum
+		total.rounds += rep.rounds
+		total.mergeNs += rep.mergeNs
+		total.merges += rep.merges
 		res.WorkerTimeouts += rep.timeouts
 		res.WorkerCorruptFrames += rep.corrupt
 		res.WorkerSkippedSteps += rep.skippedSteps
-		totalMerge += time.Duration(rep.mergeNs)
-		totalMerges += rep.merges
 		if rep.merges > 0 || rep.aggBytes > 0 {
 			if lvl := aggLevel(cfg.Topology, w); lvl >= 0 {
 				for len(res.LevelMergeNs) <= lvl {
@@ -986,32 +928,35 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		if err := <-workerErrs; err != nil {
-			if !cfg.tolerant() && !res.Drained {
-				return nil, err
+			if !forgiving {
+				return err
 			}
 			res.WorkerFailures++
 		}
 	}
 
-	// Distribute worker-side totals uniformly across epochs and finalize
-	// simulated times. A resume of an already complete run executes zero
-	// rounds and records no epochs; its final loss is evaluated directly.
-	nEpochs := len(res.Epochs)
+	// A resume of an already complete run executes zero rounds and records
+	// no epochs; there is nothing to spread.
+	n := len(res.Epochs)
 	meanLoss := 0.0
-	if lossRounds > 0 {
-		meanLoss = lossSum / float64(lossRounds)
+	if total.rounds > 0 {
+		meanLoss = total.lossSum / float64(total.rounds)
 	}
+	cumSimSeconds := 0.0
 	for i := range res.Epochs {
 		es := &res.Epochs[i]
-		es.ComputeTime = totalCompute / time.Duration(nEpochs)
-		es.EncodeTime += totalWorkerEncode / time.Duration(nEpochs)
-		es.DecodeTime += totalWorkerDecode / time.Duration(nEpochs)
-		es.MergeTime = totalMerge / time.Duration(nEpochs)
-		es.Merges = totalMerges / int64(nEpochs)
+		driverCodec := es.EncodeTime + es.DecodeTime
+		workerEncode := time.Duration(total.encodeNs / int64(n))
+		workerDecode := time.Duration(total.decodeNs / int64(n))
+		es.ComputeTime = time.Duration(total.computeNs / int64(n))
+		es.EncodeTime += workerEncode
+		es.DecodeTime += workerDecode
+		es.MergeTime = time.Duration(total.mergeNs / int64(n))
+		es.Merges = total.merges / int64(n)
 		if i == 0 {
 			// The first epoch absorbs the integer-division remainder so the
 			// per-epoch counts still sum to the run total.
-			es.Merges += totalMerges % int64(nEpochs)
+			es.Merges += total.merges % int64(n)
 		}
 		es.TrainLoss = meanLoss
 
@@ -1020,20 +965,16 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		// network round time comes from the cost model with the measured
 		// per-round traffic.
 		scaledCompute := time.Duration(float64(es.ComputeTime) * cfg.ComputeScale)
-		workerTime := (scaledCompute +
-			totalWorkerEncode/time.Duration(nEpochs) +
-			totalWorkerDecode/time.Duration(nEpochs)) / time.Duration(cfg.Workers)
+		workerTime := (scaledCompute + workerEncode + workerDecode) / time.Duration(cfg.Workers)
 		perRoundUp := es.UpBytes / int64(es.Rounds)
 		perRoundDown := es.DownBytes / int64(es.Rounds)
 		network := cfg.Network.RoundTime(perRoundUp, perRoundDown, cfg.Workers) * time.Duration(es.Rounds)
-		es.SimTime = workerTime + driverCodecTime[i] + network
+		es.SimTime = workerTime + driverCodec + network
 
 		cumSimSeconds += es.SimTime.Seconds()
 		res.Curve = append(res.Curve, CurvePoint{Seconds: cumSimSeconds, Loss: es.TestLoss})
 	}
-	res.finish(&cfg, theta, test)
-	res.SketchError = errAcc.summary()
-	return res, nil
+	return nil
 }
 
 // frameWant names the one frame a receive is waiting for.
@@ -1041,7 +982,6 @@ type frameWant struct {
 	from  int  // sending worker, for error attribution
 	kind  byte // frameGrad, frameAgg or frameReport
 	round int
-	chunk int // frameAgg key-range index (0 outside a ring reduce)
 }
 
 // frameRecv is the outcome of one recvFrame call: the wanted frame, or a
@@ -1059,19 +999,18 @@ type frameRecv struct {
 }
 
 // recvFrame is the one frame-receive loop: the driver's gather, the tree
-// and ring workers' aggregation-link receives and the end-of-run report
-// collection all wait through it. It returns the first frame on conn that
+// workers' child-link receives and the end-of-run report collection all
+// wait through it. It returns the first frame on conn that
 // matches want, checksum-valid, with an aggregate count within
 // [1, cfg.Workers] and, when dst is given, decodable into it.
 //
 // budget == 0 is strict mode: the receive blocks until a frame arrives and
-// any anomaly (dead link, bad envelope, wrong kind, round or chunk,
-// out-of-range count, failed decode) is the returned err. budget > 0 is
-// tolerant mode: anomalous frames are counted (corrupt: envelope, count,
-// report size or decode; stale: a valid frame for another kind, round or
-// chunk; collectReport drops both tallies, frames queued ahead of a report
-// are expected), discarded,
-// and the wait continues on what is left of the budget. An expired budget
+// any anomaly (dead link, bad envelope, wrong kind or round, out-of-range
+// count, failed decode) is the returned err. budget > 0 is tolerant mode:
+// anomalous frames are counted (corrupt: envelope, count, report size or
+// decode; stale: a valid frame for another kind or round; collectReport
+// drops both tallies, frames queued ahead of a report are expected),
+// discarded, and the wait continues on what is left of the budget. An expired budget
 // counts one timeout and is a miss; a dead link is a miss and counts nothing
 // (the strike ledger, not the timeout tally, tracks persistent absence).
 //
@@ -1106,11 +1045,11 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 		}
 		out.bytes += int64(len(msg))
 		kind, tag, payload, err := parseFrame(msg)
-		count, chunk := 1, 0
+		count := 1
 		switch {
 		case err != nil:
 		case kind == frameAgg:
-			count, chunk, payload, err = parseAggFrame(payload)
+			count, payload, err = parseAggFrame(payload)
 			if err == nil && count > cfg.Workers {
 				err = fmt.Errorf("trainer: aggregate frame sums %d gradients, run has %d workers", count, cfg.Workers)
 			}
@@ -1125,10 +1064,10 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 			out.corrupt++
 			continue
 		}
-		if kind != want.kind || tag != want.round || chunk != want.chunk {
+		if kind != want.kind || tag != want.round {
 			if strict {
-				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d chunk %d while kind 0x%02x round %d chunk %d was due",
-					want.from, kind, tag, chunk, want.kind, want.round, want.chunk)
+				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d while kind 0x%02x round %d was due",
+					want.from, kind, tag, want.kind, want.round)
 				return out
 			}
 			out.stale++
@@ -1172,33 +1111,19 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 	return g, ns, err
 }
 
-// gatherWant is the frame the driver's gather expects on driver link w.
-func gatherWant(cfg *Config, w, round int) frameWant {
-	switch cfg.Topology {
-	case cluster.TopologyTree:
-		return frameWant{w, frameAgg, round, 0}
-	case cluster.TopologyRing:
-		return frameWant{w, frameAgg, round, (w + 1) % cfg.Workers}
-	}
-	return frameWant{w, frameGrad, round, 0}
-}
-
 // gatherRound is the driver's gather for every topology: receive and decode
 // one message per listened driver link for the given round, tally what the
 // waits saw, check quorum, keep the strike ledger, and fold the arrivals
 // into acc at weights that keep the aggregate the unbiased mean of the
-// worker gradients that made it. cfg.Topology decides three things only:
+// worker gradients that made it. cfg.Topology decides only which links are
+// listened on and which frame is due on them:
 //
 //   - star listens on all W links for a frameGrad (a message of count 1);
-//   - tree listens on the min(W, 2) root links for a frameAgg, chunk 0;
-//   - ring listens on all W links for a frameAgg, link w delivering the
-//     fully reduced chunk (w+1) mod W.
+//   - tree listens on the min(W, 2) root links for a frameAgg.
 //
-// and one of two weighting rules. Star and tree messages cover disjoint
-// worker sets, so every message is weighted 1/total contributors and quorum
-// and SkippedGrads count contributors (the sum rule). Ring messages cover
-// disjoint key ranges, so each is weighted 1/its own count and quorum and
-// SkippedGrads count arrived chunks (the chunk rule).
+// Either way the messages cover disjoint worker sets, so there is one sum
+// rule: every message is weighted 1/total contributors, and quorum and
+// SkippedGrads count contributors.
 //
 // With more than one link the receive+decode pairs run on one goroutine per
 // link; a single link keeps the plain serial path. The decode meter sums
@@ -1211,16 +1136,15 @@ func gatherWant(cfg *Config, w, round int) frameWant {
 // Strict mode (RoundDeadline == 0) requires every worker gradient and any
 // fault aborts. Tolerant mode aggregates whatever arrived by the deadline
 // and aborts only on quorum loss (fewer than ceil(MinGatherFraction·W)
-// contributors or chunks) or when one link reaches MaxStrikes consecutive
-// misses.
+// contributors) or when one link reaches MaxStrikes consecutive misses.
 func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	links, chunked := cfg.Workers, cfg.Topology == cluster.TopologyRing
+	links, kind := cfg.Workers, frameGrad
 	if cfg.Topology == cluster.TopologyTree {
-		links = min(cfg.Workers, 2)
+		links, kind = min(cfg.Workers, 2), frameAgg
 	}
 	outs := make([]frameRecv, links)
 	if links == 1 {
-		outs[0] = recvFrame(&cfg, driverSide[0], gatherWant(&cfg, 0, round), cfg.RoundDeadline, &reuse[0])
+		outs[0] = recvFrame(&cfg, driverSide[0], frameWant{0, kind, round}, cfg.RoundDeadline, &reuse[0])
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(links)
@@ -1230,14 +1154,13 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 			// moved to the heap by reference once per round.
 			go func(w int, cfg Config) {
 				defer wg.Done()
-				outs[w] = recvFrame(&cfg, driverSide[w], gatherWant(&cfg, w, round), cfg.RoundDeadline, &reuse[w])
+				outs[w] = recvFrame(&cfg, driverSide[w], frameWant{w, kind, round}, cfg.RoundDeadline, &reuse[w])
 			}(w, cfg)
 		}
 		wg.Wait()
 	}
-	// total sums the contributors over the arrivals; partial marks a ring
-	// chunk whose reduction missed workers.
-	arrived, total, partial := 0, 0, false
+	// total sums the contributors over the arrivals.
+	total := 0
 	for w := range outs {
 		o := &outs[w]
 		*driverDecode += time.Duration(o.decodeNs)
@@ -1247,42 +1170,31 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 		if o.g == nil {
 			continue
 		}
-		arrived++
 		total += o.count
 		es.RawUpBytes += rawWireBytes(o.g)
 		es.DecodedBytes += int64(len(o.payload))
-		if chunked && o.count != cfg.Workers {
-			partial = true
-		}
 	}
-	// have is what arrived in the weighting rule's quorum unit; complete
-	// says no worker gradient is missing from any key range.
-	have, unit := total, "gradients"
-	if chunked {
-		have, unit = arrived, "chunks"
-	}
-	complete := have == cfg.Workers && !partial
 	if !cfg.tolerant() {
 		for w := range outs {
 			if outs[w].err != nil {
 				return outs[w].err
 			}
 		}
-		if !complete {
-			return fmt.Errorf("trainer: strict %s gather: round %d did not sum all %d worker gradients (%d %s arrived)",
-				cfg.Topology, round, cfg.Workers, have, unit)
+		if total != cfg.Workers {
+			return fmt.Errorf("trainer: strict %s gather: round %d did not sum all %d worker gradients (%d gradients arrived)",
+				cfg.Topology, round, cfg.Workers, total)
 		}
 	}
-	if have > cfg.Workers {
+	if total > cfg.Workers {
 		// Two in-range tree counts can still sum past W. No link fault
 		// explains that, so it aborts rather than skew the round's weights.
-		return fmt.Errorf("trainer: round %d: %s gather summed %d gradients from %d workers", round, cfg.Topology, have, cfg.Workers)
+		return fmt.Errorf("trainer: round %d: %s gather summed %d gradients from %d workers", round, cfg.Topology, total, cfg.Workers)
 	}
 	if cfg.tolerant() {
 		quorum := max(int(math.Ceil(cfg.MinGatherFraction*float64(cfg.Workers))), 1)
-		if have < quorum {
-			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d %s arrived (need %d)",
-				round, have, cfg.Workers, unit, quorum)
+		if total < quorum {
+			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients arrived (need %d)",
+				round, total, cfg.Workers, quorum)
 		}
 		for w := range outs {
 			if outs[w].g != nil {
@@ -1296,22 +1208,16 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 					w, strikes[w], round)
 			}
 		}
-		es.SkippedGrads += cfg.Workers - have
-		if !complete {
+		es.SkippedGrads += cfg.Workers - total
+		if total != cfg.Workers {
 			es.DegradedRounds++
 		}
 	}
 	for w := range outs {
-		o := &outs[w]
-		if o.g == nil {
-			continue
-		}
-		weight := 1.0 / float64(total)
-		if chunked {
-			weight = 1.0 / float64(o.count)
-		}
-		if err := acc.Add(o.g, weight); err != nil {
-			return err
+		if o := &outs[w]; o.g != nil {
+			if err := acc.Add(o.g, 1.0/float64(total)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -1387,7 +1293,7 @@ func collectReport(cfg Config, conn cluster.Conn, w, totalRounds int, drained bo
 	if budget <= 0 && drained {
 		budget = drainReportBudget
 	}
-	r := recvFrame(&cfg, conn, frameWant{w, frameReport, totalRounds, 0}, budget, nil)
+	r := recvFrame(&cfg, conn, frameWant{w, frameReport, totalRounds}, budget, nil)
 	if r.err != nil {
 		return workerReport{}, r.err
 	}
@@ -1399,17 +1305,24 @@ func collectReport(cfg Config, conn cluster.Conn, w, totalRounds int, drained bo
 
 func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *workerLinks) error {
 	defer func() { _ = conn.Close() }()
-	// Closing the aggregation links on exit is what unblocks a strict-mode
-	// peer still receiving on the shared pair.
+	// Closing the tree links on exit is what unblocks a strict-mode peer
+	// still receiving on the shared pair.
 	defer links.close()
 	theta, opt, err := newReplica(&cfg, plan.pDim)
 	if err != nil {
 		return err
 	}
-	batcher := plan.batcher(&cfg, w)
 	startRound, totalRounds := plan.startRound, plan.totalRounds
-	var rep workerReport
+	// The batcher is deterministic and fast-forwards past the rounds a
+	// resumed run already executed: the shuffle sequence depends only on the
+	// seed, so replaying the draws (without computing gradients) puts the
+	// batch stream exactly where the interrupted run left it.
+	batcher := dataset.NewBatcher(plan.shards[w], plan.localBatch, cfg.Seed+int64(w)*7919)
 	var buf []*dataset.Instance
+	for r := 0; r < startRound; r++ {
+		buf = batcher.Next(buf)
+	}
+	var rep workerReport
 	// sendBuf and aggScratch are the worker's reusable frame and decode
 	// buffers: after warm-up the steady-state round neither allocates the
 	// outbound envelope nor a fresh aggregate (every transport is done with
@@ -1429,16 +1342,11 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 		rep.lossSum += loss
 		rep.rounds++
 
-		switch links.topo {
-		case cluster.TopologyTree:
+		if cfg.Topology == cluster.TopologyTree {
 			if err := treeGatherStep(cfg, links, conn, g, round, &rep); err != nil {
 				return err
 			}
-		case cluster.TopologyRing:
-			if err := ringReduceStep(cfg, links, conn, g, round, &rep); err != nil {
-				return err
-			}
-		default:
+		} else {
 			t0 = time.Now()
 			msg, err := cfg.Codec.Encode(g)
 			rep.encodeNs += time.Since(t0).Nanoseconds()
@@ -1530,21 +1438,15 @@ type paramsInitializer interface {
 	InitTheta(theta []float64)
 }
 
-// newParams allocates and initializes one replica's parameter vector.
-func newParams(cfg *Config, pDim uint64) []float64 {
-	theta := make([]float64, pDim)
-	if init, ok := cfg.Trainable.(paramsInitializer); ok {
-		init.InitTheta(theta)
-	}
-	return theta
-}
-
 // newReplica builds one replica's parameters and optimizer. The parameter
 // space may exceed the feature space (factorization machines); every
 // replica sizes and initializes its vector identically. On resume,
 // parameters and optimizer state load from the checkpoint bit-exactly.
 func newReplica(cfg *Config, pDim uint64) ([]float64, optim.Optimizer, error) {
-	theta := newParams(cfg, pDim)
+	theta := make([]float64, pDim)
+	if init, ok := cfg.Trainable.(paramsInitializer); ok {
+		init.InitTheta(theta)
+	}
 	opt := cfg.Optimizer(pDim)
 	if cfg.Resume != nil {
 		copy(theta, cfg.Resume.Theta)

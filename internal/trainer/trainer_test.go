@@ -1,9 +1,14 @@
 package trainer
 
 import (
+	"context"
+	"errors"
 	"math"
+	"net"
 	"testing"
+	"time"
 
+	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/model"
@@ -129,6 +134,79 @@ func TestTCPTransportMatchesInMemory(t *testing.T) {
 	if mem.Epochs[0].UpBytes != tcp.Epochs[0].UpBytes {
 		t.Errorf("TCP traffic %d != in-memory %d",
 			tcp.Epochs[0].UpBytes, mem.Epochs[0].UpBytes)
+	}
+}
+
+// newTCPLinks is the unwired links value and listener wireTCP works on.
+func newTCPLinks(t *testing.T, workers int) (*links, *cluster.Listener) {
+	t.Helper()
+	l, err := cluster.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	return &links{driver: make([]*cluster.CountingConn, workers), worker: make([]cluster.Conn, workers)}, l
+}
+
+// TestWireTCPPinsLinkToWorker: over TCP, as over the in-memory transport,
+// driver end w is worker w's link — what per-worker chaos schedules,
+// ChaosOutage[w], strikes[w] and "worker w" in errors all assume. Collecting
+// the accepts after all W dials, as the wiring used to, paired them in
+// accept order.
+func TestWireTCPPinsLinkToWorker(t *testing.T) {
+	const workers = 8
+	for rep := 0; rep < 20; rep++ {
+		lk, l := newTCPLinks(t, workers)
+		err := lk.wireTCP(context.Background(), l, nil, func(_ int, c cluster.Conn) *cluster.CountingConn { return cluster.NewCounting(c) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range lk.worker {
+			if err := lk.worker[w].Send([]byte{byte(w)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for w := range lk.driver {
+			msg, err := cluster.RecvWithTimeout(lk.driver[w], 5*time.Second)
+			if err != nil {
+				t.Fatalf("rep %d: driver end %d: %v", rep, w, err)
+			}
+			if len(msg) != 1 || int(msg[0]) != w {
+				t.Fatalf("rep %d: driver end %d received worker %v's frame", rep, w, msg)
+			}
+		}
+		lk.close()
+	}
+}
+
+// TestWireTCPFailureClosesWhatItOpened: a wiring that fails part-way (the
+// listener goes away after k connections) returns the error and leaves no
+// connection open on either side.
+func TestWireTCPFailureClosesWhatItOpened(t *testing.T) {
+	const workers, k = 8, 3
+	lk, l := newTCPLinks(t, workers)
+	var opened []cluster.Conn
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	err := lk.wireTCP(ctx, l, nil, func(w int, c cluster.Conn) *cluster.CountingConn {
+		opened = append(opened, c, lk.worker[w])
+		if w == k-1 {
+			_ = l.Close()
+		}
+		return cluster.NewCounting(c)
+	})
+	if err == nil {
+		t.Fatal("wiring succeeded through a closed listener")
+	}
+	if len(opened) != 2*k {
+		t.Fatalf("wiring opened %d connection ends before failing, want %d", len(opened), 2*k)
+	}
+	for i, c := range opened {
+		// Only an end closed locally refuses a send outright; one whose peer
+		// alone was closed would still accept the write.
+		if err := c.Send([]byte{1}); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("connection end %d left open after the failed wiring (send: %v)", i, err)
+		}
 	}
 }
 
@@ -304,31 +382,5 @@ func TestTrainableFMThroughCodec(t *testing.T) {
 	}
 	if res.Epochs[0].TestLoss <= res.FinalLoss {
 		t.Error("FM loss did not decrease")
-	}
-}
-
-func TestTrainablePSWithFM(t *testing.T) {
-	d, err := dataset.Generate(dataset.SyntheticConfig{
-		N: 400, Dim: 300, AvgNNZ: 6, Task: dataset.Classification,
-		NoiseStd: 0.3, Seed: 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := d.Split(0.75, 1)
-	res, err := RunPS(Config{
-		Trainable: model.FM{Factors: 2, Seed: 4},
-		Codec:     &codec.Raw{},
-		Optimizer: adamFactory(0.05),
-		Workers:   2,
-		Epochs:    3,
-		Lambda:    0.001,
-		Seed:      3,
-	}, 3, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.55 {
-		t.Errorf("FM-over-PS accuracy %.2f", res.FinalAccuracy)
 	}
 }

@@ -166,18 +166,17 @@ type OutageWindow = cluster.OutageWindow
 
 // Topology selects the gather aggregation shape of a driver run (set
 // TrainConfig.Topology): star decodes every worker's message at the driver,
-// tree and ring merge encoded messages wire-to-wire on their way there.
-// tree/ring require a mergeable codec (codec.Merger — SketchML and Raw).
+// tree merges encoded messages wire-to-wire on their way there and requires
+// a mergeable codec (codec.Merger — SketchML and Raw).
 type Topology = cluster.Topology
 
 // Gather topology values for TrainConfig.Topology.
 const (
 	TopologyStar = cluster.TopologyStar
 	TopologyTree = cluster.TopologyTree
-	TopologyRing = cluster.TopologyRing
 )
 
-// ParseTopology maps "star" (or ""), "tree", and "ring" to a Topology.
+// ParseTopology maps "star" (or "") and "tree" to a Topology.
 func ParseTopology(s string) (Topology, error) { return cluster.ParseTopology(s) }
 
 // Train executes the paper's synchronous distributed training loop:
@@ -215,13 +214,6 @@ func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExperimentTitle returns the human title for an experiment id.
 func ExperimentTitle(id string) string { return experiments.Title(id) }
-
-// TrainPS executes training on the sharded parameter-server topology (an
-// extension beyond the paper's single-driver design): the key space is
-// load-balanced across `servers` aggregators with parallel links.
-func TrainPS(cfg TrainConfig, servers int, train, test *Dataset) (*TrainResult, error) {
-	return trainer.RunPS(cfg, servers, train, test)
-}
 
 // Trainable is the general model contract the trainer accepts (set
 // TrainConfig.Trainable); generalized linear models are adapted
@@ -268,31 +260,12 @@ func BuildRunReport(tool string, res *TrainResult, m *Metrics) (*RunReport, erro
 // RunReport.WriteFile (or `sketchml -metrics-out`).
 func ReadRunReport(path string) (*RunReport, error) { return obs.ReadReportFile(path) }
 
-// TrainSSP executes training under the Stale Synchronous Parallel protocol
-// (Ho et al., the paper's citation [19]): workers may run ahead of the
-// slowest peer by at most `staleness` iterations. speeds scales each
-// worker's compute time (nil = uniform); pass a slow factor to study
-// stragglers.
-func TrainSSP(cfg TrainConfig, staleness int, speeds []float64, train, test *Dataset) (*TrainResult, error) {
-	return trainer.RunSSP(cfg, staleness, speeds, train, test)
-}
-
 // TrainContext is Train bounded by a context: cancellation unblocks every
 // receive and stops the run within one round (plus TrainConfig.RoundDeadline
 // in tolerant mode), returning an error that wraps ctx.Err(). For a
 // graceful stop that checkpoints instead, close TrainConfig.Drain.
 func TrainContext(ctx context.Context, cfg TrainConfig, train, test *Dataset) (*TrainResult, error) {
 	return trainer.RunContext(ctx, cfg, train, test)
-}
-
-// TrainPSContext is TrainPS bounded by a context.
-func TrainPSContext(ctx context.Context, cfg TrainConfig, servers int, train, test *Dataset) (*TrainResult, error) {
-	return trainer.RunPSContext(ctx, cfg, servers, train, test)
-}
-
-// TrainSSPContext is TrainSSP bounded by a context.
-func TrainSSPContext(ctx context.Context, cfg TrainConfig, staleness int, speeds []float64, train, test *Dataset) (*TrainResult, error) {
-	return trainer.RunSSPContext(ctx, cfg, staleness, speeds, train, test)
 }
 
 // Checkpoint is a crash-safe snapshot of a training run at a round

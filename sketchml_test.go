@@ -2,6 +2,7 @@ package sketchml_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sketchml"
@@ -113,34 +114,57 @@ func TestModelByName(t *testing.T) {
 	}
 }
 
+// TestTopologyFacades drives the tree gather through the facade: the same
+// run with TrainConfig.Topology = TopologyTree lands within 20% of the star
+// run's loss, the contract TestTopologyEquivalenceSketchML holds the trainer
+// to.
 func TestTopologyFacades(t *testing.T) {
 	full := sketchml.KDD10Like(9)
 	train, test := full.Split(0.75, 1)
-	comp, err := sketchml.NewCompressor(sketchml.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	run := func(topo sketchml.Topology) *sketchml.TrainResult {
+		t.Helper()
+		comp, err := sketchml.NewCompressor(sketchml.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sketchml.Train(sketchml.TrainConfig{
+			Model:    sketchml.LogisticRegression(),
+			Codec:    comp,
+			Workers:  3,
+			Epochs:   2,
+			Lambda:   0.01,
+			Seed:     1,
+			Topology: topo,
+		}, train, test)
+		if err != nil {
+			t.Fatalf("%s: %v", topo, err)
+		}
+		if res.Topology != topo.String() {
+			t.Errorf("%s run labeled %q", topo, res.Topology)
+		}
+		return res
 	}
-	cfg := sketchml.TrainConfig{
-		Model:   sketchml.LogisticRegression(),
-		Codec:   comp,
-		Workers: 3,
-		Epochs:  2,
-		Lambda:  0.01,
-		Seed:    1,
+	star, tree := run(sketchml.TopologyStar), run(sketchml.TopologyTree)
+	if gap := math.Abs(tree.FinalLoss - star.FinalLoss); gap > 0.20*star.FinalLoss {
+		t.Errorf("tree final loss %v vs star %v (gap %v exceeds 20%%)", tree.FinalLoss, star.FinalLoss, gap)
 	}
-	ps, err := sketchml.TrainPS(cfg, 2, train, test)
-	if err != nil {
-		t.Fatal(err)
+	if tree.WorkerAggBytes == nil || tree.WorkerAggBytes[0] == 0 {
+		t.Errorf("tree run reports no aggregation traffic at worker 0: %v", tree.WorkerAggBytes)
 	}
-	if ps.FinalAccuracy < 0.6 {
-		t.Errorf("PS accuracy %.2f", ps.FinalAccuracy)
+}
+
+// TestParseTopologyNamesWhatIsLeft: a removed gather shape is refused by an
+// error that lists the ones that exist.
+func TestParseTopologyNamesWhatIsLeft(t *testing.T) {
+	for in, want := range map[string]sketchml.Topology{"": sketchml.TopologyStar, "star": sketchml.TopologyStar, "tree": sketchml.TopologyTree} {
+		if got, err := sketchml.ParseTopology(in); err != nil || got != want {
+			t.Errorf("ParseTopology(%q) = %v, %v; want %v", in, got, err, want)
+		}
 	}
-	ssp, err := sketchml.TrainSSP(cfg, 2, []float64{1, 1, 4}, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ssp.FinalAccuracy < 0.6 {
-		t.Errorf("SSP accuracy %.2f", ssp.FinalAccuracy)
+	for _, in := range []string{"ring", "ps", "mesh"} {
+		if _, err := sketchml.ParseTopology(in); err == nil || !strings.Contains(err.Error(), "star, tree") {
+			t.Errorf("ParseTopology(%q): error %v does not list star, tree", in, err)
+		}
 	}
 }
 
