@@ -89,7 +89,10 @@ func main() {
 	if *metricsOut != "" {
 		reg = sketchml.NewMetrics()
 	}
-	c, err := buildCodec(*codecN, *buckets, *rows, *groups, *colsFrac, reg)
+	opts := codec.DefaultOptions()
+	opts.Buckets, opts.Rows, opts.Groups, opts.ColsFraction = *buckets, *rows, *groups, *colsFrac
+	opts.Metrics = reg
+	newCodec, err := codec.ByName(*codecN, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,11 +101,11 @@ func main() {
 	fmt.Printf("dataset: %s (%d train / %d test, D=%d, avg nnz %.1f)\n",
 		*data, train.N(), test.N(), ds.Dim, ds.AvgNNZ())
 	fmt.Printf("model %s, codec %s, %d workers, batch %.0f%%\n\n",
-		mdl.Name(), c.Name(), *workers, *batch*100)
+		mdl.Name(), newCodec().Name(), *workers, *batch*100)
 
 	cfg := sketchml.TrainConfig{
 		Model:         mdl,
-		Codec:         c,
+		CodecFactory:  newCodec,
 		Optimizer:     func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(*lr, dim) },
 		Workers:       *workers,
 		BatchFraction: *batch,
@@ -118,11 +121,10 @@ func main() {
 		fatal(err)
 	}
 
-	table := stats.NewTable("epoch", "test loss", "accuracy", "msg KB/round", "sim s", "wall s")
+	table := stats.NewTable("epoch", "test loss", "accuracy", "msg KB/round", "wall s")
 	for _, e := range res.Epochs {
 		table.AddRow(e.Epoch, e.TestLoss, e.Accuracy,
-			float64(e.UpBytes)/float64(e.Rounds)/1024,
-			e.SimTime.Seconds(), e.WallTime.Seconds())
+			float64(e.UpBytes)/float64(e.Rounds)/1024, e.WallTime.Seconds())
 	}
 	fmt.Println(table.String())
 	fmt.Printf("final: loss %.4f, accuracy %.3f, avg %.1f KB/round upstream\n",
@@ -164,16 +166,14 @@ func validateFlags(serveAddr, metricsOut string, gather sketchml.Topology, useTC
 
 // startPprof serves net/http/pprof for the process lifetime. The listener
 // is bound synchronously so a bad address fails fast; the serve loop runs
-// until exit (done is closed only if the server stops early).
+// until exit.
 func startPprof(addr string) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(fmt.Errorf("pprof listen: %w", err))
 	}
 	fmt.Printf("pprof: http://%s/debug/pprof/\n", ln.Addr())
-	done := make(chan struct{})
 	go func() {
-		defer close(done)
 		if err := http.Serve(ln, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "sketchml: pprof server: %v\n", err)
 		}
@@ -181,13 +181,8 @@ func startPprof(addr string) {
 }
 
 func loadDataset(name string, seed int64) (*sketchml.Dataset, error) {
-	switch name {
-	case "kdd10":
-		return sketchml.KDD10Like(seed), nil
-	case "kdd12":
-		return sketchml.KDD12Like(seed), nil
-	case "ctr":
-		return sketchml.CTRLike(seed), nil
+	if preset := dataset.Preset(name); preset != nil {
+		return preset(seed), nil
 	}
 	f, err := os.Open(name)
 	if err != nil {
@@ -195,40 +190,6 @@ func loadDataset(name string, seed int64) (*sketchml.Dataset, error) {
 	}
 	defer f.Close()
 	return dataset.ParseLibSVM(f, 0)
-}
-
-func buildCodec(name string, buckets, rows, groups int, colsFrac float64, reg *sketchml.Metrics) (sketchml.Codec, error) {
-	opts := codec.DefaultOptions()
-	opts.Buckets = buckets
-	opts.Rows = rows
-	opts.Groups = groups
-	opts.ColsFraction = colsFrac
-	opts.Metrics = reg
-	switch name {
-	case "sketchml":
-		return codec.NewSketchML(opts)
-	case "adam":
-		return &codec.Raw{}, nil
-	case "adam32":
-		return &codec.Raw{Float32: true}, nil
-	case "zipml8":
-		return &codec.ZipML{Bits: 8}, nil
-	case "zipml16":
-		return &codec.ZipML{Bits: 16}, nil
-	case "key":
-		opts.Quantize, opts.MinMax = false, false
-		return codec.NewSketchML(opts)
-	case "keyquan":
-		opts.MinMax = false
-		return codec.NewSketchML(opts)
-	case "onebit":
-		return &codec.OneBit{}, nil
-	case "topk":
-		return &codec.TopK{Fraction: 0.1}, nil
-	case "topk-ef":
-		return codec.NewErrorFeedback(&codec.TopK{Fraction: 0.1}), nil
-	}
-	return nil, fmt.Errorf("unknown codec %q", name)
 }
 
 func fatal(err error) {

@@ -30,7 +30,6 @@ func main() {
 			Lambda:  0.01,
 			Seed:    1,
 			UseTCP:  true, // every gradient really crosses a TCP socket
-			Network: sketchml.ProductionCluster(),
 		}, train, test)
 		if err != nil {
 			log.Fatal(err)
@@ -38,8 +37,8 @@ func main() {
 		fmt.Printf("codec %-10s", c.Name())
 		fmt.Printf(" final loss %.4f, accuracy %.3f\n", res.FinalLoss, res.FinalAccuracy)
 		for _, e := range res.Epochs {
-			fmt.Printf("  epoch %d: %6.1f KB/round up, simulated %6.3fs/epoch on a 10-node cluster\n",
-				e.Epoch, float64(e.UpBytes)/float64(e.Rounds)/1024, e.SimTime.Seconds())
+			fmt.Printf("  epoch %d: %6.1f KB/round up, %6.3fs wall over loopback\n",
+				e.Epoch, float64(e.UpBytes)/float64(e.Rounds)/1024, e.WallTime.Seconds())
 		}
 		fmt.Println()
 	}

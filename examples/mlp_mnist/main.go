@@ -1,7 +1,8 @@
 // MLP on MNIST-like images with compressed gradient exchange — the paper's
 // Appendix B.3 experiment as a runnable demo. Dense neural-net gradients
 // exercise SketchML's value path (quantile buckets + MinMaxSketch) while
-// key compression is moot.
+// key compression is moot. The network trains through the same distributed
+// loop as the linear models: four workers, a driver, one codec in between.
 package main
 
 import (
@@ -14,6 +15,15 @@ import (
 
 func main() {
 	full := sketchml.MNISTLike(1, 1200, 20) // 20x20 synthetic digit images
+	net, err := nn.New([]int{400, 64, 10}, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The network indexes by label and pixel unchecked: a dataset parsed from
+	// a file goes through the same check.
+	if err := net.CheckDataset(full); err != nil {
+		log.Fatal(err)
+	}
 	train, test := full.Split(0.8, 1)
 	fmt.Printf("MNIST-like: %d train / %d test images, 400 pixels each\n\n", train.N(), test.N())
 
@@ -22,58 +32,20 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, c := range []sketchml.Codec{comp, &sketchml.RawCodec{}} {
-		net, err := nn.New([]int{400, 64, 10}, 5)
+		res, err := sketchml.Train(sketchml.TrainConfig{
+			Trainable:     net,
+			Codec:         c,
+			Optimizer:     func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(0.01, dim) },
+			Workers:       4,
+			BatchFraction: 60.5 / float64(train.N()), // the paper's batch of 60 images
+			Epochs:        15,
+			Seed:          1,
+		}, train, test)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := sketchml.NewAdam(0.01, net.ParamDim())
-		batcher := newBatcher(train)
-		var sent int64
-		const iters = 250
-		for it := 0; it < iters; it++ {
-			batch := batcher.next(60)
-			_, dense, err := net.LossAndGradient(batch)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// The gradient crosses the codec exactly as it would cross the
-			// network in a distributed run.
-			msg, err := c.Encode(sketchml.GradientFromDense(dense, 0))
-			if err != nil {
-				log.Fatal(err)
-			}
-			sent += int64(len(msg))
-			dec, err := c.Decode(msg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := opt.Step(net.Params(), dec); err != nil {
-				log.Fatal(err)
-			}
-		}
-		loss, err := net.Loss(test)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10s test loss %.4f, accuracy %.3f, %6.1f KB/step gradient traffic\n",
-			c.Name(), loss, net.Accuracy(test), float64(sent)/iters/1024)
+		fmt.Printf("%-10s test loss %.4f, accuracy %.3f, %6.1f KB/round gradient traffic per worker\n",
+			c.Name(), res.FinalLoss, res.FinalAccuracy, res.AvgUpBytesPerRound()/4/1024)
 	}
 	fmt.Println("\nCompressed training reaches comparable accuracy with far less traffic.")
-}
-
-// batcher cycles deterministically through the training set.
-type batcher struct {
-	d   *sketchml.Dataset
-	pos int
-}
-
-func newBatcher(d *sketchml.Dataset) *batcher { return &batcher{d: d} }
-
-func (b *batcher) next(n int) []*sketchml.Instance {
-	out := make([]*sketchml.Instance, 0, n)
-	for len(out) < n {
-		out = append(out, &b.d.Instances[b.pos])
-		b.pos = (b.pos + 1) % b.d.N()
-	}
-	return out
 }

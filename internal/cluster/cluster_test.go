@@ -299,15 +299,15 @@ func TestEpochTimeCrossover(t *testing.T) {
 	// from 10 to 50 workers makes the epoch SLOWER (communication dominates),
 	// while for a light (compressed) message it gets faster.
 	m := LabCluster()
-	const computeSec = 100.0
+	const compute = 100 * time.Second
 	const rounds = 10
-	heavyUp, heavyDown := int64(4<<20), int64(400<<10) // 4 MB up, 400 KB down each
+	heavyUp, heavyDown := int64(rounds*4<<20), int64(rounds*400<<10) // 4 MB up, 400 KB down each, per round
 	lightUp, lightDown := heavyUp/16, heavyDown/16
 
-	heavy10 := m.EpochTime(computeSec, 10, rounds, heavyUp, heavyDown)
-	heavy50 := m.EpochTime(computeSec, 50, rounds, heavyUp, heavyDown)
-	light10 := m.EpochTime(computeSec, 10, rounds, lightUp, lightDown)
-	light50 := m.EpochTime(computeSec, 50, rounds, lightUp, lightDown)
+	heavy10, _ := m.EpochTime(compute, 0, 10, rounds, heavyUp, heavyDown)
+	heavy50, _ := m.EpochTime(compute, 0, 50, rounds, heavyUp, heavyDown)
+	light10, _ := m.EpochTime(compute, 0, 10, rounds, lightUp, lightDown)
+	light50, _ := m.EpochTime(compute, 0, 50, rounds, lightUp, lightDown)
 
 	if heavy50 <= heavy10 {
 		t.Errorf("uncompressed should degrade at 50 workers: %v vs %v", heavy50, heavy10)
@@ -319,8 +319,24 @@ func TestEpochTimeCrossover(t *testing.T) {
 
 func TestEpochTimeWorkerClamp(t *testing.T) {
 	m := LabCluster()
-	if m.EpochTime(1, 0, 1, 0, 0) != m.EpochTime(1, 1, 1, 0, 0) {
+	zero, _ := m.EpochTime(time.Second, 0, 0, 1, 0, 0)
+	one, _ := m.EpochTime(time.Second, 0, 1, 1, 0, 0)
+	if zero != one {
 		t.Error("workers should clamp to 1")
+	}
+}
+
+// TestEpochTimeZeroRounds: an epoch that ran no round (a resume that lands
+// on the end of the run) has no per-round traffic to divide; it prices to
+// its CPU terms, and an empty one to zero.
+func TestEpochTimeZeroRounds(t *testing.T) {
+	m := LabCluster()
+	if epoch, network := m.EpochTime(0, 0, 4, 0, 0, 0); epoch != 0 || network != 0 {
+		t.Errorf("empty epoch priced to %v (network %v), want 0", epoch, network)
+	}
+	epoch, network := m.EpochTime(8*time.Second, time.Second, 4, 0, 1<<20, 1<<20)
+	if epoch != 3*time.Second || network != 0 {
+		t.Errorf("zero rounds priced to %v (network %v), want 3s of CPU and no network", epoch, network)
 	}
 }
 

@@ -92,16 +92,27 @@ func (m NetworkModel) RoundTime(upBytes, downBytes int64, workers int) time.Dura
 	return time.Duration(sec * float64(time.Second))
 }
 
-// EpochTime composes an epoch estimate from measured quantities:
-// computeSeconds is the single-machine compute time for the whole epoch
-// (divided across workers), rounds is the number of synchronous batches,
-// upBytesPerRound the summed worker→driver traffic per round, and
-// downBytesPerWorkerRound the driver→worker broadcast size per round.
-func (m NetworkModel) EpochTime(computeSeconds float64, workers, rounds int, upBytesPerRound, downBytesPerWorkerRound int64) time.Duration {
+// EpochTime is the one place a simulated epoch is composed, from what a run
+// measured: the parties' CPU, and the bytes the driver's links counted.
+//
+//	epoch = parallelCPU/workers + serialCPU + network
+//	network = rounds × one RoundTime at upBytes/rounds and downBytes/rounds
+//
+// parallelCPU is the work the workers share (gradient computation and their
+// own codec calls, summed over workers), serialCPU the driver's codec work,
+// which nothing overlaps. upBytes is the epoch's worker→driver traffic summed
+// over workers and downBytes the driver→worker broadcast traffic per worker;
+// the per-round sizes are integer quotients, as the traffic meters report
+// them. network is returned on its own because it is a function of bytes
+// alone and so repeats exactly from run to run. An epoch of zero rounds moved
+// nothing and costs its CPU terms only.
+func (m NetworkModel) EpochTime(parallelCPU, serialCPU time.Duration, workers, rounds int, upBytes, downBytes int64) (epoch, network time.Duration) {
 	if workers < 1 {
 		workers = 1
 	}
-	comm := m.RoundTime(upBytesPerRound, downBytesPerWorkerRound, workers) * time.Duration(rounds)
-	compute := time.Duration(computeSeconds / float64(workers) * float64(time.Second))
-	return compute + comm
+	if rounds > 0 {
+		r := int64(rounds)
+		network = m.RoundTime(upBytes/r, downBytes/r, workers) * time.Duration(r)
+	}
+	return parallelCPU/time.Duration(workers) + serialCPU + network, network
 }

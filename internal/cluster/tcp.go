@@ -307,20 +307,6 @@ var ErrDialPermanent = errors.New("permanent dial failure")
 // last dial error and records how many attempts were made.
 func Dial(addr string) (Conn, error) { return DialContextObserved(context.Background(), addr, nil) }
 
-// DialContext is Dial bounded by a context: both the in-flight connect
-// attempt and the backoff sleeps between attempts abort as soon as ctx is
-// done, returning an error that wraps ctx.Err() and ErrDialPermanent.
-func DialContext(ctx context.Context, addr string) (Conn, error) {
-	return DialContextObserved(ctx, addr, nil)
-}
-
-// DialObserved is Dial with retry accounting: every retried attempt (i.e.
-// attempts beyond the first) increments retries. A nil counter records
-// nothing, so Dial delegates here unconditionally.
-func DialObserved(addr string, retries *obs.Counter) (Conn, error) {
-	return DialContextObserved(context.Background(), addr, retries)
-}
-
 // sleepInterruptible sleeps for d unless ctx is done first, reporting
 // whether the full sleep elapsed. The uncancellable case keeps the plain
 // time.Sleep (no timer allocation).
@@ -339,7 +325,11 @@ func sleepInterruptible(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// DialContextObserved combines DialContext and DialObserved.
+// DialContextObserved is Dial bounded by a context, with retry accounting:
+// both the in-flight connect attempt and the backoff sleeps between attempts
+// abort as soon as ctx is done, returning an error that wraps ctx.Err() and
+// ErrDialPermanent, and every retried attempt (i.e. attempts beyond the
+// first) increments retries. A nil counter records nothing.
 func DialContextObserved(ctx context.Context, addr string, retries *obs.Counter) (Conn, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -233,16 +233,20 @@ func TestBatcherClampsBatchSize(t *testing.T) {
 }
 
 func TestPresetsSane(t *testing.T) {
-	for name, d := range map[string]*Dataset{
-		"kdd10": KDD10Like(1),
-		"kdd12": KDD12Like(1),
-		"ctr":   CTRLike(1),
-	} {
+	for _, name := range []string{"kdd10", "kdd12", "ctr"} {
+		d := Preset(name)(1)
 		if err := d.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if d.N() == 0 {
 			t.Errorf("%s empty", name)
+		}
+	}
+	// What is not a preset is somebody else's to resolve: the service's
+	// "synthetic", the CLI's file paths.
+	for _, name := range []string{"synthetic", "", "data/kdd10.libsvm"} {
+		if Preset(name) != nil {
+			t.Errorf("%q is a preset", name)
 		}
 	}
 	// CTR must be denser than KDD12 (drives the Section 4.3.2 contrast).

@@ -147,6 +147,20 @@ func CTRLike(seed int64) *Dataset {
 	})
 }
 
+// Preset returns the generator of the dataset a command-line flag or a job
+// spec names kdd10, kdd12 or ctr, or nil for any other name.
+func Preset(name string) func(seed int64) *Dataset {
+	switch name {
+	case "kdd10":
+		return KDD10Like
+	case "kdd12":
+		return KDD12Like
+	case "ctr":
+		return CTRLike
+	}
+	return nil
+}
+
 // RegressionLike returns a sparse regression dataset for the Linear model.
 func RegressionLike(seed int64, n int, dim uint64) *Dataset {
 	return mustGenerate(SyntheticConfig{

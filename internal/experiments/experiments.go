@@ -151,38 +151,44 @@ func ablationCodecs() []codec.Codec {
 	}
 }
 
-// netSeconds is the modelled network time of the run's mean epoch: the cost
-// model's round time at the measured per-round traffic, times the rounds —
-// the network term of trainer.EpochStats.SimTime on its own. It is a
-// function of bytes alone, so unlike AvgEpochSimTime (which adds measured
-// CPU time) it repeats exactly from run to run and host to host; reports
-// carry it as "<name>_net_seconds" beside "<name>_seconds".
-func netSeconds(res *trainer.Result, net cluster.NetworkModel) float64 {
-	var total time.Duration
+// price puts a run on the modelled cluster: every epoch's simulated time
+// (cluster.NetworkModel.EpochTime over the trainer's measured meters) and the
+// network share of it. computeScale multiplies the measured gradient
+// computation before it is divided over the workers — it calibrates the
+// compute-to-communication ratio for workloads whose real counterparts are
+// far more compute-heavy than the scaled-down substitutes (DESIGN.md,
+// "Substitutions"); codec and network time are never scaled. The network
+// share is a function of bytes alone, so unlike the simulated time (which
+// adds measured CPU) it repeats exactly from run to run and host to host;
+// reports carry it as "<name>_net_seconds" beside "<name>_seconds".
+func price(res *trainer.Result, net cluster.NetworkModel, computeScale float64) (sim, network []time.Duration) {
 	for _, e := range res.Epochs {
-		rounds := int64(e.Rounds)
-		total += net.RoundTime(e.UpBytes/rounds, e.DownBytes/rounds, res.Workers) * time.Duration(rounds)
+		workerCodec := e.EncodeTime + e.DecodeTime - e.DriverCodecTime
+		parallel := time.Duration(float64(e.ComputeTime)*computeScale) + workerCodec
+		s, n := net.EpochTime(parallel, e.DriverCodecTime, res.Workers, e.Rounds, e.UpBytes, e.DownBytes)
+		sim, network = append(sim, s), append(network, n)
 	}
-	return (total / time.Duration(len(res.Epochs))).Seconds()
+	return sim, network
 }
 
-// run executes one training configuration against a train/test pair with
-// the paper's default 10% batch fraction.
-func run(mdl model.Model, c codec.Codec, workers, epochs int,
-	net cluster.NetworkModel, train, test *dataset.Dataset, seed int64) (*trainer.Result, error) {
-	return runBatchFrac(mdl, c, workers, epochs, 0.1, net, train, test, seed)
+// total sums a run's per-epoch times.
+func total(epochs []time.Duration) (sum time.Duration) {
+	for _, d := range epochs {
+		sum += d
+	}
+	return sum
 }
 
-// runBatchFrac is run with an explicit batch fraction (Figure 8(d) varies it).
-func runBatchFrac(mdl model.Model, c codec.Codec, workers, epochs int, batchFrac float64,
-	net cluster.NetworkModel, train, test *dataset.Dataset, seed int64) (*trainer.Result, error) {
-	return runFull(mdl, c, workers, epochs, batchFrac, net, train, test, seed, 1)
+// meanSeconds is the mean of a run's per-epoch times, in seconds.
+func meanSeconds(epochs []time.Duration) float64 {
+	return (total(epochs) / time.Duration(len(epochs))).Seconds()
 }
 
-// runFull exposes every knob, including the compute-scale calibration used
-// by the CTR-like experiments (see trainer.Config.ComputeScale).
-func runFull(mdl model.Model, c codec.Codec, workers, epochs int, batchFrac float64,
-	net cluster.NetworkModel, train, test *dataset.Dataset, seed int64, computeScale float64) (*trainer.Result, error) {
+// run trains one generalized linear model through one codec with the
+// settings every figure shares: Adam at 0.1 and λ = 0.01. batchFrac is 0.1
+// everywhere but Figure 8(d), which varies it.
+func run(mdl model.Model, c codec.Codec, workers, epochs int, batchFrac float64,
+	train, test *dataset.Dataset, seed int64) (*trainer.Result, error) {
 	return trainer.Run(trainer.Config{
 		Model:         mdl,
 		Codec:         c,
@@ -192,7 +198,5 @@ func runFull(mdl model.Model, c codec.Codec, workers, epochs int, batchFrac floa
 		Epochs:        epochs,
 		Lambda:        0.01,
 		Seed:          seed,
-		Network:       net,
-		ComputeScale:  computeScale,
 	}, train, test)
 }

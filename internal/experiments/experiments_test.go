@@ -6,6 +6,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"sketchml/internal/cluster"
+	"sketchml/internal/trainer"
 )
 
 // quick returns a configuration small enough for CI while keeping the
@@ -56,6 +60,39 @@ func TestIDsAndTitles(t *testing.T) {
 	}
 	if _, err := Run("nope", quick()); err == nil {
 		t.Error("unknown id accepted")
+	}
+}
+
+// TestPriceFixture pins the cost model to the nanosecond on a hand-written
+// epoch. The expected values are what the trainer's own composition gave
+// while it still simulated: with compute scaled ×3, workers share
+// (3·800 + 120) ms four ways = 630 ms, the driver's 30 ms is serial, and ten
+// rounds move ⌊1,000,003/10⌋ B up and 4 × ⌊250,007/10⌋ B down each —
+// 200,000 B at LabCluster's 4 MB/s plus 200 µs, 50.2 ms a round.
+func TestPriceFixture(t *testing.T) {
+	res := &trainer.Result{Workers: 4, Epochs: []trainer.EpochStats{{
+		Rounds: 10, UpBytes: 1_000_003, DownBytes: 250_007,
+		ComputeTime: 800 * time.Millisecond,
+		// All parties' codec time: 120 ms on the workers, 30 ms on the driver.
+		EncodeTime: 80 * time.Millisecond, DecodeTime: 70 * time.Millisecond,
+		DriverCodecTime: 30 * time.Millisecond,
+	}, {
+		// A resume that lands on the end of the run: no rounds, no division.
+		TestLoss: 0.5,
+	}}}
+	sim, network := price(res, cluster.LabCluster(), 3)
+	if sim[0] != 1_162_000_000 || network[0] != 502_000_000 {
+		t.Errorf("fixture epoch priced to %d ns (network %d ns), want 1162000000 (502000000)", sim[0], network[0])
+	}
+	if sim[1] != 0 || network[1] != 0 {
+		t.Errorf("empty epoch priced to %v (network %v), want 0", sim[1], network[1])
+	}
+	if got := meanSeconds(network); got != 0.251 {
+		t.Errorf("mean network seconds = %v, want 0.251", got)
+	}
+	curve := lossCurve("fixture", res, sim)
+	if len(curve.X) != 2 || curve.X[0] != 1.162 || curve.X[1] != 1.162 || curve.Y[1] != 0.5 {
+		t.Errorf("loss curve %+v, want both points at 1.162 s and the second at loss 0.5", curve)
 	}
 }
 

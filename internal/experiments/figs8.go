@@ -86,18 +86,19 @@ func Fig8a(cfg Config) (*Report, error) {
 		}
 		var adamSec float64
 		for _, c := range ablationCodecs() {
-			res, err := run(mdl, c, 10, epochs, net, tr, te, cfg.Seed)
+			res, err := run(mdl, c, 10, epochs, 0.1, tr, te, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			sec := res.AvgEpochSimTime().Seconds()
+			sim, network := price(res, net, 1)
+			sec := meanSeconds(sim)
 			if c.Name() == "Adam" {
 				adamSec = sec
 			}
 			speedup := adamSec / sec
 			table.AddRow(c.Name(), mdl.Name(), sec, speedup)
 			metrics[fmt.Sprintf("%s_%s_seconds", c.Name(), mdl.Name())] = sec
-			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = netSeconds(res, net)
+			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = meanSeconds(network)
 			metrics[fmt.Sprintf("%s_%s_speedup", c.Name(), mdl.Name())] = speedup
 		}
 	}
@@ -108,7 +109,6 @@ func Fig8a(cfg Config) (*Report, error) {
 // LR workload, with the per-section byte attribution our codecs expose.
 func Fig8b(cfg Config) (*Report, error) {
 	train, test := dataset.KDD10Like(cfg.Seed).Split(0.75, cfg.Seed)
-	net := cluster.LabCluster()
 	epochs := cfg.scaled(2)
 
 	table := stats.NewTable("codec", "msg KB", "compression", "keys KB", "values KB", "meta KB")
@@ -116,7 +116,7 @@ func Fig8b(cfg Config) (*Report, error) {
 	sample := firstGradient(train, 0.1)
 	var rawBytes float64
 	for _, c := range ablationCodecs() {
-		res, err := run(model.LogisticRegression{}, c, 10, epochs, net, train, test, cfg.Seed)
+		res, err := run(model.LogisticRegression{}, c, 10, epochs, 0.1, train, test, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -148,13 +148,12 @@ func Fig8b(cfg Config) (*Report, error) {
 // compression pipeline costs relative to gradient computation.
 func Fig8c(cfg Config) (*Report, error) {
 	train, test := dataset.KDD10Like(cfg.Seed).Split(0.75, cfg.Seed)
-	net := cluster.LabCluster()
 	epochs := cfg.scaled(2)
 
 	table := stats.NewTable("codec", "compute ms/epoch", "codec ms/epoch", "codec share %")
 	metrics := map[string]float64{}
 	for _, c := range ablationCodecs() {
-		res, err := run(model.LogisticRegression{}, c, 10, epochs, net, train, test, cfg.Seed)
+		res, err := run(model.LogisticRegression{}, c, 10, epochs, 0.1, train, test, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +183,7 @@ func Fig8d(cfg Config) (*Report, error) {
 	table := stats.NewTable("batch ratio", "gradient sparsity %", "sim s/epoch", "bytes/key")
 	metrics := map[string]float64{}
 	for _, ratio := range []float64{0.1, 0.03, 0.01} {
-		res, err := runBatchFrac(model.LogisticRegression{}, sk, 10, cfg.scaled(2), ratio, net, train, test, cfg.Seed)
+		res, err := run(model.LogisticRegression{}, sk, 10, cfg.scaled(2), ratio, train, test, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -194,12 +193,13 @@ func Fig8d(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sec := res.AvgEpochSimTime().Seconds()
+		sim, network := price(res, net, 1)
+		sec := meanSeconds(sim)
 		table.AddRow(ratio, sparsity, sec, bpk)
 		key := fmt.Sprintf("ratio_%g", ratio)
 		metrics[key+"_sparsity_pct"] = sparsity
 		metrics[key+"_seconds"] = sec
-		metrics[key+"_net_seconds"] = netSeconds(res, net)
+		metrics[key+"_net_seconds"] = meanSeconds(network)
 		metrics[key+"_bytes_per_key"] = bpk
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
@@ -13,7 +14,7 @@ import (
 	"sketchml/internal/trainer"
 )
 
-// Compute-scale calibrations (see trainer.Config.ComputeScale): the real
+// Compute-scale calibrations (see price): the real
 // CTR workload is compute-dominant (300M dense-ish instances), and the
 // paper's scalability study sits in a regime where both compute and
 // communication matter. These constants pin our scaled-down substitutes to
@@ -41,12 +42,12 @@ func endToEnd(cfg Config, clsData *dataset.Dataset, regData *dataset.Dataset,
 		}
 		secs, netSecs := map[string]float64{}, map[string]float64{}
 		for _, c := range threeCodecs() {
-			res, err := runFull(mdl, c, workers, epochs, 0.1, net, tr, te, cfg.Seed, computeScale)
+			res, err := run(mdl, c, workers, epochs, 0.1, tr, te, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			secs[c.Name()] = res.AvgEpochSimTime().Seconds()
-			netSecs[c.Name()] = netSeconds(res, net)
+			sim, network := price(res, net, computeScale)
+			secs[c.Name()], netSecs[c.Name()] = meanSeconds(sim), meanSeconds(network)
 		}
 		for _, c := range threeCodecs() {
 			name := c.Name()
@@ -70,7 +71,7 @@ func Fig9a(cfg Config) (*Report, error) {
 // Fig9b reproduces the CTR end-to-end run times with 50 workers. CTR-like
 // data is denser, so compression gains are smaller (Section 4.3.2).
 func Fig9b(cfg Config) (*Report, error) {
-	// ComputeScale calibrates the compute:communication ratio to the paper's
+	// ctrComputeScale calibrates the compute:communication ratio to the paper's
 	// CTR regime, where per-instance computation dominates (Section 4.3.2).
 	return endToEnd(cfg, dataset.CTRLike(cfg.Seed),
 		dataset.RegressionLike(cfg.Seed+5, 5000, 15000), 50, cluster.ProductionCluster(), ctrComputeScale)
@@ -103,20 +104,21 @@ func Fig10(cfg Config) (*Report, error) {
 				tr, te = regTrain, regTest
 			}
 			fmt.Fprintf(&b, "--- %s, %s (loss vs simulated seconds) ---\n", mdl.Name(), p.name)
-			results := map[string]*trainer.Result{}
 			var series []stats.Series
+			var adamFinal float64
 			for _, c := range threeCodecs() {
-				res, err := run(mdl, c, p.workers, epochs, net, tr, te, cfg.Seed)
+				res, err := run(mdl, c, p.workers, epochs, 0.1, tr, te, cfg.Seed)
 				if err != nil {
 					return nil, err
 				}
-				results[c.Name()] = res
-				fmt.Fprintf(&b, "%-12s", c.Name())
-				s := stats.Series{Name: c.Name()}
-				for _, pt := range res.Curve {
-					fmt.Fprintf(&b, " (%.2fs, %.4f)", pt.Seconds, pt.Loss)
-					s.X = append(s.X, pt.Seconds)
-					s.Y = append(s.Y, pt.Loss)
+				sim, _ := price(res, net, 1)
+				s := lossCurve(c.Name(), res, sim)
+				if s.Name == "Adam" {
+					adamFinal = res.FinalLoss
+				}
+				fmt.Fprintf(&b, "%-12s", s.Name)
+				for i := range s.X {
+					fmt.Fprintf(&b, " (%.2fs, %.4f)", s.X[i], s.Y[i])
 				}
 				series = append(series, s)
 				b.WriteByte('\n')
@@ -125,10 +127,9 @@ func Fig10(cfg Config) (*Report, error) {
 			b.WriteString(stats.Plot(series, 64, 10))
 			// Shape metric: time for each codec to first reach within 2% of
 			// Adam's final loss.
-			target := results["Adam"].FinalLoss * 1.02
-			for name, res := range results {
-				t := timeToReach(res, target)
-				metrics[fmt.Sprintf("%s_%s_%s_time_to_target", name, mdl.Name(), p.name)] = t
+			for _, s := range series {
+				t := timeToReach(s, adamFinal*1.02)
+				metrics[fmt.Sprintf("%s_%s_%s_time_to_target", s.Name, mdl.Name(), p.name)] = t
 			}
 			b.WriteByte('\n')
 		}
@@ -136,18 +137,29 @@ func Fig10(cfg Config) (*Report, error) {
 	return &Report{Text: b.String(), Metrics: metrics}, nil
 }
 
+// lossCurve is a run's convergence curve (Figure 10): the test loss after
+// each epoch (Y) against the cumulative simulated seconds the run had taken
+// by then (X); sim is the run's priced epochs.
+func lossCurve(name string, res *trainer.Result, sim []time.Duration) stats.Series {
+	s := stats.Series{Name: name}
+	cum := 0.0
+	for i, e := range res.Epochs {
+		cum += sim[i].Seconds()
+		s.X = append(s.X, cum)
+		s.Y = append(s.Y, e.TestLoss)
+	}
+	return s
+}
+
 // timeToReach returns the first curve time at which loss <= target, or the
 // final time if never reached.
-func timeToReach(res *trainer.Result, target float64) float64 {
-	for _, pt := range res.Curve {
-		if pt.Loss <= target {
-			return pt.Seconds
+func timeToReach(curve stats.Series, target float64) float64 {
+	for i, loss := range curve.Y {
+		if loss <= target {
+			return curve.X[i]
 		}
 	}
-	if len(res.Curve) == 0 {
-		return 0
-	}
-	return res.Curve[len(res.Curve)-1].Seconds
+	return curve.X[len(curve.X)-1]
 }
 
 // Table2 reproduces the model-accuracy table: minimal loss and simulated
@@ -167,15 +179,16 @@ func Table2(cfg Config) (*Report, error) {
 			tr, te = regTrain, regTest
 		}
 		for _, c := range threeCodecs() {
-			res, err := run(mdl, c, 10, maxEpochs, net, tr, te, cfg.Seed)
+			res, err := run(mdl, c, 10, maxEpochs, 0.1, tr, te, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			minLoss, convTime := convergence(res)
+			sim, network := price(res, net, 1)
+			minLoss, convTime := convergence(lossCurve(c.Name(), res, sim))
 			table.AddRow(mdl.Name(), c.Name(), minLoss, convTime)
 			metrics[fmt.Sprintf("%s_%s_min_loss", c.Name(), mdl.Name())] = minLoss
 			metrics[fmt.Sprintf("%s_%s_conv_seconds", c.Name(), mdl.Name())] = convTime
-			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = netSeconds(res, net)
+			metrics[fmt.Sprintf("%s_%s_net_seconds", c.Name(), mdl.Name())] = meanSeconds(network)
 		}
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -183,29 +196,29 @@ func Table2(cfg Config) (*Report, error) {
 
 // convergence returns the minimal test loss and the cumulative simulated
 // time at which the <1%-variation-over-5-epochs criterion first held.
-func convergence(res *trainer.Result) (minLoss, seconds float64) {
-	minLoss = res.Epochs[0].TestLoss
-	for _, e := range res.Epochs {
-		if e.TestLoss < minLoss {
-			minLoss = e.TestLoss
+func convergence(curve stats.Series) (minLoss, seconds float64) {
+	minLoss = curve.Y[0]
+	for _, loss := range curve.Y {
+		if loss < minLoss {
+			minLoss = loss
 		}
 	}
 	const window = 5
-	for i := window - 1; i < len(res.Curve); i++ {
-		lo, hi := res.Curve[i].Loss, res.Curve[i].Loss
-		for j := i - window + 1; j <= i; j++ {
-			if res.Curve[j].Loss < lo {
-				lo = res.Curve[j].Loss
+	for i := window - 1; i < len(curve.Y); i++ {
+		lo, hi := curve.Y[i], curve.Y[i]
+		for _, loss := range curve.Y[i-window+1 : i+1] {
+			if loss < lo {
+				lo = loss
 			}
-			if res.Curve[j].Loss > hi {
-				hi = res.Curve[j].Loss
+			if loss > hi {
+				hi = loss
 			}
 		}
 		if lo > 0 && (hi-lo)/lo < 0.01 {
-			return minLoss, res.Curve[i].Seconds
+			return minLoss, curve.X[i]
 		}
 	}
-	return minLoss, res.Curve[len(res.Curve)-1].Seconds
+	return minLoss, curve.X[len(curve.X)-1]
 }
 
 // Fig11 reproduces the scalability study: epoch time at 5, 10, and 50
@@ -230,13 +243,14 @@ func Fig11(cfg Config) (*Report, error) {
 		for _, c := range threeCodecs() {
 			var secs [3]float64
 			for i, w := range []int{5, 10, 50} {
-				res, err := runFull(mdl, c, w, epochs, 0.1, net, tr, te, cfg.Seed, fig11ComputeScale)
+				res, err := run(mdl, c, w, epochs, 0.1, tr, te, cfg.Seed)
 				if err != nil {
 					return nil, err
 				}
-				secs[i] = res.AvgEpochSimTime().Seconds()
+				sim, network := price(res, net, fig11ComputeScale)
+				secs[i] = meanSeconds(sim)
 				metrics[fmt.Sprintf("%s_%s_w%d_seconds", c.Name(), mdl.Name(), w)] = secs[i]
-				metrics[fmt.Sprintf("%s_%s_w%d_net_seconds", c.Name(), mdl.Name(), w)] = netSeconds(res, net)
+				metrics[fmt.Sprintf("%s_%s_w%d_net_seconds", c.Name(), mdl.Name(), w)] = meanSeconds(network)
 			}
 			table.AddRow(mdl.Name(), c.Name(), secs[0], secs[1], secs[2])
 		}
@@ -273,14 +287,15 @@ func Fig12(cfg Config) (*Report, error) {
 			tr, te = regTrain, regTest
 		}
 		for _, v := range variants {
-			res, err := runFull(mdl, v.c, v.workers, epochs, 0.1, v.net, tr, te, cfg.Seed, fig12ComputeScale)
+			res, err := run(mdl, v.c, v.workers, epochs, 0.1, tr, te, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			sec := res.AvgEpochSimTime().Seconds()
+			sim, network := price(res, v.net, fig12ComputeScale)
+			sec := meanSeconds(sim)
 			table.AddRow(mdl.Name(), v.name, sec)
 			metrics[fmt.Sprintf("%s_%s_seconds", v.name, mdl.Name())] = sec
-			metrics[fmt.Sprintf("%s_%s_net_seconds", v.name, mdl.Name())] = netSeconds(res, v.net)
+			metrics[fmt.Sprintf("%s_%s_net_seconds", v.name, mdl.Name())] = meanSeconds(network)
 		}
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -312,14 +327,15 @@ func Fig13(cfg Config) (*Report, error) {
 	for _, v := range variants {
 		o := codec.DefaultOptions()
 		v.mut(&o)
-		res, err := run(model.Linear{}, codec.MustSketchML(o), 10, epochs, net, train, test, cfg.Seed)
+		res, err := run(model.Linear{}, codec.MustSketchML(o), 10, epochs, 0.1, train, test, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		sec := res.AvgEpochSimTime().Seconds()
+		sim, network := price(res, net, 1)
+		sec := meanSeconds(sim)
 		table.AddRow(v.name, sec, res.FinalLoss)
 		metrics[v.name+"_seconds"] = sec
-		metrics[v.name+"_net_seconds"] = netSeconds(res, net)
+		metrics[v.name+"_net_seconds"] = meanSeconds(network)
 		metrics[v.name+"_loss"] = res.FinalLoss
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
@@ -342,14 +358,15 @@ func Table4(cfg Config) (*Report, error) {
 	table := stats.NewTable("codec", "sim s/epoch", "final loss")
 	metrics := map[string]float64{}
 	for _, c := range codecs {
-		res, err := run(model.LogisticRegression{}, c, 10, epochs, net, train, test, cfg.Seed)
+		res, err := run(model.LogisticRegression{}, c, 10, epochs, 0.1, train, test, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		sec := res.AvgEpochSimTime().Seconds()
+		sim, network := price(res, net, 1)
+		sec := meanSeconds(sim)
 		table.AddRow(c.Name(), sec, res.FinalLoss)
 		metrics[c.Name()+"_seconds"] = sec
-		metrics[c.Name()+"_net_seconds"] = netSeconds(res, net)
+		metrics[c.Name()+"_net_seconds"] = meanSeconds(network)
 		metrics[c.Name()+"_loss"] = res.FinalLoss
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil

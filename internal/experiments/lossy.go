@@ -52,16 +52,15 @@ func AblationLossyBaselines(cfg Config) (*Report, error) {
 			Epochs:        epochs,
 			Lambda:        0.01,
 			Seed:          cfg.Seed,
-			Network:       net,
 		}, train, test)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.name, err)
 		}
-		table.AddRow(e.name, res.FinalLoss, res.AvgUpBytesPerRound()/1024,
-			res.AvgEpochSimTime().Seconds())
+		sim, _ := price(res, net, 1)
+		table.AddRow(e.name, res.FinalLoss, res.AvgUpBytesPerRound()/1024, meanSeconds(sim))
 		metrics[e.name+"_loss"] = res.FinalLoss
 		metrics[e.name+"_bytes"] = res.AvgUpBytesPerRound()
-		metrics[e.name+"_seconds"] = res.AvgEpochSimTime().Seconds()
+		metrics[e.name+"_seconds"] = meanSeconds(sim)
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }
@@ -95,16 +94,16 @@ func ExtensionFactorizationMachine(cfg Config) (*Report, error) {
 			Epochs:        epochs,
 			Lambda:        0.001,
 			Seed:          cfg.Seed,
-			Network:       net,
 		}, train, test)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Name(), err)
 		}
+		sim, _ := price(res, net, 1)
 		table.AddRow(c.Name(), res.FinalLoss, res.FinalAccuracy,
-			res.AvgUpBytesPerRound()/1024, res.AvgEpochSimTime().Seconds())
+			res.AvgUpBytesPerRound()/1024, meanSeconds(sim))
 		metrics[c.Name()+"_loss"] = res.FinalLoss
 		metrics[c.Name()+"_accuracy"] = res.FinalAccuracy
-		metrics[c.Name()+"_seconds"] = res.AvgEpochSimTime().Seconds()
+		metrics[c.Name()+"_seconds"] = meanSeconds(sim)
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }

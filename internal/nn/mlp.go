@@ -13,20 +13,29 @@ import (
 	"math/rand"
 
 	"sketchml/internal/dataset"
+	"sketchml/internal/gradient"
 )
 
 // MLP is a feed-forward network with ReLU hidden units and a softmax
-// cross-entropy output.
+// cross-entropy output, trained as a model.Trainable: it holds the shape and
+// the init seed only, every replica's parameters live in the caller's theta
+// (weights then biases per layer, layers in order), and the trainer drives
+// it like any other model. Labels are class indexes and inputs are dense
+// vectors of the first layer's width; BatchGradient and Evaluate index by
+// both unchecked, so run CheckDataset once on every dataset that came from
+// outside the program.
 type MLP struct {
-	sizes  []int // layer widths, input first, classes last
-	params []float64
+	sizes []int // layer widths, input first, classes last
 	// offsets[l] is the index of layer l's weight block; biases follow the
 	// weights within each block.
 	offsets []int
+	dim     int // total parameters
+	seed    int64
 }
 
-// New creates an MLP with the given layer sizes (at least input and output)
-// and He-initialized weights drawn deterministically from seed.
+// New describes an MLP with the given layer sizes (at least input and
+// output) whose replicas InitTheta fills with He-initialized weights drawn
+// deterministically from seed.
 func New(sizes []int, seed int64) (*MLP, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("nn: need at least 2 layers, got %d", len(sizes))
@@ -36,65 +45,92 @@ func New(sizes []int, seed int64) (*MLP, error) {
 			return nil, fmt.Errorf("nn: layer %d has size %d", i, s)
 		}
 	}
-	total := 0
-	offsets := make([]int, len(sizes)-1)
-	for l := 0; l < len(sizes)-1; l++ {
-		offsets[l] = total
-		total += sizes[l]*sizes[l+1] + sizes[l+1]
-	}
-	m := &MLP{
-		sizes:   append([]int(nil), sizes...),
-		params:  make([]float64, total),
-		offsets: offsets,
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for l := 0; l < len(sizes)-1; l++ {
-		in := sizes[l]
-		scale := math.Sqrt(2.0 / float64(in))
-		w := m.weights(l)
-		for i := range w {
-			w[i] = rng.NormFloat64() * scale
-		}
-		// Biases start at zero.
+	m := &MLP{sizes: append([]int(nil), sizes...), offsets: make([]int, len(sizes)-1), seed: seed}
+	for l := range m.offsets {
+		m.offsets[l] = m.dim
+		m.dim += sizes[l]*sizes[l+1] + sizes[l+1]
 	}
 	return m, nil
 }
 
-// weights returns layer l's weight block (out×in, row-major by output unit).
-func (m *MLP) weights(l int) []float64 {
+// Name implements model.Trainable: "MLP-400-64-10".
+func (m *MLP) Name() string {
+	name := "MLP"
+	for _, s := range m.sizes {
+		name += fmt.Sprintf("-%d", s)
+	}
+	return name
+}
+
+// ParamDim implements model.Trainable. The parameter count is fixed by the
+// layer sizes; that the feature space matches the input layer is
+// CheckDataset's to say.
+func (m *MLP) ParamDim(uint64) uint64 { return uint64(m.dim) }
+
+// InitTheta fills a replica's parameters: He-initialized weights (the same
+// draw for every replica of one seed), zero biases.
+func (m *MLP) InitTheta(theta []float64) {
+	rng := rand.New(rand.NewSource(m.seed))
+	for l := range m.offsets {
+		scale := math.Sqrt(2.0 / float64(m.sizes[l]))
+		w := m.weights(theta, l)
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+		b := m.biases(theta, l)
+		for i := range b {
+			b[i] = 0
+		}
+	}
+}
+
+// CheckDataset reports whether d can train or evaluate this network: its
+// feature space is the input layer, every key lies inside it and every label
+// is a class index.
+func (m *MLP) CheckDataset(d *dataset.Dataset) error {
+	width, classes := m.sizes[0], m.sizes[len(m.sizes)-1]
+	if d.Dim != uint64(width) {
+		return fmt.Errorf("nn: dataset has %d features, the input layer %d", d.Dim, width)
+	}
+	for i := range d.Instances {
+		in := &d.Instances[i]
+		// Written so that a NaN label fails too.
+		if !(in.Label >= 0 && in.Label < float64(classes)) {
+			return fmt.Errorf("nn: instance %d: label %v out of [0, %d)", i, in.Label, classes)
+		}
+		for _, k := range in.Keys {
+			if k >= uint64(width) {
+				return fmt.Errorf("nn: instance %d: key %d outside the %d inputs", i, k, width)
+			}
+		}
+	}
+	return nil
+}
+
+// weights returns layer l's weight block of theta (out×in, row-major by
+// output unit).
+func (m *MLP) weights(theta []float64, l int) []float64 {
 	in, out := m.sizes[l], m.sizes[l+1]
 	start := m.offsets[l]
-	return m.params[start : start+in*out]
+	return theta[start : start+in*out]
 }
 
-// biases returns layer l's bias block.
-func (m *MLP) biases(l int) []float64 {
+// biases returns layer l's bias block of theta.
+func (m *MLP) biases(theta []float64, l int) []float64 {
 	in, out := m.sizes[l], m.sizes[l+1]
 	start := m.offsets[l] + in*out
-	return m.params[start : start+out]
+	return theta[start : start+out]
 }
-
-// ParamDim returns the total number of parameters.
-func (m *MLP) ParamDim() uint64 { return uint64(len(m.params)) }
-
-// Params returns the flat parameter vector; optimizers mutate it in place.
-func (m *MLP) Params() []float64 { return m.params }
-
-// Sizes returns the layer widths.
-func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
-
-// Classes returns the output width.
-func (m *MLP) Classes() int { return m.sizes[len(m.sizes)-1] }
 
 // forward runs the network on x, returning every layer's post-activation
 // output (activations[0] == x) and the pre-softmax logits.
-func (m *MLP) forward(x []float64) (activations [][]float64, logits []float64) {
+func (m *MLP) forward(theta, x []float64) (activations [][]float64, logits []float64) {
 	activations = make([][]float64, len(m.sizes))
 	activations[0] = x
 	cur := x
 	for l := 0; l < len(m.sizes)-1; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
-		w, b := m.weights(l), m.biases(l)
+		w, b := m.weights(theta, l), m.biases(theta, l)
 		next := make([]float64, out)
 		for o := 0; o < out; o++ {
 			s := b[o]
@@ -139,39 +175,35 @@ func softmax(logits []float64) []float64 {
 func (m *MLP) denseInput(in *dataset.Instance) []float64 {
 	x := make([]float64, m.sizes[0])
 	for i, k := range in.Keys {
-		if int(k) < len(x) {
-			x[k] = in.Values[i]
-		}
+		x[k] = in.Values[i]
 	}
 	return x
 }
 
-// LossAndGradient computes the mean cross-entropy loss of the batch and the
-// mean gradient over the flat parameter vector. Labels are class indexes.
-func (m *MLP) LossAndGradient(batch []*dataset.Instance) (float64, []float64, error) {
-	grad := make([]float64, len(m.params))
+// BatchGradient implements model.Trainable: backpropagation over the batch,
+// then the dense mean gradient (plus lambda·theta) as a sparse message — for
+// dense NN gradients every key is present, so it is the codec's value path
+// that works. The loss is the mean cross-entropy, unregularized.
+func (m *MLP) BatchGradient(theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
 	if len(batch) == 0 {
-		return 0, grad, nil
+		return gradient.NewSparse(uint64(m.dim), 0), 0
 	}
+	grad := make([]float64, m.dim)
 	var lossSum float64
 	nLayers := len(m.sizes) - 1
 	for _, in := range batch {
 		cls := int(in.Label)
-		if cls < 0 || cls >= m.Classes() {
-			return 0, nil, fmt.Errorf("nn: label %v out of [0, %d)", in.Label, m.Classes())
-		}
-		acts, logits := m.forward(m.denseInput(in))
+		acts, logits := m.forward(theta, m.denseInput(in))
 		probs := softmax(logits)
 		lossSum += -math.Log(math.Max(probs[cls], 1e-300))
 
 		// Backprop. delta starts as dLoss/dlogits = probs - onehot.
-		delta := append([]float64(nil), probs...)
+		delta := probs
 		delta[cls]--
 		for l := nLayers - 1; l >= 0; l-- {
 			inW, outW := m.sizes[l], m.sizes[l+1]
-			w := m.weights(l)
-			gw := grad[m.offsets[l] : m.offsets[l]+inW*outW]
-			gb := grad[m.offsets[l]+inW*outW : m.offsets[l]+inW*outW+outW]
+			w := m.weights(theta, l)
+			gw, gb := m.weights(grad, l), m.biases(grad, l)
 			prev := acts[l]
 			for o := 0; o < outW; o++ {
 				d := delta[o]
@@ -208,48 +240,32 @@ func (m *MLP) LossAndGradient(batch []*dataset.Instance) (float64, []float64, er
 	}
 	inv := 1.0 / float64(len(batch))
 	for i := range grad {
-		grad[i] *= inv
+		grad[i] = grad[i]*inv + lambda*theta[i]
 	}
-	return lossSum * inv, grad, nil
+	return gradient.FromDense(grad, 0), lossSum * inv
 }
 
-// Loss returns the mean cross-entropy of the dataset without gradients.
-func (m *MLP) Loss(d *dataset.Dataset) (float64, error) {
+// Evaluate implements model.Trainable: the mean cross-entropy and the top-1
+// accuracy of theta on d.
+func (m *MLP) Evaluate(theta []float64, d *dataset.Dataset) (loss, accuracy float64) {
 	if d.N() == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range d.Instances {
-		in := &d.Instances[i]
-		cls := int(in.Label)
-		if cls < 0 || cls >= m.Classes() {
-			return 0, fmt.Errorf("nn: label %v out of range", in.Label)
-		}
-		_, logits := m.forward(m.denseInput(in))
-		probs := softmax(logits)
-		sum += -math.Log(math.Max(probs[cls], 1e-300))
-	}
-	return sum / float64(d.N()), nil
-}
-
-// Accuracy returns the top-1 accuracy on the dataset.
-func (m *MLP) Accuracy(d *dataset.Dataset) float64 {
-	if d.N() == 0 {
-		return 0
+		return 0, 0
 	}
 	correct := 0
 	for i := range d.Instances {
 		in := &d.Instances[i]
-		_, logits := m.forward(m.denseInput(in))
-		best, bestV := 0, math.Inf(-1)
+		cls := int(in.Label)
+		_, logits := m.forward(theta, m.denseInput(in))
+		best := 0
 		for c, v := range logits {
-			if v > bestV {
-				best, bestV = c, v
+			if v > logits[best] {
+				best = c
 			}
 		}
-		if best == int(in.Label) {
+		if best == cls {
 			correct++
 		}
+		loss += -math.Log(math.Max(softmax(logits)[cls], 1e-300))
 	}
-	return float64(correct) / float64(d.N())
+	return loss / float64(d.N()), float64(correct) / float64(d.N())
 }

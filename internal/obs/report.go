@@ -41,7 +41,6 @@ type EpochReport struct {
 	Merges       int64   `json:"merges"`         // wire-to-wire merges performed by workers
 	Stages       StageNs `json:"stages"`
 	WallNs       int64   `json:"wall_ns"`
-	SimNs        int64   `json:"sim_ns"`
 	TestLoss     float64 `json:"test_loss"`
 	Accuracy     float64 `json:"accuracy"`
 }

@@ -21,14 +21,14 @@ func validReport() *RunReport {
 				UpBytes: 1000, DownBytes: 400, RawUpBytes: 8000, RawDownBytes: 3200,
 				Compression: 8.0,
 				Stages:      StageNs{GatherNs: 30, BroadcastNs: 20, ComputeNs: 500, EncodeNs: 40, DecodeNs: 35},
-				WallNs:      100, SimNs: 90, TestLoss: 0.5,
+				WallNs:      100, TestLoss: 0.5,
 			},
 			{
 				Epoch: 1, Rounds: 10,
 				UpBytes: 900, DownBytes: 380, RawUpBytes: 7200, RawDownBytes: 3000,
 				Compression: 8.0,
 				Stages:      StageNs{GatherNs: 25, BroadcastNs: 25, ComputeNs: 480, EncodeNs: 38, DecodeNs: 33},
-				WallNs:      95, SimNs: 85, TestLoss: 0.4,
+				WallNs:      95, TestLoss: 0.4,
 			},
 		},
 		TotalUpBytes: 1900, TotalDownBytes: 780, TotalRawUpBytes: 15200,
@@ -145,6 +145,24 @@ func TestRunReportFileRoundTrip(t *testing.T) {
 	}
 	if back.Codec != r.Codec || back.TotalUpBytes != r.TotalUpBytes || len(back.Epochs) != 2 {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+
+	// Reports written while epochs still carried a simulated time ("sim_ns")
+	// keep loading: the reader has no use for the field and no quarrel with it.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.ReplaceAll(string(data), `"wall_ns":`, `"sim_ns": 90, "wall_ns":`)
+	if strings.Count(old, `"sim_ns"`) != 2 {
+		t.Fatalf("expected one sim_ns per epoch in the rewritten report:\n%s", old)
+	}
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadReportFile(oldPath); err != nil || back.Epochs[1].WallNs != r.Epochs[1].WallNs {
+		t.Fatalf("report with sim_ns did not load: %v", err)
 	}
 
 	// An invalid report must refuse to be written at all.

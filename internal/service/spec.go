@@ -199,9 +199,9 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if !nameOK(s.Name) {
 		return fmt.Errorf("%w: name %q must be 1-64 chars of [A-Za-z0-9._-]", ErrBadSpec, s.Name)
 	}
-	switch s.Dataset {
-	case "kdd10", "kdd12", "ctr":
-	case "synthetic":
+	switch {
+	case dataset.Preset(s.Dataset) != nil:
+	case s.Dataset == "synthetic":
 		if s.Instances < 8 || s.Instances > 1_000_000 {
 			return fmt.Errorf("%w: synthetic instances %d out of [8, 1e6]", ErrBadSpec, s.Instances)
 		}
@@ -217,7 +217,8 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if _, err := model.ByName(s.Model); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if _, err := newCodecFactory(s.Codec); err != nil {
+	newCodec, err := codec.ByName(s.Codec, codec.DefaultOptions())
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if s.Workers < 1 || s.Workers > lim.MaxWorkers {
@@ -239,10 +240,8 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if gather != cluster.TopologyStar {
 		// Reject unmergeable codecs at submit time — the trainer would reject
 		// them too, but only after the job is admitted and scheduled.
-		if probe, _ := newCodecFactory(s.Codec); probe != nil {
-			if _, ok := probe().(codec.Merger); !ok {
-				return fmt.Errorf("%w: gather %q requires a mergeable codec, %s is not", ErrBadSpec, s.Gather, s.Codec)
-			}
+		if _, ok := newCodec().(codec.Merger); !ok {
+			return fmt.Errorf("%w: gather %q requires a mergeable codec, %s is not", ErrBadSpec, s.Gather, s.Codec)
 		}
 	}
 	if s.RoundDeadlineMs < 0 || s.RoundDeadlineMs > 600_000 {
@@ -261,65 +260,15 @@ func (s *JobSpec) Validate(lim Limits) error {
 	return nil
 }
 
-// newCodecFactory maps a codec name to a per-party constructor (stateful
-// codecs such as topk-ef keep per-sender residuals, so every party needs
-// its own instance). The name is validated by constructing one instance
-// eagerly; the returned factory then cannot fail for the same inputs, and
-// falls back to that validated instance if construction ever does.
-func newCodecFactory(name string) (func() codec.Codec, error) {
-	build := func() (codec.Codec, error) {
-		opts := codec.DefaultOptions()
-		switch name {
-		case "sketchml":
-			return codec.NewSketchML(opts)
-		case "adam":
-			return &codec.Raw{}, nil
-		case "adam32":
-			return &codec.Raw{Float32: true}, nil
-		case "zipml8":
-			return &codec.ZipML{Bits: 8}, nil
-		case "zipml16":
-			return &codec.ZipML{Bits: 16}, nil
-		case "key":
-			opts.Quantize, opts.MinMax = false, false
-			return codec.NewSketchML(opts)
-		case "keyquan":
-			opts.MinMax = false
-			return codec.NewSketchML(opts)
-		case "onebit":
-			return &codec.OneBit{}, nil
-		case "topk":
-			return &codec.TopK{Fraction: 0.1}, nil
-		case "topk-ef":
-			return codec.NewErrorFeedback(&codec.TopK{Fraction: 0.1}), nil
-		}
-		return nil, fmt.Errorf("unknown codec %q", name)
-	}
-	probe, err := build()
-	if err != nil {
-		return nil, err
-	}
-	return func() codec.Codec {
-		c, err := build()
-		if err != nil {
-			return probe // unreachable post-validation; shared fallback beats a nil codec
-		}
-		return c
-	}, nil
-}
-
 // buildDataset materializes the spec's deterministic dataset and splits it
 // into train/test exactly as cmd/sketchml does.
 func (s *JobSpec) buildDataset() (train, test *dataset.Dataset, err error) {
 	var ds *dataset.Dataset
-	switch s.Dataset {
-	case "kdd10":
-		ds = dataset.KDD10Like(s.Seed)
-	case "kdd12":
-		ds = dataset.KDD12Like(s.Seed)
-	case "ctr":
-		ds = dataset.CTRLike(s.Seed)
-	case "synthetic":
+	preset := dataset.Preset(s.Dataset)
+	switch {
+	case preset != nil:
+		ds = preset(s.Seed)
+	case s.Dataset == "synthetic":
 		task := dataset.Classification
 		if s.Model == "Linear" {
 			task = dataset.Regression
@@ -346,7 +295,7 @@ func (s *JobSpec) buildConfig() (trainer.Config, error) {
 	if err != nil {
 		return trainer.Config{}, err
 	}
-	factory, err := newCodecFactory(s.Codec)
+	factory, err := codec.ByName(s.Codec, codec.DefaultOptions())
 	if err != nil {
 		return trainer.Config{}, err
 	}

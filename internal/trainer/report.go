@@ -184,7 +184,6 @@ func BuildRunReport(tool string, res *Result, reg *obs.Registry) (*obs.RunReport
 				MergeNs:     es.MergeTime.Nanoseconds(),
 			},
 			WallNs:   es.WallTime.Nanoseconds(),
-			SimNs:    es.SimTime.Nanoseconds(),
 			TestLoss: es.TestLoss,
 			Accuracy: es.Accuracy,
 		}

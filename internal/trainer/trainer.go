@@ -7,9 +7,9 @@
 //
 // The trainer runs the real message flow (every byte passes through the
 // codec and a cluster.Conn) and meters compute, encode/decode time, and
-// traffic per epoch. Because the reproduction runs on one machine, epoch
-// times for cluster-scale configurations are additionally reported through
-// the cluster.NetworkModel cost model (see DESIGN.md, "Substitutions").
+// traffic per epoch. It reports what it measured and nothing else: what
+// those meters would cost on the paper's clusters is priced outside the run
+// loop (see DESIGN.md, "Substitutions").
 package trainer
 
 import (
@@ -73,19 +73,9 @@ type Config struct {
 	Lambda float64
 	// Seed drives batching shuffles.
 	Seed int64
-	// Network converts measured traffic into simulated epoch times.
-	// The zero value defaults to cluster.LabCluster().
-	Network cluster.NetworkModel
 	// UseTCP routes every message over loopback TCP instead of in-memory
 	// channels. Slower, but exercises the real network stack.
 	UseTCP bool
-	// ComputeScale multiplies the measured gradient-computation time inside
-	// the simulated epoch time (default 1). It calibrates the
-	// compute-to-communication ratio for workloads whose real counterparts
-	// are far more compute-heavy than our scaled-down substitutes — e.g. the
-	// paper's CTR dataset, where per-instance cost dominates (Section
-	// 4.3.2). Codec and network times are never scaled.
-	ComputeScale float64
 
 	// RoundDeadline bounds every receive in the training loop: the
 	// driver's per-round gather, each worker's wait for the broadcast, and
@@ -194,9 +184,16 @@ type EpochStats struct {
 	ComputeTime time.Duration // summed worker gradient computation
 	// EncodeTime and DecodeTime sum every party's per-call wall time in
 	// the codec (driver and workers), not on-CPU time; the driver's gather
-	// decodes are timed at most GOMAXPROCS at once (see timedDecode).
+	// decodes are timed at most GOMAXPROCS at once (see timedDecode). The
+	// workers' share is an end-of-run total spread uniformly across epochs,
+	// like ComputeTime; the driver's share is measured epoch by epoch.
 	EncodeTime time.Duration
 	DecodeTime time.Duration
+	// DriverCodecTime is the driver's share of EncodeTime + DecodeTime: the
+	// codec work no other party's overlaps. The rest is spread over W
+	// workers, which is the split a cost model needs and the two sums above
+	// cannot give.
+	DriverCodecTime time.Duration
 	// GatherTime and BroadcastTime are driver-side wall clocks that
 	// partition each round (gather+aggregate, then encode+send+apply), so
 	// their sum never exceeds WallTime — unlike the summed-across-parties
@@ -204,10 +201,7 @@ type EpochStats struct {
 	GatherTime    time.Duration
 	BroadcastTime time.Duration
 
-	// SimTime estimates the epoch's wall time on the configured cluster:
-	// parallel compute + driver serial codec work + modeled network time.
-	SimTime time.Duration
-	// WallTime is the actually measured single-machine duration.
+	// WallTime is the measured duration of the epoch's rounds on this machine.
 	WallTime time.Duration
 
 	// Robustness counters, nonzero only when Config.RoundDeadline enables
@@ -221,20 +215,12 @@ type EpochStats struct {
 	DegradedRounds int // rounds aggregated from fewer than W gradients
 }
 
-// CurvePoint is one point of the loss-vs-time convergence curve
-// (Figure 10): cumulative simulated seconds against test loss.
-type CurvePoint struct {
-	Seconds float64
-	Loss    float64
-}
-
 // Result aggregates a full run.
 type Result struct {
 	CodecName string
 	ModelName string
 	Workers   int
 	Epochs    []EpochStats
-	Curve     []CurvePoint
 	// FinalLoss is the last test loss; FinalAccuracy likewise.
 	FinalLoss     float64
 	FinalAccuracy float64
@@ -269,18 +255,6 @@ type Result struct {
 	// value a resume checkpoint carries.
 	Drained         bool
 	CompletedRounds int
-}
-
-// AvgEpochSimTime returns the mean simulated epoch time.
-func (r *Result) AvgEpochSimTime() time.Duration {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, e := range r.Epochs {
-		total += e.SimTime
-	}
-	return total / time.Duration(len(r.Epochs))
 }
 
 // AvgUpBytesPerRound returns the mean worker→driver bytes per round, the
@@ -338,12 +312,6 @@ func (c *Config) fill() error {
 	if c.Epochs < 1 {
 		c.Epochs = 1
 	}
-	if (c.Network == cluster.NetworkModel{}) {
-		c.Network = cluster.LabCluster()
-	}
-	if c.ComputeScale <= 0 {
-		c.ComputeScale = 1
-	}
 	if c.RoundDeadline > 0 {
 		if c.MinGatherFraction <= 0 || c.MinGatherFraction > 1 {
 			c.MinGatherFraction = 0.5
@@ -376,7 +344,7 @@ func (c *Config) fill() error {
 	default:
 		return fmt.Errorf("trainer: unknown topology %d", int(c.Topology))
 	}
-	return c.Network.Validate()
+	return nil
 }
 
 // tolerant reports whether degraded rounds are enabled (versus the strict
@@ -886,8 +854,7 @@ func (d *driver) train(ctx context.Context, res *Result, test *dataset.Dataset) 
 // foldReports closes the run's books. It collects one end-of-run report and
 // one exit status per worker — in tolerant mode, and after a drain, a lost
 // report or a failed worker degrades the stats instead of failing the run —
-// then spreads the worker-side totals uniformly over the epochs and derives
-// each epoch's simulated time and the loss curve.
+// then spreads the worker-side totals uniformly over the epochs.
 func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 	cfg := d.cfg
 	forgiving := cfg.tolerant() || res.Drained
@@ -942,15 +909,13 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 	if total.rounds > 0 {
 		meanLoss = total.lossSum / float64(total.rounds)
 	}
-	cumSimSeconds := 0.0
 	for i := range res.Epochs {
 		es := &res.Epochs[i]
-		driverCodec := es.EncodeTime + es.DecodeTime
-		workerEncode := time.Duration(total.encodeNs / int64(n))
-		workerDecode := time.Duration(total.decodeNs / int64(n))
+		// Until here the codec meters hold the driver's own calls only.
+		es.DriverCodecTime = es.EncodeTime + es.DecodeTime
 		es.ComputeTime = time.Duration(total.computeNs / int64(n))
-		es.EncodeTime += workerEncode
-		es.DecodeTime += workerDecode
+		es.EncodeTime += time.Duration(total.encodeNs / int64(n))
+		es.DecodeTime += time.Duration(total.decodeNs / int64(n))
 		es.MergeTime = time.Duration(total.mergeNs / int64(n))
 		es.Merges = total.merges / int64(n)
 		if i == 0 {
@@ -959,20 +924,6 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 			es.Merges += total.merges % int64(n)
 		}
 		es.TrainLoss = meanLoss
-
-		// Simulated epoch time: workers run in parallel (their compute and
-		// codec work divide by W); the driver's codec work is serial; the
-		// network round time comes from the cost model with the measured
-		// per-round traffic.
-		scaledCompute := time.Duration(float64(es.ComputeTime) * cfg.ComputeScale)
-		workerTime := (scaledCompute + workerEncode + workerDecode) / time.Duration(cfg.Workers)
-		perRoundUp := es.UpBytes / int64(es.Rounds)
-		perRoundDown := es.DownBytes / int64(es.Rounds)
-		network := cfg.Network.RoundTime(perRoundUp, perRoundDown, cfg.Workers) * time.Duration(es.Rounds)
-		es.SimTime = workerTime + driverCodec + network
-
-		cumSimSeconds += es.SimTime.Seconds()
-		res.Curve = append(res.Curve, CurvePoint{Seconds: cumSimSeconds, Loss: es.TestLoss})
 	}
 	return nil
 }

@@ -148,7 +148,8 @@ func NewSGD(lr float64) Optimizer { return optim.NewSGD(lr) }
 // TrainConfig configures a distributed training run.
 type TrainConfig = trainer.Config
 
-// TrainResult reports per-epoch statistics and the convergence curve.
+// TrainResult reports a run's per-epoch statistics: what it measured — loss,
+// traffic, per-stage times — on the machine it ran on.
 type TrainResult = trainer.Result
 
 // EpochStats is one epoch of a training run.
@@ -186,16 +187,6 @@ func ParseTopology(s string) (Topology, error) { return cluster.ParseTopology(s)
 func Train(cfg TrainConfig, train, test *Dataset) (*TrainResult, error) {
 	return trainer.Run(cfg, train, test)
 }
-
-// NetworkModel converts measured traffic into simulated cluster epoch
-// times.
-type NetworkModel = cluster.NetworkModel
-
-// Reproduction-scaled network models (see internal/cluster).
-var (
-	LabCluster        = cluster.LabCluster
-	ProductionCluster = cluster.ProductionCluster
-)
 
 // ExperimentConfig scales an experiment run.
 type ExperimentConfig = experiments.Config
