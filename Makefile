@@ -31,14 +31,15 @@ BENCHFLAGS ?= -benchtime=0.5s
 BENCH_TOLERANCE ?= 25
 BENCH_COMPARE_FLAGS ?=
 # Steady-state benchmark surface: the codec encode/decode sweep, the
-# wire-to-wire merge path, the driver's gradient sum, and the cluster
-# deadline-receive loop. All feed one benchjson document; the committed
-# BENCH_ceilings.json pins absolute allocs/op ceilings for the
-# machine-independent rows (0 for DecodeInto and the exact-path MergeInto,
-# single digits for Encode, 3 for Accumulate, 2 for RecvTimeout), because a
+# wire-to-wire merge path, the worker's batch gradient, the driver's
+# gradient sum, and the cluster deadline-receive loop. All feed one
+# benchjson document; the committed BENCH_ceilings.json pins absolute
+# allocs/op ceilings for the machine-independent rows (0 for DecodeInto, the
+# exact-path MergeInto and Accumulate, single digits for Encode, the
+# returned gradient's 3 for BatchGradient, 2 for RecvTimeout), because a
 # 0 -> 1 allocation regression is invisible to percentage thresholds.
-BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/cluster
-BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkRecvTimeoutSteadyState'
+BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/model ./internal/cluster
+BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkBatchGradient|BenchmarkRecvTimeoutSteadyState'
 BENCH_CEILINGS ?= BENCH_ceilings.json
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.
@@ -50,6 +51,7 @@ FUZZ_TARGETS := \
 	./internal/codec:FuzzMerge \
 	./internal/keycoding:FuzzDeltaRoundTrip \
 	./internal/keycoding:FuzzDecodeDeltaRobust \
+	./internal/model:FuzzBatchGradientMatchesMap \
 	./internal/trainer:FuzzCheckpointDecode \
 	./internal/service:FuzzJobSpecDecode
 
@@ -178,7 +180,8 @@ service-smoke:
 # GATE_BUDGETS names budgets in seconds as gate=seconds pairs — twice what
 # the four slow gates read on the 2-vCPU host after PR 17's deletions, test
 # cache cleared (race-matrix 78, experiments-matrix 23, fuzz-smoke 40, test
-# 19), and room for CI's full-module race pass — and GATE_BUDGET covers every
+# 19; fuzz-smoke reads 48 with PR 19's seventh target and keeps its budget),
+# and room for CI's full-module race pass — and GATE_BUDGET covers every
 # gate not named.
 GATE_BUDGETS ?= race-matrix=156 experiments-matrix=46 fuzz-smoke=80 test=38 race=600
 GATE_BUDGET  ?= 120

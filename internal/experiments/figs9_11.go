@@ -20,9 +20,9 @@ import (
 // communication matter. These constants pin our scaled-down substitutes to
 // the same regimes.
 const (
-	ctrComputeScale   = 4500
-	fig11ComputeScale = 2500
-	fig12ComputeScale = 40
+	ctrComputeScale   = 16500
+	fig11ComputeScale = 6750
+	fig12ComputeScale = 110
 )
 
 // endToEnd runs the three competitor codecs across the three models on one

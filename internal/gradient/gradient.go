@@ -7,6 +7,7 @@ package gradient
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sketchml/internal/invariant"
@@ -141,20 +142,21 @@ func FromDense(dense []float64, threshold float64) *Sparse {
 	return g
 }
 
-// FromMap builds a sparse gradient from an unordered key→value map.
+// FromMap builds a sparse gradient from an unordered key→value map,
+// dropping the keys whose value is exactly zero.
 func FromMap(dim uint64, m map[uint64]float64) *Sparse {
-	g := NewSparse(dim, len(m))
 	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if v := m[k]; v != 0 {
-			g.Append(k, v)
+	for k, v := range m {
+		if v != 0 {
+			keys = append(keys, k)
 		}
 	}
-	return g
+	slices.Sort(keys)
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		vals[i] = m[k]
+	}
+	return &Sparse{Dim: dim, Keys: keys, Values: vals}
 }
 
 // RawSizeBytes returns the uncompressed wire size of the gradient as the
@@ -188,6 +190,7 @@ type Accumulator struct {
 	// Sum's scratch, kept between rounds: the merge rounds alternate between
 	// the two buffers, each as long as the inputs together.
 	buf [2]terms
+	sum Sparse // what Sum returns: a view of the buffer the last round wrote
 }
 
 // terms is a list of weighted terms of the sum, ascending by key and, within
@@ -215,9 +218,11 @@ func (a *Accumulator) Add(g *Sparse, weight float64) error {
 	return nil
 }
 
-// Sum returns the weighted sum of the added gradients as a new sparse
-// vector, dropping keys whose values sum to exactly zero, and resets the
-// accumulator, releasing the added gradients.
+// Sum returns the weighted sum of the added gradients, dropping keys whose
+// values sum to exactly zero, and resets the accumulator, releasing the
+// added gradients. The result is the accumulator's own storage, not a copy:
+// it is valid until the next Add or Sum on a, and a caller that keeps it
+// longer must Clone it.
 func (a *Accumulator) Sum() *Sparse {
 	runs := a.runs
 	n := 0
@@ -264,9 +269,8 @@ func (a *Accumulator) Sum() *Sparse {
 	keys, vals := addUp(a.buf[dst].keys[:0], a.buf[dst].vals[:0], left, right)
 	clear(a.runs) // drop the references to the added gradients
 	a.runs = a.runs[:0]
-	// The buffer is as long as the inputs together; the result owns storage
-	// sized to their union.
-	return &Sparse{Dim: a.dim, Keys: append([]uint64(nil), keys...), Values: append([]float64(nil), vals...)}
+	a.sum = Sparse{Dim: a.dim, Keys: keys, Values: vals}
+	return &a.sum
 }
 
 // interleave merges a and b into out, which is as long as both together,

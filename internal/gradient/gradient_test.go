@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -337,8 +338,9 @@ func TestAccumulatorEmpty(t *testing.T) {
 // TestAccumulatorReadsAtSum documents Add's contract: the accumulator keeps
 // the pointer and reads the gradient only in Sum, so the gradient must stay
 // unmodified between the two. A caller that reuses a decode buffer may
-// overwrite it only after Sum has returned — and Sum's result shares no
-// storage with the inputs.
+// overwrite it only after Sum has returned — Sum's result shares no storage
+// with the inputs (it is the accumulator's own; see
+// TestAccumulatorSumLifetime).
 func TestAccumulatorReadsAtSum(t *testing.T) {
 	acc := NewAccumulator(10)
 	g := FromMap(10, map[uint64]float64{3: 1})
@@ -356,6 +358,50 @@ func TestAccumulatorReadsAtSum(t *testing.T) {
 	}
 	if again := acc.Sum(); again.NNZ() != 0 {
 		t.Errorf("Sum kept %d entries of a released input", again.NNZ())
+	}
+}
+
+// TestAccumulatorSumLifetime pins Sum's contract: the result is a view of
+// the accumulator's buffer, valid until the next Add or Sum, so a warm round
+// allocates nothing and a caller that keeps a sum across rounds clones it.
+func TestAccumulatorSumLifetime(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const dim = 1000
+	for _, w := range []int{1, 2, 5} { // straight into the first buffer, and through merge rounds
+		acc := NewAccumulator(dim)
+		round := func() (*Sparse, *Sparse) {
+			grads, weights := make([]*Sparse, w), make([]float64, w)
+			for i := range grads {
+				grads[i], weights[i] = zipfGradient(rng, dim, 200), 1/float64(w)
+				if err := acc.Add(grads[i], weights[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return acc.Sum(), denseSum(dim, grads, weights)
+		}
+		first, want := round()
+		kept := first.Clone()
+		second, want2 := round()
+		for _, c := range []struct {
+			name      string
+			got, want *Sparse
+		}{{"the kept clone of round 1", kept, want}, {"round 2", second, want2}} {
+			if !slices.Equal(c.got.Keys, c.want.Keys) || !slices.Equal(c.got.Values, c.want.Values) {
+				t.Errorf("W=%d: %s differs from the dense sum", w, c.name)
+			}
+		}
+		grads := make([]*Sparse, w)
+		for i := range grads {
+			grads[i] = zipfGradient(rng, dim, 200)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, g := range grads {
+				_ = acc.Add(g, 1) // same dim: cannot fail
+			}
+			acc.Sum()
+		}); allocs != 0 {
+			t.Errorf("W=%d: a warm Add…Sum round allocates %v times, want 0", w, allocs)
+		}
 	}
 }
 

@@ -117,7 +117,8 @@ func (m FM) lossAndScalar(y, label float64) (float64, float64) {
 func (m FM) BatchGradient(theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
 	k := m.factors()
 	d := m.featureDim(len(theta))
-	acc := map[uint64]float64{}
+	terms := gradient.GetTerms()
+	defer gradient.PutTerms(terms)
 	sumF := make([]float64, k)
 	var lossSum float64
 	inv := 1.0
@@ -135,21 +136,15 @@ func (m FM) BatchGradient(theta []float64, batch []*dataset.Instance, lambda flo
 		// dŷ/dw_j = x_j; dŷ/dv_jf = x_j·(sumF_f − v_jf·x_j).
 		for i, key := range in.Keys {
 			x := in.Values[i]
-			acc[key] += s * x
+			terms.Add(key, s*x)
 			base := d + key*uint64(k)
 			for f := 0; f < k; f++ {
 				pk := base + uint64(f)
-				acc[pk] += s * x * (sumF[f] - theta[pk]*x)
+				terms.Add(pk, s*x*(sumF[f]-theta[pk]*x))
 			}
 		}
 	}
-	if lambda != 0 {
-		for pk := range acc {
-			acc[pk] += lambda * theta[pk]
-		}
-	}
-	g := gradient.FromMap(uint64(len(theta)), acc)
-	return g, lossSum * inv
+	return terms.Sum(uint64(len(theta)), theta, lambda), lossSum * inv
 }
 
 // Evaluate implements Trainable.

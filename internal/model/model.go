@@ -137,7 +137,8 @@ func All() []Model {
 // dimensions of the batch (sparse regularization, standard for sparse SGD).
 // It returns the sparse gradient and the mean unregularized batch loss.
 func BatchGradient(m Model, theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
-	acc := map[uint64]float64{}
+	terms := gradient.GetTerms()
+	defer gradient.PutTerms(terms)
 	var lossSum float64
 	inv := 1.0
 	if len(batch) > 0 {
@@ -151,16 +152,10 @@ func BatchGradient(m Model, theta []float64, batch []*dataset.Instance, lambda f
 			continue
 		}
 		for j, k := range in.Keys {
-			acc[k] += s * in.Values[j]
+			terms.Add(k, s*in.Values[j])
 		}
 	}
-	if lambda != 0 {
-		for k := range acc {
-			acc[k] += lambda * theta[k]
-		}
-	}
-	g := gradient.FromMap(uint64(len(theta)), acc)
-	return g, lossSum * inv
+	return terms.Sum(uint64(len(theta)), theta, lambda), lossSum * inv
 }
 
 // Evaluate returns the mean unregularized loss and (for classifiers) the
@@ -172,11 +167,12 @@ func Evaluate(m Model, theta []float64, d *dataset.Dataset) (loss, accuracy floa
 	}
 	var lossSum float64
 	correct := 0
+	_, isLinear := m.(Linear)
 	for i := range d.Instances {
 		in := &d.Instances[i]
 		margin := in.Dot(theta)
 		lossSum += m.InstanceLoss(margin, in.Label)
-		if _, isLinear := m.(Linear); !isLinear {
+		if !isLinear {
 			// Sign agreement, not float equality: Predict and Label are ±1.
 			if m.Predict(margin)*in.Label > 0 {
 				correct++
