@@ -30,16 +30,17 @@ BENCHFLAGS ?= -benchtime=0.5s
 # nothing on another machine, while allocation counts are stable.
 BENCH_TOLERANCE ?= 25
 BENCH_COMPARE_FLAGS ?=
-# Steady-state benchmark surface: the codec encode/decode sweep, the
-# wire-to-wire merge path, the worker's batch gradient, the driver's
-# gradient sum, and the cluster deadline-receive loop. All feed one
+# Steady-state benchmark surface: the codec encode/decode sweep (SketchML
+# and the Raw baseline), the wire-to-wire merge path, the worker's batch
+# gradient, the driver's gradient sum, the frame envelope's append and parse,
+# and the cluster deadline-receive loop. All feed one
 # benchjson document; the committed BENCH_ceilings.json pins absolute
 # allocs/op ceilings for the machine-independent rows (0 for DecodeInto, the
-# exact-path MergeInto and Accumulate, single digits for Encode, the
-# returned gradient's 3 for BatchGradient, 2 for RecvTimeout), because a
-# 0 -> 1 allocation regression is invisible to percentage thresholds.
-BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/model ./internal/cluster
-BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkBatchGradient|BenchmarkRecvTimeoutSteadyState'
+# exact-path MergeInto, Accumulate and both Frame rows, single digits for
+# Encode, the returned gradient's 3 for BatchGradient, 2 for RecvTimeout),
+# because a 0 -> 1 allocation regression is invisible to percentage thresholds.
+BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/model ./internal/cluster ./internal/trainer
+BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkBatchGradient|BenchmarkRecvTimeoutSteadyState|BenchmarkFrame'
 BENCH_CEILINGS ?= BENCH_ceilings.json
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.
@@ -53,6 +54,7 @@ FUZZ_TARGETS := \
 	./internal/keycoding:FuzzDecodeDeltaRobust \
 	./internal/model:FuzzBatchGradientMatchesMap \
 	./internal/trainer:FuzzCheckpointDecode \
+	./internal/trainer:FuzzParseFrame \
 	./internal/service:FuzzJobSpecDecode
 
 # The pre-PR gates, in the order `make verify` runs them.
@@ -180,7 +182,8 @@ service-smoke:
 # GATE_BUDGETS names budgets in seconds as gate=seconds pairs — twice what
 # the four slow gates read on the 2-vCPU host after PR 17's deletions, test
 # cache cleared (race-matrix 78, experiments-matrix 23, fuzz-smoke 40, test
-# 19; fuzz-smoke reads 48 with PR 19's seventh target and keeps its budget),
+# 19; fuzz-smoke reads 48 with PR 19's seventh target, 50 with PR 20's eighth,
+# and keeps its budget),
 # and room for CI's full-module race pass — and GATE_BUDGET covers every
 # gate not named.
 GATE_BUDGETS ?= race-matrix=156 experiments-matrix=46 fuzz-smoke=80 test=38 race=600

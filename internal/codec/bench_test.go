@@ -155,11 +155,52 @@ func BenchmarkEncodeDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			// countKeyLists allocates; at a short -benchtime its few dozen
+			// allocations are half an alloc/op of this gated row.
+			b.StopTimer()
 			b.ReportMetric(float64(len(msg)), "compressed-B/msg")
 			if p.dim != 1<<22 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.nnz), "ns/nnz")
 				b.ReportMetric(float64(countKeyLists(b, msg)), "lists")
 			}
+		})
+	}
+
+	// The uncompressed baseline at the end-to-end benchmark's two shapes: what
+	// the SketchML rows above have to beat is this plus the network time of
+	// six times the bytes.
+	for _, sh := range []shape{{2_000_000, 40000}, {2_000_000, 122000}} {
+		c := &Raw{}
+		g := grads[sh]
+		name := fmt.Sprintf("nnz%d_d2e6", sh.nnz)
+		msg, err := c.Encode(g)
+		if err != nil {
+			b.Fatalf("Raw/%s: encode: %v", name, err)
+		}
+		b.Run("Raw/Encode/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(msg)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Encode(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.nnz), "ns/nnz")
+		})
+		b.Run("Raw/DecodeInto/"+name, func(b *testing.B) {
+			var dst gradient.Sparse
+			if err := c.DecodeInto(msg, &dst); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(msg)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.DecodeInto(msg, &dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.nnz), "ns/nnz")
 		})
 	}
 }

@@ -306,30 +306,5 @@ func (c *Raw) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if uint64(len(ms.keys)) > math.MaxUint32 {
 		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(ms.keys))
 	}
-	wide := wideKeys(dim)
-	var flags byte
-	if f32 {
-		flags |= 1
-	}
-	if wide {
-		flags |= 2
-	}
-	out := append(dst[:0], tagRaw, flags)
-	out = appendU64(out, dim)
-	out = appendU32(out, uint32(len(ms.keys)))
-	for _, k := range ms.keys {
-		if wide {
-			out = appendU64(out, k)
-		} else {
-			out = appendU32(out, uint32(k))
-		}
-	}
-	for _, v := range ms.vals {
-		if f32 {
-			out = appendF32(out, float32(v))
-		} else {
-			out = appendF64(out, v)
-		}
-	}
-	return out, nil
+	return appendRaw(dst, dim, ms.keys, ms.vals, f32), nil
 }

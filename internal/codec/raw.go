@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"sketchml/internal/gradient"
 )
@@ -27,6 +30,21 @@ func (c *Raw) Name() string {
 
 func wideKeys(dim uint64) bool { return dim > 1<<32 }
 
+// rawHeaderLen is tag, flags, dim u64 and count u32.
+const rawHeaderLen = 14
+
+// rawWidths returns the bytes a key and a value occupy.
+func rawWidths(wide, f32 bool) (kb, vb int) {
+	kb, vb = 4, 8
+	if wide {
+		kb = 8
+	}
+	if f32 {
+		vb = 4
+	}
+	return kb, vb
+}
+
 // Encode implements Codec.
 //
 // Layout: tag | flags(bit0=float32, bit1=wideKeys) | dim u64 | count u32 |
@@ -35,41 +53,48 @@ func (c *Raw) Encode(g *gradient.Sparse) ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	wide := wideKeys(g.Dim)
+	return appendRaw(nil, g.Dim, g.Keys, g.Values, c.Float32), nil
+}
+
+// appendRaw is the one emitter of the Raw layout (Encode and MergeInto):
+// it overwrites dst from its start, sizing it once, and stores every field
+// at its computed offset.
+func appendRaw(dst []byte, dim uint64, keys []uint64, vals []float64, f32 bool) []byte {
+	wide := wideKeys(dim)
 	var flags byte
-	if c.Float32 {
+	if f32 {
 		flags |= 1
 	}
 	if wide {
 		flags |= 2
 	}
-	vb := 8
-	if c.Float32 {
-		vb = 4
-	}
-	kb := 4
+	kb, vb := rawWidths(wide, f32)
+	n := len(keys)
+	size := rawHeaderLen + n*(kb+vb)
+	out := slices.Grow(dst[:0], size)[:size]
+	out[0], out[1] = tagRaw, flags
+	binary.LittleEndian.PutUint64(out[2:], dim)
+	binary.LittleEndian.PutUint32(out[10:], uint32(n))
+	kout, vout := out[rawHeaderLen:rawHeaderLen+n*kb], out[rawHeaderLen+n*kb:]
 	if wide {
-		kb = 8
-	}
-	out := make([]byte, 0, 14+len(g.Keys)*(kb+vb))
-	out = append(out, tagRaw, flags)
-	out = appendU64(out, g.Dim)
-	out = appendU32(out, uint32(len(g.Keys)))
-	for _, k := range g.Keys {
-		if wide {
-			out = appendU64(out, k)
-		} else {
-			out = appendU32(out, uint32(k))
+		for i, k := range keys {
+			binary.LittleEndian.PutUint64(kout[i*8:], k)
+		}
+	} else {
+		for i, k := range keys {
+			binary.LittleEndian.PutUint32(kout[i*4:], uint32(k))
 		}
 	}
-	for _, v := range g.Values {
-		if c.Float32 {
-			out = appendF32(out, float32(v))
-		} else {
-			out = appendF64(out, v)
+	if f32 {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(vout[i*4:], math.Float32bits(float32(v)))
+		}
+	} else {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(vout[i*8:], math.Float64bits(v))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Decode implements Codec.
@@ -82,6 +107,10 @@ func (c *Raw) Decode(data []byte) (*gradient.Sparse, error) {
 }
 
 // DecodeInto implements DecoderInto, reusing dst's key and value storage.
+// It is one bulk pass: count is checked against the bytes that remain once,
+// then keys and values are indexed loads into dst with gradient.Validate's
+// conditions (key < Dim, strictly ascending, finite) tested as they land.
+// Only a message that fails one of them pays for Validate, which names it.
 func (c *Raw) DecodeInto(data []byte, dst *gradient.Sparse) error {
 	r := reader{data: data}
 	if err := checkTag(&r, tagRaw); err != nil {
@@ -101,48 +130,50 @@ func (c *Raw) DecodeInto(data []byte, dst *gradient.Sparse) error {
 	if err != nil {
 		return err
 	}
-	kb, vb := 4, 8
-	if wide {
-		kb = 8
-	}
-	if f32 {
-		vb = 4
-	}
-	if int64(r.remain()) < int64(count)*int64(kb+vb) {
+	kb, vb := rawWidths(wide, f32)
+	n := int(count)
+	if n < 0 || n > r.remain()/(kb+vb) {
 		return errTruncated
 	}
+	body := r.rest()
+	ksrc, vsrc := body[:n*kb], body[n*kb:n*(kb+vb)]
 	dst.Dim = dim
-	dst.Reset()
-	for i := uint32(0); i < count; i++ {
-		var k uint64
-		if wide {
-			k, err = r.u64()
-		} else {
-			var k32 uint32
-			k32, err = r.u32()
-			k = uint64(k32)
+	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
+	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
+
+	// next is the smallest key the ascending order still allows; a valid
+	// key is below dim, so next = k+1 cannot wrap before bad is set.
+	bad, next := false, uint64(0)
+	if wide {
+		for i := range dst.Keys {
+			k := binary.LittleEndian.Uint64(ksrc[i*8:])
+			bad = bad || k >= dim || k < next
+			next = k + 1
+			dst.Keys[i] = k
 		}
-		if err != nil {
-			return err
+	} else {
+		for i := range dst.Keys {
+			k := uint64(binary.LittleEndian.Uint32(ksrc[i*4:]))
+			bad = bad || k >= dim || k < next
+			next = k + 1
+			dst.Keys[i] = k
 		}
-		dst.Keys = append(dst.Keys, k)
 	}
-	for i := uint32(0); i < count; i++ {
-		var v float64
-		if f32 {
-			var v32 float32
-			v32, err = r.f32()
-			v = float64(v32)
-		} else {
-			v, err = r.f64()
+	if f32 {
+		for i := range dst.Values {
+			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(vsrc[i*4:])))
+			bad = bad || !gradient.Finite(v)
+			dst.Values[i] = v
 		}
-		if err != nil {
-			return err
+	} else {
+		for i := range dst.Values {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(vsrc[i*8:]))
+			bad = bad || !gradient.Finite(v)
+			dst.Values[i] = v
 		}
-		dst.Values = append(dst.Values, v)
 	}
-	if err := dst.Validate(); err != nil {
-		return fmt.Errorf("codec: corrupt raw message: %w", err)
+	if bad {
+		return fmt.Errorf("codec: corrupt raw message: %w", dst.Validate())
 	}
 	return nil
 }
@@ -152,15 +183,9 @@ func (c *Raw) Analyze(g *gradient.Sparse) (Breakdown, error) {
 	if err := g.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	kb, vb := 4, 8
-	if wideKeys(g.Dim) {
-		kb = 8
-	}
-	if c.Float32 {
-		vb = 4
-	}
+	kb, vb := rawWidths(wideKeys(g.Dim), c.Float32)
 	return Breakdown{
-		Header: 14,
+		Header: rawHeaderLen,
 		Keys:   kb * g.NNZ(),
 		Values: vb * g.NNZ(),
 	}, nil

@@ -54,11 +54,18 @@ func (g *Sparse) Validate() error {
 		if i > 0 && k <= g.Keys[i-1] {
 			return fmt.Errorf("gradient: keys not strictly ascending at %d", i)
 		}
-		if math.IsNaN(g.Values[i]) || math.IsInf(g.Values[i], 0) {
+		if !Finite(g.Values[i]) {
 			return fmt.Errorf("gradient: non-finite value at key %d", k)
 		}
 	}
 	return nil
+}
+
+// Finite reports whether v is neither NaN nor ±Inf: one compare on the
+// exponent field, which is all ones for exactly those values.
+func Finite(v float64) bool {
+	const expMask = 0x7FF << 52
+	return math.Float64bits(v)&expMask != expMask
 }
 
 // Clone returns a deep copy.

@@ -58,8 +58,11 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	m, v []float64
-	t    int
+	// mv[k] is dimension k's first and second moment, side by side: a step
+	// over a sparse gradient lands on random k, and the pair shares a cache
+	// line where two Dim-long slices would cost a miss each.
+	mv [][2]float64
+	t  int
 }
 
 // NewAdam returns an Adam optimizer over dim parameters with the paper's
@@ -70,8 +73,7 @@ func NewAdam(lr float64, dim uint64) *Adam {
 		Beta1:   0.9,
 		Beta2:   0.999,
 		Epsilon: 1e-8,
-		m:       make([]float64, dim),
-		v:       make([]float64, dim),
+		mv:      make([][2]float64, dim),
 	}
 }
 
@@ -80,19 +82,20 @@ func (a *Adam) Name() string { return "Adam" }
 
 // Step implements Optimizer.
 func (a *Adam) Step(theta []float64, g *gradient.Sparse) error {
-	if g.Dim != uint64(len(theta)) || len(a.m) != len(theta) {
+	if g.Dim != uint64(len(theta)) || len(a.mv) != len(theta) {
 		return fmt.Errorf("optim: dim mismatch: grad %d, model %d, state %d",
-			g.Dim, len(theta), len(a.m))
+			g.Dim, len(theta), len(a.mv))
 	}
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, k := range g.Keys {
 		gv := g.Values[i]
-		a.m[k] = a.Beta1*a.m[k] + (1-a.Beta1)*gv
-		a.v[k] = a.Beta2*a.v[k] + (1-a.Beta2)*gv*gv
-		mHat := a.m[k] / c1
-		vHat := a.v[k] / c2
+		mv := &a.mv[k]
+		mv[0] = a.Beta1*mv[0] + (1-a.Beta1)*gv
+		mv[1] = a.Beta2*mv[1] + (1-a.Beta2)*gv*gv
+		mHat := mv[0] / c1
+		vHat := mv[1] / c2
 		theta[k] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 	}
 	return nil
@@ -100,9 +103,7 @@ func (a *Adam) Step(theta []float64, g *gradient.Sparse) error {
 
 // Reset implements Optimizer.
 func (a *Adam) Reset() {
-	for i := range a.m {
-		a.m[i], a.v[i] = 0, 0
-	}
+	clear(a.mv)
 	a.t = 0
 }
 

@@ -1,7 +1,10 @@
 package optim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -162,5 +165,101 @@ func BenchmarkAdamStep(b *testing.B) {
 		if err := a.Step(theta, g); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// splitAdam is Adam as it stood with its moments in two Dim-long slices:
+// the reference the interleaved layout must match bit for bit, in every θ
+// and in the bytes of its saved state.
+type splitAdam struct {
+	lr, b1, b2, eps float64
+	m, v            []float64
+	t               int
+}
+
+func (a *splitAdam) step(theta []float64, g *gradient.Sparse) {
+	a.t++
+	c1 := 1 - math.Pow(a.b1, float64(a.t))
+	c2 := 1 - math.Pow(a.b2, float64(a.t))
+	for i, k := range g.Keys {
+		gv := g.Values[i]
+		a.m[k] = a.b1*a.m[k] + (1-a.b1)*gv
+		a.v[k] = a.b2*a.v[k] + (1-a.b2)*gv*gv
+		mHat := a.m[k] / c1
+		vHat := a.v[k] / c2
+		theta[k] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
+	}
+}
+
+func (a *splitAdam) marshalState() []byte {
+	out := make([]byte, 0, 16+16*len(a.m))
+	out = binary.LittleEndian.AppendUint64(out, uint64(a.t))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(a.m)))
+	out = appendFloats(out, a.m)
+	return appendFloats(out, a.v)
+}
+
+// TestAdamMatchesSplitLayout runs 50 steps over keys that repeat and keys
+// that are new, through Adam and through the split-array reference: θ is
+// equal bit for bit after every step, the saved state is the reference's
+// bytes (all of m, then all of v), and an optimizer restored from the
+// reference's blob mid-run carries on bit for bit — a checkpoint written
+// before the moments were interleaved resumes exactly.
+func TestAdamMatchesSplitLayout(t *testing.T) {
+	const dim, steps = 5000, 50
+	rng := rand.New(rand.NewSource(20))
+	a := NewAdam(0.1, dim)
+	ref := &splitAdam{lr: 0.1, b1: 0.9, b2: 0.999, eps: 1e-8, m: make([]float64, dim), v: make([]float64, dim)}
+	var resumed *Adam
+	theta, refTheta, resumedTheta := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+	hot := rng.Perm(dim)[:40] // keys every step touches
+	for step := 1; step <= steps; step++ {
+		kv := map[uint64]float64{}
+		for _, k := range hot {
+			kv[uint64(k)] = rng.NormFloat64()
+		}
+		for i := 0; i < 60; i++ {
+			kv[uint64(rng.Intn(dim))] = rng.NormFloat64() * 1e-3
+		}
+		g := grad(dim, kv)
+		ref.step(refTheta, g)
+		if err := a.Step(theta, g); err != nil {
+			t.Fatal(err)
+		}
+		if resumed != nil {
+			if err := resumed.Step(resumedTheta, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := range theta {
+			if math.Float64bits(theta[k]) != math.Float64bits(refTheta[k]) {
+				t.Fatalf("step %d: theta[%d] = %v, split layout %v", step, k, theta[k], refTheta[k])
+			}
+			if resumed != nil && math.Float64bits(resumedTheta[k]) != math.Float64bits(refTheta[k]) {
+				t.Fatalf("step %d: resumed theta[%d] = %v, split layout %v", step, k, resumedTheta[k], refTheta[k])
+			}
+		}
+		if !bytes.Equal(a.MarshalState(), ref.marshalState()) {
+			t.Fatalf("step %d: saved state differs from the split layout's bytes", step)
+		}
+		if step == steps/2 {
+			resumed = NewAdam(0.1, dim)
+			if err := resumed.UnmarshalState(ref.marshalState()); err != nil {
+				t.Fatal(err)
+			}
+			copy(resumedTheta, refTheta)
+		}
+	}
+	if resumed.Steps() != steps || !bytes.Equal(resumed.MarshalState(), ref.marshalState()) {
+		t.Fatalf("resumed optimizer ended at step %d with a different state", resumed.Steps())
+	}
+	blob := ref.marshalState()
+	for _, bad := range [][]byte{nil, blob[:15], blob[:len(blob)-1], append(blob[:len(blob):len(blob)], 0)} {
+		if err := NewAdam(0.1, dim).UnmarshalState(bad); err == nil {
+			t.Errorf("a %d-byte state was accepted", len(bad))
+		}
+	}
+	if err := NewAdam(0.1, dim+1).UnmarshalState(blob); err == nil {
+		t.Error("a state for another dim was accepted")
 	}
 }

@@ -54,13 +54,19 @@ func (s *SGD) UnmarshalState(data []byte) error {
 }
 
 // MarshalState implements StateMarshaler: step counter, dimension, then
-// the first and second moment vectors.
+// the first and second moment vectors — all of m, then all of v, whatever
+// the layout in memory.
 func (a *Adam) MarshalState() []byte {
-	out := make([]byte, 0, 16+16*len(a.m))
-	out = binary.LittleEndian.AppendUint64(out, uint64(a.t))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(a.m)))
-	out = appendFloats(out, a.m)
-	return appendFloats(out, a.v)
+	n := len(a.mv)
+	out := make([]byte, 16+16*n)
+	binary.LittleEndian.PutUint64(out, uint64(a.t))
+	binary.LittleEndian.PutUint64(out[8:], uint64(n))
+	ms, vs := out[16:16+8*n], out[16+8*n:]
+	for i, mv := range a.mv {
+		binary.LittleEndian.PutUint64(ms[i*8:], math.Float64bits(mv[0]))
+		binary.LittleEndian.PutUint64(vs[i*8:], math.Float64bits(mv[1]))
+	}
+	return out
 }
 
 // UnmarshalState implements StateMarshaler.
@@ -70,15 +76,21 @@ func (a *Adam) UnmarshalState(data []byte) error {
 	}
 	t := binary.LittleEndian.Uint64(data)
 	dim := binary.LittleEndian.Uint64(data[8:])
-	if dim != uint64(len(a.m)) {
-		return fmt.Errorf("optim: Adam state for dim %d, optimizer has dim %d", dim, len(a.m))
+	n := len(a.mv)
+	if dim != uint64(n) {
+		return fmt.Errorf("optim: Adam state for dim %d, optimizer has dim %d", dim, n)
 	}
-	if want := 16 + 16*len(a.m); len(data) != want {
+	if want := 16 + 16*n; len(data) != want {
 		return fmt.Errorf("optim: Adam state is %d bytes, want %d", len(data), want)
 	}
 	a.t = int(t)
-	readFloats(a.m, data[16:])
-	readFloats(a.v, data[16+8*len(a.m):])
+	ms, vs := data[16:16+8*n], data[16+8*n:]
+	for i := range a.mv {
+		a.mv[i] = [2]float64{
+			math.Float64frombits(binary.LittleEndian.Uint64(ms[i*8:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(vs[i*8:])),
+		}
+	}
 	return nil
 }
 
