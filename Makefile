@@ -1,11 +1,11 @@
 # Verification harness for the SketchML reproduction.
 #
 # `make verify` is the pre-PR gate: build, formatting, go vet, the
-# project's own static analyzers (cmd/sketchlint), unit tests, the
-# race-matrix sweep, a fuzz smoke over the wire-format decoders, and the
-# allocation ceilings of the steady-state benchmarks.
-# `make fuzz` runs the fuzzers longer. See DESIGN.md "Verification &
-# static analysis" and ROADMAP.md "Verification".
+# project's own static analyzers (cmd/sketchlint), unit tests (which hold
+# the hot path's allocation contract), the experiments and race matrices,
+# the chaos soak, a fuzz smoke over the wire-format decoders and the
+# service smoke. `make fuzz` runs the fuzzers longer. See DESIGN.md
+# "Verification & static analysis" and ROADMAP.md "Pre-PR gate".
 
 GO       ?= go
 FUZZTIME ?= 10s
@@ -22,26 +22,6 @@ SMOKE_FUZZTIME ?= 5s
 # 2-CPU host.
 MATRIX_GOMAXPROCS   ?= 1 2 8
 MATRIX_PKGS         ?= ./internal/codec ./internal/trainer ./internal/cluster ./internal/service
-# Flags for `make bench`; override with e.g. BENCHFLAGS=-benchtime=1x for a
-# smoke run that only checks the pipeline still works.
-BENCHFLAGS ?= -benchtime=0.5s
-# bench-check tolerance in percent, and extra benchjson flags. CI passes
-# BENCH_COMPARE_FLAGS=-alloc-only because committed wall times mean
-# nothing on another machine, while allocation counts are stable.
-BENCH_TOLERANCE ?= 25
-BENCH_COMPARE_FLAGS ?=
-# Steady-state benchmark surface: the codec encode/decode sweep (SketchML
-# and the Raw baseline), the wire-to-wire merge path, the worker's batch
-# gradient, the driver's gradient sum, the frame envelope's append and parse,
-# and the cluster deadline-receive loop. All feed one
-# benchjson document; the committed BENCH_ceilings.json pins absolute
-# allocs/op ceilings for the machine-independent rows (0 for DecodeInto, the
-# exact-path MergeInto, Accumulate and both Frame rows, single digits for
-# Encode, the returned gradient's 3 for BatchGradient, 2 for RecvTimeout),
-# because a 0 -> 1 allocation regression is invisible to percentage thresholds.
-BENCH_PKGS     ?= ./internal/codec ./internal/gradient ./internal/model ./internal/cluster ./internal/trainer
-BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkAccumulate|BenchmarkBatchGradient|BenchmarkRecvTimeoutSteadyState|BenchmarkFrame'
-BENCH_CEILINGS ?= BENCH_ceilings.json
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.
 CHAOS_MATRIX_SEED ?= 7
@@ -58,9 +38,9 @@ FUZZ_TARGETS := \
 	./internal/service:FuzzJobSpecDecode
 
 # The pre-PR gates, in the order `make verify` runs them.
-VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke bench-check service-smoke
+VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
 
-.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke bench bench-check service-smoke timed verify clean
+.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify clean
 
 all: verify
 
@@ -141,31 +121,6 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz $$target -fuzztime $(FUZZTIME) $$pkg; \
 	done
 
-# bench runs the steady-state micro-benchmarks (codec encode/decode plus
-# the cluster receive loop) and rewrites the committed JSON
-# baseline. The text output still streams to the terminal; benchjson parses
-# the captured copy.
-bench:
-	@$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -count=1 $(BENCHFLAGS) > bench.out || \
-		{ cat bench.out; rm -f bench.out; exit 1; }
-	@cat bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_codec.json -ceilings $(BENCH_CEILINGS) < bench.out
-	@rm -f bench.out
-	@echo "bench: wrote BENCH_codec.json"
-
-# bench-check is the regression gate: rerun the steady-state benchmarks
-# and exit nonzero when a metric regresses more than BENCH_TOLERANCE
-# percent against the committed BENCH_codec.json baseline (ns/op and B/op
-# by default; allocs/op and B/op with BENCH_COMPARE_FLAGS=-alloc-only), or
-# when any row exceeds its absolute allocs/op ceiling from
-# BENCH_ceilings.json (the zero-allocation contract: DecodeInto rows stay
-# at 0, the steady-state RecvTimeout row stays at or below 2).
-bench-check:
-	@$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -count=1 $(BENCHFLAGS) > bench.out || \
-		{ cat bench.out; rm -f bench.out; exit 1; }
-	@$(GO) run ./cmd/benchjson -compare BENCH_codec.json -threshold $(BENCH_TOLERANCE) -ceilings $(BENCH_CEILINGS) $(BENCH_COMPARE_FLAGS) < bench.out; \
-		rc=$$?; rm -f bench.out; exit $$rc
-
 # service-smoke is the end-to-end control-plane gate: build the real
 # binary, start it in -serve mode, submit a job over HTTP and poll it to
 # completion, then SIGTERM the process mid-run on a second job and demand a
@@ -179,13 +134,12 @@ service-smoke:
 # and prints each gate's wall time beside its budget and the total, so what
 # the gate costs is itself measured and held (CI's jobs run their gates
 # through it too). A gate that passes but takes longer than its budget fails:
-# GATE_BUDGETS names budgets in seconds as gate=seconds pairs — twice what
-# the four slow gates read on the 2-vCPU host after PR 17's deletions, test
-# cache cleared (race-matrix 78, experiments-matrix 23, fuzz-smoke 40, test
-# 19; fuzz-smoke reads 48 with PR 19's seventh target, 50 with PR 20's eighth,
-# and keeps its budget),
-# and room for CI's full-module race pass — and GATE_BUDGET covers every
-# gate not named.
+# GATE_BUDGETS names budgets in seconds as gate=seconds pairs: twice what the
+# four slow gates read on the 2-vCPU host after PR 17's deletions, test cache
+# cleared (race-matrix 78, experiments-matrix 23, test 19, fuzz-smoke 40 —
+# 50 with the eight targets it has since PR 20, inside the same budget), and
+# room for CI's full-module race pass. GATE_BUDGET covers every gate not
+# named.
 GATE_BUDGETS ?= race-matrix=156 experiments-matrix=46 fuzz-smoke=80 test=38 race=600
 GATE_BUDGET  ?= 120
 timed:
@@ -207,14 +161,8 @@ timed:
 	done; \
 	printf "gate wall times:\n$$report  %-20s %5ds\n" total $$total
 
-# bench-check runs here as CI runs it: allocation metrics only (committed
-# wall times mean nothing on another machine) at a short benchtime, with
-# the absolute ceilings of BENCH_ceilings.json on top. Those ceilings and
-# the package allocation tests are what hold the hot path's allocation
-# contract; no static model stands in for them.
 verify:
-	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)" \
-		BENCHFLAGS=-benchtime=0.2s BENCH_COMPARE_FLAGS=-alloc-only BENCH_TOLERANCE=50
+	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)"
 	@echo "verify: all gates passed"
 
 clean:

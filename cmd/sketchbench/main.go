@@ -15,54 +15,56 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"sketchml"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes tables or JSON lines to stdout
+// and errors to stderr, and returns the exit code (1 when an experiment
+// failed, 2 on a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sketchbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runID  = flag.String("run", "", "experiment id to run, or 'all'")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		scale  = flag.Float64("scale", 1.0, "dataset/epoch scale factor (1.0 = full)")
-		seed   = flag.Int64("seed", 1, "random seed for data generation")
-		asJSON = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
+		runID  = fs.String("run", "", "experiment id to run, or 'all'")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
+		scale  = fs.Float64("scale", 1.0, "dataset/epoch scale factor (1.0 = full)")
+		seed   = fs.Int64("seed", 1, "random seed for data generation")
+		asJSON = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list || *runID == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, id := range sketchml.ExperimentIDs() {
-			fmt.Printf("  %-18s %s\n", id, sketchml.ExperimentTitle(id))
+			fmt.Fprintf(stdout, "  %-18s %s\n", id, sketchml.ExperimentTitle(id))
 		}
 		if *runID == "" && !*list {
-			fmt.Println("\nrun one with: sketchbench -run <id>  (or -run all)")
+			fmt.Fprintln(stdout, "\nrun one with: sketchbench -run <id>  (or -run all)")
 		}
-		return
+		return 0
 	}
 
 	cfg := sketchml.ExperimentConfig{Scale: *scale, Seed: *seed}
 	ids := []string{*runID}
 	if *runID == "all" {
-		ids = sketchml.ExperimentIDs()
-		// "tab3" aliases "fig13"; skip the duplicate in a full sweep.
-		filtered := ids[:0]
-		for _, id := range ids {
-			if id != "tab3" {
-				filtered = append(filtered, id)
-			}
-		}
-		ids = filtered
+		ids = sweepIDs()
 	}
-	failed := false
-	enc := json.NewEncoder(os.Stdout)
+	code := 0
+	enc := json.NewEncoder(stdout)
 	for _, id := range ids {
 		start := time.Now()
 		rep, err := sketchml.RunExperiment(id, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sketchbench: %v\n", err)
-			failed = true
+			fmt.Fprintf(stderr, "sketchbench: %v\n", err)
+			code = 1
 			continue
 		}
 		if *asJSON {
@@ -73,16 +75,26 @@ func main() {
 				Metrics: rep.Metrics,
 				Text:    rep.Text,
 			}); err != nil {
-				fmt.Fprintf(os.Stderr, "sketchbench: %v\n", err)
-				failed = true
+				fmt.Fprintf(stderr, "sketchbench: %v\n", err)
+				code = 1
 			}
 			continue
 		}
-		fmt.Printf("== %s: %s (%.1fs) ==\n%s\n", rep.ID, rep.Title, time.Since(start).Seconds(), rep.Text)
+		fmt.Fprintf(stdout, "== %s: %s (%.1fs) ==\n%s\n", rep.ID, rep.Title, time.Since(start).Seconds(), rep.Text)
 	}
-	if failed {
-		os.Exit(1)
+	return code
+}
+
+// sweepIDs is what -run all runs: every experiment once. "tab3" aliases
+// "fig13", so the sweep skips the duplicate.
+func sweepIDs() []string {
+	var ids []string
+	for _, id := range sketchml.ExperimentIDs() {
+		if id != "tab3" {
+			ids = append(ids, id)
+		}
 	}
+	return ids
 }
 
 // jsonReport is the machine-readable experiment record emitted by -json,

@@ -343,11 +343,9 @@ func (f *feederConn) Write(p []byte) (int, error) { return len(p), nil }
 func (f *feederConn) Close() error                    { return nil }
 func (f *feederConn) SetReadDeadline(time.Time) error { return nil }
 
-// TestTCPRecvTimeoutSteadyStateAllocs pins the tentpole property the old
-// baselined suppressions stood in for: once the conn-owned receive buffer
-// has warmed to the frame size in play, a deadline-bounded receive
-// performs at most 2 allocations (the target is 0; 2 is the committed
-// ceiling).
+// TestTCPRecvTimeoutSteadyStateAllocs pins the receive half of the
+// zero-allocation contract: once the conn-owned receive buffer has warmed
+// to the frame size in play, a deadline-bounded receive allocates nothing.
 func TestTCPRecvTimeoutSteadyStateAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 4096)
 	frame := make([]byte, 4+len(payload))
@@ -363,8 +361,8 @@ func TestTCPRecvTimeoutSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("steady-state RecvTimeout allocates %.1f/op, ceiling is 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state RecvTimeout allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -397,9 +395,8 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRecvTimeoutSteadyState measures the deadline-bounded receive
-// over a warmed conn-owned buffer — the steady-state receive half of the
-// zero-allocation contract. `make bench-check` pins its allocs/op against
-// the committed ceiling in BENCH_ceilings.json.
+// over a warmed conn-owned buffer; TestTCPRecvTimeoutSteadyStateAllocs pins
+// its allocs/op at 0.
 func BenchmarkRecvTimeoutSteadyState(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xAB}, 4096)
 	frame := make([]byte, 4+len(payload))

@@ -3,40 +3,12 @@ package codec
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
 	"sketchml/internal/gradient"
 	"sketchml/internal/keycoding"
 	"sketchml/internal/sketch/minmax"
 )
-
-// steadyState prepares a benchmark whose allocs/op row is gated by
-// BENCH_ceilings.json, where the figure wanted is what a warm call
-// allocates. Left alone, a short -benchtime hides it behind pool refills:
-// sync.Pool caches per P and drops an idle P's cache after two
-// collections, so when the scheduler moves the benchmark goroutine it
-// regrows a multi-megabyte scratch, and that growth triggers the next
-// collection. steadyState fills every P's caches by running op on
-// GOMAXPROCS goroutines at once, then turns the collector off until the
-// benchmark ends — the same precaution TestEncodeAllocsWarm takes.
-func steadyState(b *testing.B, op func()) {
-	prev := debug.SetGCPercent(-1)
-	b.Cleanup(func() { debug.SetGCPercent(prev) })
-	var wg sync.WaitGroup
-	for p := runtime.GOMAXPROCS(0); p > 0; p-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				op()
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // BenchmarkEncodeDecode measures the codec hot path across the operating
 // points that matter for the paper's economics: bucket count q (quantization
@@ -45,9 +17,10 @@ func steadyState(b *testing.B, op func()) {
 // Parallelism 0 (parmax: concurrent panes iff GOMAXPROCS > 1, which the -N
 // suffix of the row's name records) at the larger ones; decode has
 // one plan, so Decode and DecodeInto appear once per point. Allocation
-// reporting is on throughout, so `make bench` tracks both ns/op and
-// allocs/op regressions. compressed-B/msg reports the wire size, tying the
-// CPU cost to the bytes it saves.
+// reporting is on throughout; at a short -benchtime allocs/op includes pool
+// refills, and what a warm call allocates is pinned by TestEncodeAllocsWarm
+// and TestDecodeIntoZeroAllocWarm. compressed-B/msg reports the wire size,
+// tying the CPU cost to the bytes it saves.
 //
 // r in a row's name is Options.Groups, the most the encoder may use: its
 // group cap (255·n_pane/Dim) leaves one group, two key lists, at every nnz
@@ -103,11 +76,6 @@ func BenchmarkEncodeDecode(b *testing.B) {
 
 		benchEncode := func(label string, c *SketchML) {
 			b.Run("Encode/"+name+"_"+label, func(b *testing.B) {
-				steadyState(b, func() {
-					if _, err := c.Encode(g); err != nil {
-						b.Error(err)
-					}
-				})
 				b.ReportAllocs()
 				b.ReportMetric(float64(len(msg)), "compressed-B/msg")
 				b.ResetTimer()
@@ -120,8 +88,8 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 		benchEncode("par1", c)
 		if p.parmax {
-			// The label is the same on every host so that the row's ceiling
-			// in BENCH_ceilings.json is never stale.
+			// The label is the same on every host; the -N suffix records
+			// which plan ran.
 			opts.Parallelism = 0
 			benchEncode("parmax", MustSketchML(opts))
 		}
@@ -135,15 +103,9 @@ func BenchmarkEncodeDecode(b *testing.B) {
 			}
 		})
 		// DecodeInto with a reused destination is the steady-state receive
-		// path: once the destination and pooled scratch warm up it must run
-		// allocation-free (bench-check pins the ceiling).
+		// path: once the destination and pooled scratch warm up it runs
+		// allocation-free (TestDecodeIntoZeroAllocWarm).
 		b.Run("DecodeInto/"+name, func(b *testing.B) {
-			steadyState(b, func() {
-				var warm gradient.Sparse
-				if err := c.DecodeInto(msg, &warm); err != nil {
-					b.Error(err)
-				}
-			})
 			var dst gradient.Sparse
 			if err := c.DecodeInto(msg, &dst); err != nil {
 				b.Fatal(err)
@@ -155,8 +117,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// countKeyLists allocates; at a short -benchtime its few dozen
-			// allocations are half an alloc/op of this gated row.
+			// countKeyLists allocates; keep it out of this row's allocs/op.
 			b.StopTimer()
 			b.ReportMetric(float64(len(msg)), "compressed-B/msg")
 			if p.dim != 1<<22 {
@@ -305,11 +266,6 @@ func BenchmarkMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run("MergeInto/"+p.name, func(b *testing.B) {
-			steadyState(b, func() {
-				if _, err := p.m.MergeInto(nil, ma, mb); err != nil {
-					b.Error(err)
-				}
-			})
 			dst, err := p.m.MergeInto(nil, ma, mb)
 			if err != nil {
 				b.Fatal(err)

@@ -218,26 +218,29 @@ func mallocsPerRun(procs, runs int, f func()) uint64 {
 // TestDecodeIntoZeroAllocWarm is the allocation contract of the receive
 // path at the configuration the trainer actually runs: default Options
 // (MinMax on, Parallelism 0) on a multi-core GOMAXPROCS, a gradient of the
-// benchmark's size, a reused destination. Skipped under -race: the
-// detector's instrumentation allocates.
+// benchmark's size, a reused destination — and the same for the Raw
+// baseline's valid message. Skipped under -race: the detector's
+// instrumentation allocates.
 func TestDecodeIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	c := MustSketchML(DefaultOptions())
-	msg, err := c.Encode(randomGradient(rand.New(rand.NewSource(35)), 2_000_000, 40_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dst gradient.Sparse
-	for _, procs := range []int{1, 2} {
-		allocs := mallocsPerRun(procs, 20, func() {
-			if err := c.DecodeInto(msg, &dst); err != nil {
-				t.Fatal(err)
+	g := randomGradient(rand.New(rand.NewSource(35)), 2_000_000, 40_000)
+	for _, c := range []Codec{MustSketchML(DefaultOptions()), &Raw{}} {
+		msg, err := c.Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst gradient.Sparse
+		for _, procs := range []int{1, 2} {
+			allocs := mallocsPerRun(procs, 20, func() {
+				if err := c.(DecoderInto).DecodeInto(msg, &dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s GOMAXPROCS=%d: warm DecodeInto allocates %d objects/op, want 0", c.Name(), procs, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("GOMAXPROCS=%d: warm DecodeInto allocates %d objects/op, want 0", procs, allocs)
 		}
 	}
 }

@@ -119,8 +119,8 @@ func TestEncodeSameBytesEveryPlan(t *testing.T) {
 // warm Encode allocates the returned message and nothing else on the serial
 // plan; the concurrent plan adds what the second goroutine needs — its
 // closure, the done channel and the values it shares with the caller, 6 in
-// all. Refilling a pool is the cold
-// path, not this one, so the collector is off while the test counts (a
+// all. The Raw baseline allocates its message too. Refilling a pool is the
+// cold path, not this one, so the collector is off while the test counts (a
 // collection empties the pools) and the figure is the least of five batches
 // (sync.Pool caches per P, and a goroutine the scheduler moves to a P with an
 // empty cache refills one scratch). Skipped under -race: the detector's
@@ -131,16 +131,24 @@ func TestEncodeAllocsWarm(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := randomGradient(rand.New(rand.NewSource(36)), 2_000_000, 40_000)
+	sketch := func(par int) Codec {
+		opts := DefaultOptions()
+		opts.Parallelism = par
+		return MustSketchML(opts)
+	}
 	for _, tc := range []struct {
-		par, procs int
-		ceiling    uint64
-	}{{1, 1, 1}, {1, 2, 1}, {0, 1, 1}, {0, 2, 6}, {2, 2, 6}} {
-		t.Run(fmt.Sprintf("par%d_procs%d", tc.par, tc.procs), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Parallelism = tc.par
-			c := MustSketchML(opts)
+		name    string
+		c       Codec
+		procs   int
+		ceiling uint64
+	}{
+		{"par1", sketch(1), 1, 1}, {"par1", sketch(1), 2, 1},
+		{"par0", sketch(0), 1, 1}, {"par0", sketch(0), 2, 6}, {"par2", sketch(2), 2, 6},
+		{"Raw", &Raw{}, 1, 1}, {"Raw", &Raw{}, 2, 1},
+	} {
+		t.Run(fmt.Sprintf("%s_procs%d", tc.name, tc.procs), func(t *testing.T) {
 			encode := func() {
-				if _, err := c.Encode(g); err != nil {
+				if _, err := tc.c.Encode(g); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -291,35 +291,44 @@ func TestMergeAssociativeOnExactPath(t *testing.T) {
 }
 
 // TestMergeIntoZeroAllocWarm mirrors the DecodeInto allocation contract:
-// once the pooled scratch and the destination have warmed, an exact-path
-// MergeInto performs zero allocations. (The re-quantize path builds a fresh
-// sketch, exactly like Encode, and is exempt — only the exact path is the
-// steady-state interior-node hot loop.) Skipped under -race: the
-// detector's instrumentation allocates; the BenchmarkMerge ceiling in
-// BENCH_ceilings.json pins the same contract in `make bench-check`.
+// once the pooled scratch and the destination have warmed, MergeInto
+// performs zero allocations — on the exact-means path (the steady-state
+// interior-node hot loop, forced here by raising the cap), on the
+// re-quantize path (random values overflow the cap, and the splits come
+// from the same pooled builder Encode uses) and for Raw. Skipped under
+// -race: the detector's instrumentation allocates.
 func TestMergeIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	mergeMeansCapOverride = 1 << 20
 	defer func() { mergeMeansCapOverride = 0 }()
 	rng := rand.New(rand.NewSource(29))
 	opts := DefaultOptions()
 	opts.MinMax = false
-	for name, m := range map[string]Merger{"SketchML": MustSketchML(opts), "Raw": &Raw{}} {
-		t.Run(name, func(t *testing.T) {
-			c := m.(Codec)
-			m1, err := c.Encode(randomGradient(rng, 1<<20, 1200))
+	for _, tc := range []struct {
+		name     string
+		m        Merger
+		nnz      int
+		exactCap int // mergeMeansCapOverride; 0 leaves the pane's own budget
+	}{
+		{"SketchML", MustSketchML(opts), 1200, 1 << 20},
+		{"SketchML_requantize", MustSketchML(opts), 5000, 0},
+		{"Raw", &Raw{}, 1200, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mergeMeansCapOverride = tc.exactCap
+			c := tc.m.(Codec)
+			m1, err := c.Encode(randomGradient(rng, 1<<20, tc.nnz))
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, err := c.Encode(randomGradient(rng, 1<<20, 1200))
+			m2, err := c.Encode(randomGradient(rng, 1<<20, tc.nnz))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var dst []byte
 			for i := 0; i < 8; i++ { // warm pools and dst capacity
-				if dst, err = m.MergeInto(dst, m1, m2); err != nil {
+				if dst, err = tc.m.MergeInto(dst, m1, m2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -328,7 +337,7 @@ func TestMergeIntoZeroAllocWarm(t *testing.T) {
 			for _, procs := range []int{1, 2} {
 				allocs := mallocsPerRun(procs, 100, func() {
 					var err error
-					dst, err = m.MergeInto(dst, m1, m2)
+					dst, err = tc.m.MergeInto(dst, m1, m2)
 					if err != nil {
 						t.Fatal(err)
 					}

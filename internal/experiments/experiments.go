@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the SketchML
 // paper's evaluation (Section 4 and Appendix B) on the synthetic substrate
 // described in DESIGN.md. Each experiment returns a Report containing the
-// rendered rows/series plus the key numeric metrics, so the same code backs
-// both cmd/sketchbench and the root bench_test.go benchmarks.
+// rendered rows/series plus the key numeric metrics; cmd/sketchbench is the
+// command line to them.
 //
 // Absolute numbers differ from the paper (50-node Tencent clusters are
 // replaced by one machine plus a network cost model); the shapes — who
@@ -89,7 +89,6 @@ var registry = map[string]struct {
 	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
 	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K, error feedback)", AblationLossyBaselines},
 	"ablation-sketch":   {"GK vs KLL quantile sketch vs the rank sort in the codec", AblationSketchAlgo},
-	"extension-fm":      {"Factorization machine through each codec", ExtensionFactorizationMachine},
 }
 
 // IDs returns every experiment id in stable order.

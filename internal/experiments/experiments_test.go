@@ -532,20 +532,3 @@ func TestAblationSketchAlgo(t *testing.T) {
 		t.Errorf("message sizes diverge: GK %v vs KLL %v", b1, b2)
 	}
 }
-
-func TestExtensionFM(t *testing.T) {
-	rep, err := Run("extension-fm", quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []string{"SketchML", "Adam", "ZipML-16bit"} {
-		if acc := rep.Metrics[c+"_accuracy"]; acc < 0.6 {
-			t.Errorf("%s FM accuracy %.2f, want > 0.6", c, acc)
-		}
-	}
-	wallClock(t, func(t *testing.T) {
-		if rep.Metrics["SketchML_seconds"] >= rep.Metrics["Adam_seconds"] {
-			t.Error("SketchML should be faster per epoch on FM gradients too")
-		}
-	})
-}

@@ -64,46 +64,3 @@ func AblationLossyBaselines(cfg Config) (*Report, error) {
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }
-
-// ExtensionFactorizationMachine trains a second-order factorization machine
-// (the model family of the paper's DiFacto citation [30]) through each
-// codec: SketchML's compression generalizes beyond GLMs because FM
-// gradients are still sparse key-value pairs — just over a larger
-// parameter space (D·(1+k)).
-func ExtensionFactorizationMachine(cfg Config) (*Report, error) {
-	d, err := dataset.Generate(dataset.SyntheticConfig{
-		N: 4000, Dim: 20000, AvgNNZ: 20, Task: dataset.Classification,
-		NoiseStd: 0.4, BinaryVals: true, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	train, test := d.Split(0.75, cfg.Seed)
-	epochs := cfg.scaled(3)
-	net := cluster.ProductionCluster()
-
-	table := stats.NewTable("codec", "final loss", "accuracy", "msg KB/round", "sim s/epoch")
-	metrics := map[string]float64{}
-	for _, c := range threeCodecs() {
-		res, err := trainer.Run(trainer.Config{
-			Trainable:     model.FM{Factors: 4, Seed: cfg.Seed, InitScale: 0.05},
-			Codec:         c,
-			Optimizer:     adam(0.05),
-			Workers:       10,
-			BatchFraction: 0.1,
-			Epochs:        epochs,
-			Lambda:        0.001,
-			Seed:          cfg.Seed,
-		}, train, test)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Name(), err)
-		}
-		sim, _ := price(res, net, 1)
-		table.AddRow(c.Name(), res.FinalLoss, res.FinalAccuracy,
-			res.AvgUpBytesPerRound()/1024, meanSeconds(sim))
-		metrics[c.Name()+"_loss"] = res.FinalLoss
-		metrics[c.Name()+"_accuracy"] = res.FinalAccuracy
-		metrics[c.Name()+"_seconds"] = meanSeconds(sim)
-	}
-	return &Report{Text: table.String(), Metrics: metrics}, nil
-}

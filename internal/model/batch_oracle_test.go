@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -46,67 +44,10 @@ func oracleBatchGradient(m Model, theta []float64, batch []*dataset.Instance, la
 	return g, lossSum * inv
 }
 
-// oracleFMBatchGradient is FM.BatchGradient before the term sort, kept the
-// same way.
-func oracleFMBatchGradient(m FM, theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
-	k := m.factors()
-	d := m.featureDim(len(theta))
-	acc := map[uint64]float64{}
-	sumF := make([]float64, k)
-	var lossSum float64
-	inv := 1.0
-	if len(batch) > 0 {
-		inv = 1.0 / float64(len(batch))
-	}
-	for _, in := range batch {
-		y := m.predict(theta, in, sumF)
-		loss, s := m.lossAndScalar(y, in.Label)
-		lossSum += loss
-		if s == 0 {
-			continue
-		}
-		s *= inv
-		for i, key := range in.Keys {
-			x := in.Values[i]
-			acc[key] += float64(s * x)
-			base := d + key*uint64(k)
-			for f := 0; f < k; f++ {
-				pk := base + uint64(f)
-				acc[pk] += float64(s * x * (sumF[f] - theta[pk]*x))
-			}
-		}
-	}
-	if lambda != 0 {
-		for pk := range acc {
-			acc[pk] += float64(lambda * theta[pk])
-		}
-	}
-	g := gradient.FromMap(uint64(len(theta)), acc)
-	return g, lossSum * inv
-}
-
-// oracleFor returns the map implementation that tr replaced.
-func oracleFor(tr Trainable) func([]float64, []*dataset.Instance, float64) (*gradient.Sparse, float64) {
-	switch m := tr.(type) {
-	case glmAdapter:
-		return func(theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
-			return oracleBatchGradient(m.m, theta, batch, lambda)
-		}
-	case FM:
-		return func(theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
-			return oracleFMBatchGradient(m, theta, batch, lambda)
-		}
-	}
-	panic(fmt.Sprintf("no oracle for %T", tr))
-}
-
 // oracleTrainables are the models of the shape matrix: the three linear
-// ones and the factorization machine under both of its losses.
+// ones.
 func oracleTrainables() []Trainable {
-	return []Trainable{
-		Wrap(LogisticRegression{}), Wrap(SVM{}), Wrap(Linear{}),
-		FM{Factors: 4, Seed: 1}, FM{Factors: 4, Seed: 1, Regression: true},
-	}
+	return []Trainable{Wrap(LogisticRegression{}), Wrap(SVM{}), Wrap(Linear{})}
 }
 
 // requireMatchesMap runs tr.BatchGradient and its map oracle on one input
@@ -114,7 +55,7 @@ func oracleTrainables() []Trainable {
 func requireMatchesMap(t testing.TB, tr Trainable, theta []float64, batch []*dataset.Instance, lambda float64) *gradient.Sparse {
 	t.Helper()
 	got, gotLoss := tr.BatchGradient(theta, batch, lambda)
-	want, wantLoss := oracleFor(tr)(theta, batch, lambda)
+	want, wantLoss := oracleBatchGradient(tr.(glmAdapter).m, theta, batch, lambda)
 	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
 		t.Fatalf("%s λ=%v: loss %v, map oracle %v", tr.Name(), lambda, gotLoss, wantLoss)
 	}
@@ -171,14 +112,8 @@ func zipfBatch(rng *rand.Rand, dim uint64, n, nnz int, regression bool) []*datas
 }
 
 func isRegression(tr Trainable) bool {
-	switch m := tr.(type) {
-	case glmAdapter:
-		_, linear := m.m.(Linear)
-		return linear
-	case FM:
-		return m.Regression
-	}
-	return false
+	_, linear := tr.(glmAdapter).m.(Linear)
+	return linear
 }
 
 // TestBatchGradientMatchesMapRandom sweeps the models, both regularizer
@@ -317,38 +252,37 @@ func TestBatchGradientMatchesMapEdges(t *testing.T) {
 // the witness that no pooled scratch is shared between concurrent calls.
 func TestBatchGradientConcurrent(t *testing.T) {
 	const workers, rounds, dim = 8, 20, 5000
-	for _, tr := range []Trainable{Wrap(LogisticRegression{}), FM{Factors: 4, Seed: 1}} {
-		rng := rand.New(rand.NewSource(4))
-		theta := thetaFor(tr, dim, rng)
-		batches := make([][]*dataset.Instance, workers)
-		want := make([]*gradient.Sparse, workers)
-		for w := range batches {
-			batches[w] = zipfBatch(rng, dim, 20+30*w, 15, false)
-			want[w], _ = tr.BatchGradient(theta, batches[w], 0.01)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					got, _ := tr.BatchGradient(theta, batches[w], 0.01)
-					if len(got.Keys) != len(want[w].Keys) {
-						t.Errorf("%s worker %d round %d: %d keys, alone %d", tr.Name(), w, r, len(got.Keys), len(want[w].Keys))
+	tr := Wrap(LogisticRegression{})
+	rng := rand.New(rand.NewSource(4))
+	theta := thetaFor(tr, dim, rng)
+	batches := make([][]*dataset.Instance, workers)
+	want := make([]*gradient.Sparse, workers)
+	for w := range batches {
+		batches[w] = zipfBatch(rng, dim, 20+30*w, 15, false)
+		want[w], _ = tr.BatchGradient(theta, batches[w], 0.01)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got, _ := tr.BatchGradient(theta, batches[w], 0.01)
+				if len(got.Keys) != len(want[w].Keys) {
+					t.Errorf("%s worker %d round %d: %d keys, alone %d", tr.Name(), w, r, len(got.Keys), len(want[w].Keys))
+					return
+				}
+				for i, k := range want[w].Keys {
+					if got.Keys[i] != k || math.Float64bits(got.Values[i]) != math.Float64bits(want[w].Values[i]) {
+						t.Errorf("%s worker %d round %d: entry %d is (%d, %v), alone (%d, %v)",
+							tr.Name(), w, r, i, got.Keys[i], got.Values[i], k, want[w].Values[i])
 						return
 					}
-					for i, k := range want[w].Keys {
-						if got.Keys[i] != k || math.Float64bits(got.Values[i]) != math.Float64bits(want[w].Values[i]) {
-							t.Errorf("%s worker %d round %d: entry %d is (%d, %v), alone (%d, %v)",
-								tr.Name(), w, r, i, got.Keys[i], got.Values[i], k, want[w].Values[i])
-							return
-						}
-					}
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
 // fuzzValues is what a fuzzed feature value or weight can be: both zeros,
@@ -418,51 +352,49 @@ func FuzzBatchGradientMatchesMap(f *testing.F) {
 	})
 }
 
+// benchShape is a worker's parameters and batch over the end-to-end
+// benchmark's 2M dimensions: n instances of nnz Zipf features (the
+// benchmark's batch is 2,700 of 40), and the batch's feature nonzeros.
+func benchShape(n, nnz int) (theta []float64, batch []*dataset.Instance, batchNNZ int) {
+	const dim = 2_000_000
+	rng := rand.New(rand.NewSource(1))
+	theta = thetaFor(Wrap(LogisticRegression{}), dim, rng)
+	batch = zipfBatch(rng, dim, n, nnz, false)
+	for _, in := range batch {
+		batchNNZ += in.NNZ()
+	}
+	return theta, batch, batchNNZ
+}
+
+// TestBatchGradientAllocsWarm is the allocation contract of the worker's
+// compute step: at the benchmark's shape a warm BatchGradient allocates the
+// gradient it returns — the struct, its keys, its values — and nothing
+// else; the terms live in pooled scratch. Skipped under -race, where the
+// pool drops that scratch at random.
+func TestBatchGradientAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	theta, batch, _ := benchShape(2700, 40)
+	allocs := testing.AllocsPerRun(10, func() {
+		BatchGradient(LogisticRegression{}, theta, batch, 0.01)
+	})
+	if allocs > 3 {
+		t.Errorf("warm BatchGradient allocates %v objects/op, want at most 3", allocs)
+	}
+}
+
 // BenchmarkBatchGradient is one worker's gradient at the end-to-end
-// benchmark's shape — a 2,700-instance batch of 40 Zipf features over 2M
-// dimensions, LR — beside a small batch and the factorization machine,
-// whose every feature emits 1 + k terms. Each row runs warm, the way the
-// codec's gated rows do (steadyState in internal/codec/bench_test.go): every
-// P's pool cache holds sized scratch and the collector, which would empty
-// them, is off, so allocs/op is what BENCH_ceilings.json gates — the
-// gradient returned (and FM's factor sums). ns/nnz is per feature nonzero
-// of the batch, the unit of the benchmark's model.batch_gradient_ns_per_nnz.
+// benchmark's shape beside a small batch. ns/nnz is per feature nonzero of
+// the batch, the unit of the benchmark's model.batch_gradient_ns_per_nnz.
 func BenchmarkBatchGradient(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		tr     Trainable
-		dim    uint64
-		n, nnz int
-	}{
-		{"LR_n2700_nnz40_d2e6", Wrap(LogisticRegression{}), 2_000_000, 2700, 40},
-		{"LR_n200_nnz20_d2e6", Wrap(LogisticRegression{}), 2_000_000, 200, 20},
-		{"FM4_n200_nnz20_d1e5", FM{Factors: 4, Seed: 1}, 100_000, 200, 20},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			theta := thetaFor(c.tr, c.dim, rng)
-			batch := zipfBatch(rng, c.dim, c.n, c.nnz, false)
-			batchNNZ := 0
-			for _, in := range batch {
-				batchNNZ += in.NNZ()
-			}
-			prev := debug.SetGCPercent(-1)
-			b.Cleanup(func() { debug.SetGCPercent(prev) })
-			var wg sync.WaitGroup
-			for p := runtime.GOMAXPROCS(0); p > 0; p-- {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 3; i++ {
-						c.tr.BatchGradient(theta, batch, 0.01)
-					}
-				}()
-			}
-			wg.Wait()
+	for _, c := range []struct{ n, nnz int }{{2700, 40}, {200, 20}} {
+		b.Run(fmt.Sprintf("LR_n%d_nnz%d_d2e6", c.n, c.nnz), func(b *testing.B) {
+			theta, batch, batchNNZ := benchShape(c.n, c.nnz)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.tr.BatchGradient(theta, batch, 0.01)
+				BatchGradient(LogisticRegression{}, theta, batch, 0.01)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batchNNZ), "ns/nnz")
 		})

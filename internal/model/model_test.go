@@ -242,3 +242,24 @@ func TestTrainingConvergesAllModels(t *testing.T) {
 		}
 	}
 }
+
+func TestWrapAdapter(t *testing.T) {
+	tr := Wrap(SVM{})
+	if tr.Name() != "SVM" {
+		t.Errorf("Name = %q", tr.Name())
+	}
+	if tr.ParamDim(42) != 42 {
+		t.Errorf("ParamDim = %d", tr.ParamDim(42))
+	}
+	d := &dataset.Dataset{Dim: 3, Instances: []dataset.Instance{
+		{Keys: []uint64{0}, Values: []float64{1}, Label: 1},
+	}}
+	theta := make([]float64, 3)
+	g, loss := tr.BatchGradient(theta, []*dataset.Instance{&d.Instances[0]}, 0)
+	if g.NNZ() == 0 || loss <= 0 {
+		t.Error("adapter gradient wrong")
+	}
+	if l, _ := tr.Evaluate(theta, d); l <= 0 {
+		t.Errorf("adapter Evaluate = %v", l)
+	}
+}

@@ -7,8 +7,8 @@ import (
 
 // Trainable is the contract the distributed trainer needs: batch gradients
 // over a flat parameter vector and test-set evaluation. Generalized linear
-// models satisfy it through Wrap; richer models (factorization machines)
-// implement it directly.
+// models satisfy it through Wrap; richer models (nn.MLP) implement it
+// directly.
 type Trainable interface {
 	// Name identifies the model in experiment output.
 	Name() string

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sketchml/internal/cluster"
@@ -204,6 +205,21 @@ func TestTrainingReducesLossMNISTLike(t *testing.T) {
 			Workers:   2, BatchFraction: 0.075, Epochs: 20, Seed: 9,
 		}
 	}
+	// Replicas start from InitTheta, not from zero (the trainer's
+	// paramsInitializer seam): at a step size of zero the checkpoint still
+	// holds the draw bit for bit.
+	still := config(cluster.TopologyStar)
+	still.Epochs = 1
+	still.Optimizer = func(uint64) optim.Optimizer { return optim.NewSGD(0) }
+	var unmoved []float64
+	still.OnCheckpoint = func(cp *trainer.Checkpoint) error { unmoved = cp.Theta; return nil }
+	if _, err := trainer.Run(still, train, test); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(unmoved, theta0) {
+		t.Error("a run that takes no step does not end on InitTheta's parameters")
+	}
+
 	cfg := config(cluster.TopologyStar)
 	var last *trainer.Checkpoint
 	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) error {

@@ -9,10 +9,9 @@ import (
 )
 
 // This file defines the run-report schema: the JSON document a training run
-// emits (cmd/sketchml -metrics-out) and cmd/benchjson merges alongside
-// benchmark baselines. It is pure data — the trainer fills it, this package
-// only owns the shape and the self-consistency rules, so every producer and
-// consumer agrees on both.
+// emits (cmd/sketchml -metrics-out). It is pure data — the trainer fills it,
+// this package only owns the shape and the self-consistency rules, so every
+// producer and consumer agrees on both.
 
 // StageNs is the driver-side wall-clock breakdown of one epoch. Gather and
 // Broadcast partition the round loop (so their sum can never exceed the

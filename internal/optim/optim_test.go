@@ -151,6 +151,13 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+func TestGradHelper(t *testing.T) {
+	g := grad(5, map[uint64]float64{2: 1.5})
+	if g.Dim != 5 || g.Get(2) != 1.5 {
+		t.Error("test helper broken")
+	}
+}
+
 func BenchmarkAdamStep(b *testing.B) {
 	const dim = 1 << 20
 	a := NewAdam(0.01, dim)
@@ -195,8 +202,12 @@ func (a *splitAdam) marshalState() []byte {
 	out := make([]byte, 0, 16+16*len(a.m))
 	out = binary.LittleEndian.AppendUint64(out, uint64(a.t))
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(a.m)))
-	out = appendFloats(out, a.m)
-	return appendFloats(out, a.v)
+	for _, vs := range [][]float64{a.m, a.v} {
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	return out
 }
 
 // TestAdamMatchesSplitLayout runs 50 steps over keys that repeat and keys

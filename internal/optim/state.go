@@ -27,21 +27,6 @@ type StateMarshaler interface {
 	UnmarshalState(data []byte) error
 }
 
-// appendFloats appends each value's IEEE-754 bits little-endian.
-func appendFloats(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-// readFloats fills dst from the blob's little-endian float64 bits.
-func readFloats(dst []float64, data []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-}
-
 // MarshalState implements StateMarshaler. SGD carries no mutable state.
 func (s *SGD) MarshalState() []byte { return nil }
 
@@ -90,86 +75,6 @@ func (a *Adam) UnmarshalState(data []byte) error {
 			math.Float64frombits(binary.LittleEndian.Uint64(ms[i*8:])),
 			math.Float64frombits(binary.LittleEndian.Uint64(vs[i*8:])),
 		}
-	}
-	return nil
-}
-
-// MarshalState implements StateMarshaler: dimension, then the accumulated
-// squared-gradient vector.
-func (a *AdaGrad) MarshalState() []byte {
-	out := make([]byte, 0, 8+8*len(a.sum))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(a.sum)))
-	return appendFloats(out, a.sum)
-}
-
-// UnmarshalState implements StateMarshaler.
-func (a *AdaGrad) UnmarshalState(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("optim: AdaGrad state truncated (%d bytes)", len(data))
-	}
-	dim := binary.LittleEndian.Uint64(data)
-	if dim != uint64(len(a.sum)) {
-		return fmt.Errorf("optim: AdaGrad state for dim %d, optimizer has dim %d", dim, len(a.sum))
-	}
-	if want := 8 + 8*len(a.sum); len(data) != want {
-		return fmt.Errorf("optim: AdaGrad state is %d bytes, want %d", len(data), want)
-	}
-	readFloats(a.sum, data[8:])
-	return nil
-}
-
-// MarshalState implements StateMarshaler: step counter, dimension, the
-// velocity vector, then the per-dimension step stamps.
-func (m *Momentum) MarshalState() []byte {
-	out := make([]byte, 0, 16+16*len(m.vel))
-	out = binary.LittleEndian.AppendUint64(out, uint64(m.t))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(m.vel)))
-	out = appendFloats(out, m.vel)
-	for _, s := range m.stamp {
-		out = binary.LittleEndian.AppendUint64(out, uint64(s))
-	}
-	return out
-}
-
-// UnmarshalState implements StateMarshaler.
-func (m *Momentum) UnmarshalState(data []byte) error {
-	if len(data) < 16 {
-		return fmt.Errorf("optim: Momentum state truncated (%d bytes)", len(data))
-	}
-	t := binary.LittleEndian.Uint64(data)
-	dim := binary.LittleEndian.Uint64(data[8:])
-	if dim != uint64(len(m.vel)) {
-		return fmt.Errorf("optim: Momentum state for dim %d, optimizer has dim %d", dim, len(m.vel))
-	}
-	if want := 16 + 16*len(m.vel); len(data) != want {
-		return fmt.Errorf("optim: Momentum state is %d bytes, want %d", len(data), want)
-	}
-	m.t = int(t)
-	readFloats(m.vel, data[16:])
-	off := 16 + 8*len(m.vel)
-	for i := range m.stamp {
-		m.stamp[i] = int(binary.LittleEndian.Uint64(data[off+i*8:]))
-	}
-	return nil
-}
-
-// MarshalState implements StateMarshaler: the schedule step counter plus
-// the wrapped SGD's state (empty today, but kept nested so the format
-// survives SGD growing state).
-func (s *Scheduled) MarshalState() []byte {
-	out := make([]byte, 0, 8)
-	return binary.LittleEndian.AppendUint64(out, uint64(s.t))
-}
-
-// UnmarshalState implements StateMarshaler.
-func (s *Scheduled) UnmarshalState(data []byte) error {
-	if len(data) != 8 {
-		return fmt.Errorf("optim: Scheduled state is %d bytes, want 8", len(data))
-	}
-	s.t = int(binary.LittleEndian.Uint64(data))
-	s.base.LR = s.baseLR
-	if s.t > 0 {
-		s.base.LR = s.baseLR * s.schedule.Factor(s.t)
 	}
 	return nil
 }

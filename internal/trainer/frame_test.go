@@ -172,14 +172,39 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
+// frameSizes are the Raw row's two frames: a worker message (40 000
+// nonzeros) and the aggregate (122 000).
+var frameSizes = []struct {
+	name string
+	nnz  int
+}{{"480KB", 40000}, {"1464KB", 122000}}
+
+// TestFrameZeroAlloc is the envelope's allocation contract: appending into
+// a buffer that already has the frame's size and parsing a frame (the
+// payload returned aliases it) allocate nothing, at both sizes.
+func TestFrameZeroAlloc(t *testing.T) {
+	for _, size := range frameSizes {
+		payload := make([]byte, 14+12*size.nnz)
+		frame := appendFrame(nil, frameGrad, 1, payload)
+		if allocs := testing.AllocsPerRun(10, func() {
+			frame = appendFrame(frame[:0], frameGrad, 2, payload)
+		}); allocs != 0 {
+			t.Errorf("%s: appendFrame into a sized buffer allocates %v objects/op, want 0", size.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, _, _, err := parseFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: parseFrame allocates %v objects/op, want 0", size.name, allocs)
+		}
+	}
+}
+
 // BenchmarkFrame measures the two passes every frame's bytes take — the
-// sender's append and each receiver's parse — at the Raw row's two sizes: a
-// worker message (40 000 nonzeros) and the aggregate (122 000).
+// sender's append and each receiver's parse — at the Raw row's two sizes.
 func BenchmarkFrame(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		nnz  int
-	}{{"480KB", 40000}, {"1464KB", 122000}} {
+	for _, size := range frameSizes {
 		payload := make([]byte, 14+12*size.nnz)
 		rand.New(rand.NewSource(1)).Read(payload)
 		frame := appendFrame(nil, frameGrad, 1, payload)

@@ -39,7 +39,7 @@ type OptimizerFactory func(dim uint64) optim.Optimizer
 // Config describes one training run.
 type Config struct {
 	Model model.Model
-	// Trainable overrides Model with a general trainable (e.g. model.FM).
+	// Trainable overrides Model with a general trainable (e.g. nn.MLP).
 	// When nil, Model is wrapped via model.Wrap.
 	Trainable model.Trainable
 	// Codec compresses gradients in both directions. nil means codec.Raw.
@@ -1383,14 +1383,14 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 	return conn.Send(appendFrame(make([]byte, 0, frameHeaderLen+workerReportLen), frameReport, totalRounds, rep.marshal()))
 }
 
-// paramsInitializer is implemented by trainables (e.g. model.FM) whose
+// paramsInitializer is implemented by trainables (e.g. nn.MLP) whose
 // parameter vector needs deterministic non-zero initialization.
 type paramsInitializer interface {
 	InitTheta(theta []float64)
 }
 
 // newReplica builds one replica's parameters and optimizer. The parameter
-// space may exceed the feature space (factorization machines); every
+// space need not be the feature space (nn.MLP's is its layers'); every
 // replica sizes and initializes its vector identically. On resume,
 // parameters and optimizer state load from the checkpoint bit-exactly.
 func newReplica(cfg *Config, pDim uint64) ([]float64, optim.Optimizer, error) {

@@ -330,38 +330,3 @@ func TestCodecFactoryPerWorkerState(t *testing.T) {
 		t.Errorf("loss %v -> %v, expected decrease", first, last)
 	}
 }
-
-func TestTrainableFMThroughCodec(t *testing.T) {
-	// A factorization machine's sparse gradients (weights + factor rows)
-	// must survive the full compressed distributed loop and learn.
-	d, err := dataset.Generate(dataset.SyntheticConfig{
-		N: 600, Dim: 500, AvgNNZ: 8, Task: dataset.Classification,
-		NoiseStd: 0.3, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := d.Split(0.75, 1)
-	fm := model.FM{Factors: 2, Seed: 4, InitScale: 0.05}
-	res, err := Run(Config{
-		Trainable: fm,
-		Codec:     codec.MustSketchML(codec.DefaultOptions()),
-		Optimizer: adamFactory(0.05),
-		Workers:   3,
-		Epochs:    4,
-		Lambda:    0.001,
-		Seed:      2,
-	}, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ModelName != "FM-k2" {
-		t.Errorf("ModelName = %q", res.ModelName)
-	}
-	if res.FinalAccuracy < 0.6 {
-		t.Errorf("FM accuracy %.2f", res.FinalAccuracy)
-	}
-	if res.Epochs[0].TestLoss <= res.FinalLoss {
-		t.Error("FM loss did not decrease")
-	}
-}

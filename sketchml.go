@@ -211,15 +211,6 @@ func ExperimentTitle(id string) string { return experiments.Title(id) }
 // automatically from TrainConfig.Model.
 type Trainable = model.Trainable
 
-// FactorizationMachine is a second-order factorization machine with k
-// latent factors per feature — sparse gradients over a D·(1+k) parameter
-// space, compressible by every codec in this package.
-type FactorizationMachine = model.FM
-
-// NewAdaGrad returns the AdaGrad optimizer (Duchi et al.), the other
-// adaptive method of the paper's related work.
-func NewAdaGrad(lr float64, dim uint64) Optimizer { return optim.NewAdaGrad(lr, dim) }
-
 // Metrics is the run-wide observability registry: atomic counters, gauges,
 // log-spaced latency histograms, and a bounded span trace, exportable as
 // one JSON snapshot. Pass the same registry to Options.Metrics and

@@ -168,33 +168,6 @@ func TestParseTopologyNamesWhatIsLeft(t *testing.T) {
 	}
 }
 
-func TestFactorizationMachineFacade(t *testing.T) {
-	full := sketchml.KDD10Like(5)
-	train, test := full.Split(0.75, 1)
-	comp, err := sketchml.NewCompressor(sketchml.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sketchml.Train(sketchml.TrainConfig{
-		Trainable: sketchml.FactorizationMachine{Factors: 2, Seed: 1, InitScale: 0.05},
-		Codec:     comp,
-		Optimizer: func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(0.05, dim) },
-		Workers:   3,
-		Epochs:    2,
-		Lambda:    0.001,
-		Seed:      1,
-	}, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ModelName != "FM-k2" {
-		t.Errorf("ModelName = %q", res.ModelName)
-	}
-	if res.FinalAccuracy < 0.6 {
-		t.Errorf("FM accuracy %.2f", res.FinalAccuracy)
-	}
-}
-
 func TestErrorFeedbackFacade(t *testing.T) {
 	full := sketchml.KDD10Like(6)
 	train, test := full.Split(0.75, 1)
