@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"sketchml/internal/trainer"
 )
 
 // TestServiceSmoke is the end-to-end service gate (`make service-smoke`):
@@ -179,14 +181,20 @@ func TestServiceSmoke(t *testing.T) {
 		t.Fatalf("server output missing the clean-drain line:\n%s", strings.Join(tail, "\n"))
 	}
 
-	// The drained job's checkpoint survived to disk, crash-safe.
-	ckpt := filepath.Join(ckptDir, "smoke-drain.ckpt")
-	fi, err := os.Stat(ckpt)
+	// The drained job's checkpoint survived to disk, crash-safe, and is the
+	// job's: it decodes (magic, version, CRC) to a round past the start under
+	// the spec's workers and seed, so a torn or foreign file fails the gate.
+	blob, err := os.ReadFile(filepath.Join(ckptDir, "smoke-drain.ckpt"))
 	if err != nil {
 		t.Fatalf("drained job left no checkpoint: %v", err)
 	}
-	if fi.Size() == 0 {
-		t.Fatal("checkpoint file is empty")
+	cp, err := trainer.UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatalf("drained job's checkpoint does not decode: %v", err)
+	}
+	if cp.Rounds < 1 || cp.Workers != 2 || cp.Seed != 3 {
+		t.Fatalf("drained job's checkpoint is at round %d with %d workers and seed %d, want round ≥ 1, 2 workers, seed 3",
+			cp.Rounds, cp.Workers, cp.Seed)
 	}
 	// And no temp files were left behind by the atomic writer.
 	entries, err := os.ReadDir(ckptDir)

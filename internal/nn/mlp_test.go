@@ -212,7 +212,8 @@ func TestTrainingReducesLossMNISTLike(t *testing.T) {
 	still.Epochs = 1
 	still.Optimizer = func(uint64) optim.Optimizer { return optim.NewSGD(0) }
 	var unmoved []float64
-	still.OnCheckpoint = func(cp *trainer.Checkpoint) error { unmoved = cp.Theta; return nil }
+	// The hook borrows the checkpoint: what outlives it is copied.
+	still.OnCheckpoint = func(cp *trainer.Checkpoint) error { unmoved = slices.Clone(cp.Theta); return nil }
 	if _, err := trainer.Run(still, train, test); err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +223,12 @@ func TestTrainingReducesLossMNISTLike(t *testing.T) {
 
 	cfg := config(cluster.TopologyStar)
 	var last *trainer.Checkpoint
-	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) error {
+	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) (err error) {
 		if cp.Rounds == cp.RoundsPerEpoch {
-			atEpoch1 = cp
+			atEpoch1, err = trainer.UnmarshalCheckpoint(cp.Marshal())
 		}
-		last = cp
-		return nil
+		last = cp // the final checkpoint: nothing runs after it
+		return err
 	}
 	star, err := trainer.Run(cfg, train, test)
 	if err != nil {
@@ -254,12 +255,8 @@ func TestTrainingReducesLossMNISTLike(t *testing.T) {
 	if atEpoch1 == nil {
 		t.Fatal("no checkpoint at the first epoch boundary")
 	}
-	restored, err := trainer.UnmarshalCheckpoint(atEpoch1.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg = config(cluster.TopologyStar)
-	cfg.Resume = restored
+	cfg.Resume = atEpoch1
 	var resumedLast *trainer.Checkpoint
 	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) error { resumedLast = cp; return nil }
 	resumed, err := trainer.Run(cfg, train, test)

@@ -63,6 +63,8 @@ type Adam struct {
 	// line where two Dim-long slices would cost a miss each.
 	mv [][2]float64
 	t  int
+	// state is MarshalState's output buffer, reused across calls.
+	state []byte
 }
 
 // NewAdam returns an Adam optimizer over dim parameters with the paper's

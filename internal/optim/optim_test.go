@@ -274,3 +274,21 @@ func TestAdamMatchesSplitLayout(t *testing.T) {
 		t.Error("a state for another dim was accepted")
 	}
 }
+
+// TestAdamMarshalStateReusesBuffer pins MarshalState's buffer contract: two
+// calls with no step between them return the same bytes, and a warm call
+// writes into the optimizer's buffer without allocating.
+func TestAdamMarshalStateReusesBuffer(t *testing.T) {
+	const dim = 5000
+	a := NewAdam(0.1, dim)
+	if err := a.Step(make([]float64, dim), grad(dim, map[uint64]float64{3: 1, 4000: -2})); err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.Clone(a.MarshalState())
+	if !bytes.Equal(a.MarshalState(), first) {
+		t.Fatal("a second MarshalState returned different bytes")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.MarshalState() }); allocs != 0 {
+		t.Errorf("warm MarshalState allocates %v objects/op, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // StateMarshaler is implemented by optimizers whose internal state (step
@@ -18,7 +19,9 @@ import (
 // blob whose dimensions disagree with them is an error. That keeps a
 // corrupt or truncated checkpoint from causing unbounded allocation.
 type StateMarshaler interface {
-	// MarshalState serializes the optimizer's mutable state.
+	// MarshalState serializes the optimizer's mutable state. The result may
+	// be a buffer the optimizer owns and overwrites on the next call (Adam's
+	// is): it is valid until then, and a caller that keeps it copies it.
 	MarshalState() []byte
 	// UnmarshalState restores state captured by MarshalState on an
 	// identically constructed optimizer. It returns an error (and leaves
@@ -40,10 +43,14 @@ func (s *SGD) UnmarshalState(data []byte) error {
 
 // MarshalState implements StateMarshaler: step counter, dimension, then
 // the first and second moment vectors — all of m, then all of v, whatever
-// the layout in memory.
+// the layout in memory. It writes into a buffer the optimizer keeps, sized
+// on the first call and overwritten in place after, so a warm call
+// allocates nothing; the result is valid until the next call.
 func (a *Adam) MarshalState() []byte {
 	n := len(a.mv)
-	out := make([]byte, 16+16*n)
+	size := 16 + 16*n
+	out := slices.Grow(a.state[:0], size)[:size]
+	a.state = out
 	binary.LittleEndian.PutUint64(out, uint64(a.t))
 	binary.LittleEndian.PutUint64(out[8:], uint64(n))
 	ms, vs := out[16:16+8*n], out[16+8*n:]

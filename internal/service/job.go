@@ -58,7 +58,8 @@ type Job struct {
 	cfg            trainer.Config
 	invoke         func(context.Context, trainer.Config) (*trainer.Result, error)
 	loadCheckpoint func() (*trainer.Checkpoint, error)
-	saveCheckpoint func(*trainer.Checkpoint) error
+	saveCheckpoint func(*trainer.Checkpoint) error // the OnCheckpoint hook: stage, flush behind
+	awaitFlush     func() error                    // the attempt's last flush, durable or failed
 
 	mu        sync.Mutex
 	state     State
@@ -103,7 +104,13 @@ func (j *Job) bindWork(cfg trainer.Config, train, test *dataset.Dataset, store *
 		return trainer.RunContext(ctx, cfg, train, test)
 	}
 	j.loadCheckpoint = func() (*trainer.Checkpoint, error) { return store.Load(spec.Name) }
-	j.saveCheckpoint = func(cp *trainer.Checkpoint) error { return store.Save(spec.Name, cp) }
+	// The hook stages the borrowed checkpoint and leaves the disk write to
+	// run behind the next epoch; its time on the round loop is the stall.
+	j.saveCheckpoint = func(cp *trainer.Checkpoint) error {
+		defer store.stallNs.Since(time.Now())
+		return store.saveBehind(spec.Name, cp)
+	}
+	j.awaitFlush = func() error { return store.wait(spec.Name) }
 }
 
 // Status is the JSON view of a job returned by the control API.

@@ -251,7 +251,8 @@ func (s *Server) Drain(ctx context.Context) {
 }
 
 // Close hard-stops the server without the graceful phase: every job
-// context is cancelled and the runners join. Intended for tests and
+// context is cancelled and the runners join — each after its attempt's
+// checkpoint flush, so no write is left in flight. Intended for tests and
 // fatal-error teardown; operators drain.
 func (s *Server) Close() {
 	s.ready.Store(false)
@@ -386,6 +387,12 @@ func (s *Server) runAttempt(job *Job) (*trainer.Result, error) {
 	s.updateGauges()
 
 	res, err := job.invoke(ctx, cfg)
+	// An attempt ends when its last checkpoint is on disk: a drained job is
+	// reported cancelled-with-checkpoint only once the file is renamed, and a
+	// flush that failed behind the final epoch fails the attempt.
+	if ferr := job.awaitFlush(); ferr != nil && err == nil {
+		res, err = nil, ferr
+	}
 	job.finishAttempt(res, err)
 	return res, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -269,6 +270,20 @@ func TestDrainedJobResumesInNewServer(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
+	// The drained state was on disk when the job was reported drained: a
+	// fresh store reads the drain's own checkpoint, not an earlier epoch's.
+	cold, err := NewCheckpointStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := cold.Load("migrant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.Rounds != drained.Rounds {
+		t.Fatalf("checkpoint on disk %+v, want one at the drain's round %d", cp, drained.Rounds)
+	}
+
 	_, ts2 := newTestServer(t, testLimits(), dir)
 	st2, resp := submit(t, ts2, longSpec("migrant"))
 	if resp.StatusCode != http.StatusAccepted {
@@ -283,6 +298,35 @@ func TestDrainedJobResumesInNewServer(t *testing.T) {
 	}
 	if final.Rounds <= drained.Rounds {
 		t.Fatalf("resumed job stopped at round %d, drain was already at %d", final.Rounds, drained.Rounds)
+	}
+}
+
+// TestLostCheckpointDirFailsJob removes the checkpoint directory once the
+// job's first checkpoint is durable. Every later flush fails behind the
+// round loop; the failure must surface — at the next boundary or at the
+// attempt's end — and, retries spent, the job ends failed with the save
+// error, never done.
+func TestLostCheckpointDirFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, testLimits(), dir)
+	st, _ := submit(t, ts, longSpec("homeless"))
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if _, err := os.Stat(srv.store.path("homeless")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no durable checkpoint appeared; job %+v", getStatus(t, ts, st.ID))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A flush may be creating its temp file while the tree is removed.
+	for os.RemoveAll(dir) != nil {
+		time.Sleep(time.Millisecond)
+	}
+	final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.terminal() }, "a terminal state")
+	if final.State != StateFailed || !strings.Contains(final.Detail, "save checkpoint") {
+		t.Fatalf("job ended %s (%s), want failed with the save error", final.State, final.Detail)
 	}
 }
 
@@ -402,10 +446,11 @@ func TestPendingJobCancelledBeforeRun(t *testing.T) {
 
 // TestServerCloseLeaksNothing runs a full lifecycle plus a hard close and
 // requires the goroutine count to return to its baseline: runners, job
-// attempts, workers, and watchers must all join.
+// attempts, workers, watchers and — the store writes through to disk, one
+// checkpoint every epoch — the flush behind the round loop must all join.
 func TestServerCloseLeaksNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, ts := newTestServer(t, testLimits(), "")
+	srv, ts := newTestServer(t, testLimits(), t.TempDir())
 	st, _ := submit(t, ts, longSpec("leakcheck"))
 	waitState(t, ts, st.ID, func(s Status) bool { return s.State == StateRunning }, "running")
 	ts.Close()

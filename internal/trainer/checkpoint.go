@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"sketchml/internal/optim"
 )
@@ -59,26 +60,45 @@ const (
 // can distinguish "this blob is damaged" from I/O errors.
 var ErrCheckpointCorrupt = errors.New("trainer: corrupt checkpoint")
 
-// Marshal serializes the checkpoint with its trailing checksum.
-func (c *Checkpoint) Marshal() []byte {
-	out := make([]byte, 0, checkpointMinLen+len(c.CodecName)+len(c.ModelName)+8*len(c.Theta)+len(c.OptState))
-	out = append(out, checkpointMagic...)
-	out = binary.LittleEndian.AppendUint16(out, checkpointVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.Seed))
-	out = binary.LittleEndian.AppendUint32(out, uint32(c.Workers))
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.Rounds))
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.RoundsPerEpoch))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.CodecName)))
-	out = append(out, c.CodecName...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.ModelName)))
-	out = append(out, c.ModelName...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(c.Theta)))
-	for _, v := range c.Theta {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+// Marshal serializes the checkpoint with its trailing checksum into a new
+// blob.
+func (c *Checkpoint) Marshal() []byte { return c.AppendMarshal(nil) }
+
+// AppendMarshal is the one emitter of the checkpoint format: like the codecs'
+// appendRaw it overwrites dst from its start, sizing it once, and stores
+// every field at its computed offset — one pass over θ and the optimizer
+// state, then the CRC. Into a dst with room for the blob (the checkpoint
+// store's spare) it allocates nothing.
+func (c *Checkpoint) AppendMarshal(dst []byte) []byte {
+	size := checkpointMinLen + len(c.CodecName) + len(c.ModelName) + 8*len(c.Theta) + len(c.OptState)
+	out := slices.Grow(dst[:0], size)[:size]
+	copy(out, checkpointMagic)
+	binary.LittleEndian.PutUint16(out[4:], checkpointVersion)
+	binary.LittleEndian.PutUint64(out[6:], uint64(c.Seed))
+	binary.LittleEndian.PutUint32(out[14:], uint32(c.Workers))
+	binary.LittleEndian.PutUint64(out[18:], uint64(c.Rounds))
+	binary.LittleEndian.PutUint64(out[26:], uint64(c.RoundsPerEpoch))
+	off := putName(out, 34, c.CodecName)
+	off = putName(out, off, c.ModelName)
+	binary.LittleEndian.PutUint64(out[off:], uint64(len(c.Theta)))
+	off += 8
+	theta := out[off : off+8*len(c.Theta)]
+	for i, v := range c.Theta {
+		binary.LittleEndian.PutUint64(theta[i*8:], math.Float64bits(v))
 	}
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(c.OptState)))
-	out = append(out, c.OptState...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	off += len(theta)
+	binary.LittleEndian.PutUint64(out[off:], uint64(len(c.OptState)))
+	off += 8
+	off += copy(out[off:], c.OptState)
+	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[:off]))
+	return out
+}
+
+// putName stores a length-prefixed name at off and returns the offset past
+// it.
+func putName(out []byte, off int, name string) int {
+	binary.LittleEndian.PutUint16(out[off:], uint16(len(name)))
+	return off + 2 + copy(out[off+2:], name)
 }
 
 // cpReader walks a checkpoint blob with every read bounds-checked, so a
@@ -214,25 +234,27 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// captureCheckpoint snapshots the driver replica's state at a round
-// boundary. Theta is copied (the live vector keeps mutating); the
-// optimizer contributes its serialized state when it supports
-// checkpointing, and stays absent (a fresh optimizer on resume) when it
-// does not.
-func captureCheckpoint(cfg *Config, rounds, roundsPerEpoch int, theta []float64, opt optim.Optimizer) *Checkpoint {
-	cp := &Checkpoint{
-		Rounds:         rounds,
-		RoundsPerEpoch: roundsPerEpoch,
+// checkpoint fills the driver's one Checkpoint at a round boundary and
+// returns it for OnCheckpoint to borrow. Nothing is copied: Theta is the
+// live vector, which nothing steps while the hook runs (every worker steps
+// its own replica, and the driver's next step waits for the next round), and
+// OptState is the optimizer's own marshal buffer (see optim.StateMarshaler),
+// absent when the optimizer cannot checkpoint, so a resume starts it fresh.
+func (d *driver) checkpoint() *Checkpoint {
+	cfg := d.cfg
+	d.cp = Checkpoint{
+		Rounds:         d.round,
+		RoundsPerEpoch: d.plan.roundsPerEpoch,
 		Workers:        cfg.Workers,
 		Seed:           cfg.Seed,
 		CodecName:      cfg.Codec.Name(),
 		ModelName:      cfg.Trainable.Name(),
-		Theta:          append([]float64(nil), theta...),
+		Theta:          d.theta,
 	}
-	if sm, ok := opt.(optim.StateMarshaler); ok {
-		cp.OptState = sm.MarshalState()
+	if sm, ok := d.opt.(optim.StateMarshaler); ok {
+		d.cp.OptState = sm.MarshalState()
 	}
-	return cp
+	return &d.cp
 }
 
 // validateResume checks that a checkpoint belongs to this run

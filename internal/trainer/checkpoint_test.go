@@ -5,7 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"reflect"
 	"testing"
+
+	"sketchml/internal/codec"
+	"sketchml/internal/model"
+	"sketchml/internal/optim"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -42,6 +48,88 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(back.OptState, cp.OptState) {
 		t.Fatalf("optimizer state did not round-trip")
+	}
+}
+
+// TestAppendMarshalMatchesMarshal pins AppendMarshal's buffer contract: it
+// overwrites dst from its start, so a dirty, oversized buffer comes back
+// holding exactly Marshal's bytes, in place; a buffer too short is grown.
+func TestAppendMarshalMatchesMarshal(t *testing.T) {
+	cp := sampleCheckpoint()
+	want := cp.Marshal()
+	dirty := bytes.Repeat([]byte{0xa5}, 3*len(want))
+	got := cp.AppendMarshal(dirty)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendMarshal into a dirty buffer:\n got %x\nwant %x", got, want)
+	}
+	if &got[0] != &dirty[0] {
+		t.Error("AppendMarshal reallocated a buffer that had room for the blob")
+	}
+	if got := cp.AppendMarshal(make([]byte, 3)); !bytes.Equal(got, want) {
+		t.Fatalf("AppendMarshal into a short buffer:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestCheckpointParentFormat holds the format across PR 25, which made
+// Marshal AppendMarshal(nil): testdata/checkpoint-v1.bin is sampleCheckpoint
+// as Marshal wrote it at the parent commit (49021d4). It still decodes, and
+// today's Marshal writes the same bytes, so checkpoints cross the change in
+// both directions.
+func TestCheckpointParentFormat(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleCheckpoint(); !reflect.DeepEqual(back, want) {
+		t.Fatalf("parent blob decodes to %+v, want %+v", back, want)
+	}
+	if !bytes.Equal(sampleCheckpoint().Marshal(), golden) {
+		t.Fatal("Marshal no longer writes the parent's bytes")
+	}
+}
+
+// TestCheckpointWarmAllocs is the allocation contract of a checkpoint
+// boundary (DESIGN.md "Allocation contract"): the driver fills its one
+// Checkpoint — θ borrowed, the optimizer's state marshaled into its own
+// buffer — and the blob is written into the spare of two buffers that trade
+// places, as the service store does. Once both buffers are sized, nothing is
+// allocated. The path starts no goroutine, so AllocsPerRun's GOMAXPROCS 1 is
+// every setting's count.
+func TestCheckpointWarmAllocs(t *testing.T) {
+	const dim = 100_000
+	cfg := Config{
+		Trainable: model.Wrap(model.LogisticRegression{}),
+		Codec:     codec.MustSketchML(codec.DefaultOptions()),
+		Workers:   4,
+		Seed:      1,
+	}
+	d := &driver{
+		cfg:   &cfg,
+		plan:  &runPlan{roundsPerEpoch: 10},
+		theta: make([]float64, dim),
+		opt:   optim.NewAdam(0.1, dim),
+		round: 10,
+	}
+	var latest, spare []byte
+	boundary := func() {
+		spare = d.checkpoint().AppendMarshal(spare)
+		latest, spare = spare, latest
+	}
+	boundary()
+	if allocs := testing.AllocsPerRun(10, boundary); allocs != 0 {
+		t.Errorf("warm checkpoint allocates %v objects/op, want 0", allocs)
+	}
+	back, err := UnmarshalCheckpoint(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Rounds != 10 || back.Workers != 4 || len(back.Theta) != dim || len(back.OptState) != 16+16*dim {
+		t.Fatalf("warm checkpoint decodes to rounds %d, workers %d, %d θ, %d state bytes",
+			back.Rounds, back.Workers, len(back.Theta), len(back.OptState))
 	}
 }
 

@@ -95,10 +95,12 @@ func TestDrainCheckpointsOnRoundBoundary(t *testing.T) {
 
 	drain := make(chan struct{})
 	close(drain)
-	var cps []*Checkpoint
+	var n int
+	var cp *Checkpoint
 	cfg := lifecycleConfig()
 	cfg.Drain = drain
-	cfg.OnCheckpoint = func(cp *Checkpoint) error { cps = append(cps, cp); return nil }
+	// The last checkpoint stays valid after the run: nothing runs after it.
+	cfg.OnCheckpoint = func(c *Checkpoint) error { n, cp = n+1, c; return nil }
 
 	res, err := Run(cfg, train, test)
 	if err != nil {
@@ -110,10 +112,9 @@ func TestDrainCheckpointsOnRoundBoundary(t *testing.T) {
 	if res.CompletedRounds != 1 {
 		t.Fatalf("drained run completed %d rounds, want exactly the round in flight (1)", res.CompletedRounds)
 	}
-	if len(cps) != 1 {
-		t.Fatalf("%d checkpoints, want 1", len(cps))
+	if n != 1 {
+		t.Fatalf("%d checkpoints, want 1", n)
 	}
-	cp := cps[len(cps)-1]
 	if cp.Rounds != res.CompletedRounds {
 		t.Fatalf("checkpoint at round %d, run stopped at %d", cp.Rounds, res.CompletedRounds)
 	}
@@ -155,15 +156,15 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	// Interrupted run: the first epoch-boundary checkpoint arms the drain,
 	// so the run stops one round into epoch 1 — a mid-epoch boundary.
 	drain := make(chan struct{})
-	var cps []*Checkpoint
+	var cp *Checkpoint // the last, the drain's: nothing runs after it
 	cfg := lifecycleConfig()
 	cfg.Drain = drain
 	cfg.CheckpointEvery = 1
-	cfg.OnCheckpoint = func(cp *Checkpoint) error {
-		cps = append(cps, cp)
-		if len(cps) == 1 {
+	cfg.OnCheckpoint = func(c *Checkpoint) error {
+		if cp == nil {
 			close(drain)
 		}
+		cp = c
 		return nil
 	}
 	part, err := Run(cfg, train, test)
@@ -173,7 +174,6 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	if !part.Drained {
 		t.Fatal("interrupted run did not drain")
 	}
-	cp := cps[len(cps)-1]
 	if cp.Rounds != part.CompletedRounds {
 		t.Fatalf("final checkpoint at round %d, drain stopped at %d", cp.Rounds, part.CompletedRounds)
 	}

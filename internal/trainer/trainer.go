@@ -121,9 +121,13 @@ type Config struct {
 	Drain <-chan struct{}
 	// OnCheckpoint, when non-nil, receives a full replica-state snapshot
 	// at every CheckpointEvery-th epoch boundary and once more when a
-	// drain stops the run mid-epoch. The callback owns the checkpoint
-	// (nothing in it aliases live state); returning an error aborts the
-	// run.
+	// drain stops the run mid-epoch; returning an error aborts the run.
+	// The checkpoint is borrowed until the hook returns: it is the
+	// driver's own, refilled at every boundary, its Theta is the live
+	// parameter vector and its OptState the optimizer's marshal buffer, so
+	// the next round overwrites them. Serialize it inside the hook
+	// (Checkpoint.AppendMarshal) or copy what you keep with
+	// UnmarshalCheckpoint(cp.Marshal()).
 	OnCheckpoint func(*Checkpoint) error
 	// CheckpointEvery is OnCheckpoint's epoch period; values < 1 default
 	// to 1 (every epoch boundary). Ignored when OnCheckpoint is nil.
@@ -687,6 +691,9 @@ type driver struct {
 	bcast       *broadcaster
 	tm          trainerMetrics
 	errAcc      errAccum
+	// cp is the one Checkpoint the driver lends OnCheckpoint, refilled at
+	// every boundary (see checkpoint).
+	cp Checkpoint
 
 	round    int   // global round counter: rounds completed, resumed ones included
 	draining bool  // Config.Drain fired: stop at this round boundary
@@ -820,7 +827,7 @@ func (d *driver) train(ctx context.Context, res *Result, test *dataset.Dataset) 
 		// what lets the job resume instead of restarting.
 		due := d.round%rpe == 0 && (d.round/rpe)%cfg.CheckpointEvery == 0
 		if cfg.OnCheckpoint != nil && (d.draining || due) {
-			if err := cfg.OnCheckpoint(captureCheckpoint(cfg, d.round, rpe, d.theta, d.opt)); err != nil {
+			if err := cfg.OnCheckpoint(d.checkpoint()); err != nil {
 				return fmt.Errorf("trainer: checkpoint: %w", err)
 			}
 		}

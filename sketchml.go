@@ -253,8 +253,10 @@ func TrainContext(ctx context.Context, cfg TrainConfig, train, test *Dataset) (*
 // Checkpoint is a crash-safe snapshot of a training run at a round
 // boundary: parameters, optimizer state, round counter, and the config
 // fingerprint that guards resumption, all behind a checksum. Produce one
-// via TrainConfig.OnCheckpoint (periodic, and final on drain); resume by
-// setting TrainConfig.Resume.
+// via TrainConfig.OnCheckpoint (periodic, and final on drain) — the hook
+// borrows the run's live state until it returns, so serialize it there
+// (Checkpoint.Marshal or AppendMarshal) or keep a copy made with
+// UnmarshalCheckpoint(cp.Marshal()); resume by setting TrainConfig.Resume.
 type Checkpoint = trainer.Checkpoint
 
 // UnmarshalCheckpoint decodes and verifies a checkpoint blob written by
