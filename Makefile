@@ -64,8 +64,8 @@ lint:
 	$(GO) run ./cmd/sketchlint ./...
 
 # lint-stats is the same gate as `lint`, just louder: a per-analyzer table
-# of finding counts and wall times plus the summary-build time, so analyzer
-# cost regressions are visible in review.
+# of finding counts and wall times, so analyzer cost regressions are visible
+# in review.
 lint-stats:
 	$(GO) run ./cmd/sketchlint -stats ./...
 

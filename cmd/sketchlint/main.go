@@ -1,16 +1,14 @@
 // Command sketchlint runs the project's static-analysis suite
-// (internal/lint) over the module: thirteen analyzers encoding SketchML's
-// correctness invariants — the v1 serialization/determinism checks
+// (internal/lint) over the module: ten analyzers encoding SketchML's
+// correctness invariants — the serialization/determinism checks
 // (unseeded-hash, float-equality, unchecked-error, wire-endianness,
-// panic-in-library), the v2 concurrency/wire-safety checks (pool-escape,
-// lock-held-io, goroutine-join, waitgroup-misuse, unbounded-wire-alloc),
-// the interprocedural checks built on the module summary table
-// (wire-taint, wire-determinism), and the //lint:allow validator (pragma).
-// Full-module runs additionally cross-check every //lint:allow directive
-// (stale-allow). See DESIGN.md ("Verification & static analysis" and
-// "Interprocedural analysis") for what each one enforces, the defect that
-// earned it its place, and what measures the invariants no analyzer
-// models.
+// panic-in-library), the concurrency/wire-safety checks (lock-held-io,
+// goroutine-join, waitgroup-misuse, unbounded-wire-alloc), and the
+// //lint:allow validator (pragma). Full-module runs additionally
+// cross-check every //lint:allow directive (stale-allow). See DESIGN.md
+// ("Verification & static analysis") for what each one enforces, the
+// defect that earned it its place, and the tests that measure the
+// invariants no analyzer models.
 //
 // Usage:
 //
@@ -23,15 +21,11 @@
 // Flags:
 //
 //	-list            list the analyzers and exit
-//	-json            emit a JSON report object (findings, per-analyzer
-//	                 timings, summary-build time)
+//	-json            emit a JSON report object (findings and
+//	                 per-analyzer timings)
 //	-github          additionally emit ::error workflow annotations so
 //	                 findings surface inline on pull-request diffs
-//	-changed ref     analyze only packages containing files changed
-//	                 relative to the given git ref; falls back to the
-//	                 full module when git cannot answer, and says why
-//	-stats           print per-analyzer findings/timings and the
-//	                 summary-build time
+//	-stats           print per-analyzer findings and timings
 //
 // Findings can be suppressed — sparingly, with a justification — by a
 // comment on the offending line or the line above:
@@ -48,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -60,11 +53,9 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit a JSON report object")
 	flag.BoolVar(&opts.github, "github", false, "also emit GitHub ::error workflow annotations")
-	flag.StringVar(&opts.changedRef, "changed", "", "analyze only packages changed relative to this git ref")
 	flag.BoolVar(&opts.stats, "stats", false, "print per-analyzer findings and timings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sketchlint [-list] [-json] [-github] [-changed ref] "+
-			"[-stats] [./... | dir ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: sketchlint [-list] [-json] [-github] [-stats] [./... | dir ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,10 +73,9 @@ func main() {
 }
 
 type options struct {
-	jsonOut    bool
-	github     bool
-	changedRef string
-	stats      bool
+	jsonOut bool
+	github  bool
+	stats   bool
 }
 
 // finding is the JSON shape of one diagnostic. Paths are module-root
@@ -102,12 +92,6 @@ type finding struct {
 type report struct {
 	Findings  []finding            `json:"findings"`
 	Analyzers []lint.AnalyzerStats `json:"analyzers"`
-	// SummaryMillis is the time spent building the interprocedural
-	// summaries wire-taint and wire-determinism read.
-	SummaryMillis int64 `json:"summary_millis"`
-	// Fallback is the reason -changed fell back to the full module, or
-	// empty when it did not.
-	Fallback string `json:"fallback,omitempty"`
 }
 
 func run(args []string, opts options) error {
@@ -120,37 +104,10 @@ func run(args []string, opts options) error {
 		return err
 	}
 
-	fullModule := true
-	var fallbackReason string
-	if opts.changedRef != "" {
-		if len(args) > 0 {
-			return fmt.Errorf("-changed cannot be combined with package arguments")
-		}
-		dirs, reason, ok := changedDirs(root, opts.changedRef)
-		if ok && len(dirs) == 0 {
-			// No Go files changed: vacuously clean.
-			if opts.jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				return enc.Encode(report{Findings: []finding{}})
-			}
-			return nil
-		}
-		if ok {
-			args = dirs
-			fullModule = false
-		} else {
-			// Git missing or the ref unknown: fall back to the full
-			// module — diff-awareness is an optimization, never a skip —
-			// and carry the reason into the output so CI logs show why
-			// the run got slower.
-			fallbackReason = reason
-			fmt.Fprintf(os.Stderr, "sketchlint: %s; analyzing the full module\n", reason)
-		}
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
+	fullModule := true
 	for _, arg := range args {
 		if arg != "./..." && arg != "..." {
 			fullModule = false
@@ -173,21 +130,15 @@ func run(args []string, opts options) error {
 	}
 
 	diags, stats := lint.RunWithStats(loader.Fset(), pkgs, lint.All(), lint.RunOptions{
-		// Summaries cover everything the loader pulled in — the analyzed
-		// packages plus, on partial runs, their unchanged module-internal
-		// dependencies — so interprocedural facts stay as precise as a
-		// full-module run.
-		SummaryPackages: loader.Loaded(),
-		// Only a full-module run proves a suppression dead: on a partial
-		// run an unfired directive may cover a package not analyzed.
+		// Only a full-module run proves a suppression dead: on a run over
+		// named directories an unfired directive may cover a package not
+		// analyzed.
 		CheckStaleAllows: fullModule,
 	})
 
 	rep := report{
-		Findings:      toFindings(root, diags),
-		Analyzers:     stats.Analyzers,
-		SummaryMillis: stats.SummaryMillis,
-		Fallback:      fallbackReason,
+		Findings:  toFindings(root, diags),
+		Analyzers: stats.Analyzers,
 	}
 
 	if opts.jsonOut {
@@ -255,58 +206,6 @@ func printStats(rep report) {
 		totalMillis += a.Millis
 	}
 	fmt.Fprintf(w, "%-22s %9d %9d\n", "total", totalFindings, totalMillis)
-	fmt.Fprintf(w, "summaries: %d ms\n", rep.SummaryMillis)
-}
-
-// changedDirs asks git which .go files differ from ref (committed or not)
-// and maps them to their package directories relative to root. ok is false
-// when git cannot answer — reason then says why, so the caller can surface
-// it — and the caller analyzes the whole module.
-func changedDirs(root, ref string) (dirs []string, reason string, ok bool) {
-	cmd := exec.Command("git", "diff", "--name-only", ref, "--", "*.go")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		detail := strings.TrimSpace(errDetail(err))
-		if detail != "" {
-			return nil, fmt.Sprintf("git diff %s failed: %s", ref, detail), false
-		}
-		return nil, fmt.Sprintf("git diff %s failed: %v", ref, err), false
-	}
-	seen := make(map[string]bool)
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if line == "" || !strings.HasSuffix(line, ".go") {
-			continue
-		}
-		dir := filepath.Dir(line)
-		if strings.Contains(line, "testdata"+string(filepath.Separator)) ||
-			strings.Contains(line, "testdata/") {
-			continue // fixtures are analyzed by their own tests, not the CLI
-		}
-		// A changed file may have been deleted; only analyze directories
-		// that still exist in the worktree.
-		abs := filepath.Join(root, dir)
-		if info, err := os.Stat(abs); err != nil || !info.IsDir() {
-			continue
-		}
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, abs)
-		}
-	}
-	return dirs, "", true
-}
-
-// errDetail extracts git's stderr from an exec error, first line only.
-func errDetail(err error) string {
-	if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-		msg := string(ee.Stderr)
-		if i := strings.IndexByte(msg, '\n'); i >= 0 {
-			msg = msg[:i]
-		}
-		return msg
-	}
-	return ""
 }
 
 // load resolves one command-line argument to packages: "./..." (or the

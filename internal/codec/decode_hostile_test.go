@@ -62,9 +62,12 @@ func TestParallelDecodeCorruptPaneBoundary(t *testing.T) {
 }
 
 // TestParallelDecodeOversizedGroupCount patches the grouped sketch header's
-// group-count field to 0xFFFFFFFF. The decoder must reject the count at the
-// header bound (minmax.DecodeGroupedReuse caps it at 1<<16) instead of
-// allocating four billion group slots.
+// group-count field. Counts past the header bound (minmax.DecodeGroupedReuse
+// caps it at 1<<16) must be refused before anything is sized by them: the
+// 1<<20 row would size 8 MB of group slots on any host, so without the bound
+// it fails here by name, where 0xFFFFFFFF can succeed lazily on a large host
+// or kill the test binary on a small one. 1<<16 passes the bound and must
+// fail inside the per-sketch loop.
 func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 	c, msg := hostileMessage(t, 12)
 	// Wire layout: tag(1) flags(1) dim(8) count(4) seed(8) buckets(4) = 26
@@ -85,21 +88,24 @@ func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 		t.Fatalf("message too short for grouped header at %d", groupCountOff)
 	}
 	mut := append([]byte(nil), msg...)
-	binary.LittleEndian.PutUint32(mut[groupCountOff:], 0xFFFFFFFF)
-	if _, err := c.Decode(mut); err == nil {
-		t.Fatal("decoder accepted a 4-billion group count")
-	}
-	if _, err := c.MergeInto(nil, msg, mut); err == nil {
-		t.Fatal("merge accepted a 4-billion group count")
-	}
-	// Same patch, but a count that passes the header bound and fails inside
-	// the per-sketch loop.
-	binary.LittleEndian.PutUint32(mut[groupCountOff:], 1<<16)
-	if _, err := c.Decode(mut); err == nil {
-		t.Fatal("decoder accepted a grouped header lying about 65536 groups")
-	}
-	if _, err := c.MergeInto(nil, msg, mut); err == nil {
-		t.Fatal("merge accepted a grouped header lying about 65536 groups")
+	const bound = 64 << 10
+	for _, tc := range []struct {
+		groups   uint32
+		atHeader bool // refused by the header bound
+	}{{1 << 20, true}, {0xFFFFFFFF, true}, {1 << 16, false}} {
+		binary.LittleEndian.PutUint32(mut[groupCountOff:], tc.groups)
+		var decErr, mergeErr error
+		decAlloc := allocatedBytes(func() { _, decErr = c.Decode(mut) })
+		mergeAlloc := allocatedBytes(func() { _, mergeErr = c.MergeInto(nil, msg, mut) })
+		if decErr == nil {
+			t.Fatalf("decoder accepted a grouped header claiming %d groups", tc.groups)
+		}
+		if mergeErr == nil {
+			t.Fatalf("merge accepted a grouped header claiming %d groups", tc.groups)
+		}
+		if got := max(decAlloc, mergeAlloc); tc.atHeader && got > bound {
+			t.Fatalf("refusing %d groups allocated %d bytes, want at most %d", tc.groups, got, bound)
+		}
 	}
 }
 

@@ -59,8 +59,11 @@ func scratchShapes() map[string]*gradient.Sparse {
 // TestEncodeSameBytesEveryPlan: the message is a function of the gradient
 // and the Options minus Parallelism — not of the plan, the CPU count, or
 // what the pooled scratch encoded last. The reference is the first encode
-// at Parallelism 1; the others run after unrelated messages of other sizes
-// have been through the pools.
+// at Parallelism 1 and GOMAXPROCS 1; the others run after unrelated messages
+// of other sizes have been through the pools. Every plan runs at GOMAXPROCS
+// 1 and 2, and the default plan, which follows the CPU count, at every
+// GOMAXPROCS up to 17: a bit of the CPU count that 1, 2 and 8 leave clear
+// (16) must not reach the bytes either.
 func TestEncodeSameBytesEveryPlan(t *testing.T) {
 	shapes := scratchShapes()
 	variants := map[string]func(*Options){
@@ -68,13 +71,23 @@ func TestEncodeSameBytesEveryPlan(t *testing.T) {
 		"no-minmax": func(o *Options) { o.MinMax = false },
 		"r1":        func(o *Options) { o.Groups = 1 },
 	}
+	type plan struct{ procs, par int }
+	var plans []plan
+	for procs := 1; procs <= 17; procs++ {
+		plans = append(plans, plan{procs, 0})
+		if procs <= 2 {
+			plans = append(plans, plan{procs, 1}, plan{procs, 2})
+		}
+	}
 	for sname, g := range shapes {
 		for vname, mut := range variants {
 			t.Run(sname+"/"+vname, func(t *testing.T) {
 				opts := DefaultOptions()
 				mut(&opts)
 				opts.Parallelism = 1
+				prev := runtime.GOMAXPROCS(1)
 				ref, err := MustSketchML(opts).Encode(g)
+				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,26 +100,24 @@ func TestEncodeSameBytesEveryPlan(t *testing.T) {
 						t.Fatalf("key %d: decoded (%d, %g) from (%d, %g)", i, dec.Keys[i], dec.Values[i], k, g.Values[i])
 					}
 				}
-				for _, procs := range []int{1, 2} {
-					for _, par := range []int{0, 1, 2} {
-						prev := runtime.GOMAXPROCS(procs)
-						o := opts
-						o.Parallelism = par
-						c := MustSketchML(o)
-						for _, other := range shapes { // dirty the pooled scratch
-							if _, err := c.Encode(other); err != nil {
-								t.Fatal(err)
-							}
-						}
-						msg, err := c.Encode(g)
-						runtime.GOMAXPROCS(prev)
-						if err != nil {
+				for _, p := range plans {
+					prev := runtime.GOMAXPROCS(p.procs)
+					o := opts
+					o.Parallelism = p.par
+					c := MustSketchML(o)
+					for _, other := range shapes { // dirty the pooled scratch
+						if _, err := c.Encode(other); err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(msg, ref) {
-							t.Errorf("GOMAXPROCS=%d Parallelism=%d: bytes differ from the serial reference (first diff at %d)",
-								procs, par, firstDiff(msg, ref))
-						}
+					}
+					msg, err := c.Encode(g)
+					runtime.GOMAXPROCS(prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(msg, ref) {
+						t.Errorf("GOMAXPROCS=%d Parallelism=%d: bytes differ from the serial reference (first diff at %d)",
+							p.procs, p.par, firstDiff(msg, ref))
 					}
 				}
 			})

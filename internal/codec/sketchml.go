@@ -751,7 +751,7 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 			return fmt.Errorf("group %d keys: %w", grp, err)
 		}
 		sc.cand = quantizer.Resize(sc.cand, len(keys))
-		//lint:allow wire-taint QueryBlock hashes each key into its row's width (index = hash·cols >> 64), so wire-derived keys cannot index out of range
+		// QueryBlock hashes each key into its row's width (index = hash·cols >> 64), so wire-derived keys cannot index out of range.
 		base := grouped.QueryBlock(grp, keys, sc.cand)
 		for i, cand := range sc.cand {
 			if cand == 0 {

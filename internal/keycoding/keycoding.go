@@ -150,7 +150,7 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 		// the first or reads the 8-byte delta behind the second.
 		if j := i - 1; j%4 == 0 && i+4 <= count && off+16 <= len(data) {
 			fb := uint(flags[j/4])
-			//lint:allow wire-taint each index is two bits of the flag byte, 0..3 into the 4-entry table
+			// Each index is two bits of the flag byte, 0..3 into the 4-entry table.
 			m0, m1, m2, m3 := widthMask[fb&3], widthMask[fb>>2&3], widthMask[fb>>4&3], widthMask[fb>>6]
 			o1 := off + int(fb&3+1)
 			o2 := o1 + int(fb>>2&3+1)

@@ -84,6 +84,19 @@ func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 	return out
 }
 
+// calledFunc resolves a call to the *types.Func it invokes, or nil.
+func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		f, _ := pass.Info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := pass.Info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
 // hasJoinSignal reports whether a function body contains a recognized
 // completion signal.
 func hasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {

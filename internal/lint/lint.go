@@ -60,10 +60,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Mod is the module-wide interprocedural summary table. It is built
-	// once per Run and shared by every pass; wire-taint and
-	// wire-determinism read their findings from it.
-	Mod *ModuleSummary
 
 	diags *[]Diagnostic
 	allow map[string]map[int]map[string]bool // file -> line -> analyzer names
@@ -87,13 +83,7 @@ func allowUseKey(file string, line int, name string) string {
 // Reportf records a finding at pos unless a //lint:allow comment for this
 // analyzer covers the position.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportAt(p.Fset.Position(pos), format, args...)
-}
-
-// ReportAt records a finding at a resolved position — used when a
-// diagnostic derives from a summary site rather than a live AST node —
-// honoring //lint:allow the same way Reportf does.
-func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
+	position := p.Fset.Position(pos)
 	if p.allowedAt(position) {
 		return
 	}
@@ -105,20 +95,13 @@ func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
 }
 
 // allowedAt reports whether a //lint:allow comment for this analyzer sits
-// on the diagnostic's line or the line directly above it.
+// on the diagnostic's line or the line directly above it, and records each
+// such directive line in used for the stale-suppression check.
 func (p *Pass) allowedAt(pos token.Position) bool {
-	return consumeAllow(p.allow, p.used, pos, p.Analyzer.Name)
-}
-
-// consumeAllow reports whether a //lint:allow comment for analyzer name
-// sits on pos's line or the line directly above it, and records each such
-// directive line in used (keyed by allowUseKey) for the stale-suppression
-// check.
-func consumeAllow(allow map[string]map[int]map[string]bool, used map[string]bool, pos token.Position, name string) bool {
 	covered := false
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if allow[pos.Filename][line][name] {
-			used[allowUseKey(pos.Filename, line, name)] = true
+		if p.allow[pos.Filename][line][p.Analyzer.Name] {
+			p.used[allowUseKey(pos.Filename, line, p.Analyzer.Name)] = true
 			covered = true
 		}
 	}
@@ -204,19 +187,12 @@ func collectAllowDirectives(fset *token.FileSet, files []*ast.File) []allowDirec
 
 // RunOptions configures a RunWithStats call.
 type RunOptions struct {
-	// SummaryPackages are extra packages to include when building
-	// interprocedural summaries without analyzing them. Partial runs
-	// (-changed) pass the loader's full transitive-import set here so a
-	// changed package's calls into unchanged dependencies resolve against
-	// real summaries — otherwise the conservative external-call fallback
-	// would invent taint the full-module run disproves.
-	SummaryPackages []*Package
 	// CheckStaleAllows emits a "stale-allow" diagnostic for every
 	// //lint:allow directive naming an analyzer that ran but suppressed
 	// nothing on the directive's lines. Only full-module runs set it: on a
-	// partial run an unfired directive may simply cover a package that was
-	// not analyzed. Directive names outside the run's analyzer set are
-	// never stale-checked.
+	// run over named directories an unfired directive may simply cover a
+	// package that was not analyzed. Directive names outside the run's
+	// analyzer set are never stale-checked.
 	CheckStaleAllows bool
 }
 
@@ -230,8 +206,6 @@ type AnalyzerStats struct {
 // RunStats is the timing breakdown of one run.
 type RunStats struct {
 	Analyzers []AnalyzerStats `json:"analyzers"`
-	// SummaryMillis is the time spent building interprocedural summaries.
-	SummaryMillis int64 `json:"summary_millis"`
 }
 
 // Run applies every analyzer to every package and returns the surviving
@@ -244,27 +218,8 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 // RunWithStats is Run plus per-analyzer timing and the run options.
 func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, RunStats) {
 	var stats RunStats
-
-	sumPkgs := pkgs
-	if len(opts.SummaryPackages) > 0 {
-		seen := make(map[string]bool, len(opts.SummaryPackages))
-		sumPkgs = append([]*Package(nil), opts.SummaryPackages...)
-		for _, p := range sumPkgs {
-			seen[p.Path] = true
-		}
-		for _, p := range pkgs {
-			if !seen[p.Path] {
-				sumPkgs = append(sumPkgs, p)
-			}
-		}
-	}
-	// used collects every consumed //lint:allow directive line: summary
-	// extraction records the ones it honours, Pass.allowedAt the rest.
+	// used collects every //lint:allow directive line Pass.allowedAt consumed.
 	used := make(map[string]bool)
-	summaryStart := time.Now()
-	mod := BuildSummaries(fset, sumPkgs, used)
-	stats.SummaryMillis = time.Since(summaryStart).Milliseconds()
-
 	var diags []Diagnostic
 	perAnalyzer := make(map[string]*AnalyzerStats, len(analyzers))
 	for _, a := range analyzers {
@@ -286,7 +241,6 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Mod:      mod,
 				diags:    &diags,
 				allow:    allow,
 				used:     used,
@@ -322,10 +276,9 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 }
 
 // All returns the full analyzer suite in stable order. The first five are
-// the v1 serialization/determinism invariants; the next five (v2) guard
-// the concurrency and untrusted-wire surfaces of the parallel codec hot
-// path; wire-taint and wire-determinism are interprocedural, built on the
-// module summary table; pragma validates the //lint:allow directives.
+// the serialization/determinism invariants; the next four guard the
+// concurrency and untrusted-wire surfaces of the parallel codec hot path;
+// pragma validates the //lint:allow directives.
 func All() []*Analyzer {
 	return []*Analyzer{
 		UnseededHash(),
@@ -333,20 +286,16 @@ func All() []*Analyzer {
 		UncheckedError(),
 		WireEndianness(),
 		PanicInLibrary(),
-		PoolEscape(),
 		LockHeldIO(),
 		GoroutineJoin(),
 		WaitGroupMisuse(),
 		UnboundedWireAlloc(),
-		WireTaint(),
-		WireDeterminism(),
 		Pragma(),
 	}
 }
 
 // staleAllowDiags cross-checks every //lint:allow directive against the
-// suppressions actually consumed this run (used): by Pass.allowedAt at
-// report time, or during summary extraction.
+// suppressions Pass.allowedAt actually consumed this run (used).
 func staleAllowDiags(directives []allowDirective, used map[string]bool, analyzers []*Analyzer) []Diagnostic {
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

@@ -90,7 +90,6 @@ func TestUncheckedErrorFixture(t *testing.T) { checkFixture(t, "uncheckederr", U
 func TestWireEndiannessFixture(t *testing.T) { checkFixture(t, "endianness", WireEndianness()) }
 func TestPanicInLibraryFixture(t *testing.T) { checkFixture(t, "paniclib", PanicInLibrary()) }
 
-func TestPoolEscapeFixture(t *testing.T)    { checkFixture(t, "poolescape", PoolEscape()) }
 func TestLockHeldIOFixture(t *testing.T)    { checkFixture(t, "lockheldio", LockHeldIO()) }
 func TestGoroutineJoinFixture(t *testing.T) { checkFixture(t, "goroutinejoin", GoroutineJoin()) }
 func TestWaitGroupMisuseFixture(t *testing.T) {
@@ -98,11 +97,6 @@ func TestWaitGroupMisuseFixture(t *testing.T) {
 }
 func TestUnboundedWireAllocFixture(t *testing.T) {
 	checkFixture(t, "wirealloc", UnboundedWireAlloc())
-}
-
-func TestWireTaintFixture(t *testing.T) { checkFixture(t, "wiretaint", WireTaint()) }
-func TestWireDeterminismFixture(t *testing.T) {
-	checkFixture(t, "wiredeterminism", WireDeterminism())
 }
 func TestPragmaFixture(t *testing.T) { checkFixture(t, "pragma", Pragma()) }
 

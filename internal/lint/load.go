@@ -190,21 +190,6 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	return pkg, nil
 }
 
-// Loaded returns every package this loader has parsed and type-checked so
-// far — the requested roots plus all module-internal packages pulled in as
-// their imports — in deterministic import-path order. Partial runs
-// (-changed) hand these to the summary builder so interprocedural facts
-// about unchanged dependencies stay precise instead of degrading to the
-// conservative external-call fallback.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, pkg := range l.pkgs {
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // importPkg resolves an import path: module-internal packages recurse into
 // the loader, "unsafe" maps to types.Unsafe, and everything else is
 // assumed to be standard library and resolved from compiler export data.
