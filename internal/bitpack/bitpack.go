@@ -33,7 +33,6 @@ type Writer struct {
 	cur   uint64 // pending bits, low bits first
 	nbits uint   // number of valid bits in cur
 	width uint
-	count int
 }
 
 // NewWriter creates a Writer emitting width-bit values. width must be in
@@ -57,11 +56,7 @@ func (w *Writer) Write(v uint32) {
 		w.cur >>= 8
 		w.nbits -= 8
 	}
-	w.count++
 }
-
-// Count returns how many values have been written.
-func (w *Writer) Count() int { return w.count }
 
 // Bytes flushes any pending partial byte and returns the packed stream.
 // The Writer must not be used after calling Bytes.
@@ -170,17 +165,12 @@ func AppendBlock(dst []byte, values []uint32, width int) []byte {
 	return dst
 }
 
-// DecodeBlock parses a block written by AppendBlock, returning the values
-// and the number of bytes consumed.
-func DecodeBlock(data []byte) ([]uint32, int, error) {
-	return DecodeBlockInto(data, nil)
-}
-
-// DecodeBlockInto is DecodeBlock with a caller-owned destination: values
-// are unpacked into dst's storage, which is reused when its capacity
-// covers the wire count and grown otherwise, and the (possibly regrown)
-// slice is returned. The count is bounds-checked against the available
-// bytes before any allocation, exactly as in DecodeBlock.
+// DecodeBlockInto parses a block written by AppendBlock, returning the
+// values and the number of bytes consumed. Values are unpacked into dst's
+// storage, which is reused when its capacity covers the wire count and
+// grown otherwise (a nil dst allocates), and the (possibly regrown) slice
+// is returned. The count is bounds-checked against the available bytes
+// before any allocation.
 func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 	if len(data) < 5 {
 		return nil, 0, errors.New("bitpack: truncated block header")

@@ -124,23 +124,13 @@ func TestPackingDensity(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	w := NewWriter(4)
-	for i := 0; i < 7; i++ {
-		w.Write(uint32(i))
-	}
-	if w.Count() != 7 {
-		t.Errorf("Count = %d, want 7", w.Count())
-	}
-}
-
 func TestBlockRoundTrip(t *testing.T) {
 	vals := []uint32{0, 1, 2, 3, 250, 255, 7, 0}
 	data := AppendBlock(nil, vals, 8)
 	if len(data) != BlockSize(len(vals), 8) {
 		t.Errorf("len=%d, BlockSize=%d", len(data), BlockSize(len(vals), 8))
 	}
-	got, used, err := DecodeBlock(data)
+	got, used, err := DecodeBlockInto(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +146,7 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestBlockEmbeddedInLargerBuffer(t *testing.T) {
 	data := AppendBlock([]byte{9, 9, 9}, []uint32{5, 6}, 4)
-	got, used, err := DecodeBlock(data[3:])
+	got, used, err := DecodeBlockInto(data[3:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +156,16 @@ func TestBlockEmbeddedInLargerBuffer(t *testing.T) {
 }
 
 func TestDecodeBlockErrors(t *testing.T) {
-	if _, _, err := DecodeBlock([]byte{1, 2}); err == nil {
+	if _, _, err := DecodeBlockInto([]byte{1, 2}, nil); err == nil {
 		t.Error("truncated header should error")
 	}
 	data := AppendBlock(nil, []uint32{1, 2, 3}, 8)
-	if _, _, err := DecodeBlock(data[:len(data)-1]); err == nil {
+	if _, _, err := DecodeBlockInto(data[:len(data)-1], nil); err == nil {
 		t.Error("truncated body should error")
 	}
 	bad := append([]byte(nil), data...)
 	bad[4] = 99 // invalid width
-	if _, _, err := DecodeBlock(bad); err == nil {
+	if _, _, err := DecodeBlockInto(bad, nil); err == nil {
 		t.Error("bad width should error")
 	}
 }
@@ -211,7 +201,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			vals[i] = v & mask
 		}
 		data := AppendBlock(nil, vals, width)
-		got, _, err := DecodeBlock(data)
+		got, _, err := DecodeBlockInto(data, nil)
 		if err != nil {
 			return false
 		}

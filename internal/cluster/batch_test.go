@@ -351,7 +351,7 @@ func TestTCPRecvTimeoutSteadyStateAllocs(t *testing.T) {
 	frame := make([]byte, 4+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	copy(frame[4:], payload)
-	conn := WrapNetConn(&feederConn{frame: frame}).(DeadlineConn)
+	conn := WrapNetConn(&feederConn{frame: frame})
 
 	if _, err := conn.RecvTimeout(time.Second); err != nil { // warm the buffer
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func BenchmarkRecvTimeoutSteadyState(b *testing.B) {
 	frame := make([]byte, 4+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	copy(frame[4:], payload)
-	conn := WrapNetConn(&feederConn{frame: frame}).(DeadlineConn)
+	conn := WrapNetConn(&feederConn{frame: frame})
 	if _, err := conn.RecvTimeout(time.Second); err != nil { // warm the buffer
 		b.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestTCPRecvHostileHeaderBoundedBuffer(t *testing.T) {
 func TestTCPRecvTimeoutResumeUnderChaosFraming(t *testing.T) {
 	raw, side := net.Pipe()
 	defer raw.Close()
-	conn := WrapNetConn(side).(DeadlineConn)
+	conn := WrapNetConn(side)
 	defer conn.Close()
 
 	const frames = 8

@@ -173,7 +173,7 @@ func (c *ChaosConn) Send(msg []byte) error {
 // Recv implements Conn.
 func (c *ChaosConn) Recv() ([]byte, error) { return c.RecvTimeout(0) }
 
-// RecvTimeout implements DeadlineConn, injecting recv-direction faults.
+// RecvTimeout implements Conn, injecting recv-direction faults.
 // Dropped frames consume deadline budget exactly as a lossy wire would.
 func (c *ChaosConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	if c.pending != nil {
@@ -193,7 +193,7 @@ func (c *ChaosConn) RecvTimeout(d time.Duration) ([]byte, error) {
 				return nil, ErrTimeout
 			}
 		}
-		msg, err := RecvWithTimeout(c.inner, remaining)
+		msg, err := c.inner.RecvTimeout(remaining)
 		if err != nil {
 			return nil, err
 		}

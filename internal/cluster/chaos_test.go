@@ -21,7 +21,7 @@ func chaosSequence(t *testing.T, spec ChaosSpec, n int) ([][]byte, FaultCounts) 
 	}
 	var got [][]byte
 	for {
-		msg, err := RecvWithTimeout(b, 20*time.Millisecond)
+		msg, err := b.RecvTimeout(20 * time.Millisecond)
 		if err != nil {
 			break
 		}
@@ -122,7 +122,7 @@ func TestChaosOutageWindowDropsBothDirections(t *testing.T) {
 	}
 	var got []byte
 	for {
-		msg, err := RecvWithTimeout(b, 20*time.Millisecond)
+		msg, err := b.RecvTimeout(20 * time.Millisecond)
 		if err != nil {
 			break
 		}
@@ -138,7 +138,7 @@ func TestChaosOutageWindowDropsBothDirections(t *testing.T) {
 		}
 	}
 	for _, want := range []byte{10, 11} {
-		msg, err := RecvWithTimeout(cc, time.Second)
+		msg, err := cc.RecvTimeout(time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestChaosOutageWindowDropsBothDirections(t *testing.T) {
 			t.Fatalf("got frame %d, want %d", msg[0], want)
 		}
 	}
-	if _, err := RecvWithTimeout(cc, 30*time.Millisecond); err != ErrTimeout {
+	if _, err := cc.RecvTimeout(30 * time.Millisecond); err != ErrTimeout {
 		t.Fatalf("frames inside the outage window leaked through: %v", err)
 	}
 	if oc := cc.Faults().OutageDrops; oc != 4 {
@@ -165,7 +165,7 @@ func TestChaosRecvDupDeliversTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RecvWithTimeout(cc, time.Second)
+	second, err := cc.RecvTimeout(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestChaosRecvDropConsumesDeadline(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err := RecvWithTimeout(cc, 50*time.Millisecond)
+	_, err := cc.RecvTimeout(50 * time.Millisecond)
 	if err != ErrTimeout {
 		t.Fatalf("RecvTimeout = %v, want ErrTimeout", err)
 	}

@@ -261,25 +261,6 @@ func TestTCPManyWorkers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestNetworkModelValidate(t *testing.T) {
-	if err := LabCluster().Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := ProductionCluster().Validate(); err != nil {
-		t.Error(err)
-	}
-	bad := []NetworkModel{
-		{BandwidthBytesPerSec: 0, Congestion: 1},
-		{BandwidthBytesPerSec: 1, LatencySec: -1, Congestion: 1},
-		{BandwidthBytesPerSec: 1, Congestion: 0},
-	}
-	for i, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("bad model %d accepted", i)
-		}
-	}
-}
-
 func TestRoundTimeScalesWithBytesAndWorkers(t *testing.T) {
 	m := LabCluster()
 	small := m.RoundTime(1000, 1000, 10)
@@ -498,10 +479,10 @@ func TestPairDrainsAllQueuedAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2.Close()
-	if msg, err := RecvWithTimeout(b2, time.Second); err != nil || string(msg) != "x" {
+	if msg, err := b2.RecvTimeout(time.Second); err != nil || string(msg) != "x" {
 		t.Fatalf("RecvTimeout did not drain after close: %q, %v", msg, err)
 	}
-	if _, err := RecvWithTimeout(b2, time.Second); err != ErrClosed {
+	if _, err := b2.RecvTimeout(time.Second); err != ErrClosed {
 		t.Fatalf("RecvTimeout after drain = %v, want ErrClosed", err)
 	}
 }
@@ -532,7 +513,7 @@ func TestMemRecvTimeout(t *testing.T) {
 	a, b := Pair(1)
 	defer a.Close()
 	start := time.Now()
-	if _, err := RecvWithTimeout(b, 30*time.Millisecond); err != ErrTimeout {
+	if _, err := b.RecvTimeout(30 * time.Millisecond); err != ErrTimeout {
 		t.Fatalf("empty RecvTimeout = %v, want ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -542,7 +523,7 @@ func TestMemRecvTimeout(t *testing.T) {
 	if err := a.Send([]byte("late")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := RecvWithTimeout(b, time.Second)
+	msg, err := b.RecvTimeout(time.Second)
 	if err != nil || string(msg) != "late" {
 		t.Fatalf("post-timeout receive: %q, %v", msg, err)
 	}
@@ -550,7 +531,7 @@ func TestMemRecvTimeout(t *testing.T) {
 	if err := a.Send([]byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := RecvWithTimeout(b, 0); err != nil || string(msg) != "again" {
+	if msg, err := b.RecvTimeout(0); err != nil || string(msg) != "again" {
 		t.Fatalf("RecvTimeout(0): %q, %v", msg, err)
 	}
 }
@@ -559,7 +540,7 @@ func TestCountingConnRecvTimeout(t *testing.T) {
 	a, b := Pair(1)
 	defer a.Close()
 	cb := NewCounting(b)
-	if _, err := RecvWithTimeout(cb, 20*time.Millisecond); err != ErrTimeout {
+	if _, err := cb.RecvTimeout(20 * time.Millisecond); err != ErrTimeout {
 		t.Fatalf("counting RecvTimeout = %v, want ErrTimeout", err)
 	}
 	if s := cb.Stats(); s.MsgsRecv != 0 {
@@ -568,7 +549,7 @@ func TestCountingConnRecvTimeout(t *testing.T) {
 	if err := a.Send(make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecvWithTimeout(cb, time.Second); err != nil {
+	if _, err := cb.RecvTimeout(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if s := cb.Stats(); s.MsgsRecv != 1 || s.BytesRecv != 10 {

@@ -23,26 +23,21 @@ var ErrClosed = errors.New("cluster: connection closed")
 var ErrTimeout = errors.New("cluster: receive timed out")
 
 // Conn is a bidirectional, message-oriented (framed) connection.
-// Send and Recv are each safe for one concurrent caller.
+// Send and Recv are each safe for one concurrent caller. Receives can be
+// bounded in time, the seam that lets the trainer survive hung or
+// partitioned peers: no receive need ever block unboundedly.
 type Conn interface {
 	// Send transmits one message.
 	Send(msg []byte) error
 	// Recv blocks for the next message.
 	Recv() ([]byte, error)
-	// Close releases the connection; pending Recv calls fail.
-	Close() error
-}
-
-// DeadlineConn is a Conn whose receives can be bounded in time, the seam
-// that lets the trainer survive hung or partitioned peers: no receive need
-// ever block unboundedly. Both built-in transports implement it.
-type DeadlineConn interface {
-	Conn
 	// RecvTimeout blocks for the next message for at most d (d <= 0 blocks
 	// like Recv). On expiry it returns ErrTimeout and leaves the connection
 	// usable — in particular a frame caught mid-transfer is resumed, not
 	// corrupted, by the next receive.
 	RecvTimeout(d time.Duration) ([]byte, error)
+	// Close releases the connection; pending Recv calls fail.
+	Close() error
 }
 
 // BatchConn is a Conn whose sends can be coalesced: SendBatch transmits
@@ -70,15 +65,6 @@ func SendBatch(c Conn, msgs [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// RecvWithTimeout bounds a receive on any Conn: connections implementing
-// DeadlineConn get a true deadline; others fall back to a blocking Recv.
-func RecvWithTimeout(c Conn, d time.Duration) ([]byte, error) {
-	if dc, ok := c.(DeadlineConn); ok && d > 0 {
-		return dc.RecvTimeout(d)
-	}
-	return c.Recv()
 }
 
 // memConn is one endpoint of an in-memory pair.
@@ -149,7 +135,7 @@ func (c *memConn) Recv() ([]byte, error) {
 	}
 }
 
-// RecvTimeout implements DeadlineConn.
+// RecvTimeout implements Conn.
 func (c *memConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	if d <= 0 {
 		return c.Recv()
@@ -265,11 +251,11 @@ func (c *CountingConn) Recv() ([]byte, error) {
 	return msg, nil
 }
 
-// RecvTimeout implements DeadlineConn, delegating the deadline to the
-// wrapped connection when it supports one. Expired deadlines feed the
-// recv-timeout counter so degraded rounds are visible in the metrics.
+// RecvTimeout implements Conn, delegating the deadline to the wrapped
+// connection. Expired deadlines feed the recv-timeout counter so degraded
+// rounds are visible in the metrics.
 func (c *CountingConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	msg, err := RecvWithTimeout(c.inner, d)
+	msg, err := c.inner.RecvTimeout(d)
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			c.met.RecvTimeouts.Inc()

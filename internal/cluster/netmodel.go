@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // NetworkModel converts measured message sizes into simulated transfer
 // times for a synchronous parameter-aggregation round, substituting for the
@@ -25,20 +22,6 @@ type NetworkModel struct {
 	// production network (the paper notes Cluster-2 "is more congested").
 	// 1.0 means dedicated links.
 	Congestion float64
-}
-
-// Validate reports configuration errors.
-func (m NetworkModel) Validate() error {
-	if m.BandwidthBytesPerSec <= 0 {
-		return fmt.Errorf("cluster: bandwidth %v must be positive", m.BandwidthBytesPerSec)
-	}
-	if m.LatencySec < 0 {
-		return fmt.Errorf("cluster: latency %v must be non-negative", m.LatencySec)
-	}
-	if m.Congestion <= 0 {
-		return fmt.Errorf("cluster: congestion %v must be positive", m.Congestion)
-	}
-	return nil
 }
 
 // The two named models are REPRODUCTION-SCALED: the synthetic datasets are

@@ -170,7 +170,7 @@ func timeoutErr(err error) error {
 // deadline path allocation-free.
 func (t *tcpConn) clearReadDeadline() { _ = t.c.SetReadDeadline(time.Time{}) }
 
-// RecvTimeout implements DeadlineConn via net.Conn.SetReadDeadline. On
+// RecvTimeout implements Conn via net.Conn.SetReadDeadline. On
 // expiry it returns ErrTimeout with the partial frame progress saved, so a
 // later receive resumes the same frame instead of reading garbage. The
 // returned message aliases the conn-owned receive buffer (valid until the

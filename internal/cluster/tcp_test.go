@@ -359,17 +359,13 @@ func TestTransientDialErrorClassification(t *testing.T) {
 // ErrTimeout and the link stays usable.
 func TestTCPRecvTimeoutIdleLink(t *testing.T) {
 	client, server := tcpPair(t)
-	dc, ok := client.(DeadlineConn)
-	if !ok {
-		t.Fatal("tcp conn does not implement DeadlineConn")
-	}
-	if _, err := dc.RecvTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := client.RecvTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("idle RecvTimeout = %v, want ErrTimeout", err)
 	}
 	if err := server.Send([]byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := dc.RecvTimeout(2 * time.Second)
+	msg, err := client.RecvTimeout(2 * time.Second)
 	if err != nil || string(msg) != "after" {
 		t.Fatalf("post-timeout receive: %q, %v", msg, err)
 	}
@@ -389,7 +385,7 @@ func TestTCPRecvTimeoutIdleLink(t *testing.T) {
 func TestTCPRecvTimeoutResumesPartialFrame(t *testing.T) {
 	raw, side := net.Pipe()
 	defer raw.Close()
-	conn := WrapNetConn(side).(DeadlineConn)
+	conn := WrapNetConn(side)
 	defer conn.Close()
 
 	payload := make([]byte, 64)
@@ -442,7 +438,7 @@ func TestTCPRecvTimeoutResumesPartialFrame(t *testing.T) {
 func TestTCPRecvTimeoutHeaderSplit(t *testing.T) {
 	raw, side := net.Pipe()
 	defer raw.Close()
-	conn := WrapNetConn(side).(DeadlineConn)
+	conn := WrapNetConn(side)
 	defer conn.Close()
 
 	go func() {

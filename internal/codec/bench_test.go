@@ -189,7 +189,7 @@ func countKeyLists(tb testing.TB, msg []byte) int {
 		}
 		q, err := r.u32()
 		skip(8*int(q), err)
-		grouped, used, err := minmax.DecodeGrouped(r.rest(), 0)
+		grouped, used, err := minmax.DecodeGroupedReuse(r.rest(), 0, nil)
 		skip(used, err)
 		for grp := 0; grp < grouped.NumGroups(); grp++ {
 			_, used, err := keycoding.DecodeDelta(r.rest())

@@ -184,7 +184,7 @@ func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, delta, mm,
 		return append(keyLists, keys), append(valLists, vals), nil
 	}
 
-	grouped, used, err := minmax.DecodeGrouped(r.rest(), hashing.Mix64(paneID, seed))
+	grouped, used, err := minmax.DecodeGroupedReuse(r.rest(), hashing.Mix64(paneID, seed), nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -131,7 +131,7 @@ func FuzzSketchMLDecode(f *testing.F) {
 	})
 }
 
-// FuzzMerge drives two arbitrary byte slices through both Mergers: Merge
+// FuzzMerge drives two arbitrary byte slices through both Mergers: MergeInto
 // must never panic, and whenever it accepts the pair the output must itself
 // decode to a valid gradient — an interior tree node forwards merged bytes
 // without ever re-checking them, so an undecodable merge result would
@@ -165,7 +165,7 @@ func FuzzMerge(f *testing.F) {
 	}{{"sketchml", sk, sk}, {"raw", raw, raw}}
 	f.Fuzz(func(t *testing.T, x, y []byte) {
 		for _, mc := range mergers {
-			out, err := mc.m.Merge(x, y)
+			out, err := mc.m.MergeInto(nil, x, y)
 			if err != nil {
 				continue
 			}

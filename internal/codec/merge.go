@@ -13,19 +13,18 @@ import (
 )
 
 // Merger is implemented by codecs whose encoded messages can be combined
-// wire-to-wire: Merge(a, b) yields one message equivalent to encoding the
-// sum of the two gradients, without the caller ever materializing floats.
-// This is what makes hierarchical aggregation (the tree gather) possible:
-// interior nodes merge children's messages and forward one message, so
-// per-link bytes stay flat as the worker count grows.
+// wire-to-wire: MergeInto(dst, a, b) yields one message equivalent to
+// encoding the sum of the two gradients, without the caller ever
+// materializing floats. This is what makes hierarchical aggregation (the
+// tree gather) possible: interior nodes merge children's messages and
+// forward one message, so per-link bytes stay flat as the worker count
+// grows.
 //
-// Contract: merging is symmetric in its inputs (Merge(a,b) and Merge(b,a)
-// produce identical bytes) and the result always decodes with the same
-// codec. Exact associativity on wire bytes holds only where the format
-// guarantees it — see SketchML.MergeInto for the boundary.
+// Contract: merging is symmetric in its inputs (merging a with b and b
+// with a produce identical bytes) and the result always decodes with the
+// same codec. Exact associativity on wire bytes holds only where the
+// format guarantees it — see SketchML.MergeInto for the boundary.
 type Merger interface {
-	// Merge combines two encoded messages into a freshly allocated one.
-	Merge(a, b []byte) ([]byte, error)
 	// MergeInto appends the merged message to dst[:0] and returns it,
 	// reusing dst's capacity. dst may alias a or b: both inputs are fully
 	// parsed before the first output byte is written.
@@ -53,7 +52,7 @@ func putMergeScratch(ms *mergeScratch) { mergeScratchPool.Put(ms) }
 // into ms.keys/ms.vals. Exact-zero sums are dropped (matching what an
 // accumulator would emit) and negative zeros are normalized to +0 before
 // the comparison so the output bytes cannot depend on input order. Any
-// non-finite result is an error: Merge must never emit a message that
+// non-finite result is an error: a merge must never emit a message that
 // decodes to garbage.
 func mergeSum(ms *mergeScratch) (uint64, error) {
 	a, b := &ms.ga, &ms.gb
@@ -95,11 +94,6 @@ func mergeSum(ms *mergeScratch) (uint64, error) {
 // forces the lossless (and bitwise-associative) path on panes that would
 // otherwise re-quantize.
 var mergeMeansCapOverride int
-
-// Merge implements Merger.
-func (c *SketchML) Merge(a, b []byte) ([]byte, error) {
-	return c.MergeInto(nil, a, b)
-}
 
 // MergeInto implements Merger for SketchML messages. Both inputs are
 // structurally decoded into pooled scratch (each key mapped to its pane's
@@ -274,11 +268,6 @@ func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals [
 		return nil, err
 	}
 	return bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means))), nil
-}
-
-// Merge implements Merger.
-func (c *Raw) Merge(a, b []byte) ([]byte, error) {
-	return c.MergeInto(nil, a, b)
 }
 
 // MergeInto implements Merger for raw messages: decode both into pooled

@@ -64,7 +64,7 @@ func exactSum(a, b *gradient.Sparse) *gradient.Sparse {
 func rankIn(sorted []float64, v float64) int { return sort.SearchFloat64s(sorted, v) }
 
 // TestMergeMatchesConcatenatedStream is the fidelity property: for each
-// distribution, Merge(Encode(g1), Encode(g2)) must decode to the key-union
+// distribution, MergeInto(nil, Encode(g1), Encode(g2)) must decode to the key-union
 // sum within compounded quantile rank-error bounds. Keys are exact, signs
 // never flip, and each decoded value's rank displacement within its sign
 // pane stays within 4 bucket widths — one bucket width plus one sketch-ε
@@ -102,7 +102,7 @@ func TestMergeMatchesConcatenatedStream(t *testing.T) {
 			}
 			want := exactSum(d1, d2)
 
-			merged, err := c.Merge(m1, m2)
+			merged, err := c.MergeInto(nil, m1, m2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestMergeRawBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := exactSum(d1, d2)
-		merged, err := c.Merge(m1, m2)
+		merged, err := c.MergeInto(nil, m1, m2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,16 +225,16 @@ func TestMergeCommutative(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ab, err := m.Merge(m1, m2)
+				ab, err := m.MergeInto(nil, m1, m2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ba, err := m.Merge(m2, m1)
+				ba, err := m.MergeInto(nil, m2, m1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(ab, ba) {
-					t.Fatalf("nnz %d: Merge(a,b) and Merge(b,a) differ", nnz)
+					t.Fatalf("nnz %d: merging a,b and b,a differ", nnz)
 				}
 			}
 		})
@@ -267,19 +267,19 @@ func TestMergeAssociativeOnExactPath(t *testing.T) {
 				}
 				gs[i] = msg
 			}
-			ab, err := c.Merge(gs[0], gs[1])
+			ab, err := c.MergeInto(nil, gs[0], gs[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			abc1, err := c.Merge(ab, gs[2])
+			abc1, err := c.MergeInto(nil, ab, gs[2])
 			if err != nil {
 				t.Fatal(err)
 			}
-			bc, err := c.Merge(gs[1], gs[2])
+			bc, err := c.MergeInto(nil, gs[1], gs[2])
 			if err != nil {
 				t.Fatal(err)
 			}
-			abc2, err := c.Merge(gs[0], bc)
+			abc2, err := c.MergeInto(nil, gs[0], bc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestMergeIntoAliasing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := m.Merge(m1, m2)
+			want, err := m.MergeInto(nil, m1, m2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func TestMergeIntoAliasing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Error("MergeInto with dst aliasing input a diverges from Merge")
+				t.Error("MergeInto with dst aliasing input a diverges from a fresh dst")
 			}
 			// dst aliases input b.
 			b := append(make([]byte, 0, len(m2)+len(want)), m2...)
@@ -388,7 +388,7 @@ func TestMergeIntoAliasing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Error("MergeInto with dst aliasing input b diverges from Merge")
+				t.Error("MergeInto with dst aliasing input b diverges from a fresh dst")
 			}
 		})
 	}
@@ -406,7 +406,7 @@ func TestMergeCancellation(t *testing.T) {
 	c := &Raw{}
 	m1, _ := c.Encode(g)
 	m2, _ := c.Encode(ng)
-	merged, err := c.Merge(m1, m2)
+	merged, err := c.MergeInto(nil, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,14 +430,14 @@ func TestMergeErrors(t *testing.T) {
 	skMsg, _ := sk.Encode(randomGradient(rng, 1<<20, 500))
 	rawMsg, _ := raw.Encode(randomGradient(rng, 1<<20, 500))
 
-	if _, err := sk.Merge(skMsg, skMsg[:10]); err == nil {
+	if _, err := sk.MergeInto(nil, skMsg, skMsg[:10]); err == nil {
 		t.Error("truncated input accepted")
 	}
-	if _, err := raw.Merge(rawMsg[:1], rawMsg); err == nil {
+	if _, err := raw.MergeInto(nil, rawMsg[:1], rawMsg); err == nil {
 		t.Error("truncated raw input accepted")
 	}
 	other, _ := sk.Encode(randomGradient(rng, 1<<21, 500))
-	if _, err := sk.Merge(skMsg, other); err == nil {
+	if _, err := sk.MergeInto(nil, skMsg, other); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	// Overflow to +Inf must be rejected: the sum of two near-max values is
@@ -447,7 +447,7 @@ func TestMergeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Merge(bm, bm); err == nil {
+	if _, err := raw.MergeInto(nil, bm, bm); err == nil {
 		t.Error("non-finite sum accepted")
 	}
 }
@@ -513,7 +513,7 @@ func (v mergeGoldenVec) merged(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := c.Merge(ma, mb)
+	merged, err := c.MergeInto(nil, ma, mb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,7 @@
 // high dimension, power-law feature sparsity, and skewed gradients.
 package dataset
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Instance is one training example: sparse features plus a label.
 // For binary classification the label is ±1; for regression it is the
@@ -32,22 +29,6 @@ func (in *Instance) Dot(theta []float64) float64 {
 	return s
 }
 
-// Validate checks the structural invariants against dim.
-func (in *Instance) Validate(dim uint64) error {
-	if len(in.Keys) != len(in.Values) {
-		return fmt.Errorf("dataset: %d keys, %d values", len(in.Keys), len(in.Values))
-	}
-	for i, k := range in.Keys {
-		if k >= dim {
-			return fmt.Errorf("dataset: feature %d >= dim %d", k, dim)
-		}
-		if i > 0 && k <= in.Keys[i-1] {
-			return fmt.Errorf("dataset: features not strictly ascending at %d", i)
-		}
-	}
-	return nil
-}
-
 // Dataset is a collection of instances over a fixed feature space.
 type Dataset struct {
 	Dim       uint64
@@ -67,16 +48,6 @@ func (d *Dataset) AvgNNZ() float64 {
 		total += d.Instances[i].NNZ()
 	}
 	return float64(total) / float64(len(d.Instances))
-}
-
-// Validate checks every instance.
-func (d *Dataset) Validate() error {
-	for i := range d.Instances {
-		if err := d.Instances[i].Validate(d.Dim); err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Split partitions the dataset into train and test subsets with the given
@@ -151,12 +122,6 @@ func (b *Batcher) reshuffle() {
 	b.pos = 0
 }
 
-// BatchSize returns the configured batch size.
-func (b *Batcher) BatchSize() int { return b.batchSize }
-
-// Epoch returns the number of completed passes over the data.
-func (b *Batcher) Epoch() int { return b.epoch }
-
 // Next returns the next mini-batch as a slice of instance pointers. When a
 // pass over the data completes, it advances the epoch counter and
 // reshuffles. The returned slice is reused across calls.
@@ -177,12 +142,4 @@ func (b *Batcher) Next(buf []*Instance) []*Instance {
 		b.pos++
 	}
 	return buf
-}
-
-// BatchesPerEpoch returns how many batches constitute one data pass.
-func (b *Batcher) BatchesPerEpoch() int {
-	if b.data.N() == 0 {
-		return 0
-	}
-	return (b.data.N() + b.batchSize - 1) / b.batchSize
 }

@@ -7,25 +7,28 @@ import (
 	"testing"
 )
 
-func TestInstanceDotAndValidate(t *testing.T) {
+func TestInstanceDot(t *testing.T) {
 	in := Instance{Keys: []uint64{1, 3}, Values: []float64{2, -1}, Label: 1}
 	theta := []float64{9, 0.5, 9, 2}
 	if got := in.Dot(theta); got != 2*0.5+(-1)*2 {
 		t.Errorf("Dot = %v", got)
 	}
-	if err := in.Validate(4); err != nil {
-		t.Errorf("valid instance rejected: %v", err)
-	}
-	if err := in.Validate(3); err == nil {
-		t.Error("key >= dim accepted")
-	}
-	bad := Instance{Keys: []uint64{3, 1}, Values: []float64{1, 1}}
-	if err := bad.Validate(10); err == nil {
-		t.Error("descending keys accepted")
-	}
-	bad = Instance{Keys: []uint64{1}, Values: []float64{1, 2}}
-	if err := bad.Validate(10); err == nil {
-		t.Error("length mismatch accepted")
+}
+
+// requireWellFormed fails unless every instance of d has parallel keys and
+// values, with keys strictly ascending and below d.Dim.
+func requireWellFormed(t *testing.T, d *Dataset) {
+	t.Helper()
+	for i := range d.Instances {
+		in := &d.Instances[i]
+		if len(in.Keys) != len(in.Values) {
+			t.Fatalf("instance %d: %d keys, %d values", i, len(in.Keys), len(in.Values))
+		}
+		for j, k := range in.Keys {
+			if k >= d.Dim || (j > 0 && k <= in.Keys[j-1]) {
+				t.Fatalf("instance %d: key %d at %d not ascending or not below dim %d", i, k, j, d.Dim)
+			}
+		}
 	}
 }
 
@@ -73,9 +76,7 @@ func TestGenerateValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	requireWellFormed(t, d)
 	avg := d.AvgNNZ()
 	if avg < 10 || avg > 30 {
 		t.Errorf("AvgNNZ = %.1f, want near 20", avg)
@@ -190,9 +191,6 @@ func TestShard(t *testing.T) {
 func TestBatcherCoversEpochExactly(t *testing.T) {
 	d, _ := Generate(SyntheticConfig{N: 103, Dim: 100, AvgNNZ: 3, Seed: 4})
 	b := NewBatcher(d, 10, 7)
-	if b.BatchesPerEpoch() != 11 {
-		t.Fatalf("BatchesPerEpoch = %d, want 11", b.BatchesPerEpoch())
-	}
 	var buf []*Instance
 	seen := 0
 	for i := 0; i < 11; i++ {
@@ -205,8 +203,8 @@ func TestBatcherCoversEpochExactly(t *testing.T) {
 	if seen != 103 {
 		t.Errorf("epoch covered %d instances, want 103", seen)
 	}
-	if b.Epoch() != 1 {
-		t.Errorf("Epoch = %d, want 1", b.Epoch())
+	if b.epoch != 1 {
+		t.Errorf("epoch = %d, want 1", b.epoch)
 	}
 }
 
@@ -223,21 +221,19 @@ func TestBatcherNoEpochMixing(t *testing.T) {
 func TestBatcherClampsBatchSize(t *testing.T) {
 	d, _ := Generate(SyntheticConfig{N: 5, Dim: 100, AvgNNZ: 3, Seed: 4})
 	b := NewBatcher(d, 100, 1)
-	if b.BatchSize() != 5 {
-		t.Errorf("BatchSize = %d, want 5", b.BatchSize())
+	if b.batchSize != 5 {
+		t.Errorf("batchSize = %d, want 5", b.batchSize)
 	}
 	b = NewBatcher(d, 0, 1)
-	if b.BatchSize() != 1 {
-		t.Errorf("BatchSize = %d, want 1", b.BatchSize())
+	if b.batchSize != 1 {
+		t.Errorf("batchSize = %d, want 1", b.batchSize)
 	}
 }
 
 func TestPresetsSane(t *testing.T) {
 	for _, name := range []string{"kdd10", "kdd12", "ctr"} {
 		d := Preset(name)(1)
-		if err := d.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+		requireWellFormed(t, d)
 		if d.N() == 0 {
 			t.Errorf("%s empty", name)
 		}
@@ -263,9 +259,7 @@ func TestMNISTLike(t *testing.T) {
 	if d.Dim != 400 {
 		t.Fatalf("Dim = %d, want 400", d.Dim)
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	requireWellFormed(t, d)
 	classes := map[float64]int{}
 	for i := range d.Instances {
 		l := d.Instances[i].Label
@@ -340,10 +334,16 @@ func TestLibSVMParseErrors(t *testing.T) {
 		"1 x:1",     // bad index
 		"1 2:x",     // bad value
 		"1 3:1 2:1", // not ascending
+		"NaN 1:1",   // non-finite label
+		"1 2:Inf",   // non-finite value
+		"1 5:0 3:1", // not ascending, past a dropped zero
 	}
 	for _, c := range cases {
-		if _, err := ParseLibSVM(strings.NewReader(c), 0); err == nil {
+		_, err := ParseLibSVM(strings.NewReader("1 1:1\n"+c), 0)
+		if err == nil {
 			t.Errorf("input %q accepted", c)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("input %q: error %q does not name line 2", c, err)
 		}
 	}
 	if _, err := ParseLibSVM(strings.NewReader("1 5:1"), 3); err == nil {

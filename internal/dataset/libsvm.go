@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,7 +15,9 @@ import (
 //
 // Indexes in the file are 1-based (the format's convention) and are stored
 // 0-based. dim of 0 auto-sizes the feature space to the largest index seen;
-// a positive dim enforces that bound.
+// a positive dim enforces that bound. Indexes must be strictly ascending,
+// zero-valued features included, and labels and values must be finite; an
+// error names the offending line.
 func ParseLibSVM(r io.Reader, dim uint64) (*Dataset, error) {
 	d := &Dataset{Dim: dim}
 	var maxKey uint64
@@ -32,9 +35,12 @@ func ParseLibSVM(r io.Reader, dim uint64) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: bad label %q: %w", lineNo, fields[0], err)
 		}
+		if math.IsNaN(label) || math.IsInf(label, 0) {
+			return nil, fmt.Errorf("dataset: line %d: non-finite label %q", lineNo, fields[0])
+		}
 		in := Instance{Label: label}
 		var prev uint64
-		for _, f := range fields[1:] {
+		for j, f := range fields[1:] {
 			colon := strings.IndexByte(f, ':')
 			if colon <= 0 {
 				return nil, fmt.Errorf("dataset: line %d: bad feature %q", lineNo, f)
@@ -47,17 +53,20 @@ func ParseLibSVM(r io.Reader, dim uint64) (*Dataset, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: bad value %q: %w", lineNo, f[colon+1:], err)
 			}
+			if math.IsNaN(val) || math.IsInf(val, 0) {
+				return nil, fmt.Errorf("dataset: line %d: non-finite value %q", lineNo, f[colon+1:])
+			}
 			key := idx - 1 // to 0-based
-			if len(in.Keys) > 0 && key <= prev {
+			if j > 0 && key <= prev {
 				return nil, fmt.Errorf("dataset: line %d: indexes not strictly ascending", lineNo)
 			}
+			prev = key
 			if dim > 0 && key >= dim {
 				return nil, fmt.Errorf("dataset: line %d: index %d exceeds dim %d", lineNo, idx, dim)
 			}
 			if val != 0 {
 				in.Keys = append(in.Keys, key)
 				in.Values = append(in.Values, val)
-				prev = key
 			}
 			if key > maxKey {
 				maxKey = key

@@ -45,9 +45,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns Scale 1.0, Seed 1.
-func DefaultConfig() Config { return Config{Scale: 1, Seed: 1} }
-
 func (c Config) scaled(n int) int {
 	if c.Scale <= 0 {
 		return n

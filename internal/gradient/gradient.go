@@ -77,22 +77,6 @@ func (g *Sparse) Clone() *Sparse {
 	}
 }
 
-// Scale multiplies every value by a.
-func (g *Sparse) Scale(a float64) {
-	for i := range g.Values {
-		g.Values[i] *= a
-	}
-}
-
-// L2Norm returns the Euclidean norm of the gradient.
-func (g *Sparse) L2Norm() float64 {
-	var s float64
-	for _, v := range g.Values {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute value, or 0 if empty.
 func (g *Sparse) MaxAbs() float64 {
 	var m float64
@@ -164,17 +148,6 @@ func FromMap(dim uint64, m map[uint64]float64) *Sparse {
 		vals[i] = m[k]
 	}
 	return &Sparse{Dim: dim, Keys: keys, Values: vals}
-}
-
-// RawSizeBytes returns the uncompressed wire size of the gradient as the
-// paper accounts it: an 8-byte float value plus a 4-byte int key per
-// nonzero entry (12d bytes; Section 3.5), or 8-byte keys if wide is true.
-func (g *Sparse) RawSizeBytes(wideKeys bool) int {
-	kb := 4
-	if wideKeys {
-		kb = 8
-	}
-	return len(g.Keys) * (8 + kb)
 }
 
 // Accumulator sums weighted sparse gradients from many workers into one

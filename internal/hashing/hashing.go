@@ -3,14 +3,10 @@
 //
 // Sketches such as Count-Min and MinMaxSketch need a family of hash
 // functions where each member is selected by an independent seed and the
-// members behave as if pairwise independent. Two families are provided:
-//
-//   - Mix64: a strong finalizer-style avalanche hash (SplitMix64 / Murmur3
-//     finalizer construction) keyed by a seed. This is the default used by
-//     the sketches; it gives excellent bit dispersion for integer keys.
-//   - MultiplyShift: the classical 2-universal multiply-shift family of
-//     Dietzfelbinger et al., provided for the theoretical analyses that
-//     assume pairwise independence.
+// members behave as if pairwise independent. Mix64, a strong
+// finalizer-style avalanche hash (SplitMix64 / Murmur3 finalizer
+// construction) keyed by a seed, gives excellent bit dispersion for integer
+// keys; Family derives one seed per sketch row from a master seed.
 //
 // All functions are deterministic given their seed, allocation-free, and
 // safe for concurrent use.
@@ -37,20 +33,8 @@ func Mix64(x, seed uint64) uint64 {
 	return z
 }
 
-// Mix32 returns a well-dispersed 32-bit hash of x under the given seed,
-// using the Murmur3 32-bit finalizer.
-func Mix32(x, seed uint32) uint32 {
-	h := x ^ seed
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
-
 // Family is a set of seeded hash functions mapping uint64 keys into
-// [0, Buckets). Each row of a sketch uses one member of the family.
+// [0, buckets). Each row of a sketch uses one member of the family.
 type Family struct {
 	seeds   []uint64
 	buckets uint64
@@ -101,10 +85,7 @@ func (f *Family) Reshape(n int, buckets int, masterSeed uint64) {
 // Size returns the number of hash functions in the family.
 func (f *Family) Size() int { return len(f.seeds) }
 
-// Buckets returns the range size of the family.
-func (f *Family) Buckets() int { return int(f.buckets) }
-
-// Index returns hash row i of key, reduced into [0, Buckets).
+// Index returns hash row i of key, reduced into [0, buckets).
 //
 // Reduction uses the high bits of the 128-bit product (Lemire's fast
 // alternative to modulo), which is unbiased for bucket counts far below 2^64
@@ -126,43 +107,4 @@ func (f *Family) Row(row int) (seed, buckets uint64) {
 func Reduce(h, buckets uint64) uint64 {
 	hi, _ := bits.Mul64(h, buckets)
 	return hi
-}
-
-// MultiplyShift is a 2-universal hash h(x) = (a*x + b) >> (64 - bits),
-// with odd multiplier a. It maps uint64 keys to [0, 1<<bits).
-type MultiplyShift struct {
-	a, b  uint64
-	shift uint
-}
-
-// NewMultiplyShift builds a multiply-shift hash into [0, 1<<bits) from the
-// seed. bits must be in [1, 63].
-func NewMultiplyShift(bits int, seed uint64) MultiplyShift {
-	if bits < 1 || bits > 63 {
-		invariant.Fail("hashing: bits out of range [1,63]")
-	}
-	a := Mix64(seed, 0x8f14e45fceea167a) | 1 // force odd
-	b := Mix64(seed, 0x6c62272e07bb0142)
-	return MultiplyShift{a: a, b: b, shift: uint(64 - bits)}
-}
-
-// Hash returns the bucket for key.
-func (m MultiplyShift) Hash(key uint64) uint64 {
-	return (m.a*key + m.b) >> m.shift
-}
-
-// HashBytes hashes an arbitrary byte slice to 64 bits under the seed using
-// an FNV-1a style accumulation strengthened with a final avalanche. Used for
-// hashing string identifiers (e.g. feature names) into sketch keys.
-func HashBytes(p []byte, seed uint64) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset) ^ seed
-	for _, c := range p {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return Mix64(h, seed)
 }

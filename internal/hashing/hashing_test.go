@@ -44,29 +44,10 @@ func popcount(x uint64) int {
 	return n
 }
 
-func TestMix32Avalanche(t *testing.T) {
-	const trials = 2000
-	totalFlips := 0
-	for i := 0; i < trials; i++ {
-		x := uint32(i)*2654435761 + 1
-		bit := uint(i % 32)
-		h1 := Mix32(x, 5)
-		h2 := Mix32(x^(1<<bit), 5)
-		totalFlips += popcount(uint64(h1 ^ h2))
-	}
-	avg := float64(totalFlips) / trials
-	if avg < 13 || avg > 19 {
-		t.Errorf("avalanche average = %.2f bits, want ~16", avg)
-	}
-}
-
 func TestFamilyRange(t *testing.T) {
 	f := NewFamily(4, 37, 123)
 	if f.Size() != 4 {
 		t.Fatalf("Size = %d, want 4", f.Size())
-	}
-	if f.Buckets() != 37 {
-		t.Fatalf("Buckets = %d, want 37", f.Buckets())
 	}
 	for row := 0; row < 4; row++ {
 		for k := uint64(0); k < 10000; k++ {
@@ -178,39 +159,6 @@ func TestMulHighMatchesBigArithmetic(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMultiplyShiftRange(t *testing.T) {
-	m := NewMultiplyShift(10, 42)
-	for k := uint64(0); k < 100000; k++ {
-		if h := m.Hash(k); h >= 1<<10 {
-			t.Fatalf("Hash(%d) = %d exceeds range", k, h)
-		}
-	}
-}
-
-func TestMultiplyShiftPanics(t *testing.T) {
-	assertPanics(t, func() { NewMultiplyShift(0, 1) })
-	assertPanics(t, func() { NewMultiplyShift(64, 1) })
-}
-
-func TestHashBytes(t *testing.T) {
-	a := HashBytes([]byte("feature:user_id"), 1)
-	b := HashBytes([]byte("feature:user_id"), 1)
-	c := HashBytes([]byte("feature:user_iD"), 1)
-	d := HashBytes([]byte("feature:user_id"), 2)
-	if a != b {
-		t.Error("HashBytes not deterministic")
-	}
-	if a == c {
-		t.Error("HashBytes should differ for different inputs")
-	}
-	if a == d {
-		t.Error("HashBytes should differ for different seeds")
-	}
-	if HashBytes(nil, 3) != HashBytes([]byte{}, 3) {
-		t.Error("nil and empty slice should hash identically")
 	}
 }
 

@@ -15,24 +15,6 @@ package invariant
 
 import "fmt"
 
-// Assert panics with msg when cond is false. Use it for cold-path
-// validation (constructors, option checks) where the message is a
-// constant.
-func Assert(cond bool, msg string) {
-	if !cond {
-		panic(msg)
-	}
-}
-
-// Assertf panics with the formatted message when cond is false. The
-// arguments are evaluated eagerly, so keep Assertf off hot paths — guard
-// with a plain if and call Failf instead.
-func Assertf(cond bool, format string, args ...any) {
-	if !cond {
-		panic(fmt.Sprintf(format, args...))
-	}
-}
-
 // Fail unconditionally panics with msg. Call it from the failure branch of
 // a hand-written check when formatting must not run on the success path.
 func Fail(msg string) {

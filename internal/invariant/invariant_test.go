@@ -16,16 +16,6 @@ func mustPanic(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-func TestAssertPassesWhenTrue(t *testing.T) {
-	Assert(true, "unused")
-	Assertf(true, "unused %d", 1)
-}
-
-func TestAssertPanicsWhenFalse(t *testing.T) {
-	mustPanic(t, "pkg: boom", func() { Assert(false, "pkg: boom") })
-	mustPanic(t, "pkg: boom 7", func() { Assertf(false, "pkg: boom %d", 7) })
-}
-
 func TestFail(t *testing.T) {
 	mustPanic(t, "pkg: boom", func() { Fail("pkg: boom") })
 	mustPanic(t, "pkg: boom 7", func() { Failf("pkg: boom %d", 7) })

@@ -228,20 +228,6 @@ func DeltaSize(keys []uint64) (int, error) {
 	return size, nil
 }
 
-// BytesPerKey reports the average encoded bytes per key (including flag
-// overhead and the fixed header amortized away, matching how the paper
-// reports "bytes per key" ≈ 1.27). It returns 0 for empty input.
-func BytesPerKey(keys []uint64) (float64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	size, err := DeltaSize(keys)
-	if err != nil {
-		return 0, err
-	}
-	return float64(size-4) / float64(len(keys)), nil
-}
-
 // AppendVarint encodes keys as a count followed by uvarint-encoded deltas
 // (first key absolute). Provided as the natural alternative key codec for
 // the ablation bench; it lacks the separated flag stream of delta-binary.
@@ -264,82 +250,8 @@ func AppendVarint(dst []byte, keys []uint64) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeVarint parses keys encoded by AppendVarint.
-func DecodeVarint(data []byte) ([]uint64, int, error) {
-	if len(data) < 4 {
-		return nil, 0, errors.New("keycoding: truncated count")
-	}
-	count := int(binary.LittleEndian.Uint32(data))
-	off := 4
-	// Each key costs at least one varint byte.
-	if count < 0 || len(data)-off < count {
-		return nil, 0, fmt.Errorf("keycoding: count %d exceeds available bytes", count)
-	}
-	keys := make([]uint64, count)
-	var prev uint64
-	for i := 0; i < count; i++ {
-		d, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("keycoding: bad varint at key %d", i)
-		}
-		off += n
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		keys[i] = prev
-	}
-	return keys, off, nil
-}
-
-// AppendBitmap encodes keys as a dense bitmap over dimension space
-// [0, dim): bit k set means key k is present. Appendix A.3 discusses this
-// alternative: it costs ⌈D/8⌉ bytes regardless of sparsity, which loses to
-// delta-binary whenever d/D is small.
-func AppendBitmap(dst []byte, keys []uint64, dim uint64) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint64(dst, dim)
-	bitmap := make([]byte, (dim+7)/8)
-	var prev uint64
-	for i, k := range keys {
-		if k >= dim {
-			return nil, fmt.Errorf("keycoding: key %d >= dim %d", k, dim)
-		}
-		if i > 0 && k <= prev {
-			return nil, ErrNotAscending
-		}
-		bitmap[k/8] |= 1 << (k % 8)
-		prev = k
-	}
-	return append(dst, bitmap...), nil
-}
-
-// DecodeBitmap parses keys encoded by AppendBitmap.
-func DecodeBitmap(data []byte) ([]uint64, int, error) {
-	if len(data) < 8 {
-		return nil, 0, errors.New("keycoding: truncated bitmap dim")
-	}
-	dim := binary.LittleEndian.Uint64(data)
-	need := 8 + int((dim+7)/8)
-	if len(data) < need {
-		return nil, 0, fmt.Errorf("keycoding: bitmap needs %d bytes, have %d", need, len(data))
-	}
-	var keys []uint64
-	body := data[8:need]
-	for byteIdx, b := range body {
-		for b != 0 {
-			bit := b & (-b) // lowest set bit
-			// position of bit within byte
-			pos := 0
-			for bb := bit; bb > 1; bb >>= 1 {
-				pos++
-			}
-			keys = append(keys, uint64(byteIdx*8+pos))
-			b &= b - 1
-		}
-	}
-	return keys, need, nil
-}
-
-// BitmapSize returns the encoded size of a bitmap over dim dimensions.
+// BitmapSize returns the size of a dense bitmap key encoding over
+// dimension space [0, dim): an 8-byte dim, then one bit per dimension.
+// Appendix A.3 discusses this alternative: it costs ⌈D/8⌉ bytes regardless
+// of sparsity, which loses to delta-binary whenever d/D is small.
 func BitmapSize(dim uint64) int { return 8 + int((dim+7)/8) }

@@ -1,6 +1,8 @@
 package keycoding
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sort"
@@ -156,19 +158,13 @@ func TestBytesPerKeySmallGaps(t *testing.T) {
 	// matching the paper's measured 1.25-1.27.
 	rng := rand.New(rand.NewSource(3))
 	keys := ascendingKeys(rng, 100000, 128)
-	bpk, err := BytesPerKey(keys)
+	size, err := DeltaSize(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bpk < 1.2 || bpk > 1.35 {
+	// The 4-byte count header amortizes away, as in the paper's figure.
+	if bpk := float64(size-4) / float64(len(keys)); bpk < 1.2 || bpk > 1.35 {
 		t.Errorf("bytes/key = %.3f, want ~1.25", bpk)
-	}
-}
-
-func TestBytesPerKeyEmpty(t *testing.T) {
-	bpk, err := BytesPerKey(nil)
-	if err != nil || bpk != 0 {
-		t.Errorf("BytesPerKey(nil) = %v, %v", bpk, err)
 	}
 }
 
@@ -198,25 +194,25 @@ func TestDecodeDeltaErrors(t *testing.T) {
 	}
 }
 
-func TestVarintRoundTrip(t *testing.T) {
+// TestVarintMatchesUvarint pins AppendVarint's layout, which the key-codec
+// ablation sizes with: a little-endian uint32 count, then the first key and
+// every later gap as encoding/binary uvarints.
+func TestVarintMatchesUvarint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 100, 3000} {
 		keys := ascendingKeys(rng, n, 1<<20)
-		data, err := AppendVarint(nil, keys)
+		got, err := AppendVarint(nil, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, used, err := DecodeVarint(data)
-		if err != nil {
-			t.Fatal(err)
+		want := binary.LittleEndian.AppendUint32(nil, uint32(n))
+		var prev uint64
+		for _, k := range keys {
+			want = binary.AppendUvarint(want, k-prev)
+			prev = k
 		}
-		if used != len(data) {
-			t.Errorf("n=%d: consumed %d of %d", n, used, len(data))
-		}
-		for i := range keys {
-			if got[i] != keys[i] {
-				t.Fatalf("n=%d: key %d mismatch", n, i)
-			}
+		if !bytes.Equal(got, want) {
+			t.Errorf("n=%d: AppendVarint differs from count + uvarint gaps", n)
 		}
 	}
 }
@@ -224,49 +220,6 @@ func TestVarintRoundTrip(t *testing.T) {
 func TestVarintRejectsUnsorted(t *testing.T) {
 	if _, err := AppendVarint(nil, []uint64{9, 2}); !errors.Is(err, ErrNotAscending) {
 		t.Errorf("err = %v, want ErrNotAscending", err)
-	}
-}
-
-func TestBitmapRoundTrip(t *testing.T) {
-	keys := []uint64{0, 3, 7, 8, 63, 64, 999}
-	data, err := AppendBitmap(nil, keys, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != BitmapSize(1000) {
-		t.Errorf("len=%d, BitmapSize=%d", len(data), BitmapSize(1000))
-	}
-	got, used, err := DecodeBitmap(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(data) {
-		t.Errorf("consumed %d of %d", used, len(data))
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("got %d keys, want %d", len(got), len(keys))
-	}
-	for i := range keys {
-		if got[i] != keys[i] {
-			t.Fatalf("key %d = %d, want %d", i, got[i], keys[i])
-		}
-	}
-}
-
-func TestBitmapRejectsOutOfRange(t *testing.T) {
-	if _, err := AppendBitmap(nil, []uint64{10}, 10); err == nil {
-		t.Error("key == dim should error")
-	}
-}
-
-func TestBitmapEmptyKeys(t *testing.T) {
-	data, err := AppendBitmap(nil, nil, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeBitmap(data)
-	if err != nil || len(got) != 0 {
-		t.Errorf("got %v, %v", got, err)
 	}
 }
 

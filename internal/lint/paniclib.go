@@ -57,7 +57,7 @@ func PanicInLibrary() *Analyzer {
 						}
 					}
 					pass.Reportf(call.Pos(),
-						"panic in library function %s; use invariant.Assert/Failf "+
+						"panic in library function %s; use invariant.Fail/Failf "+
 							"for programmer errors or return an error", fn.Name.Name)
 					return true
 				})

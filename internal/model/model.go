@@ -181,14 +181,3 @@ func Evaluate(m Model, theta []float64, d *dataset.Dataset) (loss, accuracy floa
 	}
 	return lossSum / float64(d.N()), float64(correct) / float64(d.N())
 }
-
-// RegularizedLoss returns Evaluate's loss plus (λ/2)‖θ‖², the full objective
-// the optimizers minimize.
-func RegularizedLoss(m Model, theta []float64, d *dataset.Dataset, lambda float64) float64 {
-	loss, _ := Evaluate(m, theta, d)
-	var norm float64
-	for _, w := range theta {
-		norm += w * w
-	}
-	return loss + lambda/2*norm
-}

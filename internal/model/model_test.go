@@ -199,17 +199,6 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestRegularizedLoss(t *testing.T) {
-	d := &dataset.Dataset{Dim: 1, Instances: []dataset.Instance{
-		{Keys: []uint64{0}, Values: []float64{1}, Label: 2},
-	}}
-	theta := []float64{2}
-	// Linear loss (2-2)^2 = 0; reg = 0.5*0.1*4 = 0.2
-	if got := RegularizedLoss(Linear{}, theta, d, 0.1); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("RegularizedLoss = %v, want 0.2", got)
-	}
-}
-
 // End-to-end sanity: Adam on each model reduces training loss markedly on a
 // learnable synthetic problem.
 func TestTrainingConvergesAllModels(t *testing.T) {

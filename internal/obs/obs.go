@@ -22,11 +22,8 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,14 +73,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adjusts the gauge by d (gauges may go down, unlike counters).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
 }
 
 // Value returns the current value (0 for nil).
@@ -212,24 +201,15 @@ type Registry struct {
 	start    time.Time
 }
 
-// NewRegistry creates an empty registry. cap bounds the span ring buffer;
-// 0 uses the default (4096 spans).
+// NewRegistry creates an empty registry whose span ring holds 4096
+// entries. Older spans are overwritten once the ring is full; the dropped
+// count is reported in the snapshot.
 func NewRegistry() *Registry {
-	return NewRegistryCap(0)
-}
-
-// NewRegistryCap creates a registry whose span ring holds spanCap entries
-// (0 = default 4096). Older spans are overwritten once the ring is full;
-// the dropped count is reported in the snapshot.
-func NewRegistryCap(spanCap int) *Registry {
-	if spanCap <= 0 {
-		spanCap = 4096
-	}
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    spanRing{buf: make([]SpanRecord, spanCap)},
+		spans:    spanRing{buf: make([]SpanRecord, 4096)},
 		start:    time.Now(),
 	}
 }
@@ -398,35 +378,4 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	s.Spans, s.SpansDropped = r.spans.snapshot()
 	return s
-}
-
-// WriteJSON writes the current snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	s := r.Snapshot()
-	if s == nil {
-		s = &Snapshot{}
-	}
-	enc, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	_, err = w.Write(enc)
-	return err
-}
-
-// CounterNames returns the sorted names of all registered counters (for
-// deterministic iteration in reports and tests).
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -220,29 +220,8 @@ func BuildSigned(values []float64, q, sketchSize int) (*Signed, error) {
 	return s, nil
 }
 
-// NewSignedFromSplits rebuilds a Signed from wire-format split slices;
-// either may be empty.
-func NewSignedFromSplits(posSplits, negSplits []float64) (*Signed, error) {
-	s := &Signed{}
-	var err error
-	if len(posSplits) > 0 {
-		if s.pos, err = NewQuantileFromSplits(posSplits); err != nil {
-			return nil, err
-		}
-	}
-	if len(negSplits) > 0 {
-		if s.neg, err = NewQuantileFromSplits(negSplits); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
 // Pos returns the positive-side quantizer (may be nil).
 func (s *Signed) Pos() *Quantile { return s.pos }
-
-// Neg returns the negative-side (magnitude) quantizer (may be nil).
-func (s *Signed) Neg() *Quantile { return s.neg }
 
 // Bucket returns (negative?, magnitude-ordered bucket index) for v.
 func (s *Signed) Bucket(v float64) (neg bool, idx int) {
@@ -313,9 +292,6 @@ func NewUniform(min, max float64, levels int) (*Uniform, error) {
 	return &Uniform{min: min, max: max, levels: levels}, nil
 }
 
-// Levels returns the number of quantization levels.
-func (u *Uniform) Levels() int { return u.levels }
-
 // Range returns the covered [min, max].
 func (u *Uniform) Range() (float64, float64) { return u.min, u.max }
 
@@ -378,19 +354,4 @@ func (o *OneBit) Encode(v float64) float64 {
 		return -o.scale
 	}
 	return o.scale
-}
-
-// MSE reports the mean squared quantization error of applying encode to
-// every value — the quantity bounded by Theorem A.2 and the measure used by
-// the quantile-vs-uniform ablation bench.
-func MSE(values []float64, encode func(float64) float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		d := v - encode(v)
-		s += d * d
-	}
-	return s / float64(len(values))
 }

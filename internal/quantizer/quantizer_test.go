@@ -237,7 +237,7 @@ func TestSignedDecayTowardZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*Quantile{s.Pos(), s.Neg()} {
+	for _, q := range []*Quantile{s.Pos(), s.neg} {
 		if q == nil {
 			t.Fatal("expected both signs present")
 		}
@@ -270,7 +270,7 @@ func TestSignedOneSidedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Neg() != nil {
+	if s.neg != nil {
 		t.Error("neg quantizer should be nil for all-positive data")
 	}
 	if enc := s.Encode(0.2); enc <= 0 {
@@ -279,24 +279,6 @@ func TestSignedOneSidedData(t *testing.T) {
 	// Encoding a negative value with no negative quantizer degrades to 0.
 	if enc := s.Encode(-1); enc != 0 {
 		t.Errorf("Encode(-1) with no neg side = %v, want 0", enc)
-	}
-}
-
-func TestSignedFromSplitsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := skewedGradients(rng, 5000)
-	s, err := BuildSigned(vals, 16, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSignedFromSplits(s.Pos().Splits(), s.Neg().Splits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vals[:300] {
-		if s.Encode(v) != s2.Encode(v) {
-			t.Fatalf("rebuilt quantizer disagrees at %v", v)
-		}
 	}
 }
 
@@ -370,16 +352,6 @@ func TestOneBit(t *testing.T) {
 	}
 	if _, err := BuildOneBit(nil); err == nil {
 		t.Error("empty values accepted")
-	}
-}
-
-func TestMSEZeroForPerfectEncoder(t *testing.T) {
-	vals := []float64{1, 2, 3}
-	if got := MSE(vals, func(v float64) float64 { return v }); got != 0 {
-		t.Errorf("MSE = %v", got)
-	}
-	if got := MSE(nil, nil); got != 0 {
-		t.Errorf("MSE(nil) = %v", got)
 	}
 }
 

@@ -94,9 +94,6 @@ func NewServer(lim Limits, store *CheckpointStore, reg *obs.Registry) *Server {
 // started) — the readiness probe's answer.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// Limits returns the effective (defaults-filled) budgets.
-func (s *Server) Limits() Limits { return s.limits }
-
 // Submit builds the job's trainer config and datasets (the spec must
 // already be validated), registers the job, and enqueues it. The
 // checkpoint store is consulted at run time, so a spec resubmitted under

@@ -10,7 +10,6 @@
 package countmin
 
 import (
-	"fmt"
 	"math"
 
 	"sketchml/internal/hashing"
@@ -21,13 +20,12 @@ import (
 // Insert adds to one counter per row; Query returns the minimum candidate.
 //
 // Estimates never underestimate: Query(x) >= true frequency of x, and with
-// probability 1-delta, Query(x) <= true + eps*N where the sketch was sized
-// with NewWithError(eps, delta).
+// probability 1-delta, Query(x) <= true + eps*N when rows = ceil(ln(1/delta))
+// and cols = ceil(e/eps).
 type Sketch struct {
 	rows, cols int
 	counts     []uint64 // rows*cols, row-major
 	family     *hashing.Family
-	n          uint64 // total insertions (weight)
 }
 
 // New creates a sketch with the given number of rows (hash tables) and
@@ -44,39 +42,11 @@ func New(rows, cols int, seed uint64) *Sketch {
 	}
 }
 
-// NewWithError creates a sketch guaranteeing overestimation at most
-// eps*N with probability at least 1-delta, using the standard sizing
-// rows = ceil(ln(1/delta)), cols = ceil(e/eps).
-func NewWithError(eps, delta float64, seed uint64) *Sketch {
-	if !(eps > 0 && eps < 1) || !(delta > 0 && delta < 1) {
-		invariant.Fail("countmin: eps and delta must be in (0,1)")
-	}
-	rows := int(math.Ceil(math.Log(1 / delta)))
-	cols := int(math.Ceil(math.E / eps))
-	if rows < 1 {
-		rows = 1
-	}
-	return New(rows, cols, seed)
-}
-
-// Rows returns the number of hash tables.
-func (s *Sketch) Rows() int { return s.rows }
-
-// Cols returns the number of bins per table.
-func (s *Sketch) Cols() int { return s.cols }
-
-// TotalWeight returns the sum of all inserted counts.
-func (s *Sketch) TotalWeight() uint64 { return s.n }
-
-// Insert adds one occurrence of key.
-func (s *Sketch) Insert(key uint64) { s.InsertWeighted(key, 1) }
-
 // InsertWeighted adds w occurrences of key.
 func (s *Sketch) InsertWeighted(key uint64, w uint64) {
 	for r := 0; r < s.rows; r++ {
 		s.counts[r*s.cols+s.family.Index(r, key)] += w
 	}
-	s.n += w
 }
 
 // Query returns the estimated frequency of key: the minimum counter across
@@ -91,28 +61,9 @@ func (s *Sketch) Query(key uint64) uint64 {
 	return min
 }
 
-// Merge adds another sketch's counts into s. Both sketches must have been
-// created with identical dimensions and seed, otherwise Merge returns an
-// error and leaves s unchanged.
-func (s *Sketch) Merge(other *Sketch) error {
-	if other.rows != s.rows || other.cols != s.cols {
-		return fmt.Errorf("countmin: dimension mismatch %dx%d vs %dx%d",
-			s.rows, s.cols, other.rows, other.cols)
-	}
-	for i, c := range other.counts {
-		s.counts[i] += c
-	}
-	s.n += other.n
-	return nil
-}
-
 // Reset zeroes all counters.
 func (s *Sketch) Reset() {
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
-	s.n = 0
 }
-
-// SizeBytes returns the memory footprint of the counter array.
-func (s *Sketch) SizeBytes() int { return len(s.counts) * 8 }

@@ -12,7 +12,7 @@ func TestNeverUnderestimates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
 		k := uint64(rng.Intn(1000)) // heavy collisions on purpose
-		s.Insert(k)
+		s.InsertWeighted(k, 1)
 		truth[k]++
 	}
 	for k, want := range truth {
@@ -36,14 +36,15 @@ func TestExactWhenNoCollisions(t *testing.T) {
 }
 
 func TestErrorBound(t *testing.T) {
-	// eps=0.01, delta=0.01: overestimate <= eps*N for >= 99% of keys.
-	s := NewWithError(0.01, 0.01, 3)
+	// eps=0.01, delta=0.01: overestimate <= eps*N for >= 99% of keys, with
+	// rows = ceil(ln(1/delta)) = 5 and cols = ceil(e/eps) = 272.
+	s := New(5, 272, 3)
 	rng := rand.New(rand.NewSource(2))
 	truth := map[uint64]uint64{}
 	const n = 50000
 	for i := 0; i < n; i++ {
 		k := uint64(rng.Intn(5000))
-		s.Insert(k)
+		s.InsertWeighted(k, 1)
 		truth[k]++
 	}
 	bad := 0
@@ -60,7 +61,7 @@ func TestErrorBound(t *testing.T) {
 func TestUnseenKeyLowEstimate(t *testing.T) {
 	s := New(4, 4096, 11)
 	for k := uint64(0); k < 100; k++ {
-		s.Insert(k)
+		s.InsertWeighted(k, 1)
 	}
 	// A never-inserted key should usually estimate 0 in a sparse sketch.
 	zero := 0
@@ -74,47 +75,12 @@ func TestUnseenKeyLowEstimate(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := New(3, 512, 5)
-	b := New(3, 512, 5)
-	for k := uint64(0); k < 50; k++ {
-		a.InsertWeighted(k, 2)
-		b.InsertWeighted(k, 3)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalWeight() != 250 {
-		t.Fatalf("TotalWeight = %d, want 250", a.TotalWeight())
-	}
-	for k := uint64(0); k < 50; k++ {
-		if got := a.Query(k); got < 5 {
-			t.Errorf("after merge Query(%d) = %d, want >= 5", k, got)
-		}
-	}
-}
-
-func TestMergeDimensionMismatch(t *testing.T) {
-	a := New(3, 512, 5)
-	b := New(4, 512, 5)
-	if err := a.Merge(b); err == nil {
-		t.Error("expected dimension mismatch error")
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := New(2, 64, 1)
-	s.Insert(9)
+	s.InsertWeighted(9, 1)
 	s.Reset()
-	if s.Query(9) != 0 || s.TotalWeight() != 0 {
+	if s.Query(9) != 0 {
 		t.Error("Reset did not clear sketch")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	s := New(4, 100, 0)
-	if s.SizeBytes() != 4*100*8 {
-		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), 4*100*8)
 	}
 }
 
@@ -122,8 +88,6 @@ func TestConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(0, 10, 1) },
 		func() { New(10, 0, 1) },
-		func() { NewWithError(0, 0.1, 1) },
-		func() { NewWithError(0.1, 1.5, 1) },
 	} {
 		func() {
 			defer func() {
@@ -146,7 +110,7 @@ func TestQuickMonotone(t *testing.T) {
 		for i, p := range probe {
 			before[i] = s.Query(p)
 		}
-		s.Insert(k)
+		s.InsertWeighted(k, 1)
 		for i, p := range probe {
 			if s.Query(p) < before[i] {
 				return false
@@ -162,14 +126,14 @@ func TestQuickMonotone(t *testing.T) {
 func BenchmarkInsert(b *testing.B) {
 	s := New(4, 1<<16, 42)
 	for i := 0; i < b.N; i++ {
-		s.Insert(uint64(i))
+		s.InsertWeighted(uint64(i), 1)
 	}
 }
 
 func BenchmarkQuery(b *testing.B) {
 	s := New(4, 1<<16, 42)
 	for i := 0; i < 1<<16; i++ {
-		s.Insert(uint64(i))
+		s.InsertWeighted(uint64(i), 1)
 	}
 	b.ResetTimer()
 	var sink uint64

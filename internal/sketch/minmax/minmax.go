@@ -41,10 +41,8 @@ const MaxIndex = math.MaxUint16 - 1
 // Sketch is a single MinMaxSketch of rows hash tables with cols bins each.
 type Sketch struct {
 	rows, cols int
-	seed       uint64
 	cells      []uint16 // row-major; Empty means untouched
 	family     *hashing.Family
-	inserted   int
 }
 
 // New creates a MinMaxSketch with the given shape. All bins start Empty.
@@ -73,21 +71,11 @@ func (s *Sketch) Reshape(rows, cols int, seed uint64) {
 	} else {
 		s.family = hashing.NewFamily(rows, cols, seed)
 	}
-	s.rows, s.cols, s.seed = rows, cols, seed
-	s.inserted = 0
+	s.rows, s.cols = rows, cols
 	for i := range s.cells {
 		s.cells[i] = Empty
 	}
 }
-
-// Rows returns the number of hash tables (the paper's s).
-func (s *Sketch) Rows() int { return s.rows }
-
-// Cols returns the number of bins per table (the paper's t).
-func (s *Sketch) Cols() int { return s.cols }
-
-// Inserted returns how many Insert calls the sketch has absorbed.
-func (s *Sketch) Inserted() int { return s.inserted }
 
 // Insert records (key, idx): in every row, the addressed bin keeps the
 // minimum of its current content and idx (the paper's Min protocol).
@@ -101,7 +89,6 @@ func (s *Sketch) Insert(key uint64, idx uint16) {
 			*cell = idx
 		}
 	}
-	s.inserted++
 }
 
 // Query returns the recovered bucket index for key: the maximum non-empty
@@ -140,7 +127,6 @@ func (s *Sketch) Reset() {
 	for i := range s.cells {
 		s.cells[i] = Empty
 	}
-	s.inserted = 0
 }
 
 // cellWidth returns the serialized bytes per bin for a given maximum index.
@@ -185,19 +171,13 @@ func (s *Sketch) AppendBinary(dst []byte, maxIdx int) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary parses a sketch serialized by AppendBinary, re-deriving the
-// hash family from seed (the seed is agreed out of band by the codec and is
-// not part of the wire format). It returns the decoded sketch and the
-// number of bytes consumed.
-func DecodeBinary(data []byte, seed uint64) (*Sketch, int, error) {
-	return DecodeBinaryReuse(data, seed, nil)
-}
-
-// DecodeBinaryReuse is DecodeBinary with a caller-owned destination: when
-// s is non-nil it is reshaped in place and returned, reusing its cell
-// storage and hash family, so steady-state decoding allocates nothing
-// once the sketch capacity matches the wire shape. A nil s allocates a
-// fresh sketch, making the call equivalent to DecodeBinary.
+// DecodeBinaryReuse parses a sketch serialized by AppendBinary, re-deriving
+// the hash family from seed (the seed is agreed out of band by the codec
+// and is not part of the wire format). It returns the decoded sketch and
+// the number of bytes consumed. When s is non-nil it is reshaped in place
+// and returned, reusing its cell storage and hash family, so steady-state
+// decoding allocates nothing once the sketch capacity matches the wire
+// shape; a nil s allocates a fresh sketch.
 func DecodeBinaryReuse(data []byte, seed uint64, s *Sketch) (*Sketch, int, error) {
 	if len(data) < 13 {
 		return nil, 0, errors.New("minmax: truncated header")
@@ -233,11 +213,6 @@ func DecodeBinaryReuse(data []byte, seed uint64, s *Sketch) (*Sketch, int, error
 		}
 	}
 	return s, need, nil
-}
-
-// SizeBytes returns the serialized size for a given maximum index.
-func (s *Sketch) SizeBytes(maxIdx int) int {
-	return 13 + s.rows*s.cols*cellWidth(maxIdx)
 }
 
 // Grouped divides numBuckets bucket indexes into numGroups contiguous
@@ -361,9 +336,6 @@ func (g *Grouped) QueryBlock(grp int, keys []uint64, cand []uint16) (base int) {
 	return grp * g.bucketsPerGroup
 }
 
-// MaxError returns the worst-case decoded index error, q/r.
-func (g *Grouped) MaxError() int { return g.bucketsPerGroup }
-
 // AppendBinary serializes every group sketch.
 func (g *Grouped) AppendBinary(dst []byte) ([]byte, error) {
 	var hdr [12]byte
@@ -381,17 +353,11 @@ func (g *Grouped) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeGrouped parses a Grouped serialized by AppendBinary. Group seeds
-// are re-derived from seed exactly as NewGrouped does.
-func DecodeGrouped(data []byte, seed uint64) (*Grouped, int, error) {
-	return DecodeGroupedReuse(data, seed, nil)
-}
-
-// DecodeGroupedReuse is DecodeGrouped with a caller-owned destination:
-// when g is non-nil it is rebuilt in place and returned, reusing its
-// group slice and every group sketch's storage, so steady-state decoding
-// allocates nothing once capacities match the wire shape. A nil g
-// allocates fresh, making the call equivalent to DecodeGrouped.
+// DecodeGroupedReuse parses a Grouped serialized by AppendBinary. Group
+// seeds are re-derived from seed exactly as NewGrouped does. When g is
+// non-nil it is rebuilt in place and returned, reusing its group slice and
+// every group sketch's storage, so steady-state decoding allocates nothing
+// once capacities match the wire shape; a nil g allocates fresh.
 func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, error) {
 	if len(data) < 12 {
 		return nil, 0, errors.New("minmax: truncated grouped header")
@@ -418,15 +384,6 @@ func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, er
 		off += used
 	}
 	return g, off, nil
-}
-
-// SizeBytes returns the total serialized size.
-func (g *Grouped) SizeBytes() int {
-	total := 12
-	for _, s := range g.groups {
-		total += s.SizeBytes(g.bucketsPerGroup - 1)
-	}
-	return total
 }
 
 // Reset empties every group sketch.

@@ -134,9 +134,6 @@ func TestReset(t *testing.T) {
 	if _, ok := s.Query(5); ok {
 		t.Error("Reset did not clear sketch")
 	}
-	if s.Inserted() != 0 {
-		t.Error("Reset did not clear insert counter")
-	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -150,10 +147,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("maxIdx=%d: %v", maxIdx, err)
 		}
-		if len(data) != s.SizeBytes(maxIdx) {
-			t.Errorf("maxIdx=%d: len=%d, SizeBytes=%d", maxIdx, len(data), s.SizeBytes(maxIdx))
+		if want := 13 + 3*128*cellWidth(maxIdx); len(data) != want {
+			t.Errorf("maxIdx=%d: len=%d, want %d", maxIdx, len(data), want)
 		}
-		got, used, err := DecodeBinary(data, 77)
+		got, used, err := DecodeBinaryReuse(data, 77, nil)
 		if err != nil {
 			t.Fatalf("maxIdx=%d decode: %v", maxIdx, err)
 		}
@@ -183,10 +180,16 @@ func cellBytes(s *Sketch) []byte {
 
 func TestOneByteSerializationSmaller(t *testing.T) {
 	s := New(2, 1000, 3)
-	small := s.SizeBytes(100)  // fits 1 byte
-	large := s.SizeBytes(1000) // needs 2 bytes
-	if small >= large {
-		t.Errorf("1-byte cells (%d) should be smaller than 2-byte (%d)", small, large)
+	small, err := s.AppendBinary(nil, 100) // fits 1 byte
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := s.AppendBinary(nil, 1000) // needs 2 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(small) >= len(large) {
+		t.Errorf("1-byte cells (%d) should be smaller than 2-byte (%d)", len(small), len(large))
 	}
 }
 
@@ -199,17 +202,17 @@ func TestMarshalRejectsOverflow(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeBinary([]byte{1, 2, 3}, 0); err == nil {
+	if _, _, err := DecodeBinaryReuse([]byte{1, 2, 3}, 0, nil); err == nil {
 		t.Error("truncated header should error")
 	}
 	s := New(2, 8, 0)
 	data, _ := s.AppendBinary(nil, 10)
-	if _, _, err := DecodeBinary(data[:len(data)-1], 0); err == nil {
+	if _, _, err := DecodeBinaryReuse(data[:len(data)-1], 0, nil); err == nil {
 		t.Error("truncated body should error")
 	}
 	bad := append([]byte(nil), data...)
 	bad[12] = 7 // invalid cell width
-	if _, _, err := DecodeBinary(bad, 0); err == nil {
+	if _, _, err := DecodeBinaryReuse(bad, 0, nil); err == nil {
 		t.Error("bad cell width should error")
 	}
 }
@@ -254,8 +257,8 @@ func TestGroupedInsertQuery(t *testing.T) {
 			t.Fatalf("grouped query overestimates: key %d got %d want <= %d", k, got, want.bucket)
 		}
 		// Error is bounded by group width.
-		if want.bucket-got >= g.MaxError() {
-			t.Fatalf("error %d >= MaxError %d", want.bucket-got, g.MaxError())
+		if want.bucket-got >= g.BucketsPerGroup() {
+			t.Fatalf("error %d >= group width %d", want.bucket-got, g.BucketsPerGroup())
 		}
 	}
 }
@@ -305,10 +308,11 @@ func TestGroupedMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != g.SizeBytes() {
-		t.Errorf("len=%d, SizeBytes=%d", len(data), g.SizeBytes())
+	// 12-byte header, then 8 groups of a 13-byte header and 2×64 1-byte cells.
+	if want := 12 + 8*(13+2*64); len(data) != want {
+		t.Errorf("len=%d, want %d", len(data), want)
 	}
-	got, used, err := DecodeGrouped(data, 21)
+	got, used, err := DecodeGroupedReuse(data, 21, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

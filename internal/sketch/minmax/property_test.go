@@ -70,8 +70,8 @@ func TestGroupedRecoveryWithinGroup(t *testing.T) {
 			t.Fatalf("key %d: recovered bucket %d outside [%d, %d] (group %d)",
 				in.key, got, lo, in.bucket, grp)
 		}
-		if err := in.bucket - got; err >= g.MaxError() {
-			t.Fatalf("key %d: index error %d >= MaxError %d", in.key, err, g.MaxError())
+		if err := in.bucket - got; err >= g.BucketsPerGroup() {
+			t.Fatalf("key %d: index error %d >= group width %d", in.key, err, g.BucketsPerGroup())
 		}
 	}
 }

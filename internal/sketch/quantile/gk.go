@@ -7,11 +7,10 @@
 // gradient, extracts q equal-population split points from it, and quantizes
 // every gradient value to its bucket.
 //
-// This implementation supports the two operations the paper's Section 2.3
-// names — merge (combining two summaries) and prune (compressing a summary
-// back under its size bound) — as well as single-value insertion and
-// quantile queries. It substitutes for the Yahoo DataSketches library used
-// by the paper's prototype; both provide the same ε-approximate contract.
+// This implementation supports single-value insertion, prune (compressing
+// a summary back under its size bound) and quantile queries. It
+// substitutes for the Yahoo DataSketches library used by the paper's
+// prototype; both provide the same ε-approximate contract.
 package quantile
 
 import (
@@ -68,19 +67,6 @@ func NewWithSize(m int) *GK {
 		invariant.Fail("quantile: size must be at least 2")
 	}
 	return New(1.0 / float64(m))
-}
-
-// Epsilon returns the sketch's rank error bound fraction.
-func (s *GK) Epsilon() float64 { return s.eps }
-
-// Count returns the number of values inserted so far.
-func (s *GK) Count() int64 { return s.n + int64(len(s.buf)) }
-
-// SummarySize returns the number of tuples currently retained (after
-// flushing pending inserts). It is the sketch's space footprint in entries.
-func (s *GK) SummarySize() int {
-	s.flush()
-	return len(s.tuples)
 }
 
 // Insert adds one observation to the sketch. NaN values are rejected
@@ -204,16 +190,6 @@ func (s *GK) Query(phi float64) (float64, error) {
 	return s.tuples[len(s.tuples)-1].value, nil
 }
 
-// MustQuery is Query but panics on error; for use after a known-nonempty
-// build phase.
-func (s *GK) MustQuery(phi float64) float64 {
-	v, err := s.Query(phi)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Splits returns the q+1 split points
 // {rank(0), rank(1/q), ..., rank((q-1)/q), rank(1)} that divide the inserted
 // values into q buckets of (approximately) equal population, exactly as
@@ -244,126 +220,9 @@ func (s *GK) Splits(q int) ([]float64, error) {
 	return splits, nil
 }
 
-// Merge combines another summary into s (the paper's "merge" operation).
-// After merging, rank queries on s reflect the union of both streams with
-// error bounded by epsA + epsB. The other sketch is left unchanged.
-func (s *GK) Merge(other *GK) {
-	if other == nil {
-		return
-	}
-	s.flush()
-	other.flush()
-	if len(other.tuples) == 0 {
-		return
-	}
-	if len(s.tuples) == 0 {
-		s.tuples = append([]tuple(nil), other.tuples...)
-		s.n = other.n
-		if other.eps > s.eps {
-			s.eps = other.eps
-		}
-		return
-	}
-
-	// Work in explicit (rmin, rmax) space, following Greenwald & Khanna's
-	// combine operation: for a tuple x from A placed between B-neighbours
-	// yprev and ynext,
-	//   rmin'(x) = rminA(x) + rminB(yprev)
-	//   rmax'(x) = rmaxA(x) + rmaxB(ynext) - 1
-	// (with the obvious adjustments when a neighbour is absent).
-	type rt struct {
-		value      float64
-		rmin, rmax int64
-	}
-	expand := func(ts []tuple) []rt {
-		out := make([]rt, len(ts))
-		var rmin int64
-		for i, t := range ts {
-			rmin += t.g
-			out[i] = rt{value: t.value, rmin: rmin, rmax: rmin + t.delta}
-		}
-		return out
-	}
-	a, b := expand(s.tuples), expand(other.tuples)
-
-	merged := make([]rt, 0, len(a)+len(b))
-	mergeOne := func(x rt, other []rt, oi int) rt {
-		// other[oi-1] is the last element of the other summary with value
-		// <= x.value; other[oi] is the next one.
-		var r rt
-		r.value = x.value
-		if oi > 0 {
-			r.rmin = x.rmin + other[oi-1].rmin
-		} else {
-			r.rmin = x.rmin
-		}
-		if oi < len(other) {
-			r.rmax = x.rmax + other[oi].rmax - 1
-		} else {
-			r.rmax = x.rmax + other[len(other)-1].rmax
-		}
-		return r
-	}
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b), i < len(a) && a[i].value <= b[j].value:
-			merged = append(merged, mergeOne(a[i], b, j))
-			i++
-		default:
-			merged = append(merged, mergeOne(b[j], a, i))
-			j++
-		}
-	}
-
-	// Convert back to (g, delta) form.
-	ts := make([]tuple, len(merged))
-	var prevRmin int64
-	for k, m := range merged {
-		if m.rmax < m.rmin {
-			m.rmax = m.rmin
-		}
-		ts[k] = tuple{value: m.value, g: m.rmin - prevRmin, delta: m.rmax - m.rmin}
-		prevRmin = m.rmin
-	}
-	// First and last must be exact extremes.
-	ts[0].delta = 0
-	ts[len(ts)-1].delta = 0
-
-	s.tuples = ts
-	s.n += other.n
-	// Merging two ε-summaries yields (in the worst case) an (εA+εB)-summary.
-	s.eps += other.eps
-	if s.eps > 0.5 {
-		s.eps = 0.5
-	}
-	s.prune()
-}
-
 // Reset empties the sketch for reuse, keeping its accuracy configuration.
 func (s *GK) Reset() {
 	s.tuples = s.tuples[:0]
 	s.buf = s.buf[:0]
 	s.n = 0
-}
-
-// Rank returns the approximate fraction of inserted values that are <= v
-// (the empirical CDF at v), within the sketch's epsilon. Returns an error
-// on an empty sketch.
-func (s *GK) Rank(v float64) (float64, error) {
-	s.flush()
-	if len(s.tuples) == 0 {
-		return 0, errors.New("quantile: empty sketch")
-	}
-	var rmin int64
-	var below int64
-	for i := range s.tuples {
-		rmin += s.tuples[i].g
-		if s.tuples[i].value <= v {
-			below = rmin
-		} else {
-			break
-		}
-	}
-	return float64(below) / float64(s.n), nil
 }

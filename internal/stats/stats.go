@@ -1,6 +1,6 @@
 // Package stats provides the small statistical and presentation helpers the
 // experiment harness uses: histograms (Figure 4's gradient-value
-// distribution), running moments, and plain-text table rendering for
+// distribution), ASCII plots, and plain-text table rendering for
 // regenerating the paper's tables.
 package stats
 
@@ -16,7 +16,6 @@ type Histogram struct {
 	Counts   []int
 	under    int
 	over     int
-	total    int
 }
 
 // NewHistogram creates a histogram with bins over [min, max].
@@ -32,7 +31,6 @@ func NewHistogram(min, max float64, bins int) *Histogram {
 
 // Add records one observation.
 func (h *Histogram) Add(v float64) {
-	h.total++
 	switch {
 	case v < h.Min:
 		h.under++
@@ -57,9 +55,6 @@ func (h *Histogram) AddAll(vs []float64) {
 		h.Add(v)
 	}
 }
-
-// Total returns the number of observations (including out-of-range).
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -98,50 +93,6 @@ func (h *Histogram) Render(width int) string {
 	}
 	return b.String()
 }
-
-// Moments tracks running mean and variance (Welford's algorithm).
-type Moments struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (m *Moments) Add(v float64) {
-	if m.n == 0 {
-		m.min, m.max = v, v
-	} else {
-		m.min = math.Min(m.min, v)
-		m.max = math.Max(m.max, v)
-	}
-	m.n++
-	d := v - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (v - m.mean)
-}
-
-// N returns the observation count.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean (0 when empty).
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the population variance.
-func (m *Moments) Variance() float64 {
-	if m.n < 1 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// Std returns the population standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 when empty).
-func (m *Moments) Max() float64 { return m.max }
 
 // Table renders aligned plain-text tables for experiment output.
 type Table struct {

@@ -34,7 +34,7 @@ func recvFrames(t *testing.T, conn cluster.Conn, n int) [][]byte {
 	t.Helper()
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		msg, err := cluster.RecvWithTimeout(conn, time.Second)
+		msg, err := conn.RecvTimeout(time.Second)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

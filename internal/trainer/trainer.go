@@ -990,7 +990,7 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 				return out
 			}
 		}
-		msg, err := cluster.RecvWithTimeout(conn, wait)
+		msg, err := conn.RecvTimeout(wait)
 		if errors.Is(err, cluster.ErrTimeout) {
 			out.timeouts++
 			return out
@@ -1327,7 +1327,7 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 		// equal budget would expire moments before every such broadcast.
 		var agg *gradient.Sparse
 		for {
-			down, err := cluster.RecvWithTimeout(conn, 2*cfg.RoundDeadline)
+			down, err := conn.RecvTimeout(2 * cfg.RoundDeadline)
 			if cfg.tolerant() && errors.Is(err, cluster.ErrTimeout) {
 				rep.timeouts++
 				misses++

@@ -167,7 +167,7 @@ func TestWireTCPPinsLinkToWorker(t *testing.T) {
 			}
 		}
 		for w := range lk.driver {
-			msg, err := cluster.RecvWithTimeout(lk.driver[w], 5*time.Second)
+			msg, err := lk.driver[w].RecvTimeout(5 * time.Second)
 			if err != nil {
 				t.Fatalf("rep %d: driver end %d: %v", rep, w, err)
 			}
