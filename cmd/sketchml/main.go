@@ -17,7 +17,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux (served only with -pprof)
 	"os"
-	"time"
 
 	"sketchml"
 	"sketchml/internal/codec"
@@ -45,16 +44,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (per-epoch wire bytes, compression ratio, stage times, sketch error, full metrics snapshot) to this path")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
 	)
-	var so serveOptions
-	flag.StringVar(&so.addr, "serve", "", "run as a long-lived training service on this address (e.g. 127.0.0.1:8080); training flags are ignored, jobs arrive via the HTTP control API")
-	flag.StringVar(&so.checkpointDir, "checkpoint-dir", "", "serve mode: persist job checkpoints to this directory (crash-safe; empty = in-memory only)")
-	flag.IntVar(&so.maxWorkers, "serve-max-workers", 0, "serve mode: per-job worker budget (0 = default)")
-	flag.IntVar(&so.maxEpochs, "serve-max-epochs", 0, "serve mode: per-job epoch budget (0 = default)")
-	flag.IntVar(&so.maxQueue, "serve-max-queue", 0, "serve mode: pending-job queue bound (0 = default)")
-	flag.IntVar(&so.maxConcurrent, "serve-max-concurrent", 0, "serve mode: jobs running at once (0 = default)")
-	flag.DurationVar(&so.maxWallClock, "serve-max-wallclock", 0, "serve mode: per-job wall-clock budget cap (0 = default)")
-	flag.IntVar(&so.retryBudget, "serve-retry-budget", -1, "serve mode: supervisor restarts per failed job (-1 = default)")
-	flag.DurationVar(&so.drainTimeout, "drain-timeout", 30*time.Second, "serve mode: how long a SIGTERM drain waits for running jobs to checkpoint before hard-cancelling")
+	so := registerServeFlags(flag.CommandLine)
 	flag.Parse()
 	gather, err := sketchml.ParseTopology(*gatherN)
 	if err != nil {
@@ -67,7 +57,7 @@ func main() {
 		startPprof(*pprofAddr)
 	}
 	if so.addr != "" {
-		if err := runServe(so); err != nil {
+		if err := runServe(*so); err != nil {
 			fatal(err)
 		}
 		return
@@ -104,7 +94,7 @@ func main() {
 		mdl.Name(), newCodec().Name(), *workers, *batch*100)
 
 	cfg := sketchml.TrainConfig{
-		Model:         mdl,
+		Trainable:     mdl,
 		CodecFactory:  newCodec,
 		Optimizer:     func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(*lr, dim) },
 		Workers:       *workers,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -25,6 +26,22 @@ type serveOptions struct {
 	maxWallClock  time.Duration
 	retryBudget   int
 	drainTimeout  time.Duration
+}
+
+// registerServeFlags defines the -serve flags on fs; each budget's 0 means
+// service.Limits' default.
+func registerServeFlags(fs *flag.FlagSet) *serveOptions {
+	o := &serveOptions{}
+	fs.StringVar(&o.addr, "serve", "", "run as a long-lived training service on this address (e.g. 127.0.0.1:8080); training flags are ignored, jobs arrive via the HTTP control API")
+	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "serve mode: persist job checkpoints to this directory (crash-safe; empty = in-memory only)")
+	fs.IntVar(&o.maxWorkers, "serve-max-workers", 0, "serve mode: per-job worker budget (0 = default)")
+	fs.IntVar(&o.maxEpochs, "serve-max-epochs", 0, "serve mode: per-job epoch budget (0 = default)")
+	fs.IntVar(&o.maxQueue, "serve-max-queue", 0, "serve mode: pending-job queue bound (0 = default)")
+	fs.IntVar(&o.maxConcurrent, "serve-max-concurrent", 0, "serve mode: jobs running at once (0 = default)")
+	fs.DurationVar(&o.maxWallClock, "serve-max-wallclock", 0, "serve mode: per-job wall-clock budget cap (0 = default)")
+	fs.IntVar(&o.retryBudget, "serve-retry-budget", 0, "serve mode: supervisor restarts per failed job (0 = default (2), negative disables)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "serve mode: how long a SIGTERM drain waits for running jobs to checkpoint before hard-cancelling")
+	return o
 }
 
 func (o *serveOptions) limits() service.Limits {

@@ -2,6 +2,7 @@ package sketchml_test
 
 import (
 	"fmt"
+	"time"
 
 	"sketchml"
 )
@@ -45,12 +46,12 @@ func ExampleTrain() {
 		panic(err)
 	}
 	res, err := sketchml.Train(sketchml.TrainConfig{
-		Model:   sketchml.LogisticRegression(),
-		Codec:   comp,
-		Workers: 4,
-		Epochs:  2,
-		Lambda:  0.01,
-		Seed:    1,
+		Trainable:    sketchml.LogisticRegression(),
+		CodecFactory: func() sketchml.Codec { return comp },
+		Workers:      4,
+		Epochs:       2,
+		Lambda:       0.01,
+		Seed:         1,
 	}, train, test)
 	if err != nil {
 		panic(err)
@@ -91,4 +92,37 @@ func ExampleRawCodec() {
 	fmt.Println("sketchml is smaller:", len(msg) < len(raw)/3)
 	// Output:
 	// sketchml is smaller: true
+}
+
+// ExampleTrain_distributed is README's distributed-training snippet. It has
+// no output check: go test compiles it, so a TrainConfig field the README
+// names cannot disappear unnoticed, but does not run it.
+func ExampleTrain_distributed() {
+	comp, _ := sketchml.NewCompressor(sketchml.DefaultOptions())
+	full := sketchml.KDD12Like(1)
+	train, test := full.Split(0.75, 1)
+	res, _ := sketchml.Train(sketchml.TrainConfig{
+		Trainable:    sketchml.LogisticRegression(),
+		CodecFactory: func() sketchml.Codec { return comp }, // called once per party; a stateless codec may be shared
+		Workers:      10,
+		Epochs:       5,
+	}, train, test)
+	fmt.Println(res.FinalLoss, res.AvgUpBytesPerRound())
+}
+
+// ExampleTrain_roundDeadline is README's fault-tolerance snippet, compiled
+// but not run like ExampleTrain_distributed: with a round deadline a round
+// proceeds once half the workers' gradients are in, and a worker that
+// misses 8 consecutive rounds aborts the run.
+func ExampleTrain_roundDeadline() {
+	comp, _ := sketchml.NewCompressor(sketchml.DefaultOptions())
+	train, test := sketchml.KDD12Like(1).Split(0.75, 1)
+	res, _ := sketchml.Train(sketchml.TrainConfig{
+		Trainable:     sketchml.LogisticRegression(),
+		CodecFactory:  func() sketchml.Codec { return comp },
+		Workers:       10,
+		Epochs:        5,
+		RoundDeadline: 250 * time.Millisecond, // wait this long per round, then proceed
+	}, train, test)
+	fmt.Println(res.FinalLoss, res.Epochs[0].DegradedRounds)
 }

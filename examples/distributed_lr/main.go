@@ -23,13 +23,13 @@ func main() {
 	}
 	for _, c := range []sketchml.Codec{comp, &sketchml.RawCodec{}} {
 		res, err := sketchml.Train(sketchml.TrainConfig{
-			Model:   sketchml.LogisticRegression(),
-			Codec:   c,
-			Workers: 4,
-			Epochs:  3,
-			Lambda:  0.01,
-			Seed:    1,
-			UseTCP:  true, // every gradient really crosses a TCP socket
+			Trainable:    sketchml.LogisticRegression(),
+			CodecFactory: func() sketchml.Codec { return c },
+			Workers:      4,
+			Epochs:       3,
+			Lambda:       0.01,
+			Seed:         1,
+			UseTCP:       true, // every gradient really crosses a TCP socket
 		}, train, test)
 		if err != nil {
 			log.Fatal(err)

@@ -34,7 +34,7 @@ func main() {
 	for _, c := range []sketchml.Codec{comp, &sketchml.RawCodec{}} {
 		res, err := sketchml.Train(sketchml.TrainConfig{
 			Trainable:     net,
-			Codec:         c,
+			CodecFactory:  func() sketchml.Codec { return c },
 			Optimizer:     func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(0.01, dim) },
 			Workers:       4,
 			BatchFraction: 60.5 / float64(train.N()), // the paper's batch of 60 images

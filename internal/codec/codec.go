@@ -29,7 +29,8 @@ type Codec interface {
 	// Decode must be safe for concurrent use: the trainer's driver decodes
 	// the W worker messages of a round on W goroutines sharing one codec
 	// instance. (Encode may be stateful — e.g. ErrorFeedback's residual —
-	// which is why stateful codecs are built per party via CodecFactory.)
+	// which is why the trainer builds every party its own instance through
+	// trainer.Config.CodecFactory.)
 	Decode(data []byte) (*gradient.Sparse, error)
 }
 

@@ -16,8 +16,9 @@ import (
 // experiment.
 //
 // An ErrorFeedback instance carries per-sender state and must be used by a
-// single encoding goroutine (one instance per worker; the trainer's
-// CodecFactory arranges this). Decode is stateless and passes through.
+// single encoding goroutine: build it inside trainer.Config.CodecFactory,
+// which the trainer calls once per party. Decode is stateless and passes
+// through.
 type ErrorFeedback struct {
 	inner    Codec
 	residual map[uint64]float64

@@ -186,8 +186,8 @@ func meanSeconds(epochs []time.Duration) float64 {
 func run(mdl model.Model, c codec.Codec, workers, epochs int, batchFrac float64,
 	train, test *dataset.Dataset, seed int64) (*trainer.Result, error) {
 	return trainer.Run(trainer.Config{
-		Model:         mdl,
-		Codec:         c,
+		Trainable:     model.Wrap(mdl),
+		CodecFactory:  func() codec.Codec { return c },
 		Optimizer:     adam(0.1),
 		Workers:       workers,
 		BatchFraction: batchFrac,

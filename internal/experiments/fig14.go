@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sketchml/internal/cluster"
+	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/nn"
 	"sketchml/internal/stats"
@@ -43,7 +44,7 @@ func Fig14(cfg Config) (*Report, error) {
 	for _, c := range threeCodecs() {
 		res, err := trainer.Run(trainer.Config{
 			Trainable:     mlp,
-			Codec:         c,
+			CodecFactory:  func() codec.Codec { return c },
 			Optimizer:     adam(0.01),
 			Workers:       4,
 			BatchFraction: batchFrac,

@@ -44,7 +44,7 @@ func AblationLossyBaselines(cfg Config) (*Report, error) {
 	metrics := map[string]float64{}
 	for _, e := range entries {
 		res, err := trainer.Run(trainer.Config{
-			Model:         model.LogisticRegression{},
+			Trainable:     model.Wrap(model.LogisticRegression{}),
 			CodecFactory:  e.factory,
 			Optimizer:     adam(0.1),
 			Workers:       10,

@@ -114,15 +114,15 @@ func (Linear) ScalarGrad(margin, label float64) float64 {
 // Predict implements Model.
 func (Linear) Predict(margin float64) float64 { return margin }
 
-// ByName returns the model for one of "LR", "SVM", "Linear".
-func ByName(name string) (Model, error) {
+// ByName returns one of "LR", "SVM", "Linear", wrapped for the trainer.
+func ByName(name string) (Trainable, error) {
 	switch name {
 	case "LR", "lr":
-		return LogisticRegression{}, nil
+		return Wrap(LogisticRegression{}), nil
 	case "SVM", "svm":
-		return SVM{}, nil
+		return Wrap(SVM{}), nil
 	case "Linear", "linear":
-		return Linear{}, nil
+		return Wrap(Linear{}), nil
 	}
 	return nil, fmt.Errorf("model: unknown model %q", name)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sketchml/internal/cluster"
-	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/optim"
 	"sketchml/internal/trainer"
@@ -200,7 +199,7 @@ func TestTrainingReducesLossMNISTLike(t *testing.T) {
 	var atEpoch1 *trainer.Checkpoint
 	config := func(topo cluster.Topology) trainer.Config {
 		return trainer.Config{
-			Trainable: m, Codec: &codec.Raw{}, Topology: topo,
+			Trainable: m, Topology: topo, // nil CodecFactory: codec.Raw
 			Optimizer: func(dim uint64) optim.Optimizer { return optim.NewAdam(0.01, dim) },
 			Workers:   2, BatchFraction: 0.075, Epochs: 20, Seed: 9,
 		}

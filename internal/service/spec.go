@@ -309,7 +309,7 @@ func (s *JobSpec) buildConfig() (trainer.Config, error) {
 	}
 	return trainer.Config{
 		Topology:        gather,
-		Model:           mdl,
+		Trainable:       mdl,
 		CodecFactory:    factory,
 		Optimizer:       func(dim uint64) optim.Optimizer { return optim.NewAdam(lr, dim) },
 		Workers:         s.Workers,

@@ -21,8 +21,8 @@ import (
 // with explicit knobs (the harness bypasses Config.fill).
 func tolerantCfg(cfg Config) Config {
 	cfg.RoundDeadline = 80 * time.Millisecond
-	cfg.MinGatherFraction = 0.5
-	cfg.MaxStrikes = 3
+	cfg.minGatherFraction = 0.5
+	cfg.maxStrikes = 3
 	return cfg
 }
 
@@ -54,7 +54,7 @@ func TestTolerantGatherProceedsWithMissingWorker(t *testing.T) {
 	// Three arrivals at weight 1/3 must reconstruct roughly the decoded
 	// gradient mean: sum over the accumulated vector should be close to the
 	// sketch-decoded single gradient's sum (all three sent the same bytes).
-	want, err := cfg.Codec.Decode(msg)
+	want, err := cfg.codec.Decode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTolerantGatherQuorumLoss(t *testing.T) {
 	const workers = 4
 	cfg, driverSide, workerSide, _, msg := gatherHarness(t, workers)
 	cfg = tolerantCfg(cfg)
-	cfg.MinGatherFraction = 0.75 // quorum: 3 of 4
+	cfg.minGatherFraction = 0.75 // quorum: 3 of 4
 	for w := 0; w < 2; w++ {
 		if err := workerSide[w].Send(appendFrame(nil, frameGrad, 0, msg)); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestTolerantGatherMaxStrikesAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	strikes := make([]int, workers)
-	strikes[1] = cfg.MaxStrikes - 1 // one more miss crosses the line
+	strikes[1] = cfg.maxStrikes - 1 // one more miss crosses the line
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
@@ -152,7 +152,7 @@ func TestTolerantGatherSkipsStaleAndCorruptFrames(t *testing.T) {
 func TestTolerantCleanRunMatchesStrict(t *testing.T) {
 	train, test := smallData(t)
 	base := Config{
-		Model: model.LogisticRegression{}, Codec: codec.MustSketchML(codec.DefaultOptions()),
+		Trainable: model.Wrap(model.LogisticRegression{}), CodecFactory: shared(codec.MustSketchML(codec.DefaultOptions())),
 		Optimizer: adamFactory(0.1), Workers: 3, Epochs: 2, Seed: 5,
 	}
 	strict, err := Run(base, train, test)
@@ -260,14 +260,14 @@ func TestChaosSoak(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.topo.String(), func(t *testing.T) {
 			base := Config{
-				Model:     model.LogisticRegression{},
-				Codec:     codec.MustSketchML(codec.DefaultOptions()),
-				Optimizer: adamFactory(0.1),
-				Workers:   4,
-				Epochs:    3,
-				Lambda:    0.01,
-				Seed:      2,
-				Topology:  row.topo,
+				Trainable:    model.Wrap(model.LogisticRegression{}),
+				CodecFactory: shared(codec.MustSketchML(codec.DefaultOptions())),
+				Optimizer:    adamFactory(0.1),
+				Workers:      4,
+				Epochs:       3,
+				Lambda:       0.01,
+				Seed:         2,
+				Topology:     row.topo,
 			}
 			clean, err := Run(base, train, test)
 			if err != nil {
@@ -279,9 +279,9 @@ func TestChaosSoak(t *testing.T) {
 			// Quorum of 1: the soak exercises degraded rounds and strikes, not
 			// the quorum abort (unit-tested above); a higher floor would make
 			// rare multi-worker coincidence rounds abort the whole soak.
-			chaosCfg.MinGatherFraction = 0.25
-			chaosCfg.MaxStrikes = 10
-			chaosCfg.Chaos = &cluster.ChaosSpec{
+			chaosCfg.minGatherFraction = 0.25
+			chaosCfg.maxStrikes = 10
+			chaosCfg.chaos = &cluster.ChaosSpec{
 				Seed:        seed,
 				RecvDrop:    0.06, // ≥5% of worker→driver gradient frames vanish
 				RecvCorrupt: 0.06, // ≥1% arrive with flipped bytes (6% so the ~33-frame run sees several)
@@ -292,10 +292,10 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// The outage worker "disconnects" mid-run: its link drops
 			// everything for frame ordinals [12, 15) in each direction, then
-			// heals. The window must stay well clear of MaxStrikes (the driver
+			// heals. The window must stay well clear of maxStrikes (the driver
 			// sees ~2x the window in consecutive misses) and of the final
 			// rounds (so the end-of-run report gets through).
-			chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{row.outage: {Start: 12, End: 15}}
+			chaosCfg.chaosOutage = map[int]cluster.OutageWindow{row.outage: {Start: 12, End: 15}}
 
 			run := func() *Result {
 				t.Helper()
@@ -361,13 +361,13 @@ func TestChaosSoak(t *testing.T) {
 					t.Errorf("no strikes accrued: %+v", c)
 				}
 				if c.corrupt == 0 {
-					t.Errorf("no corrupt frames detected despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
+					t.Errorf("no corrupt frames detected despite %v corruption rate", chaosCfg.chaos.RecvCorrupt)
 				}
 				if c.stale == 0 {
 					t.Errorf("no stale frames detected despite duplication and drops: %+v", c)
 				}
 			} else if c.corrupt+int(a.WorkerCorruptFrames) == 0 {
-				t.Errorf("no corrupt frames detected anywhere despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
+				t.Errorf("no corrupt frames detected anywhere despite %v corruption rate", chaosCfg.chaos.RecvCorrupt)
 			}
 			if row.rejoins && (a.WorkerTimeouts == 0 || a.WorkerSkippedSteps == 0) {
 				t.Errorf("outage never reached worker %d: timeouts=%d skipped=%d",

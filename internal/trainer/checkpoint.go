@@ -247,7 +247,7 @@ func (d *driver) checkpoint() *Checkpoint {
 		RoundsPerEpoch: d.plan.roundsPerEpoch,
 		Workers:        cfg.Workers,
 		Seed:           cfg.Seed,
-		CodecName:      cfg.Codec.Name(),
+		CodecName:      cfg.codec.Name(),
 		ModelName:      cfg.Trainable.Name(),
 		Theta:          d.theta,
 	}
@@ -270,8 +270,8 @@ func validateResume(cfg *Config, cp *Checkpoint, pDim uint64, roundsPerEpoch, to
 		return fmt.Errorf("trainer: resume: checkpoint seed %d, config seed %d", cp.Seed, cfg.Seed)
 	case cp.RoundsPerEpoch != roundsPerEpoch:
 		return fmt.Errorf("trainer: resume: checkpoint has %d rounds/epoch, run has %d (different batch geometry)", cp.RoundsPerEpoch, roundsPerEpoch)
-	case cp.CodecName != cfg.Codec.Name():
-		return fmt.Errorf("trainer: resume: checkpoint codec %q, config codec %q", cp.CodecName, cfg.Codec.Name())
+	case cp.CodecName != cfg.codec.Name():
+		return fmt.Errorf("trainer: resume: checkpoint codec %q, config codec %q", cp.CodecName, cfg.codec.Name())
 	case cp.ModelName != cfg.Trainable.Name():
 		return fmt.Errorf("trainer: resume: checkpoint model %q, config model %q", cp.ModelName, cfg.Trainable.Name())
 	case uint64(len(cp.Theta)) != pDim:

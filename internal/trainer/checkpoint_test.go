@@ -103,7 +103,7 @@ func TestCheckpointWarmAllocs(t *testing.T) {
 	const dim = 100_000
 	cfg := Config{
 		Trainable: model.Wrap(model.LogisticRegression{}),
-		Codec:     codec.MustSketchML(codec.DefaultOptions()),
+		codec:     codec.MustSketchML(codec.DefaultOptions()), // the driver's instance, as fill builds it
 		Workers:   4,
 		Seed:      1,
 	}

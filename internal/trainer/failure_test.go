@@ -85,7 +85,7 @@ func TestEncodeFaultPropagates(t *testing.T) {
 	train, test := smallData(t)
 	err := runWithTimeout(t, func() error {
 		_, err := Run(Config{
-			Model: model.LogisticRegression{},
+			Trainable: model.Wrap(model.LogisticRegression{}),
 			CodecFactory: func() codec.Codec {
 				return &faultyCodec{inner: &codec.Raw{}, failAfter: 5, failEncode: true}
 			},
@@ -106,7 +106,7 @@ func TestDecodeFaultPropagates(t *testing.T) {
 	train, test := smallData(t)
 	err := runWithTimeout(t, func() error {
 		_, err := Run(Config{
-			Model: model.LogisticRegression{},
+			Trainable: model.Wrap(model.LogisticRegression{}),
 			CodecFactory: func() codec.Codec {
 				return &faultyCodec{inner: &codec.Raw{}, failAfter: 5, failDecode: true}
 			},
@@ -126,7 +126,7 @@ func TestCorruptMessagePropagates(t *testing.T) {
 	train, test := smallData(t)
 	err := runWithTimeout(t, func() error {
 		_, err := Run(Config{
-			Model: model.LogisticRegression{},
+			Trainable: model.Wrap(model.LogisticRegression{}),
 			CodecFactory: func() codec.Codec {
 				return &corruptingCodec{inner: codec.MustSketchML(codec.DefaultOptions()), after: 4}
 			},
@@ -152,7 +152,7 @@ func TestFailingEpochSpanRecorded(t *testing.T) {
 	var built atomic.Int64
 	err := runWithTimeout(t, func() error {
 		_, err := Run(Config{
-			Model: model.LogisticRegression{},
+			Trainable: model.Wrap(model.LogisticRegression{}),
 			CodecFactory: func() codec.Codec {
 				c := &faultyCodec{inner: &codec.Raw{}, failAfter: math.MaxInt64, failEncode: true}
 				if built.Add(1) == 3 {

@@ -34,8 +34,8 @@ func newMatrixHarness(t *testing.T, topo cluster.Topology, workers int) *matrixH
 	t.Helper()
 	h := &matrixHarness{
 		cfg: Config{
-			Codec: &codec.Raw{}, Workers: workers, Topology: topo,
-			RoundDeadline: 60 * time.Millisecond, MinGatherFraction: 0.5, MaxStrikes: 3,
+			codec: &codec.Raw{}, Workers: workers, Topology: topo,
+			RoundDeadline: 60 * time.Millisecond, minGatherFraction: 0.5, maxStrikes: 3,
 		},
 		g: &gradient.Sparse{Dim: gatherDim},
 	}
@@ -80,7 +80,7 @@ func (h *matrixHarness) frame(t *testing.T, w, round int, undecodable bool) []by
 	for _, v := range h.g.Values {
 		scaled.Values = append(scaled.Values, v*float64(count))
 	}
-	msg, err := h.cfg.Codec.Encode(scaled)
+	msg, err := h.cfg.codec.Encode(scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func (h *matrixHarness) frame(t *testing.T, w, round int, undecodable bool) []by
 type matrixRow struct {
 	name    string
 	workers int
-	frac    float64 // MinGatherFraction; 0 keeps the harness's 0.5
+	frac    float64 // minGatherFraction; 0 keeps the harness's 0.5
 	// Faults: ahead queues frames on link 0 in front of its good one; silent
 	// and dead name the link that sends nothing or whose pair is closed
 	// (negative: none).
@@ -141,7 +141,7 @@ func TestGatherDegradationMatrix(t *testing.T) {
 			t.Run(topo.String()+"/"+row.name, func(t *testing.T) {
 				h := newMatrixHarness(t, topo, row.workers)
 				if row.frac > 0 {
-					h.cfg.MinGatherFraction = row.frac
+					h.cfg.minGatherFraction = row.frac
 				}
 				for w := 0; w < h.links(); w++ {
 					var frames [][]byte

@@ -24,7 +24,7 @@ const gatherDim = 4096
 func gatherHarness(t *testing.T, workers int) (Config, []*cluster.CountingConn, []cluster.Conn, *gradient.Sparse, []byte) {
 	t.Helper()
 	c := codec.MustSketchML(codec.DefaultOptions())
-	cfg := Config{Codec: c, Workers: workers}
+	cfg := Config{codec: c, Workers: workers}
 	rng := rand.New(rand.NewSource(77))
 	m := map[uint64]float64{}
 	for len(m) < 120 {

@@ -38,13 +38,13 @@ func waitNoGoroutineLeak(t *testing.T, baseline int) {
 
 func lifecycleConfig() Config {
 	return Config{
-		Model:     model.LogisticRegression{},
-		Codec:     &codec.Raw{},
-		Optimizer: adamFactory(0.1),
-		Workers:   3,
-		Epochs:    3,
-		Lambda:    0.01,
-		Seed:      9,
+		Trainable:    model.Wrap(model.LogisticRegression{}),
+		CodecFactory: shared(&codec.Raw{}),
+		Optimizer:    adamFactory(0.1),
+		Workers:      3,
+		Epochs:       3,
+		Lambda:       0.01,
+		Seed:         9,
 	}
 }
 
@@ -225,7 +225,7 @@ func TestResumeValidation(t *testing.T) {
 		tweak  func(*Config)
 	}{
 		{name: "workers changed", tweak: func(c *Config) { c.Workers = 2 }},
-		{name: "codec changed", tweak: func(c *Config) { c.Codec = &codec.ZipML{Bits: 16} }},
+		{name: "codec changed", tweak: func(c *Config) { c.CodecFactory = shared(&codec.ZipML{Bits: 16}) }},
 		{name: "seed changed", tweak: func(c *Config) { c.Seed = 1234 }},
 		{name: "rounds beyond run", mutate: func(c *Checkpoint) { c.Rounds = 1 << 30 }},
 	}

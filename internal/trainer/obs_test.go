@@ -22,14 +22,14 @@ func TestRunReportOverTCP(t *testing.T) {
 	copts := codec.DefaultOptions()
 	copts.Metrics = reg
 	res, err := Run(Config{
-		Model:     model.LogisticRegression{},
-		Codec:     codec.MustSketchML(copts),
-		Optimizer: adamFactory(0.1),
-		Workers:   3,
-		Epochs:    2,
-		Seed:      7,
-		UseTCP:    true,
-		Metrics:   reg,
+		Trainable:    model.Wrap(model.LogisticRegression{}),
+		CodecFactory: shared(codec.MustSketchML(copts)),
+		Optimizer:    adamFactory(0.1),
+		Workers:      3,
+		Epochs:       2,
+		Seed:         7,
+		UseTCP:       true,
+		Metrics:      reg,
 	}, train, test)
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +104,12 @@ func TestRunReportOverTCP(t *testing.T) {
 func TestRunReportInMemoryRaw(t *testing.T) {
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Model:     model.LogisticRegression{},
-		Codec:     &codec.Raw{},
-		Optimizer: adamFactory(0.1),
-		Workers:   2,
-		Epochs:    1,
-		Seed:      5,
+		Trainable:    model.Wrap(model.LogisticRegression{}),
+		CodecFactory: shared(&codec.Raw{}),
+		Optimizer:    adamFactory(0.1),
+		Workers:      2,
+		Epochs:       1,
+		Seed:         5,
 	}, train, test)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // Quorum boundary tests: tolerant-mode gatherRound must accept a round
-// with exactly ceil(MinGatherFraction·W) arrivals and reject one with a
+// with exactly ceil(minGatherFraction·W) arrivals and reject one with a
 // single arrival fewer — the boundary itself, not just the far ends. A
 // worker whose link is closed errors out immediately, which tolerant mode
 // counts as a miss, so these rounds need no deadline waiting.
@@ -18,8 +18,8 @@ func tolerantGather(t *testing.T, workers, alive int, frac float64) (error, *Epo
 	t.Helper()
 	cfg, driverSide, workerSide, _, msg := gatherHarness(t, workers)
 	cfg.RoundDeadline = 200 * time.Millisecond
-	cfg.MinGatherFraction = frac
-	cfg.MaxStrikes = 1 << 30 // strikes out of the picture: this is a quorum test
+	cfg.minGatherFraction = frac
+	cfg.maxStrikes = 1 << 30 // strikes out of the picture: this is a quorum test
 	for w := 0; w < workers; w++ {
 		if w < alive {
 			if err := workerSide[w].Send(appendFrame(nil, frameGrad, 0, msg)); err != nil {
@@ -76,15 +76,15 @@ func TestGatherQuorumExactBoundary(t *testing.T) {
 }
 
 // TestMaxStrikesResetOnArrival drives the same strike ledger across
-// consecutive rounds: a worker that misses MaxStrikes-1 rounds, shows up
+// consecutive rounds: a worker that misses maxStrikes-1 rounds, shows up
 // once, then misses again must NOT abort the run — only consecutive misses
 // count, and one arrival resets the counter.
 func TestMaxStrikesResetOnArrival(t *testing.T) {
 	const workers = 2
 	cfg, driverSide, workerSide, _, msg := gatherHarness(t, workers)
 	cfg.RoundDeadline = 100 * time.Millisecond
-	cfg.MinGatherFraction = 0.5 // quorum 1: worker 0 alone keeps rounds alive
-	cfg.MaxStrikes = 2
+	cfg.minGatherFraction = 0.5 // quorum 1: worker 0 alone keeps rounds alive
+	cfg.maxStrikes = 2
 
 	strikes := make([]int, workers)
 	reuse := make([]gradient.Sparse, workers)
@@ -127,7 +127,7 @@ func TestMaxStrikesResetOnArrival(t *testing.T) {
 		t.Fatalf("round 2 aborted despite the reset: %v", err)
 	}
 	if err := runRound(false); err == nil { // second consecutive miss: abort
-		t.Fatal("worker at MaxStrikes consecutive misses did not abort")
+		t.Fatal("worker at maxStrikes consecutive misses did not abort")
 	} else if !strings.Contains(err.Error(), "missed 2 consecutive rounds") {
 		t.Fatalf("unexpected strike error: %v", err)
 	}

@@ -107,9 +107,9 @@ func (lk *links) wireTree(cfg *Config, wrap func(seedIdx int, inner cluster.Conn
 // or unusable child frame degrades that subtree's contribution (its count
 // simply stays out of the total); only strict mode aborts.
 func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
-	merger := cfg.Codec.(codec.Merger)
+	merger := cfg.codec.(codec.Merger)
 	t0 := time.Now()
-	msg, err := cfg.Codec.Encode(g)
+	msg, err := cfg.codec.Encode(g)
 	rep.encodeNs += time.Since(t0).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("trainer: worker encode: %w", err)

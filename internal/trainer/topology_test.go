@@ -19,13 +19,13 @@ func runTopology(t *testing.T, topo cluster.Topology, workers int, c codec.Codec
 	t.Helper()
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Model:     model.LogisticRegression{},
-		Codec:     c,
-		Optimizer: adamFactory(0.1),
-		Workers:   workers,
-		Epochs:    2,
-		Seed:      seed,
-		Topology:  topo,
+		Trainable:    model.Wrap(model.LogisticRegression{}),
+		CodecFactory: shared(c),
+		Optimizer:    adamFactory(0.1),
+		Workers:      workers,
+		Epochs:       2,
+		Seed:         seed,
+		Topology:     topo,
 	}, train, test)
 	if err != nil {
 		t.Fatalf("topology %s, %d workers: %v", topo, workers, err)
@@ -147,7 +147,7 @@ func TestTreeDecodedBytesScaling(t *testing.T) {
 	run := func(topo cluster.Topology) *Result {
 		t.Helper()
 		res, err := Run(Config{
-			Model: model.LogisticRegression{}, Codec: newC(),
+			Trainable: model.Wrap(model.LogisticRegression{}), CodecFactory: newC,
 			Optimizer: adamFactory(0.1), Workers: workers, Epochs: 2,
 			BatchFraction: 0.5, Seed: 7, Topology: topo,
 		}, train, test)
@@ -203,7 +203,7 @@ func treeHarness(t *testing.T, workers int) (Config, []*cluster.CountingConn, []
 	t.Helper()
 	cfg, driverSide, workerSide, g, _ := gatherHarness(t, workers)
 	cfg.Topology = cluster.TopologyTree
-	msg, err := cfg.Codec.Encode(g)
+	msg, err := cfg.codec.Encode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 	}
 	// Both messages decode to the same gradient; total = 8, so the
 	// aggregate must be 2/8 of the decoded gradient.
-	dec, err := cfg.Codec.Decode(msg)
+	dec, err := cfg.codec.Decode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 }
 
 // TestTreeGatherSubtreeQuorumBoundary walks the quorum edge at subtree
-// granularity: at W=8 with MinGatherFraction 0.5 the quorum is 4 summed
+// granularity: at W=8 with minGatherFraction 0.5 the quorum is 4 summed
 // gradients, so a lone 4-gradient subtree passes while a 3-gradient one
 // aborts — the whole missing subtree degrades, never the whole run first.
 func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
@@ -332,7 +332,7 @@ func TestAggregateCountBounded(t *testing.T) {
 
 	cfg, driverSide, workerSide, _, msg = treeHarness(t, workers)
 	cfg = tolerantCfg(cfg)
-	cfg.MinGatherFraction = 0.25 // quorum 1: root 1's single gradient carries the round
+	cfg.minGatherFraction = 0.25 // quorum 1: root 1's single gradient carries the round
 	send()
 	acc = gradient.NewAccumulator(gatherDim)
 	es = EpochStats{}
@@ -344,7 +344,7 @@ func TestAggregateCountBounded(t *testing.T) {
 	if es.CorruptFrames != 1 || es.Timeouts != 1 || es.SkippedGrads != 3 || es.DegradedRounds != 1 {
 		t.Errorf("counters %+v, want 1 corrupt frame, 1 timeout, 3 skipped gradients, 1 degraded round", es)
 	}
-	dec, err := cfg.Codec.Decode(msg)
+	dec, err := cfg.codec.Decode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,20 +432,19 @@ func TestAggFrameRoundTrip(t *testing.T) {
 func TestTopologyConfigValidation(t *testing.T) {
 	train, test := smallData(t)
 	base := Config{
-		Model: model.LogisticRegression{}, Optimizer: adamFactory(0.1),
+		Trainable: model.Wrap(model.LogisticRegression{}), Optimizer: adamFactory(0.1),
 		Workers: 2, Epochs: 1, Seed: 1,
 	}
 
 	unmergeable := base
 	unmergeable.Topology = cluster.TopologyTree
-	unmergeable.Codec = &codec.OneBit{}
+	unmergeable.CodecFactory = shared(&codec.OneBit{})
 	if _, err := Run(unmergeable, train, test); err == nil || !strings.Contains(err.Error(), "mergeable") {
 		t.Errorf("unmergeable codec accepted for tree: %v", err)
 	}
 
 	tcp := base
 	tcp.Topology = cluster.TopologyTree
-	tcp.Codec = &codec.Raw{}
 	tcp.UseTCP = true
 	if _, err := Run(tcp, train, test); err == nil || !strings.Contains(err.Error(), "in-memory") {
 		t.Errorf("tree over TCP accepted: %v", err)
@@ -454,7 +453,6 @@ func TestTopologyConfigValidation(t *testing.T) {
 	// The aggregate prefix carries the count as uint16.
 	wide := base
 	wide.Topology = cluster.TopologyTree
-	wide.Codec = &codec.Raw{}
 	wide.Workers = math.MaxUint16 + 1
 	if _, err := Run(wide, train, test); err == nil || !strings.Contains(err.Error(), "at most 65535 workers") {
 		t.Errorf("tree with %d workers accepted: %v", wide.Workers, err)

@@ -38,16 +38,14 @@ type OptimizerFactory func(dim uint64) optim.Optimizer
 
 // Config describes one training run.
 type Config struct {
-	Model model.Model
-	// Trainable overrides Model with a general trainable (e.g. nn.MLP).
-	// When nil, Model is wrapped via model.Wrap.
+	// Trainable is the model. Required; a generalized linear model enters
+	// through model.Wrap.
 	Trainable model.Trainable
-	// Codec compresses gradients in both directions. nil means codec.Raw.
-	Codec codec.Codec
-	// CodecFactory, when set, builds a fresh codec instance for every
-	// party (each worker and the driver) instead of sharing Codec. Required
-	// for stateful codecs such as codec.ErrorFeedback, whose residual is
-	// per-sender. Overrides Codec.
+	// CodecFactory builds the codec that compresses gradients in both
+	// directions; nil means codec.Raw. It is called once per party: first
+	// for the driver, then for workers 0…W−1 in index order, so stateful
+	// codecs such as codec.ErrorFeedback get a per-sender instance. A
+	// stateless codec may return one shared instance every time.
 	CodecFactory func() codec.Codec
 	// Optimizer builds per-replica optimizers; nil means Adam with LR 0.1.
 	Optimizer OptimizerFactory
@@ -57,7 +55,7 @@ type Config struct {
 	// half of each round (broadcast always fans out over the direct driver
 	// links). The zero value is cluster.TopologyStar: every worker sends to
 	// the driver, which decodes all W messages. TopologyTree aggregates en
-	// route via codec merging, so it requires a Codec implementing
+	// route via codec merging, so it requires that CodecFactory build a
 	// codec.Merger, the in-memory transport (UseTCP only wires star links)
 	// and at most 65535 workers. Both share one driver gather, one sum rule
 	// and one fault arithmetic: the topology decides only which driver links
@@ -82,35 +80,16 @@ type Config struct {
 	// the end-of-run report collection. When it is set, a timed-out or
 	// undecodable gradient no longer aborts the run — the round proceeds
 	// with the gradients that arrived (rescaled to stay unbiased), the
-	// offender accrues a strike, and only MaxStrikes consecutive misses or
-	// quorum loss abort. On every topology and every link, a frame that
-	// fails its checksum, its bounds or its decode, or belongs to another
-	// round, is counted and discarded and the wait continues on what is
+	// offender accrues a strike, and only 8 consecutive misses by one
+	// worker (defaultMaxStrikes) or quorum loss (fewer than half the
+	// workers, defaultMinGatherFraction) abort. On every topology and every
+	// link, a frame that fails its checksum, its bounds or its decode, or
+	// belongs to another round, is counted and discarded and the wait continues on what is
 	// left of the deadline, so a good duplicate behind it is still
 	// accepted; a dead link ends the wait at once as a miss and counts no
 	// timeout. Zero keeps the strict fail-stop behavior: every receive
 	// blocks indefinitely and any fault is fatal.
 	RoundDeadline time.Duration
-	// MinGatherFraction is the quorum: the smallest fraction of workers
-	// whose gradients must arrive for a round to proceed. Consulted only
-	// when RoundDeadline > 0; values outside (0, 1] default to 0.5.
-	MinGatherFraction float64
-	// MaxStrikes aborts the run once a single worker has missed this many
-	// consecutive rounds (timeout, corrupt frame, or dead link). A round
-	// with its gradient present resets the worker's strikes. Consulted
-	// only when RoundDeadline > 0; values < 1 default to 8.
-	MaxStrikes int
-	// Chaos, when non-nil, wraps every driver↔worker link with a
-	// fault-injecting cluster.ChaosConn. Each link's schedule derives
-	// deterministically from Chaos.Seed and the worker index, so a run's
-	// fault pattern is exactly reproducible. Outage windows are configured
-	// per worker via ChaosOutage, not here.
-	Chaos *cluster.ChaosSpec
-	// ChaosOutage maps a worker index to an outage window on that worker's
-	// link ([Start, End) in per-direction frame ordinals — with one frame
-	// each way per round, approximately a round range). Simulates a
-	// disconnect followed by a rejoin. Ignored when Chaos is nil.
-	ChaosOutage map[int]cluster.OutageWindow
 
 	// Drain, when non-nil, requests a graceful stop: once the channel is
 	// closed (close it — a single send also works but only once), the
@@ -150,10 +129,35 @@ type Config struct {
 	// nil disables everything at negligible cost.
 	Metrics *obs.Registry
 
+	// codec is this party's CodecFactory instance: fill builds the
+	// driver's, RunContext one per worker.
+	codec codec.Codec
+
+	// The fault knobs only tests set. minGatherFraction is the quorum and
+	// maxStrikes the consecutive misses that abort (see RoundDeadline);
+	// fill defaults values outside (0, 1] and below 1 to the constants
+	// below. chaos, when non-nil, wraps every driver↔worker link in a
+	// cluster.ChaosConn seeded from chaos.Seed and the link index, so a
+	// run's fault pattern is reproducible; chaosOutage gives a worker's
+	// link an outage window ([Start, End) in per-direction frame ordinals,
+	// roughly a round range): a disconnect followed by a rejoin.
+	minGatherFraction float64
+	maxStrikes        int
+	chaos             *cluster.ChaosSpec
+	chaosOutage       map[int]cluster.OutageWindow
+
 	// decodeSlots bounds the run's concurrently timed gather decodes at
 	// GOMAXPROCS; fill makes it, timedDecode takes from it.
 	decodeSlots chan struct{}
 }
+
+// The tolerant protocol's fixed fault thresholds (see Config.RoundDeadline):
+// a round needs at least half the workers' gradients, and a worker that
+// misses 8 consecutive rounds aborts the run.
+const (
+	defaultMinGatherFraction = 0.5
+	defaultMaxStrikes        = 8
+)
 
 // EpochStats reports one epoch of a run.
 type EpochStats struct {
@@ -264,26 +268,22 @@ type Result struct {
 // AvgUpBytesPerRound returns the mean worker→driver bytes per round, the
 // paper's "message size".
 func (r *Result) AvgUpBytesPerRound() float64 {
-	var bytes int64
-	rounds := 0
-	for _, e := range r.Epochs {
-		bytes += e.UpBytes
-		rounds += e.Rounds
-	}
-	if rounds == 0 {
-		return 0
-	}
-	return float64(bytes) / float64(rounds)
+	return r.avgPerRound(func(e *EpochStats) int64 { return e.UpBytes })
 }
 
 // AvgDownBytesPerRound returns the mean driver→worker broadcast bytes per
 // round (per worker) — the aggregated-gradient message size.
 func (r *Result) AvgDownBytesPerRound() float64 {
+	return r.avgPerRound(func(e *EpochStats) int64 { return e.DownBytes })
+}
+
+// avgPerRound is the run's mean per round of the epoch counter field picks.
+func (r *Result) avgPerRound(field func(*EpochStats) int64) float64 {
 	var bytes int64
 	rounds := 0
-	for _, e := range r.Epochs {
-		bytes += e.DownBytes
-		rounds += e.Rounds
+	for i := range r.Epochs {
+		bytes += field(&r.Epochs[i])
+		rounds += r.Epochs[i].Rounds
 	}
 	if rounds == 0 {
 		return 0
@@ -293,17 +293,12 @@ func (r *Result) AvgDownBytesPerRound() float64 {
 
 func (c *Config) fill() error {
 	if c.Trainable == nil {
-		if c.Model == nil {
-			return errors.New("trainer: Model or Trainable is required")
-		}
-		c.Trainable = model.Wrap(c.Model)
+		return errors.New("trainer: Trainable is required (wrap a model.Model with model.Wrap)")
 	}
-	if c.CodecFactory != nil {
-		c.Codec = c.CodecFactory()
+	if c.CodecFactory == nil {
+		c.CodecFactory = func() codec.Codec { return &codec.Raw{} }
 	}
-	if c.Codec == nil {
-		c.Codec = &codec.Raw{}
-	}
+	c.codec = c.CodecFactory()
 	if c.Optimizer == nil {
 		c.Optimizer = func(dim uint64) optim.Optimizer { return optim.NewAdam(0.1, dim) }
 	}
@@ -317,11 +312,11 @@ func (c *Config) fill() error {
 		c.Epochs = 1
 	}
 	if c.RoundDeadline > 0 {
-		if c.MinGatherFraction <= 0 || c.MinGatherFraction > 1 {
-			c.MinGatherFraction = 0.5
+		if c.minGatherFraction <= 0 || c.minGatherFraction > 1 {
+			c.minGatherFraction = defaultMinGatherFraction
 		}
-		if c.MaxStrikes < 1 {
-			c.MaxStrikes = 8
+		if c.maxStrikes < 1 {
+			c.maxStrikes = defaultMaxStrikes
 		}
 	}
 	if c.CheckpointEvery < 1 {
@@ -334,11 +329,11 @@ func (c *Config) fill() error {
 		if c.UseTCP {
 			return fmt.Errorf("trainer: topology %s requires the in-memory transport (UseTCP wires star links only)", c.Topology)
 		}
-		if _, ok := c.Codec.(codec.Merger); !ok {
+		if _, ok := c.codec.(codec.Merger); !ok {
 			// No decode/re-encode fallback: stateful codecs (ErrorFeedback)
 			// mutate sender residual on Encode, so a silent fallback would
 			// corrupt training, not just slow it down.
-			return fmt.Errorf("trainer: topology %s requires a mergeable codec (codec.Merger), %s is not", c.Topology, c.Codec.Name())
+			return fmt.Errorf("trainer: topology %s requires a mergeable codec (codec.Merger), %s is not", c.Topology, c.codec.Name())
 		}
 		if c.Workers > math.MaxUint16 {
 			// The frameAgg prefix carries the gradient count as uint16; more
@@ -514,14 +509,12 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		defer func() { close(runDone); <-watchDone }()
 	}
 
-	// Launch workers. With a CodecFactory every party gets a fresh instance
-	// — stateful codecs need per-sender ones — else all share cfg.Codec.
+	// Launch workers, each with its own codec instance, built in index
+	// order after the driver's.
 	workerErrs := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		wcfg := cfg
-		if cfg.CodecFactory != nil {
-			wcfg.Codec = cfg.CodecFactory()
-		}
+		wcfg.codec = cfg.CodecFactory()
 		go func(w int, wcfg Config) {
 			workerErrs <- runWorker(wcfg, plan, w, lk.worker[w], &lk.tree[w])
 		}(w, wcfg)
@@ -540,7 +533,7 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		return nil, err
 	}
 	res = &Result{
-		CodecName: cfg.Codec.Name(),
+		CodecName: cfg.codec.Name(),
 		ModelName: cfg.Trainable.Name(),
 		Workers:   cfg.Workers,
 		Topology:  cfg.Topology.String(),
@@ -598,18 +591,18 @@ func (lk *links) close() {
 func wireLinks(ctx context.Context, cfg *Config) (*links, error) {
 	connMet := cluster.NewConnMetrics(cfg.Metrics)
 	// wrap instruments one receiving end: seedIdx picks the link's
-	// deterministic chaos schedule — it derives from Chaos.Seed and the
+	// deterministic chaos schedule — it derives from chaos.Seed and the
 	// index, so a run's fault pattern is reproducible end to end, and tree
 	// links use indexes past the worker range so every link faults
-	// independently — and outageFor names the worker whose ChaosOutage window
+	// independently — and outageFor names the worker whose chaosOutage window
 	// applies to this link (negative: none).
 	wrap := func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn {
-		if cfg.Chaos != nil {
-			spec := *cfg.Chaos
-			spec.Seed = cfg.Chaos.Seed + int64(seedIdx)*1_000_003
+		if cfg.chaos != nil {
+			spec := *cfg.chaos
+			spec.Seed = cfg.chaos.Seed + int64(seedIdx)*1_000_003
 			spec.Outage = cluster.OutageWindow{}
 			if outageFor >= 0 {
-				spec.Outage = cfg.ChaosOutage[outageFor]
+				spec.Outage = cfg.chaosOutage[outageFor]
 			}
 			inner = cluster.NewChaos(inner, spec)
 		}
@@ -652,7 +645,7 @@ func wireLinks(ctx context.Context, cfg *Config) (*links, error) {
 // wireTCP opens the W star links through l, dialing then accepting one
 // connection at a time on the calling goroutine: with a single connection
 // pending, the w-th accept is worker w's, so link w — its chaos schedule,
-// ChaosOutage[w], strikes[w] and "worker w" in errors — is worker w's link
+// chaosOutage[w], strikes[w] and "worker w" in errors — is worker w's link
 // over TCP exactly as over the in-memory transport. On failure every
 // connection opened so far is closed.
 func (lk *links) wireTCP(ctx context.Context, l *cluster.Listener, retries *obs.Counter, wrap func(w int, inner cluster.Conn) *cluster.CountingConn) error {
@@ -726,7 +719,7 @@ func (d *driver) runRound(es *EpochStats) error {
 	// rejoins. In tolerant mode a dead link must not kill the round (the
 	// strike ledger handles persistent absence).
 	tBcast := time.Now()
-	msg, err := cfg.Codec.Encode(agg)
+	msg, err := cfg.codec.Encode(agg)
 	es.EncodeTime += time.Since(tBcast)
 	if err != nil {
 		return fmt.Errorf("trainer: encode aggregate: %w", err)
@@ -738,7 +731,7 @@ func (d *driver) runRound(es *EpochStats) error {
 	// The driver replica applies the same decoded update the workers will
 	// see, keeping every replica identical.
 	t0 := time.Now()
-	applied, err := codec.DecodeReuse(cfg.Codec, msg, &d.applied)
+	applied, err := codec.DecodeReuse(cfg.codec, msg, &d.applied)
 	es.DecodeTime += time.Since(t0)
 	if err != nil {
 		return err
@@ -1061,7 +1054,7 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 		cfg.decodeSlots <- struct{}{}
 	}
 	t0 := time.Now()
-	g, err := codec.DecodeReuse(cfg.Codec, payload, dst)
+	g, err := codec.DecodeReuse(cfg.codec, payload, dst)
 	ns := time.Since(t0).Nanoseconds()
 	if cfg.decodeSlots != nil {
 		<-cfg.decodeSlots
@@ -1093,8 +1086,8 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 //
 // Strict mode (RoundDeadline == 0) requires every worker gradient and any
 // fault aborts. Tolerant mode aggregates whatever arrived by the deadline
-// and aborts only on quorum loss (fewer than ceil(MinGatherFraction·W)
-// contributors) or when one link reaches MaxStrikes consecutive misses.
+// and aborts only on quorum loss (fewer than ceil(minGatherFraction·W)
+// contributors) or when one link reaches maxStrikes consecutive misses.
 func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
 	links, kind := cfg.Workers, frameGrad
 	if cfg.Topology == cluster.TopologyTree {
@@ -1149,7 +1142,7 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 		return fmt.Errorf("trainer: round %d: %s gather summed %d gradients from %d workers", round, cfg.Topology, total, cfg.Workers)
 	}
 	if cfg.tolerant() {
-		quorum := max(int(math.Ceil(cfg.MinGatherFraction*float64(cfg.Workers))), 1)
+		quorum := max(int(math.Ceil(cfg.minGatherFraction*float64(cfg.Workers))), 1)
 		if total < quorum {
 			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients arrived (need %d)",
 				round, total, cfg.Workers, quorum)
@@ -1161,7 +1154,7 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 			}
 			strikes[w]++
 			es.Strikes++
-			if strikes[w] >= cfg.MaxStrikes {
+			if strikes[w] >= cfg.maxStrikes {
 				return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
 					w, strikes[w], round)
 			}
@@ -1306,7 +1299,7 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 			}
 		} else {
 			t0 = time.Now()
-			msg, err := cfg.Codec.Encode(g)
+			msg, err := cfg.codec.Encode(g)
 			rep.encodeNs += time.Since(t0).Nanoseconds()
 			if err != nil {
 				return fmt.Errorf("trainer: worker encode: %w", err)
@@ -1331,7 +1324,7 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 			if cfg.tolerant() && errors.Is(err, cluster.ErrTimeout) {
 				rep.timeouts++
 				misses++
-				if misses >= cfg.MaxStrikes {
+				if misses >= cfg.maxStrikes {
 					return fmt.Errorf("trainer: worker lost contact with driver (%d broadcast waits expired)", misses)
 				}
 				continue
@@ -1367,7 +1360,7 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 				round = tag
 			}
 			t0 = time.Now()
-			agg, err = codec.DecodeReuse(cfg.Codec, payload, &aggScratch)
+			agg, err = codec.DecodeReuse(cfg.codec, payload, &aggScratch)
 			rep.decodeNs += time.Since(t0).Nanoseconds()
 			if err != nil {
 				if !cfg.tolerant() {

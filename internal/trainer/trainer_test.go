@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
+	"sketchml/internal/gradient"
 	"sketchml/internal/model"
 	"sketchml/internal/optim"
 )
@@ -31,6 +33,12 @@ func adamFactory(lr float64) OptimizerFactory {
 	return func(dim uint64) optim.Optimizer { return optim.NewAdam(lr, dim) }
 }
 
+// shared is a CodecFactory that hands every party the same instance, for
+// codecs whose Encode keeps no per-sender state.
+func shared(c codec.Codec) func() codec.Codec {
+	return func() codec.Codec { return c }
+}
+
 func TestRunReducesLossAllCodecs(t *testing.T) {
 	train, test := smallData(t)
 	codecs := []codec.Codec{
@@ -40,13 +48,13 @@ func TestRunReducesLossAllCodecs(t *testing.T) {
 	}
 	for _, c := range codecs {
 		res, err := Run(Config{
-			Model:     model.LogisticRegression{},
-			Codec:     c,
-			Optimizer: adamFactory(0.1),
-			Workers:   4,
-			Epochs:    3,
-			Lambda:    0.01,
-			Seed:      2,
+			Trainable:    model.Wrap(model.LogisticRegression{}),
+			CodecFactory: shared(c),
+			Optimizer:    adamFactory(0.1),
+			Workers:      4,
+			Epochs:       3,
+			Lambda:       0.01,
+			Seed:         2,
 		}, train, test)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
@@ -71,7 +79,7 @@ func TestSketchMLUsesLessTraffic(t *testing.T) {
 	train, test := smallData(t)
 	bytesFor := func(c codec.Codec) float64 {
 		res, err := Run(Config{
-			Model: model.LogisticRegression{}, Codec: c,
+			Trainable: model.Wrap(model.LogisticRegression{}), CodecFactory: shared(c),
 			Optimizer: adamFactory(0.1), Workers: 4, Epochs: 2, Seed: 3,
 		}, train, test)
 		if err != nil {
@@ -91,7 +99,7 @@ func TestRunDeterministic(t *testing.T) {
 	train, test := smallData(t)
 	run := func() *Result {
 		res, err := Run(Config{
-			Model: model.SVM{}, Codec: codec.MustSketchML(codec.DefaultOptions()),
+			Trainable: model.Wrap(model.SVM{}), CodecFactory: shared(codec.MustSketchML(codec.DefaultOptions())),
 			Optimizer: adamFactory(0.1), Workers: 3, Epochs: 2, Seed: 5,
 		}, train, test)
 		if err != nil {
@@ -114,7 +122,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestTCPTransportMatchesInMemory(t *testing.T) {
 	train, test := smallData(t)
 	base := Config{
-		Model: model.LogisticRegression{}, Codec: codec.MustSketchML(codec.DefaultOptions()),
+		Trainable: model.Wrap(model.LogisticRegression{}), CodecFactory: shared(codec.MustSketchML(codec.DefaultOptions())),
 		Optimizer: adamFactory(0.1), Workers: 3, Epochs: 2, Seed: 7,
 	}
 	mem, err := Run(base, train, test)
@@ -150,7 +158,7 @@ func newTCPLinks(t *testing.T, workers int) (*links, *cluster.Listener) {
 
 // TestWireTCPPinsLinkToWorker: over TCP, as over the in-memory transport,
 // driver end w is worker w's link — what per-worker chaos schedules,
-// ChaosOutage[w], strikes[w] and "worker w" in errors all assume. Collecting
+// chaosOutage[w], strikes[w] and "worker w" in errors all assume. Collecting
 // the accepts after all W dials, as the wiring used to, paired them in
 // accept order.
 func TestWireTCPPinsLinkToWorker(t *testing.T) {
@@ -213,7 +221,7 @@ func TestWireTCPFailureClosesWhatItOpened(t *testing.T) {
 func TestStatspopulated(t *testing.T) {
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Model: model.LogisticRegression{}, Codec: codec.MustSketchML(codec.DefaultOptions()),
+		Trainable: model.Wrap(model.LogisticRegression{}), CodecFactory: shared(codec.MustSketchML(codec.DefaultOptions())),
 		Optimizer: adamFactory(0.1), Workers: 2, Epochs: 1, Seed: 1,
 	}, train, test)
 	if err != nil {
@@ -246,7 +254,7 @@ func TestStatspopulated(t *testing.T) {
 func TestSingleWorker(t *testing.T) {
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Model: model.Linear{}, Codec: &codec.Raw{},
+		Trainable: model.Wrap(model.Linear{}), CodecFactory: shared(&codec.Raw{}),
 		Optimizer: adamFactory(0.05), Workers: 1, Epochs: 2, Seed: 4,
 	}, train, test)
 	if err != nil {
@@ -262,18 +270,21 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := Run(Config{}, train, test); err == nil {
 		t.Error("missing model accepted")
 	}
-	if _, err := Run(Config{Model: model.SVM{}}, &dataset.Dataset{Dim: 5}, test); err == nil {
+	if _, err := Run(Config{Trainable: model.Wrap(model.SVM{})}, &dataset.Dataset{Dim: 5}, test); err == nil {
 		t.Error("empty training set accepted")
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{Model: model.SVM{}}
+	cfg := Config{Trainable: model.Wrap(model.SVM{})}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Codec == nil || cfg.Optimizer == nil {
+	if cfg.codec == nil || cfg.CodecFactory == nil || cfg.Optimizer == nil {
 		t.Error("defaults not applied")
+	}
+	if cfg.codec.Name() != (&codec.Raw{}).Name() {
+		t.Errorf("default codec %s, want Raw", cfg.codec.Name())
 	}
 	if cfg.Workers != 1 || cfg.Epochs != 1 {
 		t.Errorf("defaults: workers=%d epochs=%d", cfg.Workers, cfg.Epochs)
@@ -281,6 +292,114 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.BatchFraction != 0.1 {
 		t.Errorf("BatchFraction default = %v", cfg.BatchFraction)
 	}
+
+	// The tolerant protocol's thresholds are fixed: half the workers and
+	// eight consecutive misses.
+	tolerant := Config{Trainable: model.Wrap(model.SVM{}), RoundDeadline: time.Second}
+	if err := tolerant.fill(); err != nil {
+		t.Fatal(err)
+	}
+	if tolerant.minGatherFraction != 0.5 || tolerant.maxStrikes != 8 {
+		t.Errorf("tolerant defaults: quorum %v, strikes %d; want 0.5 and 8", tolerant.minGatherFraction, tolerant.maxStrikes)
+	}
+}
+
+// partyCodec is a Raw codec that records the key span of every gradient
+// it encodes, so a test can tell which party an instance served.
+type partyCodec struct {
+	codec.Raw
+	mu    sync.Mutex
+	spans [][2]uint64 // first and last key of each encoded gradient
+}
+
+func (p *partyCodec) Encode(g *gradient.Sparse) ([]byte, error) {
+	if n := len(g.Keys); n > 0 {
+		p.mu.Lock()
+		p.spans = append(p.spans, [2]uint64{g.Keys[0], g.Keys[n-1]})
+		p.mu.Unlock()
+	}
+	return p.Raw.Encode(g)
+}
+
+// TestCodecFactoryOrder pins the CodecFactory contract a tracer counting
+// instances relies on: a run calls the factory exactly W+1 times, and the
+// first instance is the driver's, instance w+1 worker w's — on star, on
+// tree and on a resumed run. Every instance of worker w's shard holds keys
+// of band w only ([w·band, (w+1)·band)), so a worker's instance encodes
+// keys of its own band alone while the driver's, encoding the aggregate,
+// spans several.
+func TestCodecFactoryOrder(t *testing.T) {
+	const workers, band = 3, 100
+	data := &dataset.Dataset{Dim: workers * band}
+	for i := 0; i < 60*workers; i++ {
+		lo := uint64(i%workers) * band // Shard deals instance i to worker i%W
+		data.Instances = append(data.Instances, dataset.Instance{
+			Keys:   []uint64{lo + uint64(i%7), lo + 50 + uint64(i%11)},
+			Values: []float64{1, -0.5},
+			Label:  float64(i%2*2 - 1),
+		})
+	}
+	run := func(t *testing.T, cfg Config) []*partyCodec {
+		t.Helper()
+		var built []*partyCodec
+		cfg.CodecFactory = func() codec.Codec {
+			c := &partyCodec{}
+			built = append(built, c)
+			return c
+		}
+		if _, err := Run(cfg, data, data); err != nil {
+			t.Fatal(err)
+		}
+		if len(built) != workers+1 {
+			t.Fatalf("CodecFactory called %d times, want W+1 = %d", len(built), workers+1)
+		}
+		for k, c := range built {
+			if len(c.spans) == 0 {
+				t.Errorf("instance %d encoded nothing", k)
+			}
+			for _, s := range c.spans {
+				first, last := s[0]/band, s[1]/band
+				if k == 0 && first == last {
+					t.Errorf("instance 0 (the driver's) encoded keys %v, one worker's band only", s)
+				}
+				if k > 0 && (first != uint64(k-1) || last != uint64(k-1)) {
+					t.Errorf("instance %d encoded keys %v, outside worker %d's band", k, s, k-1)
+				}
+			}
+		}
+		return built
+	}
+	base := Config{
+		Trainable: model.Wrap(model.LogisticRegression{}), Optimizer: adamFactory(0.1),
+		Workers: workers, Epochs: 2, Lambda: 0.01, Seed: 5,
+	}
+	t.Run("star", func(t *testing.T) { run(t, base) })
+	t.Run("tree", func(t *testing.T) {
+		cfg := base
+		cfg.Topology = cluster.TopologyTree
+		run(t, cfg)
+	})
+	t.Run("resumed", func(t *testing.T) {
+		drain := make(chan struct{})
+		var cp *Checkpoint
+		cfg := base
+		cfg.Drain = drain
+		cfg.OnCheckpoint = func(c *Checkpoint) error {
+			if cp == nil {
+				close(drain)
+			}
+			cp = c
+			return nil
+		}
+		run(t, cfg)
+		restored, err := UnmarshalCheckpoint(cp.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = base
+		cfg.Resume = restored
+		run(t, cfg)
+	})
 }
 
 func TestWorkerReportRoundTrip(t *testing.T) {
@@ -306,7 +425,7 @@ func TestCodecFactoryPerWorkerState(t *testing.T) {
 	// factory path must train correctly and keep replicas in sync.
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Model: model.LogisticRegression{},
+		Trainable: model.Wrap(model.LogisticRegression{}),
 		CodecFactory: func() codec.Codec {
 			return codec.NewErrorFeedback(&codec.TopK{Fraction: 0.3})
 		},

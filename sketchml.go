@@ -94,8 +94,9 @@ type OneBitCodec = codec.OneBit
 type TopKCodec = codec.TopK
 
 // NewErrorFeedback wraps any lossy codec with residual compensation: the
-// compression error of each message is added to the next gradient. One
-// instance per sender (see TrainConfig.CodecFactory).
+// compression error of each message is added to the next gradient. Build
+// it inside TrainConfig.CodecFactory, which gives every sender its own
+// instance.
 func NewErrorFeedback(inner Codec) Codec { return codec.NewErrorFeedback(inner) }
 
 // Breakdown attributes an encoded message's bytes to keys, values, and
@@ -124,14 +125,11 @@ var (
 	WriteLibSVM     = dataset.WriteLibSVM
 )
 
-// Model is a generalized linear model trained by mini-batch SGD.
-type Model = model.Model
-
-// The paper's three evaluated models.
+// The paper's three evaluated models, each ready for TrainConfig.Trainable.
 var (
-	LogisticRegression = func() Model { return model.LogisticRegression{} }
-	SVM                = func() Model { return model.SVM{} }
-	LinearRegression   = func() Model { return model.Linear{} }
+	LogisticRegression = func() Trainable { return model.Wrap(model.LogisticRegression{}) }
+	SVM                = func() Trainable { return model.Wrap(model.SVM{}) }
+	LinearRegression   = func() Trainable { return model.Wrap(model.Linear{}) }
 	ModelByName        = model.ByName
 )
 
@@ -155,16 +153,6 @@ type TrainResult = trainer.Result
 // EpochStats is one epoch of a training run.
 type EpochStats = trainer.EpochStats
 
-// ChaosSpec configures seeded fault injection on the training links (set
-// TrainConfig.Chaos): per-direction drop/corrupt/duplicate/delay
-// probabilities, all decided deterministically from the seed.
-type ChaosSpec = cluster.ChaosSpec
-
-// OutageWindow marks a range of frame ordinals during which a link drops
-// everything — a transient disconnect that later heals (set
-// TrainConfig.ChaosOutage).
-type OutageWindow = cluster.OutageWindow
-
 // Topology selects the gather aggregation shape of a driver run (set
 // TrainConfig.Topology): star decodes every worker's message at the driver,
 // tree merges encoded messages wire-to-wire on their way there and requires
@@ -182,8 +170,8 @@ func ParseTopology(s string) (Topology, error) { return cluster.ParseTopology(s)
 
 // Train executes the paper's synchronous distributed training loop:
 // the training set is sharded over cfg.Workers workers, each round every
-// worker's gradient travels through cfg.Codec to the driver, and the
-// aggregate is broadcast back.
+// worker's gradient travels through a cfg.CodecFactory codec to the
+// driver, and the aggregate is broadcast back.
 func Train(cfg TrainConfig, train, test *Dataset) (*TrainResult, error) {
 	return trainer.Run(cfg, train, test)
 }
@@ -206,9 +194,9 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // ExperimentTitle returns the human title for an experiment id.
 func ExperimentTitle(id string) string { return experiments.Title(id) }
 
-// Trainable is the general model contract the trainer accepts (set
-// TrainConfig.Trainable); generalized linear models are adapted
-// automatically from TrainConfig.Model.
+// Trainable is the model contract the trainer accepts (set
+// TrainConfig.Trainable). The paper's generalized linear models come
+// wrapped from LogisticRegression, SVM, LinearRegression and ModelByName.
 type Trainable = model.Trainable
 
 // Metrics is the run-wide observability registry: atomic counters, gauges,

@@ -68,12 +68,12 @@ func TestTrainFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sketchml.Train(sketchml.TrainConfig{
-		Model:   sketchml.LogisticRegression(),
-		Codec:   comp,
-		Workers: 4,
-		Epochs:  2,
-		Lambda:  0.01,
-		Seed:    1,
+		Trainable:    sketchml.LogisticRegression(),
+		CodecFactory: func() sketchml.Codec { return comp },
+		Workers:      4,
+		Epochs:       2,
+		Lambda:       0.01,
+		Seed:         1,
 	}, train, test)
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +128,13 @@ func TestTopologyFacades(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sketchml.Train(sketchml.TrainConfig{
-			Model:    sketchml.LogisticRegression(),
-			Codec:    comp,
-			Workers:  3,
-			Epochs:   2,
-			Lambda:   0.01,
-			Seed:     1,
-			Topology: topo,
+			Trainable:    sketchml.LogisticRegression(),
+			CodecFactory: func() sketchml.Codec { return comp },
+			Workers:      3,
+			Epochs:       2,
+			Lambda:       0.01,
+			Seed:         1,
+			Topology:     topo,
 		}, train, test)
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
@@ -172,7 +172,7 @@ func TestErrorFeedbackFacade(t *testing.T) {
 	full := sketchml.KDD10Like(6)
 	train, test := full.Split(0.75, 1)
 	res, err := sketchml.Train(sketchml.TrainConfig{
-		Model: sketchml.LogisticRegression(),
+		Trainable: sketchml.LogisticRegression(),
 		CodecFactory: func() sketchml.Codec {
 			return sketchml.NewErrorFeedback(&sketchml.TopKCodec{Fraction: 0.2})
 		},
