@@ -40,7 +40,7 @@ FUZZ_TARGETS := \
 # The pre-PR gates, in the order `make verify` runs them.
 VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
 
-.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify clean
+.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs clean
 
 all: verify
 
@@ -164,6 +164,44 @@ timed:
 verify:
 	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)"
 	@echo "verify: all gates passed"
+
+# bench-pairs judges this checkout against PARENT on one workload of the
+# end-to-end benchmark: `make bench-pairs PARENT=<ref> WORKLOAD=<w> PAIRS=10`.
+# The parent is exported with `git archive` into a temporary directory (no
+# worktree metadata is left behind if the run is interrupted) and both
+# sides are built once. Pair i runs seed i untraced on each side, one run at
+# a time, each binary in its own checkout's root, parent first on odd pairs
+# and change first on even ones, so a drift of the host lands on both sides
+# alike. The result sets are kept in PAIRS_OUT and judged with
+# `go run ./bench -compare`, whose row for WORKLOAD is printed (the other
+# rows read "missing"); the target fails when that row has a regressed or
+# missing metric. A pair of the trainer rows takes about a minute on 2 vCPUs.
+PARENT    ?= HEAD
+WORKLOAD  ?= lr-raw-star-tcp
+PAIRS     ?= 10
+PAIRS_OUT ?= bench/out/pairs
+bench-pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/parent" "$(PAIRS_OUT)"; out=$$(cd "$(PAIRS_OUT)" && pwd); \
+	git archive "$(PARENT)" | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/bench-parent" ./bench); \
+	$(GO) build -o "$$tmp/bench-change" ./bench; \
+	side() { \
+		echo "bench-pairs: $(WORKLOAD) seed $$2 $$1"; \
+		if [ "$$1" = parent ]; then dir="$$tmp/parent"; else dir=.; fi; \
+		(cd "$$dir" && "$$tmp/bench-$$1" -workload "$(WORKLOAD)" -seed "$$2" -no-trace \
+			-out "$$out/$(WORKLOAD)-$$1-$$2.json" >/dev/null); \
+	}; \
+	parents=""; changes=""; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then side parent $$i; side change $$i; \
+		else side change $$i; side parent $$i; fi; \
+		parents="$$parents$${parents:+,}$$out/$(WORKLOAD)-parent-$$i.json"; \
+		changes="$$changes$${changes:+,}$$out/$(WORKLOAD)-change-$$i.json"; \
+	done; \
+	verdict=$$($(GO) run ./bench -compare "$$parents" "$$changes" | grep "^$(WORKLOAD):") || true; \
+	echo "$$verdict"; \
+	case "$$verdict" in ""|*=regressed*|*=missing*) exit 1;; esac
 
 clean:
 	$(GO) clean ./...

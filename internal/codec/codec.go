@@ -59,6 +59,34 @@ func DecodeReuse(c Codec, data []byte, dst *gradient.Sparse) (*gradient.Sparse, 
 	return c.Decode(data)
 }
 
+// AppendEncoder is implemented by codecs whose encode path can append the
+// message to a caller-owned buffer, so a sender writes it straight into its
+// frame buffer instead of receiving a fresh message per call. AppendEncode
+// appends exactly the bytes Encode returns and carries Encode's validation
+// and metering; into a buffer with room for the message it allocates
+// nothing. On error it returns dst unchanged.
+//
+// A wrapper that embeds an AppendEncoder and overrides Encode must override
+// AppendEncode too: the promoted method would bypass the override. The same
+// holds for DecoderInto and Decode.
+type AppendEncoder interface {
+	AppendEncode(dst []byte, g *gradient.Sparse) ([]byte, error)
+}
+
+// EncodeAppend appends g's message under c to dst, through AppendEncode
+// when c implements AppendEncoder and by appending a fresh Encode's result
+// otherwise.
+func EncodeAppend(c Codec, dst []byte, g *gradient.Sparse) ([]byte, error) {
+	if a, ok := c.(AppendEncoder); ok {
+		return a.AppendEncode(dst, g)
+	}
+	msg, err := c.Encode(g)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, msg...), nil
+}
+
 // Breakdown reports where an encoded message's bytes went, for the
 // Figure 8(b) message-size analysis.
 type Breakdown struct {

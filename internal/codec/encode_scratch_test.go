@@ -173,3 +173,47 @@ func TestEncodeAllocsWarm(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendEncodeZeroAllocWarm is the allocation contract of the send path
+// as the trainer runs it: every party encodes straight into its frame
+// buffer, so a warm AppendEncode into a buffer with room for the message
+// allocates nothing — Raw, and SketchML on the serial plan at GOMAXPROCS 1
+// and 2. Counted like TestEncodeAllocsWarm: collector off, least of five
+// batches. Skipped under -race: the detector's instrumentation allocates.
+func TestAppendEncodeZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := randomGradient(rand.New(rand.NewSource(37)), 2_000_000, 40_000)
+	serial := DefaultOptions()
+	serial.Parallelism = 1
+	for _, tc := range []struct {
+		name  string
+		c     AppendEncoder
+		procs int
+	}{
+		{"SketchML_par1", MustSketchML(serial), 1}, {"SketchML_par1", MustSketchML(serial), 2},
+		{"Raw", &Raw{}, 1}, {"Raw", &Raw{}, 2},
+	} {
+		t.Run(fmt.Sprintf("%s_procs%d", tc.name, tc.procs), func(t *testing.T) {
+			msg, err := tc.c.AppendEncode(nil, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 0, 9+len(msg))
+			encode := func() {
+				if _, err := tc.c.AppendEncode(buf[:9], g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := mallocsPerRun(tc.procs, 20, encode) // the first batch warms the pools
+			for batch := 0; batch < 5; batch++ {
+				allocs = min(allocs, mallocsPerRun(tc.procs, 20, encode))
+			}
+			if allocs != 0 {
+				t.Errorf("warm AppendEncode into a sized buffer allocates %d objects/op, want 0", allocs)
+			}
+		})
+	}
+}

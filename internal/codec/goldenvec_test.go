@@ -165,6 +165,53 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeMatchesEncode pins AppendEncode to Encode byte for byte
+// over the golden-vector gradients: appended after a prefix, into a buffer
+// whose spare capacity holds junk, SketchML on the serial and the
+// concurrent-pane plan and Raw at both value widths write prefix ‖ Encode(g),
+// whether the buffer has room for the message or must grow. A gradient
+// Encode refuses leaves the buffer as it was.
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	prefix := []byte("frame header")
+	for _, v := range goldenVectors() {
+		g := v.gradient()
+		codecs := map[string]Codec{"raw": &Raw{}, "raw-f32": &Raw{Float32: true}}
+		for _, par := range []int{1, 2} {
+			o := v.opts
+			o.Parallelism = par
+			codecs[fmt.Sprintf("par%d", par)] = MustSketchML(o)
+		}
+		for name, c := range codecs {
+			want, err := c.Encode(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append([]byte(nil), prefix...), want...)
+			roomy := make([]byte, len(want)+100)
+			for i := range roomy {
+				roomy[i] = 0xA5
+			}
+			for what, dst := range map[string][]byte{
+				"room":  append(roomy[:0], prefix...),
+				"grows": append([]byte(nil), prefix...),
+			} {
+				got, err := c.(AppendEncoder).AppendEncode(dst, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s/%s/%s: AppendEncode differs from prefix ‖ Encode (first diff at %d)",
+						v.name, name, what, firstDiff(got, want))
+				}
+			}
+			bad := &gradient.Sparse{Dim: 10, Keys: []uint64{3, 2}, Values: []float64{1, 1}}
+			if got, err := c.(AppendEncoder).AppendEncode(prefix, bad); err == nil || !bytes.Equal(got, prefix) {
+				t.Errorf("%s/%s: an invalid gradient came back as %q, %v", v.name, name, got, err)
+			}
+		}
+	}
+}
+
 // TestGoldenVectorsPerturbation proves the fixtures actually constrain the
 // decoder: flipping a single byte of a committed message must fail loudly
 // — either a decode error or output that differs from the clean decode.

@@ -295,5 +295,5 @@ func (c *Raw) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if uint64(len(ms.keys)) > math.MaxUint32 {
 		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(ms.keys))
 	}
-	return appendRaw(dst, dim, ms.keys, ms.vals, f32), nil
+	return appendRaw(dst[:0], dim, ms.keys, ms.vals, f32), nil
 }

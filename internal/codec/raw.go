@@ -45,20 +45,25 @@ func rawWidths(wide, f32 bool) (kb, vb int) {
 	return kb, vb
 }
 
-// Encode implements Codec.
+// Encode implements Codec: AppendEncode into a fresh message, sized once.
+func (c *Raw) Encode(g *gradient.Sparse) ([]byte, error) {
+	return c.AppendEncode(nil, g)
+}
+
+// AppendEncode implements AppendEncoder.
 //
 // Layout: tag | flags(bit0=float32, bit1=wideKeys) | dim u64 | count u32 |
 // keys (4 or 8 bytes each) | values (4 or 8 bytes each).
-func (c *Raw) Encode(g *gradient.Sparse) ([]byte, error) {
+func (c *Raw) AppendEncode(dst []byte, g *gradient.Sparse) ([]byte, error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return appendRaw(nil, g.Dim, g.Keys, g.Values, c.Float32), nil
+	return appendRaw(dst, g.Dim, g.Keys, g.Values, c.Float32), nil
 }
 
-// appendRaw is the one emitter of the Raw layout (Encode and MergeInto):
-// it overwrites dst from its start, sizing it once, and stores every field
-// at its computed offset.
+// appendRaw is the one emitter of the Raw layout (AppendEncode and
+// MergeInto): it appends the message to dst, growing dst once to hold it,
+// and stores every field at its computed offset.
 func appendRaw(dst []byte, dim uint64, keys []uint64, vals []float64, f32 bool) []byte {
 	wide := wideKeys(dim)
 	var flags byte
@@ -71,7 +76,9 @@ func appendRaw(dst []byte, dim uint64, keys []uint64, vals []float64, f32 bool) 
 	kb, vb := rawWidths(wide, f32)
 	n := len(keys)
 	size := rawHeaderLen + n*(kb+vb)
-	out := slices.Grow(dst[:0], size)[:size]
+	base := len(dst)
+	dst = slices.Grow(dst, size)[:base+size]
+	out := dst[base:]
 	out[0], out[1] = tagRaw, flags
 	binary.LittleEndian.PutUint64(out[2:], dim)
 	binary.LittleEndian.PutUint32(out[10:], uint32(n))
@@ -94,7 +101,7 @@ func appendRaw(dst []byte, dim uint64, keys []uint64, vals []float64, f32 bool) 
 			binary.LittleEndian.PutUint64(vout[i*8:], math.Float64bits(v))
 		}
 	}
-	return out
+	return dst
 }
 
 // Decode implements Codec.

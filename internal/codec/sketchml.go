@@ -164,44 +164,49 @@ const (
 	smFlagWideKeys  = 1 << 3
 )
 
-// Encode implements Codec.
+// Encode implements Codec: AppendEncode into a fresh message, sized once.
 func (c *SketchML) Encode(g *gradient.Sparse) ([]byte, error) {
+	return c.AppendEncode(nil, g)
+}
+
+// AppendEncode implements AppendEncoder, under the codec's encode meters.
+func (c *SketchML) AppendEncode(dst []byte, g *gradient.Sparse) ([]byte, error) {
 	m := c.met
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
 	}
-	out, _, err := c.encode(g)
+	out, _, err := c.encode(dst, g)
 	if m != nil && err == nil {
 		m.encodeNs.Since(t0)
 		m.encodes.Inc()
 		m.inFloats.Add(int64(len(g.Values)))
-		m.outBytes.Add(int64(len(out)))
+		m.outBytes.Add(int64(len(out) - len(dst)))
 	}
 	return out, err
 }
 
 // Analyze implements Analyzer.
 func (c *SketchML) Analyze(g *gradient.Sparse) (Breakdown, error) {
-	_, bd, err := c.encode(g)
+	_, bd, err := c.encode(nil, g)
 	return bd, err
 }
 
 // encode assembles the message in two pooled buffers — header and pane 0 in
-// one, pane 1 in the other, so the panes can run side by side — and copies
-// them once into a result of exactly the message's size, the only thing a
-// warm Encode allocates.
-func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
+// one, pane 1 in the other, so the panes can run side by side — and appends
+// them to dst, growing it once: into a nil dst that is a message of exactly
+// its size, the only thing a warm Encode allocates, and into a dst with room
+// for it nothing. On error dst comes back unchanged.
+func (c *SketchML) encode(dst []byte, g *gradient.Sparse) ([]byte, Breakdown, error) {
 	head, tail := getBytes(), getBytes()
 	defer putBytes(head)
 	defer putBytes(tail)
 	bd, err := c.encodeTo(head, tail, g)
 	if err != nil {
-		return nil, bd, err
+		return dst, bd, err
 	}
-	out := make([]byte, len(*head)+len(*tail))
-	copy(out[copy(out, *head):], *tail)
-	return out, bd, nil
+	out := slices.Grow(dst, len(*head)+len(*tail))
+	return append(append(out, *head...), *tail...), bd, nil
 }
 
 // encodeTo writes the message into *head followed by *tail.

@@ -2,6 +2,7 @@ package gradient
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -19,8 +20,8 @@ import (
 //
 // The scratch is two slices as long as the term list and one digit
 // histogram; nothing is sized by the model dimension. A Terms comes from
-// GetTerms and goes back with PutTerms, so a warm build allocates only the
-// gradient it returns. It must not be shared between goroutines.
+// GetTerms and goes back with PutTerms, so a warm build into a warm
+// gradient allocates nothing. It must not be shared between goroutines.
 type Terms struct {
 	terms, tmp []term
 	hist       [termRadixBins]int
@@ -44,10 +45,10 @@ var termsPool = sync.Pool{New: func() any { return new(Terms) }}
 func GetTerms() *Terms { return termsPool.Get().(*Terms) }
 
 // PutTerms recycles t, which must not be used afterwards. The gradients
-// Sum returned own their storage and stay valid. The list is emptied here as
-// well as by Sum, so a caller that panicked between GetTerms and Sum (a key
-// past the model, recovered by a job supervisor) cannot hand its partial
-// list to the next.
+// SumInto filled own their storage and stay valid. The list is emptied here
+// as well as by SumInto, so a caller that panicked between GetTerms and
+// SumInto (a key past the model, recovered by a job supervisor) cannot hand
+// its partial list to the next.
 func PutTerms(t *Terms) {
 	t.terms = t.terms[:0]
 	termsPool.Put(t)
@@ -58,13 +59,15 @@ func (t *Terms) Add(key uint64, value float64) {
 	t.terms = append(t.terms, term{key, value})
 }
 
-// Sum returns the gradient over dim dimensions whose value at each key that
-// has a term is the sum of that key's terms, in the order they were added,
-// plus lambda·theta[key] when lambda is nonzero (the ℓ2 regularizer
-// restricted to the active keys; theta is not read otherwise); keys whose
-// value comes to exactly zero are dropped. Every key must be below dim. The
-// terms are consumed: t is empty afterwards.
-func (t *Terms) Sum(dim uint64, theta []float64, lambda float64) *Sparse {
+// SumInto refills dst with the gradient over dim dimensions whose value at
+// each key that has a term is the sum of that key's terms, in the order they
+// were added, plus lambda·theta[key] when lambda is nonzero (the ℓ2
+// regularizer restricted to the active keys; theta is not read otherwise);
+// keys whose value comes to exactly zero are dropped. dst's storage is
+// reused, and grown only when its capacity falls short of the sum's key
+// count, so a warm dst allocates nothing. Every key must be below dim. The terms
+// are consumed: t is empty afterwards.
+func (t *Terms) SumInto(dst *Sparse, dim uint64, theta []float64, lambda float64) {
 	if dim > 0 {
 		t.sortByKey(dim - 1)
 	}
@@ -75,7 +78,7 @@ func (t *Terms) Sum(dim uint64, theta []float64, lambda float64) *Sparse {
 			runs++
 		}
 	}
-	g := NewSparse(dim, runs)
+	keys, vals := slices.Grow(dst.Keys[:0], runs), slices.Grow(dst.Values[:0], runs)
 	for i := 0; i < len(terms); {
 		k := terms[i].key
 		sum := 0.0
@@ -86,12 +89,12 @@ func (t *Terms) Sum(dim uint64, theta []float64, lambda float64) *Sparse {
 			sum += float64(lambda * theta[k]) // the conversion rules out a fused multiply-add
 		}
 		if sum != 0 {
-			g.Keys = append(g.Keys, k)
-			g.Values = append(g.Values, sum)
+			keys = append(keys, k)
+			vals = append(vals, sum)
 		}
 	}
+	dst.Dim, dst.Keys, dst.Values = dim, keys, vals
 	t.terms = t.terms[:0]
-	return g
 }
 
 // sortByKey orders the terms by key, terms of one key staying in the order

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// mapSum is the reference for Terms.Sum: the terms added one by one into a
+// mapSum is the reference for Terms.SumInto: the terms added one by one into a
 // hash map, the regularizer added per key, read out through FromMap.
 func mapSum(dim uint64, keys []uint64, vals []float64, theta []float64, lambda float64) *Sparse {
 	acc := map[uint64]float64{}
@@ -22,28 +22,39 @@ func mapSum(dim uint64, keys []uint64, vals []float64, theta []float64, lambda f
 }
 
 // requireTermsMatchMap feeds the same terms to a Terms and to mapSum and
-// demands equal keys and bit-equal values.
+// demands equal keys and bit-equal values, twice: summed into a fresh
+// gradient, and into a dirty one whose storage is longer than the sum and
+// holds stale entries. It returns the fresh one.
 func requireTermsMatchMap(t *testing.T, name string, dim uint64, keys []uint64, vals []float64, theta []float64, lambda float64) *Sparse {
 	t.Helper()
 	terms := GetTerms()
 	defer PutTerms(terms)
-	for i, k := range keys {
-		terms.Add(k, vals[i])
+	want := mapSum(dim, keys, vals, theta, lambda)
+	dirty := &Sparse{Dim: dim + 3, Keys: make([]uint64, len(want.Keys)+5), Values: make([]float64, len(want.Keys)+5)}
+	for i := range dirty.Keys {
+		dirty.Keys[i], dirty.Values[i] = uint64(i)*3+1, -7
 	}
-	got, want := terms.Sum(dim, theta, lambda), mapSum(dim, keys, vals, theta, lambda)
-	if got.Dim != want.Dim || len(got.Keys) != len(want.Keys) || len(got.Values) != len(want.Keys) {
-		t.Fatalf("%s: dim %d with %d keys / %d values, map gives dim %d with %d keys",
-			name, got.Dim, len(got.Keys), len(got.Values), want.Dim, len(want.Keys))
-	}
-	for i, k := range want.Keys {
-		if got.Keys[i] != k || math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
-			t.Fatalf("%s: entry %d is (%d, %v), map gives (%d, %v)", name, i, got.Keys[i], got.Values[i], k, want.Values[i])
+	var got Sparse
+	for _, dst := range []*Sparse{&got, dirty} {
+		for i, k := range keys {
+			terms.Add(k, vals[i])
+		}
+		terms.SumInto(dst, dim, theta, lambda)
+		if dst.Dim != want.Dim || len(dst.Keys) != len(want.Keys) || len(dst.Values) != len(want.Keys) {
+			t.Fatalf("%s: dim %d with %d keys / %d values, map gives dim %d with %d keys",
+				name, dst.Dim, len(dst.Keys), len(dst.Values), want.Dim, len(want.Keys))
+		}
+		for i, k := range want.Keys {
+			if dst.Keys[i] != k || math.Float64bits(dst.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("%s: entry %d is (%d, %v), map gives (%d, %v)", name, i, dst.Keys[i], dst.Values[i], k, want.Values[i])
+			}
 		}
 	}
-	if empty := terms.Sum(dim, theta, lambda); empty.NNZ() != 0 {
-		t.Fatalf("%s: Sum left %d entries behind", name, empty.NNZ())
+	var empty Sparse
+	if terms.SumInto(&empty, dim, theta, lambda); empty.NNZ() != 0 {
+		t.Fatalf("%s: SumInto left %d entries behind", name, empty.NNZ())
 	}
-	return got
+	return &got
 }
 
 // TestTermsMatchMap sweeps the pass count — one digit, two, three, and the
@@ -114,23 +125,19 @@ func TestTermsZeros(t *testing.T) {
 	}
 }
 
-// TestTermsWarmAllocations holds the allocation contract: once the scratch
-// has its size, a build allocates the gradient it returns (the struct and
-// its two slices) and nothing else, whatever list the scratch was last
-// sized by. The Terms is the test's own, not the pool's, which under -race
-// drops what it is handed at random.
+// TestTermsWarmAllocations holds the allocation contract of a build into a
+// fresh gradient (what model.BatchGradient returns): once the scratch has
+// its size, it allocates the gradient's two slices and nothing else,
+// whatever list the scratch was last sized by. The Terms is the test's own,
+// not the pool's, which under -race drops what it is handed at random.
 func TestTermsWarmAllocations(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	keys, vals := make([]uint64, 20000), make([]float64, 20000)
-	for i := range keys {
-		keys[i], vals[i] = uint64(rng.Intn(1<<21)), rng.NormFloat64()
-	}
+	keys, vals := termsInput(20000)
 	terms := new(Terms)
 	build := func(n int) {
 		for i, k := range keys[:n] {
 			terms.Add(k, vals[i])
 		}
-		terms.Sum(1<<21, nil, 0)
+		terms.SumInto(new(Sparse), 1<<21, nil, 0)
 	}
 	build(len(keys))
 	for _, n := range []int{len(keys), 100, len(keys)} {
@@ -138,4 +145,36 @@ func TestTermsWarmAllocations(t *testing.T) {
 			t.Errorf("a warm build of %d terms allocates %v times, want at most 3", n, allocs)
 		}
 	}
+}
+
+// TestSumIntoZeroAllocWarm is the allocation contract of a worker's
+// steady-state build: into a gradient that already holds a sum of its size,
+// a warm SumInto allocates nothing, whatever the scratch or the gradient
+// was last sized by.
+func TestSumIntoZeroAllocWarm(t *testing.T) {
+	keys, vals := termsInput(20000)
+	terms := new(Terms)
+	var g Sparse
+	build := func(n int) {
+		for i, k := range keys[:n] {
+			terms.Add(k, vals[i])
+		}
+		terms.SumInto(&g, 1<<21, nil, 0)
+	}
+	build(len(keys))
+	for _, n := range []int{len(keys), 100, len(keys)} {
+		if allocs := testing.AllocsPerRun(20, func() { build(n) }); allocs != 0 {
+			t.Errorf("a warm build of %d terms into a warm gradient allocates %v times, want 0", n, allocs)
+		}
+	}
+}
+
+// termsInput is n seeded terms over 2²¹ keys.
+func termsInput(n int) ([]uint64, []float64) {
+	rng := rand.New(rand.NewSource(1))
+	keys, vals := make([]uint64, n), make([]float64, n)
+	for i := range keys {
+		keys[i], vals[i] = uint64(rng.Intn(1<<21)), rng.NormFloat64()
+	}
+	return keys, vals
 }

@@ -51,28 +51,47 @@ func oracleTrainables() []Trainable {
 }
 
 // requireMatchesMap runs tr.BatchGradient and its map oracle on one input
-// and demands the same keys, the same value bits and the same loss bits.
+// and demands the same keys, the same value bits and the same loss bits. It
+// then demands the same of tr's BatchGradientInto, into a dirty destination
+// longer than the gradient, of another Dim, holding stale entries: the
+// storage a worker keeps across rounds.
 func requireMatchesMap(t testing.TB, tr Trainable, theta []float64, batch []*dataset.Instance, lambda float64) *gradient.Sparse {
 	t.Helper()
 	got, gotLoss := tr.BatchGradient(theta, batch, lambda)
 	want, wantLoss := oracleBatchGradient(tr.(glmAdapter).m, theta, batch, lambda)
+	requireSameGradient(t, tr.Name()+" BatchGradient", lambda, got, gotLoss, want, wantLoss)
+	dirty := &gradient.Sparse{Dim: want.Dim + 9, Keys: make([]uint64, len(want.Keys)+7), Values: make([]float64, len(want.Keys)+7)}
+	for i := range dirty.Keys {
+		dirty.Keys[i], dirty.Values[i] = uint64(2*i+1), math.NaN()
+	}
+	reused, reusedLoss := BatchGradientReuse(tr, dirty, theta, batch, lambda)
+	if reused != dirty {
+		t.Fatalf("%s: BatchGradientReuse did not fill the destination it was given", tr.Name())
+	}
+	requireSameGradient(t, tr.Name()+" BatchGradientInto", lambda, reused, reusedLoss, want, wantLoss)
+	return got
+}
+
+// requireSameGradient demands got's keys, value bits and loss bits equal
+// want's.
+func requireSameGradient(t testing.TB, name string, lambda float64, got *gradient.Sparse, gotLoss float64, want *gradient.Sparse, wantLoss float64) {
+	t.Helper()
 	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-		t.Fatalf("%s λ=%v: loss %v, map oracle %v", tr.Name(), lambda, gotLoss, wantLoss)
+		t.Fatalf("%s λ=%v: loss %v, map oracle %v", name, lambda, gotLoss, wantLoss)
 	}
 	if got.Dim != want.Dim || len(got.Keys) != len(want.Keys) || len(got.Values) != len(got.Keys) {
 		t.Fatalf("%s λ=%v: dim %d with %d keys / %d values, map oracle dim %d with %d keys",
-			tr.Name(), lambda, got.Dim, len(got.Keys), len(got.Values), want.Dim, len(want.Keys))
+			name, lambda, got.Dim, len(got.Keys), len(got.Values), want.Dim, len(want.Keys))
 	}
 	for i, k := range want.Keys {
 		if got.Keys[i] != k {
-			t.Fatalf("%s λ=%v: key[%d] = %d, map oracle %d", tr.Name(), lambda, i, got.Keys[i], k)
+			t.Fatalf("%s λ=%v: key[%d] = %d, map oracle %d", name, lambda, i, got.Keys[i], k)
 		}
 		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
-			t.Fatalf("%s λ=%v: value at key %d = %v (%#x), map oracle %v (%#x)", tr.Name(), lambda, k,
+			t.Fatalf("%s λ=%v: value at key %d = %v (%#x), map oracle %v (%#x)", name, lambda, k,
 				got.Values[i], math.Float64bits(got.Values[i]), want.Values[i], math.Float64bits(want.Values[i]))
 		}
 	}
-	return got
 }
 
 // thetaFor returns a parameter vector for tr over featureDim features:
@@ -384,17 +403,38 @@ func TestBatchGradientAllocsWarm(t *testing.T) {
 	}
 }
 
+// TestBatchGradientIntoZeroAllocWarm is the allocation contract of the
+// worker's steady-state compute step: at the benchmark's shape, into the
+// gradient the previous round filled, a warm BatchGradientInto allocates
+// nothing. Skipped under -race, where the pool drops the term scratch at
+// random.
+func TestBatchGradientIntoZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	theta, batch, _ := benchShape(2700, 40)
+	var g gradient.Sparse
+	allocs := testing.AllocsPerRun(10, func() {
+		BatchGradientInto(&g, LogisticRegression{}, theta, batch, 0.01)
+	})
+	if allocs != 0 {
+		t.Errorf("warm BatchGradientInto allocates %v objects/op, want 0", allocs)
+	}
+}
+
 // BenchmarkBatchGradient is one worker's gradient at the end-to-end
-// benchmark's shape beside a small batch. ns/nnz is per feature nonzero of
+// benchmark's shape beside a small batch, into the gradient the previous
+// call filled, as a worker computes it. ns/nnz is per feature nonzero of
 // the batch, the unit of the benchmark's model.batch_gradient_ns_per_nnz.
 func BenchmarkBatchGradient(b *testing.B) {
 	for _, c := range []struct{ n, nnz int }{{2700, 40}, {200, 20}} {
 		b.Run(fmt.Sprintf("LR_n%d_nnz%d_d2e6", c.n, c.nnz), func(b *testing.B) {
 			theta, batch, batchNNZ := benchShape(c.n, c.nnz)
+			var g gradient.Sparse
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BatchGradient(LogisticRegression{}, theta, batch, 0.01)
+				BatchGradientInto(&g, LogisticRegression{}, theta, batch, 0.01)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batchNNZ), "ns/nnz")
 		})

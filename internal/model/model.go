@@ -135,8 +135,18 @@ func All() []Model {
 // BatchGradient computes the mini-batch gradient of the ℓ2-regularized
 // objective (1/|B|) Σ loss(θᵀx_i, y_i) + (λ/2)‖θ‖² restricted to the active
 // dimensions of the batch (sparse regularization, standard for sparse SGD).
-// It returns the sparse gradient and the mean unregularized batch loss.
+// It returns the sparse gradient and the mean unregularized batch loss: it
+// is BatchGradientInto a fresh gradient.
 func BatchGradient(m Model, theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
+	g := new(gradient.Sparse)
+	loss := BatchGradientInto(g, m, theta, batch, lambda)
+	return g, loss
+}
+
+// BatchGradientInto is BatchGradient refilling dst, whose storage is reused:
+// a dst that has held a gradient of the batch's size takes the next one
+// without allocating. It returns the mean unregularized batch loss.
+func BatchGradientInto(dst *gradient.Sparse, m Model, theta []float64, batch []*dataset.Instance, lambda float64) float64 {
 	terms := gradient.GetTerms()
 	defer gradient.PutTerms(terms)
 	var lossSum float64
@@ -155,7 +165,8 @@ func BatchGradient(m Model, theta []float64, batch []*dataset.Instance, lambda f
 			terms.Add(k, s*in.Values[j])
 		}
 	}
-	return terms.Sum(uint64(len(theta)), theta, lambda), lossSum * inv
+	terms.SumInto(dst, uint64(len(theta)), theta, lambda)
+	return lossSum * inv
 }
 
 // Evaluate returns the mean unregularized loss and (for classifiers) the

@@ -23,6 +23,27 @@ type Trainable interface {
 	Evaluate(theta []float64, d *dataset.Dataset) (loss, accuracy float64)
 }
 
+// GradientInto is implemented by trainables whose batch gradient can refill
+// a caller-owned gradient, so a worker keeps one gradient for the whole job
+// instead of receiving a fresh one every round. BatchGradientInto carries
+// BatchGradient's contract and returns the mean unregularized batch loss;
+// dst is valid until the next call that fills it.
+type GradientInto interface {
+	BatchGradientInto(dst *gradient.Sparse, theta []float64, batch []*dataset.Instance, lambda float64) float64
+}
+
+// BatchGradientReuse computes tr's batch gradient into dst when tr
+// implements GradientInto and falls back to a fresh BatchGradient
+// otherwise. It returns the gradient holding the result — dst on the reuse
+// path, a newly allocated gradient on the fallback — and the loss, so
+// callers treat both shapes alike.
+func BatchGradientReuse(tr Trainable, dst *gradient.Sparse, theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
+	if gi, ok := tr.(GradientInto); ok {
+		return dst, gi.BatchGradientInto(dst, theta, batch, lambda)
+	}
+	return tr.BatchGradient(theta, batch, lambda)
+}
+
 // glmAdapter lifts a margin-based Model into a Trainable.
 type glmAdapter struct {
 	m Model
@@ -40,6 +61,11 @@ func (a glmAdapter) ParamDim(featureDim uint64) uint64 { return featureDim }
 // BatchGradient implements Trainable.
 func (a glmAdapter) BatchGradient(theta []float64, batch []*dataset.Instance, lambda float64) (*gradient.Sparse, float64) {
 	return BatchGradient(a.m, theta, batch, lambda)
+}
+
+// BatchGradientInto implements GradientInto.
+func (a glmAdapter) BatchGradientInto(dst *gradient.Sparse, theta []float64, batch []*dataset.Instance, lambda float64) float64 {
+	return BatchGradientInto(dst, a.m, theta, batch, lambda)
 }
 
 // Evaluate implements Trainable.

@@ -82,23 +82,28 @@ func NewAdam(lr float64, dim uint64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "Adam" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The hyper-parameters and the moments live in
+// locals for the loop: stores into θ could alias the fields as far as the
+// compiler knows, so it would reload every one of them per key otherwise.
 func (a *Adam) Step(theta []float64, g *gradient.Sparse) error {
-	if g.Dim != uint64(len(theta)) || len(a.mv) != len(theta) {
+	moments := a.mv
+	if g.Dim != uint64(len(theta)) || len(moments) != len(theta) {
 		return fmt.Errorf("optim: dim mismatch: grad %d, model %d, state %d",
-			g.Dim, len(theta), len(a.mv))
+			g.Dim, len(theta), len(moments))
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, k := range g.Keys {
-		gv := g.Values[i]
-		mv := &a.mv[k]
-		mv[0] = a.Beta1*mv[0] + (1-a.Beta1)*gv
-		mv[1] = a.Beta2*mv[1] + (1-a.Beta2)*gv*gv
+	lr, b1, b2, eps := a.LR, a.Beta1, a.Beta2, a.Epsilon
+	c1 := 1 - math.Pow(b1, float64(a.t))
+	c2 := 1 - math.Pow(b2, float64(a.t))
+	keys, vals := g.Keys, g.Values[:len(g.Keys)]
+	for i, k := range keys {
+		gv := vals[i]
+		mv := &moments[k]
+		mv[0] = b1*mv[0] + (1-b1)*gv
+		mv[1] = b2*mv[1] + (1-b2)*gv*gv
 		mHat := mv[0] / c1
 		vHat := mv[1] / c2
-		theta[k] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
+		theta[k] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -158,21 +159,30 @@ func TestGradHelper(t *testing.T) {
 	}
 }
 
+// BenchmarkAdamStep is one replica's step at the end-to-end benchmark's
+// shape: a sorted aggregate of 1.2·10⁵ keys over 2·10⁶ dimensions. ns/nnz is
+// per key of the aggregate, the unit of the benchmark's
+// optim.adam_step_ns_per_nnz.
 func BenchmarkAdamStep(b *testing.B) {
-	const dim = 1 << 20
-	a := NewAdam(0.01, dim)
+	const dim, nnz = 2_000_000, 120_000
+	rng := rand.New(rand.NewSource(1))
+	a := NewAdam(0.1, dim)
 	theta := make([]float64, dim)
-	kv := map[uint64]float64{}
-	for i := 0; i < 10000; i++ {
-		kv[uint64(i*97)%dim] = 0.01
+	g := &gradient.Sparse{Dim: dim}
+	for _, k := range rng.Perm(dim)[:nnz] {
+		g.Keys = append(g.Keys, uint64(k))
 	}
-	g := grad(dim, kv)
+	slices.Sort(g.Keys)
+	for range g.Keys {
+		g.Values = append(g.Values, rng.NormFloat64()*1e-2)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.Step(theta, g); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nnz, "ns/nnz")
 }
 
 // splitAdam is Adam as it stood with its moments in two Dim-long slices:

@@ -57,7 +57,7 @@ func TestBroadcasterQueuesAndFlushesAfterTransientFailure(t *testing.T) {
 	bc := newBroadcaster(2)
 	payloads := [][]byte{[]byte("round zero"), []byte("round one!"), []byte("round two.")}
 	for round, p := range payloads {
-		if err := bc.broadcast(conns, round, p, true); err != nil {
+		if err := bc.send(conns, append(bc.begin(round), p...), true); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestBroadcasterStrictModeAborts(t *testing.T) {
 	a, _ := cluster.Pair(1)
 	conns := []*cluster.CountingConn{cluster.NewCounting(&refusingConn{Conn: a, refusals: 1})}
 	bc := newBroadcaster(1)
-	if err := bc.broadcast(conns, 0, []byte("x"), false); err == nil {
+	if err := bc.send(conns, append(bc.begin(0), 'x'), false); err == nil {
 		t.Fatal("strict-mode broadcast swallowed a send error")
 	}
 }
@@ -95,7 +95,7 @@ func TestBroadcasterQueueBounded(t *testing.T) {
 	conns := []*cluster.CountingConn{cluster.NewCounting(dead)}
 	bc := newBroadcaster(1)
 	for round := 0; round < 3*broadcastQueueCap; round++ {
-		if err := bc.broadcast(conns, round, []byte("payload"), true); err != nil {
+		if err := bc.send(conns, append(bc.begin(round), "payload"...), true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -64,9 +64,9 @@ var ErrCheckpointCorrupt = errors.New("trainer: corrupt checkpoint")
 // blob.
 func (c *Checkpoint) Marshal() []byte { return c.AppendMarshal(nil) }
 
-// AppendMarshal is the one emitter of the checkpoint format: like the codecs'
-// appendRaw it overwrites dst from its start, sizing it once, and stores
-// every field at its computed offset — one pass over θ and the optimizer
+// AppendMarshal is the one emitter of the checkpoint format: it overwrites
+// dst from its start, sizing it once, and, like the codecs' appendRaw,
+// stores every field at its computed offset — one pass over θ and the optimizer
 // state, then the CRC. Into a dst with room for the blob (the checkpoint
 // store's spare) it allocates nothing.
 func (c *Checkpoint) AppendMarshal(dst []byte) []byte {

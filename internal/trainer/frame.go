@@ -42,13 +42,11 @@ const aggHeaderLen = 2
 // intermediate payload buffer is needed; the checksum consequently covers
 // kind, round, count, and the message bytes.
 func appendAggFrame(dst []byte, round, count int, msg []byte) []byte {
-	dst = append(dst, frameAgg)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
-	sumAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // checksum placeholder
+	start := len(dst)
+	dst = beginFrame(dst, frameAgg, round)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(count))
 	dst = append(dst, msg...)
-	binary.LittleEndian.PutUint32(dst[sumAt:], frameSum(dst[sumAt-frameSumAt:sumAt], dst[sumAt+4:]))
+	sealFrame(dst[start:])
 	return dst
 }
 
@@ -78,10 +76,26 @@ func frameSum(hdr, payload []byte) uint32 {
 
 // appendFrame wraps payload in the envelope, appending to dst.
 func appendFrame(dst []byte, kind byte, round int, payload []byte) []byte {
+	start := len(dst)
+	dst = append(beginFrame(dst, kind, round), payload...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// beginFrame appends a frame's envelope to dst with the checksum left
+// blank. A sender appends the payload straight after it — a codec encodes
+// into the frame buffer — and then seals the frame: begin, append, seal
+// writes the bytes appendFrame writes, with no payload buffer between.
+func beginFrame(dst []byte, kind byte, round int) []byte {
 	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
-	dst = binary.LittleEndian.AppendUint32(dst, frameSum(dst[len(dst)-frameSumAt:], payload))
-	return append(dst, payload...)
+	return append(dst, 0, 0, 0, 0)
+}
+
+// sealFrame fills in the checksum of frame, a begun frame whose payload is
+// complete.
+func sealFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[frameSumAt:], frameSum(frame[:frameSumAt], frame[frameHeaderLen:]))
 }
 
 // parseFrame splits a received message into its envelope fields and

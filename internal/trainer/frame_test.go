@@ -8,6 +8,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sketchml/internal/cluster"
+	"sketchml/internal/codec"
+	"sketchml/internal/gradient"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -171,6 +175,69 @@ func FuzzParseFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestFrameBuiltInPlaceMatchesAppendFrame: a sender that begins a frame,
+// encodes its gradient straight into it and seals it — a worker into its
+// send buffer, the driver into the broadcaster's frame — sends the bytes
+// appendFrame wraps around Encode's message, whatever the buffer held
+// before, for Raw, SketchML on both pane plans, and a codec that has no
+// AppendEncode.
+func TestFrameBuiltInPlaceMatchesAppendFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kv := map[uint64]float64{}
+	for len(kv) < 5000 {
+		kv[uint64(rng.Intn(1<<20))] = rng.NormFloat64()
+	}
+	g := gradient.FromMap(1<<20, kv)
+	serial, concurrent := codec.DefaultOptions(), codec.DefaultOptions()
+	serial.Parallelism, concurrent.Parallelism = 1, 2
+	for name, c := range map[string]codec.Codec{
+		"raw": &codec.Raw{}, "sketchml-par1": codec.MustSketchML(serial),
+		"sketchml-par2": codec.MustSketchML(concurrent), "encode-only": encodeOnly{&codec.Raw{}},
+	} {
+		msg, err := c.Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		junk := make([]byte, 2*len(msg))
+		rng.Read(junk)
+		conns, recv := make([]*cluster.CountingConn, 1), make([]cluster.Conn, 1)
+		d, w := cluster.Pair(4)
+		conns[0], recv[0] = cluster.NewCounting(d), w
+		bc := newBroadcaster(1)
+		for _, round := range []int{0, 7, 1 << 20} {
+			want := appendFrame(nil, frameGrad, round, msg)
+			frame, err := codec.EncodeAppend(c, beginFrame(junk[:0], frameGrad, round), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealFrame(frame)
+			if !bytes.Equal(frame, want) {
+				t.Errorf("%s round %d: frame built in place differs from appendFrame's", name, round)
+			}
+			bc.frame = append(bc.frame[:0], junk...)
+			frame, err = codec.EncodeAppend(c, bc.begin(round), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bc.send(conns, frame, false); err != nil {
+				t.Fatal(err)
+			}
+			got := recvFrames(t, recv[0], 1)[0]
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s round %d: the broadcast frame differs from appendFrame's", name, round)
+			}
+		}
+	}
+}
+
+// encodeOnly is a codec without AppendEncode, which EncodeAppend serves
+// by appending Encode's message.
+type encodeOnly struct{ raw *codec.Raw }
+
+func (e encodeOnly) Name() string                                 { return e.raw.Name() }
+func (e encodeOnly) Encode(g *gradient.Sparse) ([]byte, error)    { return e.raw.Encode(g) }
+func (e encodeOnly) Decode(data []byte) (*gradient.Sparse, error) { return e.raw.Decode(data) }
 
 // frameSizes are the Raw row's two frames: a worker message (40 000
 // nonzeros) and the aggregate (122 000).

@@ -39,9 +39,10 @@ type workerLinks struct {
 	up       cluster.Conn
 	children []cluster.Conn
 
-	// Reusable buffers: the outbound frame and two alternating merge targets
-	// (codec.MergeInto may alias its first input, so two suffice for any
-	// merge chain).
+	// Reusable buffers: the encoded local gradient, the outbound frame and
+	// two alternating merge targets (codec.MergeInto may alias its first
+	// input, so two suffice for any merge chain).
+	encBuf   []byte
 	sendBuf  []byte
 	mergeBuf [2][]byte
 }
@@ -109,12 +110,13 @@ func (lk *links) wireTree(cfg *Config, wrap func(seedIdx int, inner cluster.Conn
 func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
 	merger := cfg.codec.(codec.Merger)
 	t0 := time.Now()
-	msg, err := cfg.codec.Encode(g)
+	var err error
+	lk.encBuf, err = codec.EncodeAppend(cfg.codec, lk.encBuf[:0], g)
 	rep.encodeNs += time.Since(t0).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("trainer: worker encode: %w", err)
 	}
-	cur := msg
+	cur := lk.encBuf
 	count := 1
 	if len(lk.children) > 0 {
 		recvs := make([]frameRecv, len(lk.children))

@@ -717,21 +717,22 @@ func (d *driver) runRound(es *EpochStats) error {
 	// broadcast — including ones that just missed the round — because the
 	// round tag is how a lagging worker discovers where the driver is and
 	// rejoins. In tolerant mode a dead link must not kill the round (the
-	// strike ledger handles persistent absence).
+	// strike ledger handles persistent absence). The aggregate is encoded
+	// straight into the broadcaster's frame buffer.
 	tBcast := time.Now()
-	msg, err := cfg.codec.Encode(agg)
+	frame, err := codec.EncodeAppend(cfg.codec, d.bcast.begin(d.round), agg)
 	es.EncodeTime += time.Since(tBcast)
 	if err != nil {
 		return fmt.Errorf("trainer: encode aggregate: %w", err)
 	}
-	if err := d.bcast.broadcast(d.conns, d.round, msg, cfg.tolerant()); err != nil {
+	if err := d.bcast.send(d.conns, frame, cfg.tolerant()); err != nil {
 		return err
 	}
 
 	// The driver replica applies the same decoded update the workers will
-	// see, keeping every replica identical.
+	// see, keeping every replica identical: it decodes the frame's payload.
 	t0 := time.Now()
-	applied, err := codec.DecodeReuse(cfg.codec, msg, &d.applied)
+	applied, err := codec.DecodeReuse(cfg.codec, frame[frameHeaderLen:], &d.applied)
 	es.DecodeTime += time.Since(t0)
 	if err != nil {
 		return err
@@ -1197,15 +1198,24 @@ func newBroadcaster(workers int) *broadcaster {
 	return &broadcaster{pending: make([][][]byte, workers)}
 }
 
-// broadcast fans one round's encoded aggregate out to every worker through
-// cluster.SendBatch, so each link costs one coalesced write (one syscall on
-// TCP) regardless of how many frames are queued for it. In strict mode a
-// send error aborts; in tolerant mode the frame is queued (bounded,
-// dropping oldest) and retried with the next round's flush — a worker
-// behind a healed link sees the missed rounds in order and either applies
-// them or skips them as stale, exactly as it handles any other re-delivery.
-func (b *broadcaster) broadcast(conns []*cluster.CountingConn, round int, payload []byte, tolerant bool) error {
-	b.frame = appendFrame(b.frame[:0], frameGrad, round, payload)
+// begin empties the frame buffer and begins round's broadcast frame in it.
+// The driver appends the encoded aggregate to what begin returns and hands
+// the result to send.
+func (b *broadcaster) begin(round int) []byte {
+	return beginFrame(b.frame[:0], frameGrad, round)
+}
+
+// send seals frame — begun by begin, its payload complete — keeps it as the
+// frame buffer, and fans it out to every worker through cluster.SendBatch,
+// so each link costs one coalesced write (one syscall on TCP) regardless of
+// how many frames are queued for it. In strict mode a send error aborts; in
+// tolerant mode the frame is queued (bounded, dropping oldest) and retried
+// with the next round's flush — a worker behind a healed link sees the
+// missed rounds in order and either applies them or skips them as stale,
+// exactly as it handles any other re-delivery.
+func (b *broadcaster) send(conns []*cluster.CountingConn, frame []byte, tolerant bool) error {
+	sealFrame(frame)
+	b.frame = frame
 	for w := range conns {
 		b.batch = append(b.batch[:0], b.pending[w]...)
 		b.batch = append(b.batch, b.frame)
@@ -1274,11 +1284,15 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 		buf = batcher.Next(buf)
 	}
 	var rep workerReport
-	// sendBuf and aggScratch are the worker's reusable frame and decode
-	// buffers: after warm-up the steady-state round neither allocates the
-	// outbound envelope nor a fresh aggregate (every transport is done with
-	// sendBuf when Send returns, and the decoded aggregate is consumed
-	// within the round).
+	// grad, sendBuf and aggScratch are the worker's own gradient, frame and
+	// decode buffers, kept for the whole job: after warm-up the steady-state
+	// round allocates neither its gradient, nor the outbound frame the codec
+	// encodes into, nor a fresh aggregate. grad is valid until the next
+	// round's BatchGradientInto (every consumer — the encode, the tree
+	// step — is done with it within the round), every transport is done
+	// with sendBuf when Send returns, and the decoded aggregate is consumed
+	// within the round.
+	var grad gradient.Sparse
 	var sendBuf []byte
 	var aggScratch gradient.Sparse
 	// misses counts consecutive broadcast waits that expired; it is the
@@ -1288,7 +1302,7 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 	for round := startRound; round < totalRounds; round++ {
 		t0 := time.Now()
 		buf = batcher.Next(buf)
-		g, loss := cfg.Trainable.BatchGradient(theta, buf, cfg.Lambda)
+		g, loss := model.BatchGradientReuse(cfg.Trainable, &grad, theta, buf, cfg.Lambda)
 		rep.computeNs += time.Since(t0).Nanoseconds()
 		rep.lossSum += loss
 		rep.rounds++
@@ -1298,13 +1312,15 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 				return err
 			}
 		} else {
+			// The gradient is encoded straight into the frame buffer, after
+			// the envelope; the frame is sealed once the payload is complete.
 			t0 = time.Now()
-			msg, err := cfg.codec.Encode(g)
+			sendBuf, err = codec.EncodeAppend(cfg.codec, beginFrame(sendBuf[:0], frameGrad, round), g)
 			rep.encodeNs += time.Since(t0).Nanoseconds()
 			if err != nil {
 				return fmt.Errorf("trainer: worker encode: %w", err)
 			}
-			sendBuf = appendFrame(sendBuf[:0], frameGrad, round, msg)
+			sealFrame(sendBuf)
 			if err := conn.Send(sendBuf); err != nil {
 				return fmt.Errorf("trainer: worker send: %w", err)
 			}

@@ -305,7 +305,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // partyCodec is a Raw codec that records the key span of every gradient
-// it encodes, so a test can tell which party an instance served.
+// it encodes, so a test can tell which party an instance served. It
+// overrides AppendEncode as well as Encode: the one promoted from the
+// embedded Raw would encode without recording.
 type partyCodec struct {
 	codec.Raw
 	mu    sync.Mutex
@@ -313,12 +315,16 @@ type partyCodec struct {
 }
 
 func (p *partyCodec) Encode(g *gradient.Sparse) ([]byte, error) {
+	return p.AppendEncode(nil, g)
+}
+
+func (p *partyCodec) AppendEncode(dst []byte, g *gradient.Sparse) ([]byte, error) {
 	if n := len(g.Keys); n > 0 {
 		p.mu.Lock()
 		p.spans = append(p.spans, [2]uint64{g.Keys[0], g.Keys[n-1]})
 		p.mu.Unlock()
 	}
-	return p.Raw.Encode(g)
+	return p.Raw.AppendEncode(dst, g)
 }
 
 // TestCodecFactoryOrder pins the CodecFactory contract a tracer counting
