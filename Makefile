@@ -40,7 +40,7 @@ FUZZ_TARGETS := \
 # The pre-PR gates, in the order `make verify` runs them.
 VERIFY_GATES := build fmt vet lint lint-self test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
 
-.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs clean
+.PHONY: all build fmt vet lint lint-stats lint-self test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs loc clean
 
 all: verify
 
@@ -202,6 +202,17 @@ bench-pairs:
 	verdict=$$($(GO) run ./bench -compare "$$parents" "$$changes" | grep "^$(WORKLOAD):") || true; \
 	echo "$$verdict"; \
 	case "$$verdict" in ""|*=regressed*|*=missing*) exit 1;; esac
+
+# loc prints the non-test Go lines of every package directory outside
+# bench/ and testdata/, then their total: the size CHANGES.md and ROADMAP.md
+# quote, so a simplicity change's line claim is `make loc` at the parent
+# and at the change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+		-exec wc -l {} + | \
+	awk '$$2 != "total" { dir = $$2; sub("/[^/]*$$", "", dir); lines[dir] += $$1; total += $$1 } \
+		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d  total\n", total }'
 
 clean:
 	$(GO) clean ./...

@@ -40,33 +40,6 @@ type Conn interface {
 	Close() error
 }
 
-// BatchConn is a Conn whose sends can be coalesced: SendBatch transmits
-// every message as its own ordinary frame in one frame-atomic operation
-// (a single vectored write on TCP), so a fan-out of small messages costs
-// one syscall and one critical section instead of one per message.
-// Receivers need no batch awareness. The chaos wrapper deliberately does
-// not implement it, so fault injection stays exact per frame.
-type BatchConn interface {
-	Conn
-	// SendBatch transmits every message, in order, each as its own frame.
-	SendBatch(msgs [][]byte) error
-}
-
-// SendBatch transmits msgs over c: coalesced when c implements BatchConn,
-// as sequential Sends otherwise. Either way every message arrives as its
-// own frame, in order.
-func SendBatch(c Conn, msgs [][]byte) error {
-	if bc, ok := c.(BatchConn); ok {
-		return bc.SendBatch(msgs)
-	}
-	for _, m := range msgs {
-		if err := c.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // memConn is one endpoint of an in-memory pair.
 type memConn struct {
 	out       chan<- []byte
@@ -104,19 +77,6 @@ func (c *memConn) Send(msg []byte) error {
 	case <-c.closed:
 		return ErrClosed
 	}
-}
-
-// SendBatch implements BatchConn. A channel transport has no write
-// vector to coalesce, so the batch degrades to ordered sends; it still
-// implements the interface so in-memory runs drive the same batched
-// fan-out path (and tick the same counters) as TCP runs.
-func (c *memConn) SendBatch(msgs [][]byte) error {
-	for _, m := range msgs {
-		if err := c.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Recv implements Conn.
@@ -204,37 +164,6 @@ func (c *CountingConn) Send(msg []byte) error {
 	c.msgsSent.Add(1)
 	c.met.BytesSent.Add(int64(len(msg)))
 	c.met.MsgsSent.Inc()
-	return nil
-}
-
-// SendBatch implements BatchConn, forwarding to the inner connection's
-// batch path when it has one and falling back to sequential counted
-// Sends otherwise. Only true inner batches tick the batch counters, so
-// cluster.batched_frames and cluster.batch_writes report genuine
-// coalescing.
-func (c *CountingConn) SendBatch(msgs [][]byte) error {
-	bc, ok := c.inner.(BatchConn)
-	if !ok {
-		for _, m := range msgs {
-			if err := c.Send(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := bc.SendBatch(msgs); err != nil {
-		return err
-	}
-	var total int64
-	for _, m := range msgs {
-		total += int64(len(m))
-	}
-	c.bytesSent.Add(total)
-	c.msgsSent.Add(int64(len(msgs)))
-	c.met.BytesSent.Add(total)
-	c.met.MsgsSent.Add(int64(len(msgs)))
-	c.met.BatchedFrames.Add(int64(len(msgs)))
-	c.met.BatchWrites.Inc()
 	return nil
 }
 

@@ -13,11 +13,6 @@ type ConnMetrics struct {
 	MsgsSent     *obs.Counter
 	MsgsRecv     *obs.Counter
 	RecvTimeouts *obs.Counter
-	// BatchedFrames counts frames that rode a coalesced SendBatch write;
-	// BatchWrites counts the writes. Their ratio is the realized batch
-	// width of the driver's fan-out.
-	BatchedFrames *obs.Counter
-	BatchWrites   *obs.Counter
 }
 
 // NewConnMetrics resolves the cluster-wide traffic counters from reg. A nil
@@ -28,12 +23,10 @@ func NewConnMetrics(reg *obs.Registry) ConnMetrics {
 		return ConnMetrics{}
 	}
 	return ConnMetrics{
-		BytesSent:     reg.Counter(obs.CounterClusterBytesSent),
-		BytesRecv:     reg.Counter(obs.CounterClusterBytesRecv),
-		MsgsSent:      reg.Counter("cluster.msgs_sent"),
-		MsgsRecv:      reg.Counter("cluster.msgs_recv"),
-		RecvTimeouts:  reg.Counter("cluster.recv_timeouts"),
-		BatchedFrames: reg.Counter(obs.CounterClusterBatchedFrames),
-		BatchWrites:   reg.Counter(obs.CounterClusterBatchWrites),
+		BytesSent:    reg.Counter(obs.CounterClusterBytesSent),
+		BytesRecv:    reg.Counter(obs.CounterClusterBytesRecv),
+		MsgsSent:     reg.Counter("cluster.msgs_sent"),
+		MsgsRecv:     reg.Counter("cluster.msgs_recv"),
+		RecvTimeouts: reg.Counter("cluster.recv_timeouts"),
 	}
 }

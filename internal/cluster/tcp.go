@@ -25,29 +25,27 @@ const maxFrame = 1 << 30
 const recvDirectLimit = 1 << 20
 
 // tcpConn frames messages over a net.Conn with a little-endian uint32
-// length prefix. Sends (Send and SendBatch) are safe for any number of
-// concurrent callers: they are serialized under a mutex and written as a
-// single vectored write so frames never interleave on the wire. Receives
-// are serialized under their own mutex, but the returned message aliases
-// the connection's receive buffer and is only valid until the next
-// receive — so follow the Conn contract of one receiving goroutine (or
-// copy before handing the bytes to another receiver).
+// length prefix. Sends are safe for any number of concurrent callers: they
+// are serialized under a mutex and written as a single vectored write so
+// frames never interleave on the wire. Receives are serialized under their
+// own mutex, but the returned message aliases the connection's receive
+// buffer and is only valid until the next receive — so follow the Conn
+// contract of one receiving goroutine (or copy before handing the bytes to
+// another receiver).
 type tcpConn struct {
 	c      net.Conn
 	sendMu sync.Mutex
 	recvMu sync.Mutex
 
 	// Send scratch, guarded by sendMu: the header bytes and the vectors
-	// handed to writev live on the conn so a steady-state Send or
-	// SendBatch allocates nothing. sendErr poisons the connection after a
-	// partial frame write: the stream position is unknowable, so every
-	// later send would interleave with the torn frame.
-	sendHdr   [4]byte
-	sendBufs  [2][]byte
-	sendVec   net.Buffers // consumed by WriteTo; a conn field so no local header moves to heap
-	batchHdrs []byte
-	batchBufs net.Buffers
-	sendErr   error
+	// handed to writev live on the conn so a steady-state Send allocates
+	// nothing. sendErr poisons the connection after a partial frame write:
+	// the stream position is unknowable, so every later send would
+	// interleave with the torn frame.
+	sendHdr  [4]byte
+	sendBufs [2][]byte
+	sendVec  net.Buffers // consumed by WriteTo; a conn field so no local header moves to heap
+	sendErr  error
 
 	// Resumable receive state, guarded by recvMu. A RecvTimeout deadline
 	// can expire mid-frame; the partial header/body progress is kept here
@@ -107,49 +105,6 @@ func (t *tcpConn) checkWrite(n, total int64, err error) error {
 		return t.sendErr
 	}
 	return err
-}
-
-// SendBatch implements BatchConn: it coalesces every message into one
-// vectored write — length-prefixed sub-frames, each bounded by maxFrame —
-// so a fan-out of small messages costs one syscall and one frame-atomic
-// critical section instead of one per message. Receivers see ordinary
-// frames; no envelope is added.
-func (t *tcpConn) SendBatch(msgs [][]byte) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	for i, m := range msgs {
-		if len(m) > maxFrame {
-			return fmt.Errorf("cluster: batch frame %d: %d bytes exceeds limit", i, len(m))
-		}
-	}
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if t.sendErr != nil {
-		return t.sendErr
-	}
-	if need := 4 * len(msgs); cap(t.batchHdrs) < need {
-		t.batchHdrs = make([]byte, need)
-	}
-	if cap(t.batchBufs) < 2*len(msgs) {
-		t.batchBufs = make(net.Buffers, 0, 2*len(msgs))
-	}
-	vec := t.batchBufs[:0]
-	var total int64
-	for i, m := range msgs {
-		hdr := t.batchHdrs[i*4 : i*4+4]
-		binary.LittleEndian.PutUint32(hdr, uint32(len(m)))
-		vec = append(vec, hdr, m)
-		total += int64(4 + len(m))
-	}
-	t.batchBufs = vec // WriteTo consumes sendVec's copy of the header; keep the full one for reuse
-	t.sendVec = vec   // hand WriteTo a conn field: its pointer receiver would move a local to heap
-	//lint:allow lock-held-io batch atomicity is the design: sendMu must span the vectored write or concurrent senders interleave sub-frames
-	n, err := t.sendVec.WriteTo(t.c)
-	for i := range t.batchBufs {
-		t.batchBufs[i] = nil // do not pin caller messages until the next batch
-	}
-	return t.checkWrite(n, total, err)
 }
 
 // Recv implements Conn.

@@ -88,11 +88,6 @@ type RunReport struct {
 const (
 	CounterClusterBytesRecv = "cluster.bytes_recv"
 	CounterClusterBytesSent = "cluster.bytes_sent"
-	// Batch coalescing: frames that rode a coalesced SendBatch write, and
-	// the writes themselves. Their ratio is the realized batch width of the
-	// driver's fan-out; Validate rejects snapshots where it falls below 1.
-	CounterClusterBatchedFrames = "cluster.batched_frames"
-	CounterClusterBatchWrites   = "cluster.batch_writes"
 	// CounterTrainerHeapAllocs is the process allocation count across the
 	// whole training loop — the run-level witness for the zero-allocation
 	// steady state (microbenchmarks gate the per-op numbers).
@@ -193,17 +188,6 @@ func (r *RunReport) Validate() error {
 			r.TotalDownBytes*int64(r.Workers) > sent {
 			return fmt.Errorf("obs: report down bytes %d×%d exceed cluster sent counter %d",
 				r.TotalDownBytes, r.Workers, sent)
-		}
-		frames, fOK := r.Metrics.Counters[CounterClusterBatchedFrames]
-		writes, wOK := r.Metrics.Counters[CounterClusterBatchWrites]
-		if fOK && wOK {
-			if frames < 0 || writes < 0 {
-				return fmt.Errorf("obs: negative batch counters (frames %d, writes %d)", frames, writes)
-			}
-			if frames < writes {
-				return fmt.Errorf("obs: %d batch writes carried only %d frames (realized width < 1)",
-					writes, frames)
-			}
 		}
 	}
 	if r.SketchError != nil {

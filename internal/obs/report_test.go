@@ -78,26 +78,6 @@ func TestRunReportValidateRejects(t *testing.T) {
 			},
 			"exceed cluster sent",
 		},
-		{
-			"negative batch counter",
-			func(r *RunReport) {
-				r.Metrics = &Snapshot{Counters: map[string]int64{
-					CounterClusterBatchedFrames: -1,
-					CounterClusterBatchWrites:   1,
-				}}
-			},
-			"negative batch",
-		},
-		{
-			"batch width below one",
-			func(r *RunReport) {
-				r.Metrics = &Snapshot{Counters: map[string]int64{
-					CounterClusterBatchedFrames: 1,
-					CounterClusterBatchWrites:   5,
-				}}
-			},
-			"batch writes",
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -122,10 +102,6 @@ func TestRunReportValidateAcceptsCounters(t *testing.T) {
 	r.Metrics = &Snapshot{Counters: map[string]int64{
 		CounterClusterBytesRecv: r.TotalUpBytes + 128,
 		CounterClusterBytesSent: r.TotalDownBytes*int64(r.Workers) + 128,
-		// Batch counters: every write carries >= 1 frame, so frames may
-		// exceed writes (that is the whole point of coalescing).
-		CounterClusterBatchedFrames: 12,
-		CounterClusterBatchWrites:   4,
 	}}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("report with larger counters rejected: %v", err)

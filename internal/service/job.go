@@ -49,17 +49,11 @@ type Job struct {
 	// cluster layers of its runs record here, isolated from other jobs.
 	Metrics *obs.Registry
 
-	// cfg and the work thunks below are bound by Submit in the caller's
-	// context, before any runner goroutine can see the job; the queue
-	// handoff orders that construction before every read, and the runner
-	// only reads them. The runner reaches the trainer, dataset, and
-	// checkpoint layers exclusively through these function values — see
-	// bindWork for why that indirection is load-bearing.
-	cfg            trainer.Config
-	invoke         func(context.Context, trainer.Config) (*trainer.Result, error)
-	loadCheckpoint func() (*trainer.Checkpoint, error)
-	saveCheckpoint func(*trainer.Checkpoint) error // the OnCheckpoint hook: stage, flush behind
-	awaitFlush     func() error                    // the attempt's last flush, durable or failed
+	// cfg, train and test are built by Submit in the caller's context,
+	// before any runner goroutine can see the job; the queue handoff orders
+	// that construction before every read, and the runner only reads them.
+	cfg         trainer.Config
+	train, test *dataset.Dataset
 
 	mu        sync.Mutex
 	state     State
@@ -90,27 +84,6 @@ func newJob(id string, spec JobSpec) *Job {
 		submitted: time.Now(),
 		drainCh:   make(chan struct{}),
 	}
-}
-
-// bindWork builds the job's run and checkpoint thunks. It must be called
-// from the submitter's context, never a runner goroutine: the runner only
-// invokes the bound function values, and the queue handoff makes the binds
-// happen-before every runner read. The trainer, dataset and
-// checkpoint-store state behind them is goroutine-confined per job.
-func (j *Job) bindWork(cfg trainer.Config, train, test *dataset.Dataset, store *CheckpointStore) {
-	j.cfg = cfg
-	spec := &j.Spec
-	j.invoke = func(ctx context.Context, cfg trainer.Config) (*trainer.Result, error) {
-		return trainer.RunContext(ctx, cfg, train, test)
-	}
-	j.loadCheckpoint = func() (*trainer.Checkpoint, error) { return store.Load(spec.Name) }
-	// The hook stages the borrowed checkpoint and leaves the disk write to
-	// run behind the next epoch; its time on the round loop is the stall.
-	j.saveCheckpoint = func(cp *trainer.Checkpoint) error {
-		defer store.stallNs.Since(time.Now())
-		return store.saveBehind(spec.Name, cp)
-	}
-	j.awaitFlush = func() error { return store.wait(spec.Name) }
 }
 
 // Status is the JSON view of a job returned by the control API.
@@ -161,9 +134,10 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// requestDrain asks the running attempt to stop gracefully at its next
-// round boundary (checkpoint included). Idempotent; a no-op for jobs that
-// already reached a terminal state.
+// requestDrain asks the running attempt — or, for a pending job, the
+// attempt it begins next — to stop gracefully at its next round boundary
+// (checkpoint included). Idempotent; a no-op for jobs that already reached
+// a terminal state.
 func (j *Job) requestDrain() {
 	j.mu.Lock()
 	if j.state == StateRunning {
@@ -211,6 +185,12 @@ func (j *Job) beginAttempt(cancel context.CancelFunc) error {
 	}
 	j.state = StateRunning
 	j.detail = ""
+	select {
+	case <-j.drainCh:
+		j.state = StateDraining
+		j.detail = "drain requested"
+	default:
+	}
 	j.cancel = cancel
 	return nil
 }

@@ -127,7 +127,7 @@ func (s *Server) Submit(spec *JobSpec) (*Job, error) {
 	}
 	s.nextID++
 	job := newJob(fmt.Sprintf("job-%d", s.nextID), *spec)
-	job.bindWork(cfg, train, test, s.store)
+	job.cfg, job.train, job.test = cfg, train, test
 	s.jobs[job.ID] = job
 	s.byName[spec.Name] = job
 	s.mu.Unlock()
@@ -207,15 +207,18 @@ func (s *Server) Drain(ctx context.Context) {
 	s.ready.Store(false)
 	s.mu.Lock()
 	s.draining = true
-	running := make([]*Job, 0, len(s.jobs))
+	// Every live job is asked to drain, not only the running ones: a job a
+	// runner has dequeued, or one whose retry backoff just ended, is still
+	// pending until its attempt begins, and must begin it draining.
+	live := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		if st := j.State(); st == StateRunning || st == StateDraining {
-			running = append(running, j)
+		if !j.State().terminal() {
+			live = append(live, j)
 		}
 	}
 	s.mu.Unlock()
 	s.drainOnce.Do(func() { close(s.drainCh) })
-	for _, j := range running {
+	for _, j := range live {
 		j.requestDrain()
 	}
 	// Empty the queue: a drain means these will not run.
@@ -358,15 +361,20 @@ func (s *Server) retryWait(job *Job, d time.Duration) bool {
 // runAttempt executes one training attempt of the job: context with the
 // job's wall-clock budget, drain channel wired to the job, checkpoints
 // saved under the job's name, and the latest checkpoint (if any) restored.
-// The base config and work thunks were bound by Submit (see Job.bindWork);
-// only the per-attempt lifecycle hooks are wired here.
+// The base config and datasets were built by Submit; only the per-attempt
+// lifecycle hooks are wired here.
 func (s *Server) runAttempt(job *Job) (*trainer.Result, error) {
 	spec := &job.Spec
 	cfg := job.cfg
 	cfg.Metrics = job.Metrics
 	cfg.Drain = job.drainCh
-	cfg.OnCheckpoint = job.saveCheckpoint
-	cp, err := job.loadCheckpoint()
+	// The hook stages the borrowed checkpoint and leaves the disk write to
+	// run behind the next epoch; its time on the round loop is the stall.
+	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) error {
+		defer s.store.stallNs.Since(time.Now())
+		return s.store.saveBehind(spec.Name, cp)
+	}
+	cp, err := s.store.Load(spec.Name)
 	if err != nil {
 		job.markFailed(err)
 		return nil, errJobStopped
@@ -383,11 +391,11 @@ func (s *Server) runAttempt(job *Job) (*trainer.Result, error) {
 	}
 	s.updateGauges()
 
-	res, err := job.invoke(ctx, cfg)
+	res, err := trainer.RunContext(ctx, cfg, job.train, job.test)
 	// An attempt ends when its last checkpoint is on disk: a drained job is
 	// reported cancelled-with-checkpoint only once the file is renamed, and a
 	// flush that failed behind the final epoch fails the attempt.
-	if ferr := job.awaitFlush(); ferr != nil && err == nil {
+	if ferr := s.store.wait(spec.Name); ferr != nil && err == nil {
 		res, err = nil, ferr
 	}
 	job.finishAttempt(res, err)

@@ -301,6 +301,46 @@ func TestDrainedJobResumesInNewServer(t *testing.T) {
 	}
 }
 
+// TestDrainReachesDequeuedJob: a job a runner has taken off the queue stays
+// pending until its attempt begins, after a checkpoint load that may read
+// the disk. A drain in that window must still reach it, so the attempt
+// stops at its first round boundary instead of training on until the drain
+// deadline hard-cancels it.
+func TestDrainReachesDequeuedJob(t *testing.T) {
+	srv, _ := newTestServer(t, testLimits(), "")
+	spec, err := ParseJobSpec([]byte(quickSpec("dequeued")), srv.limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered as Submit registers it, but held out of the queue: this
+	// goroutine plays the runner that dequeued it.
+	cfg, err := spec.buildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := spec.buildDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := newJob("job-1", *spec)
+	job.cfg, job.train, job.test = cfg, train, test
+	srv.mu.Lock()
+	srv.jobs[job.ID], srv.byName[spec.Name] = job, job
+	srv.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	srv.Drain(ctx)
+	srv.runJob(job)
+
+	// Undrained, quickSpec trains 22 rounds and ends done.
+	st := job.Status()
+	if st.State != StateCancelled || !st.Drained || st.Rounds != 1 {
+		t.Fatalf("dequeued job after drain: state %s drained %v at round %d (%s)",
+			st.State, st.Drained, st.Rounds, st.Detail)
+	}
+}
+
 // TestLostCheckpointDirFailsJob removes the checkpoint directory once the
 // job's first checkpoint is durable. Every later flush fails behind the
 // round loop; the failure must surface — at the next boundary or at the

@@ -10,10 +10,13 @@ import (
 	"sketchml/internal/gradient"
 )
 
-// These tests pin the driver's batched fan-out (broadcaster): frames flow
-// through cluster.SendBatch, a transiently refused send is queued and
-// re-delivered as one coalesced batch when the link heals, and the
-// per-worker decode buffers really are reused across rounds.
+// These tests pin the driver's broadcast: one frame buffer, one Send per
+// link, and a refused send that is a missed frame — no copy, no queue, no
+// replay — plus the per-worker decode buffers' reuse across rounds.
+
+// errLinkDown is refusingConn's error, made once so a refused send
+// allocates nothing of its own.
+var errLinkDown = errors.New("link down")
 
 // refusingConn fails its first `refusals` sends, then heals and delivers
 // normally over an in-memory pair.
@@ -25,7 +28,7 @@ type refusingConn struct {
 func (c *refusingConn) Send(msg []byte) error {
 	if c.refusals > 0 {
 		c.refusals--
-		return errors.New("link down")
+		return errLinkDown
 	}
 	return c.Conn.Send(msg)
 }
@@ -43,64 +46,82 @@ func recvFrames(t *testing.T, conn cluster.Conn, n int) [][]byte {
 	return out
 }
 
-// TestBroadcasterQueuesAndFlushesAfterTransientFailure drives a broadcaster
-// over one healthy link and one that refuses the first two rounds, and
-// checks the healed link receives all three rounds in order in one flush —
-// with payload bytes identical to the healthy link's, even though the
-// broadcaster reuses one frame buffer for every round and link.
-func TestBroadcasterQueuesAndFlushesAfterTransientFailure(t *testing.T) {
+// broadcastDriver is a driver with just what broadcast reads: the links,
+// and a config that is tolerant when deadline is positive.
+func broadcastDriver(deadline time.Duration, links ...cluster.Conn) *driver {
+	conns := make([]*cluster.CountingConn, len(links))
+	for w, c := range links {
+		conns[w] = cluster.NewCounting(c)
+	}
+	return &driver{cfg: &Config{RoundDeadline: deadline}, conns: conns}
+}
+
+// broadcastRound builds round's frame around payload in the driver's
+// frame buffer and broadcasts it, as runRound does.
+func broadcastRound(d *driver, round int, payload []byte) error {
+	return d.broadcast(append(beginFrame(d.frame[:0], frameGrad, round), payload...))
+}
+
+// TestBroadcastTolerantRefusedSendIsMissedFrame drives a tolerant broadcast
+// over one healthy link and one that refuses the first two rounds: every
+// broadcast succeeds, the healthy link receives every round, and the healed
+// link receives only the round sent after it healed — nothing is replayed.
+func TestBroadcastTolerantRefusedSendIsMissedFrame(t *testing.T) {
 	a0, b0 := cluster.Pair(16)
 	a1, b1 := cluster.Pair(16)
-	flaky := &refusingConn{Conn: a1, refusals: 2}
-	conns := []*cluster.CountingConn{cluster.NewCounting(a0), cluster.NewCounting(flaky)}
-
-	bc := newBroadcaster(2)
+	d := broadcastDriver(time.Second, a0, &refusingConn{Conn: a1, refusals: 2})
 	payloads := [][]byte{[]byte("round zero"), []byte("round one!"), []byte("round two.")}
 	for round, p := range payloads {
-		if err := bc.send(conns, append(bc.begin(round), p...), true); err != nil {
+		if err := broadcastRound(d, round, p); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-
-	for _, link := range []cluster.Conn{b0, b1} {
-		frames := recvFrames(t, link, len(payloads))
-		for round, f := range frames {
-			kind, tag, payload, err := parseFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kind != frameGrad || tag != round || !bytes.Equal(payload, payloads[round]) {
-				t.Fatalf("frame %d: kind 0x%02x tag %d payload %q", round, kind, tag, payload)
-			}
+	check := func(link string, f []byte, round int) {
+		t.Helper()
+		kind, tag, payload, err := parseFrame(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if kind != frameGrad || tag != round || !bytes.Equal(payload, payloads[round]) {
+			t.Fatalf("%s link, round %d: kind 0x%02x tag %d payload %q", link, round, kind, tag, payload)
+		}
+	}
+	for round, f := range recvFrames(t, b0, len(payloads)) {
+		check("healthy", f, round)
+	}
+	check("healed", recvFrames(t, b1, 1)[0], 2)
+	if msg, err := b1.RecvTimeout(10 * time.Millisecond); !errors.Is(err, cluster.ErrTimeout) {
+		t.Fatalf("healed link received a replayed frame %x (%v)", msg, err)
 	}
 }
 
 // TestBroadcasterStrictModeAborts pins the strict-mode contract: a refused
-// send is an attributed error, not a queued retry.
+// send is an attributed error, not a missed frame.
 func TestBroadcasterStrictModeAborts(t *testing.T) {
 	a, _ := cluster.Pair(1)
-	conns := []*cluster.CountingConn{cluster.NewCounting(&refusingConn{Conn: a, refusals: 1})}
-	bc := newBroadcaster(1)
-	if err := bc.send(conns, append(bc.begin(0), 'x'), false); err == nil {
+	d := broadcastDriver(0, &refusingConn{Conn: a, refusals: 1})
+	if err := broadcastRound(d, 0, []byte("x")); err == nil {
 		t.Fatal("strict-mode broadcast swallowed a send error")
 	}
 }
 
-// TestBroadcasterQueueBounded checks a permanently dead link cannot grow
-// the backlog past broadcastQueueCap.
-func TestBroadcasterQueueBounded(t *testing.T) {
+// TestBroadcastToDeadLinkAllocatesNothing: a warm tolerant broadcast to a
+// permanently refusing link allocates nothing — the refused frame is not
+// copied or kept anywhere.
+func TestBroadcastToDeadLinkAllocatesNothing(t *testing.T) {
 	a, _ := cluster.Pair(1)
-	dead := &refusingConn{Conn: a, refusals: 1 << 30}
-	conns := []*cluster.CountingConn{cluster.NewCounting(dead)}
-	bc := newBroadcaster(1)
-	for round := 0; round < 3*broadcastQueueCap; round++ {
-		if err := bc.send(conns, append(bc.begin(round), "payload"...), true); err != nil {
+	d := broadcastDriver(time.Second, &refusingConn{Conn: a, refusals: 1 << 30})
+	payload := bytes.Repeat([]byte{0xAB}, 4096)
+	round := 0
+	send := func() {
+		if err := broadcastRound(d, round, payload); err != nil {
 			t.Fatal(err)
 		}
+		round++
 	}
-	if got := len(bc.pending[0]); got > broadcastQueueCap {
-		t.Fatalf("pending backlog %d exceeds cap %d", got, broadcastQueueCap)
+	send() // size the frame buffer
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("broadcast to a dead link allocates %v objects/round, want 0", allocs)
 	}
 }
 

@@ -178,7 +178,7 @@ func FuzzParseFrame(f *testing.F) {
 
 // TestFrameBuiltInPlaceMatchesAppendFrame: a sender that begins a frame,
 // encodes its gradient straight into it and seals it — a worker into its
-// send buffer, the driver into the broadcaster's frame — sends the bytes
+// send buffer, the driver into its broadcast buffer — sends the bytes
 // appendFrame wraps around Encode's message, whatever the buffer held
 // before, for Raw, SketchML on both pane plans, and a codec that has no
 // AppendEncode.
@@ -201,10 +201,8 @@ func TestFrameBuiltInPlaceMatchesAppendFrame(t *testing.T) {
 		}
 		junk := make([]byte, 2*len(msg))
 		rng.Read(junk)
-		conns, recv := make([]*cluster.CountingConn, 1), make([]cluster.Conn, 1)
-		d, w := cluster.Pair(4)
-		conns[0], recv[0] = cluster.NewCounting(d), w
-		bc := newBroadcaster(1)
+		link, recv := cluster.Pair(4)
+		drv := broadcastDriver(0, link)
 		for _, round := range []int{0, 7, 1 << 20} {
 			want := appendFrame(nil, frameGrad, round, msg)
 			frame, err := codec.EncodeAppend(c, beginFrame(junk[:0], frameGrad, round), g)
@@ -215,15 +213,15 @@ func TestFrameBuiltInPlaceMatchesAppendFrame(t *testing.T) {
 			if !bytes.Equal(frame, want) {
 				t.Errorf("%s round %d: frame built in place differs from appendFrame's", name, round)
 			}
-			bc.frame = append(bc.frame[:0], junk...)
-			frame, err = codec.EncodeAppend(c, bc.begin(round), g)
+			drv.frame = append(drv.frame[:0], junk...)
+			frame, err = codec.EncodeAppend(c, beginFrame(drv.frame[:0], frameGrad, round), g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bc.send(conns, frame, false); err != nil {
+			if err := drv.broadcast(frame); err != nil {
 				t.Fatal(err)
 			}
-			got := recvFrames(t, recv[0], 1)[0]
+			got := recvFrames(t, recv, 1)[0]
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s round %d: the broadcast frame differs from appendFrame's", name, round)
 			}

@@ -525,7 +525,6 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		acc:         gradient.NewAccumulator(plan.pDim),
 		strikes:     make([]int, cfg.Workers),
 		decodeReuse: make([]gradient.Sparse, cfg.Workers),
-		bcast:       newBroadcaster(cfg.Workers),
 		tm:          newTrainerMetrics(cfg.Metrics),
 		round:       plan.startRound,
 	}
@@ -681,7 +680,7 @@ type driver struct {
 	// the first decodes into warm buffers.
 	decodeReuse []gradient.Sparse
 	applied     gradient.Sparse
-	bcast       *broadcaster
+	frame       []byte // the one broadcast buffer, rebuilt every round (see broadcast)
 	tm          trainerMetrics
 	errAcc      errAccum
 	// cp is the one Checkpoint the driver lends OnCheckpoint, refilled at
@@ -718,14 +717,14 @@ func (d *driver) runRound(es *EpochStats) error {
 	// round tag is how a lagging worker discovers where the driver is and
 	// rejoins. In tolerant mode a dead link must not kill the round (the
 	// strike ledger handles persistent absence). The aggregate is encoded
-	// straight into the broadcaster's frame buffer.
+	// straight into the driver's frame buffer.
 	tBcast := time.Now()
-	frame, err := codec.EncodeAppend(cfg.codec, d.bcast.begin(d.round), agg)
+	frame, err := codec.EncodeAppend(cfg.codec, beginFrame(d.frame[:0], frameGrad, d.round), agg)
 	es.EncodeTime += time.Since(tBcast)
 	if err != nil {
 		return fmt.Errorf("trainer: encode aggregate: %w", err)
 	}
-	if err := d.bcast.send(d.conns, frame, cfg.tolerant()); err != nil {
+	if err := d.broadcast(frame); err != nil {
 		return err
 	}
 
@@ -1175,66 +1174,21 @@ func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, stri
 	return nil
 }
 
-// broadcastQueueCap bounds the per-worker backlog of broadcast frames kept
-// after a transiently refused send. A link that stays dead (closed pair,
-// poisoned TCP stream) keeps refusing, so the backlog never grows past the
-// cap; a link that heals gets the whole backlog plus the current frame in
-// one coalesced batch.
-const broadcastQueueCap = 4
-
-// broadcaster owns the driver's per-round fan-out buffers: one reusable
-// frame buffer shared by every link, a flush scratch, and a small
-// per-worker queue of frames whose send failed in tolerant mode. Sharing
-// the frame buffer is safe because every transport finishes with the bytes
-// before Send/SendBatch returns: memConn copies, TCP completes its
-// vectored write, and the chaos wrapper copies before corrupting.
-type broadcaster struct {
-	frame   []byte     // current round's envelope+payload, rebuilt in place
-	batch   [][]byte   // flush scratch: queued frames + the current one
-	pending [][][]byte // pending[w]: copied frames worker w's link refused
-}
-
-func newBroadcaster(workers int) *broadcaster {
-	return &broadcaster{pending: make([][][]byte, workers)}
-}
-
-// begin empties the frame buffer and begins round's broadcast frame in it.
-// The driver appends the encoded aggregate to what begin returns and hands
-// the result to send.
-func (b *broadcaster) begin(round int) []byte {
-	return beginFrame(b.frame[:0], frameGrad, round)
-}
-
-// send seals frame — begun by begin, its payload complete — keeps it as the
-// frame buffer, and fans it out to every worker through cluster.SendBatch,
-// so each link costs one coalesced write (one syscall on TCP) regardless of
-// how many frames are queued for it. In strict mode a send error aborts; in
-// tolerant mode the frame is queued (bounded, dropping oldest) and retried
-// with the next round's flush — a worker behind a healed link sees the
-// missed rounds in order and either applies them or skips them as stale,
-// exactly as it handles any other re-delivery.
-func (b *broadcaster) send(conns []*cluster.CountingConn, frame []byte, tolerant bool) error {
+// broadcast seals frame — begun with beginFrame in d.frame, its payload
+// complete — keeps it as the frame buffer, and sends it to every worker.
+// One buffer serves every link because every transport is done with the
+// bytes when Send returns: memConn copies, TCP completes its vectored write,
+// and the chaos wrapper copies before corrupting. In strict mode a send
+// error aborts. In tolerant mode a refused send is a missed frame, exactly
+// as if chaos had dropped it: the worker's next broadcast carries a later
+// round tag and fast-forwards it.
+func (d *driver) broadcast(frame []byte) error {
 	sealFrame(frame)
-	b.frame = frame
-	for w := range conns {
-		b.batch = append(b.batch[:0], b.pending[w]...)
-		b.batch = append(b.batch, b.frame)
-		err := cluster.SendBatch(conns[w], b.batch)
-		if err == nil {
-			b.pending[w] = b.pending[w][:0]
-			continue
-		}
-		if !tolerant {
+	d.frame = frame
+	for w, c := range d.conns {
+		if err := c.Send(frame); err != nil && !d.cfg.tolerant() {
 			return fmt.Errorf("trainer: send to worker %d: %w", w, err)
 		}
-		// The shared frame buffer is rewritten next round, so the retained
-		// copy must own its bytes. Partially delivered batches are retained
-		// whole: re-delivered frames are skipped as stale duplicates.
-		if len(b.pending[w]) >= broadcastQueueCap {
-			n := copy(b.pending[w], b.pending[w][1:])
-			b.pending[w] = b.pending[w][:n]
-		}
-		b.pending[w] = append(b.pending[w], append([]byte(nil), b.frame...))
 	}
 	return nil
 }
