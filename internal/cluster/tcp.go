@@ -6,13 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"sketchml/internal/obs"
 )
 
 // maxFrame bounds a single message to guard against corrupt length headers.
@@ -221,127 +217,20 @@ func (l *Listener) Accept() (Conn, error) {
 // Close stops the listener.
 func (l *Listener) Close() error { return l.l.Close() }
 
-// Dial retry policy. Variables rather than constants so tests can shrink
-// the deadline.
-var (
-	dialAttemptTimeout = 1 * time.Second
-	dialInitialBackoff = 10 * time.Millisecond
-	dialMaxBackoff     = 500 * time.Millisecond
-	dialDeadline       = 5 * time.Second
+// Dial connects to a framed TCP listener: one connect attempt, since every
+// dial in the repository follows the listener's bind.
+func Dial(addr string) (Conn, error) { return DialContext(context.Background(), addr) }
 
-	// dialJitterSeed feeds each Dial call's jitter source; a fixed seed
-	// plus a per-call counter keeps retry schedules reproducible in tests
-	// while still decorrelating concurrent dialers.
-	dialJitterSeed int64 = 0x5ce7c4
-	dialCalls      atomic.Int64
-)
-
-// jitteredBackoff spreads a backoff over [backoff/2, backoff] ("equal
-// jitter"): W workers dialing a just-started driver would otherwise retry
-// in lockstep and hammer the accept queue in synchronized waves.
-func jitteredBackoff(rng *rand.Rand, backoff time.Duration) time.Duration {
-	if backoff <= 1 {
-		return backoff
-	}
-	half := backoff / 2
-	return half + time.Duration(rng.Int63n(int64(backoff-half)+1))
-}
-
-// ErrDialPermanent classifies dial failures that retrying cannot heal: an
-// unresolvable host, a malformed address, or a cancelled context. Callers
-// deciding whether to re-dial (the service supervisor, most prominently)
-// check errors.Is against this sentinel instead of parsing messages; a
-// deadline exhaustion ("gave up") is deliberately NOT permanent — the
-// listener may simply not be up yet.
-var ErrDialPermanent = errors.New("permanent dial failure")
-
-// Dial connects to a framed TCP listener. Transient failures (connection
-// refused while the driver is still binding, timeouts) are retried with
-// exponential backoff until dialDeadline; permanent failures (unresolvable
-// host, malformed address) abort immediately. The returned error wraps the
-// last dial error and records how many attempts were made.
-func Dial(addr string) (Conn, error) { return DialContextObserved(context.Background(), addr, nil) }
-
-// sleepInterruptible sleeps for d unless ctx is done first, reporting
-// whether the full sleep elapsed. The uncancellable case keeps the plain
-// time.Sleep (no timer allocation).
-func sleepInterruptible(ctx context.Context, d time.Duration) bool {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// DialContextObserved is Dial bounded by a context, with retry accounting:
-// both the in-flight connect attempt and the backoff sleeps between attempts
-// abort as soon as ctx is done, returning an error that wraps ctx.Err() and
-// ErrDialPermanent, and every retried attempt (i.e. attempts beyond the
-// first) increments retries. A nil counter records nothing.
-func DialContextObserved(ctx context.Context, addr string, retries *obs.Counter) (Conn, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	deadline := time.Now().Add(dialDeadline)
-	backoff := dialInitialBackoff
-	// Seeded per-call source: deterministic given the seed and call index,
-	// distinct across concurrent dialers so their retries spread out.
-	rng := rand.New(rand.NewSource(dialJitterSeed + dialCalls.Add(1)*15485863))
-	d := net.Dialer{Timeout: dialAttemptTimeout}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		c, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			return WrapNetConn(c), nil
-		}
-		lastErr = err
+// DialContext is Dial bounded by ctx: a cancelled ctx aborts the connect
+// attempt with an error that wraps ctx.Err().
+func DialContext(ctx context.Context, addr string) (Conn, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("cluster: dial %s: %w after %d attempt(s): %w",
-				addr, ErrDialPermanent, attempt, cerr)
+			err = cerr
 		}
-		if !transientDialError(err) {
-			return nil, fmt.Errorf("cluster: dial %s: %w after %d attempt(s): %w",
-				addr, ErrDialPermanent, attempt, lastErr)
-		}
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, fmt.Errorf("cluster: dial %s: gave up after %d attempt(s): %w",
-				addr, attempt, lastErr)
-		}
-		retries.Inc()
-		if !sleepInterruptible(ctx, jitteredBackoff(rng, backoff)) {
-			return nil, fmt.Errorf("cluster: dial %s: %w: cancelled mid-backoff after %d attempt(s): %w",
-				addr, ErrDialPermanent, attempt, ctx.Err())
-		}
-		backoff *= 2
-		if backoff > dialMaxBackoff {
-			backoff = dialMaxBackoff
-		}
+		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-}
-
-// transientDialError reports whether a dial failure is worth retrying.
-// Connection refused and timeouts are the expected startup race (workers
-// dialing before the driver binds); a hostname that does not resolve or an
-// address that cannot be parsed will not heal with time.
-func transientDialError(err error) bool {
-	var dnsErr *net.DNSError
-	if errors.As(err, &dnsErr) {
-		return dnsErr.IsTemporary || dnsErr.IsTimeout
-	}
-	var addrErr *net.AddrError
-	if errors.As(err, &addrErr) {
-		return false
-	}
-	// "unknown port" style parse failures surface as plain OpErrors wrapping
-	// net.ParseError or strconv errors; treat anything that is not a
-	// syscall-level connect failure conservatively as transient, except the
-	// address classes above.
-	return true
+	return WrapNetConn(c), nil
 }

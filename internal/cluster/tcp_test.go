@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -253,105 +253,35 @@ func TestTCPRecvRejectsOverlimitHeader(t *testing.T) {
 	}
 }
 
-// TestDialPermanentErrorFailsFast: an address that cannot resolve must not
-// burn the whole retry budget.
+// TestDialPermanentErrorFailsFast: a bad address fails at once.
 func TestDialPermanentErrorFailsFast(t *testing.T) {
 	start := time.Now()
-	_, err := Dial("127.0.0.1:no-such-port")
-	elapsed := time.Since(start)
-	if err == nil {
+	if _, err := Dial("127.0.0.1:no-such-port"); err == nil {
 		t.Fatal("Dial succeeded on an unresolvable port name")
 	}
-	if !strings.Contains(err.Error(), "attempt") {
-		t.Errorf("error %q does not record the attempt count", err)
-	}
-	if elapsed > dialDeadline/2 {
-		t.Errorf("permanent dial error took %v; should fail fast", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("a bad address took %v to fail", elapsed)
 	}
 }
 
-// TestDialRetriesTransientThenGivesUp: connection-refused is retried with
-// backoff until the deadline, and the final error wraps the last cause and
-// the attempt count.
-func TestDialRetriesTransientThenGivesUp(t *testing.T) {
-	// Grab a port with nothing listening on it.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// TestDialContextCancelled: a cancelled ctx fails the dial with an error
+// that carries ctx.Err(), which is how a caller tells cancellation apart
+// from a fault.
+func TestDialContextCancelled(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-
-	oldDeadline, oldBackoff := dialDeadline, dialInitialBackoff
-	dialDeadline, dialInitialBackoff = 150*time.Millisecond, 5*time.Millisecond
-	defer func() { dialDeadline, dialInitialBackoff = oldDeadline, oldBackoff }()
-
-	start := time.Now()
-	_, err = Dial(addr)
-	elapsed := time.Since(start)
+	defer l.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c, err := DialContext(ctx, l.Addr())
 	if err == nil {
-		t.Fatal("Dial succeeded against a dead port")
+		_ = c.Close()
+		t.Fatal("DialContext succeeded with a cancelled ctx")
 	}
-	if !strings.Contains(err.Error(), "attempt") {
-		t.Errorf("error %q does not record the attempt count", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("transient retries ran %v, deadline was 150ms", elapsed)
-	}
-}
-
-// TestDialRecoversWhenListenerAppears reproduces the startup race the retry
-// loop exists for: the listener binds only after the first attempts fail.
-func TestDialRecoversWhenListenerAppears(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close() // free the port; redial it shortly
-
-	ready := make(chan *Listener, 1)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		ll, err := Listen(addr)
-		if err != nil {
-			ready <- nil
-			return
-		}
-		ready <- ll
-		c, err := ll.Accept()
-		if err == nil {
-			_ = c.Close()
-		}
-	}()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial did not recover once the listener appeared: %v", err)
-	}
-	_ = c.Close()
-	if ll := <-ready; ll != nil {
-		_ = ll.Close()
-	}
-}
-
-// TestTransientDialErrorClassification pins the policy table.
-func TestTransientDialErrorClassification(t *testing.T) {
-	cases := []struct {
-		name      string
-		err       error
-		transient bool
-	}{
-		{"dns-not-found", &net.DNSError{Err: "no such host", IsNotFound: true}, false},
-		{"dns-timeout", &net.DNSError{Err: "timeout", IsTimeout: true}, true},
-		{"dns-temporary", &net.DNSError{Err: "server misbehaving", IsTemporary: true}, true},
-		{"addr-error", &net.AddrError{Err: "missing port", Addr: "host"}, false},
-		{"wrapped-addr-error", &net.OpError{Op: "dial", Err: &net.AddrError{Err: "bad", Addr: "x"}}, false},
-		{"conn-refused-ish", errors.New("connect: connection refused"), true},
-	}
-	for _, tc := range cases {
-		if got := transientDialError(tc.err); got != tc.transient {
-			t.Errorf("%s: transient=%v, want %v", tc.name, got, tc.transient)
-		}
+	if !errors.Is(err, ctx.Err()) {
+		t.Fatalf("DialContext error = %v, want one that wraps %v", err, ctx.Err())
 	}
 }
 
@@ -459,36 +389,5 @@ func TestTCPRecvTimeoutHeaderSplit(t *testing.T) {
 	got, err := conn.RecvTimeout(2 * time.Second)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("header resume: %q, %v", got, err)
-	}
-}
-
-// TestJitteredBackoffBoundsAndDeterminism: jitter stays in [backoff/2,
-// backoff], is deterministic for a fixed source, and actually varies.
-func TestJitteredBackoffBoundsAndDeterminism(t *testing.T) {
-	const backoff = 100 * time.Millisecond
-	seq := func() []time.Duration {
-		rng := rand.New(rand.NewSource(99))
-		out := make([]time.Duration, 50)
-		for i := range out {
-			out[i] = jitteredBackoff(rng, backoff)
-		}
-		return out
-	}
-	a, b := seq(), seq()
-	distinct := map[time.Duration]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("jitter not deterministic for a fixed source")
-		}
-		if a[i] < backoff/2 || a[i] > backoff {
-			t.Fatalf("jitter %v outside [%v, %v]", a[i], backoff/2, backoff)
-		}
-		distinct[a[i]] = true
-	}
-	if len(distinct) < 2 {
-		t.Error("jitter never varied over 50 draws")
-	}
-	if jitteredBackoff(rand.New(rand.NewSource(1)), 0) != 0 {
-		t.Error("zero backoff must stay zero")
 	}
 }

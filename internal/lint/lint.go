@@ -26,7 +26,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one named check. Run inspects a fully type-checked package
@@ -71,8 +70,8 @@ type Pass struct {
 
 // StaleAllowAnalyzer names the stale-suppression finding class: a
 // //lint:allow directive whose analyzer no longer fires on the line it
-// covers. It has no Analyzer value — RunWithStats emits it directly after
-// the suite finishes, and only on full-module runs (CheckStaleAllows).
+// covers. It has no Analyzer value — Run emits it directly after the suite
+// finishes, and only when asked to (checkStaleAllows).
 const StaleAllowAnalyzer = "stale-allow"
 
 // allowUseKey identifies one (directive line, analyzer) consumption.
@@ -185,52 +184,21 @@ func collectAllowDirectives(fset *token.FileSet, files []*ast.File) []allowDirec
 	return out
 }
 
-// RunOptions configures a RunWithStats call.
-type RunOptions struct {
-	// CheckStaleAllows emits a "stale-allow" diagnostic for every
-	// //lint:allow directive naming an analyzer that ran but suppressed
-	// nothing on the directive's lines. Only full-module runs set it: on a
-	// run over named directories an unfired directive may simply cover a
-	// package that was not analyzed. Directive names outside the run's
-	// analyzer set are never stale-checked.
-	CheckStaleAllows bool
-}
-
-// AnalyzerStats is the per-analyzer cost and yield of one run.
-type AnalyzerStats struct {
-	Name     string `json:"name"`
-	Findings int    `json:"findings"`
-	Millis   int64  `json:"millis"`
-}
-
-// RunStats is the timing breakdown of one run.
-type RunStats struct {
-	Analyzers []AnalyzerStats `json:"analyzers"`
-}
-
 // Run applies every analyzer to every package and returns the surviving
-// diagnostics sorted by position.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunWithStats(fset, pkgs, analyzers, RunOptions{})
-	return diags
-}
-
-// RunWithStats is Run plus per-analyzer timing and the run options.
-func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, RunStats) {
-	var stats RunStats
+// diagnostics sorted by position. With checkStaleAllows it also emits a
+// "stale-allow" diagnostic for every //lint:allow directive naming an
+// analyzer that ran but suppressed nothing on the directive's lines; only a
+// run over the whole module can prove that, since an unfired directive may
+// cover a package not analyzed. Directive names outside the run's analyzer
+// set are never stale-checked.
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, checkStaleAllows bool) []Diagnostic {
 	// used collects every //lint:allow directive line Pass.allowedAt consumed.
 	used := make(map[string]bool)
 	var diags []Diagnostic
-	perAnalyzer := make(map[string]*AnalyzerStats, len(analyzers))
-	for _, a := range analyzers {
-		s := &AnalyzerStats{Name: a.Name}
-		perAnalyzer[a.Name] = s
-		stats.Analyzers = append(stats.Analyzers, AnalyzerStats{})
-	}
 	var directives []allowDirective
 	for _, pkg := range pkgs {
 		allow := buildAllow(fset, pkg.Files)
-		if opts.CheckStaleAllows {
+		if checkStaleAllows {
 			directives = append(directives, collectAllowDirectives(fset, pkg.Files)...)
 		}
 		for _, a := range analyzers {
@@ -245,19 +213,11 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 				allow:    allow,
 				used:     used,
 			}
-			before := len(diags)
-			start := time.Now()
 			a.Run(pass)
-			s := perAnalyzer[a.Name]
-			s.Millis += time.Since(start).Milliseconds()
-			s.Findings += len(diags) - before
 		}
 	}
-	if opts.CheckStaleAllows {
+	if checkStaleAllows {
 		diags = append(diags, staleAllowDiags(directives, used, analyzers)...)
-	}
-	for i, a := range analyzers {
-		stats.Analyzers[i] = *perAnalyzer[a.Name]
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -272,7 +232,7 @@ func RunWithStats(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, o
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, stats
+	return diags
 }
 
 // All returns the full analyzer suite in stable order. The first five are

@@ -60,7 +60,7 @@ func checkFixture(t *testing.T, name string, analyzer *Analyzer) {
 		t.Fatalf("fixture %s has no want comments", name)
 	}
 
-	diags := Run(loader.Fset(), []*Package{pkg}, []*Analyzer{analyzer})
+	diags := Run(loader.Fset(), []*Package{pkg}, []*Analyzer{analyzer}, false)
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		found := false
@@ -105,7 +105,7 @@ func TestPragmaFixture(t *testing.T) { checkFixture(t, "pragma", Pragma()) }
 // or as the justification the checks look for.
 func TestPragmaAllowForms(t *testing.T) {
 	loader, pkg := loadFixture(t, "pragmaallow")
-	diags := Run(loader.Fset(), []*Package{pkg}, []*Analyzer{Pragma()})
+	diags := Run(loader.Fset(), []*Package{pkg}, []*Analyzer{Pragma()}, false)
 	want := []string{"names no analyzers", "without a justification"}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(want), diags)
@@ -122,8 +122,7 @@ func TestPragmaAllowForms(t *testing.T) {
 // naming an analyzer outside the run's set is never stale-checked.
 func TestStaleAllowDetection(t *testing.T) {
 	loader, pkg := loadFixture(t, "staleallow")
-	diags, _ := RunWithStats(loader.Fset(), []*Package{pkg}, []*Analyzer{FloatEquality()},
-		RunOptions{CheckStaleAllows: true})
+	diags := Run(loader.Fset(), []*Package{pkg}, []*Analyzer{FloatEquality()}, true)
 	staleLine := fixtureMarkerLine(t,
 		filepath.Join("testdata", "src", "staleallow", "staleallow.go"), "integers never trip")
 	var stale []Diagnostic
@@ -183,10 +182,10 @@ func TestScopedAnalyzersSkipForeignPackages(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full analyzer suite over the whole module —
-// the same thing `make lint` does, stale-suppression check included — and
-// demands zero findings. This keeps the tree lint-clean even when CI only
-// runs go test.
+// TestRepoIsClean is the lint gate: it runs the full analyzer suite over the
+// whole module — what cmd/sketchlint runs, stale-suppression check included
+// — and demands zero findings. The loaded set must hold the linter's own
+// packages, so its source keeps to its own rules.
 func TestRepoIsClean(t *testing.T) {
 	root := filepath.Join("..", "..")
 	loader, err := NewLoader(root)
@@ -200,7 +199,16 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	diags, _ := RunWithStats(loader.Fset(), pkgs, All(), RunOptions{CheckStaleAllows: true})
+	loaded := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		loaded[p.Path] = true
+	}
+	for _, self := range []string{"sketchml/internal/lint", "sketchml/cmd/sketchlint"} {
+		if !loaded[self] {
+			t.Errorf("the linter's own package %s is not in the loaded set", self)
+		}
+	}
+	diags := Run(loader.Fset(), pkgs, All(), true)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -17,14 +17,13 @@ import (
 var reachKeep = map[string]string{
 	"internal/cluster.FaultCounts":              "TestChaosDeterministicSchedule",
 	"internal/cluster.ChaosConn.Faults":         "TestChaosCorruptionChangesBytesOnly",
-	"internal/cluster.NewCounting":              "TestBroadcasterQueuesAndFlushesAfterTransientFailure",
+	"internal/cluster.NewCounting":              "TestWireTCPPinsLinkToWorker",
 	"internal/codec.Breakdown.Total":            "TestAnalyzeMatchesEncodeSize",
 	"internal/codec.ErrorFeedback.ResidualNorm": "TestErrorFeedbackRecoversDroppedMass",
 	"internal/codec.SketchML.Options":           "TestByName",
 	"internal/gradient.Sparse.Get":              "TestTermsZeros",
 	"internal/gradient.Sparse.ToDense":          "TestDenseRoundTrip",
 	"internal/optim.Adam.Steps":                 "TestAdamMatchesReference",
-	"internal/lint.Run":                         "TestPragmaFixture",
 }
 
 // reachStdMethods are method names a standard-library caller selects

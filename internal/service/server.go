@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sketchml/internal/cluster"
 	"sketchml/internal/obs"
 	"sketchml/internal/trainer"
 )
@@ -316,7 +315,7 @@ func (s *Server) runJob(job *Job) {
 			}
 			return
 		}
-		if attempt >= s.limits.RetryBudget || errors.Is(err, cluster.ErrDialPermanent) {
+		if attempt >= s.limits.RetryBudget {
 			job.markFailed(err)
 			return
 		}

@@ -628,7 +628,7 @@ func wireLinks(ctx context.Context, cfg *Config) (*links, error) {
 			return nil, err
 		}
 		defer l.Close()
-		if err := lk.wireTCP(ctx, l, cfg.Metrics.Counter("cluster.dial_retries"), wrapStar); err != nil {
+		if err := lk.wireTCP(ctx, l, wrapStar); err != nil {
 			return nil, err
 		}
 	} else {
@@ -647,9 +647,9 @@ func wireLinks(ctx context.Context, cfg *Config) (*links, error) {
 // chaosOutage[w], strikes[w] and "worker w" in errors — is worker w's link
 // over TCP exactly as over the in-memory transport. On failure every
 // connection opened so far is closed.
-func (lk *links) wireTCP(ctx context.Context, l *cluster.Listener, retries *obs.Counter, wrap func(w int, inner cluster.Conn) *cluster.CountingConn) error {
+func (lk *links) wireTCP(ctx context.Context, l *cluster.Listener, wrap func(w int, inner cluster.Conn) *cluster.CountingConn) error {
 	for w := range lk.driver {
-		c, err := cluster.DialContextObserved(ctx, l.Addr(), retries)
+		c, err := cluster.DialContext(ctx, l.Addr())
 		if err == nil {
 			lk.worker[w] = c
 			c, err = l.Accept()

@@ -165,7 +165,7 @@ func TestWireTCPPinsLinkToWorker(t *testing.T) {
 	const workers = 8
 	for rep := 0; rep < 20; rep++ {
 		lk, l := newTCPLinks(t, workers)
-		err := lk.wireTCP(context.Background(), l, nil, func(_ int, c cluster.Conn) *cluster.CountingConn { return cluster.NewCounting(c) })
+		err := lk.wireTCP(context.Background(), l, func(_ int, c cluster.Conn) *cluster.CountingConn { return cluster.NewCounting(c) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestWireTCPFailureClosesWhatItOpened(t *testing.T) {
 	var opened []cluster.Conn
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	err := lk.wireTCP(ctx, l, nil, func(w int, c cluster.Conn) *cluster.CountingConn {
+	err := lk.wireTCP(ctx, l, func(w int, c cluster.Conn) *cluster.CountingConn {
 		opened = append(opened, c, lk.worker[w])
 		if w == k-1 {
 			_ = l.Close()
