@@ -26,105 +26,9 @@ func BitsFor(n int) int {
 	return bits
 }
 
-// Writer packs fixed-width unsigned integers into a byte stream, LSB-first
-// within each byte.
-type Writer struct {
-	buf   []byte
-	cur   uint64 // pending bits, low bits first
-	nbits uint   // number of valid bits in cur
-	width uint
-}
-
-// NewWriter creates a Writer emitting width-bit values. width must be in
-// [1, 32].
-func NewWriter(width int) *Writer {
-	if width < 1 || width > 32 {
-		invariant.Failf("bitpack: width %d out of [1,32]", width)
-	}
-	return &Writer{width: uint(width)}
-}
-
-// Write appends one value. v must fit in the configured width.
-func (w *Writer) Write(v uint32) {
-	if w.width < 32 && v >= 1<<w.width {
-		invariant.Failf("bitpack: value %d does not fit in %d bits", v, w.width)
-	}
-	w.cur |= uint64(v) << w.nbits
-	w.nbits += w.width
-	for w.nbits >= 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur >>= 8
-		w.nbits -= 8
-	}
-}
-
-// Bytes flushes any pending partial byte and returns the packed stream.
-// The Writer must not be used after calling Bytes.
-func (w *Writer) Bytes() []byte {
-	if w.nbits > 0 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur, w.nbits = 0, 0
-	}
-	return w.buf
-}
-
 // PackedSize returns the bytes needed for count width-bit values.
 func PackedSize(count, width int) int {
 	return (count*width + 7) / 8
-}
-
-// Reader unpacks fixed-width unsigned integers from a byte stream produced
-// by Writer.
-type Reader struct {
-	data  []byte
-	cur   uint64
-	nbits uint
-	width uint
-	pos   int
-}
-
-// NewReader creates a Reader over data with the given value width.
-func NewReader(data []byte, width int) *Reader {
-	if width < 1 || width > 32 {
-		invariant.Failf("bitpack: width %d out of [1,32]", width)
-	}
-	return &Reader{data: data, width: uint(width)}
-}
-
-// Read returns the next value, or an error if the stream is exhausted.
-func (r *Reader) Read() (uint32, error) {
-	for r.nbits < r.width {
-		if r.pos >= len(r.data) {
-			return 0, errors.New("bitpack: stream exhausted")
-		}
-		r.cur |= uint64(r.data[r.pos]) << r.nbits
-		r.nbits += 8
-		r.pos++
-	}
-	var mask uint64 = (1 << r.width) - 1
-	v := uint32(r.cur & mask)
-	r.cur >>= r.width
-	r.nbits -= r.width
-	return v, nil
-}
-
-// ReadAll reads exactly n values into a new slice. n is typically a
-// wire-decoded count, so the allocation is refused up front when the
-// remaining stream cannot possibly hold n width-bit values.
-func (r *Reader) ReadAll(n int) ([]uint32, error) {
-	remaining := uint64(len(r.data)-r.pos)*8 + uint64(r.nbits)
-	if n < 0 || uint64(n)*uint64(r.width) > remaining {
-		return nil, fmt.Errorf("bitpack: %d values need %d bits but only %d remain", n, uint64(n)*uint64(r.width), remaining)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		v, err := r.Read()
-		if err != nil {
-			return nil, fmt.Errorf("bitpack: value %d of %d: %w", i, n, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // Block is a self-describing packed block: a small header (count, width)
@@ -134,19 +38,24 @@ func (r *Reader) ReadAll(n int) ([]uint32, error) {
 // Layout: uint32 count | uint8 width | packed bytes.
 
 // AppendBlock packs values (each < 2^width) with a self-describing header.
-// It packs directly into dst — no intermediate writer buffer — so the only
-// allocation is dst's own growth, which callers on the codec hot path
-// amortize with pooled buffers.
+// The only allocation is dst's own growth, which callers on the codec hot
+// path amortize with pooled buffers.
 func AppendBlock(dst []byte, values []uint32, width int) []byte {
-	if width < 1 || width > 32 {
-		invariant.Failf("bitpack: width %d out of [1,32]", width)
-	}
 	dst = slices.Grow(dst, BlockSize(len(values), width))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(values)))
 	dst = append(dst, byte(width))
+	return AppendPacked(dst, values, width)
+}
+
+// AppendPacked appends values (each < 2^width), LSB-first within each byte,
+// with no header: PackedSize(len(values), width) bytes.
+func AppendPacked(dst []byte, values []uint32, width int) []byte {
+	if width < 1 || width > 32 {
+		invariant.Failf("bitpack: width %d out of [1,32]", width)
+	}
 	uw := uint(width)
-	var cur uint64
-	var nbits uint
+	var cur uint64 // pending bits, low bits first
+	var nbits uint // number of valid bits in cur
 	for _, v := range values {
 		if uw < 32 && v >= 1<<uw {
 			invariant.Failf("bitpack: value %d does not fit in %d bits", v, width)
@@ -166,36 +75,34 @@ func AppendBlock(dst []byte, values []uint32, width int) []byte {
 }
 
 // DecodeBlockInto parses a block written by AppendBlock, returning the
-// values and the number of bytes consumed. Values are unpacked into dst's
-// storage, which is reused when its capacity covers the wire count and
-// grown otherwise (a nil dst allocates), and the (possibly regrown) slice
-// is returned. The count is bounds-checked against the available bytes
-// before any allocation.
+// values and the number of bytes consumed. The values are unpacked by
+// DecodePackedInto, into dst's storage.
 func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 	if len(data) < 5 {
 		return nil, 0, errors.New("bitpack: truncated block header")
 	}
 	count := int(binary.LittleEndian.Uint32(data))
-	width := int(data[4])
+	vals, used, err := DecodePackedInto(data[5:], count, int(data[4]), dst)
+	if err != nil {
+		return nil, 0, err
+	}
+	return vals, 5 + used, nil
+}
+
+// DecodePackedInto reads count width-bit values written by AppendPacked from
+// the front of data, returning them and the number of bytes consumed. Values
+// are unpacked into dst's storage, which is reused when its capacity covers
+// count and grown otherwise (a nil dst allocates), and the (possibly
+// regrown) slice is returned. count and width are typically wire-decoded, so
+// count is checked against the bits data holds before any allocation.
+func DecodePackedInto(data []byte, count, width int, dst []uint32) ([]uint32, int, error) {
 	if width < 1 || width > 32 {
 		return nil, 0, fmt.Errorf("bitpack: bad width %d", width)
 	}
-	if count < 0 || count > 1<<31 {
-		return nil, 0, fmt.Errorf("bitpack: bad count %d", count)
+	if count < 0 || count > 8*len(data)/width {
+		return nil, 0, fmt.Errorf("bitpack: %d values of %d bits overrun %d bytes", count, width, len(data))
 	}
-	body := PackedSize(count, width)
-	if len(data) < 5+body {
-		return nil, 0, fmt.Errorf("bitpack: need %d bytes, have %d", 5+body, len(data))
-	}
-	vals := dst
-	if cap(vals) >= count {
-		vals = vals[:count]
-	} else {
-		vals = make([]uint32, count)
-	}
-	// Unpack inline rather than through a heap Reader so the warm path
-	// stays allocation-free.
-	packed := data[5 : 5+body]
+	vals := slices.Grow(dst[:0], count)[:count]
 	uw := uint(width)
 	mask := uint64(1)<<uw - 1
 	var cur uint64
@@ -203,7 +110,7 @@ func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 	pos := 0
 	for i := range vals {
 		for nbits < uw {
-			cur |= uint64(packed[pos]) << nbits
+			cur |= uint64(data[pos]) << nbits
 			nbits += 8
 			pos++
 		}
@@ -211,7 +118,7 @@ func DecodeBlockInto(data []byte, dst []uint32) ([]uint32, int, error) {
 		cur >>= uw
 		nbits -= uw
 	}
-	return vals, 5 + body, nil
+	return vals, pos, nil
 }
 
 // BlockSize returns the serialized size of a block holding count width-bit

@@ -182,6 +182,52 @@ func appendF32(dst []byte, v float32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 }
 
+// keyBytes is the width of one fixed-width key: 4 bytes, or 8 when the
+// model dimension does not fit 32 bits (wideKeys).
+func keyBytes(wide bool) int {
+	if wide {
+		return 8
+	}
+	return 4
+}
+
+// appendFixedKeys appends keys at keyBytes(wide) bytes each: the key list of
+// ZipML, and of SketchML without delta coding.
+func appendFixedKeys(out []byte, keys []uint64, wide bool) []byte {
+	if wide {
+		for _, k := range keys {
+			out = binary.LittleEndian.AppendUint64(out, k)
+		}
+	} else {
+		for _, k := range keys {
+			out = binary.LittleEndian.AppendUint32(out, uint32(k))
+		}
+	}
+	return out
+}
+
+// readFixedKeys fills keys with the next len(keys) keys written by
+// appendFixedKeys and advances r past them. The keys must ascend strictly.
+func readFixedKeys(r *reader, keys []uint64, wide bool) error {
+	kb := keyBytes(wide)
+	if r.remain()/kb < len(keys) {
+		return errTruncated
+	}
+	src := r.rest()
+	for i := range keys {
+		if wide {
+			keys[i] = binary.LittleEndian.Uint64(src[i*8:])
+		} else {
+			keys[i] = uint64(binary.LittleEndian.Uint32(src[i*4:]))
+		}
+		if i > 0 && keys[i] <= keys[i-1] {
+			return fmt.Errorf("keys not strictly ascending at %d", i)
+		}
+	}
+	r.off += len(keys) * kb
+	return nil
+}
+
 // checkTag validates the leading message tag.
 func checkTag(r *reader, want byte) error {
 	tag, err := r.u8()

@@ -67,8 +67,13 @@ func TestParallelDecodeCorruptPaneBoundary(t *testing.T) {
 // 1<<20 row would size 8 MB of group slots on any host, so without the bound
 // it fails here by name, where 0xFFFFFFFF can succeed lazily on a large host
 // or kill the test binary on a small one. 1<<16 passes the bound and must
-// fail inside the per-sketch loop.
+// fail inside the per-sketch loop. Skipped under -race: the detector makes
+// sync.Pool drop what it is handed at random, so a call may refill the pooled
+// decode scratch and its allocation reads past the bound.
 func TestParallelDecodeOversizedGroupCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation readings are meaningless under the race detector")
+	}
 	c, msg := hostileMessage(t, 12)
 	// Wire layout: tag(1) flags(1) dim(8) count(4) seed(8) buckets(4) = 26
 	// bytes of message header, then pane 0: paneCount(4) nMeans(4)
@@ -105,6 +110,56 @@ func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 		}
 		if got := max(decAlloc, mergeAlloc); tc.atHeader && got > bound {
 			t.Fatalf("refusing %d groups allocated %d bytes, want at most %d", tc.groups, got, bound)
+		}
+	}
+}
+
+// TestDecodeOversizedIndexCount patches the count of pane 0's bit-packed
+// index block in a MinMax-off message (the layout every merge emits). The
+// block decoder must refuse a count its bytes cannot hold before sizing the
+// pooled index buffer by it; a decoder that trusts it reads past the message.
+// The allocation is bounded outside -race only, where the pool keeps what it
+// is handed.
+func TestDecodeOversizedIndexCount(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MinMax = false
+	c := MustSketchML(opts)
+	msg, err := c.Encode(randomGradient(rand.New(rand.NewSource(13)), 20000, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wire layout: 26 bytes of message header (see
+	// TestParallelDecodeOversizedGroupCount), then pane 0: paneCount(4)
+	// nMeans(4) means(8*nMeans), its key list, and its index block, which
+	// leads with the count u32.
+	r := reader{data: msg, off: 26}
+	paneCount, err := r.u32()
+	if err != nil || paneCount == 0 {
+		t.Fatalf("pane 0 holds %d entries (%v); pick a seed with positive values", paneCount, err)
+	}
+	nMeans, err := r.u32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.off += 8 * int(nMeans)
+	if _, err := decodeKeysInto(&r, opts.DeltaKeys, false, make([]uint64, 0, paneCount)); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(msg[r.off:]); got != paneCount {
+		t.Fatalf("index block at %d counts %d, want the pane's %d", r.off, got, paneCount)
+	}
+	mut := append([]byte(nil), msg...)
+	const bound = 64 << 10
+	for _, count := range []uint32{1 << 20, 0xFFFFFFFF} {
+		binary.LittleEndian.PutUint32(mut[r.off:], count)
+		var decErr, mergeErr error
+		decAlloc := allocatedBytes(func() { _, decErr = c.Decode(mut) })
+		mergeAlloc := allocatedBytes(func() { _, mergeErr = c.MergeInto(nil, msg, mut) })
+		if decErr == nil || mergeErr == nil {
+			t.Fatalf("an index block claiming %d values was accepted: decode %v, merge %v", count, decErr, mergeErr)
+		}
+		if got := max(decAlloc, mergeAlloc); !raceEnabled && got > bound {
+			t.Fatalf("refusing %d values allocated %d bytes, want at most %d", count, got, bound)
 		}
 	}
 }

@@ -32,13 +32,13 @@ type Merger interface {
 }
 
 // mergeScratch holds the pooled working state for one merge: the two
-// structurally decoded inputs and the key/value union. Pooled so warm
-// MergeInto calls allocate nothing on either path under the default split
-// finder (re-quantizing through GKAlgo or KLLAlgo builds a fresh sketch).
+// structurally decoded inputs and the accumulator that sums them. Pooled so
+// warm MergeInto calls allocate nothing on either path under the default
+// split finder (re-quantizing through GKAlgo or KLLAlgo builds a fresh
+// sketch).
 type mergeScratch struct {
 	ga, gb  gradient.Sparse
-	keys    []uint64
-	vals    []float64
+	acc     gradient.Accumulator
 	dist    []float64         // sorted-distinct means working buffer
 	buckets quantizer.Buckets // re-quantized pane
 }
@@ -48,45 +48,30 @@ var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 func getMergeScratch() *mergeScratch   { return mergeScratchPool.Get().(*mergeScratch) }
 func putMergeScratch(ms *mergeScratch) { mergeScratchPool.Put(ms) }
 
-// mergeSum computes the key-union sum of the two decoded gradients in ms
-// into ms.keys/ms.vals. Exact-zero sums are dropped (matching what an
-// accumulator would emit) and negative zeros are normalized to +0 before
-// the comparison so the output bytes cannot depend on input order. Any
-// non-finite result is an error: a merge must never emit a message that
-// decodes to garbage.
-func mergeSum(ms *mergeScratch) (uint64, error) {
+// sum returns the key-union sum of the two decoded inputs, through the
+// accumulator the driver sums a gather with. It drops exact-zero sums, +0
+// and -0 alike, so the output bytes cannot depend on input order. Any
+// non-finite sum is an error: a merge must never emit a message that
+// decodes to garbage. The result is ms's storage, valid until ms is reused.
+func (ms *mergeScratch) sum() (*gradient.Sparse, error) {
 	a, b := &ms.ga, &ms.gb
 	if a.Dim != b.Dim {
-		return 0, fmt.Errorf("codec: merge dimension mismatch: %d vs %d", a.Dim, b.Dim)
+		return nil, fmt.Errorf("codec: merge dimension mismatch: %d vs %d", a.Dim, b.Dim)
 	}
-	keys, vals := ms.keys[:0], ms.vals[:0]
-	i, j := 0, 0
-	for i < len(a.Keys) || j < len(b.Keys) {
-		var k uint64
-		var v float64
-		switch {
-		case j == len(b.Keys) || (i < len(a.Keys) && a.Keys[i] < b.Keys[j]):
-			k, v = a.Keys[i], a.Values[i]
-			i++
-		case i == len(a.Keys) || b.Keys[j] < a.Keys[i]:
-			k, v = b.Keys[j], b.Values[j]
-			j++
-		default:
-			k, v = a.Keys[i], a.Values[i]+b.Values[j]
-			i++
-			j++
+	ms.acc.Reset(a.Dim)
+	// Neither Add can fail: both inputs have the accumulator's dimension.
+	_ = ms.acc.Add(a, 1)
+	_ = ms.acc.Add(b, 1)
+	sum := ms.acc.Sum()
+	for i, v := range sum.Values {
+		if !gradient.Finite(v) {
+			return nil, fmt.Errorf("codec: merge produced non-finite value at key %d", sum.Keys[i])
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("codec: merge produced non-finite value at key %d", k)
-		}
-		if v == 0 {
-			continue // exact cancellation (or merged zeros); +0 and -0 both land here
-		}
-		keys = append(keys, k)
-		vals = append(vals, v)
 	}
-	ms.keys, ms.vals = keys, vals
-	return a.Dim, nil
+	if uint64(len(sum.Keys)) > math.MaxUint32 {
+		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(sum.Keys))
+	}
+	return sum, nil
 }
 
 // mergeMeansCapOverride, when positive, replaces the pane's quantile budget
@@ -134,13 +119,11 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if err := c.decodeInto(b, &ms.gb); err != nil {
 		return nil, fmt.Errorf("codec: merge input b: %w", err)
 	}
-	dim, err := mergeSum(ms)
+	sum, err := ms.sum()
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(ms.keys)) > math.MaxUint32 {
-		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(ms.keys))
-	}
+	dim := sum.Dim
 	quant := aFlags&smFlagQuantize != 0 && bFlags&smFlagQuantize != 0
 	wide := wideKeys(dim)
 	var flags byte
@@ -155,15 +138,15 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	}
 	out := append(dst[:0], tagSketchML, flags)
 	out = appendU64(out, dim)
-	out = appendU32(out, uint32(len(ms.keys)))
+	out = appendU32(out, uint32(len(sum.Keys)))
 	out = appendU64(out, seed)
 
 	if !quant {
-		out, err = c.appendKeys(out, ms.keys, wide)
+		out, err = c.appendKeys(out, sum.Keys, wide)
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range ms.vals {
+		for _, v := range sum.Values {
 			out = appendF64(out, v)
 		}
 		return out, nil
@@ -173,9 +156,9 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	// Partition into sign panes exactly like encode: positive pane first,
 	// negative magnitudes second, both in ascending key order over shared
 	// pooled backing.
-	n := len(ms.vals)
+	n := len(sum.Values)
 	npos := 0
-	for _, v := range ms.vals {
+	for _, v := range sum.Values {
 		if v >= 0 {
 			npos++
 		}
@@ -183,12 +166,12 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	kbuf, vbuf := getU64(n), getF64(n)
 	posKeys, negKeys := (*kbuf)[0:0:npos], (*kbuf)[npos:npos]
 	posVals, negMags := (*vbuf)[0:0:npos], (*vbuf)[npos:npos]
-	for i, v := range ms.vals {
+	for i, v := range sum.Values {
 		if v >= 0 {
-			posKeys = append(posKeys, ms.keys[i])
+			posKeys = append(posKeys, sum.Keys[i])
 			posVals = append(posVals, v)
 		} else {
-			negKeys = append(negKeys, ms.keys[i])
+			negKeys = append(negKeys, sum.Keys[i])
 			negMags = append(negMags, -v)
 		}
 	}
@@ -214,8 +197,9 @@ func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals [
 		return out, nil
 	}
 	// Sorted-distinct candidate means table. Dropping exact-zero sums in
-	// mergeSum guarantees every entry is strictly positive here (negative
-	// pane values arrive as magnitudes), so no ±0 ordering ambiguity.
+	// mergeScratch.sum guarantees every entry is strictly positive here
+	// (negative pane values arrive as magnitudes), so no ±0 ordering
+	// ambiguity.
 	dist := append(ms.dist[:0], vals...)
 	sort.Float64s(dist)
 	d := dist[:1]
@@ -288,12 +272,9 @@ func (c *Raw) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if err := c.DecodeInto(b, &ms.gb); err != nil {
 		return nil, fmt.Errorf("codec: merge input b: %w", err)
 	}
-	dim, err := mergeSum(ms)
+	sum, err := ms.sum()
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(ms.keys)) > math.MaxUint32 {
-		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(ms.keys))
-	}
-	return appendRaw(dst[:0], dim, ms.keys, ms.vals, f32), nil
+	return appendRaw(dst[:0], sum.Dim, sum.Keys, sum.Values, f32), nil
 }

@@ -35,14 +35,20 @@ const rawHeaderLen = 14
 
 // rawWidths returns the bytes a key and a value occupy.
 func rawWidths(wide, f32 bool) (kb, vb int) {
-	kb, vb = 4, 8
-	if wide {
-		kb = 8
-	}
 	if f32 {
-		vb = 4
+		return keyBytes(wide), 4
 	}
-	return kb, vb
+	return keyBytes(wide), 8
+}
+
+// RawBreakdown returns the layout of the Raw message that carries nnz
+// entries of a dim-dimensional gradient, in single precision when f32 is
+// set: its Total is the message's size. It is the one statement of Raw's
+// sizes; the emitter, Analyze and the trainer's uncompressed baseline all
+// read them here.
+func RawBreakdown(dim uint64, nnz int, f32 bool) Breakdown {
+	kb, vb := rawWidths(wideKeys(dim), f32)
+	return Breakdown{Header: rawHeaderLen, Keys: kb * nnz, Values: vb * nnz}
 }
 
 // Encode implements Codec: AppendEncode into a fresh message, sized once.
@@ -73,16 +79,14 @@ func appendRaw(dst []byte, dim uint64, keys []uint64, vals []float64, f32 bool) 
 	if wide {
 		flags |= 2
 	}
-	kb, vb := rawWidths(wide, f32)
-	n := len(keys)
-	size := rawHeaderLen + n*(kb+vb)
+	bd := RawBreakdown(dim, len(keys), f32)
 	base := len(dst)
-	dst = slices.Grow(dst, size)[:base+size]
+	dst = slices.Grow(dst, bd.Total())[:base+bd.Total()]
 	out := dst[base:]
 	out[0], out[1] = tagRaw, flags
 	binary.LittleEndian.PutUint64(out[2:], dim)
-	binary.LittleEndian.PutUint32(out[10:], uint32(n))
-	kout, vout := out[rawHeaderLen:rawHeaderLen+n*kb], out[rawHeaderLen+n*kb:]
+	binary.LittleEndian.PutUint32(out[10:], uint32(len(keys)))
+	kout, vout := out[bd.Header:bd.Header+bd.Keys], out[bd.Header+bd.Keys:]
 	if wide {
 		for i, k := range keys {
 			binary.LittleEndian.PutUint64(kout[i*8:], k)
@@ -190,12 +194,7 @@ func (c *Raw) Analyze(g *gradient.Sparse) (Breakdown, error) {
 	if err := g.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	kb, vb := rawWidths(wideKeys(g.Dim), c.Float32)
-	return Breakdown{
-		Header: rawHeaderLen,
-		Keys:   kb * g.NNZ(),
-		Values: vb * g.NNZ(),
-	}, nil
+	return RawBreakdown(g.Dim, g.NNZ(), c.Float32), nil
 }
 
 func appendU32(dst []byte, v uint32) []byte {

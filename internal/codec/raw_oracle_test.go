@@ -238,11 +238,12 @@ func requireRawMergeMatchesOracle(t testing.TB, what string, c *Raw, a, b []byte
 	if err := oracleRawDecodeInto(b, &ms.gb); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	dim, err := mergeSum(ms)
+	keys, vals, err := oracleMergeSum(&ms.ga, &ms.gb)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want := oracleRawEmit(rawFlags(a[1]&b[1]&1 != 0, dim), dim, uint32(len(ms.keys)), ms.keys, ms.vals)
+	dim := ms.ga.Dim
+	want := oracleRawEmit(rawFlags(a[1]&b[1]&1 != 0, dim), dim, uint32(len(keys)), keys, vals)
 	for _, buf := range [][]byte{nil, make([]byte, 3), make([]byte, 0, len(want)+100)} {
 		got, err := c.MergeInto(buf, a, b)
 		if err != nil {
@@ -252,6 +253,43 @@ func requireRawMergeMatchesOracle(t testing.TB, what string, c *Raw, a, b []byte
 			t.Fatalf("%s: MergeInto differs from the parent's bytes (dst cap %d)", what, cap(buf))
 		}
 	}
+}
+
+// oracleMergeSum is the parent's key-union sum of two merge inputs, a walk
+// of both key lists: a key in one input keeps its value, a shared key sums
+// a's value and b's, and exact-zero sums are dropped.
+func oracleMergeSum(a, b *gradient.Sparse) ([]uint64, []float64, error) {
+	if a.Dim != b.Dim {
+		return nil, nil, fmt.Errorf("codec: merge dimension mismatch: %d vs %d", a.Dim, b.Dim)
+	}
+	var keys []uint64
+	var vals []float64
+	i, j := 0, 0
+	for i < len(a.Keys) || j < len(b.Keys) {
+		var k uint64
+		var v float64
+		switch {
+		case j == len(b.Keys) || (i < len(a.Keys) && a.Keys[i] < b.Keys[j]):
+			k, v = a.Keys[i], a.Values[i]
+			i++
+		case i == len(a.Keys) || b.Keys[j] < a.Keys[i]:
+			k, v = b.Keys[j], b.Values[j]
+			j++
+		default:
+			k, v = a.Keys[i], a.Values[i]+b.Values[j]
+			i++
+			j++
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("codec: merge produced non-finite value at key %d", k)
+		}
+		if v == 0 {
+			continue
+		}
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	return keys, vals, nil
 }
 
 // TestRawHostileCountAllocatesNothing: a 14-byte message whose header claims

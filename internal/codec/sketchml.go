@@ -474,14 +474,7 @@ func (c *SketchML) appendKeys(out []byte, keys []uint64, wide bool) ([]byte, err
 		return keycoding.AppendDelta(out, keys)
 	}
 	out = appendU32(out, uint32(len(keys)))
-	for _, k := range keys {
-		if wide {
-			out = appendU64(out, k)
-		} else {
-			out = appendU32(out, uint32(k))
-		}
-	}
-	return out, nil
+	return appendFixedKeys(out, keys, wide), nil
 }
 
 // decodeKeysInto reads a key list written by appendKeys into dst[:0]. dst's
@@ -508,28 +501,9 @@ func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error)
 		}
 		return keys, nil
 	}
-	kb := 4
-	if wide {
-		kb = 8
-	}
-	if int64(r.remain()) < int64(count)*int64(kb) {
-		return nil, errTruncated
-	}
 	keys := dst[:count]
-	for i := range keys {
-		if wide {
-			keys[i], err = r.u64()
-		} else {
-			var k32 uint32
-			k32, err = r.u32()
-			keys[i] = uint64(k32)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && keys[i] <= keys[i-1] {
-			return nil, fmt.Errorf("keys not strictly ascending at %d", i)
-		}
+	if err := readFixedKeys(r, keys, wide); err != nil {
+		return nil, err
 	}
 	return keys, nil
 }

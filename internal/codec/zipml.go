@@ -67,19 +67,13 @@ func (c *ZipML) Encode(g *gradient.Sparse) ([]byte, error) {
 	out = appendF64(out, lo)
 	out = appendF64(out, hi)
 
-	for _, k := range g.Keys {
-		if wide {
-			out = appendU64(out, k)
-		} else {
-			out = appendU32(out, uint32(k))
-		}
-	}
+	out = appendFixedKeys(out, g.Keys, wide)
 	if u != nil {
-		w := bitpack.NewWriter(bits)
-		for _, v := range g.Values {
-			w.Write(uint32(u.Bucket(v)))
+		idx := make([]uint32, len(g.Values))
+		for i, v := range g.Values {
+			idx[i] = uint32(u.Bucket(v))
 		}
-		out = append(out, w.Bytes()...)
+		out = bitpack.AppendPacked(out, idx, bits)
 	}
 	return out, nil
 }
@@ -119,42 +113,24 @@ func (c *ZipML) Decode(data []byte) (*gradient.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	kb := 4
-	if wide {
-		kb = 8
-	}
-	if int64(r.remain()) < int64(count)*int64(kb)+int64(bitpack.PackedSize(int(count), bits)) {
+	if int64(r.remain()) < int64(count)*int64(keyBytes(wide))+int64(bitpack.PackedSize(int(count), bits)) {
 		return nil, errTruncated
 	}
 	g := gradient.NewSparse(dim, int(count))
-	for i := uint32(0); i < count; i++ {
-		var k uint64
-		if wide {
-			k, err = r.u64()
-		} else {
-			var k32 uint32
-			k32, err = r.u32()
-			k = uint64(k32)
-		}
-		if err != nil {
-			return nil, err
-		}
-		g.Keys = append(g.Keys, k)
+	g.Keys = g.Keys[:count]
+	if err := readFixedKeys(r, g.Keys, wide); err != nil {
+		return nil, fmt.Errorf("codec: corrupt ZipML message: %w", err)
 	}
 	if count > 0 {
 		u, err := quantizer.NewUniform(lo, hi, 1<<bits)
 		if err != nil {
 			return nil, fmt.Errorf("codec: corrupt ZipML range: %w", err)
 		}
-		body := bitpack.PackedSize(int(count), bits)
-		if r.remain() < body {
-			return nil, errTruncated
-		}
-		idx, err := bitpack.NewReader(r.rest()[:body], bits).ReadAll(int(count))
+		idx, used, err := bitpack.DecodePackedInto(r.rest(), int(count), bits, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.advance(body); err != nil {
+		if err := r.advance(used); err != nil {
 			return nil, err
 		}
 		for _, id := range idx {
@@ -172,14 +148,10 @@ func (c *ZipML) Analyze(g *gradient.Sparse) (Breakdown, error) {
 	if err := g.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	kb := 4
-	if wideKeys(g.Dim) {
-		kb = 8
-	}
 	return Breakdown{
 		Header: 15,
 		Meta:   16, // min/max
-		Keys:   kb * g.NNZ(),
+		Keys:   keyBytes(wideKeys(g.Dim)) * g.NNZ(),
 		Values: bitpack.PackedSize(g.NNZ(), c.bits()),
 	}, nil
 }

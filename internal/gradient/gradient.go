@@ -186,6 +186,14 @@ func NewAccumulator(dim uint64) *Accumulator {
 	return &Accumulator{dim: dim}
 }
 
+// Reset empties a and makes it an accumulator over dim dimensions, keeping
+// its buffers for the next sum.
+func (a *Accumulator) Reset(dim uint64) {
+	clear(a.runs)
+	a.runs = a.runs[:0]
+	a.dim = dim
+}
+
 // Add records g, scaled by weight, as the next term of the sum. Nothing is
 // read until Sum: the accumulator keeps g's slices, so g must stay
 // unmodified until Sum returns — decode the next round into it only after

@@ -130,7 +130,11 @@ func TestTermsZeros(t *testing.T) {
 // its size, it allocates the gradient's two slices and nothing else,
 // whatever list the scratch was last sized by. The Terms is the test's own,
 // not the pool's, which under -race drops what it is handed at random.
+// Skipped under -race: the detector's instrumentation allocates.
 func TestTermsWarmAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	keys, vals := termsInput(20000)
 	terms := new(Terms)
 	build := func(n int) {

@@ -18,7 +18,6 @@ var reachKeep = map[string]string{
 	"internal/cluster.FaultCounts":              "TestChaosDeterministicSchedule",
 	"internal/cluster.ChaosConn.Faults":         "TestChaosCorruptionChangesBytesOnly",
 	"internal/cluster.NewCounting":              "TestWireTCPPinsLinkToWorker",
-	"internal/codec.Breakdown.Total":            "TestAnalyzeMatchesEncodeSize",
 	"internal/codec.ErrorFeedback.ResidualNorm": "TestErrorFeedbackRecoversDroppedMass",
 	"internal/codec.SketchML.Options":           "TestByName",
 	"internal/gradient.Sparse.Get":              "TestTermsZeros",

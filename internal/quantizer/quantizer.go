@@ -220,9 +220,6 @@ func BuildSigned(values []float64, q, sketchSize int) (*Signed, error) {
 	return s, nil
 }
 
-// Pos returns the positive-side quantizer (may be nil).
-func (s *Signed) Pos() *Quantile { return s.pos }
-
 // Bucket returns (negative?, magnitude-ordered bucket index) for v.
 func (s *Signed) Bucket(v float64) (neg bool, idx int) {
 	if v >= 0 {

@@ -237,7 +237,7 @@ func TestSignedDecayTowardZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*Quantile{s.Pos(), s.neg} {
+	for _, q := range []*Quantile{s.pos, s.neg} {
 		if q == nil {
 			t.Fatal("expected both signs present")
 		}

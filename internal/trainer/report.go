@@ -3,6 +3,7 @@ package trainer
 import (
 	"math"
 
+	"sketchml/internal/codec"
 	"sketchml/internal/gradient"
 	"sketchml/internal/obs"
 )
@@ -63,16 +64,11 @@ func (m *trainerMetrics) foldEpoch(es *EpochStats) {
 }
 
 // rawWireBytes is the bytes this gradient would cost on the wire with the
-// uncompressed baseline codec (codec.Raw double precision: 14-byte header,
-// 4- or 8-byte keys, 8-byte values) inside the trainer's frame envelope.
-// Compression ratios in run reports are measured against this, so they are
-// end-to-end wire ratios, not payload-only ones.
+// uncompressed baseline codec (codec.Raw in double precision) inside the
+// trainer's frame envelope. Compression ratios in run reports are measured
+// against this, so they are end-to-end wire ratios, not payload-only ones.
 func rawWireBytes(g *gradient.Sparse) int64 {
-	kb := int64(4)
-	if g.Dim > 1<<32 {
-		kb = 8
-	}
-	return int64(frameHeaderLen) + 14 + (kb+8)*int64(len(g.Keys))
+	return int64(frameHeaderLen + codec.RawBreakdown(g.Dim, len(g.Keys), false).Total())
 }
 
 // errAccum accumulates the per-round comparison between the exact aggregate

@@ -161,10 +161,9 @@ const (
 
 // EpochStats reports one epoch of a run.
 type EpochStats struct {
-	Epoch     int
-	TrainLoss float64 // mean batch loss observed during the epoch
-	TestLoss  float64 // unregularized test loss after the epoch
-	Accuracy  float64 // classification accuracy (0 for Linear)
+	Epoch    int
+	TestLoss float64 // unregularized test loss after the epoch
+	Accuracy float64 // classification accuracy (0 for Linear)
 
 	Rounds    int
 	UpBytes   int64 // worker→driver traffic
@@ -356,8 +355,6 @@ type workerReport struct {
 	computeNs int64
 	encodeNs  int64
 	decodeNs  int64
-	lossSum   float64
-	rounds    int64
 
 	timeouts     int64 // broadcast waits that expired
 	corrupt      int64 // frames that failed envelope parse or decode
@@ -369,15 +366,13 @@ type workerReport struct {
 	aggBytes int64 // bytes received over the tree child links
 }
 
-const workerReportLen = 88
+const workerReportLen = 72
 
 func (w workerReport) marshal() []byte {
 	out := make([]byte, 0, workerReportLen)
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.computeNs))
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.encodeNs))
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.decodeNs))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w.lossSum))
-	out = binary.LittleEndian.AppendUint64(out, uint64(w.rounds))
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.timeouts))
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.corrupt))
 	out = binary.LittleEndian.AppendUint64(out, uint64(w.skippedSteps))
@@ -395,14 +390,12 @@ func parseWorkerReport(data []byte) (workerReport, error) {
 		computeNs:    int64(binary.LittleEndian.Uint64(data[0:])),
 		encodeNs:     int64(binary.LittleEndian.Uint64(data[8:])),
 		decodeNs:     int64(binary.LittleEndian.Uint64(data[16:])),
-		lossSum:      math.Float64frombits(binary.LittleEndian.Uint64(data[24:])),
-		rounds:       int64(binary.LittleEndian.Uint64(data[32:])),
-		timeouts:     int64(binary.LittleEndian.Uint64(data[40:])),
-		corrupt:      int64(binary.LittleEndian.Uint64(data[48:])),
-		skippedSteps: int64(binary.LittleEndian.Uint64(data[56:])),
-		mergeNs:      int64(binary.LittleEndian.Uint64(data[64:])),
-		merges:       int64(binary.LittleEndian.Uint64(data[72:])),
-		aggBytes:     int64(binary.LittleEndian.Uint64(data[80:])),
+		timeouts:     int64(binary.LittleEndian.Uint64(data[24:])),
+		corrupt:      int64(binary.LittleEndian.Uint64(data[32:])),
+		skippedSteps: int64(binary.LittleEndian.Uint64(data[40:])),
+		mergeNs:      int64(binary.LittleEndian.Uint64(data[48:])),
+		merges:       int64(binary.LittleEndian.Uint64(data[56:])),
+		aggBytes:     int64(binary.LittleEndian.Uint64(data[64:])),
 	}, nil
 }
 
@@ -874,8 +867,6 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 		total.computeNs += rep.computeNs
 		total.encodeNs += rep.encodeNs
 		total.decodeNs += rep.decodeNs
-		total.lossSum += rep.lossSum
-		total.rounds += rep.rounds
 		total.mergeNs += rep.mergeNs
 		total.merges += rep.merges
 		res.WorkerTimeouts += rep.timeouts
@@ -905,10 +896,6 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 	// A resume of an already complete run executes zero rounds and records
 	// no epochs; there is nothing to spread.
 	n := len(res.Epochs)
-	meanLoss := 0.0
-	if total.rounds > 0 {
-		meanLoss = total.lossSum / float64(total.rounds)
-	}
 	for i := range res.Epochs {
 		es := &res.Epochs[i]
 		// Until here the codec meters hold the driver's own calls only.
@@ -923,7 +910,6 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 			// per-epoch counts still sum to the run total.
 			es.Merges += total.merges % int64(n)
 		}
-		es.TrainLoss = meanLoss
 	}
 	return nil
 }
@@ -1256,10 +1242,8 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 	for round := startRound; round < totalRounds; round++ {
 		t0 := time.Now()
 		buf = batcher.Next(buf)
-		g, loss := model.BatchGradientReuse(cfg.Trainable, &grad, theta, buf, cfg.Lambda)
+		g, _ := model.BatchGradientReuse(cfg.Trainable, &grad, theta, buf, cfg.Lambda)
 		rep.computeNs += time.Since(t0).Nanoseconds()
-		rep.lossSum += loss
-		rep.rounds++
 
 		if cfg.Topology == cluster.TopologyTree {
 			if err := treeGatherStep(cfg, links, conn, g, round, &rep); err != nil {
