@@ -22,6 +22,7 @@ import (
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/stats"
+	"sketchml/internal/trainer"
 )
 
 func main() {
@@ -148,8 +149,10 @@ func validateFlags(serveAddr, metricsOut string, gather sketchml.Topology, useTC
 		}
 		return nil
 	}
-	if gather != sketchml.TopologyStar && useTCP {
-		return fmt.Errorf("-gather %s requires the in-memory transport (drop -tcp)", gather)
+	// The codec is checked by the trainer, once built. The refusal reads
+	// "gather tree requires ...", so a leading dash names the flag.
+	if err := trainer.CheckTopology(gather, useTCP, nil, 0); err != nil {
+		return fmt.Errorf("-%w (drop -tcp)", err)
 	}
 	return nil
 }

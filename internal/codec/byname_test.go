@@ -34,7 +34,7 @@ func TestByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := newCodec().(*SketchML).Options()
-	if got.Buckets != 16 || got.Quantize || got.MinMax || !got.DeltaKeys {
+	if got.Buckets != 16 || got.Quantize || got.MinMax {
 		t.Errorf("key with 16 buckets built %+v", got)
 	}
 

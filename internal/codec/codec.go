@@ -191,8 +191,8 @@ func keyBytes(wide bool) int {
 	return 4
 }
 
-// appendFixedKeys appends keys at keyBytes(wide) bytes each: the key list of
-// ZipML, and of SketchML without delta coding.
+// appendFixedKeys appends keys at keyBytes(wide) bytes each: ZipML's key
+// list.
 func appendFixedKeys(out []byte, keys []uint64, wide bool) []byte {
 	if wide {
 		for _, k := range keys {

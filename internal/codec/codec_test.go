@@ -483,8 +483,22 @@ func TestDecodeRejectsWrongTag(t *testing.T) {
 	if _, err := (&ZipML{}).Decode(raw); err == nil {
 		t.Error("ZipML decoded a Raw message")
 	}
-	if _, err := MustSketchML(DefaultOptions()).Decode(raw); err == nil {
+	sk := MustSketchML(DefaultOptions())
+	if _, err := sk.Decode(raw); err == nil {
 		t.Error("SketchML decoded a Raw message")
+	}
+	// Every SketchML key list is delta-coded: a message whose delta flag is
+	// clear is refused, not read as some other key layout — also when it
+	// holds no key list at all.
+	for _, in := range []*gradient.Sparse{g, {Dim: g.Dim}} {
+		msg, err := sk.Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg[1] &^= smFlagDeltaKeys
+		if _, err := sk.Decode(msg); err == nil {
+			t.Errorf("SketchML decoded a %d-entry message with its delta-keys flag cleared", in.NNZ())
+		}
 	}
 }
 

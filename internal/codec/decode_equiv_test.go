@@ -45,18 +45,15 @@ var decoderUnderTest = MustSketchML(DefaultOptions())
 // at the benchmark's Dim only, one overwrite at every third byte.
 func thorough() bool { return !raceEnabled && !testing.Short() }
 
-// ablations are the four component sets of Figure 8, and after them the one
-// further layout the flags can spell: the sketch over fixed-width keys, whose
-// lists no delta decoder has checked for order.
+// ablations are the component sets of Figure 8 that SketchML encodes (the
+// fourth, Adam, is codec.Raw).
 var ablations = []struct {
-	name                    string
-	deltaKeys, quant, minMx bool
+	name         string
+	quant, minMx bool
 }{
-	{"Adam", false, false, false},
-	{"Adam+Key", true, false, false},
-	{"Adam+Key+Quan", true, true, false},
-	{"SketchML", true, true, true},
-	{"Adam+Quan+MinMax", false, true, true},
+	{"Adam+Key", false, false},
+	{"Adam+Key+Quan", true, false},
+	{"SketchML", true, true},
 }
 
 // TestDecodeMatchesOracle sweeps the message shapes the encoder can write:
@@ -84,7 +81,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 							continue
 						}
 						opts := DefaultOptions()
-						opts.DeltaKeys, opts.Quantize, opts.MinMax = ab.deltaKeys, ab.quant, ab.minMx
+						opts.Quantize, opts.MinMax = ab.quant, ab.minMx
 						opts.Groups, opts.Rows = groups, rows
 						msg, err := MustSketchML(opts).Encode(g)
 						if err != nil {
@@ -110,9 +107,9 @@ func TestDecodeDensityBoundary(t *testing.T) {
 		g := randomGradient(rng, edge-1, nnz)
 		for _, dim := range []uint64{edge - 1, edge, edge + 1, edge + 63, edge + 64, 2 * edge} {
 			g.Dim = dim
-			for _, ab := range ablations[2:] {
+			for _, ab := range ablations[1:] {
 				opts := DefaultOptions()
-				opts.DeltaKeys, opts.Quantize, opts.MinMax = ab.deltaKeys, ab.quant, ab.minMx
+				opts.Quantize, opts.MinMax = ab.quant, ab.minMx
 				msg, err := MustSketchML(opts).Encode(g)
 				if err != nil {
 					t.Fatal(err)
@@ -124,37 +121,33 @@ func TestDecodeDensityBoundary(t *testing.T) {
 }
 
 // TestDecodeCorruptionsMatchOracle walks a dense message (rank scatter) and
-// a sparse one (merge), under either key codec, through every single-byte
-// overwrite and every truncation: whatever the reference makes of a damaged message — an
-// error, or a gradient — the decoder makes the same.
+// a sparse one (merge) through every single-byte overwrite and every
+// truncation: whatever the reference makes of a damaged message — an error,
+// or a gradient — the decoder makes the same.
 func TestDecodeCorruptionsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	var dst gradient.Sparse
 	for _, dim := range []uint64{6_000, 1 << 30} {
-		for _, ab := range ablations[3:] {
-			opts := DefaultOptions()
-			opts.DeltaKeys = ab.deltaKeys
-			msg, err := MustSketchML(opts).Encode(randomGradient(rng, dim, 300))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mut := make([]byte, len(msg))
-			step := 1
+		msg, err := decoderUnderTest.Encode(randomGradient(rng, dim, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := make([]byte, len(msg))
+		step := 1
+		if !thorough() {
+			step = 3
+		}
+		for pos := 0; pos < len(msg); pos += step {
+			overwrites := []byte{0x00, 0xFF, msg[pos] ^ 0x01, msg[pos] + 1}
 			if !thorough() {
-				step = 3
+				overwrites = overwrites[1:2]
 			}
-			for pos := 0; pos < len(msg); pos += step {
-				overwrites := []byte{0x00, 0xFF, msg[pos] ^ 0x01, msg[pos] + 1}
-				if !thorough() {
-					overwrites = overwrites[1:2]
-				}
-				for _, b := range overwrites {
-					copy(mut, msg)
-					mut[pos] = b
-					requireMatchesOracle(t, fmt.Sprintf("%s dim %d byte %d = %#x", ab.name, dim, pos, b), mut, &dst)
-				}
-				requireMatchesOracle(t, fmt.Sprintf("%s dim %d cut at %d", ab.name, dim, pos), msg[:pos], &dst)
+			for _, b := range overwrites {
+				copy(mut, msg)
+				mut[pos] = b
+				requireMatchesOracle(t, fmt.Sprintf("dim %d byte %d = %#x", dim, pos, b), mut, &dst)
 			}
+			requireMatchesOracle(t, fmt.Sprintf("dim %d cut at %d", dim, pos), msg[:pos], &dst)
 		}
 	}
 }

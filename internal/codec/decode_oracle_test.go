@@ -26,10 +26,11 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	delta := flags&smFlagDeltaKeys != 0
+	if flags&smFlagDeltaKeys == 0 {
+		return nil, fmt.Errorf("codec: flags %#02x: key lists are not delta-coded", flags)
+	}
 	quant := flags&smFlagQuantize != 0
 	mm := flags&smFlagMinMax != 0
-	wide := flags&smFlagWideKeys != 0
 	dim, err := r.u64()
 	if err != nil {
 		return nil, err
@@ -45,7 +46,7 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	dst := &gradient.Sparse{Dim: dim}
 
 	if !quant {
-		keys, err := oracleKeys(&r, delta, wide)
+		keys, err := oracleKeys(&r)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +79,7 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	var valLists [][]float64
 	for paneID := uint64(0); paneID < 2; paneID++ {
 		start := len(valLists)
-		keyLists, valLists, err = oraclePane(&r, keyLists, valLists, delta, mm, wide, paneID, seed)
+		keyLists, valLists, err = oraclePane(&r, keyLists, valLists, mm, paneID, seed)
 		if err != nil {
 			return nil, fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
@@ -99,45 +100,18 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	return dst, nil
 }
 
-func oracleKeys(r *reader, delta, wide bool) ([]uint64, error) {
-	if delta {
-		keys, used, err := keycoding.DecodeDelta(r.rest())
-		if err != nil {
-			return nil, err
-		}
-		if err := r.advance(used); err != nil {
-			return nil, err
-		}
-		return keys, nil
-	}
-	count, err := r.u32()
+func oracleKeys(r *reader) ([]uint64, error) {
+	keys, used, err := keycoding.DecodeDelta(r.rest())
 	if err != nil {
 		return nil, err
 	}
-	kb := 4
-	if wide {
-		kb = 8
-	}
-	if int64(r.remain()) < int64(count)*int64(kb) {
-		return nil, errTruncated
-	}
-	keys := make([]uint64, count)
-	for i := range keys {
-		if wide {
-			keys[i], err = r.u64()
-		} else {
-			var k32 uint32
-			k32, err = r.u32()
-			keys[i] = uint64(k32)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := r.advance(used); err != nil {
+		return nil, err
 	}
 	return keys, nil
 }
 
-func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, delta, mm, wide bool, paneID, seed uint64) ([][]uint64, [][]float64, error) {
+func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, mm bool, paneID, seed uint64) ([][]uint64, [][]float64, error) {
 	paneCount, err := r.u32()
 	if err != nil {
 		return nil, nil, err
@@ -160,7 +134,7 @@ func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, delta, mm,
 	}
 
 	if !mm {
-		keys, err := oracleKeys(r, delta, wide)
+		keys, err := oracleKeys(r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -192,7 +166,7 @@ func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, delta, mm,
 		return nil, nil, err
 	}
 	for grp := 0; grp < grouped.NumGroups(); grp++ {
-		keys, err := oracleKeys(r, delta, wide)
+		keys, err := oracleKeys(r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("group %d keys: %w", grp, err)
 		}

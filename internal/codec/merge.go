@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"sketchml/internal/bitpack"
 	"sketchml/internal/gradient"
 	"sketchml/internal/quantizer"
 )
@@ -32,15 +31,16 @@ type Merger interface {
 }
 
 // mergeScratch holds the pooled working state for one merge: the two
-// structurally decoded inputs and the accumulator that sums them. Pooled so
-// warm MergeInto calls allocate nothing on either path under the default
-// split finder (re-quantizing through GKAlgo or KLLAlgo builds a fresh
-// sketch).
+// structurally decoded inputs, the accumulator that sums them, and the
+// exact-means path's buffers. The pane writer's scratch comes from the
+// encode pool, as it does for Encode. Pooled so warm MergeInto calls
+// allocate nothing on either path under the default split finder
+// (re-quantizing through GKAlgo or KLLAlgo builds a fresh sketch).
 type mergeScratch struct {
-	ga, gb  gradient.Sparse
-	acc     gradient.Accumulator
-	dist    []float64         // sorted-distinct means working buffer
-	buckets quantizer.Buckets // re-quantized pane
+	ga, gb gradient.Sparse
+	acc    gradient.Accumulator
+	dist   []float64 // the pane's sorted distinct values
+	idx    []uint32  // each value's place in dist
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -80,22 +80,55 @@ func (ms *mergeScratch) sum() (*gradient.Sparse, error) {
 // otherwise re-quantize.
 var mergeMeansCapOverride int
 
+// exactMeans returns the sorted distinct values of a pane as its means
+// table, and each value's index into it, if there are at most q of them
+// (mergeMeansCapOverride, when set, replaces q). ok is false past the cap,
+// and always on a nil ms: Encode quantizes every pane.
+func (ms *mergeScratch) exactMeans(vals []float64, q int) (means []float64, idx []uint32, ok bool) {
+	if ms == nil {
+		return nil, nil, false
+	}
+	if mergeMeansCapOverride > 0 {
+		q = mergeMeansCapOverride
+	}
+	// Dropping exact-zero sums in mergeScratch.sum guarantees every value
+	// is strictly positive here (the negative pane holds magnitudes), so no
+	// ±0 ordering ambiguity.
+	dist := append(ms.dist[:0], vals...)
+	sort.Float64s(dist)
+	d := dist[:1]
+	for _, v := range dist[1:] {
+		if v != d[len(d)-1] { //lint:allow float-equality exact dedup of identical sums; near-equal values must stay distinct means
+			d = append(d, v)
+		}
+	}
+	ms.dist = dist
+	if len(d) > q {
+		return nil, nil, false
+	}
+	ms.idx = quantizer.Resize(ms.idx, len(vals))
+	for i, v := range vals {
+		ms.idx[i] = uint32(sort.SearchFloat64s(d, v))
+	}
+	return d, ms.idx, true
+}
+
 // MergeInto implements Merger for SketchML messages. Both inputs are
 // structurally decoded into pooled scratch (each key mapped to its pane's
 // bucket mean — no dense O(D) materialization), the key-union sum is taken
-// exactly in float64, and the result is re-emitted:
+// exactly in float64, and the result is re-emitted through Encode's own
+// header, pane and body writers:
 //
 //   - If both inputs carry quantized panes, the output is quantized too.
 //     When a pane's distinct summed values fit within the pane's quantile
-//     budget (Encode's rule: min(Options.Buckets, len/16), at least 2) the
-//     means table is exactly those sorted values — lossless, and bitwise
-//     associative because every value survives verbatim. Past that cap the
-//     pane is re-quantized through the configured quantile sketch, which
-//     re-buckets values (rank-error bounded, like Encode) and therefore
-//     only commutes, not associates, on wire bytes. Tying the cap to the
-//     quantile budget keeps a merged message the same size as an encoded
-//     one — the point of merging — instead of carrying an 8-byte mean per
-//     distinct sum.
+//     budget (Encode's rule, paneBudget) the means table is exactly those
+//     sorted values — lossless, and bitwise associative because every
+//     value survives verbatim. Past that cap the pane is re-quantized
+//     through the configured split finder, as Encode quantizes it, which
+//     re-buckets values (rank-error bounded) and therefore only commutes,
+//     not associates, on wire bytes. Tying the cap to the quantile budget
+//     keeps a merged message the same size as an encoded one — the point
+//     of merging — instead of carrying an 8-byte mean per distinct sum.
 //   - Otherwise the output is the quantize-off raw-float64 layout.
 //
 // The MinMax flag is always clear on output: MinMaxSketch panes hash with
@@ -109,7 +142,7 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if len(a) < 22 || len(b) < 22 {
 		return nil, errTruncated
 	}
-	aFlags, bFlags := a[1], b[1]
+	quant := a[1]&smFlagQuantize != 0 && b[1]&smFlagQuantize != 0
 	seed := binary.LittleEndian.Uint64(a[14:22]) ^ binary.LittleEndian.Uint64(b[14:22])
 	ms := getMergeScratch()
 	defer putMergeScratch(ms)
@@ -123,135 +156,18 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	dim := sum.Dim
-	quant := aFlags&smFlagQuantize != 0 && bFlags&smFlagQuantize != 0
-	wide := wideKeys(dim)
-	var flags byte
-	if c.opts.DeltaKeys {
-		flags |= smFlagDeltaKeys
-	}
-	if quant {
-		flags |= smFlagQuantize
-	}
-	if wide {
-		flags |= smFlagWideKeys
-	}
-	out := append(dst[:0], tagSketchML, flags)
-	out = appendU64(out, dim)
-	out = appendU32(out, uint32(len(sum.Keys)))
-	out = appendU64(out, seed)
-
+	in := message{g: sum, seed: seed, quant: quant, merge: ms}
+	out := c.appendHeader(dst[:0], &in)
+	var bd Breakdown
 	if !quant {
-		out, err = c.appendKeys(out, sum.Keys, wide)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range sum.Values {
-			out = appendF64(out, v)
-		}
-		return out, nil
+		return appendUnquantized(out, &bd, sum)
 	}
-
-	out = appendU32(out, uint32(c.opts.Buckets))
-	// Partition into sign panes exactly like encode: positive pane first,
-	// negative magnitudes second, both in ascending key order over shared
-	// pooled backing.
-	n := len(sum.Values)
-	npos := 0
-	for _, v := range sum.Values {
-		if v >= 0 {
-			npos++
-		}
-	}
-	kbuf, vbuf := getU64(n), getF64(n)
-	posKeys, negKeys := (*kbuf)[0:0:npos], (*kbuf)[npos:npos]
-	posVals, negMags := (*vbuf)[0:0:npos], (*vbuf)[npos:npos]
-	for i, v := range sum.Values {
-		if v >= 0 {
-			posKeys = append(posKeys, sum.Keys[i])
-			posVals = append(posVals, v)
-		} else {
-			negKeys = append(negKeys, sum.Keys[i])
-			negMags = append(negMags, -v)
-		}
-	}
-	defer putU64(kbuf)
-	defer putF64(vbuf)
-
-	paneKeys := [2][]uint64{posKeys, negKeys}
-	paneVals := [2][]float64{posVals, negMags}
-	for p := 0; p < 2; p++ {
-		out, err = c.mergePane(out, ms, paneKeys[p], paneVals[p], wide)
-		if err != nil {
+	for paneID := uint64(0); paneID < 2; paneID++ {
+		if out, err = c.encodePane(out, &bd, &in, paneID); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// mergePane emits one sign pane of a merged message using the explicit
-// index layout (MinMax off). vals are magnitudes for the negative pane.
-func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals []float64, wide bool) ([]byte, error) {
-	out = appendU32(out, uint32(len(keys)))
-	if len(keys) == 0 {
-		return out, nil
-	}
-	// Sorted-distinct candidate means table. Dropping exact-zero sums in
-	// mergeScratch.sum guarantees every entry is strictly positive here
-	// (negative pane values arrive as magnitudes), so no ±0 ordering
-	// ambiguity.
-	dist := append(ms.dist[:0], vals...)
-	sort.Float64s(dist)
-	d := dist[:1]
-	for _, v := range dist[1:] {
-		if v != d[len(d)-1] { //lint:allow float-equality exact dedup of identical sums; near-equal values must stay distinct means
-			d = append(d, v)
-		}
-	}
-	ms.dist = dist
-
-	// The pane's quantile budget, by Encode's rule. It doubles as the
-	// exact-means ceiling so a merged pane never spends more header bytes
-	// on means than an encoded pane would.
-	qEff := c.opts.Buckets
-	if cap := len(keys) / 16; cap < qEff {
-		qEff = cap
-	}
-	if qEff < 2 {
-		qEff = 2
-	}
-	exactCap := qEff
-	if mergeMeansCapOverride > 0 {
-		exactCap = mergeMeansCapOverride
-	}
-
-	var means []float64
-	var idx []uint32
-	if len(d) <= exactCap {
-		means = d // lossless: every summed value survives verbatim
-		idxBuf := getU32(len(keys))
-		defer putU32(idxBuf)
-		idx = *idxBuf
-		for i, v := range vals {
-			idx[i] = uint32(sort.SearchFloat64s(means, v))
-		}
-	} else {
-		// Too many distinct values to carry exactly: re-bucket through the
-		// same quantile construction Encode uses.
-		if err := quantizer.BuildQuantileAlgoInto(&ms.buckets, vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
-			return nil, err
-		}
-		means, idx = ms.buckets.Means(), ms.buckets.Index
-	}
-	out = appendU32(out, uint32(len(means)))
-	for _, m := range means {
-		out = appendF64(out, m)
-	}
-	out, err := c.appendKeys(out, keys, wide)
-	if err != nil {
-		return nil, err
-	}
-	return bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means))), nil
 }
 
 // MergeInto implements Merger for raw messages: decode both into pooled

@@ -41,18 +41,13 @@ func (c *SketchML) concurrentPanes() bool {
 
 // ---- scratch pools ----
 //
-// Pools hold pointers to slices (not slices) so Put does not allocate a
-// fresh interface box per cycle. getX returns a slice with the requested
-// length; the caller must putX it back when the data is dead. Pooled memory
-// is never handed to the caller of Encode/Decode — decoded gradients and
-// encoded messages own their backing arrays outright.
+// The pools hold pointers (not slices or values) so Put does not allocate a
+// fresh interface box per cycle. Pooled memory is never handed to the
+// caller of Encode/Decode/MergeInto — decoded gradients and encoded
+// messages own their backing arrays outright.
 
-var (
-	bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-	u64Pool  = sync.Pool{New: func() any { b := make([]uint64, 0, 1024); return &b }}
-	f64Pool  = sync.Pool{New: func() any { b := make([]float64, 0, 1024); return &b }}
-	u32Pool  = sync.Pool{New: func() any { b := make([]uint32, 0, 1024); return &b }}
-)
+// bytePool holds the pane output buffers Encode assembles a message from.
+var bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 func getBytes() *[]byte {
 	b := bytePool.Get().(*[]byte)
@@ -61,39 +56,6 @@ func getBytes() *[]byte {
 }
 
 func putBytes(b *[]byte) { bytePool.Put(b) }
-
-func getU64(n int) *[]uint64 {
-	b := u64Pool.Get().(*[]uint64)
-	if cap(*b) < n {
-		*b = make([]uint64, n)
-	}
-	*b = (*b)[:n]
-	return b
-}
-
-func putU64(b *[]uint64) { u64Pool.Put(b) }
-
-func getF64(n int) *[]float64 {
-	b := f64Pool.Get().(*[]float64)
-	if cap(*b) < n {
-		*b = make([]float64, n)
-	}
-	*b = (*b)[:n]
-	return b
-}
-
-func putF64(b *[]float64) { f64Pool.Put(b) }
-
-func getU32(n int) *[]uint32 {
-	b := u32Pool.Get().(*[]uint32)
-	if cap(*b) < n {
-		*b = make([]uint32, n)
-	}
-	*b = (*b)[:n]
-	return b
-}
-
-func putU32(b *[]uint32) { u32Pool.Put(b) }
 
 // ---- encode scratch ----
 
@@ -193,8 +155,8 @@ func (sc *decodeScratch) reset(total int) {
 // decodeList reads the next key list into the flat key store and returns it
 // with the window of the value store beside it, for the caller to fill. A
 // list that runs past the header's count is an error.
-func (sc *decodeScratch) decodeList(r *reader, delta, wide bool) ([]uint64, []float64, error) {
-	keys, err := decodeKeysInto(r, delta, wide, sc.keys[sc.used:sc.used:len(sc.keys)])
+func (sc *decodeScratch) decodeList(r *reader) ([]uint64, []float64, error) {
+	keys, err := decodeKeysInto(r, sc.keys[sc.used:sc.used:len(sc.keys)])
 	if err != nil {
 		return nil, nil, err
 	}

@@ -66,11 +66,12 @@ type Options struct {
 	// the wire format is identical either way.
 	Metrics *obs.Registry
 
-	// Component switches for the Figure 8 ablation. MinMax requires
-	// Quantize.
-	DeltaKeys bool // delta-binary key encoding (the "Key" component)
-	Quantize  bool // quantile-bucket quantification ("Quan")
-	MinMax    bool // MinMaxSketch index compression ("MinMax")
+	// Component switches for the Figure 8 ablation, which removes the
+	// components from the top down: keys are always delta-binary coded (the
+	// "Key" component), Quantize adds "Quan" and MinMax, which requires
+	// Quantize, adds "MinMax".
+	Quantize bool // quantile-bucket quantification ("Quan")
+	MinMax   bool // MinMaxSketch index compression ("MinMax")
 }
 
 // DefaultOptions returns the paper's default configuration with every
@@ -84,7 +85,6 @@ func DefaultOptions() Options {
 		MinCols:      8,
 		Groups:       8,
 		Seed:         0x5ee7c4b1d2a90f38,
-		DeltaKeys:    true,
 		Quantize:     true,
 		MinMax:       true,
 	}
@@ -139,24 +139,21 @@ func MustSketchML(opts Options) *SketchML {
 func (c *SketchML) Options() Options { return c.opts }
 
 // Name implements Codec: "SketchML" for the full stack, otherwise the
-// ablation name the paper uses ("Adam+Key", "Adam+Key+Quan", ...).
+// ablation name the paper uses ("Adam+Key", "Adam+Key+Quan").
 func (c *SketchML) Name() string {
-	if c.opts.DeltaKeys && c.opts.Quantize && c.opts.MinMax {
+	switch {
+	case c.opts.MinMax:
 		return "SketchML"
+	case c.opts.Quantize:
+		return "Adam+Key+Quan"
+	default:
+		return "Adam+Key"
 	}
-	name := "Adam"
-	if c.opts.DeltaKeys {
-		name += "+Key"
-	}
-	if c.opts.Quantize {
-		name += "+Quan"
-	}
-	if c.opts.MinMax {
-		name += "+MinMax"
-	}
-	return name
 }
 
+// Message flags. Every key list is delta-binary coded, so smFlagDeltaKeys
+// is always set and the decoder refuses a message without it; smFlagWideKeys
+// records Dim > 2³² and no longer changes the layout.
 const (
 	smFlagDeltaKeys = 1 << 0
 	smFlagQuantize  = 1 << 1
@@ -215,59 +212,31 @@ func (c *SketchML) encodeTo(head, tail *[]byte, g *gradient.Sparse) (Breakdown, 
 	if err := g.Validate(); err != nil {
 		return bd, err
 	}
-	wide := wideKeys(g.Dim)
-	var flags byte
-	if c.opts.DeltaKeys {
-		flags |= smFlagDeltaKeys
-	}
-	if c.opts.Quantize {
-		flags |= smFlagQuantize
-	}
-	if c.opts.MinMax {
-		flags |= smFlagMinMax
-	}
-	if wide {
-		flags |= smFlagWideKeys
-	}
-	out := append(*head, tagSketchML, flags)
-	out = appendU64(out, g.Dim)
-	out = appendU32(out, uint32(len(g.Keys)))
 	// Rotate the hash seed per message, derived deterministically from the
 	// gradient's content. A static seed would make the same keys collide in
 	// the MinMaxSketch round after round, permanently decaying those
 	// coordinates (and defeating error-feedback wrappers); rotation makes
 	// the decay average out across rounds. The decoder reads the seed from
-	// this header.
-	msgSeed := hashing.Mix64(contentFingerprint(g), c.opts.Seed)
-	out = appendU64(out, msgSeed)
+	// the header.
+	in := message{
+		g:      g,
+		seed:   hashing.Mix64(contentFingerprint(g), c.opts.Seed),
+		quant:  c.opts.Quantize,
+		minMax: c.opts.MinMax,
+	}
+	out := c.appendHeader(*head, &in)
 	bd.Header = len(out)
-
-	if !c.opts.Quantize {
-		// "Adam+Key" ablation: delta keys + raw float64 values.
-		var err error
-		mark := len(out)
-		out, err = c.appendKeys(out, g.Keys, wide)
-		if err != nil {
-			return bd, err
+	var err error
+	if !in.quant {
+		if out, err = appendUnquantized(out, &bd, g); err == nil {
+			*head = out
 		}
-		bd.Keys = len(out) - mark
-		mark = len(out)
-		for _, v := range g.Values {
-			out = appendF64(out, v)
-		}
-		bd.Values = len(out) - mark
-		*head = out
-		return bd, nil
+		return bd, err
 	}
 
-	out = appendU32(out, uint32(c.opts.Buckets))
-	bd.Header += 4
-
-	in := paneInputs{msgSeed: msgSeed, g: g, wide: wide}
 	// Panes are independent, and pane 1 always lands in *tail, so the two
 	// plans write the same bytes: the concurrent one only moves pane 1 onto
 	// a goroutine while pane 0 runs here.
-	var err error
 	if c.concurrentPanes() {
 		out, err = c.encodePanesConcurrently(out, tail, &bd, in)
 	} else if out, err = c.timedPane(out, &bd, &in, 0); err == nil {
@@ -280,22 +249,67 @@ func (c *SketchML) encodeTo(head, tail *[]byte, g *gradient.Sparse) (Breakdown, 
 	return bd, nil
 }
 
-// paneInputs is what both panes of one message encode from: each takes
-// its own sign's entries out of g.
-type paneInputs struct {
-	msgSeed uint64
-	g       *gradient.Sparse
-	wide    bool
+// message is what one message is written from — by Encode, or by MergeInto
+// from the sum of its inputs: the gradient, the hash seed the header
+// carries, and the layout.
+type message struct {
+	g             *gradient.Sparse
+	seed          uint64
+	quant, minMax bool
+	// merge is set by MergeInto: a pane whose distinct values fit its
+	// quantile budget then carries them exactly (mergeScratch.exactMeans).
+	merge *mergeScratch
+}
+
+// appendHeader writes the message header: tag, flags, Dim, entry count and
+// hash seed, and for a quantized message the configured bucket count
+// (informational; each pane sends its own means table).
+func (c *SketchML) appendHeader(out []byte, in *message) []byte {
+	flags := byte(smFlagDeltaKeys)
+	if in.quant {
+		flags |= smFlagQuantize
+	}
+	if in.minMax {
+		flags |= smFlagMinMax
+	}
+	if wideKeys(in.g.Dim) {
+		flags |= smFlagWideKeys
+	}
+	out = append(out, tagSketchML, flags)
+	out = appendU64(out, in.g.Dim)
+	out = appendU32(out, uint32(len(in.g.Keys)))
+	out = appendU64(out, in.seed)
+	if in.quant {
+		out = appendU32(out, uint32(c.opts.Buckets))
+	}
+	return out
+}
+
+// appendUnquantized writes the quantize-off body ("Adam+Key"): the delta
+// key list, then every value as a float64.
+func appendUnquantized(out []byte, bd *Breakdown, g *gradient.Sparse) ([]byte, error) {
+	mark := len(out)
+	out, err := keycoding.AppendDelta(out, g.Keys)
+	if err != nil {
+		return nil, err
+	}
+	bd.Keys += len(out) - mark
+	mark = len(out)
+	for _, v := range g.Values {
+		out = appendF64(out, v)
+	}
+	bd.Values += len(out) - mark
+	return out, nil
 }
 
 // timedPane appends pane i to dst, under the pane-encode timer when metrics
 // are on.
-func (c *SketchML) timedPane(dst []byte, bd *Breakdown, in *paneInputs, i int) ([]byte, error) {
+func (c *SketchML) timedPane(dst []byte, bd *Breakdown, in *message, i int) ([]byte, error) {
 	var pt0 time.Time
 	if c.met != nil {
 		pt0 = time.Now()
 	}
-	dst, err := c.encodePane(dst, bd, in.msgSeed, in.g, uint64(i), in.wide)
+	dst, err := c.encodePane(dst, bd, in, uint64(i))
 	if c.met != nil && err == nil {
 		c.met.paneEncodeNs.Since(pt0)
 	}
@@ -306,7 +320,7 @@ func (c *SketchML) timedPane(dst []byte, bd *Breakdown, in *paneInputs, i int) (
 // pane 1 into *tail, and adds both panes' sizes to bd. What the goroutine
 // shares lives on the heap, which is why it is declared here and not in the
 // serial plan's frame; in arrives by value for the same reason.
-func (c *SketchML) encodePanesConcurrently(out []byte, tail *[]byte, bd *Breakdown, in paneInputs) ([]byte, error) {
+func (c *SketchML) encodePanesConcurrently(out []byte, tail *[]byte, bd *Breakdown, in message) ([]byte, error) {
 	var bd1 Breakdown
 	var err1 error
 	done := make(chan struct{})
@@ -341,54 +355,55 @@ func contentFingerprint(g *gradient.Sparse) uint64 {
 	return h
 }
 
-// encodePane serializes one sign pane of g: pane 0 holds the entries with
-// value ≥ 0 (−0 included), pane 1 the negative ones as magnitudes. paneID
-// also feeds the hash seed derivation.
-func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *gradient.Sparse, paneID uint64, wide bool) ([]byte, error) {
+// paneBudget is the quantile budget of a pane of n entries: Options.Buckets,
+// capped at n/16 and at least 2. The q-entry means table costs 8q bytes per
+// pane, which only amortizes when n >> q (the paper's regime); the cap keeps
+// the table a small fraction of a small gradient's message.
+func (c *SketchML) paneBudget(n int) int {
+	return max(2, min(c.opts.Buckets, n/16))
+}
+
+// encodePane serializes one sign pane of in.g: pane 0 holds the entries
+// with value ≥ 0 (−0 included), pane 1 the negative ones as magnitudes.
+// paneID also feeds the hash seed derivation.
+func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uint64) ([]byte, error) {
 	es := getEncodeScratch()
 	defer putEncodeScratch(es)
-	keys, vals := es.takePane(g, paneID)
-	dim := g.Dim
+	keys, vals := es.takePane(in.g, paneID)
 	out = appendU32(out, uint32(len(keys)))
 	bd.Header += 4
 	if len(keys) == 0 {
 		return out, nil
 	}
-	// Adapt the bucket count to the pane size: the q-entry means table costs
-	// 8q bytes per pane, which only amortizes when d >> q (the paper's
-	// regime). For small gradients, cap q at d/16 so the table stays a small
-	// fraction of the message.
-	qEff := c.opts.Buckets
-	if cap := len(keys) / 16; cap < qEff {
-		qEff = cap
+	q := c.paneBudget(len(keys))
+	means, idx, ok := in.merge.exactMeans(vals, q)
+	if !ok {
+		bk := &es.buckets
+		if err := quantizer.BuildQuantileAlgoInto(bk, vals, q, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
+			return nil, err
+		}
+		means, idx = bk.Means(), bk.Index
+		if in.merge == nil {
+			c.met.observeBucketIndexes(idx, len(means))
+		}
 	}
-	if qEff < 2 {
-		qEff = 2
-	}
-	bk := &es.buckets
-	if err := quantizer.BuildQuantileAlgoInto(bk, vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
-		return nil, err
-	}
-	means := bk.Means()
 	mark := len(out)
 	out = appendU32(out, uint32(len(means)))
 	for _, m := range means {
 		out = appendF64(out, m)
 	}
 	bd.Meta += len(out) - mark
-	c.met.observeBucketIndexes(bk.Index, len(means))
 
-	if !c.opts.MinMax {
+	if !in.minMax {
 		// Explicit bit-packed index array aligned with the pane key list.
 		var err error
 		mark = len(out)
-		out, err = c.appendKeys(out, keys, wide)
-		if err != nil {
+		if out, err = keycoding.AppendDelta(out, keys); err != nil {
 			return nil, err
 		}
 		bd.Keys += len(out) - mark
 		mark = len(out)
-		out = bitpack.AppendBlock(out, bk.Index, bitpack.BitsFor(len(means)))
+		out = bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means)))
 		bd.Values += len(out) - mark
 		return out, nil
 	}
@@ -404,7 +419,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 	// per-group deltas at one byte. Cap r so the expected group gap stays
 	// below 256.
 	groups := c.opts.Groups
-	if fdim := float64(dim); fdim > 0 {
+	if fdim := float64(in.g.Dim); fdim > 0 {
 		if maxR := int(255 * float64(len(keys)) / fdim); maxR < groups {
 			groups = maxR
 		}
@@ -413,7 +428,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 		groups = 1
 	}
 	grouped := &es.grouped
-	grouped.Reshape(c.opts.Rows, cols, len(means), groups, hashing.Mix64(paneID, msgSeed))
+	grouped.Reshape(c.opts.Rows, cols, len(means), groups, hashing.Mix64(paneID, in.seed))
 	ng, bpg := grouped.NumGroups(), grouped.BucketsPerGroup()
 
 	// Resolve bucket → (group, group-relative index) once per bucket, so the
@@ -433,7 +448,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 	es.starts = quantizer.Resize(es.starts, ng+1)
 	starts := es.starts
 	clear(starts)
-	for _, b := range bk.Index {
+	for _, b := range idx {
 		starts[route[b]>>16+1]++
 	}
 	for g := 1; g <= ng; g++ {
@@ -443,7 +458,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 	es.flat = quantizer.Resize(es.flat, len(keys))
 	cursors, flat := es.cursors, es.flat
 	for i, k := range keys {
-		r := route[bk.Index[i]]
+		r := route[idx[i]]
 		grp := r >> 16
 		grouped.InsertAt(int(grp), k, uint16(r))
 		flat[cursors[grp]] = k
@@ -459,7 +474,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 	bd.Values += len(out) - mark
 	mark = len(out)
 	for grp := 0; grp < ng; grp++ {
-		out, err = c.appendKeys(out, flat[starts[grp]:starts[grp+1]], wide)
+		out, err = keycoding.AppendDelta(out, flat[starts[grp]:starts[grp+1]])
 		if err != nil {
 			return nil, err
 		}
@@ -468,41 +483,24 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, g *grad
 	return out, nil
 }
 
-// appendKeys writes a key list with the configured key codec.
-func (c *SketchML) appendKeys(out []byte, keys []uint64, wide bool) ([]byte, error) {
-	if c.opts.DeltaKeys {
-		return keycoding.AppendDelta(out, keys)
-	}
-	out = appendU32(out, uint32(len(keys)))
-	return appendFixedKeys(out, keys, wide), nil
-}
-
-// decodeKeysInto reads a key list written by appendKeys into dst[:0]. dst's
-// capacity is the most the list may hold — a longer one is an error, never
-// an allocation — and the keys come back strictly ascending under either
-// key codec.
-func decodeKeysInto(r *reader, delta, wide bool, dst []uint64) ([]uint64, error) {
+// decodeKeysInto reads a delta-coded key list into dst[:0]. dst's capacity
+// is the most the list may hold — a longer one is an error, never an
+// allocation — and the keys come back strictly ascending.
+func decodeKeysInto(r *reader, dst []uint64) ([]uint64, error) {
 	mark := r.off
-	count, err := r.u32() // both key codecs lead with the list's count
+	count, err := r.u32() // the list leads with its count
 	if err != nil {
 		return nil, err
 	}
 	if int64(count) > int64(cap(dst)) {
 		return nil, fmt.Errorf("key list of %d runs past the header's count by %d", count, int64(count)-int64(cap(dst)))
 	}
-	if delta {
-		r.off = mark
-		keys, used, err := keycoding.DecodeDeltaInto(r.rest(), dst)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.advance(used); err != nil {
-			return nil, err
-		}
-		return keys, nil
+	r.off = mark
+	keys, used, err := keycoding.DecodeDeltaInto(r.rest(), dst)
+	if err != nil {
+		return nil, err
 	}
-	keys := dst[:count]
-	if err := readFixedKeys(r, keys, wide); err != nil {
+	if err := r.advance(used); err != nil {
 		return nil, err
 	}
 	return keys, nil
@@ -549,10 +547,11 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	if err != nil {
 		return err
 	}
-	delta := flags&smFlagDeltaKeys != 0
+	if flags&smFlagDeltaKeys == 0 {
+		return fmt.Errorf("codec: flags %#02x: key lists are not delta-coded", flags)
+	}
 	quant := flags&smFlagQuantize != 0
 	mm := flags&smFlagMinMax != 0
-	wide := flags&smFlagWideKeys != 0
 	dim, err := r.u64()
 	if err != nil {
 		return err
@@ -567,7 +566,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	}
 	// The header's count sizes dst and the scratch, so bound it before
 	// trusting it: every decoded entry costs at least one wire byte (a delta
-	// byte, key byte, or packed index), so a count beyond the message length
+	// byte or a packed index), so a count beyond the message length
 	// is hostile.
 	n := int(count)
 	if n < 0 || n > len(data) {
@@ -578,7 +577,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
 
 	if !quant {
-		keys, err := decodeKeysInto(&r, delta, wide, dst.Keys[:0])
+		keys, err := decodeKeysInto(&r, dst.Keys[:0])
 		if err != nil {
 			return err
 		}
@@ -611,7 +610,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 		if c.met != nil {
 			pt0 = time.Now()
 		}
-		if err := c.decodePaneInto(&r, sc, delta, mm, wide, paneID, seed); err != nil {
+		if err := c.decodePaneInto(&r, sc, mm, paneID, seed); err != nil {
 			return fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
 		if c.met != nil {
@@ -649,7 +648,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 // decodePaneInto parses one sign pane into sc's flat stores, one window per
 // key list: the keys as sent, and beside each the value its bucket decodes
 // to, already signed. Once sc's capacities are warm it allocates nothing.
-func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide bool, paneID, seed uint64) error {
+func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm bool, paneID, seed uint64) error {
 	paneCount, err := r.u32()
 	if err != nil {
 		return err
@@ -686,7 +685,7 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	}
 
 	if !mm {
-		keys, vals, err := sc.decodeList(r, delta, wide)
+		keys, vals, err := sc.decodeList(r)
 		if err != nil {
 			return err
 		}
@@ -725,7 +724,7 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, delta, mm, wide 
 	// past the sketch's q or the means table clamps to the last of both.
 	top := min(grouped.NumBuckets(), len(means)) - 1
 	for grp, ng := 0, grouped.NumGroups(); grp < ng; grp++ {
-		keys, vals, err := sc.decodeList(r, delta, wide)
+		keys, vals, err := sc.decodeList(r)
 		if err != nil {
 			return fmt.Errorf("group %d keys: %w", grp, err)
 		}

@@ -56,25 +56,12 @@ const (
 // BuildQuantile constructs a quantizer with at most q buckets from the
 // given values, using a GK quantile sketch of the given summary size
 // (the paper's m, default 128). It returns an error if values is empty.
+// The codec builds through BuildQuantileAlgoInto instead.
 func BuildQuantile(values []float64, q, sketchSize int) (*Quantile, error) {
-	return BuildQuantileAlgo(values, q, sketchSize, GKAlgo, 0)
-}
-
-// BuildQuantileAlgo is BuildQuantile with an explicit split finder,
-// returning a freshly allocated quantizer; see BuildQuantileAlgoInto for
-// what each finder does with sketchSize and seed.
-func BuildQuantileAlgo(values []float64, q, sketchSize int, algo SketchAlgo, seed int64) (*Quantile, error) {
-	if algo == RankAlgo {
-		var b Buckets
-		if err := BuildQuantileAlgoInto(&b, values, q, sketchSize, algo, seed); err != nil {
-			return nil, err
-		}
-		return &Quantile{splits: b.splits, means: b.means}, nil
-	}
 	if err := checkBuild(values, q); err != nil {
 		return nil, err
 	}
-	splits, err := sketchSplits(values, q, sketchSize, algo, seed)
+	splits, err := sketchSplits(values, q, sketchSize, GKAlgo, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -237,12 +237,10 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if gather != cluster.TopologyStar {
-		// Reject unmergeable codecs at submit time — the trainer would reject
-		// them too, but only after the job is admitted and scheduled.
-		if _, ok := newCodec().(codec.Merger); !ok {
-			return fmt.Errorf("%w: gather %q requires a mergeable codec, %s is not", ErrBadSpec, s.Gather, s.Codec)
-		}
+	// Reject what the trainer would, but at submit time rather than after
+	// the job is admitted and scheduled.
+	if err := trainer.CheckTopology(gather, false, newCodec(), s.Workers); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if s.RoundDeadlineMs < 0 || s.RoundDeadlineMs > 600_000 {
 		return fmt.Errorf("%w: round_deadline_ms %d out of [0, 600000]", ErrBadSpec, s.RoundDeadlineMs)

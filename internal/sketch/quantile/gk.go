@@ -194,30 +194,29 @@ func (s *GK) Query(phi float64) (float64, error) {
 // {rank(0), rank(1/q), ..., rank((q-1)/q), rank(1)} that divide the inserted
 // values into q buckets of (approximately) equal population, exactly as
 // SketchML's Step 1 "Quantile Split" prescribes.
-func (s *GK) Splits(q int) ([]float64, error) {
+func (s *GK) Splits(q int) ([]float64, error) { return splits(s, q) }
+
+// splits queries sk at the q+1 ranks {0, 1/q, ..., 1}: the split points of
+// q buckets of (approximately) equal population.
+func splits(sk Sketch, q int) ([]float64, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("quantile: bucket count %d < 1", q)
 	}
-	s.flush()
-	if len(s.tuples) == 0 {
-		return nil, errors.New("quantile: empty sketch")
-	}
-	splits := make([]float64, q+1)
-	for i := 0; i <= q; i++ {
-		v, err := s.Query(float64(i) / float64(q))
+	out := make([]float64, q+1)
+	for i := range out {
+		v, err := sk.Query(float64(i) / float64(q))
 		if err != nil {
 			return nil, err
 		}
-		splits[i] = v
-	}
-	// Enforce monotonicity (approximate answers can tie or invert within
-	// tolerance); downstream bucket search requires non-decreasing splits.
-	for i := 1; i <= q; i++ {
-		if splits[i] < splits[i-1] {
-			splits[i] = splits[i-1]
+		// Enforce monotonicity (approximate answers can tie or invert
+		// within tolerance); downstream bucket search requires
+		// non-decreasing splits.
+		if i > 0 && v < out[i-1] {
+			v = out[i-1]
 		}
+		out[i] = v
 	}
-	return splits, nil
+	return out, nil
 }
 
 // Reset empties the sketch for reuse, keeping its accuracy configuration.

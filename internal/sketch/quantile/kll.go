@@ -152,28 +152,7 @@ func (s *KLL) Query(phi float64) (float64, error) {
 
 // Splits returns q+1 split points dividing the stream into q
 // equal-population buckets, mirroring GK.Splits.
-func (s *KLL) Splits(q int) ([]float64, error) {
-	if q < 1 {
-		return nil, fmt.Errorf("quantile: bucket count %d < 1", q)
-	}
-	if s.n == 0 {
-		return nil, errors.New("quantile: empty sketch")
-	}
-	splits := make([]float64, q+1)
-	for i := 0; i <= q; i++ {
-		v, err := s.Query(float64(i) / float64(q))
-		if err != nil {
-			return nil, err
-		}
-		splits[i] = v
-	}
-	for i := 1; i <= q; i++ {
-		if splits[i] < splits[i-1] {
-			splits[i] = splits[i-1]
-		}
-	}
-	return splits, nil
-}
+func (s *KLL) Splits(q int) ([]float64, error) { return splits(s, q) }
 
 // Reset empties the sketch for reuse.
 func (s *KLL) Reset() {

@@ -322,25 +322,39 @@ func (c *Config) fill() error {
 		c.CheckpointEvery = 1
 	}
 	c.decodeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-	switch c.Topology {
+	if err := CheckTopology(c.Topology, c.UseTCP, c.codec, c.Workers); err != nil {
+		return fmt.Errorf("trainer: %w", err)
+	}
+	return nil
+}
+
+// CheckTopology states a gather topology's preconditions. Star has none;
+// tree needs the in-memory transport (UseTCP wires star links only), a
+// codec.Merger, and at most 65,535 workers (the frameAgg prefix carries the
+// gradient count as uint16; more would truncate silently). A nil codec
+// skips the Merger check, for a caller that has not built its codec yet.
+// Run checks the same again, so a caller checks early only to fail in its
+// own terms: the job service at submit time, the command line before
+// loading data.
+func CheckTopology(topo cluster.Topology, useTCP bool, c codec.Codec, workers int) error {
+	switch topo {
 	case cluster.TopologyStar:
+		return nil
 	case cluster.TopologyTree:
-		if c.UseTCP {
-			return fmt.Errorf("trainer: topology %s requires the in-memory transport (UseTCP wires star links only)", c.Topology)
-		}
-		if _, ok := c.codec.(codec.Merger); !ok {
-			// No decode/re-encode fallback: stateful codecs (ErrorFeedback)
-			// mutate sender residual on Encode, so a silent fallback would
-			// corrupt training, not just slow it down.
-			return fmt.Errorf("trainer: topology %s requires a mergeable codec (codec.Merger), %s is not", c.Topology, c.codec.Name())
-		}
-		if c.Workers > math.MaxUint16 {
-			// The frameAgg prefix carries the gradient count as uint16; more
-			// workers would truncate silently.
-			return fmt.Errorf("trainer: topology %s supports at most %d workers, got %d", c.Topology, math.MaxUint16, c.Workers)
-		}
 	default:
-		return fmt.Errorf("trainer: unknown topology %d", int(c.Topology))
+		return fmt.Errorf("unknown topology %d", int(topo))
+	}
+	if useTCP {
+		return fmt.Errorf("gather %s requires the in-memory transport", topo)
+	}
+	if _, ok := c.(codec.Merger); !ok && c != nil {
+		// No decode/re-encode fallback: stateful codecs (ErrorFeedback)
+		// mutate sender residual on Encode, so a silent fallback would
+		// corrupt training, not just slow it down.
+		return fmt.Errorf("gather %s requires a mergeable codec (codec.Merger), %s is not", topo, c.Name())
+	}
+	if workers > math.MaxUint16 {
+		return fmt.Errorf("gather %s supports at most %d workers, got %d", topo, math.MaxUint16, workers)
 	}
 	return nil
 }
