@@ -2,10 +2,11 @@
 #
 # `make verify` is the pre-PR gate: build, formatting, go vet, unit tests
 # (which hold the hot path's allocation contract and, in TestRepoIsClean,
-# the project's own static analyzers), the experiments and race matrices,
-# the chaos soak, a fuzz smoke over the wire-format decoders and the
-# service smoke. `make fuzz` runs the fuzzers longer. See DESIGN.md
-# "Verification & static analysis" and ROADMAP.md "Pre-PR gate".
+# the project's own static analyzers), one pass of every benchmark body,
+# the experiments and race matrices, the chaos soak, a fuzz smoke over the
+# wire-format decoders and the service smoke. `make fuzz` runs the fuzzers
+# longer. See DESIGN.md "Verification & static analysis" and ROADMAP.md
+# "Pre-PR gate".
 
 GO       ?= go
 FUZZTIME ?= 10s
@@ -32,9 +33,9 @@ FUZZ_TARGETS = $(shell grep -roH --include='*_test.go' --exclude-dir=testdata '^
 	sed 's|^\(.*\)/[^/]*:func |\1:|' | sort)
 
 # The pre-PR gates, in the order `make verify` runs them.
-VERIFY_GATES := build fmt vet test experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
+VERIFY_GATES := build fmt vet test bench-smoke experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
 
-.PHONY: all build fmt vet lint test race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs loc clean
+.PHONY: all build fmt vet lint test bench-smoke race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs loc clean
 
 all: verify
 
@@ -60,6 +61,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# bench-smoke runs every Benchmark* body once. One iteration measures
+# nothing; it is there so a benchmark whose numbers a change quotes cannot
+# break unseen, since no other gate executes a benchmark body.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 race:
 	$(GO) test -race ./...

@@ -204,12 +204,12 @@ func countKeyLists(tb testing.TB, msg []byte) int {
 }
 
 // BenchmarkMerge measures the wire-to-wire MergeInto path that interior
-// tree nodes and every ring hop run once per round: decode both inputs
-// structurally, sum the key union, re-emit one message. The points span
-// both output paths — small panes stay on the exact-means path (the
-// steady-state interior hot loop), large panes overflow the cap and
-// re-quantize through the same builder Encode uses; both are allocation-
-// free warm. Raw rows price the lossless alternative a tree of adam workers
+// tree nodes run once per child per round: decode both inputs structurally,
+// sum the key union, re-emit one message. The points span both output
+// paths — palette panes stay on the exact-means path, random ones overflow
+// the cap and re-quantize through the same builder Encode uses, which is
+// what a tree run's merges do on every pane after the first round; both
+// are allocation-free warm. Raw rows price the lossless alternative a tree of adam workers
 // would pay. merged-B/msg ties the CPU cost to the bytes the merge puts
 // back on the uplink.
 func BenchmarkMerge(b *testing.B) {
