@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -438,14 +439,27 @@ func TestTCPBidirectionalConcurrent(t *testing.T) {
 		}
 		clientErrs <- nil
 	}()
-	for i := 0; i < 2; i++ {
-		if err := <-clientErrs; err != nil {
-			t.Fatal(err)
+	// A hang guard, not a timing bound: a lock that couples the two
+	// directions deadlocks both ends, and the test then fails by name with
+	// every goroutine's stack instead of stalling until go test's timeout.
+	const hangAfter = 30 * time.Second
+	watchdog := time.NewTimer(hangAfter)
+	defer watchdog.Stop()
+	wait := func(done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-watchdog.C:
+			buf := make([]byte, 1<<20)
+			t.Fatalf("streams still running after %v; goroutines:\n%s", hangAfter, buf[:runtime.Stack(buf, true)])
 		}
 	}
-	if err := <-serverDone; err != nil {
-		t.Fatal(err)
-	}
+	wait(clientErrs)
+	wait(clientErrs)
+	wait(serverDone)
 }
 
 func TestPairDrainsAllQueuedAfterClose(t *testing.T) {

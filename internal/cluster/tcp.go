@@ -80,7 +80,7 @@ func (t *tcpConn) Send(msg []byte) error {
 	t.sendBufs[0] = t.sendHdr[:]
 	t.sendBufs[1] = msg
 	t.sendVec = t.sendBufs[:]
-	//lint:allow lock-held-io frame atomicity is the design: sendMu must span the vectored write or concurrent senders interleave frame bytes
+	// frame atomicity is the design: sendMu must span the vectored write or concurrent senders interleave frame bytes
 	n, err := t.sendVec.WriteTo(t.c)
 	t.sendBufs[1] = nil // do not pin the caller's message until the next Send
 	return t.checkWrite(n, int64(4+len(msg)), err)
@@ -137,7 +137,7 @@ func (t *tcpConn) RecvTimeout(d time.Duration) ([]byte, error) {
 		defer t.clearReadDeadline()
 	}
 	for t.hdrGot < len(t.hdr) {
-		//lint:allow lock-held-io recvMu must span header+body so concurrent receivers cannot split a frame mid-read
+		// recvMu must span header+body so concurrent receivers cannot split a frame mid-read
 		n, err := t.c.Read(t.hdr[t.hdrGot:])
 		t.hdrGot += n
 		if err != nil && t.hdrGot < len(t.hdr) {
@@ -167,7 +167,7 @@ func (t *tcpConn) RecvTimeout(d time.Duration) ([]byte, error) {
 			copy(nb, t.body[:t.got])
 			t.body = nb
 		}
-		//lint:allow lock-held-io same frame as the header read above; releasing recvMu between header and body would corrupt the stream
+		// same frame as the header read above; releasing recvMu between header and body would corrupt the stream
 		n, err := t.c.Read(t.body[t.got:limit])
 		t.got += n
 		if err != nil && t.got < t.want {

@@ -8,7 +8,7 @@ import (
 	"sketchml/internal/gradient"
 )
 
-// TestEncodeDeterministic guards the unseeded-hash invariant end to end:
+// TestEncodeDeterministic guards the seeded-hash invariant (§3.3) end to end:
 // encoding the same gradient with the same Options (in particular the same
 // Seed) must produce byte-identical output, both from one codec instance
 // encoding twice and from two independently constructed instances. Any

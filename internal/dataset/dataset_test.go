@@ -164,6 +164,60 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestSeedDeterminesData calls every synthetic generator and Split twice
+// with one seed and once with another. Every draw must come from the seeded
+// source: the same seed gives bit-identical instances, labels included, and
+// a different seed gives different ones. The presets carry label noise, so
+// a noise draw from an unseeded source shows in their labels.
+func TestSeedDeterminesData(t *testing.T) {
+	base := KDD10Like(1)
+	gens := []struct {
+		name string
+		gen  func(seed int64) *Dataset
+	}{
+		{"kdd10", Preset("kdd10")},
+		{"kdd12", Preset("kdd12")},
+		{"ctr", Preset("ctr")},
+		{"regression", func(seed int64) *Dataset { return RegressionLike(seed, 500, 2000) }},
+		{"mnist", func(seed int64) *Dataset { return MNISTLike(seed, 50, 8) }},
+		{"split", func(seed int64) *Dataset {
+			train, test := base.Split(0.75, seed)
+			return &Dataset{Dim: base.Dim, Instances: append(train.Instances, test.Instances...)}
+		}},
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			a := g.gen(1)
+			if !identical(a, g.gen(1)) {
+				t.Fatal("seed 1 twice gave different data")
+			}
+			if identical(a, g.gen(2)) {
+				t.Fatal("seeds 1 and 2 gave identical data")
+			}
+		})
+	}
+}
+
+// identical reports whether a and b hold the same instances: labels, keys
+// and value bits.
+func identical(a, b *Dataset) bool {
+	if a.Dim != b.Dim || len(a.Instances) != len(b.Instances) {
+		return false
+	}
+	for i := range a.Instances {
+		x, y := &a.Instances[i], &b.Instances[i]
+		if math.Float64bits(x.Label) != math.Float64bits(y.Label) || len(x.Keys) != len(y.Keys) {
+			return false
+		}
+		for j := range x.Keys {
+			if x.Keys[j] != y.Keys[j] || math.Float64bits(x.Values[j]) != math.Float64bits(y.Values[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestShard(t *testing.T) {
 	d, _ := Generate(SyntheticConfig{N: 10, Dim: 100, AvgNNZ: 3, Seed: 2})
 	shards := d.Shard(3)

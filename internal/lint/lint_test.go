@@ -84,21 +84,11 @@ func checkFixture(t *testing.T, name string, analyzer *Analyzer) {
 	}
 }
 
-func TestUnseededHashFixture(t *testing.T)   { checkFixture(t, "unseededhash", UnseededHash()) }
 func TestFloatEqualityFixture(t *testing.T)  { checkFixture(t, "floateq", FloatEquality()) }
 func TestUncheckedErrorFixture(t *testing.T) { checkFixture(t, "uncheckederr", UncheckedError()) }
 func TestWireEndiannessFixture(t *testing.T) { checkFixture(t, "endianness", WireEndianness()) }
 func TestPanicInLibraryFixture(t *testing.T) { checkFixture(t, "paniclib", PanicInLibrary()) }
-
-func TestLockHeldIOFixture(t *testing.T)    { checkFixture(t, "lockheldio", LockHeldIO()) }
-func TestGoroutineJoinFixture(t *testing.T) { checkFixture(t, "goroutinejoin", GoroutineJoin()) }
-func TestWaitGroupMisuseFixture(t *testing.T) {
-	checkFixture(t, "waitgroupmisuse", WaitGroupMisuse())
-}
-func TestUnboundedWireAllocFixture(t *testing.T) {
-	checkFixture(t, "wirealloc", UnboundedWireAlloc())
-}
-func TestPragmaFixture(t *testing.T) { checkFixture(t, "pragma", Pragma()) }
+func TestPragmaFixture(t *testing.T)         { checkFixture(t, "pragma", Pragma()) }
 
 // TestPragmaAllowForms covers the two allow shapes whose diagnostics
 // cannot carry embedded want comments: trailing text would read as names

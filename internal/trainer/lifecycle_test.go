@@ -85,6 +85,23 @@ func TestRunContextCancelStopsAndJoins(t *testing.T) {
 	waitNoGoroutineLeak(t, baseline)
 }
 
+// TestRunContextJoinsWatcherOnCompletion runs to completion under a live
+// context that is never cancelled while the run is in flight. The driver's
+// context watcher must exit with the run, not with the context: once
+// RunContext returns, the goroutine count is back at baseline before
+// cancel is called.
+func TestRunContextJoinsWatcherOnCompletion(t *testing.T) {
+	train, test := smallData(t)
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := RunContext(ctx, lifecycleConfig(), train, test); err != nil {
+		t.Fatal(err)
+	}
+	waitNoGoroutineLeak(t, baseline)
+}
+
 // TestDrainCheckpointsOnRoundBoundary requests a drain before the run
 // starts: the run must complete exactly one round (the one in flight when
 // the request lands), checkpoint at that boundary, collect every worker's
