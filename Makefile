@@ -3,8 +3,9 @@
 # `make verify` is the pre-PR gate: build, formatting, go vet, unit tests
 # (which hold the hot path's allocation contract and, in TestRepoIsClean,
 # the project's own static analyzers), one pass of every benchmark body,
-# the experiments and race matrices, the chaos soak, a fuzz smoke over the
-# wire-format decoders and the service smoke. `make fuzz` runs the fuzzers
+# the experiments and race matrices, the chaos soak, the fuzz binaries'
+# build and a fuzz smoke over the wire-format decoders, and the service
+# smoke. `make fuzz` runs the fuzzers
 # longer. See DESIGN.md "Verification & static analysis" and ROADMAP.md
 # "Pre-PR gate".
 
@@ -31,11 +32,14 @@ CHAOS_MATRIX_SEED ?= 7
 # listed. Go's fuzzer runs one target per invocation, so the fuzz rule loops.
 FUZZ_TARGETS = $(shell grep -roH --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]*' . | \
 	sed 's|^\(.*\)/[^/]*:func |\1:|' | sort)
+# fuzz-build writes each fuzzed package's instrumented test binary here,
+# named after the package directory (./internal/codec -> internal-codec.test).
+FUZZ_BIN ?= bin/fuzz
 
 # The pre-PR gates, in the order `make verify` runs them.
-VERIFY_GATES := build fmt vet test bench-smoke experiments-matrix race-matrix chaos-soak fuzz-smoke service-smoke
+VERIFY_GATES := build fmt vet test bench-smoke experiments-matrix race-matrix chaos-soak fuzz-build fuzz-smoke service-smoke
 
-.PHONY: all build fmt vet lint test bench-smoke race race-matrix experiments-matrix chaos-soak fuzz fuzz-smoke service-smoke timed verify bench-pairs loc clean
+.PHONY: all build fmt vet lint test bench-smoke race race-matrix experiments-matrix chaos-soak fuzz-build fuzz fuzz-run fuzz-smoke service-smoke timed verify bench-pairs loc clean
 
 all: verify
 
@@ -101,15 +105,40 @@ experiments-matrix:
 chaos-soak:
 	SKETCHML_CHAOS_SOAK=1 $(GO) test -race -count=1 -run TestChaosSoak -v ./internal/trainer
 
-fuzz-smoke:
-	@$(MAKE) fuzz FUZZTIME=$(SMOKE_FUZZTIME)
-
-fuzz:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+# fuzz-build compiles one fuzz-instrumented test binary per fuzzed package
+# (`go test -c -fuzz` with the package's first target; the instrumentation
+# covers the whole package, so the binary runs every target in it). A fresh
+# build cache spends its time here, compiling the instrumented standard
+# library, and fuzz-smoke's budget holds only fuzzing.
+fuzz-build:
+	@set -e; mkdir -p $(FUZZ_BIN); built=" "; \
+	for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; target=$${t##*:}; \
-		echo "fuzzing $$target in $$pkg for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		case "$$built" in *" $$pkg "*) continue;; esac; built="$$built$$pkg "; \
+		echo "building the fuzz binary of $$pkg"; \
+		$(GO) test -c -fuzz "^$$target\$$" -o $(FUZZ_BIN)/$$(echo $${pkg#./} | tr / -).test $$pkg; \
 	done
+
+# fuzz-run runs every target for FUZZTIME from its package's fuzz-build
+# binary, in the package directory (where its testdata/fuzz corpus is),
+# with the fuzz cache `go test -fuzz` would use. It does not rebuild: fuzz
+# builds first; fuzz-smoke relies on the fuzz-build gate before it.
+fuzz-run:
+	@set -e; cache=$$($(GO) env GOCACHE)/fuzz/$$($(GO) list -m); \
+	for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; target=$${t##*:}; dir=$${pkg#./}; \
+		bin=$(abspath $(FUZZ_BIN))/$$(echo $$dir | tr / -).test; \
+		[ -x $$bin ] || { echo "fuzz-run: no $$bin; run make fuzz-build first"; exit 1; }; \
+		echo "fuzzing $$target in $$pkg for $(FUZZTIME)"; \
+		(cd $$pkg && $$bin -test.run '^$$' -test.fuzz "^$$target\$$" \
+			-test.fuzztime $(FUZZTIME) -test.fuzzcachedir $$cache/$$dir); \
+	done
+
+fuzz-smoke:
+	@$(MAKE) --no-print-directory fuzz-run FUZZTIME=$(SMOKE_FUZZTIME)
+
+fuzz: fuzz-build
+	@$(MAKE) --no-print-directory fuzz-run
 
 # service-smoke is the end-to-end control-plane gate: build the real
 # binary, start it in -serve mode, submit a job over HTTP and poll it to
@@ -206,3 +235,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(FUZZ_BIN)

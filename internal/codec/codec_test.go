@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
-	"sketchml/internal/quantizer"
 )
 
 // randomGradient builds a sparse gradient with skewed, signed values over a
@@ -583,7 +582,13 @@ func TestMoreColsMoreAccurate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gradient.SquaredDistance(g, got)
+		// Keys decode losslessly, so the error is value against value.
+		var sq float64
+		for i, v := range g.Values {
+			d := v - got.Values[i]
+			sq += d * d
+		}
+		return sq
 	}
 	narrow, wide := errFor(0.05), errFor(0.5)
 	if wide > narrow {
@@ -644,49 +649,5 @@ func BenchmarkZipMLEncode(b *testing.B) {
 		if _, err := c.Encode(g); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSketchMLKLLAlgo(t *testing.T) {
-	// The KLL sketch (the paper's actual DataSketches algorithm) must plug
-	// in without changing any decode guarantee.
-	rng := rand.New(rand.NewSource(30))
-	g := randomGradient(rng, 300000, 6000)
-	opts := DefaultOptions()
-	opts.Algo = quantizer.KLLAlgo
-	c := MustSketchML(opts)
-	data, err := c.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != g.NNZ() {
-		t.Fatalf("nnz %d, want %d", got.NNZ(), g.NNZ())
-	}
-	for i := range g.Keys {
-		if got.Keys[i] != g.Keys[i] {
-			t.Fatalf("key %d corrupted", i)
-		}
-		if g.Values[i]*got.Values[i] < 0 {
-			t.Fatalf("sign flipped at %d", i)
-		}
-	}
-	// GK and KLL should deliver comparable reconstruction quality.
-	gkC := MustSketchML(DefaultOptions())
-	gkData, err := gkC.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gkBack, err := gkC.Decode(gkData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kllErr := gradient.SquaredDistance(g, got)
-	gkErr := gradient.SquaredDistance(g, gkBack)
-	if kllErr > gkErr*3+1e-9 || gkErr > kllErr*3+1e-9 {
-		t.Errorf("GK error %.3e and KLL error %.3e diverge by >3x", gkErr, kllErr)
 	}
 }

@@ -11,12 +11,12 @@ import (
 // means the wire format changed — which breaks mixed-version clusters —
 // and must be deliberate (update the constants AND note the format break).
 //
-// The SketchML constant was last updated when the default split finder
-// became quantizer.RankAlgo. That is a content change, not a format break:
+// The SketchML constant was last updated when the encoder's split finder
+// became a sort of the pane. That is a content change, not a format break:
 // the message has the same size and layout and only the means it carries
 // (which are data) differ, so either side of a mixed-version cluster still
-// decodes the other. The GK-era bytes stay pinned by the golden vectors
-// that set Algo: GKAlgo.
+// decodes the other. The decode-only golden vectors hold the GK-era bytes
+// to the values they decoded to when they were written.
 func TestWireFormatGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	g := randomGradient(rng, 100000, 1500)

@@ -2,18 +2,21 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"sketchml/internal/gradient"
-	"sketchml/internal/quantizer"
 )
 
-// -update rewrites the committed golden fixtures from the current encoder.
+// -update rewrites the committed golden fixtures from the current encoder,
+// decode-only ones excepted.
 // Run `go test ./internal/codec -run TestGoldenVectors -update` after a
 // DELIBERATE wire-format change, and call the break out in the commit.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures")
@@ -22,66 +25,85 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures"
 // regenerated from the seed on every run, so the fixture bytes are a pure
 // function of (seed, dim, nnz, sign, Options) — any drift in the encoder
 // shows up as a byte-level diff against the committed .bin file.
+//
+// A fixture with decoded set is decode-only: its bytes were written while
+// the encoder could still find its splits with the GK or KLL sketch, so no
+// encoder reproduces them now. decoded is the decodedHash those bytes
+// decoded to when the encoder last had those finders; a decode-only
+// fixture is never rewritten.
 type goldenVec struct {
-	name string
-	opts Options
-	dim  uint64
-	nnz  int
-	seed int64
-	sign int // -1 all-negative, 0 mixed, +1 all-positive
+	name    string
+	opts    Options
+	dim     uint64
+	nnz     int
+	seed    int64
+	sign    int // -1 all-negative, 0 mixed, +1 all-positive
+	decoded uint64
 }
 
 func goldenVectors() []goldenVec {
-	// The fixtures without a rank_ prefix were committed when GK was the
-	// default split finder. They pin GKAlgo explicitly and must never be
-	// regenerated: passing byte-for-byte is the evidence that the sketches,
-	// MinMax, key coding and the wire layout did not move, and that
-	// messages written before the default changed still decode.
 	mk := func(mut func(*Options)) Options {
 		o := DefaultOptions()
-		o.Algo = quantizer.GKAlgo
 		if mut != nil {
 			mut(&o)
 		}
 		return o
 	}
-	// The same matrix under the default split finder (RankAlgo).
-	rank := func(mut func(*Options)) Options {
-		o := mk(mut)
-		o.Algo = quantizer.RankAlgo
-		return o
-	}
 	return []goldenVec{
+		// The fixtures without a rank_ prefix were written by the GK split
+		// finder (kll_default by KLL). Passing is the evidence that messages
+		// written then still decode to the same values; each rank_ twin holds
+		// the encoder to the same configuration. key_only never quantizes,
+		// so it keeps its encode check.
+		//
 		// The two quantile sketches at the paper's default config.
-		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
-		{name: "kll_default", opts: mk(func(o *Options) { o.Algo = quantizer.KLLAlgo }), dim: 100000, nnz: 1200, seed: 1001},
+		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xa1a9d11cbe7bb261},
+		{name: "kll_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0x0ebfab0bf7b4bd9c},
 		// Group-count sweep: r=1 (no grouping) and r=16 bracket the
 		// default r=8; the grouped-pane layout differs per r.
-		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
+		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
 		// Figure 8 ablation points: keys+quantification without the
 		// MinMaxSketch, and delta keys alone with exact values.
-		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x86c5e9e3e9149ff1},
 		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003},
 		// Sign-pane edge cases: a single positive or negative pane (the
 		// mixed default exercises both panes at once).
-		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
-		{name: "all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
+		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x4d15fa430158d3c8},
+		{name: "all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x19e1736393281c0d},
 		// Coarse quantization over a tiny gradient: the q=16 bucket
 		// indexes pack into the narrowest pane layout.
-		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
+		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0xd271e5e652c39366},
 		// Keys beyond 32 bits flip the wide-keys wire flag.
-		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
+		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0xed4aca2c168fe6ad},
 
-		{name: "rank_default", opts: rank(nil), dim: 100000, nnz: 1200, seed: 1001},
-		{name: "rank_r1", opts: rank(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "rank_r16", opts: rank(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "rank_keyquan", opts: rank(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
-		{name: "rank_all_positive", opts: rank(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
-		{name: "rank_all_negative", opts: rank(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
-		{name: "rank_q16_tiny", opts: rank(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
-		{name: "rank_wide_keys", opts: rank(nil), dim: 1 << 33, nnz: 300, seed: 1006},
+		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
+		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
+		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
+		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
+		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
 	}
+}
+
+// decodedHash is FNV-64a over a decoded gradient's Dim and then each key
+// and its value's bits, all little-endian: the pin of a decode-only
+// fixture.
+func decodedHash(g *gradient.Sparse) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	put(g.Dim)
+	for i, k := range g.Keys {
+		put(k)
+		put(math.Float64bits(g.Values[i]))
+	}
+	return h.Sum64()
 }
 
 // gradient regenerates the vector's input deterministically.
@@ -109,42 +131,35 @@ func (v goldenVec) fixturePath() string {
 }
 
 // TestGoldenVectors pins the SketchML wire format byte-for-byte across the
-// configuration matrix: the three split finders, the r-group sweep, the
-// component ablations, single-sign panes, and wide keys. Each fixture is
-// the complete encoded message; encoding the regenerated gradient must
-// reproduce it exactly, and decoding the committed bytes must succeed with
-// lossless keys and (for the lossy configs) no sign flips — the paper's
-// "never amplify, never flip" contract.
+// configuration matrix: the r-group sweep, the component ablations,
+// single-sign panes, and wide keys. Each fixture is the complete encoded
+// message; encoding the regenerated gradient must reproduce it exactly
+// (a decode-only fixture must decode to its pinned values instead), and
+// decoding the committed bytes must succeed with lossless keys and (for the
+// lossy configs) no sign flips — the paper's "never amplify, never flip"
+// contract.
 func TestGoldenVectors(t *testing.T) {
 	for _, v := range goldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			c := MustSketchML(v.opts)
 			g := v.gradient()
-			enc, err := c.Encode(g)
-			if err != nil {
-				t.Fatal(err)
+			if v.decoded == 0 {
+				enc, err := c.Encode(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				comparePinnedFixture(t, v.fixturePath(), enc)
 			}
 			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(v.fixturePath()), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(v.fixturePath(), enc, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", v.fixturePath(), len(enc))
 				return
-			}
-			want, err := os.ReadFile(v.fixturePath())
-			if err != nil {
-				t.Fatalf("missing fixture (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(enc, want) {
-				t.Fatalf("wire format changed: encoded %d bytes != fixture %d bytes (first diff at %d)",
-					len(enc), len(want), firstDiff(enc, want))
 			}
 
 			// The committed bytes must decode: keys exactly, values
 			// sign-preserved.
+			want, err := os.ReadFile(v.fixturePath())
+			if err != nil {
+				t.Fatal(err)
+			}
 			dec, err := c.Decode(want)
 			if err != nil {
 				t.Fatalf("fixture does not decode: %v", err)
@@ -160,6 +175,9 @@ func TestGoldenVectors(t *testing.T) {
 				if dec.Values[i]*g.Values[i] < 0 {
 					t.Fatalf("key %d sign flipped: %g -> %g", k, g.Values[i], dec.Values[i])
 				}
+			}
+			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
+				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
 		})
 	}

@@ -35,8 +35,7 @@ type Merger interface {
 // structurally decoded inputs, the accumulator that sums them, and the
 // exact-means path's buffers. The pane writer's scratch comes from the
 // encode pool, as it does for Encode. Pooled so warm MergeInto calls
-// allocate nothing on either path under the default split finder
-// (re-quantizing through GKAlgo or KLLAlgo builds a fresh sketch).
+// allocate nothing on either path.
 type mergeScratch struct {
 	ga, gb gradient.Sparse
 	acc    gradient.Accumulator
@@ -160,11 +159,11 @@ const fibHash = 0x9E3779B97F4A7C15
 //     budget (Encode's rule, paneBudget) the means table is exactly those
 //     sorted values — lossless, and bitwise associative because every
 //     value survives verbatim. Past that cap the pane is re-quantized
-//     through the configured split finder, as Encode quantizes it, which
-//     re-buckets values (rank-error bounded) and therefore only commutes,
-//     not associates, on wire bytes. Tying the cap to the quantile budget
-//     keeps a merged message the same size as an encoded one — the point
-//     of merging — instead of carrying an 8-byte mean per distinct sum.
+//     by sorting it, as Encode quantizes it, which re-buckets values and
+//     therefore only commutes, not associates, on wire bytes. Tying the
+//     cap to the quantile budget keeps a merged message the same size as
+//     an encoded one — the point of merging — instead of carrying an
+//     8-byte mean per distinct sum.
 //   - Otherwise the output is the quantize-off raw-float64 layout.
 //
 // The MinMax flag is always clear on output: MinMaxSketch panes hash with

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
-	"sketchml/internal/quantizer"
 )
 
 // Property suite for the wire-to-wire Merger contract. The reference for
@@ -568,11 +567,13 @@ func TestMergeErrors(t *testing.T) {
 
 // mergeGoldenVec pins one merged-message configuration. Both input
 // gradients regenerate from their seeds (via the goldenVec generator), so
-// the fixture bytes are a pure function of (seeds, geometry, Options).
+// the fixture bytes are a pure function of (seeds, geometry, Options). A
+// fixture with decoded set is decode-only, as in goldenVectors.
 type mergeGoldenVec struct {
-	name string
-	opts Options
-	a, b goldenVec
+	name    string
+	opts    Options
+	a, b    goldenVec
+	decoded uint64
 }
 
 func mergeGoldenVectors() []mergeGoldenVec {
@@ -584,39 +585,37 @@ func mergeGoldenVectors() []mergeGoldenVec {
 		}
 		return o
 	}
-	// Committed when GK was the default split finder; pinned to it, never
-	// regenerated (see goldenVectors).
-	quan := mk(func(o *Options) { o.Algo = quantizer.GKAlgo })
-	keyOnly := mk(func(o *Options) { o.Algo, o.Quantize = quantizer.GKAlgo, false })
-	rankQuan := mk(nil)
+	quan := mk(nil)
+	keyOnly := mk(func(o *Options) { o.Quantize = false })
 	return []mergeGoldenVec{
 		// Re-quantize path: two default-sized panes overflow the exact cap.
-		{name: "merge_keyquan", opts: quan,
+		// Written by the GK split finder: decode-only, and rank_merge_keyquan
+		// holds the merge to the same configuration.
+		{name: "merge_keyquan", opts: quan, decoded: 0xd96faa1a729b1c96,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// Tiny panes at paneBudget's floor of 2. Despite the name, their ~30
-		// distinct sums overflow it and re-quantize; rank_merge_at_budget
-		// is the fixture that takes the exact-means path.
-		{name: "merge_exact_tiny", opts: quan,
+		// distinct sums overflow it, and the merge that wrote the fixture
+		// re-quantized them through GK: decode-only. rank_merge_at_budget is
+		// the fixture that takes the exact-means path.
+		{name: "merge_exact_tiny", opts: quan, decoded: 0x21370c81e7481081,
 			a: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2003},
 			b: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2004}},
 		// Raw-layout output: unquantized inputs merge to the key+f64 layout.
 		{name: "merge_key_only", opts: keyOnly,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		// merge_keyquan under the default split finder: the inputs encode and
-		// the merge re-quantizes through the rank builder.
-		{name: "rank_merge_keyquan", opts: rankQuan,
-			a: goldenVec{opts: rankQuan, dim: 100000, nnz: 1200, seed: 2001},
-			b: goldenVec{opts: rankQuan, dim: 100000, nnz: 1200, seed: 2002}},
+		{name: "rank_merge_keyquan", opts: quan,
+			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
+			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// The exact-means boundary (TestMergeGoldenBoundary): all-positive
 		// inputs, so the merged pane is a's bucket means plus b's one value.
 		// 255+1 entries: budget 16, 16 distinct sums, the exact path.
 		// 254+1 entries: budget 15, 16 distinct sums, one past it.
-		{name: "rank_merge_at_budget", opts: rankQuan,
+		{name: "rank_merge_at_budget", opts: quan,
 			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-		{name: "rank_merge_over_budget", opts: rankQuan,
+		{name: "rank_merge_over_budget", opts: quan,
 			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
 	}
@@ -703,25 +702,34 @@ func comparePinnedFixture(t *testing.T, path string, enc []byte) {
 		t.Fatalf("missing fixture (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(enc, want) {
-		t.Fatalf("merged wire bytes changed: %d bytes != fixture %d bytes (first diff at %d)",
+		t.Fatalf("wire bytes changed: %d bytes != fixture %d bytes (first diff at %d)",
 			len(enc), len(want), firstDiff(enc, want))
 	}
 }
 
 // TestMergeGoldenVectors pins the merged-message wire bytes the same way
 // goldenvec_test.go pins encoded ones: fixtures are a pure function of the
-// (seed, geometry, Options) inputs, refreshed with -update.
+// (seed, geometry, Options) inputs, refreshed with -update. A decode-only
+// fixture must decode to its pinned values instead.
 func TestMergeGoldenVectors(t *testing.T) {
 	for _, v := range mergeGoldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
-			enc := v.merged(t)
-			comparePinnedFixture(t, v.fixturePath(), enc)
+			if v.decoded == 0 {
+				comparePinnedFixture(t, v.fixturePath(), v.merged(t))
+			}
 			if *updateGolden {
 				return
 			}
-			c := MustSketchML(v.opts)
-			if _, err := c.Decode(enc); err != nil {
+			msg, err := os.ReadFile(v.fixturePath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := MustSketchML(v.opts).Decode(msg)
+			if err != nil {
 				t.Fatalf("merged fixture does not decode: %v", err)
+			}
+			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
+				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
 		})
 	}
@@ -736,7 +744,10 @@ func TestMergeGoldenVectorsPerturbation(t *testing.T) {
 	for _, v := range mergeGoldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			c := MustSketchML(v.opts)
-			msg := v.merged(t)
+			msg, err := os.ReadFile(v.fixturePath())
+			if err != nil {
+				t.Fatal(err)
+			}
 			clean, err := c.Decode(msg)
 			if err != nil {
 				t.Fatal(err)

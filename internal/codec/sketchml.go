@@ -23,9 +23,11 @@ type Options struct {
 	// Buckets is q, the number of quantile buckets per sign pane
 	// (Section 3.2; the paper finds q=256 "often enough").
 	Buckets int
-	// SketchSize is m, the summary size of the streaming quantile sketch
-	// (default 128). It sizes GKAlgo and KLLAlgo only; the default split
-	// finder sorts the pane and has no summary.
+	// SketchSize is m, the summary size of the paper's streaming quantile
+	// sketch (default 128). NewSketchML rejects m < 2, but the codec does
+	// not read it: it finds a pane's splits by sorting the pane, which has
+	// no summary. The end-to-end benchmark sizes its GK and KLL timings
+	// with it.
 	SketchSize int
 	// Rows is s, the number of MinMaxSketch hash tables (default 2,
 	// matching the paper's "size of MinMaxSketch is 2 × d/5").
@@ -51,14 +53,6 @@ type Options struct {
 	// this and by every other field but Metrics: it is a function of the
 	// message alone, flags and shapes read from the wire.
 	Parallelism int
-	// Algo selects how a pane's quantile splits are found. The zero value,
-	// quantizer.RankAlgo, sorts the pane's magnitudes (the encoder holds
-	// them all) and reads splits and bucket indexes off the ranks: exact and
-	// allocation-free. GKAlgo and KLLAlgo run the paper's streaming
-	// sketches — KLL is the algorithm behind the DataSketches library its
-	// prototype used — for the ablations and as the reference. The choice
-	// never affects the wire format — only which means are sent.
-	Algo quantizer.SketchAlgo
 	// Metrics, when non-nil, receives the codec's observability stream:
 	// encode/decode counts and latencies, input floats vs. wire bytes, and
 	// the quantile bucket-index distribution. nil (the default) disables
@@ -379,7 +373,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 	means, idx, ok := in.merge.exactMeans(vals, q)
 	if !ok {
 		bk := &es.buckets
-		if err := quantizer.BuildQuantileAlgoInto(bk, vals, q, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed)); err != nil {
+		if err := quantizer.BuildQuantileInto(bk, vals, q); err != nil {
 			return nil, err
 		}
 		means, idx = bk.Means(), bk.Index

@@ -8,13 +8,13 @@ import (
 	"strings"
 	"time"
 
-	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
 	"sketchml/internal/keycoding"
 	"sketchml/internal/quantizer"
 	"sketchml/internal/sketch/countmin"
 	"sketchml/internal/sketch/minmax"
+	"sketchml/internal/sketch/quantile"
 	"sketchml/internal/stats"
 )
 
@@ -300,47 +300,76 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 	return &Report{Text: b.String(), Metrics: metrics}, nil
 }
 
-// AblationSketchAlgo compares the split finders inside the full codec —
-// the two streaming quantile sketches (GK, the classical algorithm, and KLL,
-// the algorithm behind the DataSketches library the paper's prototype uses)
-// and the sort the codec runs by default: split quality (reconstruction
-// error) and encode cost.
-func AblationSketchAlgo(cfg Config) (*Report, error) {
+// AblationSplitFinders measures the split finders where the paper's sketch
+// lives, at the quantizer layer (§3.2): GK at the paper's m = 128 and
+// m = 256, KLL (the algorithm behind the DataSketches library the paper's
+// prototype uses) and the sort the codec runs, each finding q = 256 splits
+// over one gradient's magnitudes. It reports the quantization error of the
+// bucket means, the largest split rank error ÷ n (the εN contract) and the
+// build time. Message size is not a column: it depends on q, not on where
+// the splits fall.
+func AblationSplitFinders(cfg Config) (*Report, error) {
 	g := sampleGradient(cfg, 10000)
-	table := stats.NewTable("sketch", "recon L2 err", "msg bytes", "encode µs")
-	metrics := map[string]float64{}
-	for _, a := range []struct {
-		name string
-		algo quantizer.SketchAlgo
-	}{
-		{"GK", quantizer.GKAlgo},
-		{"KLL", quantizer.KLLAlgo},
-		{"Rank", quantizer.RankAlgo},
-	} {
-		opts := codec.DefaultOptions()
-		opts.Algo = a.algo
-		c := codec.MustSketchML(opts)
+	mags := make([]float64, g.NNZ())
+	for i, v := range g.Values {
+		mags[i] = math.Abs(v)
+	}
+	sorted := append([]float64(nil), mags...)
+	sort.Float64s(sorted)
+	n := len(sorted)
 
-		start := time.Now()
-		const reps = 20
-		var data []byte
-		var err error
-		for i := 0; i < reps; i++ {
-			data, err = c.Encode(g)
+	const q, reps = 256, 10
+	var rank quantizer.Buckets
+	finders := []struct {
+		name  string
+		build func() (*quantizer.Quantile, error)
+	}{
+		{"GK128", func() (*quantizer.Quantile, error) { return quantizer.BuildQuantile(mags, q, 128) }},
+		{"GK256", func() (*quantizer.Quantile, error) { return quantizer.BuildQuantile(mags, q, 256) }},
+		{"KLL", func() (*quantizer.Quantile, error) {
+			sk := quantile.NewKLL(256, cfg.Seed)
+			sk.InsertAll(mags)
+			splits, err := sk.Splits(q)
 			if err != nil {
 				return nil, err
 			}
+			return quantizer.NewQuantileFromSplits(splits)
+		}},
+		{"Sort", func() (*quantizer.Quantile, error) {
+			return &rank.Quantile, quantizer.BuildQuantileInto(&rank, mags, q)
+		}},
+	}
+	table := stats.NewTable("finder", "quant L2 err", "max rank err / n", "build µs")
+	metrics := map[string]float64{"n": float64(n)}
+	for _, f := range finders {
+		var z *quantizer.Quantile
+		var err error
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			if z, err = f.build(); err != nil {
+				return nil, err
+			}
 		}
-		encodeUs := float64(time.Since(start).Microseconds()) / reps
-		dec, err := c.Decode(data)
-		if err != nil {
-			return nil, err
+		buildUs := float64(time.Since(start).Microseconds()) / reps
+		var sq float64
+		for _, v := range mags {
+			d := v - z.Encode(v)
+			sq += d * d
 		}
-		l2 := math.Sqrt(gradient.SquaredDistance(g, dec))
-		table.AddRow(a.name, l2, len(data), encodeUs)
-		metrics[a.name+"_l2"] = l2
-		metrics[a.name+"_bytes"] = float64(len(data))
-		metrics[a.name+"_encode_us"] = encodeUs
+		// Split b's error is the distance from its target rank ⌊b·n/q⌋+1 to
+		// the rank range its value occupies (a repeated value spans several).
+		worst := 0
+		for b, s := range z.Splits()[:q] {
+			target := b*n/q + 1
+			lo := sort.SearchFloat64s(sorted, s) + 1
+			hi := sort.Search(n, func(i int) bool { return sorted[i] > s })
+			worst = max(worst, lo-target, target-hi)
+		}
+		l2, rankErr := math.Sqrt(sq), float64(worst)/float64(n)
+		table.AddRow(f.name, l2, rankErr, buildUs)
+		metrics[f.name+"_l2"] = l2
+		metrics[f.name+"_rank_err"] = rankErr
+		metrics[f.name+"_build_us"] = buildUs
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
 }

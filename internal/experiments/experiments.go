@@ -85,7 +85,7 @@ var registry = map[string]struct {
 	"ablation-quantile": {"Quantile vs uniform quantization", AblationQuantileVsUniform},
 	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
 	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K, error feedback)", AblationLossyBaselines},
-	"ablation-sketch":   {"GK vs KLL quantile sketch vs the rank sort in the codec", AblationSketchAlgo},
+	"ablation-sketch":   {"GK (m = 128, 256) vs KLL vs the codec's sort, at the quantizer", AblationSplitFinders},
 }
 
 // IDs returns every experiment id in stable order.

@@ -302,26 +302,3 @@ func addUp(keys []uint64, vals []float64, a, b terms) ([]uint64, []float64) {
 	}
 	return keys, vals
 }
-
-// SquaredDistance returns ||a - b||² over the union of both supports.
-// Used by the variance-bound property tests (Theorem A.2).
-func SquaredDistance(a, b *Sparse) float64 {
-	var s float64
-	i, j := 0, 0
-	for i < len(a.Keys) || j < len(b.Keys) {
-		switch {
-		case j >= len(b.Keys) || (i < len(a.Keys) && a.Keys[i] < b.Keys[j]):
-			s += a.Values[i] * a.Values[i]
-			i++
-		case i >= len(a.Keys) || b.Keys[j] < a.Keys[i]:
-			s += b.Values[j] * b.Values[j]
-			j++
-		default:
-			d := a.Values[i] - b.Values[j]
-			s += d * d
-			i++
-			j++
-		}
-	}
-	return s
-}

@@ -169,18 +169,6 @@ func TestAccumulatorDimMismatch(t *testing.T) {
 	}
 }
 
-func TestSquaredDistance(t *testing.T) {
-	a := FromMap(10, map[uint64]float64{1: 1, 3: 2})
-	b := FromMap(10, map[uint64]float64{3: 2, 5: -3})
-	// diff: key1 -> 1, key3 -> 0, key5 -> 3 => 1 + 9 = 10
-	if got := SquaredDistance(a, b); got != 10 {
-		t.Errorf("SquaredDistance = %v, want 10", got)
-	}
-	if got := SquaredDistance(a, a); got != 0 {
-		t.Errorf("self distance = %v", got)
-	}
-}
-
 func TestQuickAccumulatorMatchesDense(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -5,9 +5,9 @@
 //     distribution is cut into q equal-population buckets; each value is
 //     replaced by its bucket's mean and encoded as the bucket index. This
 //     adapts to the nonuniform, near-zero-concentrated distribution of real
-//     gradients. The cut points come from a sort of the values (RankAlgo,
-//     what the codec runs) or from one of the paper's streaming quantile
-//     sketches (GKAlgo, KLLAlgo; the ablations and the reference).
+//     gradients. The codec finds the cut points by sorting the values
+//     (BuildQuantileInto); BuildQuantile finds them with the paper's
+//     streaming GK sketch.
 //   - Signed quantile quantification (Section 3.3, Solution 1): positive and
 //     negative values are quantized separately over magnitudes,
 //     so no bucket straddles zero and a decayed bucket index can never flip
@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"sketchml/internal/sketch/quantile"
 )
 
 // Quantile maps values to equal-population buckets. Bucket i covers
@@ -34,34 +36,17 @@ type Quantile struct {
 	means  []float64 // q bucket means
 }
 
-// SketchAlgo selects how the split points are found.
-type SketchAlgo int
-
-// Supported split finders.
-const (
-	// RankAlgo, the zero value and the codec's default, sorts the values
-	// and reads the splits off the ranks: exact, linear-time, and the only
-	// finder that also yields every value's bucket index without a search.
-	// An encoder holds the whole pane in memory, so nothing needs to stream.
-	RankAlgo SketchAlgo = iota
-	// GKAlgo is the Greenwald–Khanna streaming sketch (deterministic rank
-	// bounds), the paper's subject and the reference the property suites
-	// hold RankAlgo against.
-	GKAlgo
-	// KLLAlgo is the Karnin–Lang–Liberty streaming sketch, the algorithm
-	// behind the Yahoo DataSketches library the paper's prototype uses.
-	KLLAlgo
-)
-
 // BuildQuantile constructs a quantizer with at most q buckets from the
 // given values, using a GK quantile sketch of the given summary size
 // (the paper's m, default 128). It returns an error if values is empty.
-// The codec builds through BuildQuantileAlgoInto instead.
+// The codec builds through BuildQuantileInto instead.
 func BuildQuantile(values []float64, q, sketchSize int) (*Quantile, error) {
 	if err := checkBuild(values, q); err != nil {
 		return nil, err
 	}
-	splits, err := sketchSplits(values, q, sketchSize, GKAlgo, 0)
+	sk := quantile.NewWithSize(max(sketchSize, 2))
+	sk.InsertAll(values)
+	splits, err := sk.Splits(q)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"sketchml/internal/sketch/quantile"
 )
 
-// Buckets is the reusable result of BuildQuantileAlgoInto: the pane's
+// Buckets is the reusable result of BuildQuantileInto: the pane's
 // quantizer (splits and means) plus every value's bucket index. A Buckets
 // keeps its storage between builds, so a pooled one makes the build
 // allocation-free once its capacities have warmed. The zero value is ready
@@ -20,7 +18,7 @@ type Buckets struct {
 	// Index[i] is the bucket of values[i] from the last build.
 	Index []uint32
 
-	// RankAlgo's sort scratch: elements are sortKey-high-half<<32 | position.
+	// The sort scratch: elements are sortKey-high-half<<32 | position.
 	elems, tmp []uint64
 	hist       [3][radixBins]uint32
 }
@@ -31,12 +29,12 @@ const (
 	lowHalf   = 1<<32 - 1
 )
 
-// BuildQuantileAlgoInto builds a quantizer with q buckets over values into
+// BuildQuantileInto builds a quantizer with q buckets over values into
 // dst, and assigns every value its bucket in dst.Index. It is the one
 // builder behind the codec's Encode and MergeInto.
 //
-// RankAlgo sorts the values (they are all in memory; nothing streams) and
-// reads the splits off the ranks: splits[b] is the value at sorted position
+// It sorts the values (they are all in memory; nothing streams) and reads
+// the splits off the ranks: splits[b] is the value at sorted position
 // ⌊b·n/q⌋ and splits[q] the maximum. The order is exact — a sort on the full
 // 64-bit pattern — so every split sits at exactly its target rank (the εN
 // contract with ε = 0). A value's bucket is the one its rank falls in,
@@ -45,31 +43,14 @@ const (
 // Quantile.Bucket finds for it, so Index[i] = Bucket(values[i]) for every
 // i, equal gradients decode equal, and a value repeated across a whole
 // bucket decodes to itself; on tie-free input populations differ by at most
-// one. sketchSize and seed are ignored.
-//
-// GKAlgo and KLLAlgo feed the values through the streaming sketch of
-// summary size sketchSize, as the paper's prototype does, and bucket each
-// value with Quantile.Bucket. They allocate a fresh sketch per call; seed
-// only matters for KLLAlgo (its compaction is randomized).
-func BuildQuantileAlgoInto(dst *Buckets, values []float64, q, sketchSize int, algo SketchAlgo, seed int64) error {
+// one.
+func BuildQuantileInto(dst *Buckets, values []float64, q int) error {
 	if err := checkBuild(values, q); err != nil {
 		return err
 	}
 	dst.Index = Resize(dst.Index, len(values))
-	if algo == RankAlgo {
-		dst.rankSplits(values, q)
-		dst.fillMeans()
-		return nil
-	}
-	splits, err := sketchSplits(values, q, sketchSize, algo, seed)
-	if err != nil {
-		return err
-	}
-	dst.splits = append(dst.splits[:0], splits...)
+	dst.rankSplits(values, q)
 	dst.fillMeans()
-	for i, v := range values {
-		dst.Index[i] = uint32(dst.Bucket(v))
-	}
 	return nil
 }
 
@@ -81,7 +62,7 @@ func (z *Quantile) fillMeans() {
 	}
 }
 
-// checkBuild rejects what no split finder can quantize.
+// checkBuild rejects what neither builder can quantize.
 func checkBuild(values []float64, q int) error {
 	if len(values) == 0 {
 		return errors.New("quantizer: no values")
@@ -93,27 +74,6 @@ func checkBuild(values []float64, q int) error {
 		return fmt.Errorf("quantizer: %d values exceed the 2^32 positions a bucket index list addresses", len(values))
 	}
 	return nil
-}
-
-// sketchSplits finds q+1 split points with a streaming quantile sketch.
-func sketchSplits(values []float64, q, sketchSize int, algo SketchAlgo, seed int64) ([]float64, error) {
-	if sketchSize < 2 {
-		sketchSize = 2
-	}
-	var sk quantile.Sketch
-	switch algo {
-	case GKAlgo:
-		sk = quantile.NewWithSize(sketchSize)
-	case KLLAlgo:
-		if sketchSize < 8 {
-			sketchSize = 8
-		}
-		sk = quantile.NewKLL(sketchSize, seed)
-	default:
-		return nil, fmt.Errorf("quantizer: unknown sketch algorithm %d", algo)
-	}
-	sk.InsertAll(values)
-	return sk.Splits(q)
 }
 
 // rankSplits fills b.splits and b.Index from the sorted order of values.

@@ -6,17 +6,40 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"sketchml/internal/sketch/quantile"
 )
 
-// Property suite for the split finders behind BuildQuantileAlgoInto. One
-// checker holds all three to the paper's contract — every split's true rank
-// within εN of its target — at each finder's own ε: RankAlgo at 0 (it sorts,
-// and the sort key is the full 64-bit pattern, so its resolution is exact),
-// GKAlgo at its default 1/128, KLLAlgo at the 2% the paper's DataSketches
-// baseline achieves. All three must bucket by value (Index[i] is what
-// Quantile.Bucket finds, so equal values share a bucket and every value
-// lies inside its bucket's splits); what only RankAlgo promises —
+// Property suite for BuildQuantileInto, held against the paper's streaming
+// sketches. One checker holds the sort and the references to the paper's
+// contract — every split's true rank within εN of its target — at each
+// finder's own ε: the sort at 0 (the sort key is the full 64-bit pattern,
+// so its resolution is exact), GK at its default 1/128, KLL at the 2% the
+// paper's DataSketches baseline achieves. All must bucket by value (Index[i]
+// is what Quantile.Bucket finds, so equal values share a bucket and every
+// value lies inside its bucket's splits); what only the sort promises —
 // populations within one of n/q on tie-free input — is checked for it alone.
+
+// sketchBucketsInto is the reference: the pane builder as it was while the
+// codec could still find its splits with a streaming sketch. It feeds the
+// values through sk and buckets each with Quantile.Bucket.
+func sketchBucketsInto(dst *Buckets, values []float64, q int, sk quantile.Sketch) error {
+	if err := checkBuild(values, q); err != nil {
+		return err
+	}
+	sk.InsertAll(values)
+	splits, err := sk.Splits(q)
+	if err != nil {
+		return err
+	}
+	dst.splits = append(dst.splits[:0], splits...)
+	dst.fillMeans()
+	dst.Index = Resize(dst.Index, len(values))
+	for i, v := range values {
+		dst.Index[i] = uint32(dst.Bucket(v))
+	}
+	return nil
+}
 
 // rankInputs is the property matrix: the distributions of the quantile
 // suites plus the shapes that break a sort-based finder if it is wrong —
@@ -151,7 +174,7 @@ func TestSplitFindersHoldRankBound(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
 				values := gen(rand.New(rand.NewSource(int64(n))), n)
 				var b Buckets
-				if err := BuildQuantileAlgoInto(&b, values, q, 0, RankAlgo, 0); err != nil {
+				if err := BuildQuantileInto(&b, values, q); err != nil {
 					t.Fatal(err)
 				}
 				checkSplits(t, &b.Quantile, values, q, 0)
@@ -159,11 +182,10 @@ func TestSplitFindersHoldRankBound(t *testing.T) {
 				checkRankPopulations(t, &b, values, q)
 
 				for _, ref := range []struct {
-					algo SketchAlgo
-					size int
-					eps  float64
-				}{{GKAlgo, 128, 1.0 / 128}, {KLLAlgo, 256, 0.02}} {
-					if err := BuildQuantileAlgoInto(&b, values, q, ref.size, ref.algo, 7); err != nil {
+					sk  quantile.Sketch
+					eps float64
+				}{{quantile.NewWithSize(128), 1.0 / 128}, {quantile.NewKLL(256, 7), 0.02}} {
+					if err := sketchBucketsInto(&b, values, q, ref.sk); err != nil {
 						t.Fatal(err)
 					}
 					// Two ranks of slack: the sketches aim at rank ⌈b·n/q⌉, one
@@ -178,7 +200,7 @@ func TestSplitFindersHoldRankBound(t *testing.T) {
 
 // TestRankSplitsSpecialValues: the positive pane can hold +0, −0 (Encode
 // routes both there) and subnormals, and a magnitude can be MaxFloat64;
-// signed input must order as well, since BuildQuantileAlgoInto takes any values.
+// signed input must order as well, since BuildQuantileInto takes any values.
 func TestRankSplitsSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := map[string][]float64{
@@ -190,7 +212,7 @@ func TestRankSplitsSpecialValues(t *testing.T) {
 		for _, q := range []int{1, 2, 4, len(values), len(values) + 3} {
 			t.Run(fmt.Sprintf("%s/q%d", name, q), func(t *testing.T) {
 				var b Buckets
-				if err := BuildQuantileAlgoInto(&b, values, q, 0, RankAlgo, 0); err != nil {
+				if err := BuildQuantileInto(&b, values, q); err != nil {
 					t.Fatal(err)
 				}
 				checkSplits(t, &b.Quantile, values, q, 0)
@@ -214,7 +236,7 @@ func TestRankTiesStayTogether(t *testing.T) {
 	// inside bucket 1, own bucket 2 and spill into bucket 3.
 	values := []float64{0.5, 0.9, 0.1, 0.5, 0.3, 0.5, 0.2, 0.5}
 	var b Buckets
-	if err := BuildQuantileAlgoInto(&b, values, 4, 0, RankAlgo, 0); err != nil {
+	if err := BuildQuantileInto(&b, values, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint32{2, 3, 0, 2, 1, 2, 0, 2}
@@ -236,11 +258,11 @@ func TestRankBucketsReuse(t *testing.T) {
 	big, small := skewedGradients(rng, 30000), skewedGradients(rng, 700)
 	var reused, fresh Buckets
 	for _, values := range [][]float64{big, small, big} {
-		if err := BuildQuantileAlgoInto(&reused, values, 64, 0, RankAlgo, 0); err != nil {
+		if err := BuildQuantileInto(&reused, values, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := BuildQuantileAlgoInto(&fresh, big, 64, 0, RankAlgo, 0); err != nil {
+	if err := BuildQuantileInto(&fresh, big, 64); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.Splits() {
@@ -254,7 +276,7 @@ func TestRankBucketsReuse(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := BuildQuantileAlgoInto(&reused, big, 64, 0, RankAlgo, 0); err != nil {
+		if err := BuildQuantileInto(&reused, big, 64); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -262,18 +284,13 @@ func TestRankBucketsReuse(t *testing.T) {
 	}
 }
 
-func TestBuildQuantileAlgoIntoErrors(t *testing.T) {
+func TestBuildQuantileIntoErrors(t *testing.T) {
 	var b Buckets
-	for _, algo := range []SketchAlgo{RankAlgo, GKAlgo, KLLAlgo} {
-		if err := BuildQuantileAlgoInto(&b, nil, 8, 64, algo, 0); err == nil {
-			t.Errorf("algo %d: empty values accepted", algo)
-		}
-		if err := BuildQuantileAlgoInto(&b, []float64{1}, 0, 64, algo, 0); err == nil {
-			t.Errorf("algo %d: q=0 accepted", algo)
-		}
+	if err := BuildQuantileInto(&b, nil, 8); err == nil {
+		t.Error("empty values accepted")
 	}
-	if err := BuildQuantileAlgoInto(&b, []float64{1}, 2, 64, SketchAlgo(99), 0); err == nil {
-		t.Error("unknown algorithm accepted")
+	if err := BuildQuantileInto(&b, []float64{1}, 0); err == nil {
+		t.Error("q=0 accepted")
 	}
 }
 
@@ -284,7 +301,7 @@ func BenchmarkBuildQuantileRank256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := BuildQuantileAlgoInto(&bk, vals, 256, 0, RankAlgo, 0); err != nil {
+		if err := BuildQuantileInto(&bk, vals, 256); err != nil {
 			b.Fatal(err)
 		}
 	}
