@@ -16,14 +16,15 @@ FUZZTIME ?= 10s
 SMOKE_FUZZTIME ?= 5s
 
 # race-matrix sweeps scheduler pressure (GOMAXPROCS): the concurrency-heavy
-# packages run under -race at every point; -count=1 defeats the test cache
+# packages, and the two behind the batch gradient's pooled scratch (model,
+# gradient), run under -race at every point; -count=1 defeats the test cache
 # so each point really executes. experiments-matrix runs ./internal/experiments
 # with its wall-clock shape assertions switched on (they skip under -race and
 # inside a whole-module run) at GOMAXPROCS 1, 2 and NumCPU, so a stage meter
 # that only holds on some core count fails the gate instead of the next
 # 2-CPU host.
 MATRIX_GOMAXPROCS   ?= 1 2 8
-MATRIX_PKGS         ?= ./internal/codec ./internal/trainer ./internal/cluster ./internal/service
+MATRIX_PKGS         ?= ./internal/codec ./internal/trainer ./internal/cluster ./internal/service ./internal/model ./internal/gradient
 # Fault seed for the race-matrix chaos point; the default chaos-soak run
 # uses the test's built-in seed, so the matrix exercises a second schedule.
 CHAOS_MATRIX_SEED ?= 7

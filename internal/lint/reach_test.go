@@ -20,7 +20,7 @@ var reachKeep = map[string]string{
 	"internal/cluster.NewCounting":              "TestWireTCPPinsLinkToWorker",
 	"internal/codec.ErrorFeedback.ResidualNorm": "TestErrorFeedbackRecoversDroppedMass",
 	"internal/codec.SketchML.Options":           "TestByName",
-	"internal/gradient.Sparse.Get":              "TestTermsZeros",
+	"internal/gradient.Sparse.Get":              "TestScatterZeros",
 	"internal/gradient.Sparse.ToDense":          "TestDenseRoundTrip",
 	"internal/optim.Adam.Steps":                 "TestAdamMatchesReference",
 }

@@ -147,8 +147,8 @@ func BatchGradient(m Model, theta []float64, batch []*dataset.Instance, lambda f
 // a dst that has held a gradient of the batch's size takes the next one
 // without allocating. It returns the mean unregularized batch loss.
 func BatchGradientInto(dst *gradient.Sparse, m Model, theta []float64, batch []*dataset.Instance, lambda float64) float64 {
-	terms := gradient.GetTerms()
-	defer gradient.PutTerms(terms)
+	acc := gradient.GetScatter(uint64(len(theta)))
+	defer gradient.PutScatter(acc)
 	var lossSum float64
 	inv := 1.0
 	if len(batch) > 0 {
@@ -162,10 +162,10 @@ func BatchGradientInto(dst *gradient.Sparse, m Model, theta []float64, batch []*
 			continue
 		}
 		for j, k := range in.Keys {
-			terms.Add(k, s*in.Values[j])
+			acc.Add(k, float64(s*in.Values[j])) // the conversion rules out a fused multiply-add
 		}
 	}
-	terms.SumInto(dst, uint64(len(theta)), theta, lambda)
+	acc.SumInto(dst, theta, lambda)
 	return lossSum * inv
 }
 
