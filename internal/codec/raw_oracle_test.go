@@ -44,7 +44,7 @@ func oracleRawDecodeInto(data []byte, dst *gradient.Sparse) error {
 		return errTruncated
 	}
 	dst.Dim = dim
-	dst.Reset()
+	dst.Keys, dst.Values = dst.Keys[:0], dst.Values[:0]
 	for i := uint32(0); i < count; i++ {
 		var k uint64
 		if wide {

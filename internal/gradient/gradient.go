@@ -106,12 +106,6 @@ func (g *Sparse) Append(k uint64, v float64) {
 	g.Values = append(g.Values, v)
 }
 
-// Reset empties the gradient, retaining capacity.
-func (g *Sparse) Reset() {
-	g.Keys = g.Keys[:0]
-	g.Values = g.Values[:0]
-}
-
 // ToDense materializes the gradient as a dense vector of length Dim.
 func (g *Sparse) ToDense() []float64 {
 	out := make([]float64, g.Dim)

@@ -82,9 +82,6 @@ func (f *Family) Reshape(n int, buckets int, masterSeed uint64) {
 	f.buckets = uint64(buckets)
 }
 
-// Size returns the number of hash functions in the family.
-func (f *Family) Size() int { return len(f.seeds) }
-
 // Index returns hash row i of key, reduced into [0, buckets).
 //
 // Reduction uses the high bits of the 128-bit product (Lemire's fast

@@ -38,9 +38,9 @@ var reachStdMethods = map[string]bool{
 // (main in cmd/ and examples/; every declaration of bench/, which must keep
 // compiling unedited) and the exports of the sketchml facade; init
 // functions run wherever they are. A use reaches what it names. A method is
-// also reached when any interface call selects a method of its name, or
-// when its name is in reachStdMethods. Test files are not loaded, so a
-// declaration only tests call is unreached.
+// also reached when an interface call selects it on a module type that
+// implements that interface, or when its name is in reachStdMethods. Test
+// files are not loaded, so a declaration only tests call is unreached.
 func TestEveryDeclarationIsReached(t *testing.T) {
 	loader, err := NewLoader(filepath.Join("..", ".."))
 	if err != nil {
@@ -56,6 +56,7 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		methods:  make(map[string][]types.Object),
 		seen:     make(map[types.Object]bool),
 		selected: make(map[string]bool),
+		dispatch: make(map[*types.Func]bool),
 	}
 	var roots []types.Object
 	for _, pkg := range pkgs {
@@ -109,8 +110,10 @@ type reach struct {
 	mod      string
 	decls    map[types.Object]*reachDecl
 	methods  map[string][]types.Object // module methods by name
+	named    []*types.TypeName         // module type declarations
 	seen     map[types.Object]bool
-	selected map[string]bool // method names an interface call selects
+	selected map[string]bool      // reachStdMethods names already selected
+	dispatch map[*types.Func]bool // interface methods a call already selects
 	queue    []types.Object
 }
 
@@ -128,6 +131,9 @@ func (r *reach) index(pkg *Package) []types.Object {
 		}
 		name := rel + "." + recv + id.Name
 		r.decls[obj] = &reachDecl{pkg: pkg, node: node, name: name, pos: id.Pos()}
+		if tn, ok := obj.(*types.TypeName); ok {
+			r.named = append(r.named, tn)
+		}
 		if recv != "" {
 			r.methods[id.Name] = append(r.methods[id.Name], obj)
 		}
@@ -204,8 +210,8 @@ func (r *reach) mark(obj types.Object) {
 	}
 }
 
-// selectName records that an interface call selects name: every module
-// method of that name is reached.
+// selectName records that a standard-library caller selects name: every
+// module method of that name is reached.
 func (r *reach) selectName(name string) {
 	if r.selected[name] {
 		return
@@ -213,6 +219,29 @@ func (r *reach) selectName(name string) {
 	r.selected[name] = true
 	for _, m := range r.methods[name] {
 		r.mark(m)
+	}
+}
+
+// selectMethod records that an interface call selects fn, an interface
+// method: on every module type whose pointer implements fn's interface, the
+// method the call would dispatch to (declared or promoted) is reached.
+func (r *reach) selectMethod(fn *types.Func) {
+	if r.dispatch[fn] {
+		return
+	}
+	r.dispatch[fn] = true
+	iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	for _, tn := range r.named {
+		if types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		if sel := types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()); sel != nil {
+			r.mark(sel.Obj())
+		}
 	}
 }
 
@@ -229,7 +258,7 @@ func (r *reach) visit(d *reachDecl) {
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			if sig := fn.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-				r.selectName(fn.Name())
+				r.selectMethod(fn)
 			}
 		}
 		r.mark(obj)

@@ -220,12 +220,6 @@ func (s *Signed) Mean(neg bool, idx int) float64 {
 	return s.pos.Mean(idx)
 }
 
-// Encode quantizes v preserving its sign.
-func (s *Signed) Encode(v float64) float64 {
-	neg, idx := s.Bucket(v)
-	return s.Mean(neg, idx)
-}
-
 // Uniform is the ZipML-style fixed-point quantizer: the range [min, max] is
 // divided into levels equal-WIDTH steps.
 type Uniform struct {
@@ -316,11 +310,3 @@ func BuildOneBit(values []float64) (*OneBit, error) {
 
 // Scale returns the magnitude every value decodes to.
 func (o *OneBit) Scale() float64 { return o.scale }
-
-// Encode reduces v to ±scale.
-func (o *OneBit) Encode(v float64) float64 {
-	if v < 0 {
-		return -o.scale
-	}
-	return o.scale
-}

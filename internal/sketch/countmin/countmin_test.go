@@ -75,15 +75,6 @@ func TestUnseenKeyLowEstimate(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(2, 64, 1)
-	s.InsertWeighted(9, 1)
-	s.Reset()
-	if s.Query(9) != 0 {
-		t.Error("Reset did not clear sketch")
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(0, 10, 1) },

@@ -122,13 +122,6 @@ func (s *Sketch) QueryBlock(keys []uint64, cand []uint16) {
 	}
 }
 
-// Reset empties every bin for reuse.
-func (s *Sketch) Reset() {
-	for i := range s.cells {
-		s.cells[i] = Empty
-	}
-}
-
 // cellWidth returns the serialized bytes per bin for a given maximum index.
 func cellWidth(maxIdx int) int {
 	if maxIdx < 0xFF { // 0xFF reserved as the 1-byte Empty sentinel
@@ -384,11 +377,4 @@ func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, er
 		off += used
 	}
 	return g, off, nil
-}
-
-// Reset empties every group sketch.
-func (g *Grouped) Reset() {
-	for _, s := range g.groups {
-		s.Reset()
-	}
 }

@@ -127,15 +127,6 @@ func TestMaxQueryPicksClosest(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(2, 16, 1)
-	s.Insert(5, 9)
-	s.Reset()
-	if _, ok := s.Query(5); ok {
-		t.Error("Reset did not clear sketch")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	for _, maxIdx := range []int{31, 254, 255, 1000} {
 		s := New(3, 128, 77)

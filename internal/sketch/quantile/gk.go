@@ -218,10 +218,3 @@ func splits(sk Sketch, q int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Reset empties the sketch for reuse, keeping its accuracy configuration.
-func (s *GK) Reset() {
-	s.tuples = s.tuples[:0]
-	s.buf = s.buf[:0]
-	s.n = 0
-}

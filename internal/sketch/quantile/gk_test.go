@@ -191,21 +191,6 @@ func TestSplitsEqualPopulation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(0.05)
-	for i := 0; i < 100; i++ {
-		s.Insert(float64(i))
-	}
-	s.Reset()
-	if _, err := s.Query(0.5); err == nil {
-		t.Fatal("Query after Reset should see an empty sketch")
-	}
-	s.Insert(42)
-	if got := mustQuery(t, s, 0.5); got != 42 {
-		t.Errorf("after reset+insert Query(0.5) = %v, want 42", got)
-	}
-}
-
 func TestQueryRejectsBadPhi(t *testing.T) {
 	s := New(0.1)
 	s.Insert(1)

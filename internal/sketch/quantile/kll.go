@@ -154,17 +154,9 @@ func (s *KLL) Query(phi float64) (float64, error) {
 // equal-population buckets, mirroring GK.Splits.
 func (s *KLL) Splits(q int) ([]float64, error) { return splits(s, q) }
 
-// Reset empties the sketch for reuse.
-func (s *KLL) Reset() {
-	s.levels = s.levels[:1]
-	s.levels[0] = s.levels[0][:0]
-	s.n = 0
-	s.min = math.Inf(1)
-	s.max = math.Inf(-1)
-}
-
-// Sketch is the interface both quantile sketch implementations satisfy;
-// the quantizer accepts either.
+// Sketch is the interface both quantile sketch implementations satisfy, so
+// a caller that draws splits from a sketch takes either. The codec draws
+// none: its pane builder (quantizer.BuildQuantileInto) sorts the pane.
 type Sketch interface {
 	Insert(v float64)
 	InsertAll(vs []float64)

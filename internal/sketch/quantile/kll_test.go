@@ -124,21 +124,6 @@ func TestKLLSplitsEqualPopulation(t *testing.T) {
 	}
 }
 
-func TestKLLReset(t *testing.T) {
-	s := NewKLL(64, 12)
-	for i := 0; i < 1000; i++ {
-		s.Insert(float64(i))
-	}
-	s.Reset()
-	if s.n != 0 || s.Retained() != 0 {
-		t.Error("Reset incomplete")
-	}
-	s.Insert(5)
-	if mustQuery(t, s, 0.5) != 5 {
-		t.Error("sketch unusable after Reset")
-	}
-}
-
 func TestKLLDeterministicPerSeed(t *testing.T) {
 	build := func(seed int64) *KLL {
 		s := NewKLL(64, seed)

@@ -6,22 +6,23 @@
 //
 // Workers form a binary tree rooted at the driver (children of the driver
 // are workers 0 and 1; worker w's children are 2w+2 and 2w+3). Each interior
-// worker merges its children's aggregate frames into its own encoded
-// gradient and forwards one frameAgg up.
+// worker merges its children's frames into its own encoded gradient and
+// forwards one frameAgg up; a leaf forwards its gradient as a star worker
+// does.
 //
 // Every frameAgg carries how many worker gradients its message already
 // sums; the driver's one gather (gatherRound) turns the counts into weights
 // that keep the applied aggregate the unbiased mean even when subtrees go
 // missing in tolerant mode. This file is the workers' half: wiring, and the
-// reduction step, which receives through the same recvFrame loop as the
-// driver.
+// one gather step every worker runs (a star worker is a tree node with no
+// children whose parent is the driver), which receives through the same
+// fan-out and recvFrame loop as the driver.
 
 package trainer
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"sketchml/internal/cluster"
@@ -30,7 +31,8 @@ import (
 )
 
 // workerLinks is one worker's view of the tree wiring, plus its persistent
-// per-round buffers. The zero value is a star worker.
+// per-round buffers. The zero value is a star worker: no children, and the
+// driver link as its parent.
 type workerLinks struct {
 	w int
 	// up is the uplink to the parent worker (nil when the parent is the
@@ -39,12 +41,11 @@ type workerLinks struct {
 	up       cluster.Conn
 	children []cluster.Conn
 
-	// Reusable buffers: the encoded local gradient, the outbound frame and
-	// two alternating merge targets (codec.MergeInto may alias its first
-	// input, so two suffice for any merge chain).
-	encBuf   []byte
-	sendBuf  []byte
-	mergeBuf [2][]byte
+	// Reusable buffers: the outbound frame, which the local gradient is
+	// encoded into, and the merge target (codec.MergeInto may alias its
+	// input, so one serves the whole merge chain).
+	frame  []byte
+	merged []byte
 }
 
 func (lk *workerLinks) close() {
@@ -100,81 +101,66 @@ func (lk *links) wireTree(cfg *Config, wrap func(seedIdx int, inner cluster.Conn
 	}
 }
 
-// treeGatherStep runs worker w's gather half of one tree round: encode the
-// local gradient, wait for each child subtree's aggregate (at most half
-// the round deadline — the waits run concurrently, so interior levels do
-// not cascade into the driver's full deadline), merge arrivals wire-to-
-// wire in child order, and forward one frameAgg to the parent. A missing
-// or unusable child frame degrades that subtree's contribution (its count
-// simply stays out of the total); only strict mode aborts.
-func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
-	merger := cfg.codec.(codec.Merger)
+// gatherStep runs worker lk.w's gather half of one round on every topology:
+// encode the local gradient straight into the outbound frame, merge in each
+// child subtree's frame wire-to-wire in child order (a star worker has no
+// children; an interior worker waits on its children concurrently for at
+// most half the round deadline, so levels do not cascade into the driver's
+// full deadline), and send the frame to the parent. The frame is a frameGrad
+// while it carries the worker's gradient alone and a frameAgg with its count
+// once it sums more. A missing or unusable child frame keeps that subtree's
+// count out of the total; only strict mode aborts.
+func gatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
 	t0 := time.Now()
 	var err error
-	lk.encBuf, err = codec.EncodeAppend(cfg.codec, lk.encBuf[:0], g)
+	lk.frame, err = codec.EncodeAppend(cfg.codec, beginFrame(lk.frame[:0], frameGrad, round), g)
 	rep.encodeNs += time.Since(t0).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("trainer: worker encode: %w", err)
 	}
-	cur := lk.encBuf
-	count := 1
-	if len(lk.children) > 0 {
-		recvs := make([]frameRecv, len(lk.children))
-		var wg sync.WaitGroup
-		wg.Add(len(lk.children))
-		for i := range lk.children {
-			go func(i int, cfg Config) {
-				defer wg.Done()
-				// Worker w's children are workers 2w+2 and 2w+3.
-				recvs[i] = recvFrame(&cfg, lk.children[i], frameWant{2*lk.w + 2 + i, frameAgg, round}, cfg.RoundDeadline/2, nil)
-			}(i, cfg)
+	msg, count := lk.frame[frameHeaderLen:], 1
+	// Worker w's children are workers 2w+2 and 2w+3.
+	for _, r := range recvEach(cfg, lk.children, 2*lk.w+2, round, cfg.RoundDeadline/2, nil) {
+		rep.timeouts += int64(r.timeouts)
+		rep.corrupt += int64(r.corrupt)
+		rep.aggBytes += r.bytes
+		if r.err != nil && !cfg.tolerant() {
+			return r.err
 		}
-		wg.Wait()
-		bi := 0
-		for i := range recvs {
-			r := &recvs[i]
-			rep.timeouts += int64(r.timeouts)
-			rep.corrupt += int64(r.corrupt)
-			rep.aggBytes += r.bytes
-			if r.err != nil {
-				return r.err
-			}
-			if r.payload == nil {
-				continue
-			}
-			t0 = time.Now()
-			merged, merr := merger.MergeInto(lk.mergeBuf[bi], cur, r.payload)
-			rep.mergeNs += time.Since(t0).Nanoseconds()
-			if merr != nil {
-				if !cfg.tolerant() {
-					return fmt.Errorf("trainer: worker %d merge child aggregate: %w", lk.w, merr)
-				}
-				rep.corrupt++
-				continue
-			}
-			lk.mergeBuf[bi] = merged
-			cur = merged
-			bi = 1 - bi
-			rep.merges++
-			count += r.count
+		if r.payload == nil {
+			continue
 		}
+		t0 = time.Now()
+		merged, err := cfg.codec.(codec.Merger).MergeInto(lk.merged, msg, r.payload)
+		rep.mergeNs += time.Since(t0).Nanoseconds()
+		if err != nil {
+			if !cfg.tolerant() {
+				return fmt.Errorf("trainer: worker %d merge child aggregate: %w", lk.w, err)
+			}
+			rep.corrupt++
+			continue
+		}
+		lk.merged, msg = merged, merged
+		rep.merges++
+		count += r.count
 	}
-	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, count, cur)
-	if lk.up == nil {
-		// Root-level worker: the parent is the driver, reached over the
-		// counted driver link. A send failure here is as fatal as a star
-		// worker's gradient send — the driver link is the protocol spine.
-		if err := driver.Send(lk.sendBuf); err != nil {
-			return fmt.Errorf("trainer: worker send: %w", err)
+	if count > 1 {
+		lk.frame = appendAggFrame(lk.frame[:0], round, count, msg)
+	} else {
+		sealFrame(lk.frame)
+	}
+	if lk.up != nil {
+		// A dead uplink in tolerant mode costs this subtree the round; the
+		// broadcast on the driver link keeps the subtree in sync.
+		if err := lk.up.Send(lk.frame); err != nil && !cfg.tolerant() {
+			return fmt.Errorf("trainer: worker %d send to parent: %w", lk.w, err)
 		}
 		return nil
 	}
-	if err := lk.up.Send(lk.sendBuf); err != nil {
-		if !cfg.tolerant() {
-			return fmt.Errorf("trainer: worker %d send to parent: %w", lk.w, err)
-		}
-		// Dead uplink: this subtree misses the round. The broadcast on the
-		// driver link keeps this worker (and its children) in sync.
+	// The parent is the driver: a failed send is fatal, the driver link
+	// being the protocol spine.
+	if err := driver.Send(lk.frame); err != nil {
+		return fmt.Errorf("trainer: worker send: %w", err)
 	}
 	return nil
 }

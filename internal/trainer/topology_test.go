@@ -372,7 +372,7 @@ func TestTreeWorkerBoundsChildCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep workerReport
-	if err := treeGatherStep(cfg, lk, workerEnd, g, 0, &rep); err != nil {
+	if err := gatherStep(cfg, lk, workerEnd, g, 0, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.corrupt != 1 || rep.merges != 0 {
@@ -382,12 +382,8 @@ func TestTreeWorkerBoundsChildCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, payload, err := parseFrame(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count, _, err := parseAggFrame(payload); err != nil || count != 1 {
-		t.Errorf("forwarded count %d (err %v), want the worker's own gradient alone", count, err)
+	if kind, _, _, err := parseFrame(up); err != nil || kind != frameGrad {
+		t.Errorf("forwarded kind 0x%02x (err %v), want a frameGrad: the worker's own gradient alone", kind, err)
 	}
 }
 

@@ -57,10 +57,10 @@ type Config struct {
 	// the driver, which decodes all W messages. TopologyTree aggregates en
 	// route via codec merging, so it requires that CodecFactory build a
 	// codec.Merger, the in-memory transport (UseTCP only wires star links)
-	// and at most 65535 workers. Both share one driver gather, one sum rule
-	// and one fault arithmetic: the topology decides only which driver links
-	// are listened on and which frame is expected on them. A dead link or an
-	// undecodable frame is handled the same way on each (see RoundDeadline).
+	// and at most 65535 workers. Both share one gather, one sum rule and one
+	// fault arithmetic: the topology decides only which driver links the
+	// gather listens on. A dead link or an undecodable frame is handled the
+	// same way on each (see RoundDeadline).
 	Topology cluster.Topology
 	// BatchFraction is the global mini-batch size as a fraction of the
 	// training set (the paper uses 0.1). Values <= 0 default to 0.1.
@@ -930,30 +930,50 @@ func (d *driver) foldReports(res *Result, workerErrs <-chan error) error {
 
 // frameWant names the one frame a receive is waiting for.
 type frameWant struct {
-	from  int  // sending worker, for error attribution
-	kind  byte // frameGrad, frameAgg or frameReport
-	round int
+	from    int  // sending worker, for error attribution; negative: the driver
+	kind    byte // frameGrad or frameReport; a frameAgg is a frameGrad that sums more
+	round   int
+	orLater bool // a later round's frame matches too (the tolerant worker's broadcast wait)
 }
 
-// frameRecv is the outcome of one recvFrame call: the wanted frame, or a
-// miss, and what the wait saw on the way.
+// matches reports whether a valid frame of kind and tag is the one wanted.
+func (w frameWant) matches(kind byte, tag int) bool {
+	if kind != w.kind && (kind != frameAgg || w.kind != frameGrad) {
+		return false
+	}
+	return tag == w.round || w.orLater && tag > w.round
+}
+
+// sender names the party a wait listens to, for errors.
+func (w frameWant) sender() string {
+	if w.from < 0 {
+		return "the driver"
+	}
+	return fmt.Sprintf("worker %d", w.from)
+}
+
+// frameRecv is the outcome of one recvFrame call: the wanted frame, a stop
+// frame, or a miss, and what the wait saw on the way.
 type frameRecv struct {
 	payload  []byte           // codec message or report body; aliases the transport buffer, nil on a miss
+	round    int              // the matched frame's round tag
 	count    int              // worker gradients payload sums (the frameAgg count; 1 for other kinds)
 	g        *gradient.Sparse // payload decoded into the caller's dst, nil without one or on a miss
+	stop     bool             // a stop frame ended the wait
 	decodeNs int64
 	bytes    int64 // raw frame bytes received, discarded frames included
 	timeouts int
 	corrupt  int
 	stale    int
-	err      error // strict mode only: the anomaly that ended the wait
+	err      error // a dead link in either mode; in strict mode, any anomaly that ended the wait
 }
 
-// recvFrame is the one frame-receive loop: the driver's gather, the tree
-// workers' child-link receives and the end-of-run report collection all
-// wait through it. It returns the first frame on conn that
-// matches want, checksum-valid, with an aggregate count within
-// [1, cfg.Workers] and, when dst is given, decodable into it.
+// recvFrame is the one frame-receive loop: every wait of a run, on the
+// driver and on the workers, goes through it. It returns the first frame on
+// conn that matches want, checksum-valid, with an aggregate count within
+// [1, cfg.Workers] and, when dst is given, decodable into it, or a valid
+// stop frame (only the driver sends one). It only reports what it saw: what
+// a stop, a later round or a miss means is the caller's decision.
 //
 // budget == 0 is strict mode: the receive blocks until a frame arrives and
 // any anomaly (dead link, bad envelope, wrong kind or round, out-of-range
@@ -961,9 +981,11 @@ type frameRecv struct {
 // anomalous frames are counted (corrupt: envelope, count, report size or
 // decode; stale: a valid frame for another kind or round; collectReport
 // drops both tallies, frames queued ahead of a report are expected),
-// discarded, and the wait continues on what is left of the budget. An expired budget
-// counts one timeout and is a miss; a dead link is a miss and counts nothing
-// (the strike ledger, not the timeout tally, tracks persistent absence).
+// discarded, and the wait continues on what is left of the budget. An
+// expired budget counts one timeout and is a miss. A dead link returns its
+// error in both modes and counts nothing; a tolerant gather takes it as a
+// miss (the strike ledger, not the timeout tally, tracks persistent
+// absence).
 //
 // A non-nil dst is the caller's reusable decode target: the payload is
 // decoded into it (timedDecode) and g aliases it until the next receive, so
@@ -989,9 +1011,7 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 			return out
 		}
 		if err != nil {
-			if strict {
-				out.err = fmt.Errorf("trainer: recv from worker %d: %w", want.from, err)
-			}
+			out.err = fmt.Errorf("trainer: recv from %s: %w", want.sender(), err)
 			return out
 		}
 		out.bytes += int64(len(msg))
@@ -1009,16 +1029,20 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 		}
 		if err != nil {
 			if strict {
-				out.err = fmt.Errorf("trainer: frame from worker %d: %w", want.from, err)
+				out.err = fmt.Errorf("trainer: frame from %s: %w", want.sender(), err)
 				return out
 			}
 			out.corrupt++
 			continue
 		}
-		if kind != want.kind || tag != want.round {
+		if kind == frameStop {
+			out.stop = true
+			return out
+		}
+		if !want.matches(kind, tag) {
 			if strict {
-				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d while kind 0x%02x round %d was due",
-					want.from, kind, tag, want.kind, want.round)
+				out.err = fmt.Errorf("trainer: %s sent kind 0x%02x round %d while kind 0x%02x round %d was due",
+					want.sender(), kind, tag, want.kind, want.round)
 				return out
 			}
 			out.stale++
@@ -1029,7 +1053,7 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 			out.decodeNs += ns
 			if err != nil {
 				if strict {
-					out.err = fmt.Errorf("trainer: decode from worker %d: %w", want.from, err)
+					out.err = fmt.Errorf("trainer: decode from %s: %w", want.sender(), err)
 					return out
 				}
 				out.corrupt++
@@ -1037,7 +1061,7 @@ func recvFrame(cfg *Config, conn cluster.Conn, want frameWant, budget time.Durat
 			}
 			out.g = g
 		}
-		out.payload, out.count = payload, count
+		out.payload, out.round, out.count = payload, tag, count
 		return out
 	}
 }
@@ -1062,24 +1086,44 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 	return g, ns, err
 }
 
+// recvEach is the one fan-out, for the driver's gather and an interior
+// worker's child wait: one recvFrame per link for round's gradient, each on
+// its own goroutine. Link i's sender is worker first+i; dst[i], when dst is
+// given, is its decode target.
+func recvEach[C cluster.Conn](cfg Config, conns []C, first, round int, budget time.Duration, dst []gradient.Sparse) []frameRecv {
+	outs := make([]frameRecv, len(conns))
+	var wg sync.WaitGroup
+	wg.Add(len(conns))
+	for i := range conns {
+		// cfg travels as a goroutine argument (copied onto the new
+		// goroutine's stack): captured, the >128-byte struct would be moved
+		// to the heap by reference once per round.
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			var d *gradient.Sparse
+			if dst != nil {
+				d = &dst[i]
+			}
+			outs[i] = recvFrame(&cfg, conns[i], frameWant{from: first + i, kind: frameGrad, round: round}, budget, d)
+		}(i, cfg)
+	}
+	wg.Wait()
+	return outs
+}
+
 // gatherRound is the driver's gather for every topology: receive and decode
 // one message per listened driver link for the given round, tally what the
 // waits saw, check quorum, keep the strike ledger, and fold the arrivals
 // into acc at weights that keep the aggregate the unbiased mean of the
 // worker gradients that made it. cfg.Topology decides only which links are
-// listened on and which frame is due on them:
+// listened on: star all W, tree the min(W, 2) root links. Either way the
+// messages cover disjoint worker sets, so there is one sum rule: every
+// message is weighted 1/total contributors, and quorum and SkippedGrads
+// count contributors.
 //
-//   - star listens on all W links for a frameGrad (a message of count 1);
-//   - tree listens on the min(W, 2) root links for a frameAgg.
-//
-// Either way the messages cover disjoint worker sets, so there is one sum
-// rule: every message is weighted 1/total contributors, and quorum and
-// SkippedGrads count contributors.
-//
-// With more than one link the receive+decode pairs run on one goroutine per
-// link; a single link keeps the plain serial path. The decode meter sums
-// the per-goroutine decode durations (timedDecode), not the gather's wall
-// time. Accumulator adds always happen sequentially in link order, keeping
+// The receive+decode pairs run on one goroutine per link (recvEach); the
+// decode meter sums their decode durations (timedDecode), not the gather's
+// wall time. Accumulator adds happen sequentially in link order, keeping
 // the float summation (and thus training) deterministic. reuse[w] is link
 // w's persistent decode target, so after warm-up the gather allocates
 // nothing per round beyond the bookkeeping below.
@@ -1089,27 +1133,11 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 // and aborts only on quorum loss (fewer than ceil(minGatherFraction·W)
 // contributors) or when one link reaches maxStrikes consecutive misses.
 func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	links, kind := cfg.Workers, frameGrad
+	links := cfg.Workers
 	if cfg.Topology == cluster.TopologyTree {
-		links, kind = min(cfg.Workers, 2), frameAgg
+		links = min(cfg.Workers, 2)
 	}
-	outs := make([]frameRecv, links)
-	if links == 1 {
-		outs[0] = recvFrame(&cfg, driverSide[0], frameWant{0, kind, round}, cfg.RoundDeadline, &reuse[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(links)
-		for w := 0; w < links; w++ {
-			// cfg travels as a goroutine argument (copied onto the new
-			// goroutine's stack): captured, the >128-byte struct would be
-			// moved to the heap by reference once per round.
-			go func(w int, cfg Config) {
-				defer wg.Done()
-				outs[w] = recvFrame(&cfg, driverSide[w], frameWant{w, kind, round}, cfg.RoundDeadline, &reuse[w])
-			}(w, cfg)
-		}
-		wg.Wait()
-	}
+	outs := recvEach(cfg, driverSide[:links], 0, round, cfg.RoundDeadline, reuse[:links])
 	// total sums the contributors over the arrivals.
 	total := 0
 	for w := range outs {
@@ -1208,7 +1236,7 @@ func collectReport(cfg Config, conn cluster.Conn, w, totalRounds int, drained bo
 	if budget <= 0 && drained {
 		budget = drainReportBudget
 	}
-	r := recvFrame(&cfg, conn, frameWant{w, frameReport, totalRounds}, budget, nil)
+	r := recvFrame(&cfg, conn, frameWant{from: w, kind: frameReport, round: totalRounds}, budget, nil)
 	if r.err != nil {
 		return workerReport{}, r.err
 	}
@@ -1238,44 +1266,23 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 		buf = batcher.Next(buf)
 	}
 	var rep workerReport
-	// grad, sendBuf and aggScratch are the worker's own gradient, frame and
-	// decode buffers, kept for the whole job: after warm-up the steady-state
-	// round allocates neither its gradient, nor the outbound frame the codec
-	// encodes into, nor a fresh aggregate. grad is valid until the next
-	// round's BatchGradientInto (every consumer — the encode, the tree
-	// step — is done with it within the round), every transport is done
-	// with sendBuf when Send returns, and the decoded aggregate is consumed
-	// within the round.
+	// grad and aggScratch (like links' frame buffers) are kept for the whole
+	// job, so a warm round allocates neither its gradient nor its aggregate;
+	// both are consumed within the round.
 	var grad gradient.Sparse
-	var sendBuf []byte
 	var aggScratch gradient.Sparse
 	// misses counts consecutive broadcast waits that expired; it is the
 	// worker-side liveness bound (the driver may legitimately go quiet for
 	// a while during an outage on this link, but not forever).
 	misses := 0
+rounds:
 	for round := startRound; round < totalRounds; round++ {
 		t0 := time.Now()
 		buf = batcher.Next(buf)
 		g, _ := model.BatchGradientReuse(cfg.Trainable, &grad, theta, buf, cfg.Lambda)
 		rep.computeNs += time.Since(t0).Nanoseconds()
-
-		if cfg.Topology == cluster.TopologyTree {
-			if err := treeGatherStep(cfg, links, conn, g, round, &rep); err != nil {
-				return err
-			}
-		} else {
-			// The gradient is encoded straight into the frame buffer, after
-			// the envelope; the frame is sealed once the payload is complete.
-			t0 = time.Now()
-			sendBuf, err = codec.EncodeAppend(cfg.codec, beginFrame(sendBuf[:0], frameGrad, round), g)
-			rep.encodeNs += time.Since(t0).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("trainer: worker encode: %w", err)
-			}
-			sealFrame(sendBuf)
-			if err := conn.Send(sendBuf); err != nil {
-				return fmt.Errorf("trainer: worker send: %w", err)
-			}
+		if err := gatherStep(cfg, links, conn, g, round, &rep); err != nil {
+			return err
 		}
 
 		// Wait for the aggregate. The worker never free-runs: it advances
@@ -1288,47 +1295,30 @@ func runWorker(cfg Config, plan *runPlan, w int, conn cluster.Conn, links *worke
 		// equal budget would expire moments before every such broadcast.
 		var agg *gradient.Sparse
 		for {
-			down, err := conn.RecvTimeout(2 * cfg.RoundDeadline)
-			if cfg.tolerant() && errors.Is(err, cluster.ErrTimeout) {
-				rep.timeouts++
-				misses++
-				if misses >= cfg.maxStrikes {
+			r := recvFrame(&cfg, conn, frameWant{from: -1, kind: frameGrad, round: round, orLater: cfg.tolerant()}, 2*cfg.RoundDeadline, nil)
+			rep.timeouts += int64(r.timeouts)
+			rep.corrupt += int64(r.corrupt)
+			if r.err != nil {
+				return r.err
+			}
+			if r.stop {
+				// Drain notice: no aggregate follows, and the driver skims the
+				// gradient just sent. File the report and exit.
+				break rounds
+			}
+			if r.payload == nil {
+				if misses++; misses >= cfg.maxStrikes {
 					return fmt.Errorf("trainer: worker lost contact with driver (%d broadcast waits expired)", misses)
 				}
 				continue
 			}
-			if err != nil {
-				return fmt.Errorf("trainer: worker recv: %w", err)
-			}
-			kind, tag, payload, perr := parseFrame(down)
-			if perr != nil {
-				if !cfg.tolerant() {
-					return fmt.Errorf("trainer: worker frame: %w", perr)
-				}
-				rep.corrupt++
-				continue
-			}
-			if kind == frameStop {
-				// Drain notice: the driver stopped at a round boundary and
-				// will not broadcast this round's aggregate. The gradient just
-				// sent is skimmed driver-side; file the report and exit.
-				return conn.Send(appendFrame(make([]byte, 0, frameHeaderLen+workerReportLen), frameReport, totalRounds, rep.marshal()))
-			}
-			if kind != frameGrad || tag != round {
-				if !cfg.tolerant() {
-					return fmt.Errorf("trainer: worker got kind 0x%02x round %d during round %d", kind, tag, round)
-				}
-				if kind != frameGrad || tag < round {
-					continue // stale duplicate of an earlier broadcast
-				}
-				// The driver has moved on: broadcasts for rounds
-				// [round, tag) never made it here. Fast-forward onto the
-				// newest aggregate and rejoin the current round.
-				rep.skippedSteps += int64(tag - round)
-				round = tag
-			}
+			// A later tag means the driver has moved on: broadcasts for
+			// rounds [round, tag) never made it here. Fast-forward onto the
+			// newest aggregate and rejoin the current round.
+			rep.skippedSteps += int64(r.round - round)
+			round = r.round
 			t0 = time.Now()
-			agg, err = codec.DecodeReuse(cfg.codec, payload, &aggScratch)
+			agg, err = codec.DecodeReuse(cfg.codec, r.payload, &aggScratch)
 			rep.decodeNs += time.Since(t0).Nanoseconds()
 			if err != nil {
 				if !cfg.tolerant() {
