@@ -32,17 +32,17 @@ type Merger interface {
 }
 
 // mergeScratch holds the pooled working state for one merge: the two
-// structurally decoded inputs, the accumulator that sums them, and the
-// exact-means path's buffers. The pane writer's scratch comes from the
-// encode pool, as it does for Encode. Pooled so warm MergeInto calls
-// allocate nothing on either path.
+// structurally decoded inputs, their sum, and the exact-means path's
+// buffers. The pane writer's scratch comes from the encode pool, as it does
+// for Encode. Pooled so warm MergeInto calls allocate nothing on either
+// path.
 type mergeScratch struct {
 	ga, gb gradient.Sparse
-	acc    gradient.Accumulator
-	dist   []float64 // the pane's distinct values, sorted once they all fit
-	idx    []uint32  // each value's place in dist
-	set    []uint64  // open-addressing set of the distinct values' bits
-	rank   []uint32  // a set slot's place in dist
+	gsum   gradient.Sparse // sum's result
+	dist   []float64       // the pane's distinct values, sorted once they all fit
+	idx    []uint32        // each value's place in dist
+	set    []uint64        // open-addressing set of the distinct values' bits
+	rank   []uint32        // a set slot's place in dist
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -50,30 +50,48 @@ var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 func getMergeScratch() *mergeScratch   { return mergeScratchPool.Get().(*mergeScratch) }
 func putMergeScratch(ms *mergeScratch) { mergeScratchPool.Put(ms) }
 
-// sum returns the key-union sum of the two decoded inputs, through the
-// accumulator the driver sums a gather with. It drops exact-zero sums, +0
-// and -0 alike, so the output bytes cannot depend on input order. Any
-// non-finite sum is an error: a merge must never emit a message that
-// decodes to garbage. The result is ms's storage, valid until ms is reused.
+// sum returns the key-union sum of the two decoded inputs: one walk of both
+// key lists, adding each key's terms, a's before b's, from +0.0 — the bits
+// the driver's gradient.Accumulator gives the same two inputs. It drops
+// exact-zero sums, +0 and -0 alike, so the output bytes cannot depend on
+// input order. The walk needs scratch only as long as the inputs, not a
+// Dim-sized one, because Dim comes off the wire. Any non-finite sum is an
+// error: a merge must never emit a message that decodes to garbage. The
+// result is ms's storage, valid until ms is reused.
 func (ms *mergeScratch) sum() (*gradient.Sparse, error) {
 	a, b := &ms.ga, &ms.gb
 	if a.Dim != b.Dim {
 		return nil, fmt.Errorf("codec: merge dimension mismatch: %d vs %d", a.Dim, b.Dim)
 	}
-	ms.acc.Reset(a.Dim)
-	// Neither Add can fail: both inputs have the accumulator's dimension.
-	_ = ms.acc.Add(a, 1)
-	_ = ms.acc.Add(b, 1)
-	sum := ms.acc.Sum()
-	for i, v := range sum.Values {
+	keys, vals := ms.gsum.Keys[:0], ms.gsum.Values[:0]
+	i, j := 0, 0
+	for i < len(a.Keys) || j < len(b.Keys) {
+		var key uint64
+		if j == len(b.Keys) || (i < len(a.Keys) && a.Keys[i] <= b.Keys[j]) {
+			key = a.Keys[i]
+		} else {
+			key = b.Keys[j]
+		}
+		var v float64
+		for ; i < len(a.Keys) && a.Keys[i] == key; i++ {
+			v += a.Values[i]
+		}
+		for ; j < len(b.Keys) && b.Keys[j] == key; j++ {
+			v += b.Values[j]
+		}
 		if !gradient.Finite(v) {
-			return nil, fmt.Errorf("codec: merge produced non-finite value at key %d", sum.Keys[i])
+			return nil, fmt.Errorf("codec: merge produced non-finite value at key %d", key)
+		}
+		if v != 0 {
+			keys = append(keys, key)
+			vals = append(vals, v)
 		}
 	}
-	if uint64(len(sum.Keys)) > math.MaxUint32 {
-		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(sum.Keys))
+	ms.gsum = gradient.Sparse{Dim: a.Dim, Keys: keys, Values: vals}
+	if uint64(len(keys)) > math.MaxUint32 {
+		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(keys))
 	}
-	return sum, nil
+	return &ms.gsum, nil
 }
 
 // mergeMeansCapOverride, when positive, replaces the pane's quantile budget

@@ -148,31 +148,17 @@ func FromMap(dim uint64, m map[uint64]float64) *Sparse {
 // sparse gradient. This is what the paper's driver does when it gathers
 // {g_w} from W executors.
 //
-// Every input already holds its keys in ascending order, so the sum is a
-// k-way merge of the key lists, run as ⌈log₂ k⌉ rounds of pairwise merges
-// of neighbours — O(n log k) for n input nonzeros from k gradients, every
-// round a sequential pass, and no Dim-sized state. The rounds before the
-// last only interleave: a merge is stable and its left operand holds the
-// earlier Adds, so terms that share a key stay in Add order. The last round
-// adds them up in that order, starting from zero, which makes every sum
+// It is a thin layer over Scatter: each Add scatters g's weighted values
+// into a pooled scatter over the accumulator's dimension, so the terms of a
+// key are added in Add order, starting from zero, and every sum is
 // bit-identical to adding the gradients one after another into a dense
 // vector: the result depends on the order of the Add calls and on nothing
-// else.
+// else. The scatter is borrowed at the first Add and returned at Sum, so
+// between sums the accumulator holds no Dim-sized state.
 type Accumulator struct {
-	dim  uint64
-	runs []terms // recorded by Add, in Add order; merged pairwise by Sum
-	// Sum's scratch, kept between rounds: the merge rounds alternate between
-	// the two buffers, each as long as the inputs together.
-	buf [2]terms
-	sum Sparse // what Sum returns: a view of the buffer the last round wrote
-}
-
-// terms is a list of weighted terms of the sum, ascending by key and, within
-// a key, in Add order. A term's value is vals[i]·weight.
-type terms struct {
-	keys   []uint64
-	vals   []float64
-	weight float64
+	dim uint64
+	s   *Scatter // borrowed by the first Add, returned by Sum
+	sum Sparse   // what Sum returns, refilled every Sum
 }
 
 // NewAccumulator creates an accumulator over dim dimensions.
@@ -180,119 +166,39 @@ func NewAccumulator(dim uint64) *Accumulator {
 	return &Accumulator{dim: dim}
 }
 
-// Reset empties a and makes it an accumulator over dim dimensions, keeping
-// its buffers for the next sum.
-func (a *Accumulator) Reset(dim uint64) {
-	clear(a.runs)
-	a.runs = a.runs[:0]
-	a.dim = dim
-}
-
-// Add records g, scaled by weight, as the next term of the sum. Nothing is
-// read until Sum: the accumulator keeps g's slices, so g must stay
-// unmodified until Sum returns — decode the next round into it only after
-// that. g must satisfy Validate (keys strictly ascending).
+// Add adds g, scaled by weight, as the next term of the sum. g is read
+// before Add returns, so the caller may overwrite it at once. A g over
+// another dimension is refused before a changes; g's keys must be below the
+// dimension, as Validate requires.
 func (a *Accumulator) Add(g *Sparse, weight float64) error {
 	if g.Dim != a.dim {
 		return fmt.Errorf("gradient: accumulator dim %d, gradient dim %d", a.dim, g.Dim)
 	}
-	a.runs = append(a.runs, terms{keys: g.Keys, vals: g.Values, weight: weight})
+	if a.s == nil {
+		a.s = GetScatter(a.dim)
+	}
+	for i, k := range g.Keys {
+		a.s.Add(k, float64(g.Values[i]*weight)) // the conversion rules out a fused multiply-add
+	}
 	return nil
 }
 
 // Sum returns the weighted sum of the added gradients, dropping keys whose
-// values sum to exactly zero, and resets the accumulator, releasing the
-// added gradients. The result is the accumulator's own storage, not a copy:
-// it is valid until the next Add or Sum on a, and a caller that keeps it
-// longer must Clone it.
+// values sum to exactly zero, and empties the accumulator. The result is
+// the accumulator's own storage, not a copy: it is valid until the next Sum
+// on a, and a caller that keeps it longer must Clone it.
 func (a *Accumulator) Sum() *Sparse {
-	runs := a.runs
-	n := 0
-	for _, r := range runs {
-		n += len(r.keys)
+	a.sum.Dim, a.sum.Keys, a.sum.Values = a.dim, a.sum.Keys[:0], a.sum.Values[:0]
+	if a.s == nil {
+		return &a.sum
 	}
-	for i := range a.buf {
-		if i > 0 && len(runs) <= 2 {
-			break // one or two runs add up straight into the first buffer
-		}
-		b := &a.buf[i]
-		if cap(b.keys) < n {
-			// A quarter of headroom: a round's input size wanders by a few
-			// percent, and without the slack every new maximum would
-			// reallocate the scratch.
-			b.keys, b.vals = make([]uint64, n, n+n/4), make([]float64, n, n+n/4)
-		}
-		b.keys, b.vals = b.keys[:n], b.vals[:n]
+	if n := a.s.n; cap(a.sum.Keys) < n {
+		// A quarter of headroom: a round's key count wanders by a few
+		// percent, and without the slack every new maximum would reallocate.
+		a.sum.Keys, a.sum.Values = make([]uint64, 0, n+n/4), make([]float64, 0, n+n/4)
 	}
-	dst := 0
-	for ; len(runs) > 2; dst ^= 1 {
-		// Merge neighbours into consecutive stretches of the free buffer; an
-		// odd run out merges with nothing, which copies it across.
-		merged, off := runs[:0], 0
-		for i := 0; i < len(runs); i += 2 {
-			var right terms
-			if i+1 < len(runs) {
-				right = runs[i+1]
-			}
-			end := off + len(runs[i].keys) + len(right.keys)
-			out := terms{keys: a.buf[dst].keys[off:end], vals: a.buf[dst].vals[off:end], weight: 1}
-			interleave(out, runs[i], right)
-			merged, off = append(merged, out), end
-		}
-		runs = merged
-	}
-	var left, right terms
-	if len(runs) > 0 {
-		left = runs[0]
-	}
-	if len(runs) > 1 {
-		right = runs[1]
-	}
-	keys, vals := addUp(a.buf[dst].keys[:0], a.buf[dst].vals[:0], left, right)
-	clear(a.runs) // drop the references to the added gradients
-	a.runs = a.runs[:0]
-	a.sum = Sparse{Dim: a.dim, Keys: keys, Values: vals}
+	a.s.SumInto(&a.sum, nil, 0)
+	PutScatter(a.s)
+	a.s = nil
 	return &a.sum
-}
-
-// interleave merges a and b into out, which is as long as both together,
-// applying their weights. Where keys tie, a's terms come first.
-func interleave(out, a, b terms) {
-	i, j := 0, 0
-	for o := range out.keys {
-		if j == len(b.keys) || (i < len(a.keys) && a.keys[i] <= b.keys[j]) {
-			out.keys[o], out.vals[o] = a.keys[i], a.vals[i]*a.weight
-			i++
-		} else {
-			out.keys[o], out.vals[o] = b.keys[j], b.vals[j]*b.weight
-			j++
-		}
-	}
-}
-
-// addUp is the last merge round: for every key of a or b in ascending order
-// it adds the key's terms, a's before b's, and appends the sums that are not
-// exactly zero to keys and vals.
-func addUp(keys []uint64, vals []float64, a, b terms) ([]uint64, []float64) {
-	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
-		var key uint64
-		if j == len(b.keys) || (i < len(a.keys) && a.keys[i] <= b.keys[j]) {
-			key = a.keys[i]
-		} else {
-			key = b.keys[j]
-		}
-		var sum float64
-		for ; i < len(a.keys) && a.keys[i] == key; i++ {
-			sum += float64(a.vals[i] * a.weight)
-		}
-		for ; j < len(b.keys) && b.keys[j] == key; j++ {
-			sum += float64(b.vals[j] * b.weight)
-		}
-		if sum != 0 {
-			keys = append(keys, key)
-			vals = append(vals, sum)
-		}
-	}
-	return keys, vals
 }

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,5 +114,53 @@ func TestGatherRoundAllHealthy(t *testing.T) {
 	}
 	if decode <= 0 {
 		t.Fatal("decode duration was not accumulated")
+	}
+}
+
+// TestGatherRoundRejectsWrongDim: a worker gradient that decodes cleanly but
+// over another dimension never reaches the sum. One worker's message is
+// encoded over twice the model's dimension, with keys past the model's end,
+// or over half of it; in strict and in tolerant mode gatherRound must return
+// an error that names the dimensions, and must not panic.
+func TestGatherRoundRejectsWrongDim(t *testing.T) {
+	const workers = 4
+	for _, mode := range []struct {
+		name     string
+		deadline time.Duration
+	}{{"strict", 0}, {"tolerant", 5 * time.Second}} {
+		for _, dim := range []uint64{2 * gatherDim, gatherDim / 2} {
+			t.Run(fmt.Sprintf("%s/dim%d", mode.name, dim), func(t *testing.T) {
+				cfg, driverSide, workerSide, g, msg := gatherHarness(t, workers)
+				cfg.RoundDeadline, cfg.minGatherFraction, cfg.maxStrikes = mode.deadline, 0.5, 3
+				// Stretch the keys over the whole wrong dimension, so the
+				// larger one puts about half of them past the model's end.
+				m := map[uint64]float64{}
+				for i, k := range g.Keys {
+					m[k*dim/gatherDim] += g.Values[i]
+				}
+				bad, err := cfg.codec.Encode(gradient.FromMap(dim, m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := 0; w < workers; w++ {
+					payload := msg
+					if w == 2 {
+						payload = bad
+					}
+					if err := workerSide[w].Send(appendFrame(nil, frameGrad, 0, payload)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				acc := gradient.NewAccumulator(gatherDim)
+				var decode time.Duration
+				err = gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &EpochStats{}, &decode)
+				if err == nil {
+					t.Fatalf("gatherRound summed a gradient over %d dimensions into a model of %d", dim, gatherDim)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprint(dim)) {
+					t.Fatalf("error does not name the gradient's dimension %d: %v", dim, err)
+				}
+			})
+		}
 	}
 }

@@ -1124,9 +1124,12 @@ func recvEach[C cluster.Conn](cfg Config, conns []C, first, round int, budget ti
 // The receive+decode pairs run on one goroutine per link (recvEach); the
 // decode meter sums their decode durations (timedDecode), not the gather's
 // wall time. Accumulator adds happen sequentially in link order, keeping
-// the float summation (and thus training) deterministic. reuse[w] is link
-// w's persistent decode target, so after warm-up the gather allocates
-// nothing per round beyond the bookkeeping below.
+// the float summation (and thus training) deterministic; each add reads
+// its decode at once into the scatter acc borrows from the pool, and
+// refuses a gradient of another dimension, which is the only check a
+// decoded gradient's Dim gets. reuse[w] is link w's persistent decode
+// target, so after warm-up the gather allocates nothing per round beyond
+// the bookkeeping below.
 //
 // Strict mode (RoundDeadline == 0) requires every worker gradient and any
 // fault aborts. Tolerant mode aggregates whatever arrived by the deadline
