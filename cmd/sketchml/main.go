@@ -17,12 +17,12 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux (served only with -pprof)
 	"os"
+	"slices"
 
 	"sketchml"
-	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
+	"sketchml/internal/service"
 	"sketchml/internal/stats"
-	"sketchml/internal/trainer"
 )
 
 func main() {
@@ -37,21 +37,13 @@ func main() {
 		lambda     = flag.Float64("lambda", 0.01, "L2 regularization")
 		seed       = flag.Int64("seed", 1, "random seed")
 		useTCP     = flag.Bool("tcp", false, "exchange gradients over loopback TCP")
-		buckets    = flag.Int("buckets", 256, "SketchML quantile buckets (q)")
-		rows       = flag.Int("rows", 2, "MinMaxSketch rows (s)")
-		groups     = flag.Int("groups", 8, "MinMaxSketch groups (r)")
-		colsFrac   = flag.Float64("cols", 0.2, "MinMaxSketch columns as a fraction of nnz (t/d)")
 		gatherN    = flag.String("gather", "star", "gather shape: star|tree (tree merges sketches wire-to-wire; mergeable codec, in-memory transport only)")
 		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (per-epoch wire bytes, compression ratio, stage times, sketch error, full metrics snapshot) to this path")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
 	)
 	so := registerServeFlags(flag.CommandLine)
 	flag.Parse()
-	gather, err := sketchml.ParseTopology(*gatherN)
-	if err != nil {
-		fatal(err)
-	}
-	if err := validateFlags(so.addr, *metricsOut, gather, *useTCP); err != nil {
+	if err := validateFlags(so.addr, *metricsOut); err != nil {
 		fatal(err)
 	}
 	if *pprofAddr != "" {
@@ -64,13 +56,15 @@ func main() {
 		return
 	}
 
-	ds, err := loadDataset(*data, *seed)
-	if err != nil {
-		fatal(err)
+	// The run is a service job spec, built by the service's own builder;
+	// only the file path and the transport are fields HTTP never accepts.
+	spec := service.JobSpec{
+		Dataset: *data, Model: *modelN, Codec: *codecN, Gather: *gatherN,
+		Workers: *workers, Epochs: *epochs, BatchFraction: *batch,
+		LR: *lr, Lambda: *lambda, Seed: *seed, TCP: *useTCP,
 	}
-	mdl, err := sketchml.ModelByName(*modelN)
-	if err != nil {
-		fatal(err)
+	if dataset.Preset(*data) == nil {
+		spec.LibSVM = *data
 	}
 	// One registry spans trainer, codec, and cluster so the run report's
 	// cross-layer consistency checks (wire bytes vs. transport counters)
@@ -80,33 +74,17 @@ func main() {
 	if *metricsOut != "" {
 		reg = sketchml.NewMetrics()
 	}
-	opts := codec.DefaultOptions()
-	opts.Buckets, opts.Rows, opts.Groups, opts.ColsFraction = *buckets, *rows, *groups, *colsFrac
-	opts.Metrics = reg
-	newCodec, err := codec.ByName(*codecN, opts)
+	cfg, train, test, err := spec.Build(reg)
 	if err != nil {
 		fatal(err)
 	}
 
-	train, test := ds.Split(0.75, *seed)
+	all := dataset.Dataset{Instances: slices.Concat(train.Instances, test.Instances)}
 	fmt.Printf("dataset: %s (%d train / %d test, D=%d, avg nnz %.1f)\n",
-		*data, train.N(), test.N(), ds.Dim, ds.AvgNNZ())
+		*data, train.N(), test.N(), train.Dim, all.AvgNNZ())
 	fmt.Printf("model %s, codec %s, %d workers, batch %.0f%%\n\n",
-		mdl.Name(), newCodec().Name(), *workers, *batch*100)
+		cfg.Trainable.Name(), cfg.CodecFactory().Name(), *workers, *batch*100)
 
-	cfg := sketchml.TrainConfig{
-		Trainable:     mdl,
-		CodecFactory:  newCodec,
-		Optimizer:     func(dim uint64) sketchml.Optimizer { return sketchml.NewAdam(*lr, dim) },
-		Workers:       *workers,
-		BatchFraction: *batch,
-		Epochs:        *epochs,
-		Lambda:        *lambda,
-		Seed:          *seed,
-		UseTCP:        *useTCP,
-		Topology:      gather,
-		Metrics:       reg,
-	}
 	res, err := sketchml.Train(cfg, train, test)
 	if err != nil {
 		fatal(err)
@@ -141,18 +119,11 @@ func main() {
 // validateFlags cross-checks flag combinations that cannot be rejected by
 // any single flag's parser. It runs before any work starts so a bad
 // combination is a fast, explicit startup error rather than a surprise
-// after minutes of training.
-func validateFlags(serveAddr, metricsOut string, gather sketchml.Topology, useTCP bool) error {
-	if serveAddr != "" {
-		if metricsOut != "" {
-			return fmt.Errorf("-metrics-out cannot be combined with -serve; fetch per-job metrics via GET /jobs/{id}?metrics=1")
-		}
-		return nil
-	}
-	// The codec is checked by the trainer, once built. The refusal reads
-	// "gather tree requires ...", so a leading dash names the flag.
-	if err := trainer.CheckTopology(gather, useTCP, nil, 0); err != nil {
-		return fmt.Errorf("-%w (drop -tcp)", err)
+// after minutes of training. A gather shape the transport or codec cannot
+// run is refused by JobSpec.Build, before any dataset is read.
+func validateFlags(serveAddr, metricsOut string) error {
+	if serveAddr != "" && metricsOut != "" {
+		return fmt.Errorf("-metrics-out cannot be combined with -serve; fetch per-job metrics via GET /jobs/{id}?metrics=1")
 	}
 	return nil
 }
@@ -171,18 +142,6 @@ func startPprof(addr string) {
 			fmt.Fprintf(os.Stderr, "sketchml: pprof server: %v\n", err)
 		}
 	}()
-}
-
-func loadDataset(name string, seed int64) (*sketchml.Dataset, error) {
-	if preset := dataset.Preset(name); preset != nil {
-		return preset(seed), nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("open dataset: %w", err)
-	}
-	defer f.Close()
-	return dataset.ParseLibSVM(f, 0)
 }
 
 func fatal(err error) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
+	"sketchml/internal/obs"
 )
 
 // Tests for the encode side of the zero-allocation steady state: the pooled
@@ -192,12 +193,15 @@ func TestAppendEncodeZeroAllocWarm(t *testing.T) {
 	g := randomGradient(rand.New(rand.NewSource(37)), 2_000_000, 40_000)
 	serial := DefaultOptions()
 	serial.Parallelism = 1
+	metered := serial
+	metered.Metrics = obs.NewRegistry()
 	for _, tc := range []struct {
 		name  string
 		c     AppendEncoder
 		procs int
 	}{
 		{"SketchML_par1", MustSketchML(serial), 1}, {"SketchML_par1", MustSketchML(serial), 2},
+		{"SketchML_par1_metrics", MustSketchML(metered), 1}, {"SketchML_par1_metrics", MustSketchML(metered), 2},
 		{"Raw", &Raw{}, 1}, {"Raw", &Raw{}, 2},
 	} {
 		t.Run(fmt.Sprintf("%s_procs%d", tc.name, tc.procs), func(t *testing.T) {

@@ -1,6 +1,9 @@
 package codec
 
-import "sketchml/internal/obs"
+import (
+	"sketchml/internal/obs"
+	"sketchml/internal/quantizer"
+)
 
 // codecMetrics is the SketchML codec's pre-resolved instrument set. It is
 // nil when Options.Metrics is unset, so the hot path pays exactly one
@@ -40,14 +43,17 @@ func newCodecMetrics(reg *obs.Registry) *codecMetrics {
 }
 
 // observeBucketIndexes feeds a pane's quantile bucket indexes into the
-// distribution histogram. The indexes are pre-aggregated locally so the
-// histogram sees one batched ObserveN per distinct bucket (at most q atomic
-// bursts per pane) instead of one observation per gradient value.
-func (m *codecMetrics) observeBucketIndexes(idx []uint32, q int) {
+// distribution histogram. The indexes are pre-aggregated in tally (the
+// pane's reused scratch) so the histogram sees one batched ObserveN per
+// distinct bucket (at most q atomic bursts per pane) instead of one
+// observation per gradient value.
+func (m *codecMetrics) observeBucketIndexes(tally *[]int64, idx []uint32, q int) {
 	if m == nil || len(idx) == 0 {
 		return
 	}
-	counts := make([]int64, q)
+	*tally = quantizer.Resize(*tally, q)
+	counts := *tally
+	clear(counts)
 	for _, b := range idx {
 		if int(b) < q {
 			counts[b]++

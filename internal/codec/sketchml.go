@@ -378,7 +378,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 		}
 		means, idx = bk.Means(), bk.Index
 		if in.merge == nil {
-			c.met.observeBucketIndexes(idx, len(means))
+			c.met.observeBucketIndexes(&es.tallies, idx, len(means))
 		}
 	}
 	mark := len(out)

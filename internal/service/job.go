@@ -45,8 +45,9 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	// Metrics is this job's private registry: the trainer, codec, and
-	// cluster layers of its runs record here, isolated from other jobs.
+	// Metrics is this job's private registry, isolated from other jobs.
+	// Submit hands it to Build, so the trainer, codec and cluster layers
+	// of every attempt record here.
 	Metrics *obs.Registry
 
 	// cfg, train and test are built by Submit in the caller's context,
@@ -75,11 +76,11 @@ type Job struct {
 	drainCh   chan struct{}
 }
 
-func newJob(id string, spec JobSpec) *Job {
+func newJob(id string, spec JobSpec, reg *obs.Registry) *Job {
 	return &Job{
 		ID:        id,
 		Spec:      spec,
-		Metrics:   obs.NewRegistry(),
+		Metrics:   reg,
 		state:     StatePending,
 		submitted: time.Now(),
 		drainCh:   make(chan struct{}),

@@ -93,25 +93,19 @@ func NewServer(lim Limits, store *CheckpointStore, reg *obs.Registry) *Server {
 // started) — the readiness probe's answer.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// Submit builds the job's trainer config and datasets (the spec must
-// already be validated), registers the job, and enqueues it. The
+// Submit builds the job's registry, trainer config and datasets (the spec
+// must already be validated), registers the job, and enqueues it. The
 // checkpoint store is consulted at run time, so a spec resubmitted under
 // a drained job's name resumes that job.
 func (s *Server) Submit(spec *JobSpec) (*Job, error) {
-	// Build the trainer config and datasets here, in the submitter's
-	// context, not in the runner goroutine: the runner must only read
-	// what Submit constructed (see the field comment on Job.cfg). A
-	// side benefit is failure locality — a spec the builders reject is
-	// a 400 at submit time, never an asynchronous failed job.
-	cfg, err := spec.buildConfig()
+	// Build the run here, in the submitter's context, not in the runner
+	// goroutine: the runner must only read what Submit constructed (see
+	// the field comment on Job.cfg). A side benefit is failure locality —
+	// a spec Build rejects is a 400 at submit time, never an asynchronous
+	// failed job.
+	reg := obs.NewRegistry()
+	cfg, train, test, err := spec.Build(reg)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	train, test, err := spec.buildDataset()
-	if err != nil {
-		if errors.Is(err, ErrBadSpec) {
-			return nil, err
-		}
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 
@@ -125,7 +119,7 @@ func (s *Server) Submit(spec *JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s is %s", ErrConflict, prev.ID, prev.State())
 	}
 	s.nextID++
-	job := newJob(fmt.Sprintf("job-%d", s.nextID), *spec)
+	job := newJob(fmt.Sprintf("job-%d", s.nextID), *spec, reg)
 	job.cfg, job.train, job.test = cfg, train, test
 	s.jobs[job.ID] = job
 	s.byName[spec.Name] = job
@@ -365,7 +359,6 @@ func (s *Server) retryWait(job *Job, d time.Duration) bool {
 func (s *Server) runAttempt(job *Job) (*trainer.Result, error) {
 	spec := &job.Spec
 	cfg := job.cfg
-	cfg.Metrics = job.Metrics
 	cfg.Drain = job.drainCh
 	// The hook stages the borrowed checkpoint and leaves the disk write to
 	// run behind the next epoch; its time on the round loop is the stall.

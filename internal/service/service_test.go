@@ -162,6 +162,37 @@ func TestJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestJobRegistryRecordsEveryLayer: a job's registry is the one its run
+// records into at every layer — the trainer's rounds, the cluster's bytes
+// and the codec's encodes all show in the finished job's metrics view.
+func TestJobRegistryRecordsEveryLayer(t *testing.T) {
+	_, ts := newTestServer(t, testLimits(), "")
+	st, resp := submit(t, ts, `{"name":"layers","dataset":"synthetic","instances":300,"dim":600,"avg_nnz":8,
+		"model":"LR","codec":"sketchml","workers":2,"epochs":1,"seed":7}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.terminal() }, "a terminal state"); final.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", final.State, final.Detail)
+	}
+	resp2, err := http.Get(ts.URL + "/jobs/" + st.ID + "?metrics=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var view struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	if err := json.NewDecoder(resp2.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"trainer.rounds", obs.CounterClusterBytesSent, "codec.encodes"} {
+		if view.Metrics.Counters[name] <= 0 {
+			t.Errorf("%s = %d in the job's metrics, want > 0; counters: %v", name, view.Metrics.Counters[name], view.Metrics.Counters)
+		}
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, testLimits(), "")
 	st, _ := submit(t, ts, longSpec("tocancel"))
@@ -314,15 +345,12 @@ func TestDrainReachesDequeuedJob(t *testing.T) {
 	}
 	// Registered as Submit registers it, but held out of the queue: this
 	// goroutine plays the runner that dequeued it.
-	cfg, err := spec.buildConfig()
+	reg := obs.NewRegistry()
+	cfg, train, test, err := spec.Build(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test, err := spec.buildDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := newJob("job-1", *spec)
+	job := newJob("job-1", *spec, reg)
 	job.cfg, job.train, job.test = cfg, train, test
 	srv.mu.Lock()
 	srv.jobs[job.ID], srv.byName[spec.Name] = job, job

@@ -19,12 +19,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/model"
+	"sketchml/internal/obs"
 	"sketchml/internal/optim"
 	"sketchml/internal/trainer"
 )
@@ -128,6 +130,13 @@ type JobSpec struct {
 	// CheckpointEvery is the epoch period of periodic checkpoints
 	// (default 1 = every epoch boundary).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+
+	// LibSVM and TCP are for Go callers (the sketchml command) and never
+	// decoded: the control API refuses both keys as unknown. LibSVM is a
+	// file path Build reads in place of Dataset; TCP runs the gather over
+	// loopback TCP instead of in memory.
+	LibSVM string `json:"-"`
+	TCP    bool   `json:"-"`
 }
 
 // ErrBadSpec classifies every spec decode/validation failure, so the HTTP
@@ -214,13 +223,6 @@ func (s *JobSpec) Validate(lim Limits) error {
 	default:
 		return fmt.Errorf("%w: unknown dataset %q (kdd10|kdd12|ctr|synthetic)", ErrBadSpec, s.Dataset)
 	}
-	if _, err := model.ByName(s.Model); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	newCodec, err := codec.ByName(s.Codec, codec.DefaultOptions())
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
 	if s.Workers < 1 || s.Workers > lim.MaxWorkers {
 		return fmt.Errorf("%w: workers %d out of [1, %d]", ErrBadSpec, s.Workers, lim.MaxWorkers)
 	}
@@ -233,13 +235,9 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if s.LR < 0 || s.Lambda < 0 {
 		return fmt.Errorf("%w: lr and lambda must be non-negative", ErrBadSpec)
 	}
-	gather, err := cluster.ParseTopology(s.Gather)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
 	// Reject what the trainer would, but at submit time rather than after
 	// the job is admitted and scheduled.
-	if err := trainer.CheckTopology(gather, false, newCodec(), s.Workers); err != nil {
+	if _, err := s.resolve(nil); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if s.RoundDeadlineMs < 0 || s.RoundDeadlineMs > 600_000 {
@@ -258,12 +256,60 @@ func (s *JobSpec) Validate(lim Limits) error {
 	return nil
 }
 
-// buildDataset materializes the spec's deterministic dataset and splits it
-// into train/test exactly as cmd/sketchml does.
-func (s *JobSpec) buildDataset() (train, test *dataset.Dataset, err error) {
+// resolve looks up the spec's model, codec and gather shape, and refuses a
+// shape that its transport or codec cannot run. Validate and Build share it,
+// so both refuse the same specs, before any data exists. The codec records
+// into reg (nil: no metrics).
+func (s *JobSpec) resolve(reg *obs.Registry) (trainer.Config, error) {
+	mdl, err := model.ByName(s.Model)
+	if err != nil {
+		return trainer.Config{}, err
+	}
+	opts := codec.DefaultOptions()
+	opts.Metrics = reg
+	factory, err := codec.ByName(s.Codec, opts)
+	if err != nil {
+		return trainer.Config{}, err
+	}
+	gather, err := cluster.ParseTopology(s.Gather)
+	if err != nil {
+		return trainer.Config{}, err
+	}
+	if err := trainer.CheckTopology(gather, s.TCP, factory(), s.Workers); err != nil {
+		return trainer.Config{}, err
+	}
+	return trainer.Config{Topology: gather, UseTCP: s.TCP, Trainable: mdl, CodecFactory: factory}, nil
+}
+
+// Build turns the spec into one run: the trainer configuration, recording
+// into reg at every layer, and the dataset split 75/25 by Seed. The spec
+// is resolved before any file is read or data generated, so a shape the
+// run cannot take fails at once. The caller wires the lifecycle hooks
+// (Drain, OnCheckpoint, Resume) — they belong to the job, not the spec.
+func (s *JobSpec) Build(reg *obs.Registry) (cfg trainer.Config, train, test *dataset.Dataset, err error) {
+	if cfg, err = s.resolve(reg); err != nil {
+		return trainer.Config{}, nil, nil, err
+	}
+	lr := s.LR
+	if lr == 0 {
+		lr = 0.1
+	}
+	cfg.Optimizer = func(dim uint64) optim.Optimizer { return optim.NewAdam(lr, dim) }
+	cfg.Workers, cfg.BatchFraction, cfg.Epochs = s.Workers, s.BatchFraction, s.Epochs
+	cfg.Lambda, cfg.Seed = s.Lambda, s.Seed
+	cfg.RoundDeadline = time.Duration(s.RoundDeadlineMs) * time.Millisecond
+	cfg.CheckpointEvery = s.CheckpointEvery
+	cfg.Metrics = reg
+
 	var ds *dataset.Dataset
-	preset := dataset.Preset(s.Dataset)
-	switch {
+	switch preset := dataset.Preset(s.Dataset); {
+	case s.LibSVM != "":
+		var f *os.File
+		if f, err = os.Open(s.LibSVM); err != nil {
+			return trainer.Config{}, nil, nil, fmt.Errorf("open dataset: %w", err)
+		}
+		defer f.Close()
+		ds, err = dataset.ParseLibSVM(f, 0)
 	case preset != nil:
 		ds = preset(s.Seed)
 	case s.Dataset == "synthetic":
@@ -275,47 +321,12 @@ func (s *JobSpec) buildDataset() (train, test *dataset.Dataset, err error) {
 			N: s.Instances, Dim: s.Dim, AvgNNZ: s.AvgNNZ,
 			Task: task, NoiseStd: 0.5, Seed: s.Seed,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown dataset %q", ErrBadSpec, s.Dataset)
+		err = fmt.Errorf("unknown dataset %q", s.Dataset)
+	}
+	if err != nil {
+		return trainer.Config{}, nil, nil, err
 	}
 	train, test = ds.Split(0.75, s.Seed)
-	return train, test, nil
-}
-
-// buildConfig assembles the trainer configuration for one run attempt. The
-// caller wires the lifecycle hooks (Drain, OnCheckpoint, Resume, Metrics)
-// afterwards — they belong to the job, not the spec.
-func (s *JobSpec) buildConfig() (trainer.Config, error) {
-	mdl, err := model.ByName(s.Model)
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	factory, err := codec.ByName(s.Codec, codec.DefaultOptions())
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	lr := s.LR
-	if lr == 0 {
-		lr = 0.1
-	}
-	gather, err := cluster.ParseTopology(s.Gather)
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	return trainer.Config{
-		Topology:        gather,
-		Trainable:       mdl,
-		CodecFactory:    factory,
-		Optimizer:       func(dim uint64) optim.Optimizer { return optim.NewAdam(lr, dim) },
-		Workers:         s.Workers,
-		BatchFraction:   s.BatchFraction,
-		Epochs:          s.Epochs,
-		Lambda:          s.Lambda,
-		Seed:            s.Seed,
-		RoundDeadline:   time.Duration(s.RoundDeadlineMs) * time.Millisecond,
-		CheckpointEvery: s.CheckpointEvery,
-	}, nil
+	return cfg, train, test, nil
 }

@@ -42,6 +42,23 @@ func TestSpecValidateRejectsFilePaths(t *testing.T) {
 	}
 }
 
+// TestSpecRefusesGoOnlyFields: the spec's file path and transport are set
+// by Go callers only; a request that names either, in any case, is refused
+// as an unknown field rather than read from the server's disk or honoured.
+func TestSpecRefusesGoOnlyFields(t *testing.T) {
+	for _, field := range []string{`"LibSVM":"/etc/passwd"`, `"libsvm":"/etc/passwd"`, `"TCP":true`, `"tcp":true`} {
+		body := `{"name":"n","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,` + field + `}`
+		spec, err := ParseJobSpec([]byte(body), Limits{})
+		if err == nil {
+			t.Fatalf("%s accepted: %+v", field, spec)
+		}
+		key := field[:strings.Index(field, ":")]
+		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "unknown field "+key) {
+			t.Fatalf("%s: error %v, want ErrBadSpec naming unknown field %s", field, err, key)
+		}
+	}
+}
+
 func TestSpecValidateGather(t *testing.T) {
 	mk := func(extra string) []byte {
 		return []byte(`{"name":"n","dataset":"kdd10","model":"LR","codec":"sketchml","workers":4,"epochs":1` + extra + `}`)
@@ -135,6 +152,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if spec.Epochs < 1 || spec.Epochs > lim.MaxEpochs {
 			t.Fatalf("accepted spec has epochs %d", spec.Epochs)
+		}
+		// The Go-only fields are never decoded from a request.
+		if spec.LibSVM != "" || spec.TCP {
+			t.Fatalf("accepted spec has Go-only fields set: libsvm %q, tcp %v", spec.LibSVM, spec.TCP)
 		}
 	})
 }
