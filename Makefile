@@ -225,14 +225,27 @@ bench-pairs:
 
 # loc prints the non-test Go lines of every package directory outside
 # bench/ and testdata/, then their total: the size CHANGES.md and ROADMAP.md
-# quote, so a simplicity change's line claim is `make loc` at the parent
-# and at the change.
+# quote. `make loc PARENT=<ref>` also unpacks <ref> with git archive into a
+# temporary directory, counts it the same way, and prints parent, change and
+# delta per package and in total: a simplicity change's line claim.
+LOC_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+	-exec wc -l {} + | awk '$$2 != "total" { dir = $$2; sub("/[^/]*$$", "", dir); print dir, $$1 }'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
-		-exec wc -l {} + | \
-	awk '$$2 != "total" { dir = $$2; sub("/[^/]*$$", "", dir); lines[dir] += $$1; total += $$1 } \
+ifeq ($(origin PARENT),file)
+	@$(LOC_LINES) | \
+	awk '{ lines[$$1] += $$2; total += $$2 } \
 		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); \
 			printf "%7d  total\n", total }'
+else
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/tree"; \
+	git archive "$(PARENT)" | tar -x -C "$$tmp/tree"; \
+	(cd "$$tmp/tree" && $(LOC_LINES)) > "$$tmp/parent"; \
+	$(LOC_LINES) > "$$tmp/change"; \
+	awk 'FNR == NR { p[$$1] += $$2; pt += $$2; all[$$1]; next } { c[$$1] += $$2; ct += $$2; all[$$1] } \
+		END { printf "%7s %7s %7s  %s\n", "parent", "change", "delta", "package"; fflush(); \
+			for (d in all) printf "%7d %7d %+7d  %s\n", p[d], c[d], c[d] - p[d], d | "sort -k4"; close("sort -k4"); \
+			printf "%7d %7d %+7d  total\n", pt, ct, ct - pt }' "$$tmp/parent" "$$tmp/change"
+endif
 
 clean:
 	$(GO) clean ./...

@@ -453,8 +453,7 @@ func TestAnalyzeMatchesEncodeSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomGradient(rng, 500000, 5000)
 	codecs := []Codec{
-		&Raw{}, &Raw{Float32: true}, &ZipML{Bits: 8}, &ZipML{Bits: 16},
-		MustSketchML(DefaultOptions()),
+		&Raw{}, &Raw{Float32: true}, MustSketchML(DefaultOptions()),
 	}
 	for _, c := range codecs {
 		a, ok := c.(Analyzer)

@@ -105,23 +105,6 @@ func (c *OneBit) Decode(data []byte) (*gradient.Sparse, error) {
 	return g, nil
 }
 
-// Analyze implements Analyzer.
-func (c *OneBit) Analyze(g *gradient.Sparse) (Breakdown, error) {
-	if err := g.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	keySize, err := keycoding.DeltaSize(g.Keys)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	return Breakdown{
-		Header: 13,
-		Meta:   8,
-		Keys:   keySize,
-		Values: (g.NNZ() + 7) / 8,
-	}, nil
-}
-
 // TopK is the sparsification baseline: only the Fraction of entries with
 // the largest magnitudes survive (ties broken by key order); survivors are
 // sent exactly (delta keys + float32 values). Commonly paired with

@@ -142,16 +142,3 @@ func (c *ZipML) Decode(data []byte) (*gradient.Sparse, error) {
 	}
 	return g, nil
 }
-
-// Analyze implements Analyzer.
-func (c *ZipML) Analyze(g *gradient.Sparse) (Breakdown, error) {
-	if err := g.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	return Breakdown{
-		Header: 15,
-		Meta:   16, // min/max
-		Keys:   keyBytes(wideKeys(g.Dim)) * g.NNZ(),
-		Values: bitpack.PackedSize(g.NNZ(), c.bits()),
-	}, nil
-}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
 	"sketchml/internal/keycoding"
@@ -39,8 +40,8 @@ func AblationMinMaxVsCountMin(cfg Config) (*Report, error) {
 	for i, v := range g.Values {
 		vals[i] = math.Abs(v)
 	}
-	z, err := quantizer.BuildQuantile(vals, 256, 128)
-	if err != nil {
+	var z quantizer.Buckets
+	if err := quantizer.BuildQuantileInto(&z, vals, 256); err != nil {
 		return nil, err
 	}
 	rows, cols := 2, g.NNZ()/5
@@ -49,7 +50,7 @@ func AblationMinMaxVsCountMin(cfg Config) (*Report, error) {
 	cm := countmin.New(rows, cols, 42)
 	truth := make([]int, g.NNZ())
 	for i, k := range g.Keys {
-		b := z.Bucket(vals[i])
+		b := int(z.Index[i])
 		truth[i] = b
 		mm.Insert(k, uint16(b))
 		cm.InsertWeighted(k, uint64(b)+1) // additive strategy stores index+1
@@ -99,13 +100,13 @@ func AblationSignSeparation(cfg Config) (*Report, error) {
 
 	// Joint pipeline: one quantizer over signed values, one sketch; decayed
 	// indexes can land in buckets of the opposite sign.
-	joint, err := quantizer.BuildQuantile(g.Values, 256, 128)
-	if err != nil {
+	var joint quantizer.Buckets
+	if err := quantizer.BuildQuantileInto(&joint, g.Values, 256); err != nil {
 		return nil, err
 	}
 	sk := minmax.New(2, g.NNZ()/5, 7)
 	for i, k := range g.Keys {
-		sk.Insert(k, uint16(joint.Bucket(g.Values[i])))
+		sk.Insert(k, uint16(joint.Index[i]))
 	}
 	jointReversed := 0
 	for i, k := range g.Keys {
@@ -113,42 +114,27 @@ func AblationSignSeparation(cfg Config) (*Report, error) {
 		if !ok {
 			continue
 		}
-		dec := joint.Mean(int(idx))
-		if dec*g.Values[i] < 0 {
+		if joint.Mean(int(idx))*g.Values[i] < 0 {
 			jointReversed++
 		}
 	}
 
-	// Separated pipeline: the shipped codec path.
-	signed, err := quantizer.BuildSigned(g.Values, 256, 128)
+	// Separated pipeline: the shipped codec's round trip.
+	c := codec.MustSketchML(codec.DefaultOptions())
+	msg, err := c.Encode(g)
 	if err != nil {
 		return nil, err
 	}
-	pos := minmax.New(2, g.NNZ()/5, 8)
-	neg := minmax.New(2, g.NNZ()/5, 9)
-	for i, k := range g.Keys {
-		isNeg, idx := signed.Bucket(g.Values[i])
-		if isNeg {
-			neg.Insert(k, uint16(idx))
-		} else {
-			pos.Insert(k, uint16(idx))
-		}
+	dec, err := c.Decode(msg)
+	if err != nil {
+		return nil, err
+	}
+	if dec.NNZ() != g.NNZ() {
+		return nil, fmt.Errorf("codec decoded %d keys of %d", dec.NNZ(), g.NNZ())
 	}
 	sepReversed := 0
-	for i, k := range g.Keys {
-		isNeg, _ := signed.Bucket(g.Values[i])
-		var idx uint16
-		var ok bool
-		if isNeg {
-			idx, ok = neg.Query(k)
-		} else {
-			idx, ok = pos.Query(k)
-		}
-		if !ok {
-			continue
-		}
-		dec := signed.Mean(isNeg, int(idx))
-		if dec*g.Values[i] < 0 {
+	for i, v := range dec.Values {
+		if v*g.Values[i] < 0 {
 			sepReversed++
 		}
 	}
@@ -176,8 +162,8 @@ func AblationGrouping(cfg Config) (*Report, error) {
 		vals[i] = math.Abs(v)
 	}
 	const q = 256
-	z, err := quantizer.BuildQuantile(vals, q, 128)
-	if err != nil {
+	var z quantizer.Buckets
+	if err := quantizer.BuildQuantileInto(&z, vals, q); err != nil {
 		return nil, err
 	}
 	totalCols := g.NNZ() / 5
@@ -189,7 +175,7 @@ func AblationGrouping(cfg Config) (*Report, error) {
 		where := make([]int, g.NNZ())
 		truth := make([]int, g.NNZ())
 		for i, k := range g.Keys {
-			b := z.Bucket(vals[i])
+			b := int(z.Index[i])
 			truth[i] = b
 			where[i] = grp.Insert(k, b)
 		}
@@ -225,8 +211,8 @@ func AblationQuantileVsUniform(cfg Config) (*Report, error) {
 	table := stats.NewTable("buckets", "quantile rel err", "uniform rel err", "uniform/quantile")
 	metrics := map[string]float64{}
 	for _, q := range []int{16, 64, 256} {
-		zq, err := quantizer.BuildQuantile(g.Values, q, 256)
-		if err != nil {
+		var zq quantizer.Buckets
+		if err := quantizer.BuildQuantileInto(&zq, g.Values, q); err != nil {
 			return nil, err
 		}
 		zu, err := quantizer.BuildUniform(g.Values, q)
@@ -276,7 +262,7 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-		deltaSize, err := keycoding.DeltaSize(keys)
+		deltaData, err := keycoding.AppendDelta(nil, keys)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +271,7 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		n := float64(nnz)
-		dpk := float64(deltaSize) / n
+		dpk := float64(len(deltaData)) / n
 		vpk := float64(len(varintData)) / n
 		bpk := float64(keycoding.BitmapSize(dim)) / n
 		table.AddRow(nnz, dpk, vpk, bpk, 4.0)

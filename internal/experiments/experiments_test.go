@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sketchml/internal/cluster"
+	"sketchml/internal/codec"
+	"sketchml/internal/dataset"
 	"sketchml/internal/trainer"
 )
 
@@ -528,6 +530,32 @@ func TestAblationSplitFinders(t *testing.T) {
 		}
 		if l2 := rep.Metrics[name+"_l2"]; !(l2 > 0) || math.IsInf(l2, 0) {
 			t.Errorf("%s: quantization L2 %v, want finite and positive", name, l2)
+		}
+	}
+}
+
+// TestFig8dBytesPerKeyIsTheEncoders holds Fig. 8(d)'s bytes/key to the
+// codec's own accounting: the key bytes SketchML.Analyze attributes to the
+// first gradient at each batch ratio, over its nonzeros, with no model of
+// the layout in between.
+func TestFig8dBytesPerKeyIsTheEncoders(t *testing.T) {
+	cfg := quick()
+	rep, err := Run("fig8d", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := dataset.KDD10Like(cfg.Seed).Split(0.75, cfg.Seed)
+	sk := codec.MustSketchML(codec.DefaultOptions())
+	for _, ratio := range []float64{0.1, 0.03, 0.01} {
+		g := firstGradient(train, ratio)
+		bd, err := sk.Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(bd.Keys) / float64(g.NNZ())
+		key := fmt.Sprintf("ratio_%g_bytes_per_key", ratio)
+		if got := rep.Metrics[key]; got != want {
+			t.Errorf("%s = %v, the encoder writes %v", key, got, want)
 		}
 	}
 }

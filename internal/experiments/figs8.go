@@ -9,7 +9,6 @@ import (
 	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
-	"sketchml/internal/keycoding"
 	"sketchml/internal/model"
 	"sketchml/internal/stats"
 )
@@ -173,7 +172,9 @@ func Fig8c(cfg Config) (*Report, error) {
 
 // Fig8d reproduces the batch-size/sparsity study: smaller batches mean
 // sparser gradients, more rounds per epoch (longer epochs), and slightly
-// more bytes per key for the delta encoding.
+// more bytes per key for the delta encoding. Bytes per key is the codec's
+// own count (SketchML.Analyze): every key list the encoder writes, with
+// its count and first key, over the gradient's nonzeros.
 func Fig8d(cfg Config) (*Report, error) {
 	full := dataset.KDD10Like(cfg.Seed)
 	train, test := full.Split(0.75, cfg.Seed)
@@ -189,10 +190,11 @@ func Fig8d(cfg Config) (*Report, error) {
 		}
 		g := firstGradient(train, ratio)
 		sparsity := g.Sparsity() * 100
-		bpk, err := groupedBytesPerKey(g, 8)
+		bd, err := sk.Analyze(g)
 		if err != nil {
 			return nil, err
 		}
+		bpk := float64(bd.Keys) / float64(g.NNZ())
 		sim, network := price(res, net, 1)
 		sec := meanSeconds(sim)
 		table.AddRow(ratio, sparsity, sec, bpk)
@@ -203,44 +205,4 @@ func Fig8d(cfg Config) (*Report, error) {
 		metrics[key+"_bytes_per_key"] = bpk
 	}
 	return &Report{Text: table.String(), Metrics: metrics}, nil
-}
-
-// groupedBytesPerKey measures the delta-binary cost per key under the
-// SketchML wire layout (keys split across r group lists per sign pane).
-func groupedBytesPerKey(g *gradient.Sparse, r int) (float64, error) {
-	if g.NNZ() == 0 {
-		return 0, nil
-	}
-	// Approximate the codec's partition: split by sign, then round-robin
-	// keys into r magnitude groups (group membership depends on values;
-	// sign split is the dominant effect, and within a pane the r-way split
-	// multiplies gaps by ~r regardless of which group a key lands in).
-	var lists [][]uint64
-	for pane := 0; pane < 2; pane++ {
-		groups := make([][]uint64, r)
-		gi := 0
-		for i, v := range g.Values {
-			if (pane == 0) != (v >= 0) {
-				continue
-			}
-			groups[gi%r] = append(groups[gi%r], g.Keys[i])
-			gi++
-		}
-		lists = append(lists, groups...)
-	}
-	totalBytes := 0
-	totalKeys := 0
-	for _, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		size, err := keycoding.DeltaSize(l)
-		if err != nil {
-			return 0, err
-		}
-		totalBytes += size - 4 // exclude fixed count header, as the paper's
-		// bytes-per-key metric amortizes only flags+payload
-		totalKeys += len(l)
-	}
-	return float64(totalBytes) / float64(totalKeys), nil
 }

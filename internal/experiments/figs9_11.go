@@ -264,7 +264,7 @@ func Fig12(cfg Config) (*Report, error) {
 	train, test := dataset.KDD10Like(cfg.Seed).Split(0.75, cfg.Seed)
 	regTrain, regTest := dataset.RegressionLike(cfg.Seed, 3000, 25000).Split(0.75, cfg.Seed)
 	epochs := cfg.scaled(3)
-	localNet := cluster.NetworkModel{BandwidthBytesPerSec: 1e15, LatencySec: 0, Congestion: 1}
+	localNet := cluster.NetworkModel{BandwidthBytesPerSec: 1e15}
 	lan := cluster.FastLAN()
 
 	type variant struct {

@@ -200,34 +200,6 @@ func DecodeDeltaInto(data []byte, dst []uint64) ([]uint64, int, error) {
 	return keys, off, nil
 }
 
-// DeltaSize returns the exact encoded size of keys without materializing
-// the encoding. It returns an error under the same conditions as
-// AppendDelta.
-func DeltaSize(keys []uint64) (int, error) {
-	size := 4
-	if len(keys) == 0 {
-		return size, nil
-	}
-	size += 8
-	n := len(keys) - 1
-	if n == 0 {
-		return size, nil
-	}
-	size += (n*flagBits + 7) / 8
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return 0, ErrNotAscending
-		}
-		d := keys[i] - keys[i-1]
-		if d >= escape4 {
-			size += 12 // escape marker + 8-byte delta
-			continue
-		}
-		size += bytesNeeded(d)
-	}
-	return size, nil
-}
-
 // AppendVarint encodes keys as a count followed by uvarint-encoded deltas
 // (first key absolute). Provided as the natural alternative key codec for
 // the ablation bench; it lacks the separated flag stream of delta-binary.

@@ -126,31 +126,6 @@ func TestDeltaHugeGapsEscape(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", i, got[i], keys[i])
 		}
 	}
-	size, err := DeltaSize(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != len(data) {
-		t.Errorf("DeltaSize = %d, encoded = %d", size, len(data))
-	}
-}
-
-func TestDeltaSizeMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 7, 500} {
-		keys := ascendingKeys(rng, n, 100000)
-		data, err := AppendDelta(nil, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size, err := DeltaSize(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if size != len(data) {
-			t.Errorf("n=%d: DeltaSize=%d, actual=%d", n, size, len(data))
-		}
-	}
 }
 
 func TestBytesPerKeySmallGaps(t *testing.T) {
@@ -158,12 +133,12 @@ func TestBytesPerKeySmallGaps(t *testing.T) {
 	// matching the paper's measured 1.25-1.27.
 	rng := rand.New(rand.NewSource(3))
 	keys := ascendingKeys(rng, 100000, 128)
-	size, err := DeltaSize(keys)
+	data, err := AppendDelta(nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The 4-byte count header amortizes away, as in the paper's figure.
-	if bpk := float64(size-4) / float64(len(keys)); bpk < 1.2 || bpk > 1.35 {
+	if bpk := float64(len(data)-4) / float64(len(keys)); bpk < 1.2 || bpk > 1.35 {
 		t.Errorf("bytes/key = %.3f, want ~1.25", bpk)
 	}
 }
@@ -171,12 +146,12 @@ func TestBytesPerKeySmallGaps(t *testing.T) {
 func TestDeltaBeats4ByteBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	keys := ascendingKeys(rng, 50000, 200)
-	size, err := DeltaSize(keys)
+	data, err := AppendDelta(nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseline := 4 * len(keys)
-	if ratio := float64(baseline) / float64(size); ratio < 2.5 {
+	if ratio := float64(baseline) / float64(len(data)); ratio < 2.5 {
 		t.Errorf("compression vs int32 = %.2fx, want > 2.5x", ratio)
 	}
 }
@@ -236,12 +211,12 @@ func TestDeltaBeatsBitmapWhenSparse(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	deltaSize, err := DeltaSize(keys)
+	data, err := AppendDelta(nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deltaSize >= BitmapSize(dim) {
-		t.Errorf("delta %d >= bitmap %d for sparse keys", deltaSize, BitmapSize(dim))
+	if len(data) >= BitmapSize(dim) {
+		t.Errorf("delta %d >= bitmap %d for sparse keys", len(data), BitmapSize(dim))
 	}
 }
 

@@ -206,20 +206,6 @@ func (s *Signed) Bucket(v float64) (neg bool, idx int) {
 	return true, s.neg.Bucket(-v)
 }
 
-// Mean decodes (neg, idx) back to a signed value.
-func (s *Signed) Mean(neg bool, idx int) float64 {
-	if neg {
-		if s.neg == nil {
-			return 0
-		}
-		return -s.neg.Mean(idx)
-	}
-	if s.pos == nil {
-		return 0
-	}
-	return s.pos.Mean(idx)
-}
-
 // Uniform is the ZipML-style fixed-point quantizer: the range [min, max] is
 // divided into levels equal-WIDTH steps.
 type Uniform struct {

@@ -197,6 +197,21 @@ func TestQuantileErrors(t *testing.T) {
 	}
 }
 
+// signedMeanAt decodes (neg, idx) back to a signed value through s's two
+// quantizers; a side with no quantizer decodes to 0.
+func signedMeanAt(s *Signed, neg bool, idx int) float64 {
+	if neg {
+		if s.neg == nil {
+			return 0
+		}
+		return -s.neg.Mean(idx)
+	}
+	if s.pos == nil {
+		return 0
+	}
+	return s.pos.Mean(idx)
+}
+
 func TestSignedSeparationNeverFlipsSign(t *testing.T) {
 	// Section 3.3 Problem 1: joint quantization can reverse a gradient's
 	// sign; signed separation must never do so.
@@ -207,7 +222,8 @@ func TestSignedSeparationNeverFlipsSign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		enc := s.Mean(s.Bucket(v))
+		neg, idx := s.Bucket(v)
+		enc := signedMeanAt(s, neg, idx)
 		if v > 0 && enc < 0 || v < 0 && enc > 0 {
 			t.Fatalf("sign flipped: %v -> %v", v, enc)
 		}
@@ -253,8 +269,8 @@ func TestSignedDecayTowardZero(t *testing.T) {
 	for _, v := range vals[:500] {
 		neg, idx := s.Bucket(v)
 		for down := idx; down >= 0; down-- {
-			dec := s.Mean(neg, down)
-			if math.Abs(dec) > math.Abs(s.Mean(neg, idx))+1e-15 {
+			dec := signedMeanAt(s, neg, down)
+			if math.Abs(dec) > math.Abs(signedMeanAt(s, neg, idx))+1e-15 {
 				t.Fatalf("decayed index increased magnitude: v=%v idx=%d down=%d", v, idx, down)
 			}
 			if v > 0 && dec < 0 || v < 0 && dec > 0 {
@@ -273,11 +289,13 @@ func TestSignedOneSidedData(t *testing.T) {
 	if s.neg != nil {
 		t.Error("neg quantizer should be nil for all-positive data")
 	}
-	if enc := s.Mean(s.Bucket(0.2)); enc <= 0 {
+	neg, idx := s.Bucket(0.2)
+	if enc := signedMeanAt(s, neg, idx); enc <= 0 {
 		t.Errorf("Mean(Bucket(0.2)) = %v", enc)
 	}
 	// Encoding a negative value with no negative quantizer degrades to 0.
-	if enc := s.Mean(s.Bucket(-1)); enc != 0 {
+	neg, idx = s.Bucket(-1)
+	if enc := signedMeanAt(s, neg, idx); enc != 0 {
 		t.Errorf("Mean(Bucket(-1)) with no neg side = %v, want 0", enc)
 	}
 }
