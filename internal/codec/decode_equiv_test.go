@@ -200,9 +200,7 @@ func craftMessage(t testing.TB, dim uint64, count uint32, panes [2]craftedPane) 
 			t.Fatalf("pane %d: %d lists need at least as many means", paneID, len(p.listed))
 		}
 		for grp, keys := range p.inserted {
-			for _, k := range keys {
-				grouped.InsertAt(grp, k, 0)
-			}
+			grouped.InsertBlock(grp, keys, make([]uint16, len(keys)))
 		}
 		var err error
 		if out, err = grouped.AppendBinary(out); err != nil {

@@ -74,6 +74,7 @@ type encodeScratch struct {
 	starts  []int    // group g's keys are flat[starts[g]:starts[g+1]]
 	cursors []int
 	flat    []uint64 // pane keys, scattered by group
+	rels    []uint16 // beside flat: each key's group-relative index
 	tallies []int64  // per-bucket counts for the bucket-index histogram
 }
 

@@ -435,10 +435,11 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 
 	// Route each key to its group with a counting scatter over one flat
 	// buffer instead of growing ng separate lists: pass 1 counts each
-	// group's keys, pass 2 inserts every key into its group's sketch and
-	// scatters it to the group's contiguous region. Scattering in key order
-	// keeps every group slice ascending — the same lists, hence the same
-	// bytes, a per-group append construction produces.
+	// group's keys, pass 2 scatters every key, with its group-relative
+	// index beside it, to the group's contiguous region. Scattering in key
+	// order keeps every group slice ascending — the same lists, hence the
+	// same bytes, a per-group append construction produces. Each group's
+	// list then goes into its sketch as one block.
 	es.starts = quantizer.Resize(es.starts, ng+1)
 	starts := es.starts
 	clear(starts)
@@ -449,14 +450,17 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 		starts[g] += starts[g-1] // now starts[g] is group g's start offset
 	}
 	es.cursors = append(es.cursors[:0], starts[:ng]...)
-	es.flat = quantizer.Resize(es.flat, len(keys))
-	cursors, flat := es.cursors, es.flat
+	es.flat, es.rels = quantizer.Resize(es.flat, len(keys)), quantizer.Resize(es.rels, len(keys))
+	cursors, flat, rels := es.cursors, es.flat, es.rels
 	for i, k := range keys {
 		r := route[idx[i]]
 		grp := r >> 16
-		grouped.InsertAt(int(grp), k, uint16(r))
 		flat[cursors[grp]] = k
+		rels[cursors[grp]] = uint16(r)
 		cursors[grp]++
+	}
+	for grp := 0; grp < ng; grp++ {
+		grouped.InsertBlock(grp, flat[starts[grp]:starts[grp+1]], rels[starts[grp]:starts[grp+1]])
 	}
 
 	var err error

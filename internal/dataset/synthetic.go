@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Task selects what kind of labels a synthetic dataset carries.
@@ -37,11 +37,21 @@ type SyntheticConfig struct {
 }
 
 // Generate materializes the synthetic dataset described by cfg.
-// Generation is deterministic given cfg.
+// Generation is deterministic given cfg. An instance draws up to
+// 2·AvgNNZ−1 distinct keys from the Dim the Zipf range holds, so a config
+// with 2·AvgNNZ−1 > Dim is an error.
+//
+// Besides the instances, Generate holds 8·Dim + Dim/8 transient bytes: the
+// ground-truth weight of every key and one bit per key, which marks first
+// the weights drawn and then the keys the current instance holds.
 func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	if cfg.N <= 0 || cfg.Dim == 0 || cfg.AvgNNZ <= 0 {
 		return nil, fmt.Errorf("dataset: invalid config N=%d Dim=%d AvgNNZ=%d",
 			cfg.N, cfg.Dim, cfg.AvgNNZ)
+	}
+	if uint64(cfg.AvgNNZ) > cfg.Dim-cfg.Dim/2 {
+		return nil, fmt.Errorf("dataset: AvgNNZ=%d draws up to 2·AvgNNZ−1 distinct keys an instance, more than Dim=%d holds",
+			cfg.AvgNNZ, cfg.Dim)
 	}
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.2
@@ -49,7 +59,8 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, cfg.Dim-1)
 
-	// Ground-truth sparse weight vector.
+	// Ground-truth sparse weight vector: draw keys until wNNZ distinct ones
+	// hold a weight. A repeated key takes a fresh weight, drawn after it.
 	wNNZ := cfg.WeightNNZ
 	if wNNZ <= 0 {
 		wNNZ = int(cfg.Dim / 10)
@@ -57,30 +68,36 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 			wNNZ = 1
 		}
 	}
-	truth := map[uint64]float64{}
-	for len(truth) < wNNZ && uint64(len(truth)) < cfg.Dim {
-		truth[zipf.Uint64()] = rng.NormFloat64()
+	truth := make([]float64, cfg.Dim)
+	marked := make([]uint64, (cfg.Dim+63)/64)
+	for distinct := 0; distinct < wNNZ && uint64(distinct) < cfg.Dim; {
+		k := zipf.Uint64()
+		if marked[k/64]&(1<<(k%64)) == 0 {
+			marked[k/64] |= 1 << (k % 64)
+			distinct++
+		}
+		truth[k] = rng.NormFloat64()
 	}
+	clear(marked)
 
 	d := &Dataset{Dim: cfg.Dim, Instances: make([]Instance, cfg.N)}
-	seen := map[uint64]bool{}
 	for i := 0; i < cfg.N; i++ {
 		// Per-instance nonzero count: Poisson-ish around AvgNNZ via a
 		// geometric mixture, at least 1.
 		nnz := 1 + rng.Intn(2*cfg.AvgNNZ-1)
-		for k := range seen {
-			delete(seen, k)
-		}
 		keys := make([]uint64, 0, nnz)
 		for len(keys) < nnz {
 			k := zipf.Uint64()
-			if seen[k] {
+			if marked[k/64]&(1<<(k%64)) != 0 {
 				continue
 			}
-			seen[k] = true
+			marked[k/64] |= 1 << (k % 64)
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		for _, k := range keys {
+			marked[k/64] &^= 1 << (k % 64)
+		}
+		slices.Sort(keys)
 		vals := make([]float64, len(keys))
 		var margin float64
 		for j, k := range keys {

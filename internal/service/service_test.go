@@ -456,10 +456,19 @@ func TestBadSpecRejected(t *testing.T) {
 		{"unknown codec", `{"name":"a","dataset":"kdd10","model":"LR","codec":"gzip","workers":1,"epochs":1}`},
 		{"oversize body", `{"name":"a","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,` +
 			`"pad":"` + strings.Repeat("x", 80<<10) + `"}`},
+		// Up to 3 distinct keys an instance from a dim of 2: a generator
+		// that tried would never return, inside the handler.
+		{"more keys an instance than dim", `{"name":"a","dataset":"synthetic","instances":8,"dim":2,"avg_nnz":2,` +
+			`"model":"LR","codec":"adam","workers":1,"epochs":1}`},
+		{"entries over budget", `{"name":"a","dataset":"synthetic","instances":1000000,"dim":16777216,"avg_nnz":8388608,` +
+			`"model":"LR","codec":"adam","workers":1,"epochs":1}`},
 	}
+	// A refused spec is refused before anything is built, so every answer
+	// comes well inside the client's deadline.
+	client := &http.Client{Timeout: 10 * time.Second}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(tc.body)))
+			resp, err := client.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(tc.body)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -201,6 +201,11 @@ func nameOK(name string) bool {
 	return name != "." && name != ".."
 }
 
+// maxSyntheticEntries bounds a synthetic spec's instances × avg_nnz, the
+// feature entries Build generates before the job is queued (16 B each: 1 GiB
+// at the bound, 14× the benchmark's 4.8·10⁶).
+const maxSyntheticEntries = 1 << 26
+
 // Validate checks the spec against the service budgets and normalizes
 // defaults in place. Every failure wraps ErrBadSpec.
 func (s *JobSpec) Validate(lim Limits) error {
@@ -217,8 +222,13 @@ func (s *JobSpec) Validate(lim Limits) error {
 		if s.Dim < 2 || s.Dim > 1<<24 {
 			return fmt.Errorf("%w: synthetic dim %d out of [2, 2^24]", ErrBadSpec, s.Dim)
 		}
-		if s.AvgNNZ < 1 || uint64(s.AvgNNZ) > s.Dim {
-			return fmt.Errorf("%w: synthetic avg_nnz %d out of [1, dim]", ErrBadSpec, s.AvgNNZ)
+		// An instance draws up to 2·avg_nnz−1 distinct keys, and dim holds
+		// only dim of them (dataset.Generate refuses the same specs).
+		if s.AvgNNZ < 1 || uint64(s.AvgNNZ) > s.Dim-s.Dim/2 {
+			return fmt.Errorf("%w: synthetic avg_nnz %d out of [1, (dim+1)/2]", ErrBadSpec, s.AvgNNZ)
+		}
+		if s.Instances*s.AvgNNZ > maxSyntheticEntries {
+			return fmt.Errorf("%w: synthetic instances × avg_nnz = %d over %d", ErrBadSpec, s.Instances*s.AvgNNZ, maxSyntheticEntries)
 		}
 	default:
 		return fmt.Errorf("%w: unknown dataset %q (kdd10|kdd12|ctr|synthetic)", ErrBadSpec, s.Dataset)

@@ -104,6 +104,43 @@ func TestSpecValidateGather(t *testing.T) {
 	}
 }
 
+// TestSpecValidateSyntheticBounds: a synthetic spec is refused when an
+// instance could ask for more distinct keys (2·avg_nnz−1) than dim holds,
+// or when instances × avg_nnz is over maxSyntheticEntries; the edges pass.
+func TestSpecValidateSyntheticBounds(t *testing.T) {
+	cases := []struct {
+		name                   string
+		instances, dim, avgNNZ int
+		want                   string // "" = accept
+	}{
+		{name: "draw fills dim", instances: 8, dim: 3, avgNNZ: 2},
+		{name: "draw over dim", instances: 8, dim: 2, avgNNZ: 2, want: "avg_nnz 2 out of"},
+		{name: "draw over odd dim", instances: 8, dim: 5, avgNNZ: 4, want: "avg_nnz 4 out of"},
+		{name: "draw fills even dim", instances: 8, dim: 600, avgNNZ: 300},
+		{name: "draw over even dim", instances: 8, dim: 600, avgNNZ: 301, want: "avg_nnz 301 out of"},
+		{name: "benchmark job", instances: 120_000, dim: 2_000_000, avgNNZ: 40},
+		{name: "entries at budget", instances: 1 << 16, dim: 1 << 24, avgNNZ: 1 << 10},
+		{name: "entries over budget", instances: 1<<16 + 1, dim: 1 << 24, avgNNZ: 1 << 10, want: "instances × avg_nnz"},
+		{name: "largest of each", instances: 1_000_000, dim: 1 << 24, avgNNZ: 1 << 23, want: "instances × avg_nnz"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{Name: "n", Dataset: "synthetic", Instances: tc.instances, Dim: uint64(tc.dim),
+				AvgNNZ: tc.avgNNZ, Model: "LR", Codec: "adam", Workers: 1, Epochs: 1}
+			err := spec.Validate(Limits{})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("spec rejected: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want ErrBadSpec containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDecodeJobSpecBodyBound(t *testing.T) {
 	lim := Limits{MaxBodyBytes: 256}
 	big := `{"name":"n","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,"pad":"` +
@@ -152,6 +189,12 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if spec.Epochs < 1 || spec.Epochs > lim.MaxEpochs {
 			t.Fatalf("accepted spec has epochs %d", spec.Epochs)
+		}
+		// A synthetic spec that passed can be generated: no instance asks
+		// for more distinct keys than dim holds, and the entries are bounded.
+		if spec.Dataset == "synthetic" &&
+			(uint64(2*spec.AvgNNZ-1) > spec.Dim || spec.Instances*spec.AvgNNZ > maxSyntheticEntries) {
+			t.Fatalf("accepted synthetic spec: instances %d, dim %d, avg_nnz %d", spec.Instances, spec.Dim, spec.AvgNNZ)
 		}
 		// The Go-only fields are never decoded from a request.
 		if spec.LibSVM != "" || spec.TCP {

@@ -91,6 +91,30 @@ func (s *Sketch) Insert(key uint64, idx uint16) {
 	}
 }
 
+// InsertBlock is Insert for a whole key list, one hash row at a time:
+// every bin keys[i] addresses keeps the minimum of its content and idx[i].
+// A row's seed, width and cells are fixed for the pass, as in QueryBlock.
+// Min is order-free, so the cells end up as key-by-key Insert leaves them.
+// idx must be at least as long as keys.
+func (s *Sketch) InsertBlock(keys []uint64, idx []uint16) {
+	idx = idx[:len(keys)]
+	var top uint16
+	for _, v := range idx {
+		top = max(top, v)
+	}
+	if top > MaxIndex {
+		invariant.Failf("minmax: index %d exceeds MaxIndex", top)
+	}
+	for r := 0; r < s.rows; r++ {
+		seed, cols := s.family.Row(r)
+		cells := s.cells[r*s.cols : (r+1)*s.cols]
+		for i, k := range keys {
+			cell := &cells[hashing.Reduce(hashing.Mix64(k, seed), cols)]
+			*cell = min(*cell, idx[i])
+		}
+	}
+}
+
 // Query returns the recovered bucket index for key: the maximum non-empty
 // candidate across rows (the paper's Max protocol). ok is false only when
 // every addressed bin is still Empty, which cannot happen for a key that
@@ -294,13 +318,13 @@ func (g *Grouped) Insert(key uint64, bucket int) int {
 	return grp
 }
 
-// InsertAt records key with group-relative index rel straight into group
-// grp's sketch, for a caller that has already worked out both (an encoder
-// resolves bucket → (grp, rel) once per bucket, not once per key). It is
-// Insert without the division: Insert(key, b) == InsertAt(GroupOf(b), key,
-// b − GroupOf(b)·BucketsPerGroup()).
-func (g *Grouped) InsertAt(grp int, key uint64, rel uint16) {
-	g.groups[grp].Insert(key, rel)
+// InsertBlock runs Sketch.InsertBlock on group grp's sketch with
+// group-relative indexes, for a caller that has routed every key itself (an
+// encoder resolves bucket → (grp, rel) once per bucket, not once per key).
+// Insert(key, b) is InsertBlock(GroupOf(b), {key}, {b − GroupOf(b)·
+// BucketsPerGroup()}).
+func (g *Grouped) InsertBlock(grp int, keys []uint64, rel []uint16) {
+	g.groups[grp].InsertBlock(keys, rel)
 }
 
 // Query recovers the bucket index of key, which is known (from the wire

@@ -2,6 +2,7 @@ package minmax
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,5 +142,65 @@ func TestGroupedQueryBlockBucket(t *testing.T) {
 		if cand[0] != 0 || cand[1] != 0 {
 			t.Fatalf("group %d does not exist, yet cand = %v", grp, cand)
 		}
+	}
+}
+
+// TestInsertBlockMatchesPerKeyInsert holds the block insert to key-by-key
+// Insert: the same (key, index) pairs, repeated keys and the largest
+// storable index among them, leave the same cells whether they go in one
+// at a time or as a few blocks of any size in any order. An index past
+// MaxIndex anywhere in a block is refused before a cell moves.
+func TestInsertBlockMatchesPerKeyInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		n, top     int // pairs, and the largest index drawn
+	}{
+		{"empty", 2, 64, 0, 255},
+		{"sparse", 2, 256, 40, 255},
+		{"crowded", 2, 64, 3000, 255},
+		{"one row", 1, 128, 500, 31},
+		{"three rows", 3, 128, 500, 31},
+		{"2-byte indexes", 2, 512, 800, MaxIndex},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := rng.Uint64()
+			keys, idx := make([]uint64, tc.n), make([]uint16, tc.n)
+			for i := range keys {
+				keys[i], idx[i] = rng.Uint64()>>rng.Intn(60), uint16(rng.Intn(tc.top+1))
+				if i > 0 && rng.Intn(4) == 0 {
+					keys[i] = keys[rng.Intn(i)] // a repeated key, maybe a lower index
+				}
+			}
+			if tc.n > 0 {
+				idx[0] = uint16(tc.top)
+			}
+			want := New(tc.rows, tc.cols, seed)
+			for i, k := range keys {
+				want.Insert(k, idx[i])
+			}
+			whole := New(tc.rows, tc.cols, seed)
+			whole.InsertBlock(keys, append(idx, 7, 7)) // idx longer than keys
+			pieces := New(tc.rows, tc.cols, seed)
+			cuts := []int{0, tc.n / 3, tc.n / 2, tc.n}
+			for _, p := range rng.Perm(len(cuts) - 1) {
+				pieces.InsertBlock(keys[cuts[p]:cuts[p+1]], idx[cuts[p]:cuts[p+1]])
+			}
+			for _, got := range []*Sketch{whole, pieces} {
+				if !slices.Equal(got.cells, want.cells) {
+					t.Fatal("block insert left other cells than key-by-key Insert")
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("index past MaxIndex accepted")
+				}
+				if !slices.Equal(whole.cells, want.cells) {
+					t.Fatal("a refused block moved a cell")
+				}
+			}()
+			whole.InsertBlock([]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}, []uint16{0, 0, Empty})
+		})
 	}
 }
