@@ -84,6 +84,8 @@ race-matrix:
 		echo "race-matrix: GOMAXPROCS=$$gmp"; \
 		GOMAXPROCS=$$gmp $(GO) test -race -count=1 $(MATRIX_PKGS); \
 	done
+	@echo "race-matrix: dataset point GOMAXPROCS=4 (the generator's producer, judges and finishers)"
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGenerate|TestZipf' ./internal/dataset
 	@echo "race-matrix: chaos point GOMAXPROCS=4 CHAOS_SEED=$(CHAOS_MATRIX_SEED)"
 	GOMAXPROCS=4 SKETCHML_CHAOS_SOAK=1 SKETCHML_CHAOS_SEED=$(CHAOS_MATRIX_SEED) \
 		$(GO) test -race -count=1 -run TestChaosSoak ./internal/trainer

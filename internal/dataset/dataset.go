@@ -82,7 +82,8 @@ func (d *Dataset) Shard(w int) []*Dataset {
 	}
 	shards := make([]*Dataset, w)
 	for i := range shards {
-		shards[i] = &Dataset{Dim: d.Dim}
+		// Shard i holds instances i, i+w, i+2w, …: ⌈(N−i)/w⌉ of them.
+		shards[i] = &Dataset{Dim: d.Dim, Instances: make([]Instance, 0, (len(d.Instances)-i+w-1)/w)}
 	}
 	for i := range d.Instances {
 		s := shards[i%w]
@@ -92,12 +93,15 @@ func (d *Dataset) Shard(w int) []*Dataset {
 }
 
 // Batcher yields deterministic mini-batches: each epoch reshuffles the
-// instance order with a per-epoch seed derived from the base seed.
+// instance order with a per-epoch seed derived from the base seed. The
+// order is rand.New(rand.NewSource(seed)).Perm(N) for that epoch's seed,
+// drawn into the same slice by the same generator, re-seeded, every epoch.
 type Batcher struct {
 	data      *Dataset
 	batchSize int
 	seed      int64
 	epoch     int
+	rng       *rand.Rand
 	order     []int
 	pos       int
 }
@@ -111,14 +115,22 @@ func NewBatcher(d *Dataset, batchSize int, seed int64) *Batcher {
 	if batchSize > d.N() && d.N() > 0 {
 		batchSize = d.N()
 	}
-	b := &Batcher{data: d, batchSize: batchSize, seed: seed}
+	b := &Batcher{data: d, batchSize: batchSize, seed: seed,
+		rng: rand.New(rand.NewSource(seed)), order: make([]int, d.N())}
 	b.reshuffle()
 	return b
 }
 
+// reshuffle re-seeds the generator with the epoch's seed and refills the
+// order with rand.Perm's own loop, which draws the same permutation.
 func (b *Batcher) reshuffle() {
-	rng := rand.New(rand.NewSource(b.seed + int64(b.epoch)*1_000_003))
-	b.order = rng.Perm(b.data.N())
+	b.rng.Seed(b.seed + int64(b.epoch)*1_000_003)
+	m := b.order
+	for i := range m {
+		j := b.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 	b.pos = 0
 }
 

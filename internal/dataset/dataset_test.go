@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -333,6 +335,45 @@ func TestShard(t *testing.T) {
 	if s := d.Shard(0); len(s) != 1 {
 		t.Error("Shard(0) should clamp to 1")
 	}
+	// Each shard is sized once: instance i of shard s is instance s+i·w.
+	for _, w := range []int{1, 3, 4, 10, 13} {
+		for s, sh := range d.Shard(w) {
+			if cap(sh.Instances) != sh.N() {
+				t.Errorf("Shard(%d)[%d]: %d instances in a capacity of %d", w, s, sh.N(), cap(sh.Instances))
+			}
+			for i := range sh.Instances {
+				if &sh.Instances[i].Keys[0] != &d.Instances[s+i*w].Keys[0] {
+					t.Errorf("Shard(%d)[%d] instance %d is not instance %d", w, s, i, s+i*w)
+				}
+			}
+		}
+	}
+}
+
+// TestBatcherOrderMatchesPerm pins each epoch's order to
+// rand.New(rand.NewSource(seed + epoch·1,000,003)).Perm(N), across epochs
+// and across a batch size that does not divide N.
+func TestBatcherOrderMatchesPerm(t *testing.T) {
+	const n, seed = 103, 7
+	d := &Dataset{Dim: 1, Instances: make([]Instance, n)}
+	for i := range d.Instances {
+		d.Instances[i].Label = float64(i)
+	}
+	b := NewBatcher(d, 10, seed)
+	var buf []*Instance
+	for epoch := 0; epoch < 4; epoch++ {
+		want := rand.New(rand.NewSource(seed + int64(epoch)*1_000_003)).Perm(n)
+		var got []int
+		for len(got) < n {
+			buf = b.Next(buf)
+			for _, in := range buf {
+				got = append(got, int(in.Label))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: order %v, want %v", epoch, got, want)
+		}
+	}
 }
 
 func TestBatcherCoversEpochExactly(t *testing.T) {
@@ -509,8 +550,8 @@ func TestLibSVMSkipsZeroValues(t *testing.T) {
 }
 
 // BenchmarkGenerate times a small generic call and the two production
-// shapes at a reduced N (their ground-truth draw is the full one), in
-// ns per instance.
+// shapes, in ns per instance: at a reduced N, where the full ground-truth
+// draw dominates, and at the full N = 1.2·10⁵ the runs generate.
 func BenchmarkGenerate(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -519,6 +560,8 @@ func BenchmarkGenerate(b *testing.B) {
 		{"n1000_d5e4", SyntheticConfig{N: 1000, Dim: 50000, AvgNNZ: 30}},
 		{"bench-xl_n2000", benchXL(2000)},
 		{"service-synthetic_n2000", serviceSynthetic(2000)},
+		{"bench-xl_n120000", benchXL(120_000)},
+		{"service-synthetic_n120000", serviceSynthetic(120_000)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Task selects what kind of labels a synthetic dataset carries.
@@ -37,13 +39,21 @@ type SyntheticConfig struct {
 }
 
 // Generate materializes the synthetic dataset described by cfg.
-// Generation is deterministic given cfg. An instance draws up to
-// 2·AvgNNZ−1 distinct keys from the Dim the Zipf range holds, so a config
-// with 2·AvgNNZ−1 > Dim is an error.
+// Generation is deterministic given cfg, at any GOMAXPROCS. An instance
+// draws up to 2·AvgNNZ−1 distinct keys from the Dim the Zipf range holds,
+// so a config with 2·AvgNNZ−1 > Dim is an error, as is a ZipfS no raw
+// value of the stream is sure to end a draw of (see zipfSentinel).
 //
-// Besides the instances, Generate holds 8·Dim + Dim/8 transient bytes: the
+// The draws read one seeded stream in order, as rand.Zipf and rand.Rand
+// calls would; each Zipf pass's outcome is worked out ahead of them on
+// every core (draws.go). Each instance is then finished (its keys sorted,
+// its margin summed and labelled) on every core too. Every goroutine has
+// returned when Generate does.
+//
+// Besides the instances, Generate holds 8·Dim + Dim/8 transient bytes (the
 // ground-truth weight of every key and one bit per key, which marks first
-// the weights drawn and then the keys the current instance holds.
+// the weights drawn and then the keys the current instance holds), a
+// 256 KiB cell table and at most 4 MiB of the stream's lookahead.
 func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	if cfg.N <= 0 || cfg.Dim == 0 || cfg.AvgNNZ <= 0 {
 		return nil, fmt.Errorf("dataset: invalid config N=%d Dim=%d AvgNNZ=%d",
@@ -56,8 +66,13 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.2
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, cfg.Dim-1)
+	procs := runtime.GOMAXPROCS(0)
+	draws, err := startDraws(cfg.Seed, cfg.ZipfS, cfg.Dim-1, procs)
+	if err != nil {
+		return nil, err
+	}
+	defer draws.close()
+	rng := rand.New(draws)
 
 	// Ground-truth sparse weight vector: draw keys until wNNZ distinct ones
 	// hold a weight. A repeated key takes a fresh weight, drawn after it.
@@ -71,7 +86,7 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	truth := make([]float64, cfg.Dim)
 	marked := make([]uint64, (cfg.Dim+63)/64)
 	for distinct := 0; distinct < wNNZ && uint64(distinct) < cfg.Dim; {
-		k := zipf.Uint64()
+		k := draws.key()
 		if marked[k/64]&(1<<(k%64)) == 0 {
 			marked[k/64] |= 1 << (k % 64)
 			distinct++
@@ -80,14 +95,35 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	}
 	clear(marked)
 
+	// The draws leave each instance's keys in draw order, its values in
+	// the order drawn and its label noise in Label; finishers sort, sum and
+	// label runs of finishBatch instances behind them.
 	d := &Dataset{Dim: cfg.Dim, Instances: make([]Instance, cfg.N)}
+	// One queued run a finisher lets the draws go on while every finisher
+	// is busy.
+	runs := make(chan []Instance, procs)
+	var finishers sync.WaitGroup
+	finishers.Add(procs)
+	for range procs {
+		go func() {
+			defer finishers.Done()
+			for run := range runs {
+				finish(run, truth, cfg)
+			}
+		}()
+	}
+	// Deferred, so they run before the caller sees d: no more runs, then
+	// every run finished.
+	defer finishers.Wait()
+	defer close(runs)
+	const finishBatch = 256
 	for i := 0; i < cfg.N; i++ {
 		// Per-instance nonzero count: Poisson-ish around AvgNNZ via a
 		// geometric mixture, at least 1.
 		nnz := 1 + rng.Intn(2*cfg.AvgNNZ-1)
 		keys := make([]uint64, 0, nnz)
 		for len(keys) < nnz {
-			k := zipf.Uint64()
+			k := draws.key()
 			if marked[k/64]&(1<<(k%64)) != 0 {
 				continue
 			}
@@ -97,18 +133,35 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 		for _, k := range keys {
 			marked[k/64] &^= 1 << (k % 64)
 		}
-		slices.Sort(keys)
-		vals := make([]float64, len(keys))
-		var margin float64
-		for j, k := range keys {
+		vals := make([]float64, nnz)
+		for j := range vals {
 			v := 1.0
 			if !cfg.BinaryVals {
 				v = rng.NormFloat64()
 			}
 			vals[j] = v
-			margin += truth[k] * v
 		}
-		margin += rng.NormFloat64() * cfg.NoiseStd
+		d.Instances[i] = Instance{Keys: keys, Values: vals, Label: rng.NormFloat64()}
+		if (i+1)%finishBatch == 0 || i+1 == cfg.N {
+			runs <- d.Instances[i/finishBatch*finishBatch : i+1]
+		}
+	}
+	return d, nil
+}
+
+// finish completes instances the draws left in draw order: the keys
+// sorted, the j-th value drawn kept at the j-th sorted key, the margin
+// Σ truth[key]·value summed in key order plus the noise held in Label
+// times NoiseStd, and the label made from the margin.
+func finish(run []Instance, truth []float64, cfg SyntheticConfig) {
+	for i := range run {
+		in := &run[i]
+		slices.Sort(in.Keys)
+		var margin float64
+		for j, k := range in.Keys {
+			margin += truth[k] * in.Values[j]
+		}
+		margin += in.Label * cfg.NoiseStd
 		label := margin
 		if cfg.Task == Classification {
 			if margin >= 0 {
@@ -117,9 +170,8 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 				label = -1
 			}
 		}
-		d.Instances[i] = Instance{Keys: keys, Values: vals, Label: label}
+		in.Label = label
 	}
-	return d, nil
 }
 
 // The named presets below are laptop-scale stand-ins for the paper's
