@@ -18,8 +18,10 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux (served only with -pprof)
 	"os"
 	"slices"
+	"strings"
 
 	"sketchml"
+	"sketchml/internal/codec"
 	"sketchml/internal/dataset"
 	"sketchml/internal/service"
 	"sketchml/internal/stats"
@@ -29,7 +31,7 @@ func main() {
 	var (
 		data       = flag.String("data", "kdd10", "dataset: kdd10|kdd12|ctr or a LibSVM file path")
 		modelN     = flag.String("model", "LR", "model: LR|SVM|Linear")
-		codecN     = flag.String("codec", "sketchml", "codec: sketchml|adam|adam32|zipml8|zipml16|key|keyquan|onebit|topk|topk-ef")
+		codecN     = flag.String("codec", "sketchml", "codec: "+strings.Join(codec.Names(), "|"))
 		workers    = flag.Int("workers", 4, "number of workers")
 		epochs     = flag.Int("epochs", 3, "training epochs")
 		batch      = flag.Float64("batch", 0.1, "mini-batch fraction of the training set")

@@ -77,21 +77,21 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 	}
 }
 
-// TestTrainingRun drives one run end to end: every party gets its own codec
-// instance (topk-ef keeps a per-sender residual; one instance shared by four
-// worker goroutines is a concurrent map write), the epoch table reports only
+// TestTrainingRun drives one run end to end: the epoch table reports only
 // what the run measured, and a codec or dataset that does not resolve is
 // refused by name.
 func TestTrainingRun(t *testing.T) {
-	code, out := runMain(t, "-data", "kdd10", "-epochs", "1", "-codec", "topk-ef")
+	code, out := runMain(t, "-data", "kdd10", "-epochs", "1", "-codec", "topk")
 	if code != 0 || !strings.Contains(out, "final: loss") {
-		t.Fatalf("topk-ef run: exit %d\n%s", code, out)
+		t.Fatalf("topk run: exit %d\n%s", code, out)
 	}
 	if !strings.Contains(out, "wall s") || strings.Contains(out, "sim s") {
 		t.Errorf("epoch table should carry wall s and no sim s:\n%s", out)
 	}
-	if code, out := runMain(t, "-codec", "gzip"); code == 0 || !strings.Contains(out, `unknown codec "gzip"`) {
-		t.Errorf("-codec gzip: exit %d, output %q", code, out)
+	for _, name := range []string{"gzip", "topk-ef"} {
+		if code, out := runMain(t, "-codec", name); code == 0 || !strings.Contains(out, `unknown codec "`+name+`"`) {
+			t.Errorf("-codec %s: exit %d, output %q", name, code, out)
+		}
 	}
 	if code, out := runMain(t, "-data", "kdd11"); code == 0 || !strings.Contains(out, "open dataset") {
 		t.Errorf("-data kdd11: exit %d, output %q; want it tried as a file path", code, out)

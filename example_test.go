@@ -103,7 +103,7 @@ func ExampleTrain_distributed() {
 	train, test := full.Split(0.75, 1)
 	res, _ := sketchml.Train(sketchml.TrainConfig{
 		Trainable:    sketchml.LogisticRegression(),
-		CodecFactory: func() sketchml.Codec { return comp }, // called once per party; a stateless codec may be shared
+		CodecFactory: func() sketchml.Codec { return comp }, // called once per party; one instance may serve every party
 		Workers:      10,
 		Epochs:       5,
 	}, train, test)

@@ -1,13 +1,22 @@
 package codec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
+
+// names is every codec name ByName accepts, in the order the command line's
+// help and ByName's error list them.
+var names = []string{"sketchml", "adam", "adam32", "zipml8", "zipml16", "key", "keyquan", "onebit", "topk"}
+
+// Names returns the codec names ByName accepts.
+func Names() []string { return slices.Clone(names) }
 
 // ByName maps a codec name, as the command line and the job service spell
 // them, to a constructor of that codec. The name and, for the SketchML
 // family (sketchml, key, keyquan), opts are validated here, once: the
-// returned constructor cannot fail. It builds a fresh instance per call
-// because every party of a run needs its own — topk-ef keeps a per-sender
-// residual.
+// returned constructor cannot fail; the trainer calls it once per party.
 func ByName(name string, opts Options) (func() Codec, error) {
 	switch name {
 	case "sketchml":
@@ -27,10 +36,8 @@ func ByName(name string, opts Options) (func() Codec, error) {
 		return func() Codec { return &OneBit{} }, nil
 	case "topk":
 		return func() Codec { return &TopK{Fraction: 0.1} }, nil
-	case "topk-ef":
-		return func() Codec { return NewErrorFeedback(&TopK{Fraction: 0.1}) }, nil
 	default:
-		return nil, fmt.Errorf("unknown codec %q", name)
+		return nil, fmt.Errorf("unknown codec %q (want %s)", name, strings.Join(names, ", "))
 	}
 	if _, err := NewSketchML(opts); err != nil {
 		return nil, err

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// TestByName: every name the CLI and the service accept builds, each call of
-// topk-ef's constructor is a new instance (its residual is per sender), the
+// TestByName: every name the CLI and the service accept builds, the
 // SketchML family takes the caller's options and has them checked up front,
-// and an unknown name is refused by name.
+// and an unknown name is refused by name with the list of valid ones.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"sketchml", "adam", "adam32", "zipml8", "zipml16", "key", "keyquan", "onebit", "topk", "topk-ef"} {
+	for _, name := range Names() {
 		newCodec, err := ByName(name, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -19,14 +18,6 @@ func TestByName(t *testing.T) {
 			t.Errorf("%s: constructor returned nil", name)
 		}
 	}
-	newEF, err := ByName("topk-ef", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := newEF(), newEF(); a == b {
-		t.Error("topk-ef: two parties would share one residual")
-	}
-
 	opts := DefaultOptions()
 	opts.Buckets = 16
 	newCodec, err := ByName("key", opts)
@@ -47,7 +38,8 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("adam", opts); err != nil {
 		t.Errorf("adam has no use for the options, yet: %v", err)
 	}
-	if _, err := ByName("gzip", DefaultOptions()); err == nil || !strings.Contains(err.Error(), `unknown codec "gzip"`) {
-		t.Errorf(`ByName("gzip") = %v, want unknown codec "gzip"`, err)
+	want := `unknown codec "gzip" (want ` + strings.Join(Names(), ", ") + ")"
+	if _, err := ByName("gzip", DefaultOptions()); err == nil || err.Error() != want {
+		t.Errorf(`ByName("gzip") = %v, want %s`, err, want)
 	}
 }

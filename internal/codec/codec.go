@@ -23,14 +23,13 @@ type Codec interface {
 	// Name identifies the codec in experiment output (e.g. "SketchML").
 	Name() string
 	// Encode serializes the gradient. The gradient must be valid
-	// (sorted unique keys, finite values).
+	// (sorted unique keys, finite values). Encode keeps no state from one
+	// call to the next.
 	Encode(g *gradient.Sparse) ([]byte, error)
 	// Decode reconstructs a gradient from a message produced by Encode.
 	// Decode must be safe for concurrent use: the trainer's driver decodes
 	// the W worker messages of a round on W goroutines sharing one codec
-	// instance. (Encode may be stateful — e.g. ErrorFeedback's residual —
-	// which is why the trainer builds every party its own instance through
-	// trainer.Config.CodecFactory.)
+	// instance.
 	Decode(data []byte) (*gradient.Sparse, error)
 }
 

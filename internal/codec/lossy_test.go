@@ -145,110 +145,3 @@ func TestLossyDecodeRejectsWrongTagAndTruncation(t *testing.T) {
 		}
 	}
 }
-
-func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
-	// With Top-K at 30%, repeated encoding of the same gradient must
-	// eventually transmit everything: the decoded sum over rounds converges
-	// to round-count times the gradient. Rotation time for a coordinate is
-	// ~|vmax/v| rounds, so use values with bounded magnitude spread.
-	rng := rand.New(rand.NewSource(7))
-	m := map[uint64]float64{}
-	for len(m) < 500 {
-		v := 0.5 + rng.Float64() // magnitudes within 3x of each other
-		if rng.Intn(2) == 0 {
-			v = -v
-		}
-		m[uint64(rng.Int63n(20000))] = v
-	}
-	g := gradient.FromMap(20000, m)
-	ef := NewErrorFeedback(&TopK{Fraction: 0.3})
-	if ef.Name() != "TopK-0.3+EF" {
-		t.Errorf("Name = %q", ef.Name())
-	}
-	sum := make([]float64, g.Dim)
-	const rounds = 40
-	for round := 0; round < rounds; round++ {
-		msg, err := ef.Encode(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := ef.Decode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range dec.Keys {
-			sum[k] += dec.Values[i]
-		}
-	}
-	// Compare per-coordinate transmitted mass to rounds * value.
-	var worst float64
-	for i, k := range g.Keys {
-		want := float64(rounds) * g.Values[i]
-		rel := math.Abs(sum[k]-want) / math.Max(math.Abs(want), 1e-12)
-		if rel > worst {
-			worst = rel
-		}
-	}
-	// A coordinate can wait ~(vmax/v) rounds for its turn, so with a 3x
-	// magnitude spread the residual holds at most a few rounds of mass.
-	if worst > 5.0/rounds {
-		t.Errorf("worst per-coordinate relative shortfall %.3f, want <= %.3f", worst, 5.0/rounds)
-	}
-	if ef.ResidualNorm() <= 0 {
-		t.Error("residual should be nonzero mid-stream")
-	}
-}
-
-func TestErrorFeedbackLosslessInnerIsTransparent(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := randomGradient(rng, 10000, 300)
-	ef := NewErrorFeedback(&Raw{})
-	msg, err := ef.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := ef.Decode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Keys {
-		if dec.Keys[i] != g.Keys[i] || dec.Values[i] != g.Values[i] {
-			t.Fatal("lossless inner should round-trip exactly")
-		}
-	}
-	if n := ef.ResidualNorm(); n != 0 {
-		t.Errorf("residual %v for lossless inner, want 0", n)
-	}
-}
-
-func TestErrorFeedbackWithSketchML(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomGradient(rng, 100000, 2000)
-	ef := NewErrorFeedback(MustSketchML(DefaultOptions()))
-	// Transmitted mass over many rounds approaches the true mass even
-	// though each individual message decays values.
-	sum := make([]float64, g.Dim)
-	const rounds = 30
-	for round := 0; round < rounds; round++ {
-		msg, err := ef.Encode(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := ef.Decode(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range dec.Keys {
-			sum[k] += dec.Values[i]
-		}
-	}
-	var num, den float64
-	for i, k := range g.Keys {
-		want := float64(rounds) * g.Values[i]
-		num += math.Abs(sum[k] - want)
-		den += math.Abs(want)
-	}
-	if rel := num / den; rel > 0.15 {
-		t.Errorf("aggregate relative shortfall %.3f, want <= 0.15 with feedback", rel)
-	}
-}

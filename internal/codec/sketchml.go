@@ -209,9 +209,8 @@ func (c *SketchML) encodeTo(head, tail *[]byte, g *gradient.Sparse) (Breakdown, 
 	// Rotate the hash seed per message, derived deterministically from the
 	// gradient's content. A static seed would make the same keys collide in
 	// the MinMaxSketch round after round, permanently decaying those
-	// coordinates (and defeating error-feedback wrappers); rotation makes
-	// the decay average out across rounds. The decoder reads the seed from
-	// the header.
+	// coordinates; rotation makes the decay average out across rounds. The
+	// decoder reads the seed from the header.
 	in := message{
 		g:      g,
 		seed:   hashing.Mix64(contentFingerprint(g), c.opts.Seed),

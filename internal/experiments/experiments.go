@@ -84,7 +84,7 @@ var registry = map[string]struct {
 	"ablation-grouping": {"Grouped sketch error vs r", AblationGrouping},
 	"ablation-quantile": {"Quantile vs uniform quantization", AblationQuantileVsUniform},
 	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
-	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K, error feedback)", AblationLossyBaselines},
+	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K)", AblationLossyBaselines},
 	"ablation-sketch":   {"GK (m = 128, 256) vs KLL vs the codec's sort, at the quantizer", AblationSplitFinders},
 }
 

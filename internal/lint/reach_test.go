@@ -15,14 +15,13 @@ import (
 // whose declaration is gone or has become reachable fails the test, so the
 // list only shrinks.
 var reachKeep = map[string]string{
-	"internal/cluster.FaultCounts":              "TestChaosDeterministicSchedule",
-	"internal/cluster.ChaosConn.Faults":         "TestChaosCorruptionChangesBytesOnly",
-	"internal/cluster.NewCounting":              "TestWireTCPPinsLinkToWorker",
-	"internal/codec.ErrorFeedback.ResidualNorm": "TestErrorFeedbackRecoversDroppedMass",
-	"internal/codec.SketchML.Options":           "TestByName",
-	"internal/gradient.Sparse.Get":              "TestScatterZeros",
-	"internal/gradient.Sparse.ToDense":          "TestDenseRoundTrip",
-	"internal/optim.Adam.Steps":                 "TestAdamMatchesReference",
+	"internal/cluster.FaultCounts":      "TestChaosDeterministicSchedule",
+	"internal/cluster.ChaosConn.Faults": "TestChaosCorruptionChangesBytesOnly",
+	"internal/cluster.NewCounting":      "TestWireTCPPinsLinkToWorker",
+	"internal/codec.SketchML.Options":   "TestByName",
+	"internal/gradient.Sparse.Get":      "TestScatterZeros",
+	"internal/gradient.Sparse.ToDense":  "TestDenseRoundTrip",
+	"internal/optim.Adam.Steps":         "TestAdamMatchesReference",
 }
 
 // reachStdMethods are method names a standard-library caller selects

@@ -454,6 +454,7 @@ func TestBadSpecRejected(t *testing.T) {
 		{"traversal name", `{"name":"..","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1}`},
 		{"workers over budget", `{"name":"a","dataset":"kdd10","model":"LR","codec":"adam","workers":9999,"epochs":1}`},
 		{"unknown codec", `{"name":"a","dataset":"kdd10","model":"LR","codec":"gzip","workers":1,"epochs":1}`},
+		{"removed codec topk-ef", `{"name":"a","dataset":"kdd10","model":"LR","codec":"topk-ef","workers":1,"epochs":1}`},
 		{"oversize body", `{"name":"a","dataset":"kdd10","model":"LR","codec":"adam","workers":1,"epochs":1,` +
 			`"pad":"` + strings.Repeat("x", 80<<10) + `"}`},
 		// Up to 3 distinct keys an instance from a dim of 2: a generator

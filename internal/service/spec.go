@@ -107,7 +107,7 @@ type JobSpec struct {
 	AvgNNZ    int    `json:"avg_nnz,omitempty"`
 
 	Model string `json:"model"` // LR | SVM | Linear
-	Codec string `json:"codec"` // sketchml | adam | adam32 | zipml8 | zipml16 | key | keyquan | onebit | topk | topk-ef
+	Codec string `json:"codec"` // a name codec.ByName accepts
 
 	Workers       int     `json:"workers"`
 	Epochs        int     `json:"epochs"`

@@ -43,9 +43,10 @@ type Config struct {
 	Trainable model.Trainable
 	// CodecFactory builds the codec that compresses gradients in both
 	// directions; nil means codec.Raw. It is called once per party: first
-	// for the driver, then for workers 0…W−1 in index order, so stateful
-	// codecs such as codec.ErrorFeedback get a per-sender instance. A
-	// stateless codec may return one shared instance every time.
+	// for the driver, then for workers 0…W−1 in index order, so a wrapper
+	// can tell the parties apart by call order (the benchmark's per-party
+	// codec meters do). No codec keeps state between encodes, so it may
+	// return one shared instance every time.
 	CodecFactory func() codec.Codec
 	// Optimizer builds per-replica optimizers; nil means Adam with LR 0.1.
 	Optimizer OptimizerFactory
@@ -348,9 +349,6 @@ func CheckTopology(topo cluster.Topology, useTCP bool, c codec.Codec, workers in
 		return fmt.Errorf("gather %s requires the in-memory transport", topo)
 	}
 	if _, ok := c.(codec.Merger); !ok && c != nil {
-		// No decode/re-encode fallback: stateful codecs (ErrorFeedback)
-		// mutate sender residual on Encode, so a silent fallback would
-		// corrupt training, not just slow it down.
 		return fmt.Errorf("gather %s requires a mergeable codec (codec.Merger), %s is not", topo, c.Name())
 	}
 	if workers > math.MaxUint16 {
@@ -705,9 +703,9 @@ type driver struct {
 func (d *driver) runRound(es *EpochStats) error {
 	cfg := d.cfg
 	// Gather worker gradients. Receives and decodes run concurrently across
-	// links (Decode is stateless on every codec, including ErrorFeedback,
-	// whose residual lives on the encode side); the accumulator adds stay
-	// sequential in link order so float summation is deterministic.
+	// links (Decode is safe for concurrent use on every codec); the
+	// accumulator adds stay sequential in link order so float summation is
+	// deterministic.
 	// DecodeTime sums the per-goroutine decode durations rather than the
 	// gather's wall time.
 	tGather := time.Now()

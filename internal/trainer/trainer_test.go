@@ -33,8 +33,7 @@ func adamFactory(lr float64) OptimizerFactory {
 	return func(dim uint64) optim.Optimizer { return optim.NewAdam(lr, dim) }
 }
 
-// shared is a CodecFactory that hands every party the same instance, for
-// codecs whose Encode keeps no per-sender state.
+// shared is a CodecFactory that hands every party the same instance.
 func shared(c codec.Codec) func() codec.Codec {
 	return func() codec.Codec { return c }
 }
@@ -424,28 +423,26 @@ func TestWorkerReportRoundTrip(t *testing.T) {
 }
 
 func TestCodecFactoryPerWorkerState(t *testing.T) {
-	// Stateful codecs (error feedback) need one instance per sender; the
-	// factory path must train correctly and keep replicas in sync.
+	// A lossy codec, one instance per party: the factory path must train
+	// and keep replicas in sync.
 	train, test := smallData(t)
 	res, err := Run(Config{
-		Trainable: model.Wrap(model.LogisticRegression{}),
-		CodecFactory: func() codec.Codec {
-			return codec.NewErrorFeedback(&codec.TopK{Fraction: 0.3})
-		},
-		Optimizer: adamFactory(0.1),
-		Workers:   4,
-		Epochs:    3,
-		Lambda:    0.01,
-		Seed:      9,
+		Trainable:    model.Wrap(model.LogisticRegression{}),
+		CodecFactory: func() codec.Codec { return &codec.TopK{Fraction: 0.3} },
+		Optimizer:    adamFactory(0.1),
+		Workers:      4,
+		Epochs:       3,
+		Lambda:       0.01,
+		Seed:         9,
 	}, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CodecName != "TopK-0.3+EF" {
+	if res.CodecName != "TopK-0.3" {
 		t.Errorf("CodecName = %q", res.CodecName)
 	}
 	if res.FinalAccuracy < 0.6 {
-		t.Errorf("accuracy %.2f with error-feedback Top-K", res.FinalAccuracy)
+		t.Errorf("accuracy %.2f with Top-K", res.FinalAccuracy)
 	}
 	first, last := res.Epochs[0].TestLoss, res.FinalLoss
 	if last >= first {

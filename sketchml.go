@@ -93,12 +93,6 @@ type OneBitCodec = codec.OneBit
 // TopKCodec keeps only the largest-magnitude fraction of gradient entries.
 type TopKCodec = codec.TopK
 
-// NewErrorFeedback wraps any lossy codec with residual compensation: the
-// compression error of each message is added to the next gradient. Build
-// it inside TrainConfig.CodecFactory, which gives every sender its own
-// instance.
-func NewErrorFeedback(inner Codec) Codec { return codec.NewErrorFeedback(inner) }
-
 // Breakdown attributes an encoded message's bytes to keys, values, and
 // quantizer metadata.
 type Breakdown = codec.Breakdown

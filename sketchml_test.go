@@ -167,27 +167,3 @@ func TestParseTopologyNamesWhatIsLeft(t *testing.T) {
 		}
 	}
 }
-
-func TestErrorFeedbackFacade(t *testing.T) {
-	full := sketchml.KDD10Like(6)
-	train, test := full.Split(0.75, 1)
-	res, err := sketchml.Train(sketchml.TrainConfig{
-		Trainable: sketchml.LogisticRegression(),
-		CodecFactory: func() sketchml.Codec {
-			return sketchml.NewErrorFeedback(&sketchml.TopKCodec{Fraction: 0.2})
-		},
-		Workers: 3,
-		Epochs:  2,
-		Lambda:  0.01,
-		Seed:    1,
-	}, train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CodecName != "TopK-0.2+EF" {
-		t.Errorf("CodecName = %q", res.CodecName)
-	}
-	if res.FinalAccuracy < 0.6 {
-		t.Errorf("accuracy %.2f", res.FinalAccuracy)
-	}
-}
