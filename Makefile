@@ -84,7 +84,7 @@ race-matrix:
 		echo "race-matrix: GOMAXPROCS=$$gmp"; \
 		GOMAXPROCS=$$gmp $(GO) test -race -count=1 $(MATRIX_PKGS); \
 	done
-	@echo "race-matrix: dataset point GOMAXPROCS=4 (the generator's producer, judges and finishers)"
+	@echo "race-matrix: dataset point GOMAXPROCS=4 (the generator's pool, which judges chunks and finishes instances)"
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGenerate|TestZipf' ./internal/dataset
 	@echo "race-matrix: chaos point GOMAXPROCS=4 CHAOS_SEED=$(CHAOS_MATRIX_SEED)"
 	GOMAXPROCS=4 SKETCHML_CHAOS_SOAK=1 SKETCHML_CHAOS_SEED=$(CHAOS_MATRIX_SEED) \
@@ -187,17 +187,18 @@ verify:
 	@$(MAKE) --no-print-directory timed GATES="$(VERIFY_GATES)"
 	@echo "verify: all gates passed"
 
-# bench-pairs judges this checkout against PARENT on one workload of the
-# end-to-end benchmark: `make bench-pairs PARENT=<ref> WORKLOAD=<w> PAIRS=10`.
-# The parent is exported with `git archive` into a temporary directory (no
-# worktree metadata is left behind if the run is interrupted) and both
-# sides are built once. Pair i runs seed i untraced on each side, one run at
-# a time, each binary in its own checkout's root, parent first on odd pairs
-# and change first on even ones, so a drift of the host lands on both sides
-# alike. The result sets are kept in PAIRS_OUT and judged with
-# `go run ./bench -compare`, whose row for WORKLOAD is printed (the other
-# rows read "missing"); the target fails when that row has a regressed or
-# missing metric. A pair of the trainer rows takes about a minute on 2 vCPUs.
+# bench-pairs judges this checkout against PARENT on workloads of the
+# end-to-end benchmark: `make bench-pairs PARENT=<ref> WORKLOAD="<w> ..."
+# PAIRS=10`. The parent is exported with `git archive` into a temporary
+# directory (no worktree metadata is left behind if the run is interrupted)
+# and both sides are built once. For each workload in turn, pair i runs
+# seed i untraced on each side, one run at a time, each binary in its own
+# checkout's root, parent first on odd pairs and change first on even ones,
+# so a drift of the host lands on both sides alike. The result sets are
+# kept in PAIRS_OUT and judged with `go run ./bench -compare`, whose row for
+# the workload is printed (the other rows read "missing"); the target fails
+# when any workload's row has a regressed or missing metric. A pair of the
+# trainer rows takes about a minute on 2 vCPUs.
 PARENT    ?= HEAD
 WORKLOAD  ?= lr-raw-star-tcp
 PAIRS     ?= 10
@@ -209,21 +210,25 @@ bench-pairs:
 	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/bench-parent" ./bench); \
 	$(GO) build -o "$$tmp/bench-change" ./bench; \
 	side() { \
-		echo "bench-pairs: $(WORKLOAD) seed $$2 $$1"; \
-		if [ "$$1" = parent ]; then dir="$$tmp/parent"; else dir=.; fi; \
-		(cd "$$dir" && "$$tmp/bench-$$1" -workload "$(WORKLOAD)" -seed "$$2" -no-trace \
-			-out "$$out/$(WORKLOAD)-$$1-$$2.json" >/dev/null); \
+		echo "bench-pairs: $$1 seed $$3 $$2"; \
+		if [ "$$2" = parent ]; then dir="$$tmp/parent"; else dir=.; fi; \
+		(cd "$$dir" && "$$tmp/bench-$$2" -workload "$$1" -seed "$$3" -no-trace \
+			-out "$$out/$$1-$$2-$$3.json" >/dev/null); \
 	}; \
-	parents=""; changes=""; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then side parent $$i; side change $$i; \
-		else side change $$i; side parent $$i; fi; \
-		parents="$$parents$${parents:+,}$$out/$(WORKLOAD)-parent-$$i.json"; \
-		changes="$$changes$${changes:+,}$$out/$(WORKLOAD)-change-$$i.json"; \
+	failed=""; \
+	for w in $(WORKLOAD); do \
+		parents=""; changes=""; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) -eq 1 ]; then side $$w parent $$i; side $$w change $$i; \
+			else side $$w change $$i; side $$w parent $$i; fi; \
+			parents="$$parents$${parents:+,}$$out/$$w-parent-$$i.json"; \
+			changes="$$changes$${changes:+,}$$out/$$w-change-$$i.json"; \
+		done; \
+		verdict=$$($(GO) run ./bench -compare "$$parents" "$$changes" | grep "^$$w:") || true; \
+		echo "$${verdict:-$$w: no verdict}"; \
+		case "$$verdict" in ""|*=regressed*|*=missing*) failed="$$failed $$w";; esac; \
 	done; \
-	verdict=$$($(GO) run ./bench -compare "$$parents" "$$changes" | grep "^$(WORKLOAD):") || true; \
-	echo "$$verdict"; \
-	case "$$verdict" in ""|*=regressed*|*=missing*) exit 1;; esac
+	if [ -n "$$failed" ]; then echo "bench-pairs: regressed or missing:$$failed"; exit 1; fi
 
 # loc prints the non-test Go lines of every package directory outside
 # bench/ and testdata/, then their total: the size CHANGES.md and ROADMAP.md

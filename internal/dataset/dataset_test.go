@@ -549,14 +549,17 @@ func TestLibSVMSkipsZeroValues(t *testing.T) {
 	}
 }
 
-// BenchmarkGenerate times a small generic call and the two production
+// BenchmarkGenerate times two small generic calls and the two production
 // shapes, in ns per instance: at a reduced N, where the full ground-truth
-// draw dominates, and at the full N = 1.2·10⁵ the runs generate.
+// draw dominates, and at the full N = 1.2·10⁵ the runs generate. The
+// smallest call reads the fixed cost of every call: the cell table and the
+// first chunk's judging.
 func BenchmarkGenerate(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		cfg  SyntheticConfig
 	}{
+		{"n10_d100", SyntheticConfig{N: 10, Dim: 100, AvgNNZ: 3}},
 		{"n1000_d5e4", SyntheticConfig{N: 1000, Dim: 50000, AvgNNZ: 30}},
 		{"bench-xl_n2000", benchXL(2000)},
 		{"service-synthetic_n2000", serviceSynthetic(2000)},

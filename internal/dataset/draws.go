@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Generate reads one seeded math/rand stream in a fixed order: Zipf keys
@@ -19,12 +22,13 @@ import (
 // draws then read outcomes and raw values at one cursor, in stream order,
 // and see what the stdlib's own calls would have returned.
 //
-// A producer reads the source into chunks of chunkLen values, from a ring
-// of at most ringLen chunks (ringLen·chunkLen·16 bytes = 4 MiB of
-// lookahead); one judge per core fills each chunk's outcomes; the draws
-// consume the chunks in order and hand each back to the producer. The ring
-// starts at one chunk and grows by one each time the draws move on, so a
-// small dataset works out little more than the values it reads.
+// The draws read the source into chunks of chunkLen values, from a ring of
+// at most ringLen chunks (ringLen·chunkLen·16 bytes = 4 MiB of lookahead),
+// and hand each to a pool of one worker per core, which fills its outcomes
+// (and finishes the instances, synthetic.go); the draws consume the chunks
+// in order and refill each as they leave it. The ring starts at one chunk
+// and grows by one each time the draws move on, so a small dataset works
+// out little more than the values it reads.
 const (
 	chunkLen = 1 << 15
 	ringLen  = 8
@@ -208,88 +212,73 @@ type chunk struct {
 // Zipf.Uint64 call would. Both read at one cursor, so the values come in
 // the order the stdlib's calls would read them.
 type drawStream struct {
-	cur   *chunk
-	pos   int
-	made  int         // chunks in the ring
-	order chan *chunk // filled chunks, in stream order
-	free  chan *chunk // chunks the draws are done with
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	src     rand.Source
+	cur     *chunk
+	pos     int
+	ring    []*chunk // the chunks in flight, in stream order; cur first
+	tasks   chan func(*zipfJudge)
+	closing atomic.Bool
+	wg      sync.WaitGroup
 }
 
-// startDraws starts the producer and procs judges over the stream of
-// rand.NewSource(seed), for Zipf draws of exponent s over [0, imax].
-func startDraws(seed int64, s float64, imax uint64, procs int) (*drawStream, error) {
+// startDraws starts a pool of GOMAXPROCS workers, each with its own judge,
+// over the stream of rand.NewSource(seed), for Zipf draws of exponent s
+// over [0, imax]. The pool judges chunks and runs what is sent on tasks.
+func startDraws(seed int64, s float64, imax uint64) (*drawStream, error) {
+	procs := runtime.GOMAXPROCS(0)
 	c := newZipfCurve(s, imax)
 	sentinel, err := zipfSentinel(&c)
 	if err != nil {
 		return nil, err
 	}
 	table := newZipfTable(&c, procs)
-	// order, free and work each hold every chunk the ring can have, so no
-	// send on them blocks.
+	// Room for the whole ring and one task a worker: sends seldom wait.
 	d := &drawStream{
+		src:   rand.NewSource(seed),
 		pos:   chunkLen,
-		order: make(chan *chunk, ringLen),
-		free:  make(chan *chunk, ringLen),
-		stop:  make(chan struct{}),
+		tasks: make(chan func(*zipfJudge), ringLen+procs),
 	}
-	work := make(chan *chunk, ringLen)
-	d.wg.Add(1 + procs)
-	go d.produce(rand.NewSource(seed), work)
+	d.wg.Add(procs)
 	for range procs {
-		go d.judge(newZipfJudge(table, s, imax, sentinel), work)
+		go func(j *zipfJudge) {
+			defer d.wg.Done()
+			for task := range d.tasks {
+				task(j)
+			}
+		}(newZipfJudge(table, s, imax, sentinel))
 	}
 	return d, nil
 }
 
-// produce fills the free chunks with the source's values, in turn, until
-// stop.
-func (d *drawStream) produce(src rand.Source, work chan<- *chunk) {
-	defer d.wg.Done()
-	defer close(work)
-	for {
-		var c *chunk
-		select {
-		case c = <-d.free:
-		case <-d.stop:
-			return
-		}
-		for i := range c.raw {
-			c.raw[i] = src.Int63()
-		}
-		work <- c
-		d.order <- c
+// fill reads the source's next chunkLen values into c, puts c at the back
+// of the ring and hands it to the pool to judge. Once close has begun, no
+// draw reads c again, and the judging is skipped.
+func (d *drawStream) fill(c *chunk) {
+	for i := range c.raw {
+		c.raw[i] = d.src.Int63()
 	}
-}
-
-// judge fills the outcomes of the chunks it takes; after stop it only
-// signals them.
-func (d *drawStream) judge(j *zipfJudge, work <-chan *chunk) {
-	defer d.wg.Done()
-	for c := range work {
-		select {
-		case <-d.stop:
-		default:
+	d.ring = append(d.ring, c)
+	d.tasks <- func(j *zipfJudge) {
+		if !d.closing.Load() {
 			for i, v := range c.raw {
 				c.out[i] = j.outcome(v)
 			}
+			c.done <- struct{}{}
 		}
-		c.done <- struct{}{}
 	}
 }
 
-// advance hands the current chunk back, grows the ring by one chunk until
-// it holds ringLen, and waits for the next chunk's outcomes.
+// advance refills the chunk the cursor just left, adds one more chunk
+// until ringLen are in flight, and waits for the next chunk's outcomes.
 func (d *drawStream) advance() {
 	if d.cur != nil {
-		d.free <- d.cur
+		d.ring = slices.Delete(d.ring, 0, 1)
+		d.fill(d.cur)
 	}
-	if d.made < ringLen {
-		d.free <- &chunk{done: make(chan struct{}, 1)}
-		d.made++
+	if len(d.ring) < ringLen {
+		d.fill(&chunk{done: make(chan struct{}, 1)})
 	}
-	d.cur = <-d.order
+	d.cur = d.ring[0]
 	<-d.cur.done
 	d.pos = 0
 }
@@ -305,8 +294,7 @@ func (d *drawStream) Int63() int64 {
 	return v
 }
 
-// Seed is there to make d a rand.Source; the stream is seeded once, at
-// startDraws.
+// Seed makes d a rand.Source; the stream is seeded once, at startDraws.
 func (d *drawStream) Seed(int64) {}
 
 // key returns the value rand.Zipf.Uint64 would: it reads the passes'
@@ -324,8 +312,10 @@ func (d *drawStream) key() uint64 {
 	}
 }
 
-// close stops the producer and the judges and waits for them to return.
+// close skips the judging still queued, lets the pool run every other
+// task, and waits for its workers to return.
 func (d *drawStream) close() {
-	close(d.stop)
+	d.closing.Store(true)
+	close(d.tasks)
 	d.wg.Wait()
 }

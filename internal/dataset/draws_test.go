@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // zipfGrid is the (s, imax) grid the outcome tests cover: the presets'
@@ -194,23 +195,59 @@ func FuzzZipfOutcome(f *testing.F) {
 }
 
 // TestGenerateLeavesNoGoroutine: every goroutine Generate starts (the
-// table's, the producer, the judges, the finishers) has returned when it
-// does, on success and on a refused exponent.
+// table's and the pool's workers) has returned when it does, on success
+// and on a refused exponent. A worker whose one step left is the deferred
+// Done that let close's Wait return has done all its work; it is given a
+// moment to exit, and any other goroutine left over fails at once. Each
+// call is checked as soon as it returns, before the workers a close that
+// skipped its Wait would leave behind could finish.
 func TestGenerateLeavesNoGoroutine(t *testing.T) {
+	buf := make([]byte, 1<<20)
+	requireNoneLeft := func() {
+		t.Helper()
+		for wait := 0; ; wait++ {
+			left := false
+			for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+				if !bytes.Contains(g, []byte("created by sketchml/internal/dataset.")) {
+					continue
+				}
+				if wait == 1000 || !bytes.Contains(g, []byte("sync.(*WaitGroup).Done(")) {
+					t.Fatalf("a goroutine of the dataset package outlives Generate:\n%s", g)
+				}
+				left = true
+			}
+			if !left {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := Generate(SyntheticConfig{N: 3000, Dim: 50_000, AvgNNZ: 30, Seed: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
+		requireNoneLeft()
 		if _, err := Generate(SyntheticConfig{N: 10, Dim: 100, AvgNNZ: 3, ZipfS: math.NaN()}); err == nil {
 			t.Fatal("NaN exponent accepted")
 		}
-		buf := make([]byte, 1<<20)
-		stacks := bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n"))
-		for _, g := range stacks[1:] { // stacks[0] is this goroutine
-			if bytes.Contains(g, []byte("sketchml/internal/dataset.")) {
-				t.Fatalf("a goroutine of the dataset package outlives Generate:\n%s", g)
-			}
-		}
+		requireNoneLeft()
+	}
+}
+
+// TestGenerateLeavesNoGoroutineAcrossGOMAXPROCS runs
+// TestGenerateLeavesNoGoroutine at 1, 2 and 8 Ps: the pool has one worker
+// a P, and close finds judging still queued past the last draw. The sweep
+// runs outside -race only, as TestGeneratePinnedAcrossGOMAXPROCS does.
+func TestGenerateLeavesNoGoroutineAcrossGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the GOMAXPROCS sweep runs outside -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint(procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			TestGenerateLeavesNoGoroutine(t)
+		})
 	}
 }
 

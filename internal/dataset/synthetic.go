@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // Task selects what kind of labels a synthetic dataset carries.
@@ -45,9 +43,9 @@ type SyntheticConfig struct {
 // value of the stream is sure to end a draw of (see zipfSentinel).
 //
 // The draws read one seeded stream in order, as rand.Zipf and rand.Rand
-// calls would; each Zipf pass's outcome is worked out ahead of them on
-// every core (draws.go). Each instance is then finished (its keys sorted,
-// its margin summed and labelled) on every core too. Every goroutine has
+// calls would. One pool of GOMAXPROCS workers works out each Zipf pass's
+// outcome ahead of them (draws.go) and finishes each instance behind them
+// (its keys sorted, its margin summed and labelled). Every goroutine has
 // returned when Generate does.
 //
 // Besides the instances, Generate holds 8·Dim + Dim/8 transient bytes (the
@@ -66,8 +64,7 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.2
 	}
-	procs := runtime.GOMAXPROCS(0)
-	draws, err := startDraws(cfg.Seed, cfg.ZipfS, cfg.Dim-1, procs)
+	draws, err := startDraws(cfg.Seed, cfg.ZipfS, cfg.Dim-1)
 	if err != nil {
 		return nil, err
 	}
@@ -96,26 +93,10 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	clear(marked)
 
 	// The draws leave each instance's keys in draw order, its values in
-	// the order drawn and its label noise in Label; finishers sort, sum and
-	// label runs of finishBatch instances behind them.
+	// the order drawn and its label noise in Label; the pool sorts, sums
+	// and labels runs of finishBatch instances behind them, all before the
+	// deferred close returns.
 	d := &Dataset{Dim: cfg.Dim, Instances: make([]Instance, cfg.N)}
-	// One queued run a finisher lets the draws go on while every finisher
-	// is busy.
-	runs := make(chan []Instance, procs)
-	var finishers sync.WaitGroup
-	finishers.Add(procs)
-	for range procs {
-		go func() {
-			defer finishers.Done()
-			for run := range runs {
-				finish(run, truth, cfg)
-			}
-		}()
-	}
-	// Deferred, so they run before the caller sees d: no more runs, then
-	// every run finished.
-	defer finishers.Wait()
-	defer close(runs)
 	const finishBatch = 256
 	for i := 0; i < cfg.N; i++ {
 		// Per-instance nonzero count: Poisson-ish around AvgNNZ via a
@@ -143,7 +124,8 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 		}
 		d.Instances[i] = Instance{Keys: keys, Values: vals, Label: rng.NormFloat64()}
 		if (i+1)%finishBatch == 0 || i+1 == cfg.N {
-			runs <- d.Instances[i/finishBatch*finishBatch : i+1]
+			run := d.Instances[i/finishBatch*finishBatch : i+1]
+			draws.tasks <- func(*zipfJudge) { finish(run, truth, cfg) }
 		}
 	}
 	return d, nil

@@ -94,10 +94,19 @@ func NewServer(lim Limits, store *CheckpointStore, reg *obs.Registry) *Server {
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Submit builds the job's registry, trainer config and datasets (the spec
-// must already be validated), registers the job, and enqueues it. The
-// checkpoint store is consulted at run time, so a spec resubmitted under
-// a drained job's name resumes that job.
+// must already be validated), registers the job, and enqueues it. A drain
+// or a live job of the same name refuses the spec before it is built, and
+// again when the job registers, since two submits of one name can both
+// pass the first check while they build. The checkpoint store is consulted
+// at run time, so a spec resubmitted under a drained job's name resumes
+// that job.
 func (s *Server) Submit(spec *JobSpec) (*Job, error) {
+	s.mu.Lock()
+	err := s.refusal(spec.Name)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	// Build the run here, in the submitter's context, not in the runner
 	// goroutine: the runner must only read what Submit constructed (see
 	// the field comment on Job.cfg). A side benefit is failure locality —
@@ -110,13 +119,9 @@ func (s *Server) Submit(spec *JobSpec) (*Job, error) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
+	if err := s.refusal(spec.Name); err != nil {
 		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if prev := s.byName[spec.Name]; prev != nil && !prev.State().terminal() {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrConflict, prev.ID, prev.State())
+		return nil, err
 	}
 	s.nextID++
 	job := newJob(fmt.Sprintf("job-%d", s.nextID), *spec, reg)
@@ -139,6 +144,18 @@ func (s *Server) Submit(spec *JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, ErrQueueFull
 	}
+}
+
+// refusal is why a job named name cannot register now, or nil. The
+// caller holds s.mu.
+func (s *Server) refusal(name string) error {
+	if s.draining {
+		return ErrDraining
+	}
+	if prev := s.byName[name]; prev != nil && !prev.State().terminal() {
+		return fmt.Errorf("%w: %s is %s", ErrConflict, prev.ID, prev.State())
+	}
+	return nil
 }
 
 // Get returns the job with the given ID.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -366,6 +368,38 @@ func TestDrainReachesDequeuedJob(t *testing.T) {
 	if st.State != StateCancelled || !st.Drained || st.Rounds != 1 {
 		t.Fatalf("dequeued job after drain: state %s drained %v at round %d (%s)",
 			st.State, st.Drained, st.Rounds, st.Detail)
+	}
+}
+
+// TestSubmitRefusesBeforeBuilding: a submit that a live job's name or a
+// drain refuses is refused before its spec is built. Each spec here names a
+// LibSVM file that does not exist, so building it would fail with
+// ErrBadSpec; the refusal must come first.
+func TestSubmitRefusesBeforeBuilding(t *testing.T) {
+	srv, ts := newTestServer(t, testLimits(), "")
+	missing := filepath.Join(t.TempDir(), "missing.libsvm")
+	unbuildable := func(name string) *JobSpec {
+		t.Helper()
+		spec, err := ParseJobSpec([]byte(quickSpec(name)), srv.limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.LibSVM = missing
+		return spec
+	}
+	st, resp := submit(t, ts, longSpec("a"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if _, err := srv.Submit(unbuildable("a")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("submit under live job %s's name: %v, want ErrConflict", st.ID, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	srv.Drain(ctx)
+	if _, err := srv.Submit(unbuildable("b")); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after drain: %v, want ErrDraining", err)
 	}
 }
 
