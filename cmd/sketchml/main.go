@@ -40,7 +40,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		useTCP     = flag.Bool("tcp", false, "exchange gradients over loopback TCP")
 		gatherN    = flag.String("gather", "star", "gather shape: star|tree (tree merges sketches wire-to-wire; mergeable codec, in-memory transport only)")
-		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (per-epoch wire bytes, compression ratio, stage times, sketch error, full metrics snapshot) to this path")
+		metricsOut = flag.String("metrics-out", "", "write a validated JSON run report (the run's per-epoch wire and raw-baseline bytes, stage times and robustness counters, sketch error, full metrics snapshot) to this path")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
 	)
 	so := registerServeFlags(flag.CommandLine)
@@ -109,8 +109,13 @@ func main() {
 		if err := rpt.WriteFile(*metricsOut); err != nil {
 			fatal(err)
 		}
+		var up, rawUp int64
+		for _, e := range rpt.Epochs {
+			up += e.UpBytes
+			rawUp += e.RawUpBytes
+		}
 		fmt.Printf("report: %s (compression %.1fx, %d up bytes",
-			*metricsOut, rpt.Compression, rpt.TotalUpBytes)
+			*metricsOut, float64(rawUp)/float64(up), up)
 		if rpt.SketchError != nil {
 			fmt.Printf(", mean abs err %.3g, %d sign flips", rpt.SketchError.MeanAbsErr, rpt.SketchError.SignFlips)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sketchml"
 	"sketchml/internal/obs"
 	"sketchml/internal/service"
 )
@@ -173,7 +174,7 @@ func TestCLIAndServiceTrainTheSameJob(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("sketchml: exit %d\n%s", code, out)
 	}
-	cli, err := obs.ReadReportFile(path)
+	cli, err := sketchml.ReadRunReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}

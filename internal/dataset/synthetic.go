@@ -95,15 +95,22 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	// The draws leave each instance's keys in draw order, its values in
 	// the order drawn and its label noise in Label; the pool sorts, sums
 	// and labels runs of finishBatch instances behind them, all before the
-	// deferred close returns.
+	// deferred close returns. A run's keys and values are drawn back to
+	// back into keys and vals, reused run after run, then copied into one
+	// slab of each, exactly the run's size, that the run's instances slice.
 	d := &Dataset{Dim: cfg.Dim, Instances: make([]Instance, cfg.N)}
 	const finishBatch = 256
+	var (
+		keys []uint64
+		vals []float64
+		nnzs = make([]int, 0, finishBatch)
+	)
 	for i := 0; i < cfg.N; i++ {
 		// Per-instance nonzero count: Poisson-ish around AvgNNZ via a
 		// geometric mixture, at least 1.
 		nnz := 1 + rng.Intn(2*cfg.AvgNNZ-1)
-		keys := make([]uint64, 0, nnz)
-		for len(keys) < nnz {
+		start := len(keys)
+		for len(keys)-start < nnz {
 			k := draws.key()
 			if marked[k/64]&(1<<(k%64)) != 0 {
 				continue
@@ -111,20 +118,27 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 			marked[k/64] |= 1 << (k % 64)
 			keys = append(keys, k)
 		}
-		for _, k := range keys {
+		for _, k := range keys[start:] {
 			marked[k/64] &^= 1 << (k % 64)
 		}
-		vals := make([]float64, nnz)
-		for j := range vals {
+		for range nnz {
 			v := 1.0
 			if !cfg.BinaryVals {
 				v = rng.NormFloat64()
 			}
-			vals[j] = v
+			vals = append(vals, v)
 		}
-		d.Instances[i] = Instance{Keys: keys, Values: vals, Label: rng.NormFloat64()}
+		nnzs = append(nnzs, nnz)
+		d.Instances[i].Label = rng.NormFloat64()
 		if (i+1)%finishBatch == 0 || i+1 == cfg.N {
 			run := d.Instances[i/finishBatch*finishBatch : i+1]
+			keySlab, valSlab := slices.Clone(keys), slices.Clone(vals)
+			off := 0
+			for j, n := range nnzs {
+				run[j].Keys, run[j].Values = keySlab[off:off+n:off+n], valSlab[off:off+n:off+n]
+				off += n
+			}
+			keys, vals, nnzs = keys[:0], vals[:0], nnzs[:0]
 			draws.tasks <- func(*zipfJudge) { finish(run, truth, cfg) }
 		}
 	}

@@ -189,6 +189,17 @@ func newHistogram() *Histogram {
 	return h
 }
 
+// Counter names more than one layer uses: the cluster records them, and the
+// trainer's run report and the benchmark read them back.
+const (
+	CounterClusterBytesRecv = "cluster.bytes_recv"
+	CounterClusterBytesSent = "cluster.bytes_sent"
+	// CounterTrainerHeapAllocs is the process allocation count across the
+	// whole training loop — the run-level witness for the zero-allocation
+	// steady state (microbenchmarks gate the per-op numbers).
+	CounterTrainerHeapAllocs = "trainer.heap_allocs"
+)
+
 // Registry is a named collection of instruments plus a span trace. The nil
 // Registry hands out nil instruments and zero Spans, so a single nil check
 // at resolution time disables the whole layer.

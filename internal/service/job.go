@@ -56,17 +56,10 @@ type Job struct {
 	cfg         trainer.Config
 	train, test *dataset.Dataset
 
-	mu        sync.Mutex
-	state     State
-	detail    string // human-readable cause of the last transition
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	retries   int
-	resumed   bool // this run restored a checkpoint on submit
-	rounds    int  // CompletedRounds of the last finished attempt
-	finalLoss float64
-	drained   bool
+	// mu guards status, which every transition writes in place, its times
+	// formatted once as the transition happens; Status returns a copy.
+	mu     sync.Mutex
+	status Status
 
 	// cancel hard-stops the running attempt (ctx cancellation: the trainer
 	// aborts within one RoundDeadline). drainOnce/drainCh request the
@@ -78,28 +71,30 @@ type Job struct {
 
 func newJob(id string, spec JobSpec, reg *obs.Registry) *Job {
 	return &Job{
-		ID:        id,
-		Spec:      spec,
-		Metrics:   reg,
-		state:     StatePending,
-		submitted: time.Now(),
-		drainCh:   make(chan struct{}),
+		ID:      id,
+		Spec:    spec,
+		Metrics: reg,
+		status:  Status{ID: id, Name: spec.Name, State: StatePending, Submitted: now()},
+		drainCh: make(chan struct{}),
 	}
 }
+
+// now is the current time as Status carries it.
+func now() string { return time.Now().Format(time.RFC3339Nano) }
 
 // Status is the JSON view of a job returned by the control API.
 type Status struct {
 	ID        string  `json:"id"`
 	Name      string  `json:"name"`
 	State     State   `json:"state"`
-	Detail    string  `json:"detail,omitempty"`
+	Detail    string  `json:"detail,omitempty"` // human-readable cause of the last transition
 	Submitted string  `json:"submitted"`
 	Started   string  `json:"started,omitempty"`
 	Finished  string  `json:"finished,omitempty"`
 	Retries   int     `json:"retries,omitempty"`
 	Resumed   bool    `json:"resumed,omitempty"`
 	Drained   bool    `json:"drained,omitempty"`
-	Rounds    int     `json:"completed_rounds,omitempty"`
+	Rounds    int     `json:"completed_rounds,omitempty"` // CompletedRounds of the last finished attempt
 	FinalLoss float64 `json:"final_loss,omitempty"`
 }
 
@@ -107,32 +102,14 @@ type Status struct {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID:        j.ID,
-		Name:      j.Spec.Name,
-		State:     j.state,
-		Detail:    j.detail,
-		Submitted: j.submitted.Format(time.RFC3339Nano),
-		Retries:   j.retries,
-		Resumed:   j.resumed,
-		Drained:   j.drained,
-		Rounds:    j.rounds,
-		FinalLoss: j.finalLoss,
-	}
-	if !j.started.IsZero() {
-		st.Started = j.started.Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		st.Finished = j.finished.Format(time.RFC3339Nano)
-	}
-	return st
+	return j.status
 }
 
 // State returns the job's current state.
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.status.State
 }
 
 // requestDrain asks the running attempt — or, for a pending job, the
@@ -141,9 +118,9 @@ func (j *Job) State() State {
 // a terminal state.
 func (j *Job) requestDrain() {
 	j.mu.Lock()
-	if j.state == StateRunning {
-		j.state = StateDraining
-		j.detail = "drain requested"
+	if j.status.State == StateRunning {
+		j.status.State = StateDraining
+		j.status.Detail = "drain requested"
 	}
 	j.mu.Unlock()
 	j.drainOnce.Do(func() { close(j.drainCh) })
@@ -156,14 +133,14 @@ func (j *Job) requestDrain() {
 func (j *Job) requestCancel(reason string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.status.State {
 	case StatePending:
-		j.state = StateCancelled
-		j.detail = reason
-		j.finished = time.Now()
+		j.status.State = StateCancelled
+		j.status.Detail = reason
+		j.status.Finished = now()
 		return true
 	case StateRunning, StateDraining:
-		j.detail = reason
+		j.status.Detail = reason
 		if j.cancel != nil {
 			j.cancel()
 		}
@@ -178,18 +155,18 @@ func (j *Job) requestCancel(reason string) bool {
 func (j *Job) beginAttempt(cancel context.CancelFunc) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return fmt.Errorf("service: job %s is %s", j.ID, j.state)
+	if j.status.State.terminal() {
+		return fmt.Errorf("service: job %s is %s", j.ID, j.status.State)
 	}
-	if j.started.IsZero() {
-		j.started = time.Now()
+	if j.status.Started == "" {
+		j.status.Started = now()
 	}
-	j.state = StateRunning
-	j.detail = ""
+	j.status.State = StateRunning
+	j.status.Detail = ""
 	select {
 	case <-j.drainCh:
-		j.state = StateDraining
-		j.detail = "drain requested"
+		j.status.State = StateDraining
+		j.status.Detail = "drain requested"
 	default:
 	}
 	j.cancel = cancel
@@ -206,19 +183,19 @@ func (j *Job) finishAttempt(res *trainer.Result, err error) {
 	defer j.mu.Unlock()
 	j.cancel = nil
 	if res != nil {
-		j.rounds = res.CompletedRounds
-		j.finalLoss = res.FinalLoss
-		j.drained = j.drained || res.Drained
+		j.status.Rounds = res.CompletedRounds
+		j.status.FinalLoss = res.FinalLoss
+		j.status.Drained = j.status.Drained || res.Drained
 	}
 	switch {
 	case err == nil && res != nil && res.Drained:
-		j.state = StateCancelled
-		j.detail = "drained at round boundary; checkpoint saved"
-		j.finished = time.Now()
+		j.status.State = StateCancelled
+		j.status.Detail = "drained at round boundary; checkpoint saved"
+		j.status.Finished = now()
 	case err == nil:
-		j.state = StateDone
-		j.detail = ""
-		j.finished = time.Now()
+		j.status.State = StateDone
+		j.status.Detail = ""
+		j.status.Finished = now()
 	}
 	// err != nil: state stays running/draining; the supervisor decides.
 }
@@ -227,12 +204,12 @@ func (j *Job) finishAttempt(res *trainer.Result, err error) {
 func (j *Job) markFailed(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.status.State.terminal() {
 		return
 	}
-	j.state = StateFailed
-	j.detail = err.Error()
-	j.finished = time.Now()
+	j.status.State = StateFailed
+	j.status.Detail = err.Error()
+	j.status.Finished = now()
 }
 
 // markCancelled finalizes a job whose run attempt was stopped by context
@@ -240,14 +217,14 @@ func (j *Job) markFailed(err error) {
 func (j *Job) markCancelled(reason string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.status.State.terminal() {
 		return
 	}
-	j.state = StateCancelled
-	if j.detail == "" {
-		j.detail = reason
+	j.status.State = StateCancelled
+	if j.status.Detail == "" {
+		j.status.Detail = reason
 	}
-	j.finished = time.Now()
+	j.status.Finished = now()
 }
 
 // noteRetry counts a supervisor restart and flips the job back to pending
@@ -255,12 +232,12 @@ func (j *Job) markCancelled(reason string) {
 func (j *Job) noteRetry(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.status.State.terminal() {
 		return
 	}
-	j.retries++
-	j.state = StatePending
-	j.detail = fmt.Sprintf("retrying after: %v", err)
+	j.status.Retries++
+	j.status.State = StatePending
+	j.status.Detail = fmt.Sprintf("retrying after: %v", err)
 }
 
 // noteResumed records that this job restored a checkpoint (for the status
@@ -268,6 +245,6 @@ func (j *Job) noteRetry(err error) {
 func (j *Job) noteResumed(rounds int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.resumed = true
-	j.detail = fmt.Sprintf("resumed from checkpoint at round %d", rounds)
+	j.status.Resumed = true
+	j.status.Detail = fmt.Sprintf("resumed from checkpoint at round %d", rounds)
 }

@@ -1,8 +1,10 @@
 package trainer
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sketchml/internal/codec"
 	"sketchml/internal/gradient"
@@ -39,14 +41,15 @@ func TestRunReportOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report failed validation: %v", err)
 	}
-	if rpt.Compression <= 1 {
-		t.Errorf("compression ratio %v, want > 1 for SketchML", rpt.Compression)
+	up, rawUp := wireTotals(rpt)
+	if c := float64(rawUp) / float64(up); c <= 1 {
+		t.Errorf("compression ratio %v, want > 1 for SketchML", c)
 	}
 	for _, e := range rpt.Epochs {
-		if e.Stages.GatherNs <= 0 || e.Stages.BroadcastNs <= 0 {
-			t.Errorf("epoch %d: zero stage times %+v", e.Epoch, e.Stages)
+		if e.GatherTime <= 0 || e.BroadcastTime <= 0 {
+			t.Errorf("epoch %d: zero stage times gather %v broadcast %v", e.Epoch, e.GatherTime, e.BroadcastTime)
 		}
-		if e.Stages.GatherNs+e.Stages.BroadcastNs > e.WallNs {
+		if e.GatherTime+e.BroadcastTime > e.WallTime {
 			t.Errorf("epoch %d: stages exceed wall", e.Epoch)
 		}
 	}
@@ -57,9 +60,9 @@ func TestRunReportOverTCP(t *testing.T) {
 	if s == nil {
 		t.Fatal("no metrics snapshot embedded")
 	}
-	if s.Counters[obs.CounterClusterBytesRecv] < rpt.TotalUpBytes {
+	if s.Counters[obs.CounterClusterBytesRecv] < up {
 		t.Errorf("cluster recv counter %d < report up bytes %d",
-			s.Counters[obs.CounterClusterBytesRecv], rpt.TotalUpBytes)
+			s.Counters[obs.CounterClusterBytesRecv], up)
 	}
 	if n := s.Counters["codec.encodes"]; n <= 0 {
 		t.Errorf("codec.encodes = %d, want > 0", n)
@@ -92,7 +95,7 @@ func TestRunReportOverTCP(t *testing.T) {
 	if err := rpt.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ReadReportFile(path); err != nil {
+	if _, err := ReadReport(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -130,9 +133,80 @@ func TestRunReportInMemoryRaw(t *testing.T) {
 		t.Error("nil registry produced a snapshot")
 	}
 	// Raw traffic is the baseline itself: the ratio must sit near 1.
-	if rpt.Compression < 0.9 || rpt.Compression > 1.1 {
-		t.Errorf("raw codec compression %v, want ~1", rpt.Compression)
+	up, rawUp := wireTotals(rpt)
+	if c := float64(rawUp) / float64(up); c < 0.9 || c > 1.1 {
+		t.Errorf("raw codec compression %v, want ~1", c)
 	}
+}
+
+// lastRoundFailure is a Raw codec whose failAt-th encode fails, so the
+// worker that owns it dies at that round with its gradient unsent.
+type lastRoundFailure struct {
+	codec.Raw
+	encodes, failAt int
+}
+
+func (c *lastRoundFailure) Encode(g *gradient.Sparse) ([]byte, error) {
+	return c.AppendEncode(nil, g)
+}
+
+func (c *lastRoundFailure) AppendEncode(dst []byte, g *gradient.Sparse) ([]byte, error) {
+	c.encodes++
+	if c.failAt > 0 && c.encodes >= c.failAt {
+		return dst, errors.New("injected encode fault")
+	}
+	return c.Raw.AppendEncode(dst, g)
+}
+
+// TestRunReportAcceptsDeadWorkers pins the bound on the end-of-run books: a
+// worker that dies loses its report too, so it counts in both LostReports
+// and WorkerFailures. Two of three workers die in the last round under a
+// one-gradient quorum; the run completes, and its report must validate
+// although the two counts sum past W.
+func TestRunReportAcceptsDeadWorkers(t *testing.T) {
+	train, test := smallData(t)
+	cfg := Config{
+		Trainable:     model.Wrap(model.LogisticRegression{}),
+		Optimizer:     adamFactory(0.1),
+		Workers:       3,
+		Epochs:        1,
+		Seed:          3,
+		RoundDeadline: 200 * time.Millisecond,
+	}
+	clean, err := Run(cfg, train, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parties := 0
+	cfg.minGatherFraction = 1.0 / 3
+	cfg.CodecFactory = func() codec.Codec {
+		parties++
+		c := &lastRoundFailure{}
+		if parties > 2 { // instances 3 and 4 are workers 1 and 2
+			c.failAt = clean.CompletedRounds
+		}
+		return c
+	}
+	res, err := Run(cfg, train, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LostReports != 2 || res.WorkerFailures != 2 || res.Epochs[0].SkippedGrads != 2 {
+		t.Fatalf("lost %d reports, %d failures, %d skipped gradients; want 2, 2, 2",
+			res.LostReports, res.WorkerFailures, res.Epochs[0].SkippedGrads)
+	}
+	if _, err := BuildRunReport("test", res, nil); err != nil {
+		t.Fatalf("report of a completed run rejected: %v", err)
+	}
+}
+
+// wireTotals sums a report's up and raw-baseline up bytes over its epochs.
+func wireTotals(r *Report) (up, rawUp int64) {
+	for _, e := range r.Epochs {
+		up += e.UpBytes
+		rawUp += e.RawUpBytes
+	}
+	return up, rawUp
 }
 
 // TestErrAccumTwoPointer pins the exact-vs-decoded walk, including the

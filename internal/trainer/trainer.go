@@ -162,107 +162,107 @@ const (
 
 // EpochStats reports one epoch of a run.
 type EpochStats struct {
-	Epoch    int
-	TestLoss float64 // unregularized test loss after the epoch
-	Accuracy float64 // classification accuracy (0 for Linear)
+	Epoch    int     `json:"epoch"`
+	TestLoss float64 `json:"test_loss"` // unregularized test loss after the epoch
+	Accuracy float64 `json:"accuracy"`  // classification accuracy (0 for Linear)
 
-	Rounds    int
-	UpBytes   int64 // worker→driver traffic
-	DownBytes int64 // driver→worker traffic per worker (total/W)
+	Rounds    int   `json:"rounds"`
+	UpBytes   int64 `json:"up_bytes"`   // worker→driver traffic
+	DownBytes int64 `json:"down_bytes"` // driver→worker traffic per worker (total/W)
 	// RawUpBytes/RawDownBytes are the same traffic priced at the
 	// uncompressed baseline (raw float64 key–values in the frame
 	// envelope); UpBytes/RawUpBytes is the epoch's end-to-end compression
 	// ratio. RawDownBytes is per worker, like DownBytes.
-	RawUpBytes   int64
-	RawDownBytes int64
+	RawUpBytes   int64 `json:"raw_up_bytes"`
+	RawDownBytes int64 `json:"raw_down_bytes"`
 	// DecodedBytes counts gather-side codec payload bytes the driver
 	// actually decoded this epoch (frame envelopes and aggregate prefixes
 	// excluded). Under star it tracks UpBytes minus envelopes; under tree it
 	// is the measure of how much decode work hierarchical aggregation took
 	// off the driver.
-	DecodedBytes int64
+	DecodedBytes int64 `json:"decoded_bytes"`
 
 	// Merges and MergeTime account the wire-to-wire message merges workers
 	// performed on behalf of the driver (tree interior nodes). Like
 	// ComputeTime they are end-of-run worker totals spread uniformly across
 	// epochs. Always zero under star.
-	Merges    int64
-	MergeTime time.Duration
+	Merges    int64         `json:"merges"`
+	MergeTime time.Duration `json:"merge_ns"`
 
-	ComputeTime time.Duration // summed worker gradient computation
+	ComputeTime time.Duration `json:"compute_ns"` // summed worker gradient computation
 	// EncodeTime and DecodeTime sum every party's per-call wall time in
 	// the codec (driver and workers), not on-CPU time; the driver's gather
 	// decodes are timed at most GOMAXPROCS at once (see timedDecode). The
 	// workers' share is an end-of-run total spread uniformly across epochs,
 	// like ComputeTime; the driver's share is measured epoch by epoch.
-	EncodeTime time.Duration
-	DecodeTime time.Duration
+	EncodeTime time.Duration `json:"encode_ns"`
+	DecodeTime time.Duration `json:"decode_ns"`
 	// DriverCodecTime is the driver's share of EncodeTime + DecodeTime: the
 	// codec work no other party's overlaps. The rest is spread over W
 	// workers, which is the split a cost model needs and the two sums above
 	// cannot give.
-	DriverCodecTime time.Duration
+	DriverCodecTime time.Duration `json:"driver_codec_ns"`
 	// GatherTime and BroadcastTime are driver-side wall clocks that
 	// partition each round (gather+aggregate, then encode+send+apply), so
 	// their sum never exceeds WallTime — unlike the summed-across-parties
 	// meters above, which can.
-	GatherTime    time.Duration
-	BroadcastTime time.Duration
+	GatherTime    time.Duration `json:"gather_ns"`
+	BroadcastTime time.Duration `json:"broadcast_ns"`
 
 	// WallTime is the measured duration of the epoch's rounds on this machine.
-	WallTime time.Duration
+	WallTime time.Duration `json:"wall_ns"`
 
 	// Robustness counters, nonzero only when Config.RoundDeadline enables
 	// degraded rounds (see DESIGN.md, "Fault tolerance"). All are
 	// driver-side observations.
-	Timeouts       int // receive deadlines that expired during gather (a dead link is a miss, not a timeout)
-	SkippedGrads   int // worker gradients absent from a round's aggregate; never negative
-	CorruptFrames  int // frames that failed envelope parse, the aggregate-count bound or codec decode
-	StaleFrames    int // late or duplicated frames from an earlier round
-	Strikes        int // consecutive-miss strikes accrued by workers
-	DegradedRounds int // rounds aggregated from fewer than W gradients
+	Timeouts       int `json:"timeouts"`        // receive deadlines that expired during gather (a dead link is a miss, not a timeout)
+	SkippedGrads   int `json:"skipped_grads"`   // worker gradients absent from a round's aggregate; never negative
+	CorruptFrames  int `json:"corrupt_frames"`  // frames that failed envelope parse, the aggregate-count bound or codec decode
+	StaleFrames    int `json:"stale_frames"`    // late or duplicated frames from an earlier round
+	Strikes        int `json:"strikes"`         // consecutive-miss strikes accrued by workers
+	DegradedRounds int `json:"degraded_rounds"` // rounds aggregated from fewer than W gradients
 }
 
 // Result aggregates a full run.
 type Result struct {
-	CodecName string
-	ModelName string
-	Workers   int
-	Epochs    []EpochStats
+	CodecName string       `json:"codec"`
+	ModelName string       `json:"model"`
+	Workers   int          `json:"workers"`
+	Epochs    []EpochStats `json:"epochs"`
 	// FinalLoss is the last test loss; FinalAccuracy likewise.
-	FinalLoss     float64
-	FinalAccuracy float64
+	FinalLoss     float64 `json:"final_loss"`
+	FinalAccuracy float64 `json:"final_accuracy"`
 
 	// Worker-side robustness totals, reported at end of run (nonzero only
 	// under Config.RoundDeadline).
-	WorkerTimeouts      int64 // broadcast waits that expired on workers
-	WorkerSkippedSteps  int64 // optimizer steps workers skipped
-	WorkerCorruptFrames int64 // frames workers could not parse or decode
-	LostReports         int   // end-of-run reports that never arrived
-	WorkerFailures      int   // workers that exited with an error
+	WorkerTimeouts      int64 `json:"worker_timeouts"`       // broadcast waits that expired on workers
+	WorkerSkippedSteps  int64 `json:"worker_skipped_steps"`  // optimizer steps workers skipped
+	WorkerCorruptFrames int64 `json:"worker_corrupt_frames"` // frames workers could not parse or decode
+	LostReports         int   `json:"lost_reports"`          // end-of-run reports that never arrived
+	WorkerFailures      int   `json:"worker_failures"`       // workers that exited with an error
 
 	// Topology is the gather topology the run used (Config.Topology).
-	Topology string
+	Topology string `json:"topology,omitempty"`
 	// LevelMergeNs breaks worker merge time down by tree level (index 0 is
 	// the driver's direct children, deeper levels follow). Empty for star
 	// runs, where nothing merges.
-	LevelMergeNs []int64
+	LevelMergeNs []int64 `json:"level_merge_ns,omitempty"`
 	// WorkerAggBytes[w] is the bytes worker w received over its tree child
 	// uplinks across the run — the per-link cost hierarchical gather adds to
 	// the workers. Nil for star runs.
-	WorkerAggBytes []int64
+	WorkerAggBytes []int64 `json:"worker_agg_bytes,omitempty"`
 
 	// SketchError is the continuously measured recovery error of the
 	// broadcast aggregates (exact vs. decoded, every round). Non-nil only
 	// when Config.Metrics enabled the measurement.
-	SketchError *obs.ErrorSummary
+	SketchError *ErrorSummary `json:"sketch_error,omitempty"`
 
 	// Drained reports that the run stopped early at a round boundary
 	// because Config.Drain fired; CompletedRounds is the global round
 	// counter actually reached (== total rounds for an undrained run), the
 	// value a resume checkpoint carries.
-	Drained         bool
-	CompletedRounds int
+	Drained         bool `json:"drained"`
+	CompletedRounds int  `json:"completed_rounds"`
 }
 
 // AvgUpBytesPerRound returns the mean worker→driver bytes per round, the

@@ -203,15 +203,15 @@ type Metrics = obs.Registry
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// RunReport is the validated JSON document summarizing one training run:
-// per-epoch wire bytes and compression ratio against the raw float64
-// baseline, per-stage time breakdown, measured sketch recovery error, and
-// the full metrics snapshot.
-type RunReport = obs.RunReport
+// RunReport is the validated JSON document of one training run: the
+// TrainResult itself — per-epoch wire bytes beside the raw float64
+// baseline, per-stage times, robustness counters, measured sketch recovery
+// error — and the full metrics snapshot.
+type RunReport = trainer.Report
 
 // SketchErrorSummary is the continuously measured sketch recovery error of
 // a run (see TrainResult.SketchError).
-type SketchErrorSummary = obs.ErrorSummary
+type SketchErrorSummary = trainer.ErrorSummary
 
 // BuildRunReport assembles a validated RunReport from a finished training
 // run. m may be nil; pass the registry the run recorded into to embed and
@@ -222,7 +222,7 @@ func BuildRunReport(tool string, res *TrainResult, m *Metrics) (*RunReport, erro
 
 // ReadRunReport loads and validates a run report written by
 // RunReport.WriteFile (or `sketchml -metrics-out`).
-func ReadRunReport(path string) (*RunReport, error) { return obs.ReadReportFile(path) }
+func ReadRunReport(path string) (*RunReport, error) { return trainer.ReadReport(path) }
 
 // TrainContext is Train bounded by a context: cancellation unblocks every
 // receive and stops the run within one round (plus TrainConfig.RoundDeadline
