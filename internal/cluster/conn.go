@@ -26,6 +26,12 @@ var ErrTimeout = errors.New("cluster: receive timed out")
 // Send and Recv are each safe for one concurrent caller. Receives can be
 // bounded in time, the seam that lets the trainer survive hung or
 // partitioned peers: no receive need ever block unboundedly.
+//
+// Message lifetime: Send has taken its own copy of msg by the time it
+// returns, so the caller may overwrite msg at once. A received message
+// belongs to the connection and is valid until the next receive (Recv or
+// RecvTimeout, whatever its outcome) on that connection; a caller that keeps
+// the bytes longer copies them.
 type Conn interface {
 	// Send transmits one message.
 	Send(msg []byte) error
@@ -40,10 +46,16 @@ type Conn interface {
 	Close() error
 }
 
-// memConn is one endpoint of an in-memory pair.
+// memConn is one endpoint of an in-memory pair. Each direction recycles
+// its frame buffers: a receive hands the message it returned last back over
+// the direction's free list, and Send copies the next frame into a buffer
+// from there, so a warm link allocates nothing.
 type memConn struct {
 	out       chan<- []byte
 	in        <-chan []byte
+	sendFree  <-chan []byte // buffers the peer has handed back, for Send to fill
+	recvFree  chan<- []byte // where a receive hands back held
+	held      []byte        // the message the last receive returned; only the receiver touches it
 	closeOnce *sync.Once
 	closed    chan struct{}
 }
@@ -56,65 +68,85 @@ func Pair(buffer int) (Conn, Conn) {
 	}
 	ab := make(chan []byte, buffer)
 	ba := make(chan []byte, buffer)
+	// A direction's buffers are queued (at most buffer), held by the
+	// receiver (one) or being filled by Send (one), so buffer+2 free slots
+	// take every hand-back without blocking.
+	abFree := make(chan []byte, buffer+2)
+	baFree := make(chan []byte, buffer+2)
 	closed := make(chan struct{})
 	once := &sync.Once{}
-	a := &memConn{out: ab, in: ba, closeOnce: once, closed: closed}
-	b := &memConn{out: ba, in: ab, closeOnce: once, closed: closed}
+	a := &memConn{out: ab, in: ba, sendFree: abFree, recvFree: baFree, closeOnce: once, closed: closed}
+	b := &memConn{out: ba, in: ab, sendFree: baFree, recvFree: abFree, closeOnce: once, closed: closed}
 	return a, b
 }
 
-// Send implements Conn. The message is copied so callers may reuse buffers.
+// Send implements Conn. The message is copied into a buffer the receiver
+// has handed back (or a new one), so callers may reuse theirs.
 func (c *memConn) Send(msg []byte) error {
-	cp := append([]byte(nil), msg...)
+	var buf []byte
+	select {
+	case buf = <-c.sendFree:
+	default:
+	}
+	if n := len(msg); cap(buf) < n {
+		// Frame sizes wander from round to round: the same headroom as
+		// quantizer.Resize keeps a buffer from regrowing at every new maximum.
+		buf = make([]byte, n, n+n/4)
+	}
+	buf = append(buf[:0], msg...)
 	select {
 	case <-c.closed:
 		return ErrClosed
 	default:
 	}
 	select {
-	case c.out <- cp:
+	case c.out <- buf:
 		return nil
 	case <-c.closed:
 		return ErrClosed
 	}
 }
 
-// Recv implements Conn.
-func (c *memConn) Recv() ([]byte, error) {
-	select {
-	case msg := <-c.in:
-		return msg, nil
-	case <-c.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case msg := <-c.in:
-			return msg, nil
-		default:
-			return nil, ErrClosed
-		}
+// release hands the message the previous receive returned back to the
+// sending side: the Conn contract ends its lifetime at this receive.
+func (c *memConn) release() {
+	if c.held == nil {
+		return
 	}
+	select {
+	case c.recvFree <- c.held:
+	default: // unreachable by the slot count; the buffer is left to the collector
+	}
+	c.held = nil
 }
+
+// Recv implements Conn.
+func (c *memConn) Recv() ([]byte, error) { return c.RecvTimeout(0) }
 
 // RecvTimeout implements Conn.
 func (c *memConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	if d <= 0 {
-		return c.Recv()
+	c.release()
+	var expired <-chan time.Time
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	var msg []byte
 	select {
-	case msg := <-c.in:
-		return msg, nil
+	case msg = <-c.in:
 	case <-c.closed:
+		// Drain anything already queued before reporting closure.
 		select {
-		case msg := <-c.in:
-			return msg, nil
+		case msg = <-c.in:
 		default:
 			return nil, ErrClosed
 		}
-	case <-timer.C:
+	case <-expired:
 		return nil, ErrTimeout
 	}
+	c.held = msg
+	return msg, nil
 }
 
 // Close implements Conn. Closing either endpoint closes the pair.

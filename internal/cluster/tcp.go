@@ -157,13 +157,13 @@ func (t *tcpConn) RecvTimeout(d time.Duration) ([]byte, error) {
 		// Grow the conn-owned buffer at most one recvDirectLimit window
 		// beyond the bytes already received, so a corrupt or hostile length
 		// header can cost at most recvDirectLimit of up-front memory, not
-		// maxFrame — and an honest large frame grows as bytes arrive.
-		limit := t.got + recvDirectLimit
-		if limit > t.want {
-			limit = t.want
-		}
+		// maxFrame — and an honest large frame grows as bytes arrive. Within
+		// that window it takes quantizer.Resize's headroom, limit/4, so frame
+		// sizes that wander from round to round do not regrow it at every
+		// new maximum.
+		limit := min(t.got+recvDirectLimit, t.want)
 		if cap(t.body) < limit {
-			nb := make([]byte, limit)
+			nb := make([]byte, limit, min(limit+limit/4, t.got+recvDirectLimit))
 			copy(nb, t.body[:t.got])
 			t.body = nb
 		}

@@ -123,9 +123,13 @@ func (ms *mergeScratch) exactMeans(vals []float64, q int) (means []float64, idx 
 	// keeps probe chains short.
 	limit := min(q, len(vals))
 	width := bits.Len(uint(2*limit + 1)) // 1<<width ≥ 2(limit+1)
-	ms.set = quantizer.Resize(ms.set, 1<<width)
+	// Sized exactly, not through quantizer.Resize: the tables' size is the
+	// probe's O(q) bound, and a table only ever takes power-of-two sizes.
+	if cap(ms.set) < 1<<width {
+		ms.set, ms.rank = make([]uint64, 1<<width), make([]uint32, 1<<width)
+	}
+	ms.set, ms.rank = ms.set[:1<<width], ms.rank[:1<<width]
 	clear(ms.set)
-	ms.rank = quantizer.Resize(ms.rank, 1<<width)
 	set, mask := ms.set, uint64(1)<<width-1
 	// Dropping exact-zero sums in mergeScratch.sum guarantees every value
 	// is strictly positive here (the negative pane holds magnitudes), so the

@@ -114,13 +114,15 @@ func (es *encodeScratch) takePane(g *gradient.Sparse, paneID uint64) ([]uint64, 
 // decodeScratch is the reusable per-call state behind DecodeInto. The flat
 // key and value stores have the header count's length, and every key list of
 // the message is the next window of both, so no list is a slice of its own
-// and a message cannot make the decoder hold more than it announced. Beside
-// them: a means table, a bitpack index buffer, one grouped sketch rebuilt in
-// place per pane with the block query's candidates, and what puts the lists
-// in key order — the rank scatter's table (one uint64 per 32 keys of
-// [0, Dim), Dim/4 bytes, only ever sized for a message of at least Dim/128
-// entries), or the list ends and cursors of the merge. Pooled so
-// steady-state decodes allocate nothing once capacities warm up.
+// and a message cannot make the decoder hold more than 5/4 of the count it
+// announced (quantizer.Resize's headroom), a count decodeInto has already
+// bounded by the message's length. Beside them: a means table, a bitpack
+// index buffer, one grouped sketch rebuilt in place per pane with the block
+// query's candidates, and what puts the lists in key order — the rank
+// scatter's table (one uint64 per 32 keys of [0, Dim), Dim/4 bytes, only
+// ever sized for a message of at least Dim/128 entries), or the list ends
+// and cursors of the merge. Pooled so steady-state decodes allocate nothing
+// once capacities warm up.
 type decodeScratch struct {
 	means     []float64
 	nonFinite bool // some mean is NaN or ±Inf: the decoded values need checking

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"sketchml/internal/gradient"
+	"sketchml/internal/quantizer"
 )
 
 // Raw is the uncompressed baseline: what plain (Adam) distributed SGD sends.
@@ -149,8 +150,7 @@ func (c *Raw) DecodeInto(data []byte, dst *gradient.Sparse) error {
 	body := r.rest()
 	ksrc, vsrc := body[:n*kb], body[n*kb:n*(kb+vb)]
 	dst.Dim = dim
-	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
-	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
+	dst.Keys, dst.Values = quantizer.Resize(dst.Keys, n), quantizer.Resize(dst.Values, n)
 
 	// next is the smallest key the ascending order still allows; a valid
 	// key is below dim, so next = k+1 cannot wrap before bad is set.

@@ -570,8 +570,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 		return fmt.Errorf("codec: count %d exceeds message size %d", count, len(data))
 	}
 	dst.Dim = dim
-	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
-	dst.Values = slices.Grow(dst.Values[:0], n)[:n]
+	dst.Keys, dst.Values = quantizer.Resize(dst.Keys, n), quantizer.Resize(dst.Values, n)
 
 	if !quant {
 		keys, err := decodeKeysInto(&r, dst.Keys[:0])

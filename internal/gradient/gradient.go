@@ -192,11 +192,6 @@ func (a *Accumulator) Sum() *Sparse {
 	if a.s == nil {
 		return &a.sum
 	}
-	if n := a.s.n; cap(a.sum.Keys) < n {
-		// A quarter of headroom: a round's key count wanders by a few
-		// percent, and without the slack every new maximum would reallocate.
-		a.sum.Keys, a.sum.Values = make([]uint64, 0, n+n/4), make([]float64, 0, n+n/4)
-	}
 	a.s.SumInto(&a.sum, nil, 0)
 	PutScatter(a.s)
 	a.s = nil

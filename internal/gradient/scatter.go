@@ -2,8 +2,9 @@ package gradient
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
+
+	"sketchml/internal/quantizer"
 )
 
 // Scatter builds a sparse gradient that is a sum of many (key, value) terms —
@@ -81,11 +82,11 @@ func (s *Scatter) Add(key uint64, value float64) {
 // were added, plus lambda·theta[key] when lambda is nonzero (the ℓ2
 // regularizer restricted to the active keys; theta is not read otherwise);
 // keys whose value comes to exactly zero are dropped. dst's storage is
-// reused, and grown only when its capacity falls short of the sum's key
-// count, so a warm dst allocates nothing. The terms are consumed: s is empty
-// and all-zero afterwards.
+// reused, and grown (with quantizer.Resize's headroom) only when its
+// capacity falls short of the sum's key count, so a warm dst allocates
+// nothing. The terms are consumed: s is empty and all-zero afterwards.
 func (s *Scatter) SumInto(dst *Sparse, theta []float64, lambda float64) {
-	keys, vals := slices.Grow(dst.Keys[:0], s.n), slices.Grow(dst.Values[:0], s.n)
+	keys, vals := quantizer.Resize(dst.Keys, s.n)[:0], quantizer.Resize(dst.Values, s.n)[:0]
 	acc := s.acc
 	for i, sw := range s.summary {
 		for ; sw != 0; sw &= sw - 1 {

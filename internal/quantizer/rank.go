@@ -178,11 +178,16 @@ func (b *Buckets) sortPositions(values []float64) []uint64 {
 }
 
 // Resize returns s with length n, reusing its storage when capacity allows.
-// The contents are unspecified. It is how reusable scratch (here and in the
-// codec's encode scratch) takes its size for a call.
+// The contents are unspecified. It is how reusable scratch (here, in the
+// codec's encode and decode scratch and in a gradient's refill) takes its
+// size for a call, and its one growth rule: storage that must grow gets
+// capacity n + n/4, so a buffer whose size follows a message's nnz, which
+// wanders from round to round, is reallocated once rather than at every new
+// maximum. A table whose size is a bound a caller promises keeps that size
+// by sizing itself.
 func Resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, n+n/4)
 }

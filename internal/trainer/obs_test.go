@@ -67,6 +67,10 @@ func TestRunReportOverTCP(t *testing.T) {
 	if n := s.Counters["codec.encodes"]; n <= 0 {
 		t.Errorf("codec.encodes = %d, want > 0", n)
 	}
+	// Every counted allocation is at least one byte.
+	if allocs, bytes := s.Counters[obs.CounterTrainerHeapAllocs], s.Counters["trainer.heap_alloc_bytes"]; allocs <= 0 || bytes < allocs {
+		t.Errorf("trainer.heap_allocs = %d, trainer.heap_alloc_bytes = %d, want 0 < allocs <= bytes", allocs, bytes)
+	}
 	if h, ok := s.Histograms["trainer.gather_ns"]; !ok || h.Count == 0 {
 		t.Error("trainer.gather_ns histogram missing or empty")
 	}

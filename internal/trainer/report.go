@@ -32,10 +32,12 @@ type trainerMetrics struct {
 	strikes        *obs.Counter
 	degradedRounds *obs.Counter
 
-	// heapAllocs records the process allocation count across the training
-	// loop (see the end of Run) so run reports expose steady-state
-	// allocation burn, not just microbenchmarks.
-	heapAllocs *obs.Counter
+	// heapAllocs and heapAllocBytes record the process allocation count
+	// and bytes across the training loop (see the end of train) so run
+	// reports expose steady-state allocation burn, not just
+	// microbenchmarks.
+	heapAllocs     *obs.Counter
+	heapAllocBytes *obs.Counter
 }
 
 func newTrainerMetrics(reg *obs.Registry) trainerMetrics {
@@ -53,6 +55,7 @@ func newTrainerMetrics(reg *obs.Registry) trainerMetrics {
 		strikes:        reg.Counter("trainer.strikes"),
 		degradedRounds: reg.Counter("trainer.degraded_rounds"),
 		heapAllocs:     reg.Counter(obs.CounterTrainerHeapAllocs),
+		heapAllocBytes: reg.Counter("trainer.heap_alloc_bytes"),
 	}
 }
 

@@ -119,7 +119,9 @@ func gatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sp
 		return fmt.Errorf("trainer: worker encode: %w", err)
 	}
 	msg, count := lk.frame[frameHeaderLen:], 1
-	// Worker w's children are workers 2w+2 and 2w+3.
+	// Worker w's children are workers 2w+2 and 2w+3. Each payload is its
+	// child link's message, valid until that link's next receive, which
+	// comes only in the next round: the merges below read it in time.
 	for _, r := range recvEach(cfg, lk.children, 2*lk.w+2, round, cfg.RoundDeadline/2, nil) {
 		rep.timeouts += int64(r.timeouts)
 		rep.corrupt += int64(r.corrupt)

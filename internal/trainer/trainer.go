@@ -845,13 +845,14 @@ func (d *driver) train(ctx context.Context, res *Result, test *dataset.Dataset) 
 		}
 	}
 	if cfg.Metrics != nil {
-		// Process-wide allocation count across the training loop (all
-		// parties — the workers are goroutines here). The report surfaces it
-		// so allocation regressions on the steady-state path show up in run
-		// snapshots, not just in microbenchmarks.
+		// Process-wide allocation count and bytes across the training loop
+		// (all parties — the workers are goroutines here). The report
+		// surfaces them so allocation regressions on the steady-state path
+		// show up in run snapshots, not just in microbenchmarks.
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
 		d.tm.heapAllocs.Add(int64(memAfter.Mallocs - memBefore.Mallocs))
+		d.tm.heapAllocBytes.Add(int64(memAfter.TotalAlloc - memBefore.TotalAlloc))
 	}
 	return nil
 }
@@ -953,7 +954,7 @@ func (w frameWant) sender() string {
 // frameRecv is the outcome of one recvFrame call: the wanted frame, a stop
 // frame, or a miss, and what the wait saw on the way.
 type frameRecv struct {
-	payload  []byte           // codec message or report body; aliases the transport buffer, nil on a miss
+	payload  []byte           // codec message or report body, nil on a miss; aliases the conn's message, valid until its next receive
 	round    int              // the matched frame's round tag
 	count    int              // worker gradients payload sums (the frameAgg count; 1 for other kinds)
 	g        *gradient.Sparse // payload decoded into the caller's dst, nil without one or on a miss
