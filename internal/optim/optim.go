@@ -63,7 +63,8 @@ type Adam struct {
 	// line where two Dim-long slices would cost a miss each.
 	mv [][2]float64
 	t  int
-	// state is MarshalState's output buffer, reused across calls.
+	// state is MarshalState's output buffer, reused across calls; a caller
+	// that appends the state into its own blob (AppendState) never sizes it.
 	state []byte
 }
 

@@ -302,3 +302,32 @@ func TestAdamMarshalStateReusesBuffer(t *testing.T) {
 		t.Errorf("warm MarshalState allocates %v objects/op, want 0", allocs)
 	}
 }
+
+// TestAdamAppendStateMatchesMarshalState holds Adam's two state writers to
+// one encoding: after any prefix, AppendState appends exactly MarshalState's
+// bytes (StateLen of them) and leaves the prefix alone, and into a buffer
+// with room it writes in place without allocating.
+func TestAdamAppendStateMatchesMarshalState(t *testing.T) {
+	const dim = 5000
+	a := NewAdam(0.1, dim)
+	if err := a.Step(make([]float64, dim), grad(dim, map[uint64]float64{3: 1, 4000: -2})); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(a.MarshalState())
+	if a.StateLen() != len(want) {
+		t.Fatalf("StateLen %d, MarshalState wrote %d bytes", a.StateLen(), len(want))
+	}
+	for _, prefix := range [][]byte{nil, {}, {0xa5}, bytes.Repeat([]byte{7}, 13)} {
+		got := a.AppendState(bytes.Clone(prefix))
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendState after a %d-byte prefix does not append MarshalState's bytes", len(prefix))
+		}
+	}
+	roomy := make([]byte, 5, 5+a.StateLen())
+	if got := a.AppendState(roomy); &got[0] != &roomy[0] || !bytes.Equal(got[5:], want) {
+		t.Fatal("AppendState into a buffer with room did not write in place")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.AppendState(roomy) }); allocs != 0 {
+		t.Errorf("AppendState into a buffer with room allocates %v objects/op, want 0", allocs)
+	}
+}

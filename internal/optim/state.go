@@ -21,7 +21,10 @@ import (
 type StateMarshaler interface {
 	// MarshalState serializes the optimizer's mutable state. The result may
 	// be a buffer the optimizer owns and overwrites on the next call (Adam's
-	// is): it is valid until then, and a caller that keeps it copies it.
+	// is): it is valid until then, and a caller that keeps it copies it. A
+	// caller that writes the state into a larger blob of its own uses the
+	// optimizer's AppendState where it has one (Adam does), which skips this
+	// buffer.
 	MarshalState() []byte
 	// UnmarshalState restores state captured by MarshalState on an
 	// identically constructed optimizer. It returns an error (and leaves
@@ -41,24 +44,36 @@ func (s *SGD) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// MarshalState implements StateMarshaler: step counter, dimension, then
-// the first and second moment vectors — all of m, then all of v, whatever
-// the layout in memory. It writes into a buffer the optimizer keeps, sized
-// on the first call and overwritten in place after, so a warm call
-// allocates nothing; the result is valid until the next call.
-func (a *Adam) MarshalState() []byte {
-	n := len(a.mv)
-	size := 16 + 16*n
-	out := slices.Grow(a.state[:0], size)[:size]
-	a.state = out
-	binary.LittleEndian.PutUint64(out, uint64(a.t))
-	binary.LittleEndian.PutUint64(out[8:], uint64(n))
-	ms, vs := out[16:16+8*n], out[16+8*n:]
+// StateLen is the length of the state AppendState appends: a step counter,
+// the dimension, and two moments a dimension.
+func (a *Adam) StateLen() int { return 16 + 16*len(a.mv) }
+
+// AppendState appends the serialized state to dst and returns the extended
+// slice; into a dst with StateLen bytes of spare capacity it writes in place
+// and allocates nothing, which is how a checkpoint writes Adam's state
+// straight into its blob. It is Adam's one state encoder: step counter,
+// dimension, then the first and second moment vectors — all of m, then all
+// of v, whatever the layout in memory.
+func (a *Adam) AppendState(dst []byte) []byte {
+	n, start := len(a.mv), len(dst)
+	out := slices.Grow(dst, a.StateLen())[:start+a.StateLen()]
+	state := out[start:]
+	binary.LittleEndian.PutUint64(state, uint64(a.t))
+	binary.LittleEndian.PutUint64(state[8:], uint64(n))
+	ms, vs := state[16:16+8*n], state[16+8*n:]
 	for i, mv := range a.mv {
 		binary.LittleEndian.PutUint64(ms[i*8:], math.Float64bits(mv[0]))
 		binary.LittleEndian.PutUint64(vs[i*8:], math.Float64bits(mv[1]))
 	}
 	return out
+}
+
+// MarshalState implements StateMarshaler: AppendState into a buffer the
+// optimizer keeps, sized on the first call and overwritten in place after, so
+// a warm call allocates nothing; the result is valid until the next call.
+func (a *Adam) MarshalState() []byte {
+	a.state = a.AppendState(a.state[:0])
+	return a.state
 }
 
 // UnmarshalState implements StateMarshaler.

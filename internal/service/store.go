@@ -29,10 +29,11 @@ const maxCheckpointFile = 1 << 30
 // before the crash. The trailing CRC of the checkpoint format rejects torn or
 // rotted files at load time.
 //
-// Saving is two steps. Stage marshals the checkpoint into the name's spare
-// blob and swaps it in as the latest — the caller's checkpoint may be
-// borrowed live state, so what the store keeps is always its own marshaled
-// copy. Flush writes the latest blob to disk. Save runs both and returns once
+// Saving is two steps. Stage marshals the checkpoint into the name's one
+// blob, overwriting the last — the caller's checkpoint may be borrowed live
+// state, so what the store keeps is always its own marshaled copy, and for a
+// checkpoint the trainer lends, the optimizer appends its state straight into
+// that blob. Flush writes the blob to disk. Save runs both and returns once
 // the file is durable; a job's hook (saveBehind) stages and starts the flush
 // on a goroutine, so the write overlaps the next epoch. At most one flush per
 // name is in flight: the next stage, the end of the job's attempt (wait) and
@@ -47,16 +48,16 @@ type CheckpointStore struct {
 	stallNs    *obs.Histogram // service.checkpoint.stall_ns: the round loop's time in a job's hook
 }
 
-// slot is one job name's checkpoint bytes: two blobs that trade places at
-// every stage, so a warm stage marshals into memory the store already has,
-// and the verdict of the flush in flight. mu serializes the name's stages,
-// waits, loads and deletes; a flush runs without it, reading the latest
-// blob, which nothing rewrites until a stage has waited for that flush and
-// swapped twice.
+// slot is one job name's checkpoint bytes: one blob, which every stage
+// overwrites in place, so a warm stage marshals into memory the store already
+// has, and the verdict of the flush in flight. mu serializes the name's
+// stages, waits, loads and deletes; a flush runs without it, reading the
+// blob. One blob is enough because a stage waits for the name's flush before
+// it writes: nothing rewrites the blob under a running flush, and a second
+// blob would only ever hold a checkpoint already on disk.
 type slot struct {
 	mu      sync.Mutex
-	latest  []byte     // the last staged checkpoint; nil = none in memory
-	spare   []byte     // the one before it, overwritten by the next stage
+	blob    []byte     // the last staged checkpoint; nil = none in memory
 	flushed chan error // the in-flight flush's verdict; nil when none is out
 }
 
@@ -130,9 +131,8 @@ func (s *CheckpointStore) saveBehind(name string, cp *trainer.Checkpoint) error 
 	if err := sl.wait(); err != nil {
 		return err
 	}
-	sl.spare = cp.AppendMarshal(sl.spare)
-	sl.latest, sl.spare = sl.spare, sl.latest
-	blob := sl.latest
+	sl.blob = cp.AppendMarshal(sl.blob)
+	blob := sl.blob
 	if s.dir == "" {
 		s.saved(len(blob), t0)
 		return nil
@@ -176,12 +176,12 @@ func (s *CheckpointStore) Load(name string) (*trainer.Checkpoint, error) {
 	if !nameOK(name) {
 		return nil, fmt.Errorf("service: bad checkpoint name %q", name)
 	}
-	// The slot stays locked through the decode: the next stage but one
-	// overwrites the blob read here.
+	// The slot stays locked through the decode: the next stage overwrites
+	// the blob read here. A flush may be reading it too; both only read.
 	sl := s.slotFor(name)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	blob := sl.latest
+	blob := sl.blob
 	if blob == nil && s.dir != "" {
 		data, err := readFileBounded(s.path(name), maxCheckpointFile)
 		if errors.Is(err, fs.ErrNotExist) {
@@ -214,7 +214,7 @@ func (s *CheckpointStore) Delete(name string) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	_ = sl.wait() // a failed flush is its attempt's to report; only its rename must not outlive the delete
-	sl.latest, sl.spare = nil, nil
+	sl.blob = nil
 	if s.dir != "" {
 		_ = os.Remove(s.path(name))
 	}

@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"sketchml/internal/obs"
@@ -27,9 +30,10 @@ func storeCheckpoint(dim int) *trainer.Checkpoint {
 
 // TestStoreStageWarmAllocs is the store's half of the checkpoint boundary's
 // allocation contract (DESIGN.md "Allocation contract"; the driver's half is
-// trainer's TestCheckpointWarmAllocs): once a name's two blobs are sized, a
-// stage — Adam's state marshaled into its own buffer, the checkpoint into the
-// spare, the swap, the instruments — allocates nothing.
+// trainer's TestCheckpointWarmAllocs): a name holds one blob, so its first two
+// stages allocate one blob between them, and once it is sized a stage — Adam's
+// state marshaled into its own buffer, the checkpoint into the blob, the
+// instruments — allocates nothing.
 func TestStoreStageWarmAllocs(t *testing.T) {
 	const dim = 100_000
 	store, err := NewCheckpointStore("", obs.NewRegistry())
@@ -38,13 +42,24 @@ func TestStoreStageWarmAllocs(t *testing.T) {
 	}
 	adam := optim.NewAdam(0.1, dim)
 	cp := storeCheckpoint(dim)
+	cp.OptState = adam.MarshalState()
 	stage := func() {
 		cp.OptState = adam.MarshalState()
 		if err := store.saveBehind("warm", cp); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	stage()
+	stage()
+	runtime.ReadMemStats(&after)
+	// Under -race the compiler does not fuse slices.Grow's append of a make,
+	// so every growth allocates twice and the byte reading skips.
+	grown, blob := after.TotalAlloc-before.TotalAlloc, len(cp.Marshal())
+	if !raceEnabled && float64(grown) > 1.1*float64(blob) {
+		t.Errorf("a name's first two stages allocate %d B for a %d-byte blob, want one blob", grown, blob)
+	}
 	if allocs := testing.AllocsPerRun(10, stage); allocs != 0 {
 		t.Errorf("warm stage allocates %v objects/op, want 0", allocs)
 	}
@@ -54,6 +69,99 @@ func TestStoreStageWarmAllocs(t *testing.T) {
 	}
 	if !bytes.Equal(back.Marshal(), cp.Marshal()) {
 		t.Fatal("the staged checkpoint does not load back")
+	}
+}
+
+// TestStoreOneBlobUnderFlush stages checkpoints back to back on a
+// disk-backed store while other goroutines load them, from the store itself
+// (its one blob in memory) and from a second store over the same directory
+// (the file the flushes rename). Every load passes its CRC and is one of the
+// staged rounds, whole: since the one blob is never rewritten under a
+// running flush, no file and no load can mix two stages. Under -race, a
+// stage that wrote the blob while its flush read it is also a reported race.
+func TestStoreOneBlobUnderFlush(t *testing.T) {
+	const dim, stages = 20_000, 40
+	dir := t.TempDir()
+	store, err := NewCheckpointStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewCheckpointStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := storeCheckpoint(dim)
+	// stageRound makes cp round r's checkpoint: every θ entry names r, so a
+	// blob that mixed two stages decodes to a θ that disagrees with Rounds.
+	stageRound := func(r int) {
+		cp.Rounds = r
+		for i := range cp.Theta {
+			cp.Theta[i] = float64(r*dim + i)
+		}
+	}
+	check := func(from string, back *trainer.Checkpoint, err error) error {
+		switch {
+		case err != nil:
+			return fmt.Errorf("%s load: %w", from, err)
+		case back == nil:
+			return nil // nothing on disk yet
+		case back.Rounds < 1 || back.Rounds > stages:
+			return fmt.Errorf("%s load: round %d was never staged", from, back.Rounds)
+		}
+		for i, v := range back.Theta {
+			if v != float64(back.Rounds*dim+i) {
+				return fmt.Errorf("%s load: round %d has θ[%d] = %v, a value of another stage", from, back.Rounds, i, v)
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var loaders sync.WaitGroup
+	for _, loader := range []struct {
+		from  string
+		store *CheckpointStore
+	}{{"memory", store}, {"disk", cold}} {
+		loaders.Add(1)
+		go func() {
+			defer loaders.Done()
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				back, err := loader.store.Load("busy")
+				if err := check(loader.from, back, err); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 1; r <= stages; r++ {
+		stageRound(r)
+		if err := store.saveBehind("busy", cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.wait("busy"); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	loaders.Wait()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	back, err := cold.Load("busy")
+	if err := check("final disk", back, err); err != nil {
+		t.Fatal(err)
+	}
+	if back == nil || back.Rounds != stages {
+		t.Fatal("the file after the last flush is not the last stage")
 	}
 }
 

@@ -143,7 +143,7 @@ func TestGatherReusesDecodeBuffers(t *testing.T) {
 		}
 	}
 	sendAll(0)
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), reuse, acc, &EpochStats{}, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), reuse, nil, acc, &EpochStats{}, &decode); err != nil {
 		t.Fatal(err)
 	}
 	firstKeys := make([]*uint64, workers)
@@ -155,7 +155,7 @@ func TestGatherReusesDecodeBuffers(t *testing.T) {
 	}
 	_ = acc.Sum() // drain (Sum resets the accumulator)
 	sendAll(1)
-	if err := gatherRound(cfg, 1, driverSide, make([]int, workers), reuse, acc, &EpochStats{}, &decode); err != nil {
+	if err := gatherRound(cfg, 1, driverSide, make([]int, workers), reuse, nil, acc, &EpochStats{}, &decode); err != nil {
 		t.Fatal(err)
 	}
 	for w := range reuse {

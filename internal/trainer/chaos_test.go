@@ -42,7 +42,7 @@ func TestTolerantGatherProceedsWithMissingWorker(t *testing.T) {
 	strikes := make([]int, workers)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), nil, acc, &es, &decode); err != nil {
 		t.Fatalf("degraded round aborted: %v", err)
 	}
 	if es.Timeouts != 1 || es.SkippedGrads != 1 || es.Strikes != 1 || es.DegradedRounds != 1 {
@@ -85,7 +85,7 @@ func TestTolerantGatherQuorumLoss(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("expected quorum-loss abort, got %v", err)
 	}
@@ -103,7 +103,7 @@ func TestTolerantGatherMaxStrikesAborts(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), nil, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "consecutive") {
 		t.Fatalf("expected max-strikes abort, got %v", err)
 	}
@@ -135,7 +135,7 @@ func TestTolerantGatherSkipsStaleAndCorruptFrames(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRound(cfg, 5, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 5, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &es, &decode); err != nil {
 		t.Fatal(err)
 	}
 	if es.StaleFrames != 1 || es.CorruptFrames != 1 {

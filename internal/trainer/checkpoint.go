@@ -40,8 +40,25 @@ type Checkpoint struct {
 	// Theta is the parameter vector shared by every replica.
 	Theta []float64
 	// OptState is the optimizer's serialized mutable state (see
-	// optim.StateMarshaler); empty for stateless optimizers.
+	// optim.StateMarshaler); empty for stateless optimizers. In the
+	// checkpoint the driver lends OnCheckpoint it is also empty when the
+	// optimizer can append its state in place (stateAppender; Adam can):
+	// that checkpoint refers to the optimizer instead, and Marshal writes
+	// the same bytes either way.
 	OptState []byte
+
+	// opt, set only in the lent checkpoint, stands in for OptState:
+	// AppendMarshal has it append its state straight into the blob.
+	opt stateAppender
+}
+
+// stateAppender is an optimizer that can write its state straight into a
+// checkpoint blob: AppendMarshal sizes the blob once, with StateLen bytes for
+// the state, and has AppendState fill them in place, so a checkpoint costs
+// one serialization pass and no copy. The bytes are MarshalState's.
+type stateAppender interface {
+	StateLen() int
+	AppendState(dst []byte) []byte
 }
 
 // Checkpoint wire format: a little-endian binary blob with a magic tag, a
@@ -67,10 +84,15 @@ func (c *Checkpoint) Marshal() []byte { return c.AppendMarshal(nil) }
 // AppendMarshal is the one emitter of the checkpoint format: it overwrites
 // dst from its start, sizing it once, and, like the codecs' appendRaw,
 // stores every field at its computed offset — one pass over θ and the optimizer
-// state, then the CRC. Into a dst with room for the blob (the checkpoint
-// store's spare) it allocates nothing.
+// state, then the CRC. A lent checkpoint's optimizer appends its state
+// straight into the blob, so the state is serialized once, there. Into a dst
+// with room for the blob (the checkpoint store's) it allocates nothing.
 func (c *Checkpoint) AppendMarshal(dst []byte) []byte {
-	size := checkpointMinLen + len(c.CodecName) + len(c.ModelName) + 8*len(c.Theta) + len(c.OptState)
+	stateLen := len(c.OptState)
+	if c.opt != nil {
+		stateLen = c.opt.StateLen()
+	}
+	size := checkpointMinLen + len(c.CodecName) + len(c.ModelName) + 8*len(c.Theta) + stateLen
 	out := slices.Grow(dst[:0], size)[:size]
 	copy(out, checkpointMagic)
 	binary.LittleEndian.PutUint16(out[4:], checkpointVersion)
@@ -87,9 +109,14 @@ func (c *Checkpoint) AppendMarshal(dst []byte) []byte {
 		binary.LittleEndian.PutUint64(theta[i*8:], math.Float64bits(v))
 	}
 	off += len(theta)
-	binary.LittleEndian.PutUint64(out[off:], uint64(len(c.OptState)))
+	binary.LittleEndian.PutUint64(out[off:], uint64(stateLen))
 	off += 8
-	off += copy(out[off:], c.OptState)
+	if c.opt != nil {
+		c.opt.AppendState(out[:off]) // out has the room: the state lands in place
+	} else {
+		copy(out[off:], c.OptState)
+	}
+	off += stateLen
 	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[:off]))
 	return out
 }
@@ -237,9 +264,12 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 // checkpoint fills the driver's one Checkpoint at a round boundary and
 // returns it for OnCheckpoint to borrow. Nothing is copied: Theta is the
 // live vector, which nothing steps while the hook runs (every worker steps
-// its own replica, and the driver's next step waits for the next round), and
-// OptState is the optimizer's own marshal buffer (see optim.StateMarshaler),
-// absent when the optimizer cannot checkpoint, so a resume starts it fresh.
+// its own replica, and the driver's next step waits for the next round).
+// The optimizer's state is the optimizer itself when it can append in place
+// (stateAppender), so the hook's AppendMarshal serializes it once,
+// into its own blob; otherwise OptState is the optimizer's marshal buffer
+// (see optim.StateMarshaler). Both are absent when the optimizer cannot
+// checkpoint, so a resume starts it fresh.
 func (d *driver) checkpoint() *Checkpoint {
 	cfg := d.cfg
 	d.cp = Checkpoint{
@@ -252,7 +282,11 @@ func (d *driver) checkpoint() *Checkpoint {
 		Theta:          d.theta,
 	}
 	if sm, ok := d.opt.(optim.StateMarshaler); ok {
-		d.cp.OptState = sm.MarshalState()
+		if sa, ok := sm.(stateAppender); ok {
+			d.cp.opt = sa
+		} else {
+			d.cp.OptState = sm.MarshalState()
+		}
 	}
 	return &d.cp
 }
@@ -287,14 +321,21 @@ func validateResume(cfg *Config, cp *Checkpoint, pDim uint64, roundsPerEpoch, to
 // an error: silently dropping it would restart the adaptive rates and
 // change the trajectory.
 func restoreOptimizer(opt optim.Optimizer, cp *Checkpoint) error {
-	if cp == nil || len(cp.OptState) == 0 {
+	if cp == nil {
+		return nil
+	}
+	state := cp.OptState
+	if cp.opt != nil { // a lent checkpoint, resumed from as it is
+		state = cp.opt.AppendState(nil)
+	}
+	if len(state) == 0 {
 		return nil
 	}
 	sm, ok := opt.(optim.StateMarshaler)
 	if !ok {
 		return fmt.Errorf("trainer: resume: checkpoint carries optimizer state but %s cannot restore it", opt.Name())
 	}
-	if err := sm.UnmarshalState(cp.OptState); err != nil {
+	if err := sm.UnmarshalState(state); err != nil {
 		return fmt.Errorf("trainer: resume: %w", err)
 	}
 	return nil

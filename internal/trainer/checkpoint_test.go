@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sketchml/internal/codec"
@@ -94,11 +96,12 @@ func TestCheckpointParentFormat(t *testing.T) {
 
 // TestCheckpointWarmAllocs is the allocation contract of a checkpoint
 // boundary (DESIGN.md "Allocation contract"): the driver fills its one
-// Checkpoint — θ borrowed, the optimizer's state marshaled into its own
-// buffer — and the blob is written into the spare of two buffers that trade
-// places, as the service store does. Once both buffers are sized, nothing is
-// allocated. The path starts no goroutine, so AllocsPerRun's GOMAXPROCS 1 is
-// every setting's count.
+// Checkpoint — θ borrowed, Adam lent as itself — and the blob is written into
+// one buffer that the next boundary overwrites, as the service store does.
+// The first boundary allocates that blob and nothing else: Adam appends its
+// state straight into it, so its own marshal buffer is never sized. After
+// it, nothing is allocated. The path starts no goroutine, so AllocsPerRun's
+// GOMAXPROCS 1 is every setting's count.
 func TestCheckpointWarmAllocs(t *testing.T) {
 	const dim = 100_000
 	cfg := Config{
@@ -114,22 +117,138 @@ func TestCheckpointWarmAllocs(t *testing.T) {
 		opt:   optim.NewAdam(0.1, dim),
 		round: 10,
 	}
-	var latest, spare []byte
-	boundary := func() {
-		spare = d.checkpoint().AppendMarshal(spare)
-		latest, spare = spare, latest
-	}
+	var blob []byte
+	boundary := func() { blob = d.checkpoint().AppendMarshal(blob) }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	boundary()
+	runtime.ReadMemStats(&after)
+	// Under -race the compiler does not fuse slices.Grow's append of a make,
+	// so every growth allocates twice and the byte reading skips.
+	if grown := after.TotalAlloc - before.TotalAlloc; !raceEnabled && float64(grown) > 1.1*float64(len(blob)) {
+		t.Errorf("the first checkpoint allocates %d B for a %d-byte blob: the optimizer state is copied, not appended in place", grown, len(blob))
+	}
+	if d.cp.opt == nil || d.cp.OptState != nil {
+		t.Error("the driver lends Adam's state as a buffer, not as the optimizer")
+	}
 	if allocs := testing.AllocsPerRun(10, boundary); allocs != 0 {
 		t.Errorf("warm checkpoint allocates %v objects/op, want 0", allocs)
 	}
-	back, err := UnmarshalCheckpoint(latest)
+	back, err := UnmarshalCheckpoint(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Rounds != 10 || back.Workers != 4 || len(back.Theta) != dim || len(back.OptState) != 16+16*dim {
 		t.Fatalf("warm checkpoint decodes to rounds %d, workers %d, %d θ, %d state bytes",
 			back.Rounds, back.Workers, len(back.Theta), len(back.OptState))
+	}
+}
+
+// marshalOnly forwards an Adam's StateMarshaler methods and hides its
+// AppendState, as a wrapper that forwards only optim.StateMarshaler does.
+type marshalOnly struct {
+	optim.Optimizer
+	adam *optim.Adam
+}
+
+func (m marshalOnly) MarshalState() []byte             { return m.adam.MarshalState() }
+func (m marshalOnly) UnmarshalState(data []byte) error { return m.adam.UnmarshalState(data) }
+
+// TestLentCheckpointMarshalsParentBytes holds the lent checkpoint to the
+// bytes of the copying path: at every epoch boundary of a short run, the
+// checkpoint OnCheckpoint borrows marshals — whole, and into a dirty buffer —
+// to exactly the blob of its header and θ with the optimizer's MarshalState
+// copied in as OptState. Adam is lent as itself; an optimizer that offers
+// only MarshalState lends its buffer, as before; SGD lends no state.
+func TestLentCheckpointMarshalsParentBytes(t *testing.T) {
+	train, test := smallData(t)
+	for _, tc := range []struct {
+		name    string
+		opt     func(dim uint64) optim.Optimizer
+		inPlace bool
+	}{
+		{"Adam", func(dim uint64) optim.Optimizer { return optim.NewAdam(0.1, dim) }, true},
+		{"MarshalStateOnlyAdam", func(dim uint64) optim.Optimizer {
+			a := optim.NewAdam(0.1, dim)
+			return marshalOnly{a, a}
+		}, false},
+		{"SGD", func(uint64) optim.Optimizer { return optim.NewSGD(0.1) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lifecycleConfig()
+			cfg.Optimizer = tc.opt
+			cfg.CheckpointEvery = 1
+			var dirty []byte
+			boundaries := 0
+			cfg.OnCheckpoint = func(cp *Checkpoint) error {
+				boundaries++
+				if (cp.opt != nil) != tc.inPlace {
+					t.Errorf("round %d: optimizer lent in place = %v, want %v", cp.Rounds, cp.opt != nil, tc.inPlace)
+				}
+				parent := *cp
+				if cp.opt != nil {
+					parent.opt, parent.OptState = nil, cp.opt.(optim.StateMarshaler).MarshalState()
+				}
+				want := parent.Marshal()
+				if !bytes.Equal(cp.Marshal(), want) {
+					t.Errorf("round %d: the lent checkpoint marshals to other bytes than θ + MarshalState", cp.Rounds)
+				}
+				dirty = append(dirty[:0], bytes.Repeat([]byte{0xa5}, len(want)+7)...)
+				if !bytes.Equal(cp.AppendMarshal(dirty), want) {
+					t.Errorf("round %d: AppendMarshal into a dirty buffer differs from Marshal", cp.Rounds)
+				}
+				return nil
+			}
+			if _, err := Run(cfg, train, test); err != nil {
+				t.Fatal(err)
+			}
+			if boundaries != cfg.Epochs {
+				t.Fatalf("%d checkpoints, want one per epoch (%d)", boundaries, cfg.Epochs)
+			}
+		})
+	}
+}
+
+// TestResumeFromLentCheckpoint resumes from the drain checkpoint a run lent
+// its hook, kept as it is, and from its serialized copy: both continue to
+// the same loss, bit for bit. The lent checkpoint refers to the optimizer
+// instead of carrying OptState, so the resume reads Adam's state from it;
+// dropping it would restart the moments and move the trajectory.
+func TestResumeFromLentCheckpoint(t *testing.T) {
+	train, test := smallData(t)
+	drain := make(chan struct{})
+	var cp *Checkpoint // the last, the drain's: nothing runs after it
+	cfg := lifecycleConfig()
+	cfg.Drain = drain
+	cfg.OnCheckpoint = func(c *Checkpoint) error {
+		if cp == nil {
+			close(drain)
+		}
+		cp = c
+		return nil
+	}
+	if _, err := Run(cfg, train, test); err != nil {
+		t.Fatal(err)
+	}
+	if cp.opt == nil {
+		t.Fatal("the drain checkpoint does not lend Adam in place")
+	}
+	copied, err := UnmarshalCheckpoint(cp.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses []float64
+	for _, resume := range []*Checkpoint{cp, copied} {
+		cfg := lifecycleConfig()
+		cfg.Resume = resume
+		res, err := Run(cfg, train, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses = append(losses, res.FinalLoss)
+	}
+	if math.Float64bits(losses[0]) != math.Float64bits(losses[1]) {
+		t.Fatalf("resumed from the lent checkpoint to loss %v, from its copy to %v", losses[0], losses[1])
 	}
 }
 

@@ -170,7 +170,7 @@ func TestGatherDegradationMatrix(t *testing.T) {
 				acc := gradient.NewAccumulator(gatherDim)
 				var es EpochStats
 				var decode time.Duration
-				err := gatherRound(h.cfg, matrixRound, h.driverSide, strikes, make([]gradient.Sparse, h.links()), acc, &es, &decode)
+				err := gatherRound(h.cfg, matrixRound, h.driverSide, strikes, make([]gradient.Sparse, h.links()), nil, acc, &es, &decode)
 				if row.wantErr != "" {
 					if err == nil || !strings.Contains(err.Error(), row.wantErr) {
 						t.Fatalf("want an abort containing %q, got %v", row.wantErr, err)

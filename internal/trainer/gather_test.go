@@ -60,7 +60,7 @@ func TestGatherRoundDecodeFailureMidGather(t *testing.T) {
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &EpochStats{}, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &EpochStats{}, &decode)
 	if err == nil {
 		t.Fatal("gatherRound accepted a garbage message")
 	}
@@ -87,7 +87,7 @@ func TestGatherRoundRecvFailureMidGather(t *testing.T) {
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &EpochStats{}, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &EpochStats{}, &decode)
 	if err == nil {
 		t.Fatal("gatherRound succeeded with a dead worker connection")
 	}
@@ -109,7 +109,7 @@ func TestGatherRoundAllHealthy(t *testing.T) {
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &EpochStats{}, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &EpochStats{}, &decode); err != nil {
 		t.Fatal(err)
 	}
 	if decode <= 0 {
@@ -153,7 +153,7 @@ func TestGatherRoundRejectsWrongDim(t *testing.T) {
 				}
 				acc := gradient.NewAccumulator(gatherDim)
 				var decode time.Duration
-				err = gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &EpochStats{}, &decode)
+				err = gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, &EpochStats{}, &decode)
 				if err == nil {
 					t.Fatalf("gatherRound summed a gradient over %d dimensions into a model of %d", dim, gatherDim)
 				}

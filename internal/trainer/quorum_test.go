@@ -34,7 +34,7 @@ func tolerantGather(t *testing.T, workers, alive int, frac float64) (error, *Epo
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
 	es := &EpochStats{}
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), nil, acc, es, &decode)
 	return err, es
 }
 
@@ -106,7 +106,7 @@ func TestMaxStrikesResetOnArrival(t *testing.T) {
 		if worker1Sends {
 			send(1, round)
 		}
-		err := gatherRound(cfg, round, driverSide, strikes, reuse, acc, &EpochStats{}, &decode)
+		err := gatherRound(cfg, round, driverSide, strikes, reuse, nil, acc, &EpochStats{}, &decode)
 		round++
 		return err
 	}

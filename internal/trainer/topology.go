@@ -42,10 +42,12 @@ type workerLinks struct {
 	children []cluster.Conn
 
 	// Reusable buffers: the outbound frame, which the local gradient is
-	// encoded into, and the merge target (codec.MergeInto may alias its
-	// input, so one serves the whole merge chain).
+	// encoded into, the merge target (codec.MergeInto may alias its input,
+	// so one serves the whole merge chain), and the child wait's per-link
+	// results.
 	frame  []byte
 	merged []byte
+	recvs  []frameRecv
 }
 
 func (lk *workerLinks) close() {
@@ -122,7 +124,8 @@ func gatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sp
 	// Worker w's children are workers 2w+2 and 2w+3. Each payload is its
 	// child link's message, valid until that link's next receive, which
 	// comes only in the next round: the merges below read it in time.
-	for _, r := range recvEach(cfg, lk.children, 2*lk.w+2, round, cfg.RoundDeadline/2, nil) {
+	lk.recvs = recvEach(cfg, lk.children, 2*lk.w+2, round, cfg.RoundDeadline/2, nil, lk.recvs)
+	for _, r := range lk.recvs {
 		rep.timeouts += int64(r.timeouts)
 		rep.corrupt += int64(r.corrupt)
 		rep.aggBytes += r.bytes

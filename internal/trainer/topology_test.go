@@ -225,7 +225,7 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), nil, acc, &es, &decode); err != nil {
 		t.Fatalf("clean tree gather: %v", err)
 	}
 	// Both messages decode to the same gradient; total = 8, so the
@@ -269,7 +269,7 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 		acc := gradient.NewAccumulator(gatherDim)
 		var es EpochStats
 		var decode time.Duration
-		err := gatherRound(cfg, 0, driverSide, make([]int, 8), make([]gradient.Sparse, 2), acc, &es, &decode)
+		err := gatherRound(cfg, 0, driverSide, make([]int, 8), make([]gradient.Sparse, 2), nil, acc, &es, &decode)
 		if tc.wantOK {
 			if err != nil {
 				t.Fatalf("count %d: gather aborted at quorum boundary: %v", tc.count, err)
@@ -296,7 +296,7 @@ func TestTreeGatherStrictRejectsPartialTotal(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, 4), make([]gradient.Sparse, 2), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, 4), make([]gradient.Sparse, 2), nil, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "strict tree gather") {
 		t.Fatalf("want strict total mismatch abort, got %v", err)
 	}
@@ -325,7 +325,7 @@ func TestAggregateCountBounded(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode)
+	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), nil, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "sums 60000 gradients") {
 		t.Fatalf("strict gather: want an abort on the oversized count, got %v", err)
 	}
@@ -336,7 +336,7 @@ func TestAggregateCountBounded(t *testing.T) {
 	send()
 	acc = gradient.NewAccumulator(gatherDim)
 	es = EpochStats{}
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
+	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), nil, acc, &es, &decode); err != nil {
 		t.Fatalf("tolerant gather aborted: %v", err)
 	}
 	// One corrupt frame, the timeout that ended root 0's wait behind it, and

@@ -104,10 +104,12 @@ type Config struct {
 	// drain stops the run mid-epoch; returning an error aborts the run.
 	// The checkpoint is borrowed until the hook returns: it is the
 	// driver's own, refilled at every boundary, its Theta is the live
-	// parameter vector and its OptState the optimizer's marshal buffer, so
-	// the next round overwrites them. Serialize it inside the hook
-	// (Checkpoint.AppendMarshal) or copy what you keep with
-	// UnmarshalCheckpoint(cp.Marshal()).
+	// parameter vector, and its optimizer state is the live optimizer —
+	// Adam appends its moments straight into the blob the hook marshals,
+	// leaving OptState empty; an optimizer that offers only MarshalState
+	// lends its marshal buffer as OptState. The next round overwrites all
+	// of them. Serialize it inside the hook (Checkpoint.AppendMarshal) or
+	// copy what you keep with UnmarshalCheckpoint(cp.Marshal()).
 	OnCheckpoint func(*Checkpoint) error
 	// CheckpointEvery is OnCheckpoint's epoch period; values < 1 default
 	// to 1 (every epoch boundary). Ignored when OnCheckpoint is nil.
@@ -530,6 +532,7 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		acc:         gradient.NewAccumulator(plan.pDim),
 		strikes:     make([]int, cfg.Workers),
 		decodeReuse: make([]gradient.Sparse, cfg.Workers),
+		recvs:       make([]frameRecv, cfg.Workers),
 		tm:          newTrainerMetrics(cfg.Metrics),
 		round:       plan.startRound,
 	}
@@ -685,7 +688,8 @@ type driver struct {
 	// the first decodes into warm buffers.
 	decodeReuse []gradient.Sparse
 	applied     gradient.Sparse
-	frame       []byte // the one broadcast buffer, rebuilt every round (see broadcast)
+	recvs       []frameRecv // the gather's per-link results, overwritten every round
+	frame       []byte      // the one broadcast buffer, rebuilt every round (see broadcast)
 	tm          trainerMetrics
 	errAcc      errAccum
 	// cp is the one Checkpoint the driver lends OnCheckpoint, refilled at
@@ -709,7 +713,7 @@ func (d *driver) runRound(es *EpochStats) error {
 	// DecodeTime sums the per-goroutine decode durations rather than the
 	// gather's wall time.
 	tGather := time.Now()
-	if err := gatherRound(*cfg, d.round, d.conns, d.strikes, d.decodeReuse, d.acc, es, &es.DecodeTime); err != nil {
+	if err := gatherRound(*cfg, d.round, d.conns, d.strikes, d.decodeReuse, d.recvs, d.acc, es, &es.DecodeTime); err != nil {
 		return err
 	}
 	agg := d.acc.Sum()
@@ -1088,23 +1092,29 @@ func timedDecode(cfg *Config, payload []byte, dst *gradient.Sparse) (*gradient.S
 // recvEach is the one fan-out, for the driver's gather and an interior
 // worker's child wait: one recvFrame per link for round's gradient, each on
 // its own goroutine. Link i's sender is worker first+i; dst[i], when dst is
-// given, is its decode target.
-func recvEach[C cluster.Conn](cfg Config, conns []C, first, round int, budget time.Duration, dst []gradient.Sparse) []frameRecv {
-	outs := make([]frameRecv, len(conns))
+// given, is its decode target. Link i's result lands in outs[i]: outs is the
+// caller's, kept for the job and overwritten every round, and is made only
+// when shorter than conns. recvEach returns it cut to len(conns).
+func recvEach[C cluster.Conn](cfg Config, conns []C, first, round int, budget time.Duration, dst []gradient.Sparse, outs []frameRecv) []frameRecv {
+	if len(outs) < len(conns) {
+		outs = make([]frameRecv, len(conns))
+	}
+	outs = outs[:len(conns)]
 	var wg sync.WaitGroup
 	wg.Add(len(conns))
 	for i := range conns {
 		// cfg travels as a goroutine argument (copied onto the new
 		// goroutine's stack): captured, the >128-byte struct would be moved
-		// to the heap by reference once per round.
-		go func(i int, cfg Config) {
+		// to the heap by reference once per round. So does the result slot:
+		// outs, reassigned above, would be moved to the heap if captured.
+		go func(i int, cfg Config, out *frameRecv) {
 			defer wg.Done()
 			var d *gradient.Sparse
 			if dst != nil {
 				d = &dst[i]
 			}
-			outs[i] = recvFrame(&cfg, conns[i], frameWant{from: first + i, kind: frameGrad, round: round}, budget, d)
-		}(i, cfg)
+			*out = recvFrame(&cfg, conns[i], frameWant{from: first + i, kind: frameGrad, round: round}, budget, d)
+		}(i, cfg, &outs[i])
 	}
 	wg.Wait()
 	return outs
@@ -1120,26 +1130,26 @@ func recvEach[C cluster.Conn](cfg Config, conns []C, first, round int, budget ti
 // message is weighted 1/total contributors, and quorum and SkippedGrads
 // count contributors.
 //
-// The receive+decode pairs run on one goroutine per link (recvEach); the
-// decode meter sums their decode durations (timedDecode), not the gather's
-// wall time. Accumulator adds happen sequentially in link order, keeping
-// the float summation (and thus training) deterministic; each add reads
-// its decode at once into the scatter acc borrows from the pool, and
-// refuses a gradient of another dimension, which is the only check a
-// decoded gradient's Dim gets. reuse[w] is link w's persistent decode
-// target, so after warm-up the gather allocates nothing per round beyond
-// the bookkeeping below.
+// The receive+decode pairs run on one goroutine per link (recvEach), whose
+// results land in outs, the driver's; the decode meter sums their decode
+// durations (timedDecode), not the gather's wall time. Accumulator adds
+// happen sequentially in link order, keeping the float summation (and thus
+// training) deterministic; each add reads its decode at once into the
+// scatter acc borrows from the pool, and refuses a gradient of another
+// dimension, which is the only check a decoded gradient's Dim gets. reuse[w]
+// is link w's persistent decode target, so after warm-up the gather
+// allocates nothing per round beyond the bookkeeping below.
 //
 // Strict mode (RoundDeadline == 0) requires every worker gradient and any
 // fault aborts. Tolerant mode aggregates whatever arrived by the deadline
 // and aborts only on quorum loss (fewer than ceil(minGatherFraction·W)
 // contributors) or when one link reaches maxStrikes consecutive misses.
-func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
+func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, outs []frameRecv, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
 	links := cfg.Workers
 	if cfg.Topology == cluster.TopologyTree {
 		links = min(cfg.Workers, 2)
 	}
-	outs := recvEach(cfg, driverSide[:links], 0, round, cfg.RoundDeadline, reuse[:links])
+	outs = recvEach(cfg, driverSide[:links], 0, round, cfg.RoundDeadline, reuse[:links], outs)
 	// total sums the contributors over the arrivals.
 	total := 0
 	for w := range outs {
