@@ -1,7 +1,7 @@
 // Package codec implements the gradient compression codecs compared in the
 // SketchML paper: the raw key–value format exchanged by plain Adam SGD, the
 // ZipML uniform-quantification baseline, and the SketchML framework itself
-// (quantile-bucket quantification + MinMaxSketch + delta-binary keys), with
+// (quantile-bucket quantification + MinMaxSketch + compressed keys), with
 // per-component switches for the paper's Figure 8 ablation.
 //
 // Every codec turns a sparse gradient into a wire message and back. Keys
@@ -90,7 +90,7 @@ func EncodeAppend(c Codec, dst []byte, g *gradient.Sparse) ([]byte, error) {
 // Figure 8(b) message-size analysis.
 type Breakdown struct {
 	Header int // fixed framing
-	Keys   int // key storage (delta-binary / fixed width)
+	Keys   int // key storage (Elias–Fano / delta-binary / fixed width)
 	Values int // value storage (floats, packed indexes, or sketch cells)
 	Meta   int // quantizer tables (bucket means, ranges)
 }

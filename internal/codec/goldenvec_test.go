@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -26,11 +27,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures"
 // function of (seed, dim, nnz, sign, Options) — any drift in the encoder
 // shows up as a byte-level diff against the committed .bin file.
 //
-// A fixture with decoded set is decode-only: its bytes were written while
-// the encoder could still find its splits with the GK or KLL sketch, so no
-// encoder reproduces them now. decoded is the decodedHash those bytes
-// decoded to when the encoder last had those finders; a decode-only
-// fixture is never rewritten.
+// A fixture with decoded set is decode-only: its bytes were written by an
+// encoder that no longer exists — one that could still find its splits
+// with the GK or KLL sketch, or one that wrote delta-binary key lists — so
+// no encoder reproduces them now. decoded is the decodedHash those bytes
+// decoded to when they were written; a decode-only fixture is never
+// rewritten.
 type goldenVec struct {
 	name    string
 	opts    Options
@@ -50,11 +52,14 @@ func goldenVectors() []goldenVec {
 		return o
 	}
 	return []goldenVec{
-		// The fixtures without a rank_ prefix were written by the GK split
-		// finder (kll_default by KLL). Passing is the evidence that messages
-		// written then still decode to the same values; each rank_ twin holds
-		// the encoder to the same configuration. key_only never quantizes,
-		// so it keeps its encode check.
+		// Every fixture here but the ef_ ones is decode-only. The fixtures
+		// without a prefix were written by the GK split finder (kll_default
+		// by KLL), the rank_ ones and key_only by the sort-based encoder
+		// while it still wrote delta-binary key lists. Passing is the
+		// evidence that messages written then still decode to the same
+		// values. Each ef_ fixture holds today's encoder, with Elias–Fano
+		// key lists, to its namesake's configuration, and must decode to
+		// its namesake's values: only the key code differs.
 		//
 		// The two quantile sketches at the paper's default config.
 		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xa1a9d11cbe7bb261},
@@ -64,9 +69,9 @@ func goldenVectors() []goldenVec {
 		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
 		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
 		// Figure 8 ablation points: keys+quantification without the
-		// MinMaxSketch, and delta keys alone with exact values.
+		// MinMaxSketch, and compressed keys alone with exact values.
 		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x86c5e9e3e9149ff1},
-		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8},
 		// Sign-pane edge cases: a single positive or negative pane (the
 		// mixed default exercises both panes at once).
 		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x4d15fa430158d3c8},
@@ -77,14 +82,24 @@ func goldenVectors() []goldenVec {
 		// Keys beyond 32 bits flip the wide-keys wire flag.
 		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0xed4aca2c168fe6ad},
 
-		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
-		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
-		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
-		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
-		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
-		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
+		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64},
+		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
+		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
+		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f},
+		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a},
+		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e},
+		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339},
+		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d},
+
+		{name: "ef_rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
+		{name: "ef_rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "ef_rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
+		{name: "ef_rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "ef_key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "ef_rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
+		{name: "ef_rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
+		{name: "ef_rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
+		{name: "ef_rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
 	}
 }
 
@@ -134,11 +149,15 @@ func (v goldenVec) fixturePath() string {
 // configuration matrix: the r-group sweep, the component ablations,
 // single-sign panes, and wide keys. Each fixture is the complete encoded
 // message; encoding the regenerated gradient must reproduce it exactly
-// (a decode-only fixture must decode to its pinned values instead), and
-// decoding the committed bytes must succeed with lossless keys and (for the
-// lossy configs) no sign flips — the paper's "never amplify, never flip"
-// contract.
+// (a decode-only fixture must decode to its pinned values instead, and an
+// ef_ fixture to its namesake's), and decoding the committed
+// bytes must succeed with lossless keys and (for the lossy configs) no sign
+// flips — the paper's "never amplify, never flip" contract.
 func TestGoldenVectors(t *testing.T) {
+	pinned := map[string]uint64{}
+	for _, v := range goldenVectors() {
+		pinned[v.name] = v.decoded
+	}
 	for _, v := range goldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			c := MustSketchML(v.opts)
@@ -178,6 +197,9 @@ func TestGoldenVectors(t *testing.T) {
 			}
 			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
+			}
+			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {
+				t.Errorf("fixture decodes to hash 0x%016x, %s to 0x%016x", decodedHash(dec), namesake, pinned[namesake])
 			}
 		})
 	}

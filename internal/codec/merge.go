@@ -57,13 +57,17 @@ func putMergeScratch(ms *mergeScratch) { mergeScratchPool.Put(ms) }
 // input order. The walk needs scratch only as long as the inputs, not a
 // Dim-sized one, because Dim comes off the wire. Any non-finite sum is an
 // error: a merge must never emit a message that decodes to garbage. The
-// result is ms's storage, valid until ms is reused.
+// result is ms's storage, valid until ms is reused; it is sized once for
+// the union's most keys, through quantizer.Resize like the codec's other
+// reused scratch.
 func (ms *mergeScratch) sum() (*gradient.Sparse, error) {
 	a, b := &ms.ga, &ms.gb
 	if a.Dim != b.Dim {
 		return nil, fmt.Errorf("codec: merge dimension mismatch: %d vs %d", a.Dim, b.Dim)
 	}
-	keys, vals := ms.gsum.Keys[:0], ms.gsum.Values[:0]
+	most := len(a.Keys) + len(b.Keys)
+	keys, vals := quantizer.Resize(ms.gsum.Keys, most), quantizer.Resize(ms.gsum.Values, most)
+	n := 0
 	i, j := 0, 0
 	for i < len(a.Keys) || j < len(b.Keys) {
 		var key uint64
@@ -83,13 +87,13 @@ func (ms *mergeScratch) sum() (*gradient.Sparse, error) {
 			return nil, fmt.Errorf("codec: merge produced non-finite value at key %d", key)
 		}
 		if v != 0 {
-			keys = append(keys, key)
-			vals = append(vals, v)
+			keys[n], vals[n] = key, v
+			n++
 		}
 	}
-	ms.gsum = gradient.Sparse{Dim: a.Dim, Keys: keys, Values: vals}
-	if uint64(len(keys)) > math.MaxUint32 {
-		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", len(keys))
+	ms.gsum = gradient.Sparse{Dim: a.Dim, Keys: keys[:n], Values: vals[:n]}
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("codec: merged key count %d overflows the wire header", n)
 	}
 	return &ms.gsum, nil
 }

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -565,6 +567,51 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
+// TestMergeSumGrowsOnce holds the merge's sum buffer to the codec's one
+// growth rule: warm on a small pair, a larger pair grows it once — one
+// allocation for its keys and one for its values — and the small pair
+// after it allocates nothing. Summing by append grew it a doubling at a
+// time instead (35 allocations here). The counts are process-wide, so each
+// is the least of three fresh runs. Skipped under -race: the detector's
+// instrumentation allocates.
+func TestMergeSumGrowsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	rng := rand.New(rand.NewSource(31))
+	small := [2]*gradient.Sparse{randomGradient(rng, 1<<20, 300), randomGradient(rng, 1<<20, 300)}
+	large := [2]*gradient.Sparse{randomGradient(rng, 1<<20, 20000), randomGradient(rng, 1<<20, 20000)}
+	sum := func(ms *mergeScratch, pair [2]*gradient.Sparse) uint64 {
+		ms.ga, ms.gb = *pair[0], *pair[1]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ms.sum()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := exactSum(pair[0], pair[1]); !gradientsEqual(got, want) {
+			t.Fatalf("sum of %d and %d entries differs from the exact sum", pair[0].NNZ(), pair[1].NNZ())
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	grow, again := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var ms mergeScratch
+		for i := 0; i < 3; i++ {
+			sum(&ms, small)
+		}
+		grow = min(grow, sum(&ms, large))
+		again = min(again, sum(&ms, small))
+	}
+	if grow > 2 {
+		t.Errorf("the larger pair grew the sum with %d allocations, want one each for keys and values", grow)
+	}
+	if again != 0 {
+		t.Errorf("the small pair after it allocated %d times, want 0", again)
+	}
+}
+
 // mergeGoldenVec pins one merged-message configuration. Both input
 // gradients regenerate from their seeds (via the goldenVec generator), so
 // the fixture bytes are a pure function of (seeds, geometry, Options). A
@@ -588,34 +635,51 @@ func mergeGoldenVectors() []mergeGoldenVec {
 	quan := mk(nil)
 	keyOnly := mk(func(o *Options) { o.Quantize = false })
 	return []mergeGoldenVec{
+		// As in goldenVectors, every fixture but the ef_ ones is decode-only
+		// and each ef_ fixture holds today's merge to its namesake's
+		// configuration and values.
+		//
 		// Re-quantize path: two default-sized panes overflow the exact cap.
-		// Written by the GK split finder: decode-only, and rank_merge_keyquan
-		// holds the merge to the same configuration.
+		// Written by the GK split finder; rank_merge_keyquan is the same
+		// configuration written by the sort.
 		{name: "merge_keyquan", opts: quan, decoded: 0xd96faa1a729b1c96,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// Tiny panes at paneBudget's floor of 2. Despite the name, their ~30
 		// distinct sums overflow it, and the merge that wrote the fixture
-		// re-quantized them through GK: decode-only. rank_merge_at_budget is
-		// the fixture that takes the exact-means path.
+		// re-quantized them through GK. rank_merge_at_budget is the
+		// configuration that takes the exact-means path.
 		{name: "merge_exact_tiny", opts: quan, decoded: 0x21370c81e7481081,
 			a: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2003},
 			b: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2004}},
 		// Raw-layout output: unquantized inputs merge to the key+f64 layout.
-		{name: "merge_key_only", opts: keyOnly,
+		{name: "merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		{name: "rank_merge_keyquan", opts: quan,
+		{name: "rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// The exact-means boundary (TestMergeGoldenBoundary): all-positive
 		// inputs, so the merged pane is a's bucket means plus b's one value.
 		// 255+1 entries: budget 16, 16 distinct sums, the exact path.
 		// 254+1 entries: budget 15, 16 distinct sums, one past it.
-		{name: "rank_merge_at_budget", opts: quan,
+		{name: "rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597,
 			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-		{name: "rank_merge_over_budget", opts: quan,
+		{name: "rank_merge_over_budget", opts: quan, decoded: 0x8ae3ae2fecc0b2f9,
+			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
+			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
+
+		{name: "ef_merge_key_only", opts: keyOnly,
+			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
+			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
+		{name: "ef_rank_merge_keyquan", opts: quan,
+			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
+			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
+		{name: "ef_rank_merge_at_budget", opts: quan,
+			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
+			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
+		{name: "ef_rank_merge_over_budget", opts: quan,
 			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
 	}
@@ -710,8 +774,13 @@ func comparePinnedFixture(t *testing.T, path string, enc []byte) {
 // TestMergeGoldenVectors pins the merged-message wire bytes the same way
 // goldenvec_test.go pins encoded ones: fixtures are a pure function of the
 // (seed, geometry, Options) inputs, refreshed with -update. A decode-only
-// fixture must decode to its pinned values instead.
+// fixture must decode to its pinned values instead, and an ef_ fixture to
+// its namesake's.
 func TestMergeGoldenVectors(t *testing.T) {
+	pinned := map[string]uint64{}
+	for _, v := range mergeGoldenVectors() {
+		pinned[v.name] = v.decoded
+	}
 	for _, v := range mergeGoldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			if v.decoded == 0 {
@@ -730,6 +799,9 @@ func TestMergeGoldenVectors(t *testing.T) {
 			}
 			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
+			}
+			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {
+				t.Errorf("fixture decodes to hash 0x%016x, %s to 0x%016x", decodedHash(dec), namesake, pinned[namesake])
 			}
 		})
 	}

@@ -244,12 +244,12 @@ func AblationQuantileVsUniform(cfg Config) (*Report, error) {
 }
 
 // AblationKeyCodecs compares key encodings at several sparsity levels:
-// delta-binary (the paper's), uvarint deltas, a dense bitmap, and the raw
-// 4-byte baseline.
+// blocked Elias–Fano (the codec's), delta-binary (the paper's), uvarint
+// deltas, a dense bitmap, and the raw 4-byte baseline.
 func AblationKeyCodecs(cfg Config) (*Report, error) {
 	const dim = 1 << 22
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	table := stats.NewTable("nnz", "delta B/key", "varint B/key", "bitmap B/key", "raw B/key")
+	table := stats.NewTable("nnz", "Elias–Fano B/key", "delta B/key", "varint B/key", "bitmap B/key", "raw B/key")
 	metrics := map[string]float64{}
 	for _, nnz := range []int{2000, 20000, 200000} {
 		seen := map[uint64]bool{}
@@ -262,6 +262,10 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
+		efData, err := keycoding.AppendEF(nil, keys)
+		if err != nil {
+			return nil, err
+		}
 		deltaData, err := keycoding.AppendDelta(nil, keys)
 		if err != nil {
 			return nil, err
@@ -271,11 +275,13 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		n := float64(nnz)
+		epk := float64(len(efData)) / n
 		dpk := float64(len(deltaData)) / n
 		vpk := float64(len(varintData)) / n
 		bpk := float64(keycoding.BitmapSize(dim)) / n
-		table.AddRow(nnz, dpk, vpk, bpk, 4.0)
+		table.AddRow(nnz, epk, dpk, vpk, bpk, 4.0)
 		key := fmt.Sprintf("nnz%d", nnz)
+		metrics[key+"_ef"] = epk
 		metrics[key+"_delta"] = dpk
 		metrics[key+"_varint"] = vpk
 		metrics[key+"_bitmap"] = bpk

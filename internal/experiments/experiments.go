@@ -83,7 +83,7 @@ var registry = map[string]struct {
 	"ablation-sign":     {"Signed vs joint quantification", AblationSignSeparation},
 	"ablation-grouping": {"Grouped sketch error vs r", AblationGrouping},
 	"ablation-quantile": {"Quantile vs uniform quantization", AblationQuantileVsUniform},
-	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
+	"ablation-keycodec": {"Elias–Fano vs delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
 	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K)", AblationLossyBaselines},
 	"ablation-sketch":   {"GK (m = 128, 256) vs KLL vs the codec's sort, at the quantizer", AblationSplitFinders},
 }

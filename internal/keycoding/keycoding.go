@@ -1,7 +1,9 @@
-// Package keycoding implements SketchML's dynamic delta-binary encoding of
-// gradient keys (Section 3.4), plus the alternative key codecs the paper
-// discusses for comparison (bitmap, Appendix A.3; varint as a natural
-// strawman for the ablation benches).
+// Package keycoding implements the lossless codes for gradient key lists:
+// blocked Elias–Fano (ef.go), the bit-granular code SketchML messages carry;
+// SketchML's dynamic delta-binary encoding (Section 3.4), which the paper
+// uses and older messages carry; and the alternatives the paper discusses
+// for comparison (bitmap, Appendix A.3; varint as a natural strawman for
+// the ablation benches).
 //
 // Gradient keys are the dimensions of the nonzero entries of a sparse
 // gradient: non-repetitive, sorted ascending, possibly huge in value but

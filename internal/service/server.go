@@ -378,10 +378,17 @@ func (s *Server) runAttempt(job *Job) (*trainer.Result, error) {
 	cfg := job.cfg
 	cfg.Drain = job.drainCh
 	// The hook stages the borrowed checkpoint and leaves the disk write to
-	// run behind the next epoch; its time on the round loop is the stall.
+	// run behind the next epoch; its time on the round loop is the stall,
+	// observed on the store's server-wide histogram and on the job's own
+	// registry, which GET /jobs/{id}?metrics=1 shows.
+	jobStall := job.Metrics.Histogram("service.checkpoint.stall_ns")
 	cfg.OnCheckpoint = func(cp *trainer.Checkpoint) error {
-		defer s.store.stallNs.Since(time.Now())
-		return s.store.saveBehind(spec.Name, cp)
+		t0 := time.Now()
+		err := s.store.saveBehind(spec.Name, cp)
+		stall := time.Since(t0).Nanoseconds()
+		s.store.stallNs.Observe(stall)
+		jobStall.Observe(stall)
+		return err
 	}
 	cp, err := s.store.Load(spec.Name)
 	if err != nil {

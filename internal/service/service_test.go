@@ -195,6 +195,35 @@ func TestJobRegistryRecordsEveryLayer(t *testing.T) {
 	}
 }
 
+// TestJobRegistryRecordsCheckpointStall: the round loop's time in a job's
+// checkpoint hook shows in the job's own metrics view, one observation per
+// checkpoint (one an epoch here).
+func TestJobRegistryRecordsCheckpointStall(t *testing.T) {
+	_, ts := newTestServer(t, testLimits(), t.TempDir())
+	st, resp := submit(t, ts, quickSpec("stall"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.terminal() }, "a terminal state"); final.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", final.State, final.Detail)
+	}
+	resp2, err := http.Get(ts.URL + "/jobs/" + st.ID + "?metrics=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var view struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	if err := json.NewDecoder(resp2.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 2 // quickSpec's, each one checkpointed
+	if got := view.Metrics.Histograms["service.checkpoint.stall_ns"].Count; got != epochs {
+		t.Errorf("the job's registry holds %d checkpoint stalls, want %d", got, epochs)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, testLimits(), "")
 	st, _ := submit(t, ts, longSpec("tocancel"))

@@ -11,8 +11,10 @@
 //   - MinMaxSketch: a new sketch structure that stores the bucket indexes in
 //     s hash tables with a min-on-insert / max-on-query collision rule, so
 //     decoding can only decay a gradient, never amplify or sign-flip it.
-//   - Delta-binary key encoding: the sorted integer keys are stored as
-//     increments in the fewest whole bytes, losslessly.
+//   - Key encoding: the sorted integer keys are stored as increments,
+//     losslessly. The paper stores each in the fewest whole bytes
+//     (delta-binary); this package writes them at bit granularity, as
+//     blocked Elias–Fano lists, and still decodes delta-binary messages.
 //
 // The package exposes the compression codecs (including the paper's Adam
 // and ZipML baselines), the distributed trainer that exchanges compressed
