@@ -48,28 +48,31 @@ func AppendBlock(dst []byte, values []uint32, width int) []byte {
 }
 
 // AppendPacked appends values (each < 2^width), LSB-first within each byte,
-// with no header: PackedSize(len(values), width) bytes.
+// with no header: PackedSize(len(values), width) bytes. The bits gather in
+// a 64-bit word that goes out whole as it fills; the bits of a value that
+// straddles two words carry into the next.
 func AppendPacked(dst []byte, values []uint32, width int) []byte {
 	if width < 1 || width > 32 {
 		invariant.Failf("bitpack: width %d out of [1,32]", width)
 	}
+	dst = slices.Grow(dst, PackedSize(len(values), width))
 	uw := uint(width)
-	var cur uint64 // pending bits, low bits first
-	var nbits uint // number of valid bits in cur
+	var acc uint64 // pending bits, low bits first
+	var n uint     // number of valid bits in acc
 	for _, v := range values {
 		if uw < 32 && v >= 1<<uw {
 			invariant.Failf("bitpack: value %d does not fit in %d bits", v, width)
 		}
-		cur |= uint64(v) << nbits
-		nbits += uw
-		for nbits >= 8 {
-			dst = append(dst, byte(cur))
-			cur >>= 8
-			nbits -= 8
+		acc |= uint64(v) << n
+		if n += uw; n >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			n -= 64
+			acc = uint64(v) >> (uw - n) // the bits that did not fit; 0 when none
 		}
 	}
-	if nbits > 0 {
-		dst = append(dst, byte(cur))
+	for ; n > 0; n -= min(n, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }
@@ -105,20 +108,37 @@ func DecodePackedInto(data []byte, count, width int, dst []uint32) ([]uint32, in
 	vals := slices.Grow(dst[:0], count)[:count]
 	uw := uint(width)
 	mask := uint64(1)<<uw - 1
-	var cur uint64
-	var nbits uint
-	pos := 0
-	for i := range vals {
-		for nbits < uw {
-			cur |= uint64(data[pos]) << nbits
-			nbits += 8
-			pos++
+	// Eight values of up to 8 bits fill width bytes, so each run of eight
+	// starts on a byte and lies within the word loaded there. Otherwise a
+	// value starts within a byte of the word loaded at its first byte and
+	// spans at most 32 bits, so one load holds it. The last few values,
+	// whose word would run past data, read it zero-extended.
+	i := 0
+	if uw <= 8 {
+		for ; i+8 <= count && i/8*width+8 <= len(data); i += 8 {
+			w := binary.LittleEndian.Uint64(data[i/8*width:])
+			v := vals[i : i+8]
+			v[0], v[1], v[2], v[3] = uint32(w&mask), uint32(w>>uw&mask), uint32(w>>(2*uw)&mask), uint32(w>>(3*uw)&mask)
+			v[4], v[5], v[6], v[7] = uint32(w>>(4*uw)&mask), uint32(w>>(5*uw)&mask), uint32(w>>(6*uw)&mask), uint32(w>>(7*uw)&mask)
 		}
-		vals[i] = uint32(cur & mask)
-		cur >>= uw
-		nbits -= uw
 	}
-	return vals, pos, nil
+	for ; i < count; i++ {
+		p := uint(i) * uw
+		at := int(p >> 3)
+		if at+8 > len(data) {
+			break
+		}
+		vals[i] = uint32(binary.LittleEndian.Uint64(data[at:]) >> (p & 7) & mask)
+	}
+	for ; i < count; i++ {
+		p := uint(i) * uw
+		var w uint64
+		for j := int(p >> 3); j < len(data) && j < int(p>>3)+8; j++ {
+			w |= uint64(data[j]) << (8 * uint(j-int(p>>3)))
+		}
+		vals[i] = uint32(w >> (p & 7) & mask)
+	}
+	return vals, PackedSize(count, width), nil
 }
 
 // BlockSize returns the serialized size of a block holding count width-bit

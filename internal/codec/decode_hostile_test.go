@@ -142,7 +142,7 @@ func TestDecodeOversizedIndexCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.off += 8 * int(nMeans)
-	if _, err := decodeKeysInto(&r, make([]uint64, 0, paneCount)); err != nil {
+	if _, err := decodeKeysInto(&r, make([]uint64, 0, paneCount), true); err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint32(msg[r.off:]); got != paneCount {

@@ -75,6 +75,7 @@ type encodeScratch struct {
 	cursors []int
 	flat    []uint64 // pane keys, scattered by group
 	rels    []uint16 // beside flat: each key's group-relative index
+	gids    []uint32 // per pane key, in key order: its group
 	tallies []int64  // per-bucket counts for the bucket-index histogram
 }
 
@@ -156,11 +157,12 @@ func (sc *decodeScratch) reset(total int) {
 	sc.nonFinite = false
 }
 
-// decodeList reads the next key list into the flat key store and returns it
-// with the window of the value store beside it, for the caller to fill. A
-// list that runs past the header's count is an error.
-func (sc *decodeScratch) decodeList(r *reader) ([]uint64, []float64, error) {
-	keys, err := decodeKeysInto(r, sc.keys[sc.used:sc.used:len(sc.keys)])
+// decodeList reads the next key list, in the code ef names (see
+// decodeKeysInto), into the flat key store and returns it with the window
+// of the value store beside it, for the caller to fill. A list that runs
+// past the header's count is an error.
+func (sc *decodeScratch) decodeList(r *reader, ef bool) ([]uint64, []float64, error) {
+	keys, err := decodeKeysInto(r, sc.keys[sc.used:sc.used:len(sc.keys)], ef)
 	if err != nil {
 		return nil, nil, err
 	}

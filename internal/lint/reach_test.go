@@ -22,6 +22,11 @@ var reachKeep = map[string]string{
 	"internal/gradient.Sparse.Get":      "TestScatterZeros",
 	"internal/gradient.Sparse.ToDense":  "TestDenseRoundTrip",
 	"internal/optim.Adam.Steps":         "TestAdamMatchesReference",
+	// The layout of delta-binary SketchML messages, which the codec still
+	// decodes and no longer writes.
+	"internal/sketch/minmax.Grouped.AppendBinary": "TestDecodeHostileLists",
+	"internal/sketch/minmax.Sketch.AppendBinary":  "TestMarshalRoundTrip",
+	"internal/sketch/minmax.cellWidth":            "TestMarshalRoundTrip",
 }
 
 // reachStdMethods are method names a standard-library caller selects

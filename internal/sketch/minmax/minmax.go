@@ -28,8 +28,10 @@ import (
 	"fmt"
 	"math"
 
+	"sketchml/internal/bitpack"
 	"sketchml/internal/hashing"
 	"sketchml/internal/invariant"
+	"sketchml/internal/quantizer"
 )
 
 // Empty marks a bin that has never been written.
@@ -238,11 +240,13 @@ func DecodeBinaryReuse(data []byte, seed uint64, s *Sketch) (*Sketch, int, error
 // index error at q/r instead of q (Section 3.3, "Grouped MinMaxSketch").
 //
 // The caller is responsible for remembering which group each key went to
-// (SketchML transmits per-group key lists, see internal/codec).
+// (SketchML transmits a group number beside every key, see internal/codec).
 type Grouped struct {
 	groups          []*Sketch
 	numBuckets      int
 	bucketsPerGroup int
+	wire            []uint32   // AppendPacked's and DecodeGroupedPackedReuse's cells as bitpack values
+	rowTab          []groupRow // QueryEach's per-row table of the groups
 }
 
 // NewGrouped creates numGroups sketches of rows × ceil(totalCols/numGroups)
@@ -327,9 +331,9 @@ func (g *Grouped) InsertBlock(grp int, keys []uint64, rel []uint16) {
 	g.groups[grp].InsertBlock(keys, rel)
 }
 
-// Query recovers the bucket index of key, which is known (from the wire
-// format's per-group key lists) to live in group grp. It is QueryBlock on
-// one key.
+// Query recovers the bucket index of key, which is known (from the group
+// number the wire carries beside it) to live in group grp. It is QueryBlock
+// on one key.
 func (g *Grouped) Query(grp int, key uint64) (bucket int, ok bool) {
 	var cand [1]uint16
 	base := g.QueryBlock(grp, []uint64{key}, cand[:])
@@ -353,7 +357,141 @@ func (g *Grouped) QueryBlock(grp int, keys []uint64, cand []uint16) (base int) {
 	return grp * g.bucketsPerGroup
 }
 
-// AppendBinary serializes every group sketch.
+// QueryEach is QueryBlock for a key list whose keys belong to different
+// groups: grp[i] names keys[i]'s group, and cand[i] becomes what that
+// group's sketch gives keys[i] (see Sketch.QueryBlock) — 0 for a group that
+// does not exist. The bucket of keys[i] is min(grp[i]·BucketsPerGroup() +
+// cand[i] − 1, NumBuckets() − 1). The groups must share one shape, as
+// Reshape and DecodeGroupedPackedReuse build them; grp and cand must be at
+// least as long as keys.
+//
+// It runs a pass per hash row, as QueryBlock does, through a table of each
+// group's seed and cells for that row, so a key costs one more load than it
+// does in QueryBlock.
+func (g *Grouped) QueryEach(keys []uint64, grp []uint32, cand []uint16) {
+	grp, cand = grp[:len(keys)], cand[:len(keys)]
+	clear(cand)
+	ng := len(g.groups)
+	rows, cols := g.groups[0].rows, g.groups[0].cols
+	g.rowTab = quantizer.Resize(g.rowTab, rows*ng)
+	for i, s := range g.groups {
+		if s.rows != rows || s.cols != cols {
+			invariant.Failf("minmax: group %d is %dx%d, group 0 %dx%d", i, s.rows, s.cols, rows, cols)
+		}
+		for r := 0; r < rows; r++ {
+			seed, _ := s.family.Row(r)
+			g.rowTab[r*ng+i] = groupRow{seed, s.cells[r*cols : (r+1)*cols]}
+		}
+	}
+	w := uint64(cols)
+	for r := 0; r < rows; r++ {
+		tab := g.rowTab[r*ng : (r+1)*ng]
+		for i, k := range keys {
+			if int(grp[i]) >= len(tab) {
+				continue
+			}
+			e := &tab[grp[i]]
+			cand[i] = max(cand[i], e.cells[hashing.Reduce(hashing.Mix64(k, e.seed), w)]+1)
+		}
+	}
+}
+
+// groupRow is one group's hash seed and cells for one row, QueryEach's
+// table entry.
+type groupRow struct {
+	seed  uint64
+	cells []uint16
+}
+
+// packedHeader is AppendPacked's header: groups, q, buckets per group, rows
+// and columns, a uint32 each.
+const packedHeader = 20
+
+// AppendPacked serializes every group sketch in one bit-packed run:
+//
+//	u32 groups | u32 q | u32 bucketsPerGroup | u32 rows | u32 cols | cells
+//
+// The groups share one shape (Reshape builds them so), which the header
+// states once. The cells follow group by group, each group's row by row,
+// at BitsFor(bucketsPerGroup+1) bits a cell: 0 for Empty, index+1 for a
+// stored group-relative index. Every stored index must be below
+// BucketsPerGroup().
+func (g *Grouped) AppendPacked(dst []byte) ([]byte, error) {
+	s0 := g.groups[0]
+	var hdr [packedHeader]byte
+	for i, v := range [...]int{len(g.groups), g.numBuckets, g.bucketsPerGroup, s0.rows, s0.cols} {
+		binary.LittleEndian.PutUint32(hdr[4*i:], uint32(v))
+	}
+	dst = append(dst, hdr[:]...)
+	g.wire = quantizer.Resize(g.wire, len(g.groups)*len(s0.cells))
+	wire := g.wire[:0]
+	for _, s := range g.groups {
+		for _, c := range s.cells {
+			if c != Empty && int(c) >= g.bucketsPerGroup {
+				return nil, fmt.Errorf("minmax: stored index %d exceeds group size %d", c, g.bucketsPerGroup)
+			}
+			wire = append(wire, uint32(c+1)) // Empty + 1 wraps to 0
+		}
+	}
+	return bitpack.AppendPacked(dst, wire, bitpack.BitsFor(g.bucketsPerGroup+1)), nil
+}
+
+// DecodeGroupedPackedReuse parses a Grouped serialized by AppendPacked,
+// re-deriving the group seeds from seed as NewGrouped does. It returns the
+// sketch and the bytes consumed. It bounds the header's cell count by the
+// bits that remain before it sizes anything, and refuses a cell past the
+// group size. When g is non-nil it is rebuilt in place and returned, reusing
+// its storage, so steady-state decoding allocates nothing once capacities
+// match the wire shape; a nil g allocates fresh.
+func DecodeGroupedPackedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, error) {
+	if len(data) < packedHeader {
+		return nil, 0, errors.New("minmax: truncated packed header")
+	}
+	var h [5]int
+	for i := range h {
+		h[i] = int(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	n, q, bpg, rows, cols := h[0], h[1], h[2], h[3], h[4]
+	if n <= 0 || n > 1<<16 || q <= 0 || bpg <= 0 || bpg > MaxIndex+1 ||
+		rows <= 0 || rows > 1<<16 || cols <= 0 || cols > 1<<30 {
+		return nil, 0, fmt.Errorf("minmax: implausible packed header n=%d q=%d bpg=%d %dx%d", n, q, bpg, rows, cols)
+	}
+	w := bitpack.BitsFor(bpg + 1)
+	per := rows * cols
+	if total := int64(n) * int64(per); total > int64(8*(len(data)-packedHeader)/w) {
+		return nil, 0, fmt.Errorf("minmax: %d cells of %d bits overrun %d bytes", total, w, len(data)-packedHeader)
+	}
+	if g == nil {
+		g = &Grouped{}
+	}
+	wire, used, err := bitpack.DecodePackedInto(data[packedHeader:], n*per, w, g.wire)
+	if err != nil {
+		return nil, 0, err
+	}
+	g.wire = wire
+	g.resizeGroups(n)
+	g.numBuckets = q
+	g.bucketsPerGroup = bpg
+	for i, s := range g.groups {
+		if s == nil {
+			s = &Sketch{}
+			g.groups[i] = s
+		}
+		s.Reshape(rows, cols, hashing.Mix64(uint64(i), seed))
+		for j, v := range wire[i*per : (i+1)*per] {
+			if v > uint32(bpg) {
+				return nil, 0, fmt.Errorf("minmax: group %d: stored index %d exceeds group size %d", i, v-1, bpg)
+			}
+			s.cells[j] = uint16(v) - 1 // 0 wraps to Empty
+		}
+	}
+	return g, packedHeader + used, nil
+}
+
+// AppendBinary serializes every group sketch, each with its own header and
+// its cells in whole bytes: the layout of SketchML messages with
+// delta-binary keys, which the codec still decodes (DecodeGroupedReuse).
+// AppendPacked is the layout it writes.
 func (g *Grouped) AppendBinary(dst []byte) ([]byte, error) {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(g.groups)))
