@@ -41,6 +41,7 @@ type goldenVec struct {
 	seed    int64
 	sign    int // -1 all-negative, 0 mixed, +1 all-positive
 	decoded uint64
+	retired bool
 }
 
 func goldenVectors() []goldenVec {
@@ -62,44 +63,44 @@ func goldenVectors() []goldenVec {
 		// its namesake's values: only the key code differs.
 		//
 		// The two quantile sketches at the paper's default config.
-		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xa1a9d11cbe7bb261},
-		{name: "kll_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0x0ebfab0bf7b4bd9c},
+		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xa1a9d11cbe7bb261, retired: true},
+		{name: "kll_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0x0ebfab0bf7b4bd9c, retired: true},
 		// Group-count sweep: r=1 (no grouping) and r=16 bracket the
 		// default r=8; the grouped-pane layout differs per r.
-		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
-		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113},
+		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113, retired: true},
+		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113, retired: true},
 		// Figure 8 ablation points: keys+quantification without the
 		// MinMaxSketch, and compressed keys alone with exact values.
-		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x86c5e9e3e9149ff1},
-		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8},
+		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x86c5e9e3e9149ff1, retired: true},
+		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8, retired: true},
 		// Sign-pane edge cases: a single positive or negative pane (the
 		// mixed default exercises both panes at once).
-		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x4d15fa430158d3c8},
-		{name: "all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x19e1736393281c0d},
+		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x4d15fa430158d3c8, retired: true},
+		{name: "all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x19e1736393281c0d, retired: true},
 		// Coarse quantization over a tiny gradient: the q=16 bucket
 		// indexes pack into the narrowest pane layout.
-		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0xd271e5e652c39366},
+		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0xd271e5e652c39366, retired: true},
 		// Keys beyond 32 bits flip the wide-keys wire flag.
-		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0xed4aca2c168fe6ad},
+		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0xed4aca2c168fe6ad, retired: true},
 
-		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64},
-		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
-		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
-		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f},
-		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a},
-		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e},
-		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339},
-		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d},
+		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64, retired: true},
+		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63, retired: true},
+		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63, retired: true},
+		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f, retired: true},
+		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a, retired: true},
+		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e, retired: true},
+		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339, retired: true},
+		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d, retired: true},
 
-		{name: "ef_rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
-		{name: "ef_rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "ef_rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002},
-		{name: "ef_rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
-		{name: "ef_key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003},
-		{name: "ef_rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1},
-		{name: "ef_rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1},
-		{name: "ef_rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005},
-		{name: "ef_rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006},
+		{name: "ef_rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64},
+		{name: "ef_rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
+		{name: "ef_rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
+		{name: "ef_rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f},
+		{name: "ef_key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8},
+		{name: "ef_rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a},
+		{name: "ef_rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e},
+		{name: "ef_rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339},
+		{name: "ef_rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d},
 	}
 }
 
@@ -162,7 +163,7 @@ func TestGoldenVectors(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			c := MustSketchML(v.opts)
 			g := v.gradient()
-			if v.decoded == 0 {
+			if !v.retired {
 				enc, err := c.Encode(g)
 				if err != nil {
 					t.Fatal(err)
@@ -195,7 +196,7 @@ func TestGoldenVectors(t *testing.T) {
 					t.Fatalf("key %d sign flipped: %g -> %g", k, g.Values[i], dec.Values[i])
 				}
 			}
-			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
+			if h := decodedHash(dec); h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
 			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {

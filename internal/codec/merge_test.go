@@ -621,6 +621,7 @@ type mergeGoldenVec struct {
 	opts    Options
 	a, b    goldenVec
 	decoded uint64
+	retired bool
 }
 
 func mergeGoldenVectors() []mergeGoldenVec {
@@ -642,44 +643,44 @@ func mergeGoldenVectors() []mergeGoldenVec {
 		// Re-quantize path: two default-sized panes overflow the exact cap.
 		// Written by the GK split finder; rank_merge_keyquan is the same
 		// configuration written by the sort.
-		{name: "merge_keyquan", opts: quan, decoded: 0xd96faa1a729b1c96,
+		{name: "merge_keyquan", opts: quan, decoded: 0xd96faa1a729b1c96, retired: true,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// Tiny panes at paneBudget's floor of 2. Despite the name, their ~30
 		// distinct sums overflow it, and the merge that wrote the fixture
 		// re-quantized them through GK. rank_merge_at_budget is the
 		// configuration that takes the exact-means path.
-		{name: "merge_exact_tiny", opts: quan, decoded: 0x21370c81e7481081,
+		{name: "merge_exact_tiny", opts: quan, decoded: 0x21370c81e7481081, retired: true,
 			a: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2003},
 			b: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2004}},
 		// Raw-layout output: unquantized inputs merge to the key+f64 layout.
-		{name: "merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74,
+		{name: "merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74, retired: true,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		{name: "rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c,
+		{name: "rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c, retired: true,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// The exact-means boundary (TestMergeGoldenBoundary): all-positive
 		// inputs, so the merged pane is a's bucket means plus b's one value.
 		// 255+1 entries: budget 16, 16 distinct sums, the exact path.
 		// 254+1 entries: budget 15, 16 distinct sums, one past it.
-		{name: "rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597,
+		{name: "rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597, retired: true,
 			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-		{name: "rank_merge_over_budget", opts: quan, decoded: 0x8ae3ae2fecc0b2f9,
+		{name: "rank_merge_over_budget", opts: quan, decoded: 0x8ae3ae2fecc0b2f9, retired: true,
 			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
 
-		{name: "ef_merge_key_only", opts: keyOnly,
+		{name: "ef_merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		{name: "ef_rank_merge_keyquan", opts: quan,
+		{name: "ef_rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
-		{name: "ef_rank_merge_at_budget", opts: quan,
+		{name: "ef_rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597,
 			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-		{name: "ef_rank_merge_over_budget", opts: quan,
+		{name: "ef_rank_merge_over_budget", opts: quan, decoded: 0x8ae3ae2fecc0b2f9,
 			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
 	}
@@ -783,7 +784,7 @@ func TestMergeGoldenVectors(t *testing.T) {
 	}
 	for _, v := range mergeGoldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
-			if v.decoded == 0 {
+			if !v.retired {
 				comparePinnedFixture(t, v.fixturePath(), v.merged(t))
 			}
 			if *updateGolden {
@@ -797,7 +798,7 @@ func TestMergeGoldenVectors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("merged fixture does not decode: %v", err)
 			}
-			if h := decodedHash(dec); v.decoded != 0 && h != v.decoded {
+			if h := decodedHash(dec); h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
 			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {
