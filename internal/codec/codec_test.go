@@ -530,22 +530,20 @@ func TestDecodeRejectsWrongTag(t *testing.T) {
 	if _, err := sk.Decode(raw); err == nil {
 		t.Error("SketchML decoded a Raw message")
 	}
-	// A message names exactly one key code for all its lists: one that
-	// names neither or both is refused, not read in some other key layout —
-	// also when it holds no key list at all.
+	// A message names the Elias–Fano key code for all its lists: one that
+	// names no key code, both, or the retired delta-binary one alone is
+	// refused, not read in some other key layout — also when it holds no
+	// key list at all.
 	for _, in := range []*gradient.Sparse{g, {Dim: g.Dim}} {
 		msg, err := sk.Encode(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, set := range map[string]bool{"neither": false, "both": true} {
+		for name, flags := range map[string]byte{"neither": 0, "both": smFlagDeltaKeys | smFlagEFKeys, "delta": smFlagDeltaKeys} {
 			mut := append([]byte(nil), msg...)
-			mut[1] &^= smFlagDeltaKeys | smFlagEFKeys
-			if set {
-				mut[1] |= smFlagDeltaKeys | smFlagEFKeys
-			}
+			mut[1] = mut[1]&^(smFlagDeltaKeys|smFlagEFKeys) | flags
 			if _, err := sk.Decode(mut); err == nil {
-				t.Errorf("SketchML decoded a %d-entry message whose flags name %s key code", in.NNZ(), name)
+				t.Errorf("SketchML decoded a %d-entry message whose flags name the %s key code", in.NNZ(), name)
 			}
 		}
 	}

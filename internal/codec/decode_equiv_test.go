@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"sketchml/internal/bitpack"
 	"sketchml/internal/gradient"
 	"sketchml/internal/hashing"
 	"sketchml/internal/keycoding"
@@ -159,20 +161,24 @@ func TestDecodeCorruptionsMatchOracle(t *testing.T) {
 const hostileAllocBound = 64 << 10
 
 // craftedPane is one sign pane of a hand-assembled MinMax message: its
-// bucket means, and per group the keys listed on the wire and the keys
-// actually inserted into the group's sketch (at group-relative index 0).
+// bucket means, its key list with the group number the wire carries beside
+// each key, and per group the keys actually inserted into the group's
+// sketch (at group-relative index 0).
 type craftedPane struct {
 	means    []float64
-	listed   [][]uint64
+	keys     []uint64
+	groups   []uint32
 	inserted [][]uint64
 }
 
-// craftMessage assembles a full-stack message (delta keys, quantized,
-// MinMax) from explicit lists, so a test can say things no encoder would.
+// craftMessage assembles a full-stack message (Elias–Fano keys, quantized,
+// MinMax) from explicit panes, so a test can say things no encoder would.
+// A pane's groups are written in BitsFor(len(inserted)) bits, which must
+// hold them.
 func craftMessage(t testing.TB, dim uint64, count uint32, panes [2]craftedPane) []byte {
 	t.Helper()
 	const seed = 0x1234
-	flags := byte(smFlagDeltaKeys | smFlagQuantize | smFlagMinMax)
+	flags := byte(smFlagEFKeys | smFlagQuantize | smFlagMinMax)
 	if wideKeys(dim) {
 		flags |= smFlagWideKeys
 	}
@@ -182,12 +188,8 @@ func craftMessage(t testing.TB, dim uint64, count uint32, panes [2]craftedPane) 
 	out = appendU64(out, seed)
 	out = appendU32(out, 256)
 	for paneID, p := range panes {
-		n := 0
-		for _, l := range p.listed {
-			n += len(l)
-		}
-		out = appendU32(out, uint32(n))
-		if n == 0 {
+		out = appendU32(out, uint32(len(p.keys)))
+		if len(p.keys) == 0 {
 			continue
 		}
 		out = appendU32(out, uint32(len(p.means)))
@@ -195,39 +197,74 @@ func craftMessage(t testing.TB, dim uint64, count uint32, panes [2]craftedPane) 
 			out = appendF64(out, m)
 		}
 		// Wide sketches: a key that was not inserted finds only Empty bins.
-		grouped := minmax.NewGrouped(2, 4096*len(p.listed), len(p.means), len(p.listed), hashing.Mix64(uint64(paneID), seed))
-		if grouped.NumGroups() != len(p.listed) {
-			t.Fatalf("pane %d: %d lists need at least as many means", paneID, len(p.listed))
+		// Small enough that a decoder whose pooled scratch a collection
+		// emptied can rebuild it within hostileAllocBound.
+		ng := len(p.inserted)
+		grouped := minmax.NewGrouped(2, 512*ng, len(p.means), ng, hashing.Mix64(uint64(paneID), seed))
+		if grouped.NumGroups() != ng {
+			t.Fatalf("pane %d: %d groups need at least as many means", paneID, ng)
 		}
 		for grp, keys := range p.inserted {
-			grouped.InsertBlock(grp, keys, make([]uint16, len(keys)))
+			for _, k := range keys {
+				grouped.Insert(k, grp*grouped.BucketsPerGroup())
+			}
 		}
 		var err error
-		if out, err = grouped.AppendBinary(out); err != nil {
+		if out, err = grouped.AppendPacked(out); err != nil {
 			t.Fatal(err)
 		}
-		for _, keys := range p.listed {
-			if out, err = keycoding.AppendDelta(out, keys); err != nil {
-				t.Fatal(err)
+		if out, err = keycoding.AppendEF(out, p.keys); err != nil {
+			t.Fatal(err)
+		}
+		if ng > 1 {
+			for _, grp := range p.groups {
+				if grp >= 1<<bitpack.BitsFor(ng) {
+					t.Fatalf("pane %d: group number %d does not fit %d bits", paneID, grp, bitpack.BitsFor(ng))
+				}
 			}
+			out = bitpack.AppendPacked(out, p.groups, bitpack.BitsFor(ng))
 		}
 	}
 	return out
 }
 
+// groupedPane is the honest pane of means whose group g lists and holds
+// lists[g]: one key list, in key order, with each key's group number.
+func groupedPane(means []float64, lists ...[]uint64) craftedPane {
+	p := craftedPane{means: means, inserted: lists}
+	for _, keys := range lists {
+		p.keys = append(p.keys, keys...)
+	}
+	slices.Sort(p.keys)
+	for _, k := range p.keys {
+		grp := slices.IndexFunc(lists, func(l []uint64) bool { return slices.Contains(l, k) })
+		p.groups = append(p.groups, uint32(grp))
+	}
+	return p
+}
+
 // TestDecodeHostileLists feeds the decoder messages whose lists disagree
-// with their header or with each other. Each is an error on both plans —
-// Dim 1 200 takes the rank scatter (9 entries: 1 200 ≤ 128·9 + 64), Dim 2⁶³ the merge — none panics, and
-// none makes the decoder allocate by Dim: the scatter's table is only ever
-// sized for a message at least as long.
+// with their header, with their sketches or with each other. Each is an
+// error on both plans — Dim 1 200 takes the rank scatter (9 entries:
+// 1 200 ≤ 128·9 + 64), Dim 2⁶³ the merge — none panics, and none makes the
+// decoder allocate by Dim: the scatter's table is only ever sized for a
+// message at least as long. A key listed twice in one pane has no case: an
+// Elias–Fano list cannot carry it (each key is coded above the one before).
 func TestDecodeHostileLists(t *testing.T) {
 	means := []float64{0.5, 1.5}
-	pane := func(lists ...[]uint64) craftedPane {
-		return craftedPane{means: means, listed: lists, inserted: lists}
-	}
+	pane := func(lists ...[]uint64) craftedPane { return groupedPane(means, lists...) }
 	for _, dim := range []uint64{1_200, 1 << 63} {
 		a, b := []uint64{3, 70, 900}, []uint64{5, 71, 1_000}
 		neg := []uint64{8, 72, 1_100}
+		// Key 70 is inserted into group 0 and listed under group 1.
+		wrongGroup := pane(a, b)
+		wrongGroup.groups[slices.Index(wrongGroup.keys, 70)] = 1
+		// Three groups, and key 71 listed under a fourth, which 2 bits hold.
+		pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, b, nil)
+		pastGroups.groups[slices.Index(pastGroups.keys, 71)] = 3
+		// Keys 71 and 1 000 are listed in group 1 and missing from its sketch.
+		emptyBins := pane(a, b)
+		emptyBins.inserted = [][]uint64{a, {5}}
 		cases := []struct {
 			name    string
 			msg     []byte
@@ -236,18 +273,18 @@ func TestDecodeHostileLists(t *testing.T) {
 			{"honest", craftMessage(t, dim, 9, [2]craftedPane{pane(a, b), pane(neg)}), false},
 			{"three keys", craftMessage(t, dim, 3, [2]craftedPane{pane(a), {}}), false},
 			{"understated count", craftMessage(t, dim, 8, [2]craftedPane{pane(a, b), pane(neg)}), true},
-			{"understated to a list boundary", craftMessage(t, dim, 6, [2]craftedPane{pane(a, b), pane(neg)}), true},
+			{"understated to the pane boundary", craftMessage(t, dim, 6, [2]craftedPane{pane(a, b), pane(neg)}), true},
 			{"overstated count", craftMessage(t, dim, 10, [2]craftedPane{pane(a, b), pane(neg)}), true},
-			{"key in two groups", craftMessage(t, dim, 9, [2]craftedPane{pane(a, []uint64{5, 70, 1_000}), pane(neg)}), true},
+			{"key under another group's number", craftMessage(t, dim, 9, [2]craftedPane{wrongGroup, pane(neg)}), true},
+			{"group number past the pane's groups", craftMessage(t, dim, 6, [2]craftedPane{pastGroups, {}}), true},
 			{"key in both panes", craftMessage(t, dim, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 71, 1_100})}), true},
 			{"key = Dim", craftMessage(t, dim, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 72, dim})}), true},
 			{"key > Dim", craftMessage(t, dim, 9, [2]craftedPane{pane(a, []uint64{5, 71, dim + 64}), pane(neg)}), true},
-			{"key with every bin Empty", craftMessage(t, dim, 9, [2]craftedPane{
-				{means: means, listed: [][]uint64{a, b}, inserted: [][]uint64{a, {5, 1_000}}}, pane(neg)}), true},
+			{"key with every bin Empty", craftMessage(t, dim, 9, [2]craftedPane{emptyBins, pane(neg)}), true},
 			{"non-finite mean in use", craftMessage(t, dim, 9, [2]craftedPane{
-				{means: []float64{math.Inf(1), 1.5}, listed: [][]uint64{a, b}, inserted: [][]uint64{a, b}}, pane(neg)}), true},
+				groupedPane([]float64{math.Inf(1), 1.5}, a, b), pane(neg)}), true},
 			{"non-finite mean unused", craftMessage(t, dim, 6, [2]craftedPane{
-				{means: []float64{0.5, 1.5, math.NaN()}, listed: [][]uint64{a, b, nil}, inserted: [][]uint64{a, b, nil}}, {}}), false},
+				groupedPane([]float64{0.5, 1.5, math.NaN()}, a, b, nil), {}}), false},
 		}
 		for _, tc := range cases {
 			what := fmt.Sprintf("dim %d: %s", dim, tc.name)

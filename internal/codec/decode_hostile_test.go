@@ -61,15 +61,16 @@ func TestParallelDecodeCorruptPaneBoundary(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeOversizedGroupCount patches the grouped sketch header's
-// group-count field. Counts past the header bound (minmax.DecodeGroupedReuse
-// caps it at 1<<16) must be refused before anything is sized by them: the
-// 1<<20 row would size 8 MB of group slots on any host, so without the bound
-// it fails here by name, where 0xFFFFFFFF can succeed lazily on a large host
-// or kill the test binary on a small one. 1<<16 passes the bound and must
-// fail inside the per-sketch loop. Skipped under -race: the detector makes
-// sync.Pool drop what it is handed at random, so a call may refill the pooled
-// decode scratch and its allocation reads past the bound.
+// TestParallelDecodeOversizedGroupCount patches the packed group sketches'
+// header's group-count field. Every row must be refused before anything is
+// sized by it (minmax.DecodeGroupedPackedReuse): 1<<20 and 0xFFFFFFFF by
+// the header's bound of 1<<16 groups, and 1<<16 itself because that many
+// groups' cells overrun the bytes that follow. The 1<<20 row would size 8 MB
+// of group slots on any host, so without the bound it fails here by name,
+// where 0xFFFFFFFF can succeed lazily on a large host or kill the test
+// binary on a small one. Skipped under -race: the detector makes sync.Pool
+// drop what it is handed at random, so a call may refill the pooled decode
+// scratch and its allocation reads past the bound.
 func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation readings are meaningless under the race detector")
@@ -77,8 +78,8 @@ func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 	c, msg := hostileMessage(t, 12)
 	// Wire layout: tag(1) flags(1) dim(8) count(4) seed(8) buckets(4) = 26
 	// bytes of message header, then pane 0: paneCount(4) nMeans(4)
-	// means(8*nMeans), then the grouped header, which leads with the group
-	// count u32.
+	// means(8*nMeans), then the packed sketches' header, which leads with
+	// the group count u32.
 	const hdr = 26
 	if len(msg) < hdr+8 {
 		t.Fatalf("message unexpectedly short: %d bytes", len(msg))
@@ -94,22 +95,19 @@ func TestParallelDecodeOversizedGroupCount(t *testing.T) {
 	}
 	mut := append([]byte(nil), msg...)
 	const bound = 64 << 10
-	for _, tc := range []struct {
-		groups   uint32
-		atHeader bool // refused by the header bound
-	}{{1 << 20, true}, {0xFFFFFFFF, true}, {1 << 16, false}} {
-		binary.LittleEndian.PutUint32(mut[groupCountOff:], tc.groups)
+	for _, groups := range []uint32{1 << 20, 0xFFFFFFFF, 1 << 16} {
+		binary.LittleEndian.PutUint32(mut[groupCountOff:], groups)
 		var decErr, mergeErr error
 		decAlloc := allocatedBytes(func() { _, decErr = c.Decode(mut) })
 		mergeAlloc := allocatedBytes(func() { _, mergeErr = c.MergeInto(nil, msg, mut) })
 		if decErr == nil {
-			t.Fatalf("decoder accepted a grouped header claiming %d groups", tc.groups)
+			t.Fatalf("decoder accepted a grouped header claiming %d groups", groups)
 		}
 		if mergeErr == nil {
-			t.Fatalf("merge accepted a grouped header claiming %d groups", tc.groups)
+			t.Fatalf("merge accepted a grouped header claiming %d groups", groups)
 		}
-		if got := max(decAlloc, mergeAlloc); tc.atHeader && got > bound {
-			t.Fatalf("refusing %d groups allocated %d bytes, want at most %d", tc.groups, got, bound)
+		if got := max(decAlloc, mergeAlloc); got > bound {
+			t.Fatalf("refusing %d groups allocated %d bytes, want at most %d", groups, got, bound)
 		}
 	}
 }
@@ -142,7 +140,7 @@ func TestDecodeOversizedIndexCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.off += 8 * int(nMeans)
-	if _, err := decodeKeysInto(&r, make([]uint64, 0, paneCount), true); err != nil {
+	if _, err := decodeKeysInto(&r, make([]uint64, 0, paneCount)); err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint32(msg[r.off:]); got != paneCount {

@@ -17,8 +17,8 @@ import (
 // put in order by comparing all their heads for each output key. It is kept
 // here, unpooled, as the reference the production decoder must match bit
 // for bit — and error for error — on every message. Its key lists come from
-// keycoding's own decoders, in the code the flags name; each of those has
-// its reference in keycoding (decodeDeltaByteLoop, decodeEFBitLoop).
+// keycoding's own Elias–Fano decoder, whose reference is decodeEFBitLoop
+// in keycoding.
 func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	r := reader{data: data}
 	if err := checkTag(&r, tagSketchML); err != nil {
@@ -28,9 +28,8 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	ef := flags&smFlagEFKeys != 0
-	if ef == (flags&smFlagDeltaKeys != 0) {
-		return nil, fmt.Errorf("codec: flags %#02x: want exactly one key code", flags)
+	if flags&smFlagEFKeys == 0 || flags&smFlagDeltaKeys != 0 {
+		return nil, fmt.Errorf("codec: flags %#02x: retired or missing key code", flags)
 	}
 	quant := flags&smFlagQuantize != 0
 	mm := flags&smFlagMinMax != 0
@@ -49,7 +48,7 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	dst := &gradient.Sparse{Dim: dim}
 
 	if !quant {
-		keys, err := oracleKeys(&r, ef)
+		keys, err := oracleKeys(&r)
 		if err != nil {
 			return nil, err
 		}
@@ -75,16 +74,15 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	if _, err := r.u32(); err != nil {
 		return nil, err
 	}
-	// An entry costs a delta-binary message at least a byte, an Elias–Fano
-	// one at least a highs bit.
-	if limit := map[bool]int{false: len(data), true: 8 * len(data)}[ef]; int(count) < 0 || int(count) > limit {
+	// An entry costs a message at least its highs bit.
+	if int(count) < 0 || int(count) > 8*len(data) {
 		return nil, fmt.Errorf("codec: count %d exceeds message size %d", count, len(data))
 	}
 	var keyLists [][]uint64
 	var valLists [][]float64
 	for paneID := uint64(0); paneID < 2; paneID++ {
 		start := len(valLists)
-		keyLists, valLists, err = oraclePane(&r, keyLists, valLists, mm, ef, paneID, seed)
+		keyLists, valLists, err = oraclePane(&r, keyLists, valLists, mm, paneID, seed)
 		if err != nil {
 			return nil, fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
@@ -105,12 +103,8 @@ func oracleDecode(data []byte) (*gradient.Sparse, error) {
 	return dst, nil
 }
 
-func oracleKeys(r *reader, ef bool) ([]uint64, error) {
-	decode := keycoding.DecodeDelta
-	if ef {
-		decode = func(data []byte) ([]uint64, int, error) { return keycoding.DecodeEFInto(data, nil) }
-	}
-	keys, used, err := decode(r.rest())
+func oracleKeys(r *reader) ([]uint64, error) {
+	keys, used, err := keycoding.DecodeEFInto(r.rest(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +114,7 @@ func oracleKeys(r *reader, ef bool) ([]uint64, error) {
 	return keys, nil
 }
 
-func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, mm, ef bool, paneID, seed uint64) ([][]uint64, [][]float64, error) {
+func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, mm bool, paneID, seed uint64) ([][]uint64, [][]float64, error) {
 	paneCount, err := r.u32()
 	if err != nil {
 		return nil, nil, err
@@ -143,7 +137,7 @@ func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, mm, ef boo
 	}
 
 	if !mm {
-		keys, err := oracleKeys(r, ef)
+		keys, err := oracleKeys(r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -167,68 +161,40 @@ func oraclePane(r *reader, keyLists [][]uint64, valLists [][]float64, mm, ef boo
 		return append(keyLists, keys), append(valLists, vals), nil
 	}
 
-	if ef {
-		// Elias–Fano layout: packed sketches, the pane's one key list, and
-		// each key's group number when there is more than one group.
-		grouped, used, err := minmax.DecodeGroupedPackedReuse(r.rest(), hashing.Mix64(paneID, seed), nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := r.advance(used); err != nil {
-			return nil, nil, err
-		}
-		keys, err := oracleKeys(r, ef)
-		if err != nil {
-			return nil, nil, err
-		}
-		groups := make([]uint32, len(keys))
-		if grouped.NumGroups() > 1 {
-			if groups, used, err = bitpack.DecodePackedInto(r.rest(), len(keys), bitpack.BitsFor(grouped.NumGroups()), nil); err != nil {
-				return nil, nil, err
-			}
-			if err := r.advance(used); err != nil {
-				return nil, nil, err
-			}
-		}
-		vals := make([]float64, len(keys))
-		for i, k := range keys {
-			b, ok := grouped.Query(int(groups[i]), k)
-			if !ok {
-				return nil, nil, fmt.Errorf("group %d: key %d missing from sketch", groups[i], k)
-			}
-			if b >= len(means) {
-				b = len(means) - 1
-			}
-			vals[i] = means[b]
-		}
-		return append(keyLists, keys), append(valLists, vals), nil
-	}
-	grouped, used, err := minmax.DecodeGroupedReuse(r.rest(), hashing.Mix64(paneID, seed), nil)
+	// MinMax: packed sketches, the pane's one key list, and each key's group
+	// number when there is more than one group, queried key by key.
+	grouped, used, err := minmax.DecodeGroupedPackedReuse(r.rest(), hashing.Mix64(paneID, seed), nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := r.advance(used); err != nil {
 		return nil, nil, err
 	}
-	for grp := 0; grp < grouped.NumGroups(); grp++ {
-		keys, err := oracleKeys(r, ef)
-		if err != nil {
-			return nil, nil, fmt.Errorf("group %d keys: %w", grp, err)
-		}
-		vals := make([]float64, len(keys))
-		for i, k := range keys {
-			b, ok := grouped.Query(grp, k)
-			if !ok {
-				return nil, nil, fmt.Errorf("group %d: key %d missing from sketch", grp, k)
-			}
-			if b >= len(means) {
-				b = len(means) - 1
-			}
-			vals[i] = means[b]
-		}
-		keyLists, valLists = append(keyLists, keys), append(valLists, vals)
+	keys, err := oracleKeys(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	return keyLists, valLists, nil
+	groups := make([]uint32, len(keys))
+	if grouped.NumGroups() > 1 {
+		if groups, used, err = bitpack.DecodePackedInto(r.rest(), len(keys), bitpack.BitsFor(grouped.NumGroups()), nil); err != nil {
+			return nil, nil, err
+		}
+		if err := r.advance(used); err != nil {
+			return nil, nil, err
+		}
+	}
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		b, ok := grouped.Query(int(groups[i]), k)
+		if !ok {
+			return nil, nil, fmt.Errorf("group %d: key %d missing from sketch", groups[i], k)
+		}
+		if b >= len(means) {
+			b = len(means) - 1
+		}
+		vals[i] = means[b]
+	}
+	return append(keyLists, keys), append(valLists, vals), nil
 }
 
 func oracleMerge(dst *gradient.Sparse, keyLists [][]uint64, valLists [][]float64) error {

@@ -2,6 +2,10 @@ package codec
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -105,32 +109,84 @@ func FuzzSketchMLDecode(f *testing.F) {
 	f.Add([]byte{})
 	// One seed per branch behind the lists. Dense enough for the rank
 	// scatter with several groups a pane, their numbers beside the keys (the
-	// first seed, Dim 10 000 at 200 entries, merges two lists); the same
-	// message with both key-code flags and with neither, which both decoders
-	// refuse; and crafted delta-binary messages, a list per group, that take
-	// the scatter's two refusals, the list that overruns the header's
-	// count, and the key the sketch has nothing for.
+	// first seed, Dim 10 000 at 200 entries, merges the two panes); the same
+	// message with no key-code flag, with both and with the retired
+	// delta-binary one alone, which both decoders refuse; and crafted
+	// messages that take the scatter's two refusals, the list that overruns
+	// the header's count, a key under a group that lacks it and a group
+	// number past the pane's groups.
 	if msg, err := c.Encode(randomGradient(rng, 4000, 600)); err == nil {
 		f.Add(msg)
-		noCode := append([]byte(nil), msg...)
-		noCode[1] &^= smFlagEFKeys
-		f.Add(noCode)
-		bothCodes := append([]byte(nil), msg...)
-		bothCodes[1] |= smFlagDeltaKeys
-		f.Add(bothCodes)
+		for _, flags := range []byte{0, smFlagEFKeys | smFlagDeltaKeys, smFlagDeltaKeys} {
+			mut := append([]byte(nil), msg...)
+			mut[1] = mut[1]&^(smFlagEFKeys|smFlagDeltaKeys) | flags
+			f.Add(mut)
+		}
 	}
 	means := []float64{0.5, 1.5}
 	a, b, neg := []uint64{3, 70, 900}, []uint64{5, 71, 1000}, []uint64{8, 72, 1100}
-	pane := func(lists ...[]uint64) craftedPane { return craftedPane{means: means, listed: lists, inserted: lists} }
+	pane := func(lists ...[]uint64) craftedPane { return groupedPane(means, lists...) }
+	wrongGroup := pane(a, b)
+	wrongGroup.groups[0] = 1 // key 3, group 0's, listed under group 1
+	pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, b, nil)
+	pastGroups.groups[0] = 3
 	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane(neg)}))
-	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, []uint64{5, 70, 1000}), pane(neg)}))
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 71, 1100})}))
 	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 72, 1264})}))
 	f.Add(craftMessage(f, 1200, 8, [2]craftedPane{pane(a, b), pane(neg)}))
-	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{{means: means, listed: [][]uint64{a, b}, inserted: [][]uint64{a, {5}}}, pane(neg)}))
+	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{wrongGroup, pane(neg)}))
+	f.Add(craftMessage(f, 1200, 6, [2]craftedPane{pastGroups, {}}))
 	var dst gradient.Sparse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		requireMatchesOracle(t, "fuzz input", data, &dst)
 	})
+}
+
+// TestFuzzCorpusReachesItsCheck decodes each committed FuzzSketchMLDecode
+// corpus entry and matches its error to the check the entry is named for,
+// so an entry that a format change strands at an earlier check — the key-code
+// flags, say — fails here by name instead of going on passing the fuzz
+// target for another reason. A new entry needs a row.
+func TestFuzzCorpusReachesItsCheck(t *testing.T) {
+	want := map[string]string{
+		"huge-count-header":  "count 4294967295 exceeds what a message of 34 bytes holds",
+		"huge-means-count":   "pane 0: " + errTruncated.Error(),
+		"huge-raw-key-count": "key list of 4294967295 runs past the header's count",
+		"zero-length-frame":  errTruncated.Error(),
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzSketchMLDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		check, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("corpus entry %s has no row", e.Name())
+			continue
+		}
+		file, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(file)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		if !ok || header != "go test fuzz v1" {
+			t.Fatalf("%s: not a one-value corpus file", e.Name())
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		_, err = decoderUnderTest.Decode([]byte(data))
+		if err == nil || !strings.Contains(err.Error(), check) {
+			t.Errorf("%s: decode error %v, want one containing %q", e.Name(), err, check)
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("corpus entry %s is missing", name)
+	}
 }
 
 // FuzzMerge drives two arbitrary byte slices through both Mergers: MergeInto

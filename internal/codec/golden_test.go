@@ -8,21 +8,18 @@ import (
 
 // TestWireFormatGolden pins every codec's wire format: a fixed gradient
 // must encode to byte-identical messages across changes. A failure here
-// means the wire format changed — which breaks mixed-version clusters —
-// and must be deliberate (update the constants AND note the format break).
+// means the wire format changed, which must be deliberate: update the
+// constants and note the format break.
 //
 // The SketchML constant was last updated when its key lists moved from
 // delta-binary to blocked Elias–Fano under a new key-code flag, and with
 // them the MinMax pane layout (one key list a pane with each key's group
 // number beside it, the group sketches bit-packed behind one header): a
-// deliberate format break. A decoder of this version still reads the
-// delta-binary messages of the last (the golden vectors written before it
-// are decode-only now, pinned to what they decode to, and each has an ef_
-// twin that decodes to the same values), but an older decoder refuses the
-// new messages, so a mixed-version cluster must upgrade its decoders
-// first. Before that it changed when the split finder became a sort of the
-// pane, a content change only (the decode-only golden vectors hold the
-// GK-era bytes to the values they decoded to when they were written).
+// deliberate format break. The decoder now reads that layout alone and
+// refuses the delta-binary one (the golden vectors of that layout are
+// refusal pins, and each has an ef_ twin pinned to the values it decoded
+// to). Before that it changed when the split finder became a sort of the
+// pane, a content change only.
 func TestWireFormatGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	g := randomGradient(rng, 100000, 1500)

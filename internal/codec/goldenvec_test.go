@@ -17,7 +17,7 @@ import (
 )
 
 // -update rewrites the committed golden fixtures from the current encoder,
-// decode-only ones excepted.
+// retired ones excepted.
 // Run `go test ./internal/codec -run TestGoldenVectors -update` after a
 // DELIBERATE wire-format change, and call the break out in the commit.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures")
@@ -25,14 +25,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures"
 // goldenVec is one pinned encoder configuration. The gradient is
 // regenerated from the seed on every run, so the fixture bytes are a pure
 // function of (seed, dim, nnz, sign, Options) — any drift in the encoder
-// shows up as a byte-level diff against the committed .bin file.
-//
-// A fixture with decoded set is decode-only: its bytes were written by an
-// encoder that no longer exists — one that could still find its splits
-// with the GK or KLL sketch, or one that wrote delta-binary key lists — so
-// no encoder reproduces them now. decoded is the decodedHash those bytes
-// decoded to when they were written; a decode-only fixture is never
-// rewritten.
+// shows up as a byte-level diff against the committed .bin file — and
+// decoded is the decodedHash those bytes decode to, so a decoder change
+// that moves a value fails by name.
 type goldenVec struct {
 	name    string
 	opts    Options
@@ -41,7 +36,6 @@ type goldenVec struct {
 	seed    int64
 	sign    int // -1 all-negative, 0 mixed, +1 all-positive
 	decoded uint64
-	retired bool
 }
 
 func goldenVectors() []goldenVec {
@@ -53,60 +47,86 @@ func goldenVectors() []goldenVec {
 		return o
 	}
 	return []goldenVec{
-		// Every fixture here but the ef_ ones is decode-only. The fixtures
-		// without a prefix were written by the GK split finder (kll_default
-		// by KLL), the rank_ ones and key_only by the sort-based encoder
-		// while it still wrote delta-binary key lists. Passing is the
-		// evidence that messages written then still decode to the same
-		// values. Each ef_ fixture holds today's encoder, with Elias–Fano
-		// key lists, to its namesake's configuration, and must decode to
-		// its namesake's values: only the key code differs.
+		// Each fixture is named ef_ after the delta-binary fixture of the
+		// same configuration it replaced (see retiredFixtures), and decodes
+		// to the values that one did: only the key code differs.
 		//
-		// The two quantile sketches at the paper's default config.
-		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xa1a9d11cbe7bb261, retired: true},
-		{name: "kll_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0x0ebfab0bf7b4bd9c, retired: true},
-		// Group-count sweep: r=1 (no grouping) and r=16 bracket the
-		// default r=8; the grouped-pane layout differs per r.
-		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113, retired: true},
-		{name: "gk_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0xcd09558e7c84e113, retired: true},
-		// Figure 8 ablation points: keys+quantification without the
-		// MinMaxSketch, and compressed keys alone with exact values.
-		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x86c5e9e3e9149ff1, retired: true},
-		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8, retired: true},
-		// Sign-pane edge cases: a single positive or negative pane (the
-		// mixed default exercises both panes at once).
-		{name: "all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x4d15fa430158d3c8, retired: true},
-		{name: "all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x19e1736393281c0d, retired: true},
-		// Coarse quantization over a tiny gradient: the q=16 bucket
-		// indexes pack into the narrowest pane layout.
-		{name: "q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0xd271e5e652c39366, retired: true},
-		// Keys beyond 32 bits flip the wide-keys wire flag.
-		{name: "wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0xed4aca2c168fe6ad, retired: true},
-
-		{name: "rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64, retired: true},
-		{name: "rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63, retired: true},
-		{name: "rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63, retired: true},
-		{name: "rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f, retired: true},
-		{name: "rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a, retired: true},
-		{name: "rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e, retired: true},
-		{name: "rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339, retired: true},
-		{name: "rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d, retired: true},
-
+		// The paper's default config, and the group-count sweep: r=1 (no
+		// grouping) and r=16 bracket the default r=8.
 		{name: "ef_rank_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001, decoded: 0xc2eb5b40c5f98e64},
 		{name: "ef_rank_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
 		{name: "ef_rank_r16", opts: mk(func(o *Options) { o.Groups = 16 }), dim: 100000, nnz: 1200, seed: 1002, decoded: 0x13c06a5475a05a63},
+		// Figure 8 ablation points: keys+quantification without the
+		// MinMaxSketch, and compressed keys alone with exact values.
 		{name: "ef_rank_keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0x3b8c0250575cbe2f},
 		{name: "ef_key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003, decoded: 0xf602997afb863bb8},
+		// Sign-pane edge cases: a single positive or negative pane (the
+		// mixed default exercises both panes at once).
 		{name: "ef_rank_all_positive", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: 1, decoded: 0x5e95c2c1c771946a},
 		{name: "ef_rank_all_negative", opts: mk(nil), dim: 50000, nnz: 800, seed: 1004, sign: -1, decoded: 0x3ddc9d2883947f7e},
+		// Coarse quantization over a tiny gradient: the q=16 bucket
+		// indexes pack into the narrowest pane layout.
 		{name: "ef_rank_q16_tiny", opts: mk(func(o *Options) { o.Buckets = 16 }), dim: 256, nnz: 40, seed: 1005, decoded: 0x9015bbefd3995339},
+		// Keys beyond 32 bits flip the wide-keys wire flag.
 		{name: "ef_rank_wide_keys", opts: mk(nil), dim: 1 << 33, nnz: 300, seed: 1006, decoded: 0x4b8cc52a48f11f0d},
 	}
 }
 
+// retiredFixtures are golden messages of the delta-binary layout (flag bit
+// 0, a key list per MinMax group after byte-cell sketches), which no
+// encoder writes and the decoder no longer reads. The unprefixed ones were
+// written by the GK split finder (kll_default by KLL), the rank_ ones and
+// key_only by the sort-based encoder before it wrote Elias–Fano lists; the
+// merge_ ones are MergeInto's. Each stays as a real message of that layout
+// that the decoder must refuse at its flags byte.
+var retiredFixtures = []string{
+	"gk_default", "kll_default", "gk_r1", "gk_r16", "keyquan", "key_only",
+	"all_positive", "all_negative", "q16_tiny", "wide_keys",
+	"rank_default", "rank_r1", "rank_r16", "rank_keyquan", "rank_all_positive",
+	"rank_all_negative", "rank_q16_tiny", "rank_wide_keys",
+}
+
+// retiredMergeFixtures are the merged messages of the same layout.
+var retiredMergeFixtures = []string{
+	"merge_keyquan", "merge_exact_tiny", "merge_key_only",
+	"rank_merge_keyquan", "rank_merge_at_budget", "rank_merge_over_budget",
+}
+
+// requireRetiredRefused reads the retired fixture name and checks that it
+// carries the delta-binary flag and that the decoder refuses it with the
+// key-code error. It returns the fixture's bytes.
+func requireRetiredRefused(t *testing.T, name string) []byte {
+	t.Helper()
+	msg, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msg) < 2 || msg[1]&smFlagDeltaKeys == 0 {
+		t.Fatalf("%d bytes without the delta-binary flag: not a retired message", len(msg))
+	}
+	if _, err := decoderUnderTest.Decode(msg); err == nil || !strings.Contains(err.Error(), "key code") {
+		t.Fatalf("decoding a retired message: %v, want the key-code error", err)
+	}
+	return msg
+}
+
+// requireFlipsRefused flips each byte at positions of a retired message in
+// turn: no single flip may make it decode.
+func requireFlipsRefused(t *testing.T, msg []byte, positions []int) {
+	for _, pos := range positions {
+		t.Run(fmt.Sprintf("byte%d", pos), func(t *testing.T) {
+			mut := append([]byte(nil), msg...)
+			mut[pos] ^= 0xFF
+			if _, err := decoderUnderTest.Decode(mut); err == nil {
+				t.Errorf("flipping byte %d of %d made a retired message decode", pos, len(msg))
+			}
+		})
+	}
+}
+
 // decodedHash is FNV-64a over a decoded gradient's Dim and then each key
-// and its value's bits, all little-endian: the pin of a decode-only
-// fixture.
+// and its value's bits, all little-endian: the pin of a fixture's decoded
+// values.
 func decodedHash(g *gradient.Sparse) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -149,27 +169,20 @@ func (v goldenVec) fixturePath() string {
 // TestGoldenVectors pins the SketchML wire format byte-for-byte across the
 // configuration matrix: the r-group sweep, the component ablations,
 // single-sign panes, and wide keys. Each fixture is the complete encoded
-// message; encoding the regenerated gradient must reproduce it exactly
-// (a decode-only fixture must decode to its pinned values instead, and an
-// ef_ fixture to its namesake's), and decoding the committed
-// bytes must succeed with lossless keys and (for the lossy configs) no sign
-// flips — the paper's "never amplify, never flip" contract.
+// message; encoding the regenerated gradient must reproduce it exactly, and
+// decoding the committed bytes must succeed with lossless keys, no sign
+// flips — the paper's "never amplify, never flip" contract — and the pinned
+// values. Each retired fixture must be refused.
 func TestGoldenVectors(t *testing.T) {
-	pinned := map[string]uint64{}
-	for _, v := range goldenVectors() {
-		pinned[v.name] = v.decoded
-	}
 	for _, v := range goldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
 			c := MustSketchML(v.opts)
 			g := v.gradient()
-			if !v.retired {
-				enc, err := c.Encode(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePinnedFixture(t, v.fixturePath(), enc)
+			enc, err := c.Encode(g)
+			if err != nil {
+				t.Fatal(err)
 			}
+			comparePinnedFixture(t, v.fixturePath(), enc)
 			if *updateGolden {
 				return
 			}
@@ -199,10 +212,10 @@ func TestGoldenVectors(t *testing.T) {
 			if h := decodedHash(dec); h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
-			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {
-				t.Errorf("fixture decodes to hash 0x%016x, %s to 0x%016x", decodedHash(dec), namesake, pinned[namesake])
-			}
 		})
+	}
+	for _, name := range retiredFixtures {
+		t.Run(name, func(t *testing.T) { requireRetiredRefused(t, name) })
 	}
 }
 
@@ -258,7 +271,8 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 // — either a decode error or output that differs from the clean decode.
 // The probed positions are the message tag, the flags byte, and the final
 // pane byte; bytes 22–25 (the informational bucket count) are skipped
-// because the decoder deliberately ignores them.
+// because the decoder deliberately ignores them. No flip at those
+// positions may make a retired fixture decode.
 func TestGoldenVectorsPerturbation(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixtures being rewritten")
@@ -288,6 +302,12 @@ func TestGoldenVectorsPerturbation(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+	for _, name := range retiredFixtures {
+		t.Run(name, func(t *testing.T) {
+			msg := requireRetiredRefused(t, name)
+			requireFlipsRefused(t, msg, []int{0, 1, len(msg) - 1})
 		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -614,14 +613,13 @@ func TestMergeSumGrowsOnce(t *testing.T) {
 
 // mergeGoldenVec pins one merged-message configuration. Both input
 // gradients regenerate from their seeds (via the goldenVec generator), so
-// the fixture bytes are a pure function of (seeds, geometry, Options). A
-// fixture with decoded set is decode-only, as in goldenVectors.
+// the fixture bytes are a pure function of (seeds, geometry, Options), and
+// decoded is the decodedHash they decode to, as in goldenVectors.
 type mergeGoldenVec struct {
 	name    string
 	opts    Options
 	a, b    goldenVec
 	decoded uint64
-	retired bool
 }
 
 func mergeGoldenVectors() []mergeGoldenVec {
@@ -636,47 +634,21 @@ func mergeGoldenVectors() []mergeGoldenVec {
 	quan := mk(nil)
 	keyOnly := mk(func(o *Options) { o.Quantize = false })
 	return []mergeGoldenVec{
-		// As in goldenVectors, every fixture but the ef_ ones is decode-only
-		// and each ef_ fixture holds today's merge to its namesake's
-		// configuration and values.
+		// As in goldenVectors, each fixture is named ef_ after the retired
+		// merge fixture of its configuration and decodes to its values.
 		//
-		// Re-quantize path: two default-sized panes overflow the exact cap.
-		// Written by the GK split finder; rank_merge_keyquan is the same
-		// configuration written by the sort.
-		{name: "merge_keyquan", opts: quan, decoded: 0xd96faa1a729b1c96, retired: true,
-			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
-			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
-		// Tiny panes at paneBudget's floor of 2. Despite the name, their ~30
-		// distinct sums overflow it, and the merge that wrote the fixture
-		// re-quantized them through GK. rank_merge_at_budget is the
-		// configuration that takes the exact-means path.
-		{name: "merge_exact_tiny", opts: quan, decoded: 0x21370c81e7481081, retired: true,
-			a: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2003},
-			b: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2004}},
 		// Raw-layout output: unquantized inputs merge to the key+f64 layout.
-		{name: "merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74, retired: true,
+		{name: "ef_merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74,
 			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
 			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		{name: "rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c, retired: true,
+		// Re-quantize path: two default-sized panes overflow the exact cap.
+		{name: "ef_rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		// The exact-means boundary (TestMergeGoldenBoundary): all-positive
 		// inputs, so the merged pane is a's bucket means plus b's one value.
 		// 255+1 entries: budget 16, 16 distinct sums, the exact path.
 		// 254+1 entries: budget 15, 16 distinct sums, one past it.
-		{name: "rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597, retired: true,
-			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
-			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-		{name: "rank_merge_over_budget", opts: quan, decoded: 0x8ae3ae2fecc0b2f9, retired: true,
-			a: goldenVec{dim: 100000, nnz: 254, seed: 2007, sign: 1},
-			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
-
-		{name: "ef_merge_key_only", opts: keyOnly, decoded: 0xd7b05e4239eeba74,
-			a: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2005},
-			b: goldenVec{opts: keyOnly, dim: 100000, nnz: 1200, seed: 2006}},
-		{name: "ef_rank_merge_keyquan", opts: quan, decoded: 0x94b6fd64b931d54c,
-			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
-			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
 		{name: "ef_rank_merge_at_budget", opts: quan, decoded: 0xd41ea1a27ed42597,
 			a: goldenVec{dim: 100000, nnz: 255, seed: 2007, sign: 1},
 			b: goldenVec{dim: 100000, nnz: 1, seed: 2008, sign: 1}},
@@ -691,7 +663,7 @@ func mergeGoldenVectors() []mergeGoldenVec {
 // exactly one more. The sums are taken from the decoded inputs, so the
 // check does not depend on which path the merge took.
 func TestMergeGoldenBoundary(t *testing.T) {
-	over := map[string]int{"rank_merge_at_budget": 0, "rank_merge_over_budget": 1}
+	over := map[string]int{"ef_rank_merge_at_budget": 0, "ef_rank_merge_over_budget": 1}
 	for _, v := range mergeGoldenVectors() {
 		want, ok := over[v.name]
 		if !ok {
@@ -774,19 +746,12 @@ func comparePinnedFixture(t *testing.T, path string, enc []byte) {
 
 // TestMergeGoldenVectors pins the merged-message wire bytes the same way
 // goldenvec_test.go pins encoded ones: fixtures are a pure function of the
-// (seed, geometry, Options) inputs, refreshed with -update. A decode-only
-// fixture must decode to its pinned values instead, and an ef_ fixture to
-// its namesake's.
+// (seed, geometry, Options) inputs, refreshed with -update, and must decode
+// to their pinned values. Each retired merge fixture must be refused.
 func TestMergeGoldenVectors(t *testing.T) {
-	pinned := map[string]uint64{}
-	for _, v := range mergeGoldenVectors() {
-		pinned[v.name] = v.decoded
-	}
 	for _, v := range mergeGoldenVectors() {
 		t.Run(v.name, func(t *testing.T) {
-			if !v.retired {
-				comparePinnedFixture(t, v.fixturePath(), v.merged(t))
-			}
+			comparePinnedFixture(t, v.fixturePath(), v.merged(t))
 			if *updateGolden {
 				return
 			}
@@ -801,15 +766,16 @@ func TestMergeGoldenVectors(t *testing.T) {
 			if h := decodedHash(dec); h != v.decoded {
 				t.Errorf("fixture decodes to hash 0x%016x, pinned 0x%016x", h, v.decoded)
 			}
-			if namesake, ok := strings.CutPrefix(v.name, "ef_"); ok && decodedHash(dec) != pinned[namesake] {
-				t.Errorf("fixture decodes to hash 0x%016x, %s to 0x%016x", decodedHash(dec), namesake, pinned[namesake])
-			}
 		})
+	}
+	for _, name := range retiredMergeFixtures {
+		t.Run(name, func(t *testing.T) { requireRetiredRefused(t, name) })
 	}
 }
 
 // TestMergeGoldenVectorsPerturbation: flipping any single probed byte of a
-// committed merged message must be loud — a decode error or changed output.
+// committed merged message must be loud — a decode error or changed output
+// — and must not make a retired one decode.
 func TestMergeGoldenVectorsPerturbation(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixtures being rewritten")
@@ -838,6 +804,12 @@ func TestMergeGoldenVectorsPerturbation(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+	for _, name := range retiredMergeFixtures {
+		t.Run(name, func(t *testing.T) {
+			msg := requireRetiredRefused(t, name)
+			requireFlipsRefused(t, msg, []int{0, 1, len(msg) / 2, len(msg) - 1})
 		})
 	}
 }

@@ -26,8 +26,9 @@ import (
 //     would otherwise be reallocated on every call.
 //
 // Wire bytes are bit-identical at every parallelism level: panes are
-// independent and spliced in paneID order, group scatter preserves key
-// order, and nothing on the encode path depends on goroutine interleaving.
+// independent and spliced in paneID order, each pane's keys go into their
+// group sketches in key order under an order-free min, and nothing on the
+// encode path depends on goroutine interleaving.
 
 // concurrentPanes resolves Options.Parallelism for Encode: 0 means
 // concurrent panes iff more than one CPU is available, 1 pins the serial
@@ -60,22 +61,19 @@ func putBytes(b *[]byte) { bytePool.Put(b) }
 // ---- encode scratch ----
 
 // encodeScratch is the reusable per-pane state behind Encode: the pane's
-// entries, its quantizer with its bucket indexes and sort scratch, one grouped sketch
-// rebuilt in place, the bucket → group table, and the counting scatter's
-// offsets, cursors and flat key buffer. Each pane borrows its own, so the
-// two panes can encode concurrently. Pooled so that, once capacities warm
-// up, the returned message is the only thing Encode allocates.
+// entries, its quantizer with its bucket indexes and sort scratch, one
+// grouped sketch rebuilt in place, the bucket → group table, and each key's
+// group and group-relative index. Each pane borrows its own, so the two
+// panes can encode concurrently. Pooled so that, once capacities warm up,
+// the returned message is the only thing Encode allocates.
 type encodeScratch struct {
 	keys    []uint64  // the pane's keys, ascending
 	vals    []float64 // and magnitudes
 	buckets quantizer.Buckets
 	grouped minmax.Grouped
 	route   []uint32 // per bucket: group<<16 | group-relative index
-	starts  []int    // group g's keys are flat[starts[g]:starts[g+1]]
-	cursors []int
-	flat    []uint64 // pane keys, scattered by group
-	rels    []uint16 // beside flat: each key's group-relative index
 	gids    []uint32 // per pane key, in key order: its group
+	rels    []uint16 // and its group-relative index
 	tallies []int64  // per-bucket counts for the bucket-index histogram
 }
 
@@ -113,29 +111,27 @@ func (es *encodeScratch) takePane(g *gradient.Sparse, paneID uint64) ([]uint64, 
 // ---- decode scratch ----
 
 // decodeScratch is the reusable per-call state behind DecodeInto. The flat
-// key and value stores have the header count's length, and every key list of
-// the message is the next window of both, so no list is a slice of its own
-// and a message cannot make the decoder hold more than 5/4 of the count it
+// key and value stores have the header count's length, and each pane's key
+// list is the next window of both, so no list is a slice of its own and a
+// message cannot make the decoder hold more than 5/4 of the count it
 // announced (quantizer.Resize's headroom), a count decodeInto has already
 // bounded by the message's length. Beside them: a means table, a bitpack
-// index buffer, one grouped sketch rebuilt in place per pane with the block
-// query's candidates, and what puts the lists in key order — the rank
-// scatter's table (one uint64 per 32 keys of [0, Dim), Dim/4 bytes, only
-// ever sized for a message of at least Dim/128 entries), or the list ends
-// and cursors of the merge. Pooled so steady-state decodes allocate nothing
-// once capacities warm up.
+// index buffer (the pane's indexes or its keys' group numbers), one grouped
+// sketch rebuilt in place per pane with the query's candidates, and the
+// rank scatter's table (one uint64 per 32 keys of [0, Dim), Dim/4 bytes,
+// only ever sized for a message of at least Dim/128 entries) that puts the
+// panes in key order when the merge does not. Pooled so steady-state
+// decodes allocate nothing once capacities warm up.
 type decodeScratch struct {
 	means     []float64
 	nonFinite bool // some mean is NaN or ±Inf: the decoded values need checking
 	keys      []uint64
 	vals      []float64
-	used      int   // entries decoded so far
-	ends      []int // ends[i]: where list i stops in the flat stores
+	used      int // entries decoded so far
 	idx       []uint32
 	grouped   *minmax.Grouped
-	cand      []uint16 // block-query candidates of the list being decoded
+	cand      []uint16 // query candidates of the pane being decoded
 	ranks     []uint64 // rank scatter: per 32 keys, bitmap | keys below << 32
-	pos       []int    // merge cursors
 }
 
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -153,21 +149,18 @@ func (sc *decodeScratch) reset(total int) {
 	sc.keys = quantizer.Resize(sc.keys, total)
 	sc.vals = quantizer.Resize(sc.vals, total)
 	sc.used = 0
-	sc.ends = sc.ends[:0]
 	sc.nonFinite = false
 }
 
-// decodeList reads the next key list, in the code ef names (see
-// decodeKeysInto), into the flat key store and returns it with the window
-// of the value store beside it, for the caller to fill. A list that runs
-// past the header's count is an error.
-func (sc *decodeScratch) decodeList(r *reader, ef bool) ([]uint64, []float64, error) {
-	keys, err := decodeKeysInto(r, sc.keys[sc.used:sc.used:len(sc.keys)], ef)
+// decodeList reads the next key list (see decodeKeysInto) into the flat key
+// store and returns it with the window of the value store beside it, for
+// the caller to fill. A list that runs past the header's count is an error.
+func (sc *decodeScratch) decodeList(r *reader) ([]uint64, []float64, error) {
+	keys, err := decodeKeysInto(r, sc.keys[sc.used:sc.used:len(sc.keys)])
 	if err != nil {
 		return nil, nil, err
 	}
 	vals := sc.vals[sc.used : sc.used+len(keys)]
 	sc.used += len(keys)
-	sc.ends = append(sc.ends, sc.used)
 	return keys, vals, nil
 }

@@ -147,12 +147,12 @@ func (c *SketchML) Name() string {
 	}
 }
 
-// Message flags. Exactly one key-code flag is set, and it holds for every
-// key list of the message: the encoder writes blocked Elias–Fano lists
-// (smFlagEFKeys), and the delta-binary lists of messages written before it
-// (smFlagDeltaKeys) still decode. The decoder refuses a message with both
-// flags or neither. smFlagWideKeys records Dim > 2³² and no longer changes
-// the layout.
+// Message flags. smFlagEFKeys names the key code of every key list of the
+// message, blocked Elias–Fano, and is always set. smFlagDeltaKeys named
+// the paper's delta-binary lists, a layout with a key list per MinMax group
+// that no encoder writes any more: the decoder refuses a message with it
+// set or with smFlagEFKeys clear. smFlagWideKeys records Dim > 2³² and no
+// longer changes the layout.
 const (
 	smFlagDeltaKeys = 1 << 0
 	smFlagQuantize  = 1 << 1
@@ -433,44 +433,21 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 	ng, bpg := grouped.NumGroups(), grouped.BucketsPerGroup()
 
 	// Resolve bucket → (group, group-relative index) once per bucket, so the
-	// per-key passes below are table lookups.
+	// per-key pass below is a table lookup, then insert every key in key
+	// order, each into its own group's sketch: the layout QueryEach reads
+	// back, and min is order-free, so the cells are what a group-by-group
+	// insertion leaves.
 	es.route = quantizer.Resize(es.route, len(means))
 	route := es.route
 	for b := range route {
 		route[b] = uint32(b/bpg)<<16 | uint32(b%bpg)
 	}
-
-	// Route each key to its group with a counting scatter over one flat
-	// buffer instead of growing ng separate lists: pass 1 counts each
-	// group's keys, pass 2 scatters every key, with its group-relative
-	// index beside it, to the group's contiguous region. Scattering in key
-	// order keeps every group slice ascending — the same lists, hence the
-	// same bytes, a per-group append construction produces. Each group's
-	// list then goes into its sketch as one block.
-	es.starts = quantizer.Resize(es.starts, ng+1)
-	starts := es.starts
-	clear(starts)
-	for _, b := range idx {
-		starts[route[b]>>16+1]++
+	es.gids, es.rels = quantizer.Resize(es.gids, len(keys)), quantizer.Resize(es.rels, len(keys))
+	gids, rels := es.gids, es.rels
+	for i, b := range idx {
+		gids[i], rels[i] = route[b]>>16, uint16(route[b])
 	}
-	for g := 1; g <= ng; g++ {
-		starts[g] += starts[g-1] // now starts[g] is group g's start offset
-	}
-	es.cursors = append(es.cursors[:0], starts[:ng]...)
-	es.flat, es.rels = quantizer.Resize(es.flat, len(keys)), quantizer.Resize(es.rels, len(keys))
-	es.gids = quantizer.Resize(es.gids, len(keys))
-	cursors, flat, rels, gids := es.cursors, es.flat, es.rels, es.gids
-	for i, k := range keys {
-		r := route[idx[i]]
-		grp := r >> 16
-		flat[cursors[grp]] = k
-		rels[cursors[grp]] = uint16(r)
-		cursors[grp]++
-		gids[i] = grp
-	}
-	for grp := 0; grp < ng; grp++ {
-		grouped.InsertBlock(grp, flat[starts[grp]:starts[grp+1]], rels[starts[grp]:starts[grp+1]])
-	}
+	grouped.InsertEach(keys, gids, rels)
 
 	// The sketches, then the pane's one key list with each key's group
 	// beside it in BitsFor(r) bits (nothing when r is 1). The list is
@@ -494,12 +471,10 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, in *message, paneID uin
 	return out, nil
 }
 
-// decodeKeysInto reads a key list of the message r reads into dst[:0], in
-// the key code the message's flags name: Elias–Fano when ef is set,
-// delta-binary otherwise. dst's capacity is the most the list may hold — a
-// longer one is an error, never an allocation — and the keys come back
-// strictly ascending.
-func decodeKeysInto(r *reader, dst []uint64, ef bool) ([]uint64, error) {
+// decodeKeysInto reads an Elias–Fano key list of the message r reads into
+// dst[:0]. dst's capacity is the most the list may hold — a longer one is an
+// error, never an allocation — and the keys come back strictly ascending.
+func decodeKeysInto(r *reader, dst []uint64) ([]uint64, error) {
 	mark := r.off
 	count, err := r.u32() // the list leads with its count
 	if err != nil {
@@ -509,11 +484,7 @@ func decodeKeysInto(r *reader, dst []uint64, ef bool) ([]uint64, error) {
 		return nil, fmt.Errorf("key list of %d runs past the header's count by %d", count, int64(count)-int64(cap(dst)))
 	}
 	r.off = mark
-	decode := keycoding.DecodeDeltaInto
-	if ef {
-		decode = keycoding.DecodeEFInto
-	}
-	keys, used, err := decode(r.rest(), dst)
+	keys, used, err := keycoding.DecodeEFInto(r.rest(), dst)
 	if err != nil {
 		return nil, err
 	}
@@ -564,9 +535,8 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	if err != nil {
 		return err
 	}
-	ef := flags&smFlagEFKeys != 0
-	if ef == (flags&smFlagDeltaKeys != 0) {
-		return fmt.Errorf("codec: flags %#02x: want exactly one key code", flags)
+	if flags&(smFlagEFKeys|smFlagDeltaKeys) != smFlagEFKeys {
+		return fmt.Errorf("codec: flags %#02x: want the Elias–Fano key code alone", flags)
 	}
 	quant := flags&smFlagQuantize != 0
 	mm := flags&smFlagMinMax != 0
@@ -584,18 +554,17 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	}
 	// The header's count sizes dst and the scratch, so bound it before
 	// trusting it by what the message can hold: every entry costs at least
-	// one byte of a delta-binary message (a delta byte or a packed index)
-	// and at least one bit of an Elias–Fano one (its highs bit). A count
-	// past that is hostile.
+	// one bit, its highs bit in the Elias–Fano list. A count past that is
+	// hostile.
 	n := int(count)
-	if n < 0 || n > maxEntries(len(data), ef) {
+	if n < 0 || n > 8*len(data) {
 		return fmt.Errorf("codec: count %d exceeds what a message of %d bytes holds", count, len(data))
 	}
 	dst.Dim = dim
 	dst.Keys, dst.Values = quantizer.Resize(dst.Keys, n), quantizer.Resize(dst.Values, n)
 
 	if !quant {
-		keys, err := decodeKeysInto(&r, dst.Keys[:0], ef)
+		keys, err := decodeKeysInto(&r, dst.Keys[:0])
 		if err != nil {
 			return err
 		}
@@ -623,28 +592,34 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	defer putScratch(sc)
 	sc.reset(n)
 
+	// Each pane is one window of the flat stores: pane 0's first entries
+	// (split of them), then pane 1's.
+	var split int
 	for paneID := uint64(0); paneID < 2; paneID++ {
 		var pt0 time.Time
 		if c.met != nil {
 			pt0 = time.Now()
 		}
-		if err := c.decodePaneInto(&r, sc, mm, ef, paneID, seed); err != nil {
+		if err := c.decodePaneInto(&r, sc, mm, paneID, seed); err != nil {
 			return fmt.Errorf("codec: pane %d: %w", paneID, err)
 		}
 		if c.met != nil {
 			c.met.paneDecodeNs.Since(pt0)
+		}
+		if paneID == 0 {
+			split = sc.used
 		}
 	}
 	if sc.used != n {
 		return fmt.Errorf("codec: decoded %d entries, header says %d", sc.used, count)
 	}
 
-	// The lists are disjoint and each ascending; what is left is to put
+	// The panes are disjoint and each ascending; what is left is to put
 	// their union in key order. A message dense enough that a Dim-bit map is
 	// no longer than its entries — ⌈Dim/64⌉ ≤ 2n + 1, a test on the message
 	// alone, so not a choice anyone makes — has each key's rank read off the
-	// map and no two keys compared. The sparser ones, two lists from this
-	// encoder, merge, which also keeps a hostile Dim from sizing anything.
+	// map and no two keys compared. The sparser ones merge the two panes,
+	// which also keeps a hostile Dim from sizing anything.
 	if dim <= 128*uint64(n)+64 {
 		if err := rankScatterInto(dst, sc); err != nil {
 			return err
@@ -652,7 +627,7 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 		if !sc.nonFinite {
 			return nil // ascending by construction, key < Dim checked, means all finite
 		}
-	} else if err := mergeSortedListsInto(dst, sc); err != nil {
+	} else if err := mergePanesInto(dst, sc, split); err != nil {
 		return err
 	}
 	if err := dst.Validate(); err != nil {
@@ -661,22 +636,11 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 	return nil
 }
 
-// maxEntries is the most entries a message of size bytes can carry: one a
-// byte in the delta-binary layout, eight (one a highs bit) in the
-// Elias–Fano one.
-func maxEntries(size int, ef bool) int {
-	if ef {
-		return 8 * size
-	}
-	return size
-}
-
-// decodePaneInto parses one sign pane into sc's flat stores, one window per
-// key list: the keys as sent, and beside each the value its bucket decodes
-// to, already signed. A pane of an Elias–Fano message has one list, whose
-// keys carry their MinMax group numbers beside them; a delta-binary one has
-// a list per group. Once sc's capacities are warm it allocates nothing.
-func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm, ef bool, paneID, seed uint64) error {
+// decodePaneInto parses one sign pane into the next window of sc's flat
+// stores: the pane's key list as sent, and beside each key the value its
+// bucket decodes to, already signed. Once sc's capacities are warm it
+// allocates nothing.
+func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm bool, paneID, seed uint64) error {
 	paneCount, err := r.u32()
 	if err != nil {
 		return err
@@ -713,7 +677,7 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm, ef bool, pan
 	}
 
 	if !mm {
-		keys, vals, err := sc.decodeList(r, ef)
+		keys, vals, err := sc.decodeList(r)
 		if err != nil {
 			return err
 		}
@@ -737,11 +701,12 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm, ef bool, pan
 		return nil
 	}
 
-	paneSeed := hashing.Mix64(paneID, seed)
-	if ef {
-		return sc.decodeGroupedPane(r, means, paneSeed)
-	}
-	grouped, used, err := minmax.DecodeGroupedReuse(r.rest(), paneSeed, sc.grouped)
+	// The MinMax body: the packed group sketches, the pane's key list and,
+	// when there is more than one group, each key's group number. Each key's
+	// value is the mean of the bucket its group's sketch gives it; a bucket
+	// past the sketch's q or the means table clamps to the last of both, and
+	// a group number past the last finds nothing, which is an error.
+	grouped, used, err := minmax.DecodeGroupedPackedReuse(r.rest(), hashing.Mix64(paneID, seed), sc.grouped)
 	if err != nil {
 		return err
 	}
@@ -749,44 +714,7 @@ func (c *SketchML) decodePaneInto(r *reader, sc *decodeScratch, mm, ef bool, pan
 	if err := r.advance(used); err != nil {
 		return err
 	}
-	// Every group's sketch is decoded before the first key list arrives, so
-	// each list is queried as it lands: one pass per hash row leaves the
-	// group-relative candidates, one more turns them into values. A bucket
-	// past the sketch's q or the means table clamps to the last of both.
-	top := min(grouped.NumBuckets(), len(means)) - 1
-	for grp, ng := 0, grouped.NumGroups(); grp < ng; grp++ {
-		keys, vals, err := sc.decodeList(r, false)
-		if err != nil {
-			return fmt.Errorf("group %d keys: %w", grp, err)
-		}
-		sc.cand = quantizer.Resize(sc.cand, len(keys))
-		// QueryBlock hashes each key into its row's width (index = hash·cols >> 64), so wire-derived keys cannot index out of range.
-		base := grouped.QueryBlock(grp, keys, sc.cand)
-		for i, cand := range sc.cand {
-			if cand == 0 {
-				return fmt.Errorf("group %d: key %d missing from sketch", grp, keys[i])
-			}
-			vals[i] = means[min(base+int(cand)-1, top)]
-		}
-	}
-	return nil
-}
-
-// decodeGroupedPane reads the MinMax body of an Elias–Fano message's pane:
-// the packed group sketches, the pane's key list and, when there is more
-// than one group, each key's group number. Each key's value is the mean of
-// the bucket its group's sketch gives it; a bucket past the sketch's q or
-// the means table clamps to the last of both.
-func (sc *decodeScratch) decodeGroupedPane(r *reader, means []float64, paneSeed uint64) error {
-	grouped, used, err := minmax.DecodeGroupedPackedReuse(r.rest(), paneSeed, sc.grouped)
-	if err != nil {
-		return err
-	}
-	sc.grouped = grouped
-	if err := r.advance(used); err != nil {
-		return err
-	}
-	keys, vals, err := sc.decodeList(r, true)
+	keys, vals, err := sc.decodeList(r)
 	if err != nil {
 		return err
 	}
@@ -819,7 +747,7 @@ func (sc *decodeScratch) decodeGroupedPane(r *reader, means []float64, paneSeed 
 // a bitmap of the keys present, the high half the number of keys below the
 // word, so a key's place in dst — its word's count plus the set bits below
 // its own — is one load. Pass 1 sets the bits (a bit already set is a key
-// sent in two lists), pass 2 runs the popcount along the words, pass 3
+// sent in both panes), pass 2 runs the popcount along the words, pass 3
 // scatters. dst has the length of the flat stores.
 func rankScatterInto(dst *gradient.Sparse, sc *decodeScratch) error {
 	sc.ranks = quantizer.Resize(sc.ranks, int((dst.Dim+31)/32))
@@ -831,7 +759,7 @@ func rankScatterInto(dst *gradient.Sparse, sc *decodeScratch) error {
 		}
 		bit := uint64(1) << (k % 32)
 		if ranks[k/32]&bit != 0 {
-			return fmt.Errorf("codec: duplicate key %d across lists", k)
+			return fmt.Errorf("codec: duplicate key %d across panes", k)
 		}
 		ranks[k/32] |= bit
 	}
@@ -850,35 +778,24 @@ func rankScatterInto(dst *gradient.Sparse, sc *decodeScratch) error {
 	return nil
 }
 
-// mergeSortedListsInto k-way-merges sc's disjoint ascending lists into dst,
-// which has the length of the flat stores, by comparing every list's head
-// for each output key — the plan for the sparse messages the rank scatter
-// leaves, which carry two lists.
-func mergeSortedListsInto(dst *gradient.Sparse, sc *decodeScratch) error {
-	// pos[i] is list i's cursor into the flat stores; the list ends at
-	// sc.ends[i].
-	sc.pos = quantizer.Resize(sc.pos, len(sc.ends))
-	pos := sc.pos
-	for i := range pos {
-		pos[i] = 0
-		if i > 0 {
-			pos[i] = sc.ends[i-1]
-		}
-	}
+// mergePanesInto merges the two panes' ascending windows of sc's flat
+// stores — pane 0's first split entries, then pane 1's — into dst, which
+// has the length of the flat stores: the plan for the sparse messages the
+// rank scatter leaves. A key in both panes is an error.
+func mergePanesInto(dst *gradient.Sparse, sc *decodeScratch, split int) error {
+	keys, vals := sc.keys[:len(dst.Keys)], sc.vals[:len(dst.Keys)]
+	i, j := 0, split
 	for out := range dst.Keys {
-		best := -1
-		var bestKey uint64 = math.MaxUint64
-		for i, p := range pos {
-			if p < sc.ends[i] && sc.keys[p] <= bestKey {
-				if sc.keys[p] == bestKey && best >= 0 {
-					return fmt.Errorf("codec: duplicate key %d across lists", bestKey)
-				}
-				best, bestKey = i, sc.keys[p]
-			}
+		if j == len(keys) || (i < split && keys[i] < keys[j]) {
+			dst.Keys[out], dst.Values[out] = keys[i], vals[i]
+			i++
+			continue
 		}
-		dst.Keys[out] = bestKey
-		dst.Values[out] = sc.vals[pos[best]]
-		pos[best]++
+		if i < split && keys[i] == keys[j] {
+			return fmt.Errorf("codec: duplicate key %d across panes", keys[j])
+		}
+		dst.Keys[out], dst.Values[out] = keys[j], vals[j]
+		j++
 	}
 	return nil
 }

@@ -93,30 +93,6 @@ func (s *Sketch) Insert(key uint64, idx uint16) {
 	}
 }
 
-// InsertBlock is Insert for a whole key list, one hash row at a time:
-// every bin keys[i] addresses keeps the minimum of its content and idx[i].
-// A row's seed, width and cells are fixed for the pass, as in QueryBlock.
-// Min is order-free, so the cells end up as key-by-key Insert leaves them.
-// idx must be at least as long as keys.
-func (s *Sketch) InsertBlock(keys []uint64, idx []uint16) {
-	idx = idx[:len(keys)]
-	var top uint16
-	for _, v := range idx {
-		top = max(top, v)
-	}
-	if top > MaxIndex {
-		invariant.Failf("minmax: index %d exceeds MaxIndex", top)
-	}
-	for r := 0; r < s.rows; r++ {
-		seed, cols := s.family.Row(r)
-		cells := s.cells[r*s.cols : (r+1)*s.cols]
-		for i, k := range keys {
-			cell := &cells[hashing.Reduce(hashing.Mix64(k, seed), cols)]
-			*cell = min(*cell, idx[i])
-		}
-	}
-}
-
 // Query returns the recovered bucket index for key: the maximum non-empty
 // candidate across rows (the paper's Max protocol). ok is false only when
 // every addressed bin is still Empty, which cannot happen for a key that
@@ -148,92 +124,6 @@ func (s *Sketch) QueryBlock(keys []uint64, cand []uint16) {
 	}
 }
 
-// cellWidth returns the serialized bytes per bin for a given maximum index.
-func cellWidth(maxIdx int) int {
-	if maxIdx < 0xFF { // 0xFF reserved as the 1-byte Empty sentinel
-		return 1
-	}
-	return 2
-}
-
-// AppendBinary serializes the sketch, packing each bin into the fewest
-// bytes that can hold indexes up to maxIdx (the paper's
-// s×t×⌈log2(q)/8⌉-byte cost). maxIdx must cover every stored index.
-func (s *Sketch) AppendBinary(dst []byte, maxIdx int) ([]byte, error) {
-	if maxIdx < 0 || maxIdx > MaxIndex {
-		return nil, fmt.Errorf("minmax: maxIdx %d out of range", maxIdx)
-	}
-	w := cellWidth(maxIdx)
-	var hdr [13]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.rows))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.cols))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(maxIdx))
-	hdr[12] = byte(w)
-	dst = append(dst, hdr[:]...)
-	for _, c := range s.cells {
-		switch w {
-		case 1:
-			if c == Empty {
-				dst = append(dst, 0xFF)
-			} else if int(c) > maxIdx {
-				return nil, fmt.Errorf("minmax: stored index %d exceeds declared max %d", c, maxIdx)
-			} else {
-				dst = append(dst, byte(c))
-			}
-		default:
-			if c != Empty && int(c) > maxIdx {
-				return nil, fmt.Errorf("minmax: stored index %d exceeds declared max %d", c, maxIdx)
-			}
-			dst = binary.LittleEndian.AppendUint16(dst, c)
-		}
-	}
-	return dst, nil
-}
-
-// DecodeBinaryReuse parses a sketch serialized by AppendBinary, re-deriving
-// the hash family from seed (the seed is agreed out of band by the codec
-// and is not part of the wire format). It returns the decoded sketch and
-// the number of bytes consumed. When s is non-nil it is reshaped in place
-// and returned, reusing its cell storage and hash family, so steady-state
-// decoding allocates nothing once the sketch capacity matches the wire
-// shape; a nil s allocates a fresh sketch.
-func DecodeBinaryReuse(data []byte, seed uint64, s *Sketch) (*Sketch, int, error) {
-	if len(data) < 13 {
-		return nil, 0, errors.New("minmax: truncated header")
-	}
-	rows := int(binary.LittleEndian.Uint32(data[0:]))
-	cols := int(binary.LittleEndian.Uint32(data[4:]))
-	w := int(data[12])
-	if rows <= 0 || cols <= 0 || rows > 1<<16 || cols > 1<<30 {
-		return nil, 0, fmt.Errorf("minmax: implausible dimensions %dx%d", rows, cols)
-	}
-	if w != 1 && w != 2 {
-		return nil, 0, fmt.Errorf("minmax: bad cell width %d", w)
-	}
-	need := 13 + rows*cols*w
-	if len(data) < need {
-		return nil, 0, fmt.Errorf("minmax: need %d bytes, have %d", need, len(data))
-	}
-	if s == nil {
-		s = &Sketch{}
-	}
-	s.Reshape(rows, cols, seed)
-	body := data[13:need]
-	for i := range s.cells {
-		if w == 1 {
-			b := body[i]
-			if b == 0xFF {
-				s.cells[i] = Empty
-			} else {
-				s.cells[i] = uint16(b)
-			}
-		} else {
-			s.cells[i] = binary.LittleEndian.Uint16(body[i*2:])
-		}
-	}
-	return s, need, nil
-}
-
 // Grouped divides numBuckets bucket indexes into numGroups contiguous
 // groups — [0, q/r), [q/r, 2q/r), … — with an independent MinMaxSketch per
 // group storing group-relative indexes. This caps the worst-case decoded
@@ -246,7 +136,7 @@ type Grouped struct {
 	numBuckets      int
 	bucketsPerGroup int
 	wire            []uint32   // AppendPacked's and DecodeGroupedPackedReuse's cells as bitpack values
-	rowTab          []groupRow // QueryEach's per-row table of the groups
+	rowTab          []groupRow // InsertEach's and QueryEach's per-row table of the groups
 }
 
 // NewGrouped creates numGroups sketches of rows × ceil(totalCols/numGroups)
@@ -322,68 +212,63 @@ func (g *Grouped) Insert(key uint64, bucket int) int {
 	return grp
 }
 
-// InsertBlock runs Sketch.InsertBlock on group grp's sketch with
-// group-relative indexes, for a caller that has routed every key itself (an
-// encoder resolves bucket → (grp, rel) once per bucket, not once per key).
-// Insert(key, b) is InsertBlock(GroupOf(b), {key}, {b − GroupOf(b)·
-// BucketsPerGroup()}).
-func (g *Grouped) InsertBlock(grp int, keys []uint64, rel []uint16) {
-	g.groups[grp].InsertBlock(keys, rel)
-}
-
 // Query recovers the bucket index of key, which is known (from the group
-// number the wire carries beside it) to live in group grp. It is QueryBlock
-// on one key.
+// number the wire carries beside it) to live in group grp: the group's
+// first bucket plus what its sketch gives key, clamped to the last bucket.
+// ok is false when the sketch holds nothing for key, as it does for every
+// key of a group that does not exist.
 func (g *Grouped) Query(grp int, key uint64) (bucket int, ok bool) {
+	if grp < 0 || grp >= len(g.groups) {
+		return 0, false
+	}
 	var cand [1]uint16
-	base := g.QueryBlock(grp, []uint64{key}, cand[:])
+	g.groups[grp].QueryBlock([]uint64{key}, cand[:])
 	if cand[0] == 0 {
 		return 0, false
 	}
-	return min(base+int(cand[0])-1, g.numBuckets-1), true
+	return min(grp*g.bucketsPerGroup+int(cand[0])-1, g.numBuckets-1), true
 }
 
-// QueryBlock queries group grp's sketch for a whole key list (see
-// Sketch.QueryBlock for cand) and returns the group's first bucket: the
-// bucket of keys[i] is min(base+cand[i]-1, NumBuckets()-1), and cand[i] == 0
-// means the sketch holds nothing for it — as it does for every key of a
-// group that does not exist.
-func (g *Grouped) QueryBlock(grp int, keys []uint64, cand []uint16) (base int) {
-	if grp < 0 || grp >= len(g.groups) {
-		clear(cand[:len(keys)])
-		return 0
+// InsertEach is Insert for a key list whose keys belong to different groups,
+// laid out as QueryEach reads it: grp[i] names keys[i]'s group and rel[i] its
+// group-relative index, and in every row the bin keys[i] addresses keeps the
+// minimum of its content and rel[i]. Min is order-free, so the cells end up
+// as key-by-key Insert leaves them. A group or an index out of range
+// anywhere in the list is refused before a cell moves. grp and rel must be
+// at least as long as keys.
+func (g *Grouped) InsertEach(keys []uint64, grp []uint32, rel []uint16) {
+	grp, rel = grp[:len(keys)], rel[:len(keys)]
+	var topGrp uint32
+	var topRel uint16
+	for i := range keys {
+		topGrp, topRel = max(topGrp, grp[i]), max(topRel, rel[i])
 	}
-	g.groups[grp].QueryBlock(keys, cand)
-	return grp * g.bucketsPerGroup
+	if len(keys) > 0 && (int(topGrp) >= len(g.groups) || int(topRel) >= g.bucketsPerGroup || topRel > MaxIndex) {
+		invariant.Failf("minmax: group %d or index %d out of %d groups of %d", topGrp, topRel, len(g.groups), g.bucketsPerGroup)
+	}
+	rows, w := g.rowTable()
+	ng := len(g.groups)
+	for r := 0; r < rows; r++ {
+		tab := g.rowTab[r*ng : (r+1)*ng]
+		for i, k := range keys {
+			e := &tab[grp[i]]
+			cell := &e.cells[hashing.Reduce(hashing.Mix64(k, e.seed), w)]
+			*cell = min(*cell, rel[i])
+		}
+	}
 }
 
-// QueryEach is QueryBlock for a key list whose keys belong to different
-// groups: grp[i] names keys[i]'s group, and cand[i] becomes what that
-// group's sketch gives keys[i] (see Sketch.QueryBlock) — 0 for a group that
-// does not exist. The bucket of keys[i] is min(grp[i]·BucketsPerGroup() +
-// cand[i] − 1, NumBuckets() − 1). The groups must share one shape, as
-// Reshape and DecodeGroupedPackedReuse build them; grp and cand must be at
-// least as long as keys.
-//
-// It runs a pass per hash row, as QueryBlock does, through a table of each
-// group's seed and cells for that row, so a key costs one more load than it
-// does in QueryBlock.
+// QueryEach runs the Max protocol (see Sketch.QueryBlock) for a key list
+// whose keys belong to different groups: grp[i] names keys[i]'s group, and
+// cand[i] becomes what that group's sketch gives keys[i] — 0 for a group
+// that does not exist. The bucket of keys[i] is min(grp[i]·BucketsPerGroup()
+// + cand[i] − 1, NumBuckets() − 1), as Query computes it. grp and cand must
+// be at least as long as keys.
 func (g *Grouped) QueryEach(keys []uint64, grp []uint32, cand []uint16) {
 	grp, cand = grp[:len(keys)], cand[:len(keys)]
 	clear(cand)
+	rows, w := g.rowTable()
 	ng := len(g.groups)
-	rows, cols := g.groups[0].rows, g.groups[0].cols
-	g.rowTab = quantizer.Resize(g.rowTab, rows*ng)
-	for i, s := range g.groups {
-		if s.rows != rows || s.cols != cols {
-			invariant.Failf("minmax: group %d is %dx%d, group 0 %dx%d", i, s.rows, s.cols, rows, cols)
-		}
-		for r := 0; r < rows; r++ {
-			seed, _ := s.family.Row(r)
-			g.rowTab[r*ng+i] = groupRow{seed, s.cells[r*cols : (r+1)*cols]}
-		}
-	}
-	w := uint64(cols)
 	for r := 0; r < rows; r++ {
 		tab := g.rowTab[r*ng : (r+1)*ng]
 		for i, k := range keys {
@@ -396,8 +281,30 @@ func (g *Grouped) QueryEach(keys []uint64, grp []uint32, cand []uint16) {
 	}
 }
 
-// groupRow is one group's hash seed and cells for one row, QueryEach's
-// table entry.
+// rowTable fills g.rowTab, InsertEach's and QueryEach's table, with each
+// group's hash seed and cells row by row — row r's entries are
+// rowTab[r·NumGroups() : (r+1)·NumGroups()] — and returns the rows and
+// their width. Both then run a pass per hash row, as Sketch.QueryBlock
+// does, so a key costs one more load than it does there. The groups must
+// share one shape, as Reshape and DecodeGroupedPackedReuse build them.
+func (g *Grouped) rowTable() (rows int, width uint64) {
+	ng := len(g.groups)
+	rows, cols := g.groups[0].rows, g.groups[0].cols
+	g.rowTab = quantizer.Resize(g.rowTab, rows*ng)
+	for i, s := range g.groups {
+		if s.rows != rows || s.cols != cols {
+			invariant.Failf("minmax: group %d is %dx%d, group 0 %dx%d", i, s.rows, s.cols, rows, cols)
+		}
+		for r := 0; r < rows; r++ {
+			seed, _ := s.family.Row(r)
+			g.rowTab[r*ng+i] = groupRow{seed, s.cells[r*cols : (r+1)*cols]}
+		}
+	}
+	return rows, uint64(cols)
+}
+
+// groupRow is one group's hash seed and cells for one row, rowTable's
+// entry.
 type groupRow struct {
 	seed  uint64
 	cells []uint16
@@ -486,57 +393,4 @@ func DecodeGroupedPackedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, i
 		}
 	}
 	return g, packedHeader + used, nil
-}
-
-// AppendBinary serializes every group sketch, each with its own header and
-// its cells in whole bytes: the layout of SketchML messages with
-// delta-binary keys, which the codec still decodes (DecodeGroupedReuse).
-// AppendPacked is the layout it writes.
-func (g *Grouped) AppendBinary(dst []byte) ([]byte, error) {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(g.groups)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(g.numBuckets))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(g.bucketsPerGroup))
-	dst = append(dst, hdr[:]...)
-	var err error
-	for _, s := range g.groups {
-		dst, err = s.AppendBinary(dst, g.bucketsPerGroup-1)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// DecodeGroupedReuse parses a Grouped serialized by AppendBinary. Group
-// seeds are re-derived from seed exactly as NewGrouped does. When g is
-// non-nil it is rebuilt in place and returned, reusing its group slice and
-// every group sketch's storage, so steady-state decoding allocates nothing
-// once capacities match the wire shape; a nil g allocates fresh.
-func DecodeGroupedReuse(data []byte, seed uint64, g *Grouped) (*Grouped, int, error) {
-	if len(data) < 12 {
-		return nil, 0, errors.New("minmax: truncated grouped header")
-	}
-	n := int(binary.LittleEndian.Uint32(data[0:]))
-	numBuckets := int(binary.LittleEndian.Uint32(data[4:]))
-	bpg := int(binary.LittleEndian.Uint32(data[8:]))
-	if n <= 0 || n > 1<<16 || numBuckets <= 0 || bpg <= 0 {
-		return nil, 0, fmt.Errorf("minmax: implausible grouped header n=%d q=%d bpg=%d", n, numBuckets, bpg)
-	}
-	if g == nil {
-		g = &Grouped{}
-	}
-	g.resizeGroups(n)
-	g.numBuckets = numBuckets
-	g.bucketsPerGroup = bpg
-	off := 12
-	for i := 0; i < n; i++ {
-		s, used, err := DecodeBinaryReuse(data[off:], hashing.Mix64(uint64(i), seed), g.groups[i])
-		if err != nil {
-			return nil, 0, fmt.Errorf("minmax: group %d: %w", i, err)
-		}
-		g.groups[i] = s
-		off += used
-	}
-	return g, off, nil
 }

@@ -1,11 +1,13 @@
 package minmax
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"sketchml/internal/bitpack"
 )
 
 func TestInsertQueryNoCollisions(t *testing.T) {
@@ -127,84 +129,51 @@ func TestMaxQueryPicksClosest(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTrip sends one-group sketches through AppendPacked and
+// DecodeGroupedPackedReuse at group sizes whose cells take 6, 8, 9 and 10
+// bits: the size is the header and BitsFor(q+1) bits a cell, and the cells
+// and every query come back as they were.
 func TestMarshalRoundTrip(t *testing.T) {
-	for _, maxIdx := range []int{31, 254, 255, 1000} {
-		s := New(3, 128, 77)
+	for _, q := range []int{32, 255, 256, 1001} {
+		g := NewGrouped(3, 128, q, 1, 77)
 		rng := rand.New(rand.NewSource(4))
 		for k := uint64(0); k < 300; k++ {
-			s.Insert(k, uint16(rng.Intn(maxIdx+1)))
+			g.Insert(k, rng.Intn(q))
 		}
-		data, err := s.AppendBinary(nil, maxIdx)
+		data, err := g.AppendPacked(nil)
 		if err != nil {
-			t.Fatalf("maxIdx=%d: %v", maxIdx, err)
+			t.Fatalf("q=%d: %v", q, err)
 		}
-		if want := 13 + 3*128*cellWidth(maxIdx); len(data) != want {
-			t.Errorf("maxIdx=%d: len=%d, want %d", maxIdx, len(data), want)
+		if want := packedHeader + bitpack.PackedSize(3*128, bitpack.BitsFor(q+1)); len(data) != want {
+			t.Errorf("q=%d: len=%d, want %d", q, len(data), want)
 		}
-		got, used, err := DecodeBinaryReuse(data, 77, nil)
+		got, used, err := DecodeGroupedPackedReuse(data, 77, nil)
 		if err != nil {
-			t.Fatalf("maxIdx=%d decode: %v", maxIdx, err)
+			t.Fatalf("q=%d decode: %v", q, err)
 		}
 		if used != len(data) {
-			t.Errorf("maxIdx=%d: consumed %d of %d bytes", maxIdx, used, len(data))
+			t.Errorf("q=%d: consumed %d of %d bytes", q, used, len(data))
 		}
-		if !bytes.Equal(cellBytes(got), cellBytes(s)) {
-			t.Errorf("maxIdx=%d: cells differ after round trip", maxIdx)
+		if !slices.Equal(got.groups[0].cells, g.groups[0].cells) {
+			t.Errorf("q=%d: cells differ after round trip", q)
 		}
 		for k := uint64(0); k < 300; k++ {
-			a, aok := s.Query(k)
-			b, bok := got.Query(k)
+			a, aok := g.Query(0, k)
+			b, bok := got.Query(0, k)
 			if a != b || aok != bok {
-				t.Fatalf("maxIdx=%d: query mismatch at key %d", maxIdx, k)
+				t.Fatalf("q=%d: query mismatch at key %d", q, k)
 			}
 		}
 	}
 }
 
-func cellBytes(s *Sketch) []byte {
-	out := make([]byte, 0, len(s.cells)*2)
-	for _, c := range s.cells {
-		out = append(out, byte(c), byte(c>>8))
-	}
-	return out
-}
-
-func TestOneByteSerializationSmaller(t *testing.T) {
-	s := New(2, 1000, 3)
-	small, err := s.AppendBinary(nil, 100) // fits 1 byte
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := s.AppendBinary(nil, 1000) // needs 2 bytes
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(small) >= len(large) {
-		t.Errorf("1-byte cells (%d) should be smaller than 2-byte (%d)", len(small), len(large))
-	}
-}
-
+// TestMarshalRejectsOverflow: AppendPacked refuses a stored index past the
+// group size, which only a sketch written around Grouped.Insert can hold.
 func TestMarshalRejectsOverflow(t *testing.T) {
-	s := New(1, 8, 0)
-	s.Insert(1, 300)
-	if _, err := s.AppendBinary(nil, 100); err == nil {
-		t.Error("expected error: stored index exceeds declared max")
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeBinaryReuse([]byte{1, 2, 3}, 0, nil); err == nil {
-		t.Error("truncated header should error")
-	}
-	s := New(2, 8, 0)
-	data, _ := s.AppendBinary(nil, 10)
-	if _, _, err := DecodeBinaryReuse(data[:len(data)-1], 0, nil); err == nil {
-		t.Error("truncated body should error")
-	}
-	bad := append([]byte(nil), data...)
-	bad[12] = 7 // invalid cell width
-	if _, _, err := DecodeBinaryReuse(bad, 0, nil); err == nil {
-		t.Error("bad cell width should error")
+	g := NewGrouped(1, 8, 100, 1, 0)
+	g.groups[0].Insert(1, 300)
+	if _, err := g.AppendPacked(nil); err == nil {
+		t.Error("expected error: stored index exceeds the group size")
 	}
 }
 
@@ -284,38 +253,6 @@ func TestGroupedErrorBoundedByGroupWidth(t *testing.T) {
 	}
 	if w1 <= w8 {
 		t.Logf("note: r=1 worst error %d, r=8 %d (expected r=1 larger)", w1, w8)
-	}
-}
-
-func TestGroupedMarshalRoundTrip(t *testing.T) {
-	g := NewGrouped(2, 512, 256, 8, 21)
-	rng := rand.New(rand.NewSource(7))
-	keys := map[uint64]int{}
-	for k := uint64(0); k < 400; k++ {
-		b := rng.Intn(256)
-		keys[k] = g.Insert(k, b)
-	}
-	data, err := g.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12-byte header, then 8 groups of a 13-byte header and 2×64 1-byte cells.
-	if want := 12 + 8*(13+2*64); len(data) != want {
-		t.Errorf("len=%d, want %d", len(data), want)
-	}
-	got, used, err := DecodeGroupedReuse(data, 21, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(data) {
-		t.Errorf("consumed %d of %d", used, len(data))
-	}
-	for k, grp := range keys {
-		a, aok := g.Query(grp, k)
-		b, bok := got.Query(grp, k)
-		if a != b || aok != bok {
-			t.Fatalf("grouped query mismatch at key %d: (%d,%v) vs (%d,%v)", k, a, aok, b, bok)
-		}
 	}
 }
 
