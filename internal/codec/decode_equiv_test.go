@@ -43,8 +43,8 @@ var decoderUnderTest = MustSketchML(DefaultOptions())
 
 // thorough reports whether the sweeps below run in full. They are
 // single-goroutine comparisons the race detector has nothing to add to and
-// slows tenfold, so under -race (and -short) they thin out: the 14-list shape
-// at the benchmark's Dim only, one overwrite at every third byte.
+// slows tenfold, so under -race (and -short) they thin out: the 7-group
+// aggregate at the benchmark's Dim only, one overwrite at every third byte.
 func thorough() bool { return !raceEnabled && !testing.Short() }
 
 // ablations are the component sets of Figure 8 that SketchML encodes (the
@@ -60,7 +60,7 @@ var ablations = []struct {
 
 // TestDecodeMatchesOracle sweeps the message shapes the encoder can write:
 // narrow and wide keys, the empty and one-entry messages, panes too small
-// to group and the benchmark's 14-list aggregate, every hash row count, and
+// to group and the benchmark's 7-group aggregate, every hash row count, and
 // the ablation layouts. Dim against nnz puts the points on both sides
 // of the density test (⌈Dim/64⌉ ≤ 2·nnz + 1) that picks rank scatter or
 // merge; TestDecodeDensityBoundary sits on the line itself.
@@ -100,7 +100,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 
 // TestDecodeDensityBoundary decodes the same entries under the largest Dim
 // the rank scatter takes and the smallest it leaves to the merge, for
-// messages of one list a pane and of several.
+// messages of one group a pane and of several.
 func TestDecodeDensityBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	var dst gradient.Sparse
@@ -259,8 +259,9 @@ func TestDecodeHostileLists(t *testing.T) {
 		// Key 70 is inserted into group 0 and listed under group 1.
 		wrongGroup := pane(a, b)
 		wrongGroup.groups[slices.Index(wrongGroup.keys, 70)] = 1
-		// Three groups, and key 71 listed under a fourth, which 2 bits hold.
-		pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, b, nil)
+		// Three groups, and key 71, which the last one holds, listed under a
+		// fourth, which 2 bits hold: refused, not clamped to the last group.
+		pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, nil, b)
 		pastGroups.groups[slices.Index(pastGroups.keys, 71)] = 3
 		// Keys 71 and 1 000 are listed in group 1 and missing from its sketch.
 		emptyBins := pane(a, b)

@@ -128,8 +128,8 @@ func FuzzSketchMLDecode(f *testing.F) {
 	pane := func(lists ...[]uint64) craftedPane { return groupedPane(means, lists...) }
 	wrongGroup := pane(a, b)
 	wrongGroup.groups[0] = 1 // key 3, group 0's, listed under group 1
-	pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, b, nil)
-	pastGroups.groups[0] = 3
+	pastGroups := groupedPane([]float64{0.5, 1.5, 2.5}, a, nil, b)
+	pastGroups.groups[1] = 3 // key 5, the last group's
 	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane(neg)}))
 	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 71, 1100})}))
 	f.Add(craftMessage(f, 1200, 9, [2]craftedPane{pane(a, b), pane([]uint64{8, 72, 1264})}))
